@@ -355,7 +355,6 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 		connID:     dec.ConnID,
 		floorLevel: m.FloorLevel,
 		qosMgr:     qos.NewManager(s.clk, s.opts.Policy),
-		senders:    map[string]*sender{},
 		ssrcToID:   map[uint32]string{},
 		startedAt:  now,
 		lwPos:      noWheelPos(),
@@ -449,7 +448,7 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 		port := base + i
 		to := netsim.MakeAddr(clientHost, port)
 		snd := newSender(s, sess.qosMgr, f, src, ssrc, to, origin)
-		sess.senders[f.Stream.ID] = snd
+		sess.senders = append(sess.senders, snd)
 		sess.qosMgr.Register(qos.StreamConfig{
 			ID:     f.Stream.ID,
 			Kind:   f.Stream.Type,
@@ -519,10 +518,7 @@ func (s *Server) sendSenderReports(sess *session) {
 	if mediaTime < 0 {
 		mediaTime = 0
 	}
-	snds := make([]*sender, 0, len(sess.senders))
-	for _, snd := range sess.senders {
-		snds = append(snds, snd)
-	}
+	snds := sess.senders
 	if len(snds) > 0 {
 		sess.srTimer = s.clk.AfterFunc(5*time.Second, func() { s.sendSenderReports(sess) })
 	}
@@ -597,7 +593,7 @@ func (s *Server) onFeedback(from netsim.Addr, m protocol.Feedback) {
 	var diverged []*sender
 	if cur, live := sh.sessions[string(from)]; live && cur == sess {
 		for _, id := range acted {
-			if snd := sess.senders[id]; snd != nil && !sess.qosMgr.LevelMatches(id, 0) {
+			if snd := sess.sender(id); snd != nil && !sess.qosMgr.LevelMatches(id, 0) {
 				diverged = append(diverged, snd)
 			}
 		}
@@ -635,7 +631,7 @@ func (s *Server) onMediaOp(from netsim.Addr, mt protocol.MsgType, m protocol.Med
 			snd.restart(origin)
 		}
 	case protocol.MsgDisableMedia:
-		if snd, ok := sess.senders[m.StreamID]; ok {
+		if snd := sess.sender(m.StreamID); snd != nil {
 			snd.disable()
 		}
 	}
@@ -748,7 +744,7 @@ func (s *Server) stopSendersLocked(sess *session) {
 	for _, snd := range sess.senders {
 		snd.stop()
 	}
-	sess.senders = map[string]*sender{}
+	sess.senders = nil
 	if sess.srTimer != nil {
 		sess.srTimer.Stop()
 		sess.srTimer = nil

@@ -172,12 +172,17 @@ type session struct {
 	user string
 	// class is the user's pricing contract, kept so a cross-server handoff
 	// ticket can carry it without a subscriber-database lookup.
-	class       qos.PricingClass
-	client      netsim.Addr
-	connID      int
-	floorLevel  int
-	qosMgr      *qos.Manager
-	senders     map[string]*sender
+	class      qos.PricingClass
+	client     netsim.Addr
+	connID     int
+	floorLevel int
+	qosMgr     *qos.Manager
+	// senders holds the document's streams in flow-scenario order. Every
+	// bulk operation (start, pause, park, report, stop) walks it in that
+	// order, so streams due at the same instant leave in a repeatable order;
+	// stopSendersLocked replaces the slice, never mutates it, so a snapshot
+	// taken under the shard lock stays valid after unlock.
+	senders     []*sender
 	ssrcToID    map[uint32]string
 	doc         string
 	suspended   bool
@@ -198,6 +203,16 @@ type session struct {
 	shard       atomic.Int32
 	lwPos       wheelPos
 	renegQueued atomic.Bool
+}
+
+// sender returns the session's sender for a stream ID, or nil.
+func (sess *session) sender(id string) *sender {
+	for _, snd := range sess.senders {
+		if snd.stream.ID == id {
+			return snd
+		}
+	}
+	return nil
 }
 
 type pendingSearch struct {

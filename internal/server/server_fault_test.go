@@ -112,7 +112,8 @@ func TestSuspendGraceExpiryReleasesAdmission(t *testing.T) {
 	}
 	snds := sess.senders
 	unlock()
-	for id, snd := range snds {
+	for _, snd := range snds {
+		id := snd.stream.ID
 		if !snd.isPaused() {
 			t.Fatalf("sender %s not paused while suspended", id)
 		}
@@ -158,7 +159,8 @@ func TestResumeBeforeExpiryRestoresSenders(t *testing.T) {
 	}
 	snds := sess.senders
 	unlock()
-	for id, snd := range snds {
+	for _, snd := range snds {
+		id := snd.stream.ID
 		if snd.isPaused() {
 			t.Fatalf("sender %s still paused after resume", id)
 		}
@@ -290,7 +292,8 @@ func TestMediaOpsIgnoredWhileSuspended(t *testing.T) {
 	}
 	snds := sess.senders
 	unlock()
-	for id, snd := range snds {
+	for _, snd := range snds {
+		id := snd.stream.ID
 		if !snd.isPaused() {
 			t.Fatalf("sender %s woken by a media op while suspended", id)
 		}

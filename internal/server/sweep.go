@@ -278,11 +278,7 @@ func (s *Server) renegTick(si int) {
 		if sh.byID[sess.id] != sess {
 			continue
 		}
-		it := item{snds: make([]*sender, 0, len(sess.senders)), connID: sess.connID}
-		for _, snd := range sess.senders {
-			it.snds = append(it.snds, snd)
-		}
-		items = append(items, it)
+		items = append(items, item{snds: sess.senders, connID: sess.connID})
 	}
 	sh.mu.Unlock()
 	for _, it := range items {
