@@ -5,7 +5,7 @@
 # internal/server includes a connect/disconnect churn stress that drives
 # the sharded session state, dedup rings and timer wheels from concurrent
 # goroutines, and a shared-flow churn stress that hammers the flow
-# registry's attach/detach/pause/reload surface while the flows pump); the
+# registry's join/split/pause/reload surface while the flows pump); the
 # allocation regression tests in internal/server ride along in `test`.
 # `make chaos` runs the fault-injection suite on its own, with the pinned
 # seed and the race detector. `make bench-dataplane` measures the server
@@ -25,13 +25,15 @@
 # lock/alloc invariants, span-overhead ceiling, sweep sublinearity, the
 # cluster zero-lost-sessions invariant) without re-running the benchmarks,
 # so `make check` catches a stale or hand-mangled artifact
-# deterministically.
+# deterministically. `make bench-check` vets and tests the end-to-end
+# benchmark under bench/, a module of its own that `./...` does not reach, so
+# an exported-API change that breaks its build fails here (<1 s).
 
 GO ?= go
 
-.PHONY: check vet build test race chaos bench-dataplane bench-controlplane bench-cluster bench-netsim bench-verify
+.PHONY: check vet build test race chaos bench-dataplane bench-controlplane bench-cluster bench-netsim bench-verify bench-check
 
-check: vet build test race bench-verify
+check: vet build test race bench-verify bench-check
 
 vet:
 	$(GO) vet ./...
@@ -65,3 +67,6 @@ bench-netsim:
 
 bench-verify:
 	$(GO) run ./cmd/experiments -verify-bench .
+
+bench-check:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...

@@ -444,10 +444,8 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 	origin := s.clk.Now().Add(200 * time.Millisecond)
 	for i, f := range flows {
 		src := media.ForStream(f.Stream)
-		ssrc := s.nextSSRC.Add(1)
 		port := base + i
-		to := netsim.MakeAddr(clientHost, port)
-		snd := newSender(s, sess.qosMgr, f, src, ssrc, to, origin)
+		snd := &sender{stream: f.Stream, qos: sess.qosMgr, to: netsim.MakeAddr(clientHost, port)}
 		sess.senders = append(sess.senders, snd)
 		sess.qosMgr.Register(qos.StreamConfig{
 			ID:     f.Stream.ID,
@@ -456,16 +454,18 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 			Levels: src.Levels(),
 			Floor:  minInt(sess.floorLevel, src.Levels()-1),
 		})
-		// Shared fan-out: a time-sensitive stream whose session grades at
-		// the flow's level rides the document's shared flow — the announce
-		// then carries the FLOW's SSRC, and the client receives the same
-		// packets as every other subscriber. Late joiners get a catch-up
-		// patch from the flow's segment cache (see sharedflow.go).
+		// Attach policy: with SharedFlows, a time-sensitive stream whose
+		// session grades at the shared level joins the document's registered
+		// flow — the announce then carries THAT flow's SSRC and the client
+		// receives the same packets as every other subscriber, a late joiner
+		// after a catch-up patch from the flow's segment cache. Every other
+		// stream gets a private flow of its own (see flow.go).
 		if s.opts.SharedFlows && f.Stream.Type.TimeSensitive() && sess.qosMgr.LevelMatches(f.Stream.ID, 0) {
-			fl := s.flows.attach(s, flowKey{doc: m.Name, stream: f.Stream.ID, level: 0}, f, src, snd, to, origin)
-			snd.attachShared(fl)
-			ssrc = fl.ssrc
+			snd.join(s, flowKey{doc: m.Name, stream: f.Stream.ID, level: 0}, src, f.SendAt, origin)
+		} else {
+			snd.fl = newFlow(s, snd, src, f.SendAt, origin, rtp.NewSender(s.nextSSRC.Add(1), src.PayloadType(0), 0))
 		}
+		ssrc := snd.fl.ssrc
 		sess.ssrcToID[ssrc] = f.Stream.ID
 		announces = append(announces, protocol.StreamAnnounce{
 			StreamID:        f.Stream.ID,
@@ -506,7 +506,8 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 // sendSenderReports emits one RTCP SR per active media sender so receivers
 // can map RTP timestamps to the sender's wall clock (RFC 1889 §6.3). The
 // shard lock covers only the session snapshot; report construction walks
-// each sender under that sender's own lock and the sends happen lock-free.
+// each stream's flow under that flow's own lock and the sends happen
+// lock-free.
 func (s *Server) sendSenderReports(sess *session) {
 	sh, _ := s.lockSession(sess)
 	if sess.suspended || sh.byID[sess.id] != sess {
@@ -525,7 +526,7 @@ func (s *Server) sendSenderReports(sess *session) {
 	sh.mu.Unlock()
 	from := netsim.MakeAddr(s.Name, mediaPort)
 	for _, snd := range snds {
-		if sr := snd.report(now, mediaTime); sr != nil {
+		if sr := snd.flow().report(now, mediaTime); sr != nil {
 			s.net.Send(netsim.Packet{From: from, To: snd.to, Payload: sr.Marshal()})
 		}
 	}
@@ -581,14 +582,14 @@ func (s *Server) onFeedback(from netsim.Addr, m protocol.Feedback) {
 			}
 		}
 	}
-	if len(acted) == 0 || !s.opts.SharedFlows {
+	if len(acted) == 0 {
 		return
 	}
 	// Per-flow vs per-session level reconciliation: any grading action moves
-	// the acted stream's session level away from the shared flow's fixed
-	// encode level (upgrades back toward it only happen on already-private
-	// senders), so the subscriber detaches onto its private sender — the
-	// other subscribers never notice.
+	// the acted stream's session level away from a shared flow's fixed encode
+	// level (upgrades back toward it only happen on already-private flows), so
+	// the subscriber splits onto a private flow — the other subscribers never
+	// notice. A stream that is already private is left as it is.
 	sh.mu.RLock()
 	var diverged []*sender
 	if cur, live := sh.sessions[string(from)]; live && cur == sess {
@@ -600,7 +601,7 @@ func (s *Server) onFeedback(from netsim.Addr, m protocol.Feedback) {
 	}
 	sh.mu.RUnlock()
 	for _, snd := range diverged {
-		snd.detachShared()
+		snd.split()
 	}
 }
 

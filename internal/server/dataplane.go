@@ -20,11 +20,11 @@ import (
 
 // This file is the data-plane load harness: it stands up one server with N
 // sessions playing a multi-stream document and measures the media emit path
-// in two phases. The paced phase drives the virtual clock so every sender
+// in two phases. The paced phase drives the virtual clock so every flow
 // fires on its flow-scenario timer, and samples the control-plane lock
 // meters (summed across shards) across the window to prove per-frame
 // emission never touches a shard's write lock. The
-// pump phase drives each sender back-to-back from its own goroutine against
+// pump phase drives each flow back-to-back from its own goroutine against
 // a counting sink transport, measuring genuine parallel throughput and the
 // per-frame emit service time whose tail is the pacing-jitter bound: a frame
 // cannot leave more than one service time late because of lock contention.
@@ -34,7 +34,7 @@ type DataPlaneConfig struct {
 	// Sessions is the number of concurrent client sessions.
 	Sessions int
 	// FramesPerSender bounds the pump phase's frames per time-sensitive
-	// sender.
+	// flow.
 	FramesPerSender int
 	// PacedWindow is how much virtual time the paced phase advances. Keep
 	// it under the 5 s RTCP sender-report period so the window contains
@@ -92,7 +92,7 @@ type DataPlaneResult struct {
 	PumpAllocsPerFrame      float64 `json:"pump_allocs_per_frame"`
 	PumpAllocBytesPerFrame  float64 `json:"pump_alloc_bytes_per_frame"`
 
-	// Pump phase: parallel full-rate emission, one goroutine per sender.
+	// Pump phase: parallel full-rate emission, one goroutine per flow.
 	PumpFrames    int64   `json:"pump_frames"`
 	PumpPackets   int64   `json:"pump_packets"`
 	PumpBytes     int64   `json:"pump_bytes"`
@@ -276,82 +276,65 @@ func RunDataPlaneLoad(cfg DataPlaneConfig) (DataPlaneResult, error) {
 		return res, fmt.Errorf("dataplane: %d sessions stood up, want %d", got, cfg.Sessions)
 	}
 
-	// Collect the senders. Time-sensitive ones are the sustained load; the
-	// stills finish after their single frame.
-	var all, ts []*sender
+	// Collect the flows behind the sessions' streams: one per stream when
+	// every session paces privately, one per document stream when sessions
+	// share. Time-sensitive ones are the sustained load; the stills finish
+	// after their single frame.
+	var all, ts []*flow
+	seen := map[*flow]bool{}
 	for i := range srv.shards {
 		sh := &srv.shards[i]
 		sh.mu.Lock()
 		for _, sess := range sh.sessions {
 			for _, snd := range sess.senders {
-				all = append(all, snd)
-				if snd.stream.Type.TimeSensitive() {
-					ts = append(ts, snd)
+				res.Senders++
+				fl := snd.flow()
+				if seen[fl] {
+					continue
+				}
+				seen[fl] = true
+				all = append(all, fl)
+				if fl.stream.Type.TimeSensitive() {
+					ts = append(ts, fl)
+				}
+				if fl.shared() {
+					res.Flows++
+					fl.mu.Lock()
+					if n := len(fl.subs); n > res.MaxFlowSubscribers {
+						res.MaxFlowSubscribers = n
+					}
+					fl.mu.Unlock()
 				}
 			}
 		}
 		sh.mu.Unlock()
 	}
-	res.Senders = len(all)
 
-	// Collect the shared flows the document requests stood up. With shared
-	// flows off (or every session on its own document) this is empty and
-	// every sender paces privately.
-	var flows []*sharedFlow
-	srv.flows.mu.Lock()
-	for _, fl := range srv.flows.flows {
-		flows = append(flows, fl)
-	}
-	srv.flows.mu.Unlock()
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].key.doc != flows[j].key.doc {
-			return flows[i].key.doc < flows[j].key.doc
-		}
-		return flows[i].key.stream < flows[j].key.stream
-	})
-	res.Flows = len(flows)
-	for _, fl := range flows {
-		fl.mu.Lock()
-		if n := len(fl.subs); n > res.MaxFlowSubscribers {
-			res.MaxFlowSubscribers = n
-		}
-		fl.mu.Unlock()
-	}
-
+	// sumStats totals what the subscribers were sent: every flow's frames,
+	// packets and bytes once per subscriber (the subscriber sets are fixed
+	// from here on). sumEncodes counts the time-sensitive frames encoded and
+	// assembled — one per flow frame however many subscribers it reached —
+	// and the same frames once per subscriber; the two are equal when nothing
+	// is shared.
 	sumStats := func() (frames, packets int64, bytes int64) {
-		for _, snd := range all {
-			st := snd.stats()
-			frames += int64(st.frames)
-			packets += int64(st.packets)
-			bytes += st.bytes
+		for _, fl := range all {
+			fl.mu.Lock()
+			n := int64(len(fl.subs))
+			frames += fl.delivered
+			packets += int64(fl.packets) * n
+			bytes += fl.bytes * n
+			fl.mu.Unlock()
 		}
 		return
 	}
-	// sumEncodes counts time-sensitive frames encoded+assembled: one per
-	// flow frame regardless of subscriber count, plus each private
-	// time-sensitive sender's own frames. sumDelivered counts the same
-	// frames once per subscriber actually fanned (a shared sender's stats
-	// delegate to its flow-share). Equal when nothing is shared.
-	sumEncodes := func() int64 {
-		var e int64
-		for _, fl := range flows {
+	sumEncodes := func() (encodes, delivered int64) {
+		for _, fl := range ts {
 			fl.mu.Lock()
-			e += int64(fl.framesSent)
+			encodes += int64(fl.frames)
+			delivered += fl.delivered
 			fl.mu.Unlock()
 		}
-		for _, snd := range ts {
-			if !snd.isShared() {
-				e += int64(snd.stats().frames)
-			}
-		}
-		return e
-	}
-	sumDelivered := func() int64 {
-		var d int64
-		for _, snd := range ts {
-			d += int64(snd.stats().frames)
-		}
-		return d
+		return
 	}
 
 	// memDelta samples the process-wide allocation counters around fn. The
@@ -367,55 +350,43 @@ func RunDataPlaneLoad(cfg DataPlaneConfig) (DataPlaneResult, error) {
 	}
 
 	// Paced phase: advance the virtual clock and let the flow-scenario
-	// timers emit. Everything that fires in this window is a sender timer,
+	// timers emit. Everything that fires in this window is a flow timer,
 	// so the lock-meter delta is exactly the emit path's shard-lock footprint —
 	// and the allocation delta is the pacing loop's footprint.
 	preFrames, _, _ := sumStats()
-	preEncodes, preDelivered := sumEncodes(), sumDelivered()
+	preEncodes, preDelivered := sumEncodes()
 	preAcqs, _ := srv.LockStats()
 	pacedMallocs, pacedBytes := memDelta(func() { clk.Advance(cfg.PacedWindow) })
 	postAcqs, _ := srv.LockStats()
 	pacedFrames, _, _ := sumStats()
 	res.PacedFrames = pacedFrames - preFrames
 	res.PacedLockAcqs = postAcqs - preAcqs
-	res.PacedEncodes = sumEncodes() - preEncodes
-	res.PacedDelivered = sumDelivered() - preDelivered
+	res.PacedEncodes, res.PacedDelivered = sumEncodes()
+	res.PacedEncodes -= preEncodes
+	res.PacedDelivered -= preDelivered
 	if res.PacedFrames > 0 {
-		// PacedFrames already counts per-subscriber deliveries (a shared
-		// sender's stats are its flow-share), so this IS allocations per
-		// delivered frame — the fan-out gate divides the one shared
-		// assembly across every subscriber it reached.
+		// PacedFrames already counts per-subscriber deliveries, so this IS
+		// allocations per delivered frame — the fan-out gate divides the one
+		// shared assembly across every subscriber it reached.
 		res.PacedAllocsPerFrame = float64(pacedMallocs) / float64(res.PacedFrames)
 		res.PacedAllocBytesPerFrame = float64(pacedBytes) / float64(res.PacedFrames)
 	}
 
-	// Pump phase: every pacing unit emits back-to-back from its own
-	// goroutine. A shared flow pumps once for all of its subscribers —
-	// that's the point — so the units are the flows plus every private
-	// sender.
-	type pumper interface{ pump(int) []time.Duration }
-	var units []pumper
-	for _, fl := range flows {
-		units = append(units, fl)
-	}
-	for _, snd := range all {
-		if !snd.isShared() {
-			units = append(units, snd)
-		}
-	}
+	// Pump phase: every flow emits back-to-back from its own goroutine. A
+	// shared flow pumps once for all of its subscribers — that's the point.
 	pumpStartFrames, pumpStartPackets, pumpStartBytes := sumStats()
-	pumpStartEncodes, pumpStartDelivered := sumEncodes(), sumDelivered()
-	times := make([][]time.Duration, len(units))
+	pumpStartEncodes, pumpStartDelivered := sumEncodes()
+	times := make([][]time.Duration, len(all))
 	var wg sync.WaitGroup
 	var elapsed time.Duration
 	pumpMallocs, pumpAllocBytes := memDelta(func() {
 		t0 := time.Now()
-		for i, u := range units {
+		for i, fl := range all {
 			wg.Add(1)
-			go func(i int, u pumper) {
+			go func(i int, fl *flow) {
 				defer wg.Done()
-				times[i] = u.pump(cfg.FramesPerSender)
-			}(i, u)
+				times[i] = fl.pump(cfg.FramesPerSender)
+			}(i, fl)
 		}
 		wg.Wait()
 		elapsed = time.Since(t0)
@@ -424,8 +395,9 @@ func RunDataPlaneLoad(cfg DataPlaneConfig) (DataPlaneResult, error) {
 	res.PumpFrames = pumpFrames - pumpStartFrames
 	res.PumpPackets = pumpPackets - pumpStartPackets
 	res.PumpBytes = pumpBytes - pumpStartBytes
-	res.PumpEncodes = sumEncodes() - pumpStartEncodes
-	res.PumpDelivered = sumDelivered() - pumpStartDelivered
+	res.PumpEncodes, res.PumpDelivered = sumEncodes()
+	res.PumpEncodes -= pumpStartEncodes
+	res.PumpDelivered -= pumpStartDelivered
 	res.ElapsedMicros = elapsed.Microseconds()
 	if elapsed > 0 {
 		res.FramesPerSec = float64(res.PumpFrames) / elapsed.Seconds()

@@ -15,8 +15,8 @@ import (
 // allocHarness stands up a server on the counting sink transport (so the
 // measurement sees the emit path itself, not the simulator's event
 // scheduling) with one session playing the bench lesson, and returns a
-// time-sensitive sender plus the paced-clock handle.
-func allocHarness(t *testing.T) (*clock.Virtual, *sender) {
+// time-sensitive flow plus the paced-clock handle.
+func allocHarness(t *testing.T) (*clock.Virtual, *flow) {
 	t.Helper()
 	clk := clock.NewSim()
 	net := newSinkNet()
@@ -45,20 +45,20 @@ func allocHarness(t *testing.T) (*clock.Virtual, *sender) {
 		Payload:  protocol.MustEncode(protocol.MsgDocRequest, protocol.DocRequest{Name: "lesson"}),
 		Reliable: true,
 	})
-	var sn *sender
+	var fl *flow
 	sess, unlock := srv.lockedSession(client)
 	if sess != nil {
 		for _, snd := range sess.senders {
 			if snd.stream.Type.TimeSensitive() {
-				sn = snd
+				fl = snd.flow()
 			}
 		}
 	}
 	unlock()
-	if sn == nil {
-		t.Fatal("no time-sensitive sender stood up")
+	if fl == nil {
+		t.Fatal("no time-sensitive flow stood up")
 	}
-	return clk, sn
+	return clk, fl
 }
 
 // TestEmitPathAllocFree is the allocation regression gate of the zero-alloc
@@ -71,11 +71,11 @@ func TestEmitPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops items under -race; allocation bounds don't hold")
 	}
-	_, sn := allocHarness(t)
+	_, fl := allocHarness(t)
 	avg := testing.AllocsPerRun(200, func() {
-		sn.mu.Lock()
-		sn.emitFrameLocked()
-		sn.mu.Unlock()
+		fl.mu.Lock()
+		fl.emitFrameLocked()
+		fl.mu.Unlock()
 	})
 	if avg > 1 {
 		t.Fatalf("emit path allocates %.2f objects/frame; the steady-state "+

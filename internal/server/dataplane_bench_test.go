@@ -98,7 +98,7 @@ func TestDataPlaneRaceStress(t *testing.T) {
 		go func(snd *sender) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				snd.pump(10)
+				snd.flow().pump(10)
 				_ = snd.stats()
 				_ = snd.nominalRate()
 			}

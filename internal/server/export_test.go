@@ -21,3 +21,20 @@ func (s *Server) dedupHas(addr netsim.Addr) bool {
 	_, ok := sh.dedup[string(addr)]
 	return ok
 }
+
+// isPaused reports whether the stream's pacing is currently paused.
+func (sn *sender) isPaused() bool {
+	fl := sn.flow()
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	return fl.paused
+}
+
+// rtpPackets returns the RTP-layer packet count the stream's next sender
+// report would carry.
+func (sn *sender) rtpPackets() uint32 {
+	fl := sn.flow()
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	return fl.rtpS.PacketCount()
+}

@@ -48,11 +48,11 @@ type Options struct {
 	// serves the control-protocol stats snapshot.
 	Obs *obs.Scope
 
-	// SharedFlows enables the fan-out layer: sessions requesting the same
-	// document attach as subscribers to one paced flow per time-sensitive
-	// stream — one encode and one packet assembly per frame regardless of
-	// the audience size (see sharedflow.go). Off by default: every session
-	// gets private senders, the pre-fan-out behavior.
+	// SharedFlows is the attach policy at document request: when set, a
+	// session's time-sensitive streams subscribe to the document's shared
+	// flow — one encode and one packet assembly per frame regardless of the
+	// audience size, late joiners patched from the flow's segment cache —
+	// instead of each getting a private flow (see flow.go). Off by default.
 	SharedFlows bool
 
 	// Directory, when set, is the cluster's placement/load view: it makes
@@ -140,9 +140,9 @@ type Server struct {
 	mBytes     *stats.Counter
 	mDelivered *stats.Counter
 
-	// Shared-flow state: the live flow registry, the cached multi-send
-	// assertion (nil when the transport lacks one — sendMedia then loops),
-	// and the flow lifecycle counters.
+	// Shared-flow state: the registry of live shared flows, the cached
+	// multi-send assertion (nil when the transport lacks one — sendMedia then
+	// loops), and the flow lifecycle counters.
 	flows         flowRegistry
 	multi         netsim.MultiSender
 	cFlowsCreated *stats.Counter

@@ -113,9 +113,8 @@ func TestSuspendGraceExpiryReleasesAdmission(t *testing.T) {
 	snds := sess.senders
 	unlock()
 	for _, snd := range snds {
-		id := snd.stream.ID
 		if !snd.isPaused() {
-			t.Fatalf("sender %s not paused while suspended", id)
+			t.Fatalf("sender %s not paused while suspended", snd.stream.ID)
 		}
 	}
 	h.clk.RunFor(3 * time.Second) // grace (2s) runs out
@@ -160,9 +159,8 @@ func TestResumeBeforeExpiryRestoresSenders(t *testing.T) {
 	snds := sess.senders
 	unlock()
 	for _, snd := range snds {
-		id := snd.stream.ID
 		if snd.isPaused() {
-			t.Fatalf("sender %s still paused after resume", id)
+			t.Fatalf("sender %s still paused after resume", snd.stream.ID)
 		}
 	}
 	if r := h.srv.Admission().Reserved(); r != reserved {
@@ -293,9 +291,8 @@ func TestMediaOpsIgnoredWhileSuspended(t *testing.T) {
 	snds := sess.senders
 	unlock()
 	for _, snd := range snds {
-		id := snd.stream.ID
 		if !snd.isPaused() {
-			t.Fatalf("sender %s woken by a media op while suspended", id)
+			t.Fatalf("sender %s woken by a media op while suspended", snd.stream.ID)
 		}
 	}
 	// The legitimate resume path still works afterwards.
@@ -327,9 +324,7 @@ func TestReloadResetsSenderCounters(t *testing.T) {
 	if busy == nil {
 		t.Fatal("no sender emitted anything before the reload")
 	}
-	busy.mu.Lock()
-	rtpBefore := busy.rtpS.PacketCount()
-	busy.mu.Unlock()
+	rtpBefore := busy.rtpPackets()
 	if rtpBefore == 0 {
 		t.Fatal("RTP layer recorded no packets before the reload")
 	}
@@ -340,9 +335,7 @@ func TestReloadResetsSenderCounters(t *testing.T) {
 	if st.frames != 0 || st.packets != 0 || st.bytes != 0 || st.skipped != 0 {
 		t.Fatalf("sender counters after reload = %+v, want all zero", st)
 	}
-	busy.mu.Lock()
-	rtpAfter := busy.rtpS.PacketCount()
-	busy.mu.Unlock()
+	rtpAfter := busy.rtpPackets()
 	if rtpAfter != 0 {
 		t.Fatalf("RTP packet count after reload = %d, want 0", rtpAfter)
 	}

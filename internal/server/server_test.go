@@ -8,6 +8,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/hml"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/qos"
 )
@@ -75,6 +76,7 @@ type harness struct {
 	clk   *clock.Virtual
 	net   *netsim.Network
 	users *auth.DB
+	scope *obs.Scope
 	srv   *Server
 	// captured replies to the fake client address
 	replies []struct {
@@ -93,7 +95,10 @@ func newHarness(t *testing.T, opts Options) *harness {
 	users.Subscribe(auth.User{Name: "u", Password: "p", Email: "u@x", Class: qos.Standard}, clk.Now())
 	db := NewDatabase()
 	db.Put("doc", hml.Figure2Source, "")
-	h := &harness{clk: clk, net: net, users: users}
+	if opts.Obs == nil {
+		opts.Obs = obs.NewScope(clk)
+	}
+	h := &harness{clk: clk, net: net, users: users, scope: opts.Obs}
 	srv, err := New("srv", clk, net, users, db, opts)
 	if err != nil {
 		t.Fatal(err)

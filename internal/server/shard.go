@@ -17,14 +17,19 @@ import (
 // lives in the shard of its *current* client address; the rare cross-shard
 // operation is a reattach that moves a session between addresses.
 //
-// Lock order (see also the sender.go data-plane note):
+// Lock order (the flow.go header covers the data-plane end):
 //
 //	shard.mu → shard.dmu   (same shard; never dmu → any mu)
-//	shard.mu → sn.mu       (control handlers may call sender methods)
 //	shard.mu(i) → shard.mu(j) only with i < j (cross-shard reattach)
+//	shard.mu → sender.mu → flowRegistry.mu → flow.mu
 //
-// Leaf locks (adm, users, qos managers, searchMu, annMu, peersMu) never
-// call back into shard state, so they may be taken under a shard lock.
+// Control handlers may call a session's sender handles while holding its
+// shard lock; a handle takes the registry lock only to join or split, and
+// the paced emit path takes flow.mu alone — never a shard, handle or
+// registry lock. Leaf locks (adm, users, qos managers, searchMu, annMu,
+// peersMu) never call back into shard state, so they may be taken under a
+// shard lock; a private flow reads its level through the qos manager's lock
+// under flow.mu.
 
 // ctrlShards is the number of control-plane shards; a power of two so the
 // address hash reduces with a mask.
