@@ -1,10 +1,13 @@
-// Command experiments runs the full reproduction harness: every figure
-// (F1–F5) and every evaluated claim (E1–E8) of DESIGN.md, printing the
-// tables that EXPERIMENTS.md records.
+// Command experiments runs the reproduction harness of DESIGN.md: the figures
+// (F1–F5), the evaluated claims (E1–E10, E12, E13) and the ablations (A1–A3),
+// printing the tables that EXPERIMENTS.md records. It also generates and
+// verifies the per-plane BENCH_*.json artifacts.
 //
 // Usage:
 //
-//	experiments [-seed N] [-quick] [-only F2,E3] [-dataplane out.json] [-verify-bench dir]
+//	experiments [-seed N] [-quick] [-only F2,E3]
+//	experiments -dataplane|-controlplane|-cluster|-netsim out.json
+//	experiments -verify-bench dir
 package main
 
 import (
@@ -12,214 +15,149 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/stats"
 )
 
-func main() {
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	quick := flag.Bool("quick", false, "shrink parameter sweeps")
-	only := flag.String("only", "", "comma-separated experiment ids (e.g. F2,E3); empty = all")
-	dataplane := flag.String("dataplane", "", "run the data-plane load benchmark and write its JSON results to this path")
-	controlplane := flag.String("controlplane", "", "run the control-plane load benchmark and write its JSON results to this path")
-	clusterOut := flag.String("cluster", "", "run the federated-cluster load/chaos benchmark and write its JSON results to this path")
-	netsimOut := flag.String("netsim", "", "run the sharded discrete-event simulator benchmark and write its JSON results to this path")
-	verifyBench := flag.String("verify-bench", "", "validate every committed BENCH_*.json under this directory against its schema and gates, then exit")
-	flag.Parse()
+// benchmarks are the artifact generators: each flag takes the path its JSON
+// report is written to. A generator returns only after its report passed the
+// gates bench-verify holds the committed file to.
+var benchmarks = []struct {
+	flag, usage string
+	run         func() (*stats.Table, any, error)
+}{
+	{"dataplane", "run the data-plane load benchmark and write its JSON results to this path",
+		func() (*stats.Table, any, error) { return experiments.DataPlane(nil) }},
+	{"controlplane", "run the control-plane load benchmark and write its JSON results to this path",
+		func() (*stats.Table, any, error) { return experiments.ControlPlane(nil) }},
+	{"cluster", "run the federated-cluster load/chaos benchmark and write its JSON results to this path",
+		func() (*stats.Table, any, error) { return experiments.Cluster(nil) }},
+	{"netsim", "run the sharded discrete-event simulator benchmark and write its JSON results to this path",
+		func() (*stats.Table, any, error) { return experiments.Netsim(nil) }},
+}
 
-	if *verifyBench != "" {
-		summary, err := experiments.VerifyBenchFiles(*verifyBench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-verify FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(summary)
-		return
-	}
-
-	if *controlplane != "" {
-		tb, results, err := experiments.ControlPlane(nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "controlplane FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		buf, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "controlplane FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*controlplane, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "controlplane FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(tb)
-		fmt.Printf("wrote %s\n", *controlplane)
-		return
-	}
-
-	if *netsimOut != "" {
-		tb, rep, err := experiments.Netsim(nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*netsimOut, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "netsim FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(tb)
-		fmt.Printf("wrote %s\n", *netsimOut)
-		return
-	}
-
-	if *clusterOut != "" {
-		tb, results, err := experiments.Cluster(nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		buf, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*clusterOut, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "cluster FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(tb)
-		fmt.Printf("wrote %s\n", *clusterOut)
-		return
-	}
-
-	if *dataplane != "" {
-		tb, results, err := experiments.DataPlane(nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dataplane FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		buf, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dataplane FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*dataplane, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dataplane FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(tb)
-		fmt.Printf("wrote %s\n", *dataplane)
-		return
-	}
-
-	want := map[string]bool{}
-	for _, id := range strings.Split(strings.ToUpper(*only), ",") {
-		if id != "" {
-			want[id] = true
-		}
-	}
-	sel := func(id string) bool { return len(want) == 0 || want[id] }
-
-	fail := 0
-	show := func(id string, tb *stats.Table, err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", id, err)
-			fail++
-			return
-		}
-		fmt.Println(tb)
-	}
-
-	if sel("F1") {
-		tb, err := experiments.F1Grammar()
-		show("F1", tb, err)
-	}
-	if sel("F2") {
+// table lists every experiment in print order.
+var table = []struct {
+	id  string
+	run func(seed uint64, quick bool) (*stats.Table, error)
+}{
+	{"F1", func(uint64, bool) (*stats.Table, error) { return experiments.F1Grammar() }},
+	{"F2", func(uint64, bool) (*stats.Table, error) {
 		chart, tb, err := experiments.F2Timeline()
 		if err == nil {
 			fmt.Println("== F2 — Figure 2 timeline (reconstructed from the markup) ==")
 			fmt.Println(chart)
 		}
-		show("F2", tb, err)
+		return tb, err
+	}},
+	{"F3", func(seed uint64, _ bool) (*stats.Table, error) {
+		tb, _, err := experiments.F3EndToEnd(seed)
+		return tb, err
+	}},
+	{"F4", func(uint64, bool) (*stats.Table, error) { return experiments.F4Protocol() }},
+	{"F5", func(seed uint64, _ bool) (*stats.Table, error) {
+		tb, _, err := experiments.F5StackSplit(seed)
+		return tb, err
+	}},
+	{"E1", experiments.E1TimeWindow},
+	{"E2", seeded(experiments.E2SkewControl)},
+	{"E3", seeded(experiments.E3Grading)},
+	{"E4", seeded(experiments.E4Combined)},
+	{"E5", seeded(experiments.E5Admission)},
+	{"E6", seeded(experiments.E6Startup)},
+	{"E7", seeded(experiments.E7Suspend)},
+	{"E8", experiments.E8Search},
+	{"E9", experiments.E9Scale},
+	{"E10", seeded(experiments.E10SharedUplink)},
+	{"E12", seeded(experiments.E12FlightRecorder)},
+	{"E13", func(uint64, bool) (*stats.Table, error) { return experiments.E13Cluster() }},
+	{"A1", seeded(experiments.A1DegradeOrder)},
+	{"A2", seeded(experiments.A2Hysteresis)},
+	{"A3", seeded(experiments.A3WindowSafety)},
+}
+
+// seeded adapts an experiment that has no quick variant.
+func seeded(run func(uint64) (*stats.Table, error)) func(uint64, bool) (*stats.Table, error) {
+	return func(seed uint64, _ bool) (*stats.Table, error) { return run(seed) }
+}
+
+func die(what string, err error) {
+	fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", what, err)
+	os.Exit(1)
+}
+
+func main() {
+	seed := flag.Uint64("seed", 1, "simulation seed")
+	quick := flag.Bool("quick", false, "shrink parameter sweeps")
+	only := flag.String("only", "", "comma-separated experiment ids (e.g. F2,E3); empty = all")
+	verifyBench := flag.String("verify-bench", "", "validate every committed BENCH_*.json under this directory against its schema and gates, then exit")
+	benchOut := make([]*string, len(benchmarks))
+	for i, b := range benchmarks {
+		benchOut[i] = flag.String(b.flag, "", b.usage)
 	}
-	if sel("F3") {
-		tb, _, err := experiments.F3EndToEnd(*seed)
-		show("F3", tb, err)
+	flag.Parse()
+
+	if *verifyBench != "" {
+		summary, err := experiments.VerifyBenchFiles(*verifyBench)
+		if err != nil {
+			die("bench-verify", err)
+		}
+		fmt.Print(summary)
+		return
 	}
-	if sel("F4") {
-		tb, err := experiments.F4Protocol()
-		show("F4", tb, err)
+
+	for i, b := range benchmarks {
+		path := *benchOut[i]
+		if path == "" {
+			continue
+		}
+		tb, rep, err := b.run()
+		if err != nil {
+			die(b.flag, err)
+		}
+		buf, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			die(b.flag, err)
+		}
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+			die(b.flag, err)
+		}
+		fmt.Println(tb)
+		fmt.Printf("wrote %s\n", path)
+		return
 	}
-	if sel("F5") {
-		tb, _, err := experiments.F5StackSplit(*seed)
-		show("F5", tb, err)
+
+	ids := make([]string, len(table))
+	for i, e := range table {
+		ids[i] = e.id
 	}
-	if sel("E1") {
-		tb, err := experiments.E1TimeWindow(*seed, *quick)
-		show("E1", tb, err)
+	want := map[string]bool{}
+	for _, id := range strings.Split(strings.ToUpper(*only), ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
+		}
+		if !slices.Contains(ids, id) {
+			fmt.Fprintf(os.Stderr, "unknown experiment id %q; valid ids: %s\n", id, strings.Join(ids, ","))
+			os.Exit(2)
+		}
+		want[id] = true
 	}
-	if sel("E2") {
-		tb, err := experiments.E2SkewControl(*seed)
-		show("E2", tb, err)
-	}
-	if sel("E3") {
-		tb, err := experiments.E3Grading(*seed)
-		show("E3", tb, err)
-	}
-	if sel("E4") {
-		tb, err := experiments.E4Combined(*seed)
-		show("E4", tb, err)
-	}
-	if sel("E5") {
-		tb, err := experiments.E5Admission(*seed)
-		show("E5", tb, err)
-	}
-	if sel("E6") {
-		tb, err := experiments.E6Startup(*seed)
-		show("E6", tb, err)
-	}
-	if sel("E7") {
-		tb, err := experiments.E7Suspend(*seed)
-		show("E7", tb, err)
-	}
-	if sel("E8") {
-		tb, err := experiments.E8Search(*seed, *quick)
-		show("E8", tb, err)
-	}
-	if sel("E9") {
-		tb, err := experiments.E9Scale(*seed, *quick)
-		show("E9", tb, err)
-	}
-	if sel("E10") {
-		tb, err := experiments.E10SharedUplink(*seed)
-		show("E10", tb, err)
-	}
-	if sel("E12") {
-		tb, err := experiments.E12FlightRecorder(*seed)
-		show("E12", tb, err)
-	}
-	if sel("E13") {
-		tb, err := experiments.E13Cluster()
-		show("E13", tb, err)
-	}
-	if sel("A1") {
-		tb, err := experiments.A1DegradeOrder(*seed)
-		show("A1", tb, err)
-	}
-	if sel("A2") {
-		tb, err := experiments.A2Hysteresis(*seed)
-		show("A2", tb, err)
-	}
-	if sel("A3") {
-		tb, err := experiments.A3WindowSafety(*seed)
-		show("A3", tb, err)
+
+	fail := 0
+	for _, e := range table {
+		if len(want) > 0 && !want[e.id] {
+			continue
+		}
+		tb, err := e.run(*seed, *quick)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", e.id, err)
+			fail++
+			continue
+		}
+		fmt.Println(tb)
 	}
 	if fail > 0 {
 		os.Exit(1)

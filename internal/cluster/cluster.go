@@ -4,15 +4,15 @@
 // admission load through a shared directory view, and the three cluster
 // behaviors — load-aware admission redirects, in-protocol cross-server
 // handoffs, and replica-aware failover — fall out of wiring the existing
-// server.Options cluster knobs to that view. The package also hosts the
-// cluster-scale load/chaos harness (RunClusterLoad) behind `make
-// bench-cluster` and the seeded chaos suite.
+// server.Options cluster knobs to that view. The cluster-scale load/chaos
+// harness behind `make bench-cluster` drives this package from outside
+// (internal/experiments/clusterbench.go), as does the seeded chaos suite
+// (internal/chaos).
 package cluster
 
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/auth"
 	"repro/internal/clock"
@@ -50,15 +50,11 @@ type Config struct {
 // Cluster is a running federation: N servers over one network, sharing a
 // subscriber database and a live placement/load directory.
 type Cluster struct {
-	Clk     *clock.Virtual
-	Net     *netsim.Network
-	Users   *auth.DB
 	Servers map[string]*server.Server
 	Scopes  map[string]*obs.Scope
 
 	names     []string
 	placement server.Placement
-	key       []byte
 }
 
 // view is the live Directory each server consults: replicas come from the
@@ -94,9 +90,6 @@ func New(clk *clock.Virtual, net *netsim.Network, users *auth.DB, cfg Config) (*
 		key = DefaultClusterKey
 	}
 	c := &Cluster{
-		Clk:     clk,
-		Net:     net,
-		Users:   users,
 		Servers: map[string]*server.Server{},
 		Scopes:  map[string]*obs.Scope{},
 		names:   append([]string(nil), cfg.Servers...),
@@ -107,7 +100,6 @@ func New(clk *clock.Virtual, net *netsim.Network, users *auth.DB, cfg Config) (*
 			}
 			return p
 		}(),
-		key: key,
 	}
 	held := map[string]bool{}
 	for _, name := range cfg.Servers {
@@ -171,17 +163,6 @@ func New(clk *clock.Virtual, net *netsim.Network, users *auth.DB, cfg Config) (*
 	return c, nil
 }
 
-// Names returns the server names in boot order.
-func (c *Cluster) Names() []string { return append([]string(nil), c.names...) }
-
-// Key returns the shared handoff-signing key.
-func (c *Cluster) Key() []byte { return c.key }
-
-// Replicas returns the placement entry for doc (primary first).
-func (c *Cluster) Replicas(doc string) []string {
-	return append([]string(nil), c.placement[doc]...)
-}
-
 // CounterTotal sums a counter across every server scope.
 func (c *Cluster) CounterTotal(name string) int64 {
 	var total int64
@@ -190,18 +171,3 @@ func (c *Cluster) CounterTotal(name string) int64 {
 	}
 	return total
 }
-
-// MaxUtilization reports the highest admission utilization in the cluster
-// right now.
-func (c *Cluster) MaxUtilization() float64 {
-	var max float64
-	for _, name := range c.names {
-		if u := c.Servers[name].Admission().Utilization(); u > max {
-			max = u
-		}
-	}
-	return max
-}
-
-// RunFor advances the shared virtual clock.
-func (c *Cluster) RunFor(d time.Duration) { c.Clk.RunFor(d) }

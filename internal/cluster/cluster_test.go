@@ -14,54 +14,6 @@ import (
 	"repro/internal/server"
 )
 
-// TestRunClusterLoadInvariants runs the full seeded harness scenario — flash
-// crowd, watermark redirects, cross-server handoffs, mid-lesson shard kill —
-// and checks the invariants BENCH_cluster.json pins: redirects actually
-// spread the crowd, handoffs complete with a measurable latency, and not a
-// single session is lost to the kill.
-func TestRunClusterLoadInvariants(t *testing.T) {
-	res, err := RunClusterLoad(LoadConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Redirects == 0 || res.RedirectsFollowed == 0 {
-		t.Errorf("flash crowd produced no redirects: %+v", res)
-	}
-	if res.Handoffs == 0 || res.HandoffsCompleted == 0 {
-		t.Errorf("satellite navigation produced no completed handoffs: %+v", res)
-	}
-	if res.HandoffP95Millis <= 0 {
-		t.Errorf("handoff latency not measured: p95=%v ms", res.HandoffP95Millis)
-	}
-	if res.SessionsOnKilled == 0 {
-		t.Error("kill hit a server with no sessions; scenario is vacuous")
-	}
-	if !res.ZeroLostSessions || res.SessionsLost != 0 {
-		t.Errorf("sessions lost: %d (recovered %d of %d on killed server)",
-			res.SessionsLost, res.SessionsRecovered, res.SessionsOnKilled)
-	}
-	if res.SessionsRecovered != res.SessionsOnKilled {
-		t.Errorf("recovered %d of %d sessions on killed server",
-			res.SessionsRecovered, res.SessionsOnKilled)
-	}
-}
-
-// TestRunClusterLoadDeterministic pins replay: the same seed must yield the
-// same counters, or `make bench-cluster` is not reproducible.
-func TestRunClusterLoadDeterministic(t *testing.T) {
-	a, err := RunClusterLoad(LoadConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunClusterLoad(LoadConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("two runs with the same seed diverged:\n  %+v\n  %+v", a, b)
-	}
-}
-
 // --- claimSessionFor cross-shard reattach race (satellite) ---
 
 // directNet is a synchronous netsim.Net: Send invokes the destination
@@ -166,7 +118,9 @@ func TestClaimSessionConcurrentReattach(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := server.NewDatabase()
-	if err := db.Put("lecture", hotLesson, "race doc"); err != nil {
+	const lesson = `<TITLE>lecture</TITLE>
+<AU_VI SOURCE=au/n SOURCE=vi/c ID=n ID=cv STARTIME=0 DURATION=120> </AU_VI>`
+	if err := db.Put("lecture", lesson, "race doc"); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := server.New("srv1", clk, d, users, db, server.Options{Grace: time.Minute})

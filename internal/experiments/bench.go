@@ -21,8 +21,7 @@ type DataPlaneReport struct {
 	FramesPerSecNoop float64 `json:"frames_per_sec_noobs"`
 	// Fanout is the shared-flow headline: the same hot document at 1 and
 	// at N viewers with shared flows on. Encodes must stay flat while
-	// deliveries scale with the viewer count. Gated here and by
-	// VerifyBenchFiles.
+	// deliveries scale with the viewer count.
 	Fanout *FanoutSummary `json:"fanout"`
 }
 
@@ -55,6 +54,83 @@ const (
 	fanoutAllocsGate  = 0.05
 )
 
+// check holds every BENCH_dataplane.json gate; DataPlane ends in it and
+// bench-verify runs it on the committed file.
+func (rep DataPlaneReport) check() error {
+	if len(rep.Runs) == 0 {
+		return fmt.Errorf("no runs")
+	}
+	for _, r := range rep.Runs {
+		// Three rows share sessions=64; name the fan-out ones like the table does.
+		row := fmt.Sprintf("sessions=%d", r.Sessions)
+		if r.SharedFlows {
+			row += fmt.Sprintf(" (fanout d=%d)", r.Docs)
+		}
+		if r.Sessions <= 0 || r.Senders <= 0 || r.PumpFrames <= 0 || r.FramesPerSec <= 0 {
+			return fmt.Errorf("%s run missing core fields", row)
+		}
+		if r.PacedLockAcqs != 0 {
+			return fmt.Errorf("%s shows %d paced shard-lock acquisitions, want 0",
+				row, r.PacedLockAcqs)
+		}
+		if r.PacedAllocsPerFrame > 1 {
+			return fmt.Errorf("%s paced phase allocates %.2f objects/frame, want ≤ 1",
+				row, r.PacedAllocsPerFrame)
+		}
+		if r.SpanSampleEvery <= 0 || r.SpanFrames <= 0 {
+			return fmt.Errorf("%s has no frame-span samples (span_sample_every=%d span_frames=%d)",
+				row, r.SpanSampleEvery, r.SpanFrames)
+		}
+		if r.EmitToWireP95 <= 0 || r.EmitToWireP99 <= 0 || r.EmitToWireMax <= 0 {
+			return fmt.Errorf("%s missing emit_to_wire percentile fields", row)
+		}
+		if !r.SharedFlows {
+			continue
+		}
+		if r.Flows <= 0 || r.MaxFlowSubscribers <= 0 {
+			return fmt.Errorf("%s shared-flow run stood up no flows (flows=%d max_subs=%d)",
+				row, r.Flows, r.MaxFlowSubscribers)
+		}
+		if r.PacedEncodes <= 0 || r.PacedDelivered < r.PacedEncodes {
+			return fmt.Errorf("%s shared-flow run missing encode/delivery split (encodes=%d delivered=%d)",
+				row, r.PacedEncodes, r.PacedDelivered)
+		}
+		if r.Docs == 1 && r.MaxFlowSubscribers != r.Sessions {
+			return fmt.Errorf("%s hot flow carries %d subscribers; every viewer of the one document must ride it",
+				row, r.MaxFlowSubscribers)
+		}
+	}
+	if rep.FramesPerSecObs <= 0 || rep.FramesPerSecNoop <= 0 {
+		return fmt.Errorf("missing span overhead pair fields")
+	}
+	if rep.SpanOverheadPct > spanOverheadGatePct {
+		return fmt.Errorf("span_overhead_pct %.1f exceeds the %.0f%% gate (%.0f → %.0f frames/s)",
+			rep.SpanOverheadPct, spanOverheadGatePct, rep.FramesPerSecNoop, rep.FramesPerSecObs)
+	}
+	// The fan-out headline: encodes flat across the viewer sweep, deliveries
+	// scaling with viewers, amortized-zero allocations per delivered frame.
+	f := rep.Fanout
+	if f == nil {
+		return fmt.Errorf("missing fanout summary (regenerate with make bench-dataplane)")
+	}
+	if f.ViewersHigh <= f.ViewersLow || f.EncodesLow <= 0 || f.EncodesHigh <= 0 {
+		return fmt.Errorf("fanout summary missing core fields")
+	}
+	if float64(f.EncodesHigh) > fanoutEncodeFlatX*float64(f.EncodesLow) {
+		return fmt.Errorf("fanout encodes grew %d → %d across %d → %d viewers; not flat",
+			f.EncodesLow, f.EncodesHigh, f.ViewersLow, f.ViewersHigh)
+	}
+	if float64(f.DeliveredHigh) < fanoutScaleFrac*float64(f.ViewersHigh)*float64(f.EncodesHigh) {
+		return fmt.Errorf("fanout delivered %d frames for %d encodes at %d viewers; does not scale",
+			f.DeliveredHigh, f.EncodesHigh, f.ViewersHigh)
+	}
+	if f.AllocsPerDelivered > fanoutAllocsGate {
+		return fmt.Errorf("fanout allocs_per_delivered %.3f exceeds the %.2f gate",
+			f.AllocsPerDelivered, fanoutAllocsGate)
+	}
+	return nil
+}
+
 // DataPlane runs the server data-plane load harness at each session count
 // and tabulates throughput, emit-latency tail, global-lock pressure, the
 // allocation footprint of both phases, and the emit→wire span percentiles.
@@ -77,14 +153,6 @@ func DataPlane(sessions []int) (*stats.Table, *DataPlaneReport, error) {
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("dataplane sessions=%d: %w", n, err)
-		}
-		if res.PacedLockAcqs != 0 {
-			return nil, nil, fmt.Errorf("dataplane sessions=%d: %d shard-lock acquisitions during paced emission",
-				n, res.PacedLockAcqs)
-		}
-		if res.PacedAllocsPerFrame > 1 {
-			return nil, nil, fmt.Errorf("dataplane sessions=%d: paced phase allocates %.2f objects/frame, want ≤ 1",
-				n, res.PacedAllocsPerFrame)
 		}
 		tb.AddRow(res.Sessions, res.Senders, res.PacedLockAcqs,
 			fmt.Sprintf("%.0f", res.FramesPerSec),
@@ -113,10 +181,6 @@ func DataPlane(sessions []int) (*stats.Table, *DataPlaneReport, error) {
 		if err != nil {
 			return res, fmt.Errorf("dataplane fanout sessions=%d docs=%d: %w", sessions, docs, err)
 		}
-		if res.PacedLockAcqs != 0 {
-			return res, fmt.Errorf("dataplane fanout sessions=%d docs=%d: %d shard-lock acquisitions during paced fan-out",
-				sessions, docs, res.PacedLockAcqs)
-		}
 		tb.AddRow(fmt.Sprintf("%d (fanout d=%d)", res.Sessions, res.Docs),
 			fmt.Sprintf("%d fl=%d", res.Senders, res.Flows), res.PacedLockAcqs,
 			fmt.Sprintf("%.0f dlv", res.DeliveredPerSec),
@@ -138,25 +202,6 @@ func DataPlane(sessions []int) (*stats.Table, *DataPlaneReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if fan1.PacedEncodes <= 0 || fan64.PacedEncodes <= 0 {
-		return nil, nil, fmt.Errorf("dataplane fanout: paced window encoded nothing (1v=%d 64v=%d)",
-			fan1.PacedEncodes, fan64.PacedEncodes)
-	}
-	if float64(fan64.PacedEncodes) > fanoutEncodeFlatX*float64(fan1.PacedEncodes) {
-		return nil, nil, fmt.Errorf("dataplane fanout: 64 viewers encoded %d frames vs %d at 1 viewer; encode work is not flat",
-			fan64.PacedEncodes, fan1.PacedEncodes)
-	}
-	if float64(fan64.PacedDelivered) < fanoutScaleFrac*64*float64(fan64.PacedEncodes) {
-		return nil, nil, fmt.Errorf("dataplane fanout: 64 viewers saw %d deliveries for %d encodes; fan-out does not scale with viewers",
-			fan64.PacedDelivered, fan64.PacedEncodes)
-	}
-	if fan64.PacedAllocsPerFrame > fanoutAllocsGate {
-		return nil, nil, fmt.Errorf("dataplane fanout: %.3f allocations per delivered frame, want ≤ %.2f",
-			fan64.PacedAllocsPerFrame, fanoutAllocsGate)
-	}
-	if fan64.MaxFlowSubscribers != 64 {
-		return nil, nil, fmt.Errorf("dataplane fanout: hot flow carries %d subscribers, want 64", fan64.MaxFlowSubscribers)
-	}
 	rep.Fanout = &FanoutSummary{
 		ViewersLow:         fan1.Sessions,
 		ViewersHigh:        fan64.Sessions,
@@ -168,7 +213,7 @@ func DataPlane(sessions []int) (*stats.Table, *DataPlaneReport, error) {
 	}
 	// Zipf demand demo: 64 viewers spread over 8 documents with s=1.1 —
 	// the popular head shares flows, the tail plays privately. Reported,
-	// not gated beyond the zero-lock invariant.
+	// and held to the per-row gates only.
 	if _, err := fanout(64, 8, 1.1); err != nil {
 		return nil, nil, err
 	}
@@ -197,14 +242,11 @@ func DataPlane(sessions []int) (*stats.Table, *DataPlaneReport, error) {
 	if rep.FramesPerSecNoop, err = best(true); err != nil {
 		return nil, nil, fmt.Errorf("dataplane overhead pair (obs off): %w", err)
 	}
-	if rep.FramesPerSecNoop > 0 {
-		rep.SpanOverheadPct = (rep.FramesPerSecNoop - rep.FramesPerSecObs) / rep.FramesPerSecNoop * 100
-	}
-	if rep.SpanOverheadPct > spanOverheadGatePct {
-		return nil, nil, fmt.Errorf("dataplane: span sampling costs %.1f%% throughput (%.0f → %.0f frames/s), want ≤ %.0f%%",
-			rep.SpanOverheadPct, rep.FramesPerSecNoop, rep.FramesPerSecObs, spanOverheadGatePct)
-	}
+	rep.SpanOverheadPct = (rep.FramesPerSecNoop - rep.FramesPerSecObs) / rep.FramesPerSecNoop * 100
 	tb.AddRow("overhead", "", "", fmt.Sprintf("%.0f vs %.0f", rep.FramesPerSecObs, rep.FramesPerSecNoop),
 		"", "", "", "", "", "", fmt.Sprintf("%.1f%% span cost", rep.SpanOverheadPct))
+	if err := rep.check(); err != nil {
+		return nil, nil, fmt.Errorf("dataplane: %w", err)
+	}
 	return tb, rep, nil
 }

@@ -6,17 +6,32 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"repro/internal/cluster"
-	"repro/internal/server"
 )
 
-// This file is the BENCH_*.json schema gate: `make bench-verify` (part of
-// `make check`) re-validates the *committed* benchmark artifacts without
-// re-running the benchmarks, so a PR cannot silently regress a gated
-// invariant or drop a reporting field the docs promise. Every BENCH file in
-// the repo root must be known here; an unknown one fails verification so new
-// benchmarks must register their schema.
+// This file is the BENCH_*.json gate: `make bench-verify` (part of `make
+// check`) re-validates the *committed* benchmark artifacts without re-running
+// the benchmarks, so a PR cannot silently regress a gated invariant or drop a
+// reporting field the docs promise. It holds no gate of its own: each report
+// type's check() is the one place its conditions are written, and the
+// generator that produced the file ended in the same call. Every BENCH file
+// in the repo root must be in the table below; an unknown one fails
+// verification so new benchmarks must register.
+
+// benchArtifacts maps each committed artifact to its decode-and-check.
+var benchArtifacts = map[string]func([]byte) error{
+	"BENCH_dataplane.json":    checkArtifact[DataPlaneReport],
+	"BENCH_controlplane.json": checkArtifact[ControlPlaneReport],
+	"BENCH_cluster.json":      checkArtifact[ClusterReport],
+	"BENCH_netsim.json":       checkArtifact[NetsimReport],
+}
+
+func checkArtifact[R interface{ check() error }](buf []byte) error {
+	var rep R
+	if err := json.Unmarshal(buf, &rep); err != nil {
+		return err
+	}
+	return rep.check()
+}
 
 // VerifyBenchFiles validates every BENCH_*.json under dir. It returns a
 // human-readable summary of what was checked, or an error naming the first
@@ -33,196 +48,18 @@ func VerifyBenchFiles(dir string) (string, error) {
 	summary := ""
 	for _, p := range paths {
 		base := filepath.Base(p)
-		switch base {
-		case "BENCH_dataplane.json":
-			if err := verifyDataPlaneFile(p); err != nil {
-				return "", err
-			}
-		case "BENCH_controlplane.json":
-			if err := verifyControlPlaneFile(p); err != nil {
-				return "", err
-			}
-		case "BENCH_cluster.json":
-			if err := verifyClusterFile(p); err != nil {
-				return "", err
-			}
-		case "BENCH_netsim.json":
-			if err := verifyNetsimFile(p); err != nil {
-				return "", err
-			}
-		default:
-			return "", fmt.Errorf("bench-verify: unknown benchmark artifact %s (register its schema in internal/experiments/benchverify.go)", base)
+		check, ok := benchArtifacts[base]
+		if !ok {
+			return "", fmt.Errorf("bench-verify: unknown benchmark artifact %s (register it in internal/experiments/benchverify.go)", base)
+		}
+		buf, err := os.ReadFile(p)
+		if err != nil {
+			return "", err
+		}
+		if err := check(buf); err != nil {
+			return "", fmt.Errorf("bench-verify: %s: %w", p, err)
 		}
 		summary += base + " OK\n"
 	}
 	return summary, nil
-}
-
-func verifyDataPlaneFile(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep DataPlaneReport
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return fmt.Errorf("bench-verify: %s: %w", path, err)
-	}
-	if len(rep.Runs) == 0 {
-		return fmt.Errorf("bench-verify: %s: no runs", path)
-	}
-	for _, r := range rep.Runs {
-		if r.Sessions <= 0 || r.Senders <= 0 || r.PumpFrames <= 0 || r.FramesPerSec <= 0 {
-			return fmt.Errorf("bench-verify: %s: sessions=%d run missing core fields", path, r.Sessions)
-		}
-		if r.PacedLockAcqs != 0 {
-			return fmt.Errorf("bench-verify: %s: sessions=%d shows %d paced shard-lock acquisitions, want 0",
-				path, r.Sessions, r.PacedLockAcqs)
-		}
-		if r.PacedAllocsPerFrame > 1 {
-			return fmt.Errorf("bench-verify: %s: sessions=%d paced phase allocates %.2f objects/frame, want ≤ 1",
-				path, r.Sessions, r.PacedAllocsPerFrame)
-		}
-		if r.SpanSampleEvery <= 0 || r.SpanFrames <= 0 {
-			return fmt.Errorf("bench-verify: %s: sessions=%d has no frame-span samples (span_sample_every=%d span_frames=%d)",
-				path, r.Sessions, r.SpanSampleEvery, r.SpanFrames)
-		}
-		if r.EmitToWireP95 <= 0 || r.EmitToWireP99 <= 0 || r.EmitToWireMax <= 0 {
-			return fmt.Errorf("bench-verify: %s: sessions=%d missing emit_to_wire percentile fields", path, r.Sessions)
-		}
-		if r.SharedFlows {
-			if r.Flows <= 0 || r.MaxFlowSubscribers <= 0 {
-				return fmt.Errorf("bench-verify: %s: sessions=%d shared-flow run stood up no flows (flows=%d max_subs=%d)",
-					path, r.Sessions, r.Flows, r.MaxFlowSubscribers)
-			}
-			if r.PacedEncodes <= 0 || r.PacedDelivered < r.PacedEncodes {
-				return fmt.Errorf("bench-verify: %s: sessions=%d shared-flow run missing encode/delivery split (encodes=%d delivered=%d)",
-					path, r.Sessions, r.PacedEncodes, r.PacedDelivered)
-			}
-		}
-	}
-	if rep.FramesPerSecObs <= 0 || rep.FramesPerSecNoop <= 0 {
-		return fmt.Errorf("bench-verify: %s: missing span overhead pair fields", path)
-	}
-	if rep.SpanOverheadPct > spanOverheadGatePct {
-		return fmt.Errorf("bench-verify: %s: span_overhead_pct %.1f exceeds the %.0f%% gate",
-			path, rep.SpanOverheadPct, spanOverheadGatePct)
-	}
-	// The fan-out headline: encodes flat across the viewer sweep, deliveries
-	// scaling with viewers, amortized-zero allocations per delivered frame —
-	// re-checked on the committed artifact (mirrors DataPlane's gates).
-	f := rep.Fanout
-	if f == nil {
-		return fmt.Errorf("bench-verify: %s: missing fanout summary (regenerate with make bench-dataplane)", path)
-	}
-	if f.ViewersHigh <= f.ViewersLow || f.EncodesLow <= 0 || f.EncodesHigh <= 0 {
-		return fmt.Errorf("bench-verify: %s: fanout summary missing core fields", path)
-	}
-	if float64(f.EncodesHigh) > fanoutEncodeFlatX*float64(f.EncodesLow) {
-		return fmt.Errorf("bench-verify: %s: fanout encodes grew %d → %d across %d → %d viewers; not flat",
-			path, f.EncodesLow, f.EncodesHigh, f.ViewersLow, f.ViewersHigh)
-	}
-	if float64(f.DeliveredHigh) < fanoutScaleFrac*float64(f.ViewersHigh)*float64(f.EncodesHigh) {
-		return fmt.Errorf("bench-verify: %s: fanout delivered %d frames for %d encodes at %d viewers; does not scale",
-			path, f.DeliveredHigh, f.EncodesHigh, f.ViewersHigh)
-	}
-	if f.AllocsPerDelivered > fanoutAllocsGate {
-		return fmt.Errorf("bench-verify: %s: fanout allocs_per_delivered %.3f exceeds the %.2f gate",
-			path, f.AllocsPerDelivered, fanoutAllocsGate)
-	}
-	return nil
-}
-
-func verifyNetsimFile(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep NetsimReport
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return fmt.Errorf("bench-verify: %s: %w", path, err)
-	}
-	// The same gates Netsim applied at generation time — including the
-	// CPU-aware speedup bar, evaluated against the core count recorded in
-	// the artifact, so verification is host-independent.
-	if err := checkNetsimReport(&rep); err != nil {
-		return fmt.Errorf("bench-verify: %s: %w", path, err)
-	}
-	return nil
-}
-
-func verifyClusterFile(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var runs []cluster.LoadResult
-	if err := json.Unmarshal(buf, &runs); err != nil {
-		return fmt.Errorf("bench-verify: %s: %w", path, err)
-	}
-	if len(runs) == 0 {
-		return fmt.Errorf("bench-verify: %s: no runs", path)
-	}
-	for _, r := range runs {
-		if r.Servers <= 0 || r.Clients <= 0 {
-			return fmt.Errorf("bench-verify: %s: clients=%d run missing core fields", path, r.Clients)
-		}
-		if r.Redirects <= 0 || r.RedirectRate <= 0 {
-			return fmt.Errorf("bench-verify: %s: clients=%d shows no admission redirects; the flash crowd was not spread",
-				path, r.Clients)
-		}
-		if r.Handoffs <= 0 || r.HandoffsCompleted <= 0 || r.HandoffP95Millis <= 0 {
-			return fmt.Errorf("bench-verify: %s: clients=%d missing completed handoffs or latency quantiles",
-				path, r.Clients)
-		}
-		if r.SessionsOnKilled <= 0 {
-			return fmt.Errorf("bench-verify: %s: clients=%d kill scenario vacuous (no sessions on killed server)",
-				path, r.Clients)
-		}
-		// The headline invariant: a shard kill mid-lesson loses nothing.
-		if !r.ZeroLostSessions || r.SessionsLost != 0 || r.SessionsRecovered != r.SessionsOnKilled {
-			return fmt.Errorf("bench-verify: %s: clients=%d lost %d of %d sessions on the killed server",
-				path, r.Clients, r.SessionsLost, r.SessionsOnKilled)
-		}
-	}
-	return nil
-}
-
-func verifyControlPlaneFile(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var runs []server.ControlPlaneResult
-	if err := json.Unmarshal(buf, &runs); err != nil {
-		return fmt.Errorf("bench-verify: %s: %w", path, err)
-	}
-	if len(runs) == 0 {
-		return fmt.Errorf("bench-verify: %s: no runs", path)
-	}
-	for _, r := range runs {
-		if r.Sessions <= 0 || r.ConnectsPerSec <= 0 || r.HeartbeatsPerSec <= 0 || r.SweepTicks <= 0 {
-			return fmt.Errorf("bench-verify: %s: sessions=%d run missing core fields", path, r.Sessions)
-		}
-		if r.AdmissionDecisions != int64(r.Sessions) {
-			return fmt.Errorf("bench-verify: %s: sessions=%d shows %d admission decisions; duplicates leaked past dedup",
-				path, r.Sessions, r.AdmissionDecisions)
-		}
-		if r.HandleP99 <= 0 || r.HandleMax <= 0 {
-			return fmt.Errorf("bench-verify: %s: sessions=%d missing handle percentile fields", path, r.Sessions)
-		}
-	}
-	// The timer-wheel sublinearity gate, re-checked on the committed file
-	// (mirrors ControlPlane's generation-time gate).
-	first, last := runs[0], runs[len(runs)-1]
-	if len(runs) > 1 && last.Sessions > first.Sessions {
-		floor := first.SweepTickMicros
-		if floor < 25 {
-			floor = 25
-		}
-		if last.SweepTickMicros > 20*floor {
-			return fmt.Errorf("bench-verify: %s: sweep tick grew from %.1fµs (%d sessions) to %.1fµs (%d sessions); not sublinear",
-				path, first.SweepTickMicros, first.Sessions, last.SweepTickMicros, last.Sessions)
-		}
-	}
-	return nil
 }

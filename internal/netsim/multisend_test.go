@@ -105,29 +105,3 @@ func TestSendMultiChargesEgressOnce(t *testing.T) {
 		t.Fatalf("last delivery at %v; egress looks charged per copy, not per fan-out", last)
 	}
 }
-
-// sendOnlyNet hides Network's SendMulti so SendToAll must take its fallback
-// path.
-type sendOnlyNet struct{ n *Network }
-
-func (s sendOnlyNet) Send(p Packet) error            { return s.n.Send(p) }
-func (s sendOnlyNet) Listen(a Addr, h Handler) error { return s.n.Listen(a, h) }
-
-// TestSendToAllFallback verifies the helper fans out with per-destination
-// Send calls when the transport has no SendMulti.
-func TestSendToAllFallback(t *testing.T) {
-	clk := clock.NewSim()
-	net := New(clk, 5)
-	net.SetLink("a", "b", LinkConfig{Delay: time.Millisecond})
-	net.SetLink("a", "c", LinkConfig{Delay: time.Millisecond})
-	var bPkts, cPkts int
-	net.Listen("b:1", func(Packet) { bPkts++ })
-	net.Listen("c:1", func(Packet) { cPkts++ })
-	if err := SendToAll(sendOnlyNet{net}, Packet{From: "a:1", Payload: []byte("x")}, []Addr{"b:1", "c:1"}); err != nil {
-		t.Fatal(err)
-	}
-	clk.RunFor(time.Second)
-	if bPkts != 1 || cPkts != 1 {
-		t.Fatalf("fallback deliveries b=%d c=%d, want 1 each", bPkts, cPkts)
-	}
-}

@@ -136,24 +136,6 @@ type MultiSender interface {
 	SendMulti(pkt Packet, tos []Addr) error
 }
 
-// SendToAll fans pkt out to every destination, using the transport's
-// SendMulti when it has one and falling back to one Send per destination.
-// Callers on a hot path should cache the MultiSender assertion instead.
-func SendToAll(nt Net, pkt Packet, tos []Addr) error {
-	if ms, ok := nt.(MultiSender); ok {
-		return ms.SendMulti(pkt, tos)
-	}
-	var first error
-	for _, to := range tos {
-		p := pkt
-		p.To = to
-		if err := nt.Send(p); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // LinkConfig describes one direction of a link between two hosts.
 type LinkConfig struct {
 	// Bandwidth is the link rate in bits per second (0 = infinite).
@@ -218,7 +200,7 @@ type LinkStats struct {
 	Dropped   int
 	Bytes     int64
 	// Delays collects per-packet one-way delays in milliseconds in a
-	// fixed-cap reservoir (see SetDelaySampleCap): quantiles stay faithful
+	// fixed-cap reservoir (delayReservoirCap): quantiles stay faithful
 	// while memory stays bounded no matter how many packets the link moves.
 	Delays stats.Sample
 }
@@ -253,10 +235,10 @@ type egress struct {
 	nextFree   time.Time
 }
 
-// defaultDelayReservoirCap bounds each link's per-packet delay sample. Below
+// delayReservoirCap bounds each link's per-packet delay sample. Below
 // the cap the record is exact — today's scenarios never notice — while a
 // 100k-client storm retains at most this many floats per link.
-const defaultDelayReservoirCap = 8192
+const delayReservoirCap = 8192
 
 // netShard is one partition of the simulated network: every host assigned
 // to it, every link leaving those hosts, their shared egress serializers,
@@ -285,12 +267,11 @@ type netShard struct {
 // Network is the simulated network: a set of host-pair links and registered
 // endpoints, partitioned across one or more shards.
 type Network struct {
-	sv       *clock.ShardedVirtual // nil = single-partition mode
-	shardOf  func(string) int      // nil = everything on shard 0
-	shards   []*netShard
-	epoch    time.Time
-	seed     uint64
-	delayCap int
+	sv      *clock.ShardedVirtual // nil = single-partition mode
+	shardOf func(string) int      // nil = everything on shard 0
+	shards  []*netShard
+	epoch   time.Time
+	seed    uint64
 
 	// DropHandler, when set, observes every dropped unreliable packet.
 	// Set it before traffic starts; it is read without synchronization on
@@ -299,13 +280,6 @@ type Network struct {
 	// Sniffer, when set, observes every packet at Send time (before any
 	// loss decision); used for protocol-stack byte accounting.
 	Sniffer func(Packet)
-	// deliveryHist, when set, observes every delivered packet's simulated
-	// send→arrival delay — the wire hop of the end-to-end latency spans.
-	// Taking a *stats.DurationHistogram directly keeps netsim free of an
-	// obs dependency; the histogram is internally atomic, and the pointer
-	// swap is too.
-	deliveryHist atomic.Pointer[stats.DurationHistogram]
-
 	// Fault-injection state (see faults.go): schedules are global (a
 	// partition spans two shards by nature), guarded by their own lock with
 	// an atomic zero-faults fast path so fault-free traffic never touches
@@ -318,9 +292,8 @@ type Network struct {
 // all randomness.
 func New(clk clock.Clock, seed uint64) *Network {
 	n := &Network{
-		epoch:    clk.Now(),
-		seed:     seed,
-		delayCap: defaultDelayReservoirCap,
+		epoch: clk.Now(),
+		seed:  seed,
 		shards: []*netShard{{
 			clk:       clk,
 			rng:       stats.NewRNG(seed),
@@ -341,12 +314,11 @@ func New(clk clock.Clock, seed uint64) *Network {
 func NewSharded(sv *clock.ShardedVirtual, seed uint64, shardOf func(host string) int) *Network {
 	k := sv.Shards()
 	n := &Network{
-		sv:       sv,
-		shardOf:  shardOf,
-		epoch:    sv.Now(),
-		seed:     seed,
-		delayCap: defaultDelayReservoirCap,
-		shards:   make([]*netShard, k),
+		sv:      sv,
+		shardOf: shardOf,
+		epoch:   sv.Now(),
+		seed:    seed,
+		shards:  make([]*netShard, k),
 	}
 	for i := 0; i < k; i++ {
 		shardSeed := seed
@@ -364,17 +336,6 @@ func NewSharded(sv *clock.ShardedVirtual, seed uint64, shardOf func(host string)
 		}
 	}
 	return n
-}
-
-// HashShards returns the standard host→shard assignment: FNV-1a of the host
-// name modulo the shard count. Pure, so replays agree on placement.
-func HashShards(shards int) func(string) int {
-	if shards < 1 {
-		shards = 1
-	}
-	return func(host string) int {
-		return int(fnv64str(host) % uint64(shards))
-	}
 }
 
 // ShardCount reports the number of network partitions.
@@ -410,20 +371,6 @@ func (n *Network) SetEgressLimit(host string, bps float64, queueLimit time.Durat
 		queueLimit = 500 * time.Millisecond
 	}
 	s.egresses[host] = &egress{rate: bps, queueLimit: queueLimit}
-}
-
-// SetDeliveryHistogram attaches a histogram observing every delivered
-// packet's simulated send→arrival delay (nil detaches).
-func (n *Network) SetDeliveryHistogram(h *stats.DurationHistogram) {
-	n.deliveryHist.Store(h)
-}
-
-// SetDelaySampleCap overrides the per-link delay reservoir capacity. Call
-// before traffic starts.
-func (n *Network) SetDelaySampleCap(cap int) {
-	if cap > 0 {
-		n.delayCap = cap
-	}
 }
 
 // SetDefaultLink sets the config used for host pairs without an explicit
@@ -491,7 +438,7 @@ func (n *Network) getLinkLocked(s *netShard, from, to string) *link {
 	l, ok := s.links[key]
 	if !ok {
 		l = &link{cfg: n.clampCross(from, to, s.defaults), rng: s.rng.Split()}
-		l.stats.Delays.Reservoir(n.delayCap, stats.NewRNG(fnv64str(key)^n.seed))
+		l.stats.Delays.Reservoir(delayReservoirCap, stats.NewRNG(fnv64str(key)^n.seed))
 		s.links[key] = l
 	}
 	return l
@@ -668,9 +615,6 @@ func (n *Network) linkPlanLocked(s *netShard, l *link, pkt *Packet, now time.Tim
 	}
 	l.stats.Delivered++
 	l.stats.Delays.AddDuration(arrival.Sub(now))
-	if h := n.deliveryHist.Load(); h != nil {
-		h.Observe(arrival.Sub(now))
-	}
 	if !pkt.Reliable && l.cfg.Dup > 0 && l.rng.Bool(l.cfg.Dup) {
 		dupArrival = arrival.Add(time.Millisecond + time.Duration(l.rng.Float64()*float64(jitterBound+time.Millisecond)))
 	}

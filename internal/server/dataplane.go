@@ -29,6 +29,11 @@ import (
 // per-frame emit service time whose tail is the pacing-jitter bound: a frame
 // cannot leave more than one service time late because of lock contention.
 
+// pacedWindow is how much virtual time the paced phase advances: under the
+// 5 s RTCP sender-report period, so the window contains nothing but media
+// pacing.
+const pacedWindow = 4 * time.Second
+
 // DataPlaneConfig sizes one load run.
 type DataPlaneConfig struct {
 	// Sessions is the number of concurrent client sessions.
@@ -36,10 +41,6 @@ type DataPlaneConfig struct {
 	// FramesPerSender bounds the pump phase's frames per time-sensitive
 	// flow.
 	FramesPerSender int
-	// PacedWindow is how much virtual time the paced phase advances. Keep
-	// it under the 5 s RTCP sender-report period so the window contains
-	// nothing but media pacing.
-	PacedWindow time.Duration
 	// DisableObs runs without a telemetry scope (and thus without frame
 	// spans); the overhead benchmark pairs a run against a default run to
 	// price the sampled span instrumentation.
@@ -65,9 +66,6 @@ func (c *DataPlaneConfig) fill() {
 	if c.FramesPerSender <= 0 {
 		c.FramesPerSender = 200
 	}
-	if c.PacedWindow <= 0 || c.PacedWindow >= 5*time.Second {
-		c.PacedWindow = 4 * time.Second
-	}
 	if c.Docs <= 0 {
 		c.Docs = 1
 	}
@@ -79,7 +77,7 @@ type DataPlaneResult struct {
 	Sessions int `json:"sessions"`
 	Senders  int `json:"senders"`
 
-	// Paced phase: virtual-clock pacing over PacedWindow.
+	// Paced phase: virtual-clock pacing over pacedWindow.
 	PacedFrames   int64 `json:"paced_frames"`
 	PacedLockAcqs int64 `json:"paced_lock_acqs"` // shard write-lock acquisitions during pacing; must be 0
 
@@ -356,7 +354,7 @@ func RunDataPlaneLoad(cfg DataPlaneConfig) (DataPlaneResult, error) {
 	preFrames, _, _ := sumStats()
 	preEncodes, preDelivered := sumEncodes()
 	preAcqs, _ := srv.LockStats()
-	pacedMallocs, pacedBytes := memDelta(func() { clk.Advance(cfg.PacedWindow) })
+	pacedMallocs, pacedBytes := memDelta(func() { clk.Advance(pacedWindow) })
 	postAcqs, _ := srv.LockStats()
 	pacedFrames, _, _ := sumStats()
 	res.PacedFrames = pacedFrames - preFrames

@@ -1,6 +1,8 @@
 // Package stats provides the small measurement toolkit used by the
-// experiment harness: streaming summaries, exact-percentile samples, fixed
-// width histograms, time series and plain-text table rendering.
+// experiment harness and the hot paths: Sample (exact or reservoir-bounded
+// percentiles, for experiments), DurationHistogram (lock-free fixed buckets,
+// for the hot path), time series, counters, a seeded RNG and plain-text table
+// rendering.
 //
 // Everything here is deliberately dependency-free and deterministic so that
 // experiment output is reproducible byte-for-byte.
@@ -13,60 +15,6 @@ import (
 	"strings"
 	"time"
 )
-
-// Summary accumulates a stream of float64 observations and reports count,
-// mean, variance, min and max in O(1) space (Welford's algorithm).
-type Summary struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// AddDuration records a duration observation in milliseconds.
-func (s *Summary) AddDuration(d time.Duration) { s.Add(float64(d) / float64(time.Millisecond)) }
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the running mean (0 when empty).
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Var returns the sample variance (0 for fewer than two observations).
-func (s *Summary) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
 
 // Sample retains observations for percentile queries. By default it keeps
 // every observation (exact percentiles, O(N) memory). Reservoir switches it
@@ -195,92 +143,6 @@ func (s *Sample) Values() []float64 {
 	out := make([]float64, len(s.xs))
 	copy(out, s.xs)
 	return out
-}
-
-// Histogram counts observations into fixed-width bins over [Lo, Hi); values
-// outside the range land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi float64
-	bins   []int
-	under  int
-	over   int
-	n      int
-	sum    float64
-}
-
-// NewHistogram builds a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, bins: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	h.sum += x
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.bins)))
-		if i == len(h.bins) { // x == Hi boundary via float rounding
-			i--
-		}
-		h.bins[i]++
-	}
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int { return h.n }
-
-// Mean returns the mean of all observations, including out-of-range ones.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int { return h.bins[i] }
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.bins) }
-
-// Underflow and Overflow report out-of-range counts.
-func (h *Histogram) Underflow() int { return h.under }
-
-// Overflow reports the number of observations at or above Hi.
-func (h *Histogram) Overflow() int { return h.over }
-
-// String renders a compact ASCII bar chart of the histogram.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	maxC := 1
-	for _, c := range h.bins {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.bins))
-	for i, c := range h.bins {
-		bar := strings.Repeat("#", c*40/maxC)
-		fmt.Fprintf(&b, "[%8.2f,%8.2f) %6d %s\n", h.Lo+float64(i)*width, h.Lo+float64(i+1)*width, c, bar)
-	}
-	if h.under > 0 {
-		fmt.Fprintf(&b, "underflow %d\n", h.under)
-	}
-	if h.over > 0 {
-		fmt.Fprintf(&b, "overflow %d\n", h.over)
-	}
-	return b.String()
 }
 
 // Point is one time-stamped observation in a Series.

@@ -9,47 +9,6 @@ import (
 	"time"
 )
 
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d, want 8", s.N())
-	}
-	if got := s.Mean(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("Mean = %v, want 5", got)
-	}
-	if got := s.Std(); math.Abs(got-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Fatalf("Std = %v", got)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
-	}
-}
-
-func TestSummaryEmptyAndSingle(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Var() != 0 || s.N() != 0 {
-		t.Fatal("empty summary must report zeros")
-	}
-	s.Add(3.5)
-	if s.Var() != 0 {
-		t.Fatal("single observation variance must be 0")
-	}
-	if s.Min() != 3.5 || s.Max() != 3.5 {
-		t.Fatal("single observation min/max wrong")
-	}
-}
-
-func TestSummaryAddDuration(t *testing.T) {
-	var s Summary
-	s.AddDuration(1500 * time.Microsecond)
-	if got := s.Mean(); math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("Mean = %v ms, want 1.5", got)
-	}
-}
-
 func TestSamplePercentiles(t *testing.T) {
 	var s Sample
 	for i := 1; i <= 100; i++ {
@@ -115,50 +74,6 @@ func TestQuickPercentileBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.Underflow() != 1 {
-		t.Fatalf("underflow = %d, want 1", h.Underflow())
-	}
-	if h.Overflow() != 2 {
-		t.Fatalf("overflow = %d, want 2", h.Overflow())
-	}
-	if h.Bin(0) != 2 { // 0 and 1.9
-		t.Fatalf("bin0 = %d, want 2", h.Bin(0))
-	}
-	if h.Bin(1) != 1 { // 2
-		t.Fatalf("bin1 = %d, want 1", h.Bin(1))
-	}
-	if h.Bin(4) != 1 { // 9.99
-		t.Fatalf("bin4 = %d, want 1", h.Bin(4))
-	}
-	if h.N() != 7 {
-		t.Fatalf("N = %d, want 7", h.N())
-	}
-}
-
-func TestHistogramDegenerateArgs(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // invalid hi and bins get repaired
-	h.Add(5)
-	if h.N() != 1 || h.Bins() != 1 {
-		t.Fatal("degenerate histogram not repaired")
-	}
-}
-
-func TestHistogramString(t *testing.T) {
-	h := NewHistogram(0, 2, 2)
-	h.Add(0.5)
-	h.Add(1.5)
-	h.Add(1.6)
-	out := h.String()
-	if !strings.Contains(out, "#") {
-		t.Fatalf("missing bars in %q", out)
 	}
 }
 
@@ -279,7 +194,7 @@ func TestRNGIntnPanicsOnNonPositive(t *testing.T) {
 
 func TestRNGUniformMoments(t *testing.T) {
 	r := NewRNG(11)
-	var s Summary
+	var s Sample
 	for i := 0; i < 50000; i++ {
 		s.Add(r.Uniform(2, 4))
 	}
@@ -293,21 +208,25 @@ func TestRNGUniformMoments(t *testing.T) {
 
 func TestRNGNormMoments(t *testing.T) {
 	r := NewRNG(12)
-	var s Summary
+	var s Sample
 	for i := 0; i < 50000; i++ {
 		s.Add(r.Norm(10, 2))
 	}
 	if math.Abs(s.Mean()-10) > 0.05 {
 		t.Fatalf("norm mean = %v, want ≈10", s.Mean())
 	}
-	if math.Abs(s.Std()-2) > 0.05 {
-		t.Fatalf("norm std = %v, want ≈2", s.Std())
+	mean, m2 := s.Mean(), 0.0
+	for _, x := range s.Values() {
+		m2 += (x - mean) * (x - mean)
+	}
+	if std := math.Sqrt(m2 / float64(s.N()-1)); math.Abs(std-2) > 0.05 {
+		t.Fatalf("norm std = %v, want ≈2", std)
 	}
 }
 
 func TestRNGExpMean(t *testing.T) {
 	r := NewRNG(13)
-	var s Summary
+	var s Sample
 	for i := 0; i < 50000; i++ {
 		s.Add(r.Exp(5))
 	}
@@ -364,19 +283,6 @@ func TestSampleAddDurationAndValues(t *testing.T) {
 	vals[0] = 99
 	if s.Min() == 99 {
 		t.Fatal("Values aliases internal storage")
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(0, 10, 2)
-	if h.Mean() != 0 {
-		t.Fatal("empty mean")
-	}
-	h.Add(2)
-	h.Add(4)
-	h.Add(100) // overflow still counts toward the mean
-	if got := h.Mean(); math.Abs(got-106.0/3) > 1e-9 {
-		t.Fatalf("mean = %v", got)
 	}
 }
 
