@@ -23,15 +23,13 @@ race:
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/...
 
-# Server media data plane incl. the shared-flow fan-out sweep -> BENCH_dataplane.json (gates: experiments.DataPlaneReport.check).
+# Server media data plane at 1/8/64 sessions: frames/s, emit p95, allocs per frame. Prints only; its invariants are tests in internal/server, the numbers of record are bench/'s lecture_* workloads.
 bench-dataplane:
 	$(GO) test -bench BenchmarkDataPlane -benchmem -run '^$$' ./internal/server/
-	$(GO) run ./cmd/experiments -dataplane BENCH_dataplane.json
 
-# Connect storms, heartbeats and timer-wheel sweep cost at 1k/10k/100k sessions -> BENCH_controlplane.json (gates: experiments.ControlPlaneReport.check).
+# Connect storms, heartbeats and timer-wheel sweep cost at 1k/10k/100k sessions. Prints only; its invariants are tests in internal/server, the numbers of record are bench/'s connect_storm workload.
 bench-controlplane:
 	$(GO) test -bench BenchmarkControlPlane -benchmem -benchtime 1x -run '^$$' ./internal/server/
-	$(GO) run ./cmd/experiments -controlplane BENCH_controlplane.json
 
 # Flash-crowd redirects, signed handoffs and a mid-lesson server kill -> BENCH_cluster.json (gates: experiments.ClusterReport.check).
 bench-cluster:
@@ -42,7 +40,7 @@ bench-netsim:
 	$(GO) test -bench BenchmarkVirtualRun -benchmem -run '^$$' ./internal/clock/
 	$(GO) run ./cmd/experiments -netsim BENCH_netsim.json
 
-# Re-checks the committed BENCH_*.json against the same gates without re-running any benchmark.
+# Re-checks the committed BENCH_cluster.json and BENCH_netsim.json against their generators' gates without re-running either benchmark; any other BENCH_*.json in the root fails it.
 bench-verify:
 	$(GO) run ./cmd/experiments -verify-bench .
 

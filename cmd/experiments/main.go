@@ -1,12 +1,13 @@
 // Command experiments runs the reproduction harness of DESIGN.md: the figures
 // (F1–F5), the evaluated claims (E1–E10, E12, E13) and the ablations (A1–A3),
 // printing the tables that EXPERIMENTS.md records. It also generates and
-// verifies the per-plane BENCH_*.json artifacts.
+// verifies the two committed benchmark artifacts, BENCH_cluster.json and
+// BENCH_netsim.json.
 //
 // Usage:
 //
 //	experiments [-seed N] [-quick] [-only F2,E3]
-//	experiments -dataplane|-controlplane|-cluster|-netsim out.json
+//	experiments -cluster|-netsim out.json
 //	experiments -verify-bench dir
 package main
 
@@ -29,10 +30,6 @@ var benchmarks = []struct {
 	flag, usage string
 	run         func() (*stats.Table, any, error)
 }{
-	{"dataplane", "run the data-plane load benchmark and write its JSON results to this path",
-		func() (*stats.Table, any, error) { return experiments.DataPlane(nil) }},
-	{"controlplane", "run the control-plane load benchmark and write its JSON results to this path",
-		func() (*stats.Table, any, error) { return experiments.ControlPlane(nil) }},
 	{"cluster", "run the federated-cluster load/chaos benchmark and write its JSON results to this path",
 		func() (*stats.Table, any, error) { return experiments.Cluster(nil) }},
 	{"netsim", "run the sharded discrete-event simulator benchmark and write its JSON results to this path",

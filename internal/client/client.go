@@ -65,10 +65,8 @@ type Options struct {
 	// the server dead.
 	LivenessMisses int
 	// RetryTimeout is the initial reply timeout of tracked control
-	// requests; it doubles on each retransmission up to RetryBackoffCap.
+	// requests; it doubles on each retransmission up to retryBackoffCap.
 	RetryTimeout time.Duration
-	// RetryBackoffCap bounds the exponential retransmission backoff.
-	RetryBackoffCap time.Duration
 	// RetryAttempts bounds retransmissions of requests without an explicit
 	// deadline.
 	RetryAttempts int
@@ -78,9 +76,6 @@ type Options struct {
 	// Peers seeds the failover/redirect replica set before the first
 	// successful connect advertises one (the hermes -peers flag).
 	Peers []string
-	// DisableHeartbeat turns the liveness probing off (for experiments
-	// isolating the control plane).
-	DisableHeartbeat bool
 	// Obs, when set, threads telemetry through the browser's buffers and
 	// playout scheduler and records session lifecycle events.
 	Obs *obs.Scope
@@ -122,9 +117,6 @@ func (o *Options) fill() {
 	}
 	if o.RetryTimeout <= 0 {
 		o.RetryTimeout = 750 * time.Millisecond
-	}
-	if o.RetryBackoffCap <= 0 {
-		o.RetryBackoffCap = 4 * time.Second
 	}
 	if o.RetryAttempts <= 0 {
 		o.RetryAttempts = 5

@@ -50,8 +50,8 @@ func (c *Client) onRedirectLocked(from string, m protocol.ConnectResult) {
 	// Capped exponential backoff between hops: half the retry timeout on the
 	// first hop, doubling up to the retry cap.
 	delay := c.opts.RetryTimeout / 2 << (c.redirectHops - 1)
-	if delay > c.opts.RetryBackoffCap {
-		delay = c.opts.RetryBackoffCap
+	if delay > retryBackoffCap {
+		delay = retryBackoffCap
 	}
 	c.logEvent(fmt.Sprintf("redirect %s → %s (hop %d)", from, target, c.redirectHops))
 	c.clk.AfterFunc(delay, func() {

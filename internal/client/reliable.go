@@ -19,6 +19,10 @@ import (
 	"repro/internal/server"
 )
 
+// retryBackoffCap bounds the exponential backoff of control retransmissions
+// and redirect hops.
+const retryBackoffCap = 4 * time.Second
+
 // pendingReq is one in-flight tracked control request.
 type pendingReq struct {
 	id       uint32
@@ -104,8 +108,8 @@ func (c *Client) retryReq(id uint32) {
 	c.opts.Obs.Counter("client_ctrl_retries").Inc()
 	c.opts.Obs.Emit(obs.EvCtrlRetry, pr.host, int64(pr.attempts), "retrying "+pr.mt.String())
 	pr.delay *= 2
-	if pr.delay > c.opts.RetryBackoffCap {
-		pr.delay = c.opts.RetryBackoffCap
+	if pr.delay > retryBackoffCap {
+		pr.delay = retryBackoffCap
 	}
 	pr.timer = c.clk.AfterFunc(pr.delay, func() { c.retryReq(id) })
 	host, frame := pr.host, pr.frame
@@ -151,9 +155,6 @@ func (c *Client) cancelPendingLocked(host string) {
 // startHeartbeatLocked (re)arms the heartbeat loop toward the current
 // server. Caller holds c.mu.
 func (c *Client) startHeartbeatLocked() {
-	if c.opts.DisableHeartbeat {
-		return
-	}
 	if c.hbTimer != nil {
 		c.hbTimer.Stop()
 	}

@@ -81,7 +81,7 @@ func (v view) PeerLoad(host string) (float64, bool) {
 
 // New boots the federation: one server per name, each holding only the
 // documents placed on it, wired to the shared directory view and peer list.
-func New(clk *clock.Virtual, net *netsim.Network, users *auth.DB, cfg Config) (*Cluster, error) {
+func New(clk clock.Clock, net netsim.Net, users *auth.DB, cfg Config) (*Cluster, error) {
 	if len(cfg.Servers) == 0 {
 		return nil, fmt.Errorf("cluster: no servers")
 	}

@@ -19,10 +19,8 @@ import (
 
 // benchArtifacts maps each committed artifact to its decode-and-check.
 var benchArtifacts = map[string]func([]byte) error{
-	"BENCH_dataplane.json":    checkArtifact[DataPlaneReport],
-	"BENCH_controlplane.json": checkArtifact[ControlPlaneReport],
-	"BENCH_cluster.json":      checkArtifact[ClusterReport],
-	"BENCH_netsim.json":       checkArtifact[NetsimReport],
+	"BENCH_cluster.json": checkArtifact[ClusterReport],
+	"BENCH_netsim.json":  checkArtifact[NetsimReport],
 }
 
 func checkArtifact[R interface{ check() error }](buf []byte) error {

@@ -57,42 +57,41 @@ func (c *ControlPlaneConfig) fill() {
 	}
 }
 
-// ControlPlaneResult is one load run's measurement, JSON-shaped for
-// BENCH_controlplane.json.
+// ControlPlaneResult is one load run's measurement.
 type ControlPlaneResult struct {
-	Sessions  int `json:"sessions"`
-	DupFactor int `json:"dup_factor"`
-	Workers   int `json:"workers"`
+	Sessions  int
+	DupFactor int
+	Workers   int
 
 	// Connect storm: fresh session establishment under duplicate fire.
-	ConnectsPerSec     float64 `json:"connects_per_sec"`
-	CtrlReqsPerSec     float64 `json:"ctrl_reqs_per_sec"` // includes duplicates
-	AdmissionDecisions int64   `json:"admission_decisions"`
-	DedupRings         int     `json:"dedup_rings"`
+	ConnectsPerSec     float64
+	CtrlReqsPerSec     float64 // includes duplicates
+	AdmissionDecisions int64
+	DedupRings         int
 
 	// Heartbeat phase: one beat per session, wheel scheduling included.
-	HeartbeatsPerSec float64 `json:"heartbeats_per_sec"`
+	HeartbeatsPerSec float64
 
 	// Sweep phase: mean wall cost of one liveness sweep tick with every
 	// session resident and none due. The timer-wheel claim is that this
 	// stays flat as sessions grow; the old full-map sweep scanned every
 	// resident session per tick.
-	SweepTicks      int     `json:"sweep_ticks"`
-	SweepTickMicros float64 `json:"sweep_tick_us"`
+	SweepTicks      int
+	SweepTickMicros float64
 
 	// Whole-run control-plane lock pressure (write side, all shards).
-	LockAcqsTotal  int64 `json:"lock_acqs_total"`
-	LockHeldMicros int64 `json:"lock_held_us"`
+	LockAcqsTotal  int64
+	LockHeldMicros int64
 
 	// Control-span distributions (µs): per-request handler service time,
 	// shard lock wait (merged across shards), and liveness sweep tick cost.
-	HandleP50    float64 `json:"handle_p50_us"`
-	HandleP95    float64 `json:"handle_p95_us"`
-	HandleP99    float64 `json:"handle_p99_us"`
-	HandleMax    float64 `json:"handle_max_us"`
-	LockWaitP99  float64 `json:"lock_wait_p99_us"`
-	LockWaitMax  float64 `json:"lock_wait_max_us"`
-	SweepTickP99 float64 `json:"sweep_tick_p99_us"`
+	HandleP50    float64
+	HandleP95    float64
+	HandleP99    float64
+	HandleMax    float64
+	LockWaitP99  float64
+	LockWaitMax  float64
+	SweepTickP99 float64
 }
 
 // RunControlPlaneLoad runs the three phases described above and validates

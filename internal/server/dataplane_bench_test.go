@@ -69,6 +69,49 @@ func TestDataPlaneEmitOffGlobalLock(t *testing.T) {
 	}
 }
 
+// TestSharedFlowFanOutFlat is the shared-flow claim as a model property:
+// over the same paced window, 64 viewers of one document cost the encodes of
+// one viewer, every encode reaches every viewer, and the fan-out stays off
+// the shard locks and (amortized) off the allocator. The window runs on the
+// virtual clock, so the frame counts are exact, not rates.
+func TestSharedFlowFanOutFlat(t *testing.T) {
+	const viewers = 64
+	run := func(sessions int) DataPlaneResult {
+		res, err := RunDataPlaneLoad(DataPlaneConfig{Sessions: sessions, FramesPerSender: 1, SharedFlows: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PacedEncodes == 0 {
+			t.Fatalf("sessions=%d: paced phase encoded nothing; the window measured no traffic", sessions)
+		}
+		if res.PacedLockAcqs != 0 {
+			t.Fatalf("sessions=%d: shard write locks acquired %d times during paced fan-out",
+				sessions, res.PacedLockAcqs)
+		}
+		return res
+	}
+	one, many := run(1), run(viewers)
+	if float64(many.PacedEncodes) > 1.05*float64(one.PacedEncodes) {
+		t.Fatalf("encodes grew %d → %d across 1 → %d viewers; a shared flow must encode each frame once",
+			one.PacedEncodes, many.PacedEncodes, viewers)
+	}
+	if float64(many.PacedDelivered) < 0.9*viewers*float64(many.PacedEncodes) {
+		t.Fatalf("delivered %d frames for %d encodes at %d viewers; the fan-out does not reach every subscriber",
+			many.PacedDelivered, many.PacedEncodes, viewers)
+	}
+	if many.MaxFlowSubscribers != viewers {
+		t.Fatalf("hot flow carries %d subscribers; every viewer of the one document must ride it (want %d)",
+			many.MaxFlowSubscribers, viewers)
+	}
+	if raceEnabled {
+		return // sync.Pool drops items under -race; the allocation bound doesn't hold
+	}
+	if many.PacedAllocsPerFrame > 0.05 {
+		t.Fatalf("fan-out allocates %.3f objects per delivered frame over %d deliveries; want ≤ 0.05",
+			many.PacedAllocsPerFrame, many.PacedDelivered)
+	}
+}
+
 // TestDataPlaneRaceStress hammers the emit path from per-sender goroutines
 // while the control plane concurrently pauses, resumes, reloads, suspends and
 // processes feedback. Run under -race (make race / make check) this proves

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -41,22 +40,10 @@ type DataPlaneConfig struct {
 	// FramesPerSender bounds the pump phase's frames per time-sensitive
 	// flow.
 	FramesPerSender int
-	// DisableObs runs without a telemetry scope (and thus without frame
-	// spans); the overhead benchmark pairs a run against a default run to
-	// price the sampled span instrumentation.
-	DisableObs bool
-	// SharedFlows turns on shared-flow fan-out: sessions viewing the same
-	// document ride one paced flow (one encode, N deliveries).
+	// SharedFlows turns on shared-flow fan-out: the sessions all view the
+	// same document, so they ride one paced flow per stream (one encode, N
+	// deliveries).
 	SharedFlows bool
-	// Docs is how many distinct documents the sessions spread across
-	// (default 1: every session views the same hot document).
-	Docs int
-	// ZipfS is the Zipf popularity exponent used to assign sessions to
-	// documents when Docs > 1. The assignment is a deterministic
-	// inverse-CDF spread — session i lands on the document whose
-	// cumulative weight covers (i+0.5)/Sessions — so runs are exactly
-	// reproducible with no RNG. Zero means uniform popularity.
-	ZipfS float64
 }
 
 func (c *DataPlaneConfig) fill() {
@@ -66,56 +53,52 @@ func (c *DataPlaneConfig) fill() {
 	if c.FramesPerSender <= 0 {
 		c.FramesPerSender = 200
 	}
-	if c.Docs <= 0 {
-		c.Docs = 1
-	}
 }
 
-// DataPlaneResult is one load run's measurement, JSON-shaped for
-// BENCH_dataplane.json.
+// DataPlaneResult is one load run's measurement.
 type DataPlaneResult struct {
-	Sessions int `json:"sessions"`
-	Senders  int `json:"senders"`
+	Sessions int
+	Senders  int
 
 	// Paced phase: virtual-clock pacing over pacedWindow.
-	PacedFrames   int64 `json:"paced_frames"`
-	PacedLockAcqs int64 `json:"paced_lock_acqs"` // shard write-lock acquisitions during pacing; must be 0
+	PacedFrames   int64
+	PacedLockAcqs int64 // shard write-lock acquisitions during pacing; must be 0
 
 	// Allocation footprint (runtime.MemStats deltas over each phase divided
 	// by its frames). The steady-state emit path is pooled and append-style,
 	// so the paced numbers must stay at (amortized) zero — the regression
 	// test pins them.
-	PacedAllocsPerFrame     float64 `json:"paced_allocs_per_frame"`
-	PacedAllocBytesPerFrame float64 `json:"paced_alloc_bytes_per_frame"`
-	PumpAllocsPerFrame      float64 `json:"pump_allocs_per_frame"`
-	PumpAllocBytesPerFrame  float64 `json:"pump_alloc_bytes_per_frame"`
+	PacedAllocsPerFrame     float64
+	PacedAllocBytesPerFrame float64
+	PumpAllocsPerFrame      float64
+	PumpAllocBytesPerFrame  float64
 
 	// Pump phase: parallel full-rate emission, one goroutine per flow.
-	PumpFrames    int64   `json:"pump_frames"`
-	PumpPackets   int64   `json:"pump_packets"`
-	PumpBytes     int64   `json:"pump_bytes"`
-	ElapsedMicros int64   `json:"elapsed_us"`
-	FramesPerSec  float64 `json:"frames_per_sec"`
+	PumpFrames    int64
+	PumpPackets   int64
+	PumpBytes     int64
+	ElapsedMicros int64
+	FramesPerSec  float64
 
 	// Emit service time distribution (µs). The p95 is the send-jitter
 	// bound: no frame can start later than one service time behind its
 	// timer because of another stream's lock.
-	EmitP50Micros float64 `json:"emit_p50_us"`
-	EmitP95Micros float64 `json:"emit_p95_us"`
-	EmitMaxMicros float64 `json:"emit_max_us"`
+	EmitP50Micros float64
+	EmitP95Micros float64
+	EmitMaxMicros float64
 
 	// Whole-run control-plane lock pressure.
-	LockAcqsTotal  int64 `json:"lock_acqs_total"`
-	LockHeldMicros int64 `json:"lock_held_us"`
+	LockAcqsTotal  int64
+	LockHeldMicros int64
 
 	// Frame-span emit→wire hop (µs), from the 1-in-SpanSampleEvery sampled
-	// frames. Zero when DisableObs.
-	SpanSampleEvery int     `json:"span_sample_every"`
-	SpanFrames      int64   `json:"span_frames"`
-	EmitToWireP50   float64 `json:"emit_to_wire_p50_us"`
-	EmitToWireP95   float64 `json:"emit_to_wire_p95_us"`
-	EmitToWireP99   float64 `json:"emit_to_wire_p99_us"`
-	EmitToWireMax   float64 `json:"emit_to_wire_max_us"`
+	// frames.
+	SpanSampleEvery int
+	SpanFrames      int64
+	EmitToWireP50   float64
+	EmitToWireP95   float64
+	EmitToWireP99   float64
+	EmitToWireMax   float64
 
 	// Shared-flow fan-out. Encodes count frames encoded+assembled once;
 	// delivered counts frames × subscribers actually fanned out. Both are
@@ -124,17 +107,14 @@ type DataPlaneResult struct {
 	// one-encode-N-deliveries ratio. Without shared flows the two are
 	// equal; with them, encodes stay flat as viewers of the same document
 	// grow while delivered scales with the viewer count.
-	SharedFlows        bool    `json:"shared_flows"`
-	Docs               int     `json:"docs"`
-	ZipfS              float64 `json:"zipf_s"`
-	Flows              int     `json:"flows"`
-	MaxFlowSubscribers int     `json:"max_flow_subscribers"`
-	PacedEncodes       int64   `json:"paced_encodes"`
-	PacedDelivered     int64   `json:"paced_delivered"`
-	PumpEncodes        int64   `json:"pump_encodes"`
-	PumpDelivered      int64   `json:"pump_delivered"`
-	EncodesPerSec      float64 `json:"encodes_per_sec"`
-	DeliveredPerSec    float64 `json:"delivered_per_sec"`
+	Flows              int
+	MaxFlowSubscribers int
+	PacedEncodes       int64
+	PacedDelivered     int64
+	PumpEncodes        int64
+	PumpDelivered      int64
+	EncodesPerSec      float64
+	DeliveredPerSec    float64
 }
 
 // sinkNet is the harness transport: a netsim.Net whose Send costs two atomic
@@ -193,9 +173,6 @@ func RunDataPlaneLoad(cfg DataPlaneConfig) (DataPlaneResult, error) {
 	cfg.fill()
 	var res DataPlaneResult
 	res.Sessions = cfg.Sessions
-	res.SharedFlows = cfg.SharedFlows
-	res.Docs = cfg.Docs
-	res.ZipfS = cfg.ZipfS
 
 	clk := clock.NewSim()
 	net := newSinkNet()
@@ -206,47 +183,12 @@ func RunDataPlaneLoad(cfg DataPlaneConfig) (DataPlaneResult, error) {
 		return res, err
 	}
 	db := NewDatabase()
-	docName := func(k int) string {
-		if cfg.Docs == 1 {
-			return "lesson"
-		}
-		return fmt.Sprintf("lesson%d", k)
+	if err := db.Put("lesson", hml.LessonSource("bench", 2, time.Minute), "load doc"); err != nil {
+		return res, err
 	}
-	for k := 0; k < cfg.Docs; k++ {
-		if err := db.Put(docName(k), hml.LessonSource("bench", 2, time.Minute), "load doc"); err != nil {
-			return res, err
-		}
-	}
-	// Zipf popularity: document k gets weight (k+1)^-s; session i lands on
-	// the document whose cumulative weight first covers (i+0.5)/Sessions.
-	// Deterministic inverse-CDF spread — no RNG, exactly reproducible.
-	docOf := make([]int, cfg.Sessions)
-	if cfg.Docs > 1 {
-		weights := make([]float64, cfg.Docs)
-		var total float64
-		for k := range weights {
-			weights[k] = math.Pow(float64(k+1), -cfg.ZipfS)
-			total += weights[k]
-		}
-		for i := range docOf {
-			u := (float64(i) + 0.5) / float64(cfg.Sessions) * total
-			acc := 0.0
-			docOf[i] = cfg.Docs - 1
-			for k, w := range weights {
-				acc += w
-				if u <= acc {
-					docOf[i] = k
-					break
-				}
-			}
-		}
-	}
-	// Telemetry is ON by default: the alloc and lock gates below prove the
-	// sampled span instrumentation rides the emit path for free.
-	var scope *obs.Scope
-	if !cfg.DisableObs {
-		scope = obs.NewScope(clk)
-	}
+	// Telemetry is on: the alloc and lock tests prove the sampled span
+	// instrumentation rides the emit path for free.
+	scope := obs.NewScope(clk)
 	srv, err := New("srv", clk, net, users, db, Options{
 		Capacity:    1e12, // admission must not cap the fleet
 		Obs:         scope,
@@ -266,7 +208,7 @@ func RunDataPlaneLoad(cfg DataPlaneConfig) (DataPlaneResult, error) {
 		})
 		net.Send(netsim.Packet{
 			From: client, To: netsim.MakeAddr("srv", ControlPort),
-			Payload:  protocol.MustEncode(protocol.MsgDocRequest, protocol.DocRequest{Name: docName(docOf[i])}),
+			Payload:  protocol.MustEncode(protocol.MsgDocRequest, protocol.DocRequest{Name: "lesson"}),
 			Reliable: true,
 		})
 	}
@@ -423,14 +365,30 @@ func RunDataPlaneLoad(cfg DataPlaneConfig) (DataPlaneResult, error) {
 	res.LockAcqsTotal = acqs
 	res.LockHeldMicros = held.Microseconds()
 
-	if scope != nil {
-		h := scope.FrameSpans().EmitToWire()
-		res.SpanSampleEvery = int(scope.FrameSpans().SampleEvery())
-		res.SpanFrames = h.N()
-		res.EmitToWireP50 = us(h.P50())
-		res.EmitToWireP95 = us(h.P95())
-		res.EmitToWireP99 = us(h.P99())
-		res.EmitToWireMax = us(h.Max())
-	}
+	h := scope.FrameSpans().EmitToWire()
+	res.SpanSampleEvery = int(scope.FrameSpans().SampleEvery())
+	res.SpanFrames = h.N()
+	res.EmitToWireP50 = us(h.P50())
+	res.EmitToWireP95 = us(h.P95())
+	res.EmitToWireP99 = us(h.P99())
+	res.EmitToWireMax = us(h.Max())
 	return res, nil
+}
+
+// pump emits up to n frames back-to-back, bypassing the pacing timer: the
+// data-plane load harness's way of driving a flow at full rate from its own
+// goroutine. It returns per-frame emit service times.
+func (fl *flow) pump(n int) []time.Duration {
+	times := make([]time.Duration, 0, n)
+	for i := 0; i < n; i++ {
+		t0 := time.Now()
+		fl.mu.Lock()
+		more := fl.emitFrameLocked()
+		fl.mu.Unlock()
+		times = append(times, time.Since(t0))
+		if !more {
+			break
+		}
+	}
+	return times
 }

@@ -38,3 +38,16 @@ func (sn *sender) rtpPackets() uint32 {
 	defer fl.mu.Unlock()
 	return fl.rtpS.PacketCount()
 }
+
+// dedupLen counts resident reply caches across all shards (the dedup tests
+// and the control-plane harness).
+func (s *Server) dedupLen() int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.dmu.Lock()
+		n += len(sh.dedup)
+		sh.dmu.Unlock()
+	}
+	return n
+}

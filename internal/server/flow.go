@@ -337,24 +337,6 @@ func (s *Server) sendMedia(pkt netsim.Packet, tos []netsim.Addr) {
 	}
 }
 
-// pump emits up to n frames back-to-back, bypassing the pacing timer: the
-// data-plane load harness's way of driving a flow at full rate from its own
-// goroutine. It returns per-frame emit service times.
-func (fl *flow) pump(n int) []time.Duration {
-	times := make([]time.Duration, 0, n)
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		fl.mu.Lock()
-		more := fl.emitFrameLocked()
-		fl.mu.Unlock()
-		times = append(times, time.Since(t0))
-		if !more {
-			break
-		}
-	}
-	return times
-}
-
 // report builds the flow's RTCP SR, or nil when the flow is inactive. Every
 // subscriber's session relays the same SR — correct, since they all receive
 // the same SSRC's stream. A private flow falls silent once its stream has

@@ -318,16 +318,3 @@ func (s *Server) dedupRingLocked(sh *ctrlShard, si int, client string) *dedupRin
 	}
 	return ring
 }
-
-// dedupLen counts resident reply caches across all shards (tests and the
-// control-plane harness).
-func (s *Server) dedupLen() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.dmu.Lock()
-		n += len(sh.dedup)
-		sh.dmu.Unlock()
-	}
-	return n
-}

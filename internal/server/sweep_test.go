@@ -2,6 +2,7 @@ package server
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/protocol"
 )
@@ -68,5 +69,91 @@ func TestAccessorsStayOffLockMeter(t *testing.T) {
 	if acqs1 != acqs0 {
 		t.Fatalf("read-only accessors took the metered write lock %d times; they must serve off the read side",
 			acqs1-acqs0)
+	}
+}
+
+// wheelItem is a minimal wheel entry for driving wheel[T] directly.
+type wheelItem struct {
+	pos   wheelPos
+	fired int
+}
+
+func newItemWheel(now time.Time, buckets int) *wheel[*wheelItem] {
+	return newWheel(now, time.Second, buckets, func(it *wheelItem) *wheelPos { return &it.pos })
+}
+
+// TestWheelAdvanceVisitsOnlyDue pins the timer-wheel claim behind the
+// liveness and dedup sweeps as a count of fire callbacks, not a wall-clock
+// figure: a tick's work is the entries due that tick, however many are
+// resident.
+func TestWheelAdvanceVisitsOnlyDue(t *testing.T) {
+	t0 := time.Unix(1_000_000, 0)
+
+	// Resident entries whose deadlines lie past the ticks advanced are never
+	// touched, whether there are ten of them or ten thousand.
+	const buckets, ticks = 64, 32
+	for _, n := range []int{10, 10_000} {
+		w := newItemWheel(t0, buckets)
+		for i := 0; i < n; i++ {
+			w.schedule(&wheelItem{pos: noWheelPos()},
+				t0.Add(time.Duration(ticks+1+i%(buckets-ticks-1))*time.Second))
+		}
+		fires := 0
+		for k := 1; k <= ticks; k++ {
+			w.advance(t0.Add(time.Duration(k)*time.Second), func(*wheelItem) time.Time {
+				fires++
+				return time.Time{}
+			})
+		}
+		if fires != 0 || w.Len() != n {
+			t.Fatalf("n=%d: %d ticks with nothing due fired %d entries and left %d queued; want 0 and %d",
+				n, ticks, fires, w.Len(), n)
+		}
+	}
+
+	// An entry fires exactly once when its bucket comes up, is re-queued at
+	// the deadline fire returns, and leaves the wheel on a zero return.
+	w := newItemWheel(t0, 8)
+	it := &wheelItem{pos: noWheelPos()}
+	w.schedule(it, t0.Add(3*time.Second))
+	var firedAt []int
+	for k := 1; k <= 7; k++ {
+		w.advance(t0.Add(time.Duration(k)*time.Second), func(got *wheelItem) time.Time {
+			if got != it {
+				t.Fatalf("tick %d fired a foreign entry", k)
+			}
+			firedAt = append(firedAt, k)
+			if k == 3 {
+				return t0.Add(6 * time.Second)
+			}
+			return time.Time{}
+		})
+	}
+	if len(firedAt) != 2 || firedAt[0] != 3 || firedAt[1] != 6 {
+		t.Fatalf("entry fired at ticks %v, want [3 6] (once per deadline, re-queued at the returned one)", firedAt)
+	}
+	if w.Len() != 0 || it.pos.bucket >= 0 {
+		t.Fatalf("dropped entry still queued: len=%d pos=%+v", w.Len(), it.pos)
+	}
+
+	// A sleep longer than one rotation visits every bucket once: one entry
+	// per bucket, each fired a single time.
+	w = newItemWheel(t0, 8)
+	items := make([]*wheelItem, 8)
+	for i := range items {
+		items[i] = &wheelItem{pos: noWheelPos()}
+		w.schedule(items[i], t0.Add(time.Duration(i+1)*time.Second))
+	}
+	w.advance(t0.Add(3*8*time.Second+time.Second), func(got *wheelItem) time.Time {
+		got.fired++
+		return time.Time{}
+	})
+	for i, it := range items {
+		if it.fired != 1 {
+			t.Fatalf("after a three-rotation sleep entry %d fired %d times, want 1", i, it.fired)
+		}
+	}
+	if w.Len() != 0 {
+		t.Fatalf("%d entries left queued after a full rotation", w.Len())
 	}
 }
