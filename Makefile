@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race chaos bench-dataplane bench-controlplane bench-cluster bench-netsim bench-verify bench-check
+.PHONY: check vet build test race chaos bench-dataplane bench-controlplane bench-netsim bench-check
 
 # The full gate: everything below except chaos and the bench-* generators.
-check: vet build test race bench-verify bench-check
+check: vet build test race bench-check
 
 vet:
 	$(GO) vet ./...
@@ -31,18 +31,10 @@ bench-dataplane:
 bench-controlplane:
 	$(GO) test -bench BenchmarkControlPlane -benchmem -benchtime 1x -run '^$$' ./internal/server/
 
-# Flash-crowd redirects, signed handoffs and a mid-lesson server kill -> BENCH_cluster.json (gates: experiments.ClusterReport.check).
-bench-cluster:
-	$(GO) run ./cmd/experiments -cluster BENCH_cluster.json
-
-# Sharded simulator packet mill, determinism cross-check and 100k-client storm -> BENCH_netsim.json (gates: experiments.NetsimReport.check).
+# Sharded simulator packet mill, determinism cross-check and 100k-client storm (experiment E15; gates: experiments.NetsimReport.check). Prints only.
 bench-netsim:
 	$(GO) test -bench BenchmarkVirtualRun -benchmem -run '^$$' ./internal/clock/
-	$(GO) run ./cmd/experiments -netsim BENCH_netsim.json
-
-# Re-checks the committed BENCH_cluster.json and BENCH_netsim.json against their generators' gates without re-running either benchmark; any other BENCH_*.json in the root fails it.
-bench-verify:
-	$(GO) run ./cmd/experiments -verify-bench .
+	$(GO) run ./cmd/experiments -only E15
 
 # Vets and tests the end-to-end benchmark under bench/, a module of its own that ./... does not reach.
 bench-check:

@@ -79,9 +79,9 @@ type ShardedVirtual struct {
 	scratch []crossEvent // coordinator-only drain buffer, reused across rounds
 }
 
-// DefaultMailboxCap bounds one source→destination mailbox row per window
+// defaultMailboxCap bounds one source→destination mailbox row per window
 // before overflow accounting kicks in.
-const DefaultMailboxCap = 1 << 16
+const defaultMailboxCap = 1 << 16
 
 // NewShardedVirtual creates a driver over shards Virtual clocks starting at
 // epoch. lookahead must be positive and no larger than the minimum
@@ -97,7 +97,7 @@ func NewShardedVirtual(epoch time.Time, shards int, lookahead time.Duration) *Sh
 		shards:     make([]*Virtual, shards),
 		lookahead:  lookahead,
 		rows:       make([][][]crossEvent, shards),
-		mailboxCap: DefaultMailboxCap,
+		mailboxCap: defaultMailboxCap,
 	}
 	for i := range sv.shards {
 		sv.shards[i] = NewVirtual(epoch)
@@ -121,13 +121,6 @@ func (sv *ShardedVirtual) Lookahead() time.Duration { return sv.lookahead }
 // this clock for all their timers; their callbacks then run on shard i's
 // worker, serialized with everything else on the shard.
 func (sv *ShardedVirtual) Shard(i int) *Virtual { return sv.shards[i] }
-
-// SetMailboxCap overrides the soft per-row mailbox bound.
-func (sv *ShardedVirtual) SetMailboxCap(n int) {
-	if n > 0 {
-		sv.mailboxCap = n
-	}
-}
 
 // Now returns the group floor: the minimum shard time. Between windows every
 // shard sits exactly at the floor; while a window runs, shards may be up to

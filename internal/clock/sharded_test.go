@@ -214,7 +214,7 @@ func TestShardedRunHorizonAndCounts(t *testing.T) {
 
 func TestShardedMailboxAccounting(t *testing.T) {
 	sv := NewShardedSim(2, time.Millisecond)
-	sv.SetMailboxCap(4)
+	sv.mailboxCap = 4
 	sv.Shard(0).AfterFunc(time.Millisecond, func() {
 		at := sv.Shard(0).Now().Add(2 * time.Millisecond)
 		for i := 0; i < 6; i++ {

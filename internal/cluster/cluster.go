@@ -5,7 +5,7 @@
 // behaviors — load-aware admission redirects, in-protocol cross-server
 // handoffs, and replica-aware failover — fall out of wiring the existing
 // server.Options cluster knobs to that view. The cluster-scale load/chaos
-// harness behind `make bench-cluster` drives this package from outside
+// harness of experiment E13 drives this package from outside
 // (internal/experiments/clusterbench.go), as does the seeded chaos suite
 // (internal/chaos).
 package cluster

@@ -16,11 +16,12 @@ import (
 	"repro/internal/stats"
 )
 
-// This file is the whole of the cluster benchmark (`make bench-cluster`,
-// BENCH_cluster.json, experiment E13): the load + chaos harness, the report
-// type with its gates, and the generator. The harness boots a federation
-// through cluster.New and drives it through exported API only, which is why
-// it lives here and not in internal/cluster.
+// This file is the whole of experiment E13: the cluster load + chaos
+// harness, its result type with the gates, and the table. The harness boots
+// a federation through cluster.New and drives it through exported API only,
+// which is why it lives here and not in internal/cluster. The run is
+// deterministic, so its counters are pinned exactly in
+// TestRunClusterLoadInvariants rather than committed as a file.
 //
 // The scenario: a flash crowd of clients aims at one server of a
 // three-server federation, the admission watermark spreads them by
@@ -44,7 +45,7 @@ const satelliteLesson = `<TITLE>satellite seminar</TITLE>
 // The federation the scenario runs on; only the crowd size varies. Capacity
 // and watermark shape the admission pressure: at 1 Mb/s peak per client the
 // first server sheds fresh connects once ~9 sessions are resident. The seed
-// is pinned because the cluster invariants are replayable artifacts, not a
+// is pinned because the cluster invariants are an exact replay, not a
 // stochastic sweep.
 const (
 	clusterServers           = 3
@@ -53,36 +54,34 @@ const (
 	clusterRedirectWatermark = 0.55
 )
 
-// ClusterLoadResult is one harness run, serialized into BENCH_cluster.json.
+// ClusterLoadResult is one harness run.
 type ClusterLoadResult struct {
-	Servers int   `json:"servers"`
-	Clients int   `json:"clients"`
-	Seed    int64 `json:"seed"`
+	Servers int
+	Clients int
 
 	// Redirect spread: redirects issued by servers, followed by clients,
 	// and the fraction of fresh connect attempts answered with a redirect.
-	Redirects         int64   `json:"redirects"`
-	RedirectsFollowed int64   `json:"redirects_followed"`
-	RedirectRate      float64 `json:"redirect_rate"`
+	Redirects         int64
+	RedirectsFollowed int64
+	RedirectRate      float64
 
 	// Handoff path: issued at sources, accepted at targets, completed
 	// end-to-end at clients, plus the client-observed suspend→first-doc-OK
 	// latency quantiles.
-	Handoffs          int64   `json:"handoffs"`
-	HandoffAccepts    int64   `json:"handoff_accepts"`
-	HandoffsCompleted int64   `json:"handoffs_completed"`
-	HandoffP50Millis  float64 `json:"handoff_p50_ms"`
-	HandoffP95Millis  float64 `json:"handoff_p95_ms"`
+	Handoffs          int64
+	HandoffAccepts    int64
+	HandoffsCompleted int64
+	HandoffP50Millis  float64
+	HandoffP95Millis  float64
 
 	// Failover outcome after the mid-lesson kill.
-	SessionsOnKilled  int  `json:"sessions_on_killed"`
-	SessionsRecovered int  `json:"sessions_recovered"`
-	SessionsLost      int  `json:"sessions_lost"`
-	ZeroLostSessions  bool `json:"zero_lost_sessions"`
+	SessionsOnKilled  int
+	SessionsRecovered int
+	SessionsLost      int
 
 	// MaxUtilization is the peak admission utilization seen at any server
 	// at the scenario checkpoints.
-	MaxUtilization float64 `json:"max_utilization"`
+	MaxUtilization float64
 }
 
 // check holds the cluster invariants on one run: the flash crowd is actually
@@ -90,9 +89,6 @@ type ClusterLoadResult struct {
 // measured latency, and killing the serving shard loses not a single session
 // — every one recovers onto a replica holding its lesson.
 func (r ClusterLoadResult) check() error {
-	if r.Servers <= 0 || r.Clients <= 0 {
-		return fmt.Errorf("clients=%d run missing core fields", r.Clients)
-	}
 	if r.Redirects <= 0 || r.RedirectsFollowed <= 0 || r.RedirectRate <= 0 {
 		return fmt.Errorf("clients=%d shows no admission redirects; the flash crowd was not spread", r.Clients)
 	}
@@ -103,26 +99,9 @@ func (r ClusterLoadResult) check() error {
 		return fmt.Errorf("clients=%d kill scenario vacuous (no sessions on killed server)", r.Clients)
 	}
 	// The headline invariant: a shard kill mid-lesson loses nothing.
-	if !r.ZeroLostSessions || r.SessionsLost != 0 || r.SessionsRecovered != r.SessionsOnKilled {
+	if r.SessionsLost != 0 || r.SessionsRecovered != r.SessionsOnKilled {
 		return fmt.Errorf("clients=%d lost %d of %d sessions on the killed server",
 			r.Clients, r.SessionsLost, r.SessionsOnKilled)
-	}
-	return nil
-}
-
-// ClusterReport is the BENCH_cluster.json artifact: one run per crowd size.
-type ClusterReport []ClusterLoadResult
-
-// check holds every BENCH_cluster.json gate; Cluster ends in it and
-// bench-verify runs it on the committed file.
-func (rep ClusterReport) check() error {
-	if len(rep) == 0 {
-		return fmt.Errorf("no runs")
-	}
-	for _, r := range rep {
-		if err := r.check(); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -154,7 +133,7 @@ func maxUtilization(cl *cluster.Cluster) float64 {
 // error flags harness-level failures (a client that never got admitted
 // anywhere); the invariant fields are left to ClusterLoadResult.check.
 func runClusterLoad(crowd int) (ClusterLoadResult, error) {
-	res := ClusterLoadResult{Servers: clusterServers, Clients: crowd, Seed: clusterSeed}
+	res := ClusterLoadResult{Servers: clusterServers, Clients: crowd}
 
 	clk := clock.NewSim()
 	net := netsim.New(clk, clusterSeed)
@@ -271,7 +250,6 @@ func runClusterLoad(crowd int) (ClusterLoadResult, error) {
 			res.SessionsLost++
 		}
 	}
-	res.ZeroLostSessions = res.SessionsLost == 0
 
 	res.Redirects = cl.CounterTotal("cluster_redirects")
 	res.RedirectsFollowed = cscope.Counter("client_redirects_followed").Value()
@@ -285,21 +263,22 @@ func runClusterLoad(crowd int) (ClusterLoadResult, error) {
 	return res, nil
 }
 
-// Cluster runs the harness at each crowd size and tabulates the redirect
-// spread, handoff latency quantiles, and the failover outcome of killing the
-// crowded server mid-lesson. The results back BENCH_cluster.json.
-func Cluster(crowds []int) (*stats.Table, ClusterReport, error) {
-	if len(crowds) == 0 {
-		crowds = []int{12, 18, 24}
-	}
+// E13Cluster is the headline federation experiment: the harness at three
+// crowd sizes, tabulating the redirect spread, handoff latency quantiles and
+// the failover outcome of killing the crowded server mid-lesson. Every row
+// passed check. The harness runs on its pinned seed, not the CLI's, so the
+// table replays exactly.
+func E13Cluster() (*stats.Table, error) {
 	tb := stats.NewTable("BENCH — federated cluster: load-aware redirects, signed handoffs, shard-kill failover",
 		"clients", "servers", "redirects", "redirect rate", "handoffs",
 		"handoff p50 ms", "handoff p95 ms", "on killed", "recovered", "lost")
-	var rep ClusterReport
-	for _, n := range crowds {
+	for _, n := range []int{12, 18, 24} {
 		res, err := runClusterLoad(n)
 		if err != nil {
-			return nil, nil, fmt.Errorf("cluster clients=%d: %w", n, err)
+			return nil, fmt.Errorf("cluster clients=%d: %w", n, err)
+		}
+		if err := res.check(); err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
 		}
 		tb.AddRow(res.Clients, res.Servers, res.Redirects,
 			fmt.Sprintf("%.2f", res.RedirectRate),
@@ -307,19 +286,6 @@ func Cluster(crowds []int) (*stats.Table, ClusterReport, error) {
 			fmt.Sprintf("%.1f", res.HandoffP50Millis),
 			fmt.Sprintf("%.1f", res.HandoffP95Millis),
 			res.SessionsOnKilled, res.SessionsRecovered, res.SessionsLost)
-		rep = append(rep, res)
 	}
-	if err := rep.check(); err != nil {
-		return nil, nil, fmt.Errorf("cluster: %w", err)
-	}
-	return tb, rep, nil
-}
-
-// E13Cluster is the headline federation experiment: the default three-crowd
-// sweep of the cluster harness, on its pinned seed so the table in
-// EXPERIMENTS.md replays exactly. (The harness ignores the CLI seed: the
-// cluster invariants are pinned artifacts, not a stochastic sweep.)
-func E13Cluster() (*stats.Table, error) {
-	tb, _, err := Cluster(nil)
-	return tb, err
+	return tb, nil
 }

@@ -10,11 +10,11 @@ import (
 	"repro/internal/stats"
 )
 
-// This file is the whole of the netsim benchmark (`make bench-netsim`,
-// BENCH_netsim.json): the load harness, the report type with its gates, and
-// the generator. The harness drives netsim through its exported API only,
-// which is why it lives here and not in the package it measures. Two
-// scenarios:
+// This file is the whole of experiment E15 (`make bench-netsim`): the load
+// harness, the report type with its gates, and the table. The harness drives
+// netsim through its exported API only, which is why it lives here and not
+// in the package it measures. Its numbers are wall-clock, so they are
+// printed by the command and committed nowhere. Two scenarios:
 //
 //   - runNetsimLoad: a steady-state packet mill — loadGroups fixed host
 //     groups, each with a population of paced clients talking mostly to their
@@ -33,8 +33,8 @@ import (
 // compare across GOMAXPROCS settings and reruns.
 
 // The workload shape both scenarios share. None of these was ever varied:
-// the group count and traffic mix define the workload the artifact's numbers
-// are comparable under, and the lookahead is tied to the default link below.
+// the group count and traffic mix define the workload the numbers are
+// comparable under, and the lookahead is tied to the default link below.
 const (
 	loadGroups         = 8                     // fixed host groups, workload-invariant
 	loadLookahead      = 10 * time.Millisecond // conservative window = min cross-group delay
@@ -66,27 +66,22 @@ func (c *netsimLoadConfig) defaults() {
 	}
 }
 
-// NetsimLoadResult is one harness run's report; JSON-tagged for
-// BENCH_netsim.json.
+// NetsimLoadResult is one harness run's report.
 type NetsimLoadResult struct {
-	Shards           int     `json:"shards"`
-	Groups           int     `json:"groups"`
-	Clients          int     `json:"clients"`
-	SimSeconds       float64 `json:"sim_seconds"`
-	WallMillis       float64 `json:"wall_millis"`
-	Events           int     `json:"events"`
-	PacketsSent      int     `json:"packets_sent"`
-	PacketsDelivered int     `json:"packets_delivered"`
-	PacketsDropped   int     `json:"packets_dropped"`
+	Shards           int
+	Clients          int
+	SimSeconds       float64
+	WallMillis       float64
+	PacketsSent      int
+	PacketsDelivered int
 	// PacketsPerSec is simulated packet deliveries per wall-clock second —
 	// the throughput the speedup column is computed from.
-	PacketsPerSec    float64 `json:"packets_per_sec"`
-	CrossSent        int64   `json:"cross_sent"`
-	CrossClamps      int64   `json:"cross_clamps"`
-	MailboxHighWater int64   `json:"mailbox_high_water"`
-	BarrierRounds    int64   `json:"barrier_rounds"`
-	Digest           uint64  `json:"digest"`
-	HeapMB           float64 `json:"heap_mb"`
+	PacketsPerSec float64
+	CrossSent     int64
+	CrossClamps   int64
+	BarrierRounds int64
+	Digest        uint64
+	HeapMB        float64
 }
 
 // check holds the gates on one packet-mill run.
@@ -203,10 +198,10 @@ func runNetsimLoad(cfg netsimLoadConfig) NetsimLoadResult {
 
 	runtime.GC()
 	start := time.Now()
-	events := sv.Run(horizon)
+	sv.Run(horizon)
 	wall := time.Since(start)
 
-	return finishResult(cfg.Shards, loadGroups*cfg.ClientsPerGroup, cfg.Duration, wall, events, sv, n)
+	return finishResult(cfg.Shards, loadGroups*cfg.ClientsPerGroup, cfg.Duration, wall, sv, n)
 }
 
 // stormConfig parameterizes the admission storm.
@@ -233,7 +228,7 @@ func (c *stormConfig) defaults() {
 // many clients completed the connect/ack exchange.
 type StormResult struct {
 	NetsimLoadResult
-	Acked int64 `json:"acked"`
+	Acked int64
 }
 
 // stormHeapGateMB bounds the storm's live heap: the reservoirs hold link
@@ -328,11 +323,11 @@ func runAdmissionStorm(cfg stormConfig) StormResult {
 
 	runtime.GC()
 	start := time.Now()
-	events := sv.RunUntilIdle()
+	sv.RunUntilIdle()
 	wall := time.Since(start)
 
 	res := StormResult{
-		NetsimLoadResult: finishResult(cfg.Shards, cfg.Clients, sv.Since(clock.Epoch), wall, events, sv, n),
+		NetsimLoadResult: finishResult(cfg.Shards, cfg.Clients, sv.Since(clock.Epoch), wall, sv, n),
 	}
 	for _, a := range acked {
 		res.Acked += a
@@ -341,9 +336,9 @@ func runAdmissionStorm(cfg stormConfig) StormResult {
 }
 
 // finishResult rolls one completed run into a NetsimLoadResult.
-func finishResult(shards, clients int, simDur, wall time.Duration, events int, sv *clock.ShardedVirtual, n *netsim.Network) NetsimLoadResult {
-	sent, delivered, dropped, _ := n.Totals()
-	crossSent, clamps, _, hw, rounds := sv.CrossStats()
+func finishResult(shards, clients int, simDur, wall time.Duration, sv *clock.ShardedVirtual, n *netsim.Network) NetsimLoadResult {
+	sent, delivered, _, _ := n.Totals()
+	crossSent, clamps, _, _, rounds := sv.CrossStats()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	pps := 0.0
@@ -352,33 +347,28 @@ func finishResult(shards, clients int, simDur, wall time.Duration, events int, s
 	}
 	return NetsimLoadResult{
 		Shards:           shards,
-		Groups:           loadGroups,
 		Clients:          clients,
 		SimSeconds:       simDur.Seconds(),
 		WallMillis:       float64(wall) / float64(time.Millisecond),
-		Events:           events,
 		PacketsSent:      sent,
 		PacketsDelivered: delivered,
-		PacketsDropped:   dropped,
 		PacketsPerSec:    pps,
 		CrossSent:        crossSent,
 		CrossClamps:      clamps,
-		MailboxHighWater: hw,
 		BarrierRounds:    rounds,
 		Digest:           n.DeliveryDigest(),
 		HeapMB:           float64(ms.HeapAlloc) / (1 << 20),
 	}
 }
 
-// NetsimReport is the BENCH_netsim.json artifact.
+// NetsimReport is everything one E15 run is gated on.
 type NetsimReport struct {
-	// Cores is runtime.NumCPU() on the generating host; the speedup gate is
-	// a function of it, and bench-verify re-applies the same bar.
-	Cores             int                `json:"cores"`
-	Runs              []NetsimLoadResult `json:"runs"`
-	DeterminismOK     bool               `json:"determinism_ok"`
-	DeterminismDigest uint64             `json:"determinism_digest"`
-	Storm             StormResult        `json:"storm"`
+	// Cores is runtime.NumCPU() on the host; the speedup gate is a function
+	// of it.
+	Cores         int
+	Runs          []NetsimLoadResult
+	DeterminismOK bool
+	Storm         StormResult
 }
 
 // netsimSpeedupGate returns the minimum acceptable pkts/s ratio of the
@@ -389,8 +379,7 @@ type NetsimReport struct {
 // The gate is CPU-aware by necessity: conservative-window parallelism cannot
 // beat wall clock on a single-core host, where the sharded driver's win is
 // capacity (100k clients in bounded memory, no global lock) rather than
-// speed. The core count is recorded in the artifact so bench-verify
-// re-checks the same bar the artifact was generated under.
+// speed.
 func netsimSpeedupGate(cores int) float64 {
 	switch {
 	case cores >= 4:
@@ -402,14 +391,10 @@ func netsimSpeedupGate(cores int) float64 {
 	}
 }
 
-// check holds every BENCH_netsim.json gate; Netsim ends in it and
-// bench-verify runs it on the committed file.
+// check holds every E15 gate; Netsim ends in it.
 func (rep NetsimReport) check() error {
 	if len(rep.Runs) == 0 {
 		return fmt.Errorf("no shard-sweep runs")
-	}
-	if rep.Cores < 1 {
-		return fmt.Errorf("cores=%d missing", rep.Cores)
 	}
 	var pps1, pps4 float64
 	for _, r := range rep.Runs {
@@ -430,8 +415,8 @@ func (rep NetsimReport) check() error {
 	if speedup := pps4 / pps1; speedup < gate {
 		return fmt.Errorf("4-shard speedup %.2fx below the %.1fx gate for %d cores", speedup, gate, rep.Cores)
 	}
-	if !rep.DeterminismOK || rep.DeterminismDigest == 0 {
-		return fmt.Errorf("determinism cross-check missing or failed")
+	if !rep.DeterminismOK {
+		return fmt.Errorf("determinism cross-check failed")
 	}
 	if rep.Storm.Clients < 100_000 {
 		return fmt.Errorf("storm ran %d clients, want ≥ 100000", rep.Storm.Clients)
@@ -439,17 +424,15 @@ func (rep NetsimReport) check() error {
 	return rep.Storm.check()
 }
 
-// Netsim runs the parallel discrete-event simulator benchmark behind
-// BENCH_netsim.json: the steady-state packet mill at a shard sweep
-// (1/2/4/8), a determinism cross-check (same seed, different GOMAXPROCS,
-// plus a replay — digests must match), and the 100k-client admission storm
-// with its bounded-memory claim.
-func Netsim(shardSweep []int) (*stats.Table, *NetsimReport, error) {
-	if len(shardSweep) == 0 {
-		shardSweep = []int{1, 2, 4, 8}
-	}
+// Netsim is experiment E15, the parallel discrete-event simulator on its
+// own: the steady-state packet mill at a shard sweep (1/2/4/8), a
+// determinism cross-check (same seed, different GOMAXPROCS, plus a replay —
+// digests must match), and the 100k-client admission storm with its
+// bounded-memory claim. The title carries the host the wall-clock columns
+// were measured on.
+func Netsim() (*stats.Table, error) {
 	cores := runtime.NumCPU()
-	rep := &NetsimReport{Cores: cores}
+	rep := NetsimReport{Cores: cores}
 
 	baseCfg := func(shards int) netsimLoadConfig {
 		return netsimLoadConfig{
@@ -461,18 +444,15 @@ func Netsim(shardSweep []int) (*stats.Table, *NetsimReport, error) {
 		}
 	}
 
-	tb := stats.NewTable("BENCH — netsim: sharded virtual clocks, conservative lookahead",
+	tb := stats.NewTable(fmt.Sprintf("E15 — netsim: sharded virtual clocks, conservative lookahead (%d cores, GOMAXPROCS %d, %s)",
+		cores, runtime.GOMAXPROCS(0), runtime.Version()),
 		"shards", "clients", "sim s", "wall ms", "packets", "pkts/s", "pkts/s/core",
-		"cross", "clamps", "rounds", "speedup")
+		"cross", "clamps", "rounds", "speedup", "digest")
 	var base float64
-	for _, shards := range shardSweep {
+	for _, shards := range []int{1, 2, 4, 8} {
 		r := runNetsimLoad(baseCfg(shards))
 		if shards == 1 {
 			base = r.PacketsPerSec
-		}
-		speedup := 0.0
-		if base > 0 {
-			speedup = r.PacketsPerSec / base
 		}
 		rep.Runs = append(rep.Runs, r)
 		tb.AddRow(r.Shards, r.Clients, fmt.Sprintf("%.1f", r.SimSeconds),
@@ -480,23 +460,28 @@ func Netsim(shardSweep []int) (*stats.Table, *NetsimReport, error) {
 			fmt.Sprintf("%.0f", r.PacketsPerSec),
 			fmt.Sprintf("%.0f", r.PacketsPerSec/float64(cores)),
 			r.CrossSent, r.CrossClamps, r.BarrierRounds,
-			fmt.Sprintf("%.2fx", speedup))
+			fmt.Sprintf("%.2fx", r.PacketsPerSec/base),
+			fmt.Sprintf("%016x", r.Digest))
 	}
 
 	// Determinism cross-check: the 8-shard run replayed under GOMAXPROCS=1
 	// and again under all cores must reproduce the digest bit for bit.
 	detCfg := baseCfg(8)
 	detCfg.Duration = 2 * time.Second
-	digestAt := func(procs int) uint64 {
+	runAt := func(procs int) NetsimLoadResult {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		return runNetsimLoad(detCfg).Digest
+		return runNetsimLoad(detCfg)
 	}
-	d1, dN, dR := digestAt(1), digestAt(cores), digestAt(cores)
-	// A mismatch fails in check() below; TestLoadDeterministicAcrossGOMAXPROCS
-	// is where to look at the three digests.
-	rep.DeterminismOK = d1 == dN && dN == dR
-	rep.DeterminismDigest = d1
+	d1, dN, dR := runAt(1), runAt(cores), runAt(cores)
+	// A mismatch fails in check() below, so the row only ever prints its
+	// passing verdict; TestLoadDeterministicAcrossGOMAXPROCS is where to
+	// look at the three digests.
+	rep.DeterminismOK = d1.Digest == dN.Digest && dN.Digest == dR.Digest
+	tb.AddRow(fmt.Sprintf("8 @ procs 1/%d/%d", cores, cores), d1.Clients, fmt.Sprintf("%.1f", d1.SimSeconds),
+		"-", d1.PacketsDelivered, "-", "-",
+		d1.CrossSent, d1.CrossClamps, d1.BarrierRounds, "identical",
+		fmt.Sprintf("%016x", d1.Digest))
 
 	// The scale headline: a 100k-client admission storm in bounded memory.
 	storm := runAdmissionStorm(stormConfig{
@@ -509,10 +494,11 @@ func Netsim(shardSweep []int) (*stats.Table, *NetsimReport, error) {
 		fmt.Sprintf("%.0f", storm.WallMillis), storm.PacketsDelivered,
 		fmt.Sprintf("%.0f", storm.PacketsPerSec),
 		fmt.Sprintf("%.0f", storm.PacketsPerSec/float64(cores)),
-		storm.CrossSent, "-", "-", fmt.Sprintf("%.0fMB", storm.HeapMB))
+		storm.CrossSent, "-", "-", fmt.Sprintf("%.0fMB", storm.HeapMB),
+		fmt.Sprintf("%016x", storm.Digest))
 
 	if err := rep.check(); err != nil {
-		return nil, nil, fmt.Errorf("netsim: %w", err)
+		return nil, fmt.Errorf("netsim: %w", err)
 	}
-	return tb, rep, nil
+	return tb, nil
 }

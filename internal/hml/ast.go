@@ -213,19 +213,6 @@ func (d *Document) Items() []Item {
 	return out
 }
 
-// MediaItems returns every timed media element (images, audio, video and the
-// two halves of AU_VI groups are reported as their containing items).
-func (d *Document) MediaItems() []Item {
-	var out []Item
-	for _, it := range d.Items() {
-		switch it.(type) {
-		case *Image, *Audio, *Video, *AudioVideo:
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
 // Links returns every hyperlink in source order.
 func (d *Document) Links() []*Link {
 	var out []*Link

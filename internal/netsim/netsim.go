@@ -29,7 +29,7 @@
 // delay to guarantee it. Per-shard RNG streams are derived as
 // seed^hash(shard), so a given seed plus a given shard assignment replays
 // byte-identically regardless of GOMAXPROCS; each shard also folds every
-// delivery into a digest that the determinism tests and the netsim benchmark
+// delivery into a digest that the determinism tests and experiment E15
 // compare across runs.
 //
 // # Packet buffer ownership
@@ -338,9 +338,6 @@ func NewSharded(sv *clock.ShardedVirtual, seed uint64, shardOf func(host string)
 	return n
 }
 
-// ShardCount reports the number of network partitions.
-func (n *Network) ShardCount() int { return len(n.shards) }
-
 // shardIdx maps a host to its owning shard index.
 func (n *Network) shardIdx(host string) int {
 	if n.shardOf == nil || len(n.shards) == 1 {
@@ -408,12 +405,6 @@ func (n *Network) AddPhase(from, to string, p Phase) {
 	sort.SliceStable(l.phases, func(i, j int) bool { return l.phases[i].Start < l.phases[j].Start })
 }
 
-// AddDuplexPhase appends the phase to both directions.
-func (n *Network) AddDuplexPhase(a, b string, p Phase) {
-	n.AddPhase(a, b, p)
-	n.AddPhase(b, a, p)
-}
-
 // clampCross enforces the conservative-lookahead contract on cross-shard
 // links: their propagation delay is raised to at least the driver's
 // lookahead, so a cross-shard packet always arrives after the destination
@@ -428,13 +419,16 @@ func (n *Network) clampCross(from, to string, cfg LinkConfig) LinkConfig {
 	return cfg
 }
 
+// linkKey names the directed link in its sending shard's links map.
+func linkKey(from, to string) string { return from + "→" + to }
+
 // getLinkLocked returns (creating on demand) the directed link. Caller
 // holds s.mu, where s owns the sending host. A new link splits its RNG from
 // the shard stream — creation order is part of the replay — while the delay
 // reservoir gets an independent stream derived from the link name, so
 // enabling or resizing it can never perturb loss and jitter draws.
 func (n *Network) getLinkLocked(s *netShard, from, to string) *link {
-	key := from + "→" + to
+	key := linkKey(from, to)
 	l, ok := s.links[key]
 	if !ok {
 		l = &link{cfg: n.clampCross(from, to, s.defaults), rng: s.rng.Split()}
@@ -461,12 +455,17 @@ func (n *Network) Listen(addr Addr, h Handler) error {
 
 // Stats returns a snapshot of the directed link's counters. The delay
 // sample is deep-copied, so the snapshot can be sorted and queried while
-// the simulation keeps running.
+// the simulation keeps running. A pair that has no link yet reads as zero
+// and stays absent: creating the link here would split the shard RNG and
+// shift every later loss and jitter draw.
 func (n *Network) Stats(from, to string) LinkStats {
 	s := n.shardFor(from)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := n.getLinkLocked(s, from, to)
+	l, ok := s.links[linkKey(from, to)]
+	if !ok {
+		return LinkStats{}
+	}
 	st := l.stats
 	st.Delays = l.stats.Delays.Clone()
 	return st
@@ -488,32 +487,15 @@ func (n *Network) Totals() (sent, delivered, dropped int, bytes int64) {
 	return
 }
 
-// ShardDelivery is one shard's delivery fingerprint.
-type ShardDelivery struct {
-	Shard     int
-	Delivered int64
-	Digest    uint64
-}
-
-// ShardDeliveries snapshots every shard's delivered-packet count and replay
-// digest, in shard order.
-func (n *Network) ShardDeliveries() []ShardDelivery {
-	out := make([]ShardDelivery, len(n.shards))
-	for i, s := range n.shards {
-		s.mu.Lock()
-		out[i] = ShardDelivery{Shard: i, Delivered: s.delivered, Digest: s.digest}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// DeliveryDigest folds the per-shard digests (in shard order) into one
-// replay fingerprint for the whole network.
+// DeliveryDigest folds every shard's replay digest and delivered-packet
+// count (in shard order) into one fingerprint for the whole network.
 func (n *Network) DeliveryDigest() uint64 {
 	d := uint64(fnvOffset)
-	for _, sd := range n.ShardDeliveries() {
-		d = fnvMix(d, sd.Digest)
-		d = fnvMix(d, uint64(sd.Delivered))
+	for _, s := range n.shards {
+		s.mu.Lock()
+		d = fnvMix(d, s.digest)
+		d = fnvMix(d, uint64(s.delivered))
+		s.mu.Unlock()
 	}
 	return d
 }
