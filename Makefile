@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: check vet build test race chaos bench-dataplane bench-controlplane bench-netsim bench-check
+.PHONY: check fmt vet build test race chaos bench-dataplane bench-controlplane bench-netsim bench-check size
 
-# The full gate: everything below except chaos and the bench-* generators.
-check: vet build test race bench-check
+# The full gate: everything below except chaos, size and the bench-* generators.
+check: fmt vet build test race bench-check
+
+# Fails, listing the files, when anything is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l cmd internal examples bench *.go); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -39,3 +43,10 @@ bench-netsim:
 # Vets and tests the end-to-end benchmark under bench/, a module of its own that ./... does not reach.
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
+# The three sizes every ROADMAP re-anchor quotes: non-test Go lines outside bench/, test lines, lines under bench/.
+OUTSIDE_BENCH = -not -path './bench/*' -not -path './.bench_build/*'
+size:
+	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' -not -name '*_test.go' $(OUTSIDE_BENCH) | xargs cat | wc -l
+	@printf 'test lines outside bench/:        '; find . -name '*_test.go' $(OUTSIDE_BENCH) | xargs cat | wc -l
+	@printf 'lines under bench/:               '; find bench -name '*.go' | xargs cat | wc -l

@@ -10,9 +10,11 @@
 //
 // The Virtual clock doubles as a discrete-event scheduler: timers registered
 // with AfterFunc fire as ordinary function calls from whichever goroutine
-// drives the clock (Advance, Step or Run), in strict deadline order with FIFO
-// tie-breaking. A whole client/server session over the simulated network is
-// therefore a single-threaded, perfectly reproducible computation.
+// drives the clock (Step, Run, RunFor or RunUntilIdle), in strict deadline
+// order with FIFO tie-breaking. A Timer is its own entry in the scheduler's
+// heap, so arming one costs a single allocation and re-arming it none. A whole
+// client/server session over the simulated network is therefore a
+// single-threaded, perfectly reproducible computation.
 package clock
 
 import (
@@ -32,19 +34,36 @@ type Clock interface {
 	AfterFunc(d time.Duration, fn func()) *Timer
 }
 
-// Timer is a cancellable pending AfterFunc call.
+// Timer is a cancellable pending AfterFunc call. A Virtual clock's timer is
+// the scheduler's own heap entry: at, seq and index are guarded by v.mu. A
+// wall-clock timer (v == nil) only wraps the runtime timer.
 type Timer struct {
-	stop  func() bool
-	reset func(time.Duration) bool
+	v    *Virtual
+	wall *time.Timer
+
+	at    time.Time
+	seq   uint64 // tie-break so equal deadlines fire FIFO
+	fn    func()
+	index int // heap index, -1 while not queued (fired or stopped)
 }
 
 // Stop cancels the timer. It reports true when the call was prevented from
 // firing, false when it already fired (or was already stopped).
 func (t *Timer) Stop() bool {
-	if t == nil || t.stop == nil {
+	if t == nil {
 		return false
 	}
-	return t.stop()
+	v := t.v
+	if v == nil {
+		return t.wall.Stop()
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if t.index < 0 {
+		return false
+	}
+	heap.Remove(&v.events, t.index)
+	return true
 }
 
 // Reset re-arms the timer to fire its function after d from now, whether it
@@ -53,10 +72,18 @@ func (t *Timer) Stop() bool {
 // lets a periodic caller — the media pacing loop re-arming itself every
 // frame — reuse one timer instead of allocating a fresh AfterFunc per tick.
 func (t *Timer) Reset(d time.Duration) bool {
-	if t == nil || t.reset == nil {
+	if t == nil {
 		return false
 	}
-	return t.reset(d)
+	v := t.v
+	if v == nil {
+		return t.wall.Reset(d)
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	wasPending := t.index >= 0
+	v.armLocked(t, d)
+	return wasPending
 }
 
 // Wall is the operating-system real-time clock.
@@ -73,8 +100,7 @@ func (Wall) Since(t time.Time) time.Duration { return time.Since(t) }
 
 // AfterFunc implements Clock using the runtime timer system.
 func (Wall) AfterFunc(d time.Duration, fn func()) *Timer {
-	t := time.AfterFunc(d, fn)
-	return &Timer{stop: t.Stop, reset: t.Reset}
+	return &Timer{wall: time.AfterFunc(d, fn)}
 }
 
 // Virtual is a manually advanced simulation clock and discrete-event
@@ -83,14 +109,9 @@ func (Wall) AfterFunc(d time.Duration, fn func()) *Timer {
 type Virtual struct {
 	mu     sync.Mutex
 	now    time.Time
-	events eventHeap
-	seq    uint64 // tie-break so equal deadlines fire FIFO
+	events timerHeap
+	seq    uint64 // last tie-break handed out
 	fired  uint64 // lifetime count of events popped for firing
-}
-
-// NewVirtual returns a virtual clock starting at the given epoch.
-func NewVirtual(epoch time.Time) *Virtual {
-	return &Virtual{now: epoch}
 }
 
 // Epoch is the conventional start instant for simulations: an arbitrary but
@@ -98,43 +119,35 @@ func NewVirtual(epoch time.Time) *Virtual {
 var Epoch = time.Date(1996, time.August, 6, 9, 0, 0, 0, time.UTC)
 
 // NewSim returns a virtual clock starting at Epoch.
-func NewSim() *Virtual { return NewVirtual(Epoch) }
+func NewSim() *Virtual { return &Virtual{now: Epoch} }
 
-type event struct {
-	at        time.Time
-	seq       uint64
-	fn        func()
-	cancelled bool
-	index     int // heap index, -1 once popped
-}
+type timerHeap []*Timer
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h timerHeap) Len() int { return len(h) }
+func (h timerHeap) Less(i, j int) bool {
 	if !h[i].at.Equal(h[j].at) {
 		return h[i].at.Before(h[j].at)
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+func (h timerHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
-func (h *eventHeap) Push(x interface{}) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+func (h *timerHeap) Push(x interface{}) {
+	t := x.(*Timer)
+	t.index = len(*h)
+	*h = append(*h, t)
 }
-func (h *eventHeap) Pop() interface{} {
+func (h *timerHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
-	ev := old[n-1]
+	t := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
+	t.index = -1
 	*h = old[:n-1]
-	return ev
+	return t
 }
 
 // Now implements Clock.
@@ -147,47 +160,28 @@ func (v *Virtual) Now() time.Time {
 // Since implements Clock.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
+// armLocked queues t to fire d from now (a non-positive d means at the
+// current instant), taking a fresh seq so that a re-armed timer lands after
+// timers already scheduled for the same deadline, exactly as a new one would.
+// Caller holds v.mu.
+func (v *Virtual) armLocked(t *Timer, d time.Duration) {
+	v.seq++
+	t.at, t.seq = v.now.Add(max(d, 0)), v.seq
+	if t.index >= 0 {
+		heap.Fix(&v.events, t.index)
+	} else {
+		heap.Push(&v.events, t)
+	}
+}
+
 // AfterFunc implements Clock. A non-positive d schedules fn at the current
 // instant; it still fires from the driver, never synchronously.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
+	t := &Timer{v: v, fn: fn, index: -1}
 	v.mu.Lock()
-	v.seq++
-	ev := &event{at: v.now.Add(d), seq: v.seq, fn: fn}
-	heap.Push(&v.events, ev)
+	v.armLocked(t, d)
 	v.mu.Unlock()
-	return &Timer{
-		stop: func() bool {
-			v.mu.Lock()
-			defer v.mu.Unlock()
-			if ev.cancelled || ev.index == -1 {
-				return false
-			}
-			ev.cancelled = true
-			heap.Remove(&v.events, ev.index)
-			return true
-		},
-		reset: func(d time.Duration) bool {
-			if d < 0 {
-				d = 0
-			}
-			v.mu.Lock()
-			defer v.mu.Unlock()
-			wasPending := !ev.cancelled && ev.index >= 0
-			ev.cancelled = false
-			ev.at = v.now.Add(d)
-			v.seq++
-			ev.seq = v.seq // keep FIFO tie-breaking deterministic after re-arm
-			if ev.index >= 0 {
-				heap.Fix(&v.events, ev.index)
-			} else {
-				heap.Push(&v.events, ev)
-			}
-			return wasPending
-		},
-	}
+	return t
 }
 
 // At schedules fn at absolute instant t (clamped to now when in the past).
@@ -195,80 +189,46 @@ func (v *Virtual) At(t time.Time, fn func()) *Timer {
 	return v.AfterFunc(t.Sub(v.Now()), fn)
 }
 
-// popNextLocked pops the earliest event and advances now to its deadline.
-// Caller holds v.mu and has checked the heap is non-empty.
-func (v *Virtual) popNextLocked() *event {
-	ev := heap.Pop(&v.events).(*event)
-	if ev.at.After(v.now) {
-		v.now = ev.at
+// fireNext is the one firing step every driver is built on. It fires the
+// earliest pending timer whose deadline is not after limit (a zero limit
+// admits any deadline), advancing time to that deadline, and reports true.
+// With nothing due it moves time forward to limit and reports false. Peek,
+// pop and time-advance happen under a single lock acquisition; the callback
+// runs unlocked.
+func (v *Virtual) fireNext(limit time.Time) bool {
+	v.mu.Lock()
+	if len(v.events) == 0 || (!limit.IsZero() && v.events[0].at.After(limit)) {
+		if limit.After(v.now) {
+			v.now = limit
+		}
+		v.mu.Unlock()
+		return false
+	}
+	t := heap.Pop(&v.events).(*Timer)
+	if t.at.After(v.now) {
+		v.now = t.at
 	}
 	v.fired++
-	return ev
-}
-
-// Advance moves virtual time forward by d, firing every timer whose deadline
-// falls within the advanced span, in deadline order. Timers scheduled by
-// fired callbacks are themselves fired if they fall within the span.
-func (v *Virtual) Advance(d time.Duration) { v.AdvanceTo(v.Now().Add(d)) }
-
-// AdvanceTo moves virtual time forward to t (no-op if t is not after now),
-// firing due timers along the way. The driving loop takes the lock exactly
-// once per fired event: peek, pop and time-advance happen under a single
-// acquisition, then the callback runs unlocked.
-func (v *Virtual) AdvanceTo(t time.Time) {
-	for {
-		v.mu.Lock()
-		if len(v.events) == 0 || v.events[0].at.After(t) {
-			if t.After(v.now) {
-				v.now = t
-			}
-			v.mu.Unlock()
-			return
-		}
-		ev := v.popNextLocked()
-		v.mu.Unlock()
-		ev.fn()
-	}
+	v.mu.Unlock()
+	t.fn()
+	return true
 }
 
 // Step fires the single earliest pending timer, advancing time to its
 // deadline. It reports false when no timer is pending.
-func (v *Virtual) Step() bool {
-	v.mu.Lock()
-	if len(v.events) == 0 {
-		v.mu.Unlock()
-		return false
-	}
-	ev := v.popNextLocked()
-	v.mu.Unlock()
-	ev.fn()
-	return true
-}
+func (v *Virtual) Step() bool { return v.fireNext(time.Time{}) }
 
-// Run fires timers in order until none remain or until the next deadline
-// would exceed horizon. It returns the number of events fired. A zero
-// horizon means run until idle. Like AdvanceTo, the loop costs one lock
-// acquisition per fired event.
+// Run fires every timer due by horizon, in deadline order, including timers
+// scheduled by fired callbacks, and returns the number fired. A non-zero
+// horizon is always where the clock ends up, whether or not the queue drained
+// first; a zero horizon means run until idle and leaves the clock at the last
+// deadline fired.
 func (v *Virtual) Run(horizon time.Time) int {
 	fired := 0
-	for {
-		v.mu.Lock()
-		if len(v.events) == 0 {
-			v.mu.Unlock()
-			return fired
-		}
-		if !horizon.IsZero() && v.events[0].at.After(horizon) {
-			if horizon.After(v.now) {
-				v.now = horizon
-			}
-			v.mu.Unlock()
-			return fired
-		}
-		ev := v.popNextLocked()
-		v.mu.Unlock()
-		ev.fn()
+	for v.fireNext(horizon) {
 		fired++
 	}
+	return fired
 }
 
 // RunFor runs the event loop for d of virtual time.

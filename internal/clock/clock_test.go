@@ -15,7 +15,7 @@ func TestVirtualNowStartsAtEpoch(t *testing.T) {
 
 func TestVirtualAdvanceMovesTime(t *testing.T) {
 	v := NewSim()
-	v.Advance(3 * time.Second)
+	v.RunFor(3 * time.Second)
 	if got := v.Since(Epoch); got != 3*time.Second {
 		t.Fatalf("Since(Epoch) = %v, want 3s", got)
 	}
@@ -25,11 +25,11 @@ func TestAfterFuncFiresAtDeadline(t *testing.T) {
 	v := NewSim()
 	var firedAt time.Time
 	v.AfterFunc(250*time.Millisecond, func() { firedAt = v.Now() })
-	v.Advance(200 * time.Millisecond)
+	v.RunFor(200 * time.Millisecond)
 	if !firedAt.IsZero() {
 		t.Fatalf("timer fired early at %v", firedAt)
 	}
-	v.Advance(100 * time.Millisecond)
+	v.RunFor(100 * time.Millisecond)
 	want := Epoch.Add(250 * time.Millisecond)
 	if !firedAt.Equal(want) {
 		t.Fatalf("fired at %v, want %v", firedAt, want)
@@ -78,7 +78,7 @@ func TestStopPreventsFiring(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop() = true")
 	}
-	v.Advance(2 * time.Second)
+	v.RunFor(2 * time.Second)
 	if fired {
 		t.Fatal("stopped timer fired")
 	}
@@ -87,7 +87,7 @@ func TestStopPreventsFiring(t *testing.T) {
 func TestStopAfterFiringReportsFalse(t *testing.T) {
 	v := NewSim()
 	tm := v.AfterFunc(time.Millisecond, func() {})
-	v.Advance(time.Millisecond)
+	v.RunFor(time.Millisecond)
 	if tm.Stop() {
 		t.Fatal("Stop() = true after the timer fired")
 	}
@@ -125,12 +125,12 @@ func TestAdvanceFiresNestedTimersWithinSpan(t *testing.T) {
 			at = append(at, v.Since(Epoch))
 		})
 	})
-	v.Advance(20 * time.Millisecond)
+	v.RunFor(20 * time.Millisecond)
 	if len(at) != 2 || at[0] != 10*time.Millisecond || at[1] != 15*time.Millisecond {
 		t.Fatalf("fired at %v, want [10ms 15ms]", at)
 	}
 	if got := v.Since(Epoch); got != 20*time.Millisecond {
-		t.Fatalf("clock at %v after Advance, want 20ms", got)
+		t.Fatalf("clock at %v after RunFor, want 20ms", got)
 	}
 }
 
@@ -148,6 +148,36 @@ func TestRunStopsAtHorizon(t *testing.T) {
 	}
 	if v.Pending() != 1 {
 		t.Fatalf("Pending() = %d, want 1", v.Pending())
+	}
+
+	// The horizon is also where the clock ends when the queue drains first.
+	v = NewSim()
+	v.AfterFunc(time.Second, func() {})
+	if n := v.Run(Epoch.Add(2 * time.Second)); n != 1 || v.Pending() != 0 {
+		t.Fatalf("Run fired %d with %d pending, want 1 and 0", n, v.Pending())
+	}
+	if got := v.Since(Epoch); got != 2*time.Second {
+		t.Fatalf("clock at %v after the queue drained, want horizon 2s", got)
+	}
+}
+
+// TestTimerAllocs pins the cost of arming: a Timer is the scheduler's own heap
+// entry, so AfterFunc allocates exactly that one object and Reset reuses it.
+func TestTimerAllocs(t *testing.T) {
+	v := NewSim()
+	nop := func() {}
+	if got := testing.AllocsPerRun(1000, func() {
+		v.AfterFunc(time.Millisecond, nop)
+		v.Step()
+	}); got != 1 {
+		t.Errorf("AfterFunc+Step = %v allocations, want 1", got)
+	}
+	tm := v.AfterFunc(time.Millisecond, nop)
+	if got := testing.AllocsPerRun(1000, func() {
+		tm.Reset(time.Millisecond)
+		v.Step()
+	}); got != 0 {
+		t.Errorf("Reset+Step = %v allocations, want 0", got)
 	}
 }
 
@@ -226,11 +256,11 @@ func TestResetPostponesPendingTimer(t *testing.T) {
 	if !tm.Reset(50 * time.Millisecond) {
 		t.Fatal("Reset on a pending timer must report true")
 	}
-	v.Advance(20 * time.Millisecond)
+	v.RunFor(20 * time.Millisecond)
 	if len(firedAt) != 0 {
 		t.Fatalf("superseded deadline fired at %v", firedAt)
 	}
-	v.Advance(time.Second)
+	v.RunFor(time.Second)
 	if len(firedAt) != 1 || firedAt[0] != 50*time.Millisecond {
 		t.Fatalf("fired at %v, want [50ms]", firedAt)
 	}
@@ -241,11 +271,11 @@ func TestResetReArmsFiredTimer(t *testing.T) {
 	var firedAt []time.Duration
 	var tm *Timer
 	tm = v.AfterFunc(10*time.Millisecond, func() { firedAt = append(firedAt, v.Since(Epoch)) })
-	v.Advance(20 * time.Millisecond)
+	v.RunFor(20 * time.Millisecond)
 	if tm.Reset(10 * time.Millisecond) {
 		t.Fatal("Reset on a fired timer must report false")
 	}
-	v.Advance(20 * time.Millisecond)
+	v.RunFor(20 * time.Millisecond)
 	if len(firedAt) != 2 || firedAt[0] != 10*time.Millisecond || firedAt[1] != 30*time.Millisecond {
 		t.Fatalf("fired at %v, want [10ms 30ms]", firedAt)
 	}

@@ -23,7 +23,6 @@
 package clock
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -52,7 +51,7 @@ type ShardedVirtual struct {
 	shards    []*Virtual
 	lookahead time.Duration
 
-	// rows[src][dst] is the bounded mailbox of cross-shard events generated
+	// rows[src][dst] is the mailbox of cross-shard events generated
 	// by src for dst during the current window. Row src is written only by
 	// shard src's worker (or by setup code before Run), and drained only by
 	// the coordinator at the barrier, so no lock guards it: the window
@@ -64,51 +63,33 @@ type ShardedVirtual struct {
 	// creation), read by workers to clamp a too-early cross-shard arrival.
 	windowEnd time.Time
 
-	// mailboxCap is the soft bound on one mailbox row. A conservative
-	// simulation cannot drop a handoff — that would change history — so the
-	// bound is enforced as back-pressure accounting: crossings beyond the
-	// cap are counted in overflows and the high-water mark records the
-	// worst row, for the harness to alarm on.
-	mailboxCap  int
 	crossSent   atomic.Int64
 	crossClamps atomic.Int64
-	overflows   atomic.Int64
-	mailHW      atomic.Int64
 
 	rounds  int64
 	scratch []crossEvent // coordinator-only drain buffer, reused across rounds
 }
 
-// defaultMailboxCap bounds one source→destination mailbox row per window
-// before overflow accounting kicks in.
-const defaultMailboxCap = 1 << 16
-
-// NewShardedVirtual creates a driver over shards Virtual clocks starting at
-// epoch. lookahead must be positive and no larger than the minimum
+// NewShardedSim creates a driver over shards Virtual clocks starting at
+// Epoch. lookahead must be positive and no larger than the minimum
 // cross-shard virtual latency the caller's workload guarantees.
-func NewShardedVirtual(epoch time.Time, shards int, lookahead time.Duration) *ShardedVirtual {
+func NewShardedSim(shards int, lookahead time.Duration) *ShardedVirtual {
 	if shards < 1 {
-		panic("clock: NewShardedVirtual needs at least one shard")
+		panic("clock: NewShardedSim needs at least one shard")
 	}
 	if lookahead <= 0 {
-		panic("clock: NewShardedVirtual needs a positive lookahead")
+		panic("clock: NewShardedSim needs a positive lookahead")
 	}
 	sv := &ShardedVirtual{
-		shards:     make([]*Virtual, shards),
-		lookahead:  lookahead,
-		rows:       make([][][]crossEvent, shards),
-		mailboxCap: defaultMailboxCap,
+		shards:    make([]*Virtual, shards),
+		lookahead: lookahead,
+		rows:      make([][][]crossEvent, shards),
 	}
 	for i := range sv.shards {
-		sv.shards[i] = NewVirtual(epoch)
+		sv.shards[i] = NewSim()
 		sv.rows[i] = make([][]crossEvent, shards)
 	}
 	return sv
-}
-
-// NewShardedSim returns a sharded driver starting at the conventional Epoch.
-func NewShardedSim(shards int, lookahead time.Duration) *ShardedVirtual {
-	return NewShardedVirtual(Epoch, shards, lookahead)
 }
 
 // Shards reports the shard count.
@@ -168,28 +149,15 @@ func (sv *ShardedVirtual) ScheduleCross(src, dst int, at time.Time, fn func()) {
 		at = we
 		sv.crossClamps.Add(1)
 	}
-	row := append(sv.rows[src][dst], crossEvent{at: at, fn: fn})
-	sv.rows[src][dst] = row
+	sv.rows[src][dst] = append(sv.rows[src][dst], crossEvent{at: at, fn: fn})
 	sv.crossSent.Add(1)
-	if n := int64(len(row)); n > sv.mailboxCap64() {
-		sv.overflows.Add(1)
-	}
-	for {
-		hw := sv.mailHW.Load()
-		if int64(len(row)) <= hw || sv.mailHW.CompareAndSwap(hw, int64(len(row))) {
-			break
-		}
-	}
 }
-
-func (sv *ShardedVirtual) mailboxCap64() int64 { return int64(sv.mailboxCap) }
 
 // CrossStats reports cross-shard traffic accounting: handoffs enqueued,
 // arrivals clamped to a window edge (0 when the lookahead honors the
-// workload's true minimum latency), soft-bound overflows, the worst single
-// mailbox row, and barrier rounds driven.
-func (sv *ShardedVirtual) CrossStats() (sent, clamps, overflows, highWater, rounds int64) {
-	return sv.crossSent.Load(), sv.crossClamps.Load(), sv.overflows.Load(), sv.mailHW.Load(), sv.rounds
+// workload's true minimum latency), and barrier rounds driven.
+func (sv *ShardedVirtual) CrossStats() (sent, clamps, rounds int64) {
+	return sv.crossSent.Load(), sv.crossClamps.Load(), sv.rounds
 }
 
 // drainMail moves every pending cross-shard event into its destination heap.
@@ -242,7 +210,7 @@ func (sv *ShardedVirtual) runWindow(end time.Time, parallel bool) {
 	sv.windowEnd = end
 	if !parallel {
 		for _, s := range sv.shards {
-			s.AdvanceTo(end)
+			s.Run(end)
 		}
 		return
 	}
@@ -251,7 +219,7 @@ func (sv *ShardedVirtual) runWindow(end time.Time, parallel bool) {
 		wg.Add(1)
 		go func(s *Virtual) {
 			defer wg.Done()
-			s.AdvanceTo(end)
+			s.Run(end)
 		}(s)
 	}
 	wg.Wait()
@@ -262,7 +230,8 @@ func (sv *ShardedVirtual) runWindow(end time.Time, parallel bool) {
 // events fired. Each iteration picks the earliest pending deadline T across
 // shards, runs the window [T, T+lookahead] on all shards in parallel, then
 // drains the cross-shard mailboxes at the barrier. Windows jump over idle
-// gaps: the next window always starts at the next real event.
+// gaps: the next window always starts at the next real event. As with
+// Virtual.Run, a non-zero horizon is where every shard's clock ends up.
 func (sv *ShardedVirtual) Run(horizon time.Time) int {
 	sv.drainMail()
 	if len(sv.shards) == 1 {
@@ -272,13 +241,7 @@ func (sv *ShardedVirtual) Run(horizon time.Time) int {
 	fired0 := sv.totalFired()
 	for {
 		next, ok := sv.nextDeadline()
-		if !ok {
-			break
-		}
-		if !horizon.IsZero() && next.After(horizon) {
-			// Nothing due inside the horizon: advance the whole group's
-			// clocks to it, exactly as Virtual.Run does.
-			sv.runWindow(horizon, false)
+		if !ok || (!horizon.IsZero() && next.After(horizon)) {
 			break
 		}
 		end := next.Add(sv.lookahead)
@@ -288,6 +251,9 @@ func (sv *ShardedVirtual) Run(horizon time.Time) int {
 		sv.runWindow(end, parallel)
 		sv.rounds++
 		sv.drainMail()
+	}
+	if !horizon.IsZero() {
+		sv.runWindow(horizon, false) // nothing left to fire: only the clocks move
 	}
 	return int(sv.totalFired() - fired0)
 }
@@ -305,11 +271,4 @@ func (sv *ShardedVirtual) totalFired() uint64 {
 		n += s.FiredCount()
 	}
 	return n
-}
-
-// String summarizes the driver state for debug output.
-func (sv *ShardedVirtual) String() string {
-	sent, clamps, over, hw, rounds := sv.CrossStats()
-	return fmt.Sprintf("ShardedVirtual{shards=%d lookahead=%s rounds=%d cross=%d clamps=%d overflows=%d mailHW=%d}",
-		len(sv.shards), sv.lookahead, rounds, sent, clamps, over, hw)
 }

@@ -86,7 +86,7 @@ func TestCrossShardArrivesAtExactDeadline(t *testing.T) {
 	if want := 15 * time.Millisecond; firedAt != want {
 		t.Fatalf("cross event fired at %v, want %v", firedAt, want)
 	}
-	if _, clamps, _, _, _ := sv.CrossStats(); clamps != 0 {
+	if _, clamps, _ := sv.CrossStats(); clamps != 0 {
 		t.Fatalf("cross arrival was clamped %d times; lookahead should have been honored", clamps)
 	}
 }
@@ -104,7 +104,7 @@ func TestCrossShardTooEarlyIsClampedNeverPast(t *testing.T) {
 		})
 	})
 	sv.RunUntilIdle()
-	if _, clamps, _, _, _ := sv.CrossStats(); clamps != 1 {
+	if _, clamps, _ := sv.CrossStats(); clamps != 1 {
 		t.Fatalf("clamps = %d, want 1", clamps)
 	}
 	if destNowAtFire < firedAt {
@@ -210,11 +210,20 @@ func TestShardedRunHorizonAndCounts(t *testing.T) {
 	if n := sv.RunUntilIdle(); n != 1 {
 		t.Fatalf("RunUntilIdle fired %d, want 1", n)
 	}
+
+	// The horizon is also where the floor ends when every shard drains first.
+	sv = NewShardedSim(3, 5*time.Millisecond)
+	sv.Shard(1).AfterFunc(time.Second, func() {})
+	if n := sv.Run(Epoch.Add(2 * time.Second)); n != 1 || sv.Pending() != 0 {
+		t.Fatalf("Run fired %d with %d pending, want 1 and 0", n, sv.Pending())
+	}
+	if got := sv.Since(Epoch); got != 2*time.Second {
+		t.Fatalf("floor at %v after the shards drained, want horizon 2s", got)
+	}
 }
 
 func TestShardedMailboxAccounting(t *testing.T) {
 	sv := NewShardedSim(2, time.Millisecond)
-	sv.mailboxCap = 4
 	sv.Shard(0).AfterFunc(time.Millisecond, func() {
 		at := sv.Shard(0).Now().Add(2 * time.Millisecond)
 		for i := 0; i < 6; i++ {
@@ -222,15 +231,9 @@ func TestShardedMailboxAccounting(t *testing.T) {
 		}
 	})
 	sv.RunUntilIdle()
-	sent, _, overflows, hw, rounds := sv.CrossStats()
+	sent, _, rounds := sv.CrossStats()
 	if sent != 6 {
 		t.Fatalf("cross sent = %d, want 6", sent)
-	}
-	if overflows != 2 {
-		t.Fatalf("overflows = %d, want 2 (cap 4, 6 enqueued)", overflows)
-	}
-	if hw != 6 {
-		t.Fatalf("mailbox high-water = %d, want 6", hw)
 	}
 	if rounds == 0 {
 		t.Fatal("no barrier rounds recorded")
@@ -254,6 +257,12 @@ func TestShardedConcurrentTimerOpsRace(t *testing.T) {
 				case <-stop:
 					return
 				default:
+				}
+				// Back-pressure: on a loaded host the producers outrun the
+				// workers and the heaps grow until the process is killed.
+				if sv.Shard(g).Pending() > 256 {
+					runtime.Gosched()
+					continue
 				}
 				tm := sv.Shard(g).AfterFunc(time.Duration(1+i%7)*time.Millisecond, func() {})
 				if i%3 == 0 {

@@ -338,7 +338,7 @@ func runAdmissionStorm(cfg stormConfig) StormResult {
 // finishResult rolls one completed run into a NetsimLoadResult.
 func finishResult(shards, clients int, simDur, wall time.Duration, sv *clock.ShardedVirtual, n *netsim.Network) NetsimLoadResult {
 	sent, delivered, _, _ := n.Totals()
-	crossSent, clamps, _, _, rounds := sv.CrossStats()
+	crossSent, clamps, rounds := sv.CrossStats()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	pps := 0.0

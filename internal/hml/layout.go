@@ -247,12 +247,12 @@ func (l *Layout) RenderScreen(t time.Duration, cols, rows int) string {
 		grid[i] = []byte(strings.Repeat(" ", cols))
 	}
 	sx := func(x int) int {
-		p := (x - canvas.X) * cols / maxInt(canvas.W, 1)
-		return clampInt(p, 0, cols-1)
+		p := (x - canvas.X) * cols / max(canvas.W, 1)
+		return min(max(p, 0), cols-1)
 	}
 	sy := func(y int) int {
-		p := (y - canvas.Y) * rows / maxInt(canvas.H, 1)
-		return clampInt(p, 0, rows-1)
+		p := (y - canvas.Y) * rows / max(canvas.H, 1)
+		return min(max(p, 0), rows-1)
 	}
 	for _, p := range l.VisibleAt(t) {
 		x0, x1 := sx(p.Region.X), sx(p.Region.Right()-1)
@@ -289,23 +289,6 @@ func (l *Layout) RenderScreen(t time.Duration, cols, rows int) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // resolveDocTimes computes every media element's absolute start time,

@@ -27,9 +27,9 @@ func TestPartitionWindowDropsBothDirections(t *testing.T) {
 		net.Send(Packet{From: "b:9", To: "a:1", Payload: []byte("y")})
 	}
 	send() // t=0: before the window
-	clk.Advance(1500 * time.Millisecond)
+	clk.RunFor(1500 * time.Millisecond)
 	send() // t=1.5s: inside
-	clk.Advance(2 * time.Second)
+	clk.RunFor(2 * time.Second)
 	send() // t=3.5s: after
 	clk.RunUntilIdle()
 
@@ -46,7 +46,7 @@ func TestPartitionSendError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "partition") {
 		t.Fatalf("Send during partition = %v, want partition error", err)
 	}
-	clk.Advance(time.Second)
+	clk.RunFor(time.Second)
 	if err := net.Send(Packet{From: "a:1", To: "b:1", Payload: []byte("x")}); err != nil {
 		t.Fatalf("Send after partition = %v, want nil", err)
 	}
@@ -64,7 +64,7 @@ func TestOutageBlackholesHost(t *testing.T) {
 
 	net.Send(Packet{From: "c:1", To: "s:1", Payload: []byte("in")})
 	net.Send(Packet{From: "s:1", To: "c:1", Payload: []byte("out")})
-	clk.Advance(time.Second)
+	clk.RunFor(time.Second)
 	net.Send(Packet{From: "c:1", To: "s:1", Payload: []byte("in")})
 	net.Send(Packet{From: "s:1", To: "c:1", Payload: []byte("out")})
 	clk.RunUntilIdle()
@@ -142,7 +142,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 		net.AddPartition("a", "b", 200*time.Millisecond, 300*time.Millisecond)
 		for i := 0; i < 50; i++ {
 			net.Send(Packet{From: "a:1", To: "b:1", Payload: []byte("x")})
-			clk.Advance(20 * time.Millisecond)
+			clk.RunFor(20 * time.Millisecond)
 		}
 		clk.RunUntilIdle()
 		return arrivals

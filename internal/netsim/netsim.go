@@ -22,7 +22,7 @@
 // serializer, the shard RNG — lives with the *sending* host's shard, guarded
 // by that shard's own mutex, so traffic between hosts of one shard never
 // takes a cross-shard lock at all. A packet whose destination lives on
-// another shard is handed to the driver's bounded cross-shard mailbox and
+// another shard is handed to the driver's cross-shard mailbox and
 // delivered at the destination's next safe window; the conservative
 // lookahead makes that handoff always land in the destination's future, and
 // cross-shard links are clamped to at least the lookahead of propagation
@@ -291,19 +291,19 @@ type Network struct {
 // New creates a single-partition network on the given clock. seed drives
 // all randomness.
 func New(clk clock.Clock, seed uint64) *Network {
-	n := &Network{
-		epoch: clk.Now(),
-		seed:  seed,
-		shards: []*netShard{{
-			clk:       clk,
-			rng:       stats.NewRNG(seed),
-			links:     map[string]*link{},
-			egresses:  map[string]*egress{},
-			endpoints: map[Addr]Handler{},
-			defaults:  DefaultLAN(),
-		}},
+	return &Network{epoch: clk.Now(), seed: seed, shards: []*netShard{newShard(0, clk, seed)}}
+}
+
+func newShard(id int, clk clock.Clock, seed uint64) *netShard {
+	return &netShard{
+		id:        id,
+		clk:       clk,
+		rng:       stats.NewRNG(seed),
+		links:     map[string]*link{},
+		egresses:  map[string]*egress{},
+		endpoints: map[Addr]Handler{},
+		defaults:  DefaultLAN(),
 	}
-	return n
 }
 
 // NewSharded creates a network partitioned across the driver's shards.
@@ -325,15 +325,7 @@ func NewSharded(sv *clock.ShardedVirtual, seed uint64, shardOf func(host string)
 		if k > 1 {
 			shardSeed = seed ^ mix64(uint64(i)+1)
 		}
-		n.shards[i] = &netShard{
-			id:        i,
-			clk:       sv.Shard(i),
-			rng:       stats.NewRNG(shardSeed),
-			links:     map[string]*link{},
-			egresses:  map[string]*egress{},
-			endpoints: map[Addr]Handler{},
-			defaults:  DefaultLAN(),
-		}
+		n.shards[i] = newShard(i, sv.Shard(i), shardSeed)
 	}
 	return n
 }
@@ -410,7 +402,7 @@ func (n *Network) AddPhase(from, to string, p Phase) {
 // lookahead, so a cross-shard packet always arrives after the destination
 // shard's current window. Intra-shard links are untouched.
 func (n *Network) clampCross(from, to string, cfg LinkConfig) LinkConfig {
-	if n.sv == nil || n.shardIdx(from) == n.shardIdx(to) {
+	if n.shardIdx(from) == n.shardIdx(to) {
 		return cfg
 	}
 	if la := n.sv.Lookahead(); cfg.Delay < la {
@@ -559,9 +551,9 @@ func (n *Network) linkPlanLocked(s *netShard, l *link, pkt *Packet, now time.Tim
 			l.burstBad = true
 		}
 		if l.burstBad {
-			ploss = maxf(ploss, b.PBad*lossF)
+			ploss = max(ploss, b.PBad*lossF)
 		} else {
-			ploss = maxf(ploss, b.PGood*lossF)
+			ploss = max(ploss, b.PGood*lossF)
 		}
 	}
 	if ploss > 0.95 {
@@ -603,6 +595,27 @@ func (n *Network) linkPlanLocked(s *netShard, l *link, pkt *Packet, now time.Tim
 	return arrival, dupArrival, ""
 }
 
+// egressLocked passes pkt through the sending host's egress serializer, the
+// one queue everything the host sends shares: it returns when the packet has
+// left the host (now, for a host without an egress limit), or overflow when
+// an unreliable packet would wait longer than the queue limit, in which case
+// the serializer is not charged. Caller holds s.mu.
+func (s *netShard) egressLocked(pkt *Packet, now time.Time) (start time.Time, overflow bool) {
+	eg, ok := s.egresses[pkt.From.Host()]
+	if !ok {
+		return now, false
+	}
+	start = now
+	if eg.nextFree.After(start) {
+		start = eg.nextFree
+	}
+	if start.Sub(now) > eg.queueLimit && !pkt.Reliable {
+		return start, true
+	}
+	eg.nextFree = start.Add(time.Duration(float64(pkt.Size()*8) / eg.rate * float64(time.Second)))
+	return eg.nextFree, false
+}
+
 // scheduleDelivery arranges for the packet (whose payload is already a
 // pooled copy shared via the refcount) to be handed to the destination's
 // endpoint at the arrival instant: directly on the owning shard's clock
@@ -624,7 +637,7 @@ func (n *Network) scheduleDelivery(src int, pkt Packet, now, arrival time.Time, 
 			payloadPool.Put(pb)
 		}
 	}
-	if n.sv == nil || src == dst {
+	if src == dst {
 		n.shards[src].clk.AfterFunc(arrival.Sub(now), deliver)
 	} else {
 		n.sv.ScheduleCross(src, dst, arrival, deliver)
@@ -670,27 +683,11 @@ func (n *Network) Send(pkt Packet) error {
 		return fmt.Errorf("netsim: fault drop %s→%s: %w", pkt.From, pkt.To, cause)
 	}
 
-	// Host egress: one shared serializer for everything the host sends.
-	egressStart := now
-	if eg, ok := s.egresses[pkt.From.Host()]; ok {
-		egTx := time.Duration(float64(pkt.Size()*8) / eg.rate * float64(time.Second))
-		if eg.nextFree.After(egressStart) {
-			egressStart = eg.nextFree
-		}
-		if egressStart.Sub(now) > eg.queueLimit && !pkt.Reliable {
-			l.stats.Dropped++
-			dh := n.DropHandler
-			s.mu.Unlock()
-			if dh != nil {
-				dh(pkt, "egress overflow")
-			}
-			return nil
-		}
-		eg.nextFree = egressStart.Add(egTx)
-		egressStart = eg.nextFree
+	var arrival, dupArrival time.Time
+	dropCause := "egress overflow"
+	if egressStart, overflow := s.egressLocked(&pkt, now); !overflow {
+		arrival, dupArrival, dropCause = n.linkPlanLocked(s, l, &pkt, now, offset, egressStart)
 	}
-
-	arrival, dupArrival, dropCause := n.linkPlanLocked(s, l, &pkt, now, offset, egressStart)
 	if dropCause != "" {
 		l.stats.Dropped++
 		dh := n.DropHandler
@@ -760,20 +757,7 @@ func (n *Network) SendMulti(pkt Packet, tos []Addr) error {
 	offset := now.Sub(n.epoch)
 
 	// One egress serialization for the whole fan-out.
-	egressStart := now
-	egressOverflow := false
-	if eg, ok := s.egresses[pkt.From.Host()]; ok {
-		egTx := time.Duration(float64(pkt.Size()*8) / eg.rate * float64(time.Second))
-		if eg.nextFree.After(egressStart) {
-			egressStart = eg.nextFree
-		}
-		if egressStart.Sub(now) > eg.queueLimit && !pkt.Reliable {
-			egressOverflow = true
-		} else {
-			eg.nextFree = egressStart.Add(egTx)
-			egressStart = eg.nextFree
-		}
-	}
+	egressStart, egressOverflow := s.egressLocked(&pkt, now)
 
 	for _, to := range tos {
 		p := pkt
@@ -834,13 +818,6 @@ func (n *Network) SendMulti(pkt Packet, tos []Addr) error {
 		}
 	}
 	return nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FNV-1a folding for the replay digests.

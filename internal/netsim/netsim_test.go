@@ -253,7 +253,7 @@ func TestCongestionPhaseRaisesLossAndDelay(t *testing.T) {
 		if net.Stats("a", "b").Delivered > before {
 			delivered[inPhase]++
 		}
-		clk.Advance(10 * time.Millisecond)
+		clk.RunFor(10 * time.Millisecond)
 	}
 	lossOut := 1 - float64(delivered[false])/float64(sent[false])
 	lossIn := 1 - float64(delivered[true])/float64(sent[true])

@@ -60,9 +60,9 @@ func TestTraceWriteJSONL(t *testing.T) {
 	clk := clock.NewSim()
 	s := NewScope(clk)
 	s.Emit(EvSessionStart, "laptop", 1, "connected")
-	clk.Advance(40 * time.Millisecond)
+	clk.RunFor(40 * time.Millisecond)
 	s.Emit(EvBufferWatermark, "vi/c", 3, "underflow")
-	clk.Advance(time.Second)
+	clk.RunFor(time.Second)
 	s.Emit(EvGradeChange, "vi/c", 2, "degrade: loss")
 
 	var buf bytes.Buffer

@@ -28,11 +28,9 @@ import (
 type Recorder struct {
 	clk  clock.Clock
 	opts RecorderOptions
+	win  *Trace // the last opts.Cap events; guarded by its own lock
 
 	mu       sync.Mutex
-	ring     []Event
-	next     int
-	full     bool
 	missAt   []time.Time // timestamps of the last BurstN-1 deadline misses
 	missNext int
 	missFull bool
@@ -96,7 +94,7 @@ func NewRecorder(clk clock.Clock, opts RecorderOptions) *Recorder {
 	return &Recorder{
 		clk:    clk,
 		opts:   opts,
-		ring:   make([]Event, opts.Cap),
+		win:    NewTrace(opts.Cap),
 		missAt: make([]time.Time, n),
 	}
 }
@@ -119,12 +117,12 @@ func anomalyOf(ev Event) string {
 	return ""
 }
 
-// Record appends one event to the ring and fires the anomaly logic. It does
+// Record appends one event to the window and fires the anomaly logic. It does
 // not allocate, so span sampling can tee into an armed recorder from the
 // zero-alloc data plane.
 func (r *Recorder) Record(ev Event) {
 	r.mu.Lock()
-	r.writeLocked(ev)
+	r.win.Record(ev)
 	reason := anomalyOf(ev)
 	if ev.Kind == EvDeadlineMiss && r.burstLocked(ev.At) {
 		reason = "deadline-miss-burst"
@@ -133,15 +131,6 @@ func (r *Recorder) Record(ev Event) {
 		r.triggerLocked(reason, ev.At)
 	}
 	r.mu.Unlock()
-}
-
-func (r *Recorder) writeLocked(ev Event) {
-	r.ring[r.next] = ev
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.full = true
-	}
 }
 
 // burstLocked registers a deadline miss and reports whether it completes a
@@ -167,7 +156,7 @@ func (r *Recorder) triggerLocked(reason string, at time.Time) {
 	}
 	// Mark the trigger inside the window itself, then freeze (or keep
 	// extending) the tail.
-	r.writeLocked(Event{At: at, Kind: EvAnomaly, Note: reason})
+	r.win.Record(Event{At: at, Kind: EvAnomaly, Note: reason})
 	if r.pending != "" {
 		r.flush.Reset(r.opts.FlushDelay)
 		return
@@ -188,7 +177,7 @@ func (r *Recorder) doFlush() {
 		r.mu.Unlock()
 		return
 	}
-	r.scratch = r.appendRingLocked(r.scratch[:0])
+	r.scratch = r.win.EventsAppend(r.scratch)
 	evs := r.scratch
 	now := r.clk.Now()
 	r.lastDump = now
@@ -211,14 +200,6 @@ func (r *Recorder) doFlush() {
 		}
 		r.mu.Unlock()
 	}
-}
-
-func (r *Recorder) appendRingLocked(buf []Event) []Event {
-	if !r.full {
-		return append(buf, r.ring[:r.next]...)
-	}
-	buf = append(buf, r.ring[r.next:]...)
-	return append(buf, r.ring[:r.next]...)
 }
 
 // writeDump writes one flight file: a header line naming the anomaly, then
@@ -268,9 +249,5 @@ func (r *Recorder) Pending() bool {
 	return r.pending != ""
 }
 
-// Events returns a copy of the ring, oldest first (tests and experiments).
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.appendRingLocked(nil)
-}
+// Events returns a copy of the window, oldest first (tests and experiments).
+func (r *Recorder) Events() []Event { return r.win.Events() }

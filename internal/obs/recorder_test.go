@@ -29,12 +29,12 @@ func TestRecorderLivenessLossTriggersDelayedDump(t *testing.T) {
 		t.Fatal("liveness loss did not arm a pending dump")
 	}
 	// The window stays open through FlushDelay so the aftermath lands in it.
-	clk.Advance(time.Second)
+	clk.RunFor(time.Second)
 	s.Emit(EvFailover, "srv", 0, "failing over to peer")
 	if rec.Dumps() != 0 {
 		t.Fatal("dumped before the flush delay elapsed")
 	}
-	clk.Advance(3 * time.Second)
+	clk.RunFor(3 * time.Second)
 	if rec.Dumps() != 1 {
 		t.Fatalf("dumps = %d, want 1", rec.Dumps())
 	}
@@ -53,13 +53,13 @@ func TestRecorderSecondAnomalyExtendsNotDoubles(t *testing.T) {
 	s := NewScope(clk)
 	rec := s.EnableFlightRecorder(RecorderOptions{FlushDelay: 2 * time.Second})
 	s.Emit(EvLiveness, "a", 0, "lost")
-	clk.Advance(1500 * time.Millisecond)
+	clk.RunFor(1500 * time.Millisecond)
 	s.Emit(EvFailover, "a", 0, "failing over") // re-trigger at +1.5s
-	clk.Advance(1 * time.Second)               // original deadline (+2s) passes
+	clk.RunFor(1 * time.Second)                // original deadline (+2s) passes
 	if rec.Dumps() != 0 {
 		t.Fatal("flush not extended by the second anomaly")
 	}
-	clk.Advance(2 * time.Second) // extended deadline (+3.5s) passes
+	clk.RunFor(2 * time.Second) // extended deadline (+3.5s) passes
 	if rec.Dumps() != 1 {
 		t.Fatalf("dumps = %d, want exactly 1 for one incident", rec.Dumps())
 	}
@@ -73,18 +73,18 @@ func TestRecorderCooldownSuppressesRetrigger(t *testing.T) {
 		Cooldown:   30 * time.Second,
 	})
 	s.Emit(EvLiveness, "a", 0, "lost")
-	clk.Advance(2 * time.Second)
+	clk.RunFor(2 * time.Second)
 	if rec.Dumps() != 1 {
 		t.Fatalf("dumps = %d", rec.Dumps())
 	}
 	s.Emit(EvLiveness, "a", 0, "lost again") // inside cooldown
-	clk.Advance(5 * time.Second)
+	clk.RunFor(5 * time.Second)
 	if rec.Dumps() != 1 {
 		t.Fatal("cooldown did not suppress the re-trigger")
 	}
-	clk.Advance(30 * time.Second)
+	clk.RunFor(30 * time.Second)
 	s.Emit(EvLiveness, "a", 0, "lost later") // past cooldown
-	clk.Advance(2 * time.Second)
+	clk.RunFor(2 * time.Second)
 	if rec.Dumps() != 2 {
 		t.Fatalf("dumps = %d, want 2 after cooldown expiry", rec.Dumps())
 	}
@@ -101,7 +101,7 @@ func TestRecorderDeadlineMissBurst(t *testing.T) {
 	// 3 spaced misses: no burst.
 	for i := 0; i < 3; i++ {
 		s.Emit(EvDeadlineMiss, "v", 1, "late")
-		clk.Advance(3 * time.Second)
+		clk.RunFor(3 * time.Second)
 	}
 	if rec.Pending() || rec.Dumps() != 0 {
 		t.Fatal("spaced misses must not trigger")
@@ -109,12 +109,12 @@ func TestRecorderDeadlineMissBurst(t *testing.T) {
 	// 4 misses inside the window: burst.
 	for i := 0; i < 4; i++ {
 		s.Emit(EvDeadlineMiss, "v", 1, "late")
-		clk.Advance(100 * time.Millisecond)
+		clk.RunFor(100 * time.Millisecond)
 	}
 	if !rec.Pending() {
 		t.Fatal("burst did not trigger")
 	}
-	clk.Advance(2 * time.Second)
+	clk.RunFor(2 * time.Second)
 	if rec.Dumps() != 1 {
 		t.Fatalf("dumps = %d", rec.Dumps())
 	}
@@ -128,7 +128,7 @@ func TestRecorderDumpFileFormat(t *testing.T) {
 	s.Emit(EvHeartbeatMiss, "srv", 2, "unanswered")
 	s.FrameSpans().RecordEmit("v", 40*time.Microsecond) // tees into the ring
 	s.Emit(EvLiveness, "srv", 0, "lost")
-	clk.Advance(2 * time.Second)
+	clk.RunFor(2 * time.Second)
 	if err := rec.LastErr(); err != nil {
 		t.Fatal(err)
 	}

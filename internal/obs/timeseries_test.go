@@ -85,12 +85,12 @@ func TestTimeSeriesPeriodicOnVirtualClock(t *testing.T) {
 		t.Fatal("Series() does not return the enabled series")
 	}
 	ts.Start(10 * time.Second)
-	clk.Advance(35 * time.Second)
+	clk.RunFor(35 * time.Second)
 	if got := ts.Len(); got != 3 {
 		t.Fatalf("len after 35s at 10s interval = %d, want 3", got)
 	}
 	ts.Stop()
-	clk.Advance(30 * time.Second)
+	clk.RunFor(30 * time.Second)
 	if got := ts.Len(); got != 3 {
 		t.Fatalf("sampling continued after Stop: len = %d", got)
 	}
@@ -102,7 +102,7 @@ func TestTimeSeriesJSONLRoundTrip(t *testing.T) {
 	ts := s.EnableTimeSeries(0)
 	s.Counter("x").Add(3)
 	ts.Sample()
-	clk.Advance(time.Second)
+	clk.RunFor(time.Second)
 	ts.Sample()
 	var buf bytes.Buffer
 	if err := ts.WriteJSONL(&buf); err != nil {

@@ -53,23 +53,25 @@ const (
 	MsgHeartbeatAck
 )
 
+// msgTypeNames is indexed by MsgType; any other value prints as msg-N.
+var msgTypeNames = [...]string{
+	MsgConnect: "connect", MsgConnectResult: "connect-result",
+	MsgSubscribe: "subscribe", MsgSubscribeResult: "subscribe-result",
+	MsgTopicList: "topic-list", MsgTopics: "topics",
+	MsgSearch: "search", MsgSearchResult: "search-result",
+	MsgDocRequest: "doc-request", MsgDocResponse: "doc-response",
+	MsgPause: "pause", MsgResume: "resume", MsgReload: "reload",
+	MsgDisableMedia: "disable-media", MsgAnnotate: "annotate",
+	MsgSuspend: "suspend", MsgSuspendResult: "suspend-result",
+	MsgDisconnect: "disconnect", MsgError: "error", MsgFeedback: "feedback",
+	MsgListAnnotations: "list-annotations", MsgAnnotations: "annotations",
+	MsgStatsRequest: "stats-request", MsgStatsResult: "stats-result",
+	MsgHeartbeat: "heartbeat", MsgHeartbeatAck: "heartbeat-ack",
+}
+
 func (t MsgType) String() string {
-	names := map[MsgType]string{
-		MsgConnect: "connect", MsgConnectResult: "connect-result",
-		MsgSubscribe: "subscribe", MsgSubscribeResult: "subscribe-result",
-		MsgTopicList: "topic-list", MsgTopics: "topics",
-		MsgSearch: "search", MsgSearchResult: "search-result",
-		MsgDocRequest: "doc-request", MsgDocResponse: "doc-response",
-		MsgPause: "pause", MsgResume: "resume", MsgReload: "reload",
-		MsgDisableMedia: "disable-media", MsgAnnotate: "annotate",
-		MsgSuspend: "suspend", MsgSuspendResult: "suspend-result",
-		MsgDisconnect: "disconnect", MsgError: "error", MsgFeedback: "feedback",
-		MsgListAnnotations: "list-annotations", MsgAnnotations: "annotations",
-		MsgStatsRequest: "stats-request", MsgStatsResult: "stats-result",
-		MsgHeartbeat: "heartbeat", MsgHeartbeatAck: "heartbeat-ack",
-	}
-	if s, ok := names[t]; ok {
-		return s
+	if int(t) < len(msgTypeNames) && msgTypeNames[t] != "" {
+		return msgTypeNames[t]
 	}
 	return fmt.Sprintf("msg-%d", byte(t))
 }

@@ -95,6 +95,10 @@ func TestMsgTypeNames(t *testing.T) {
 	if MsgType(200).String() != "msg-200" {
 		t.Fatal("unknown type name")
 	}
+	// Telemetry-off callers evaluate the name before any nil check.
+	if got := testing.AllocsPerRun(100, func() { _ = MsgHeartbeatAck.String() }); got != 0 {
+		t.Fatalf("MsgHeartbeatAck.String() = %v allocations, want 0", got)
+	}
 }
 
 func TestHappyPathTransitions(t *testing.T) {

@@ -2,6 +2,7 @@ package qos
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -302,7 +303,7 @@ func (a *Admission) squeezeLocked(need float64) ([]int, float64) {
 		for id := range a.conns {
 			ids = append(ids, id)
 		}
-		sortInts(ids)
+		sort.Ints(ids)
 		for _, id := range ids {
 			if freed >= need {
 				break
@@ -322,14 +323,6 @@ func (a *Admission) squeezeLocked(need float64) ([]int, float64) {
 		}
 	}
 	return squeezed, freed
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 func (a *Admission) admitLocked(req ConnRequest, rate float64, squeezed []int) Decision {

@@ -24,7 +24,7 @@ func TestGraderEmitsGradeChangeEventsVideoFirst(t *testing.T) {
 	// until its ladder is exhausted, then audio degrades.
 	for i := 0; i < 30; i++ {
 		m.Feedback(Report{StreamID: "a", Loss: 0.5})
-		clk.Advance(3 * time.Second)
+		clk.RunFor(3 * time.Second)
 	}
 
 	evs := scope.Trace().Events()

@@ -25,7 +25,7 @@ func TestDegradeOnSustainedLoss(t *testing.T) {
 	var acts []Action
 	for i := 0; i < 5; i++ {
 		acts = append(acts, m.Feedback(report("v", 0.2, 0))...)
-		clk.Advance(time.Second)
+		clk.RunFor(time.Second)
 	}
 	if len(acts) == 0 {
 		t.Fatal("no degrade under 20% loss")
@@ -41,7 +41,7 @@ func TestDegradeOnSustainedLoss(t *testing.T) {
 	// stream off at the floor.
 	for i := 0; i < 10; i++ {
 		acts = append(acts, m.Feedback(report("v", 0.2, 0))...)
-		clk.Advance(3 * time.Second)
+		clk.RunFor(3 * time.Second)
 	}
 	if _, stopped := m.Level("v"); !stopped {
 		t.Fatal("stream not cut off after exhausting the ladder")
@@ -57,7 +57,7 @@ func TestHoldDownSpacesDegrades(t *testing.T) {
 	n := 0
 	for i := 0; i < 10; i++ {
 		n += len(m.Feedback(report("v", 0.5, 0)))
-		clk.Advance(100 * time.Millisecond) // 10 reports within one holddown
+		clk.RunFor(100 * time.Millisecond) // 10 reports within one holddown
 	}
 	if n != 1 {
 		t.Fatalf("%d degrades within hold-down window, want 1", n)
@@ -72,7 +72,7 @@ func TestCutoffAtFloor(t *testing.T) {
 		for _, a := range m.Feedback(report("v", 0.5, 0)) {
 			last = a
 		}
-		clk.Advance(3 * time.Second)
+		clk.RunFor(3 * time.Second)
 	}
 	if last.Kind != ActCutoff {
 		t.Fatalf("last action = %+v, want cutoff", last)
@@ -88,7 +88,7 @@ func TestUpgradeAfterRecoveryWithHysteresis(t *testing.T) {
 	// Degrade twice.
 	for i := 0; i < 2; i++ {
 		m.Feedback(report("v", 0.5, 0))
-		clk.Advance(3 * time.Second)
+		clk.RunFor(3 * time.Second)
 	}
 	lvl, _ := m.Level("v")
 	if lvl != 2 {
@@ -102,7 +102,7 @@ func TestUpgradeAfterRecoveryWithHysteresis(t *testing.T) {
 				upgrades++
 			}
 		}
-		clk.Advance(time.Second)
+		clk.RunFor(time.Second)
 	}
 	lvl, _ = m.Level("v")
 	if lvl != 0 {
@@ -129,7 +129,7 @@ func TestRestoreAfterCutoff(t *testing.T) {
 	m.Register(StreamConfig{ID: "v", Kind: scenario.TypeVideo, Levels: 2, Floor: 1})
 	for i := 0; i < 10; i++ {
 		m.Feedback(report("v", 0.5, 0))
-		clk.Advance(3 * time.Second)
+		clk.RunFor(3 * time.Second)
 	}
 	if _, stopped := m.Level("v"); !stopped {
 		t.Fatal("not stopped")
@@ -141,7 +141,7 @@ func TestRestoreAfterCutoff(t *testing.T) {
 				restored = true
 			}
 		}
-		clk.Advance(2 * time.Second)
+		clk.RunFor(2 * time.Second)
 	}
 	if !restored {
 		t.Fatal("stream never restored")
@@ -171,7 +171,7 @@ func TestVideoFirstRuleRedirectsAudioDegrade(t *testing.T) {
 	// Exhaust the video ladder; only then is audio degraded.
 	for i := 0; i < 30; i++ {
 		m.Feedback(report("a", 0.5, 0))
-		clk.Advance(3 * time.Second)
+		clk.RunFor(3 * time.Second)
 	}
 	aLvl, _ = m.Level("a")
 	_, vStopped := m.Level("v")
@@ -198,7 +198,7 @@ func TestEWMASmoothingIgnoresSingleSpike(t *testing.T) {
 	// Long clean history.
 	for i := 0; i < 20; i++ {
 		m.Feedback(report("v", 0, 0))
-		clk.Advance(time.Second)
+		clk.RunFor(time.Second)
 	}
 	// One moderate spike (loss 8% won't push EWMA(α=0.3) over 5% from 0).
 	acts := m.Feedback(report("v", 0.08, 0))
@@ -211,7 +211,7 @@ func TestLevelSeriesTrajectory(t *testing.T) {
 	clk, m := mgr()
 	m.Register(StreamConfig{ID: "v", Kind: scenario.TypeVideo, Levels: 5})
 	m.Feedback(report("v", 0.5, 0))
-	clk.Advance(3 * time.Second)
+	clk.RunFor(3 * time.Second)
 	m.Feedback(report("v", 0.5, 0))
 	s := m.LevelSeries("v")
 	if s == nil || s.N() != 3 { // initial 0, then two degrades
@@ -486,7 +486,7 @@ func TestLevelMatchesGatesSharedFlow(t *testing.T) {
 	}
 	for i := 0; i < 5 && m.LevelMatches("v", 0); i++ {
 		m.Feedback(report("v", 0.2, 0))
-		clk.Advance(time.Second)
+		clk.RunFor(time.Second)
 	}
 	lvl, stopped := m.Level("v")
 	if lvl == 0 || stopped {
@@ -500,7 +500,7 @@ func TestLevelMatchesGatesSharedFlow(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		m.Feedback(report("v", 0.2, 0))
-		clk.Advance(3 * time.Second)
+		clk.RunFor(3 * time.Second)
 	}
 	if _, stopped := m.Level("v"); !stopped {
 		t.Fatal("stream not cut off")

@@ -228,7 +228,7 @@ func RunControlPlaneLoad(cfg ControlPlaneConfig) (ControlPlaneResult, error) {
 	// liveness ticks; every session is resident but none is due, so the
 	// wall time here is the periodic bookkeeping overhead itself.
 	t0 := time.Now()
-	clk.Advance(time.Duration(cfg.SweepTicks) * time.Second)
+	clk.RunFor(time.Duration(cfg.SweepTicks) * time.Second)
 	sweepElapsed := time.Since(t0)
 	res.SweepTickMicros = float64(sweepElapsed.Microseconds()) / float64(cfg.SweepTicks)
 

@@ -137,7 +137,7 @@ func TestControlPlaneRaceStress(t *testing.T) {
 	readers.Wait()
 
 	// Drain the timer wheels (dedup + liveness ticks) with everyone resident.
-	clk.Advance(5 * time.Second)
+	clk.RunFor(5 * time.Second)
 	if got := srv.Sessions(); got != clients {
 		t.Fatalf("sessions after churn = %d, want %d", got, clients)
 	}

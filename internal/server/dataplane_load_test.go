@@ -296,7 +296,7 @@ func RunDataPlaneLoad(cfg DataPlaneConfig) (DataPlaneResult, error) {
 	preFrames, _, _ := sumStats()
 	preEncodes, preDelivered := sumEncodes()
 	preAcqs, _ := srv.LockStats()
-	pacedMallocs, pacedBytes := memDelta(func() { clk.Advance(pacedWindow) })
+	pacedMallocs, pacedBytes := memDelta(func() { clk.RunFor(pacedWindow) })
 	postAcqs, _ := srv.LockStats()
 	pacedFrames, _, _ := sumStats()
 	res.PacedFrames = pacedFrames - preFrames

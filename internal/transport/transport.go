@@ -27,6 +27,7 @@ import (
 	"math/rand"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -134,37 +135,14 @@ func (l *Live) ParseHostMap(s string) error {
 	if s == "" {
 		return nil
 	}
-	for _, part := range splitComma(s) {
-		i := indexByte(part, '=')
+	for _, part := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' }) {
+		i := strings.IndexByte(part, '=')
 		if i <= 0 || i == len(part)-1 {
 			return fmt.Errorf("transport: bad host mapping %q", part)
 		}
 		l.MapHost(part[:i], part[i+1:])
 	}
 	return nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // Listen implements netsim.Net. The first listen on a host also starts its
