@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos bench-dataplane bench-controlplane bench-netsim bench-check size
+.PHONY: check fmt vet build test race chaos bench-dataplane bench-controlplane bench-netsim bench-check digests size
 
-# The full gate: everything below except chaos, size and the bench-* generators.
+# The full gate: everything below except chaos, digests, size and the bench-* generators.
 check: fmt vet build test race bench-check
 
 # Fails, listing the files, when anything is not gofmt-clean.
@@ -43,6 +43,15 @@ bench-netsim:
 # Vets and tests the end-to-end benchmark under bench/, a module of its own that ./... does not reach.
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
+# The replay check: every workload's seed-1 sim_digest, which no refactor may move. A PR that changes event order on purpose edits this list and says why. About a minute, so not part of check.
+DIGESTS = lecture_private=22a0c99ebb3f4597 lecture_shared=238c2b692a0fdb16 connect_storm=68ee81c0d7abfeb8 flash_failover=c4f6257d21043f20
+digests:
+	@for wd in $(DIGESTS); do w=$${wd%=*}; d=$${wd#*=}; \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | grep -q "sim_digest $$d identical in all" || { echo "$$w: want sim_digest $$d identical in all, got:"; echo "$$out" | grep digest; exit 1; }; \
+		echo "$$w: sim_digest $$d identical in all"; \
+	done
 
 # The three sizes every ROADMAP re-anchor quotes: non-test Go lines outside bench/, test lines, lines under bench/.
 OUTSIDE_BENCH = -not -path './bench/*' -not -path './.bench_build/*'

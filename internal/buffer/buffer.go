@@ -7,6 +7,7 @@
 package buffer
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -182,27 +183,7 @@ func (b *Buffer) Push(it Item) (accepted, overflow bool) {
 // returns the last played frame as a duplicate (ok=false, dup counted) —
 // the paper's gap-concealment action — or a zero Item when nothing was ever
 // played.
-func (b *Buffer) Pop() (Item, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.items) == 0 {
-		b.underflowLocked()
-		if b.hasLast {
-			b.duplicateLocked()
-			return b.last, false
-		}
-		return Item{}, false
-	}
-	it := b.items[0]
-	b.items = b.items[1:]
-	b.stats.Popped++
-	b.last = it
-	b.hasLast = true
-	if pts := it.Frame.PTS + b.FrameInterval; pts > b.floor {
-		b.floor = pts
-	}
-	return it, true
-}
+func (b *Buffer) Pop() (Item, bool) { return b.PopDue(math.MaxInt64) }
 
 // underflowLocked counts a Pop that found nothing playable.
 func (b *Buffer) underflowLocked() {
@@ -258,19 +239,7 @@ func (b *Buffer) Peek() (Item, bool) {
 // or over-full stream) and returns how many were discarded and the PTS
 // floor after the drop.
 func (b *Buffer) Drop(n int) (dropped int, newFloor time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for dropped < n && len(b.items) > 0 {
-		it := b.items[0]
-		b.items = b.items[1:]
-		dropped++
-		b.stats.Dropped++
-		b.mDropped.Inc()
-		if pts := it.Frame.PTS + b.FrameInterval; pts > b.floor {
-			b.floor = pts
-		}
-	}
-	return dropped, b.floor
+	return b.DropBefore(math.MaxInt64, n)
 }
 
 // DropBefore discards up to max earliest frames whose PTS is strictly below

@@ -21,7 +21,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/qos"
 	"repro/internal/scenario"
-	"repro/internal/server"
 	"repro/internal/stats"
 )
 
@@ -370,7 +369,7 @@ func (c *Client) CurrentServer() string {
 func (c *Client) send(host string, t protocol.MsgType, body interface{}) {
 	c.net.Send(netsim.Packet{
 		From:     c.ctrlAddr(),
-		To:       netsim.MakeAddr(host, server.ControlPort),
+		To:       netsim.MakeAddr(host, protocol.ControlPort),
 		Payload:  protocol.MustEncode(t, body),
 		Reliable: true,
 	})

@@ -16,7 +16,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/protocol"
-	"repro/internal/server"
 )
 
 // retryBackoffCap bounds the exponential backoff of control retransmissions
@@ -49,7 +48,7 @@ type pendingReq struct {
 func (c *Client) sendFrame(host string, frame []byte) {
 	_ = c.net.Send(netsim.Packet{
 		From:     c.ctrlAddr(),
-		To:       netsim.MakeAddr(host, server.ControlPort),
+		To:       netsim.MakeAddr(host, protocol.ControlPort),
 		Payload:  frame,
 		Reliable: true,
 	})

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/hml"
 	"repro/internal/netsim"
+	"repro/internal/playout"
 	"repro/internal/qos"
 )
 
@@ -46,6 +48,36 @@ func TestPlayDeterministicAcrossRuns(t *testing.T) {
 	p2, g2, q2 := run()
 	if p1 != p2 || g1 != g2 || q1 != q2 {
 		t.Fatalf("non-deterministic: %d/%d/%v vs %d/%d/%v", p1, g1, q1, p2, g2, q2)
+	}
+}
+
+// TestDisplayTraceRepeats pins the whole display trace, not just its totals:
+// streams that start and tick at the same instant (Figure 2's AU_VI pair, every
+// 40 ms) must record their events in the same order on every run, which they
+// did not while the player armed its timers in map order.
+func TestDisplayTraceRepeats(t *testing.T) {
+	type step struct {
+		at     time.Duration
+		stream string
+		kind   playout.EventKind
+		frame  int
+	}
+	trace := func() []step {
+		res, err := Play(PlayConfig{DocSource: hml.Figure2Source, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []step
+		for _, ev := range res.Display.Events() {
+			out = append(out, step{ev.At, ev.StreamID, ev.Kind, ev.Frame.Index})
+		}
+		return out
+	}
+	want := trace()
+	for run := 1; run < 20; run++ {
+		if got := trace(); !slices.Equal(got, want) {
+			t.Fatalf("rerun %d recorded a different display trace (%d events against %d)", run, len(got), len(want))
+		}
 	}
 }
 

@@ -26,8 +26,8 @@ import (
 //
 //   - runAdmissionStorm: the scale headline — 100k+ clients connect over a
 //     short ramp, each admitted with a reliable connect/ack exchange and two
-//     paced follow-ups. Memory stays bounded because netsim keeps per-link
-//     delay records in fixed-cap reservoirs.
+//     paced follow-ups. Memory stays bounded because netsim retains nothing
+//     per packet: a link is four counters, a serializer and an RNG.
 //
 // Both report the network's replay digest, which the determinism tests
 // compare across GOMAXPROCS settings and reruns.
@@ -231,9 +231,9 @@ type StormResult struct {
 	Acked int64
 }
 
-// stormHeapGateMB bounds the storm's live heap: the reservoirs hold link
-// memory constant per link, so the run fits comfortably under this at any
-// packet count.
+// stormHeapGateMB bounds the storm's live heap: a link's memory is constant
+// however many packets it has moved, so the run fits comfortably under this
+// at any packet count.
 const stormHeapGateMB = 1024
 
 // check holds the gates on one storm run, whatever its size.
@@ -242,7 +242,7 @@ func (s StormResult) check() error {
 		return fmt.Errorf("storm acked %d of %d clients", s.Acked, s.Clients)
 	}
 	if s.HeapMB <= 0 || s.HeapMB > stormHeapGateMB {
-		return fmt.Errorf("storm heap %.0fMB outside (0, %dMB]; link delay reservoirs are not bounding memory", s.HeapMB, stormHeapGateMB)
+		return fmt.Errorf("storm heap %.0fMB outside (0, %dMB]; something is retained per packet", s.HeapMB, stormHeapGateMB)
 	}
 	if s.Digest == 0 {
 		return fmt.Errorf("storm digest missing")
@@ -263,8 +263,8 @@ var (
 // runAdmissionStorm connects cfg.Clients clients over the ramp window: each
 // sends a reliable connect, the group server acks it reliably, and the
 // client follows up with two paced unreliable requests — roughly four
-// packets per client, >400k for the default 100k clients. Per-link delay
-// reservoirs keep memory bounded no matter the population.
+// packets per client, >400k for the default 100k clients. Nothing is kept
+// per packet, so memory grows with the population only.
 func runAdmissionStorm(cfg stormConfig) StormResult {
 	cfg.defaults()
 	sv, n := buildLoadNet(cfg.Shards, cfg.Seed)

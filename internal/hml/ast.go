@@ -41,26 +41,6 @@ type Item interface {
 	itemNode()
 }
 
-// ItemKind returns a short human-readable kind name for an item.
-func ItemKind(it Item) string {
-	switch it.(type) {
-	case *Text:
-		return "text"
-	case *Image:
-		return "image"
-	case *Audio:
-		return "audio"
-	case *Video:
-		return "video"
-	case *AudioVideo:
-		return "audio+video"
-	case *Link:
-		return "hlink"
-	default:
-		return "unknown"
-	}
-}
-
 // Style is a bitmask of inline text styles.
 type Style uint8
 

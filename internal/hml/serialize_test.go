@@ -160,22 +160,3 @@ func TestQuickRoundTripMediaTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestItemKindNames(t *testing.T) {
-	cases := []struct {
-		it   Item
-		want string
-	}{
-		{&Text{}, "text"},
-		{&Image{}, "image"},
-		{&Audio{}, "audio"},
-		{&Video{}, "video"},
-		{&AudioVideo{}, "audio+video"},
-		{&Link{}, "hlink"},
-	}
-	for _, c := range cases {
-		if got := ItemKind(c.it); got != c.want {
-			t.Errorf("ItemKind(%T) = %q, want %q", c.it, got, c.want)
-		}
-	}
-}

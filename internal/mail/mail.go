@@ -12,7 +12,6 @@ import (
 	"mime"
 	"mime/multipart"
 	"net/textproto"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -179,20 +178,6 @@ func (s *Spool) Mailbox(addr string) []*Message {
 	box := s.boxes[strings.ToLower(addr)]
 	out := make([]*Message, len(box))
 	copy(out, box)
-	return out
-}
-
-// Addresses lists mailboxes with at least one message.
-func (s *Spool) Addresses() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for a, box := range s.boxes {
-		if len(box) > 0 {
-			out = append(out, a)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -262,19 +262,6 @@ func TestFrameKindStrings(t *testing.T) {
 	}
 }
 
-func TestFmtRate(t *testing.T) {
-	cases := map[float64]string{
-		1_500_000: "1.50Mb/s",
-		64_000:    "64.0kb/s",
-		500:       "500b/s",
-	}
-	for in, want := range cases {
-		if got := FmtRate(in); got != want {
-			t.Errorf("FmtRate(%v) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 // Property: for every source type and level, FramesIn(a,b) ∪ FramesIn(b,c)
 // equals FramesIn(a,c) — windows tile without gaps or duplicates.
 func TestQuickFramesTile(t *testing.T) {

@@ -1,7 +1,6 @@
 package media
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -399,15 +398,3 @@ var (
 	_ CachedPayloadSource = (*Image)(nil)
 	_ CachedPayloadSource = (*Text)(nil)
 )
-
-// FmtRate renders a bits/s rate human-readably.
-func FmtRate(bps float64) string {
-	switch {
-	case bps >= 1e6:
-		return fmt.Sprintf("%.2fMb/s", bps/1e6)
-	case bps >= 1e3:
-		return fmt.Sprintf("%.1fkb/s", bps/1e3)
-	default:
-		return fmt.Sprintf("%.0fb/s", bps)
-	}
-}

@@ -62,11 +62,11 @@ type oneShotDrop struct {
 }
 
 // partitionKey is direction-independent: a partition severs both ways.
-func partitionKey(a, b string) string {
+func partitionKey(a, b string) linkKey {
 	if a > b {
 		a, b = b, a
 	}
-	return a + "⇹" + b
+	return linkKey{a, b}
 }
 
 // faultState holds every injected fault, guarded by its own mutex with an
@@ -74,7 +74,7 @@ func partitionKey(a, b string) string {
 type faultState struct {
 	mu         sync.Mutex
 	active     atomic.Int32
-	partitions map[string][]faultWindow
+	partitions map[linkKey][]faultWindow
 	outages    map[string][]faultWindow
 	downHosts  map[string]bool
 	oneShots   []*oneShotDrop
@@ -100,7 +100,7 @@ func (n *Network) AddPartition(a, b string, start, duration time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.partitions == nil {
-		f.partitions = map[string][]faultWindow{}
+		f.partitions = map[linkKey][]faultWindow{}
 	}
 	key := partitionKey(a, b)
 	f.partitions[key] = append(f.partitions[key], faultWindow{start: start, end: start + duration})
@@ -172,48 +172,48 @@ func (n *Network) DropNextMatching(count int, reason string, pred func(Packet) b
 	f.recountLocked()
 }
 
-// check decides whether an injected fault kills the packet. offset is the
-// send time relative to the epoch. The returned error wraps the typed
-// cause (ErrHostDown, ErrOutage, ErrPartitioned) and its text doubles as
-// the DropHandler reason. With no faults registered it is a single atomic
-// load.
-func (f *faultState) check(pkt Packet, offset time.Duration) (error, bool) {
+// check decides whether an injected fault kills the packet travelling from
+// host fromH to host toH (pkt's own endpoints, parsed once by the caller);
+// nil lets it pass. offset is the send time relative to the epoch. The
+// returned error wraps the typed cause (ErrHostDown, ErrOutage,
+// ErrPartitioned) and its text doubles as the DropHandler reason. With no
+// faults registered it is a single atomic load.
+func (f *faultState) check(pkt *Packet, fromH, toH string, offset time.Duration) error {
 	if f.active.Load() == 0 {
-		return nil, false
+		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	fromH, toH := pkt.From.Host(), pkt.To.Host()
 	if f.downHosts[fromH] {
-		return fmt.Errorf("%w: %s", ErrHostDown, fromH), true
+		return fmt.Errorf("%w: %s", ErrHostDown, fromH)
 	}
 	if f.downHosts[toH] {
-		return fmt.Errorf("%w: %s", ErrHostDown, toH), true
+		return fmt.Errorf("%w: %s", ErrHostDown, toH)
 	}
 	for _, w := range f.outages[fromH] {
 		if w.contains(offset) {
-			return fmt.Errorf("%w: %s", ErrOutage, fromH), true
+			return fmt.Errorf("%w: %s", ErrOutage, fromH)
 		}
 	}
 	for _, w := range f.outages[toH] {
 		if w.contains(offset) {
-			return fmt.Errorf("%w: %s", ErrOutage, toH), true
+			return fmt.Errorf("%w: %s", ErrOutage, toH)
 		}
 	}
 	for _, w := range f.partitions[partitionKey(fromH, toH)] {
 		if w.contains(offset) {
-			return fmt.Errorf("%w: %s⇹%s", ErrPartitioned, fromH, toH), true
+			return fmt.Errorf("%w: %s⇹%s", ErrPartitioned, fromH, toH)
 		}
 	}
 	for i, os := range f.oneShots {
-		if os.match(pkt) {
+		if os.match(*pkt) {
 			os.remaining--
 			if os.remaining <= 0 {
 				f.oneShots = append(f.oneShots[:i], f.oneShots[i+1:]...)
 				f.recountLocked()
 			}
-			return errors.New(os.reason), true
+			return errors.New(os.reason)
 		}
 	}
-	return nil, false
+	return nil
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -103,5 +104,86 @@ func TestSendMultiChargesEgressOnce(t *testing.T) {
 	// push the tail past 6s.
 	if last > 3*time.Second {
 		t.Fatalf("last delivery at %v; egress looks charged per copy, not per fan-out", last)
+	}
+}
+
+// TestSendIsFanOutOfOne pins the one send path: the same paced traffic over a
+// link with loss, jitter, duplication, a shared egress limit and a partition
+// window reads the same through Send and through SendMulti to the one
+// destination — delivery digest, link counters and every drop cause. (With two
+// hand-written paths the fan-out charged the uplink before it asked about the
+// partition, so the two disagreed on all three.)
+func TestSendIsFanOutOfOne(t *testing.T) {
+	type outcome struct {
+		digest uint64
+		stats  LinkStats
+
+		partition, overflow, queue, loss, other int
+	}
+	run := func(multi bool) outcome {
+		clk := clock.NewSim()
+		net := New(clk, 9)
+		net.SetLink("a", "b", LinkConfig{
+			Bandwidth: 2_000_000, Delay: 5 * time.Millisecond, Jitter: 4 * time.Millisecond,
+			Loss: 0.05, Dup: 0.1,
+		})
+		// 1028 wire bytes every 5ms offer 1.6 Mb/s to a 1 Mb/s uplink that
+		// queues at most 50ms: the egress overflows, partition or not.
+		net.SetEgressLimit("a", 1_000_000, 50*time.Millisecond)
+		net.AddPartition("a", "b", 500*time.Millisecond, 250*time.Millisecond)
+		net.Listen("b:1", func(Packet) {})
+		var o outcome
+		net.DropHandler = func(_ Packet, cause string) {
+			switch {
+			case strings.HasPrefix(cause, "partition"):
+				o.partition++
+			case cause == "egress overflow":
+				o.overflow++
+			case cause == "queue overflow":
+				o.queue++
+			case cause == "loss":
+				o.loss++
+			default:
+				o.other++
+			}
+		}
+		pkt := Packet{From: "a:1", To: "b:1", Payload: make([]byte, 1000)}
+		for i := 0; i < 400; i++ {
+			if multi {
+				net.SendMulti(pkt, []Addr{pkt.To})
+			} else {
+				net.Send(pkt)
+			}
+			clk.RunFor(5 * time.Millisecond)
+		}
+		clk.RunUntilIdle()
+		o.digest, o.stats = net.DeliveryDigest(), net.Stats("a", "b")
+		return o
+	}
+	one, fan := run(false), run(true)
+	if one.partition == 0 || one.overflow == 0 || one.loss == 0 || one.other != 0 {
+		t.Fatalf("scenario does not exercise every drop cause: %+v", one)
+	}
+	if one != fan {
+		t.Fatalf("Send and a fan-out of one disagree:\n Send      %+v\n SendMulti %+v", one, fan)
+	}
+}
+
+// TestSendAllocs pins what one packet costs the heap on a warm link: the
+// delivery closure, the payload refcount and the clock's timer. The link key,
+// the destination list and the arrival plan must stay off it.
+func TestSendAllocs(t *testing.T) {
+	clk := clock.NewSim()
+	net := New(clk, 1)
+	net.SetLink("a", "b", LinkConfig{Delay: time.Millisecond})
+	net.Listen("b:1", func(Packet) {})
+	pkt := Packet{From: "a:1", To: "b:1", Payload: make([]byte, 1000)}
+	sendAndDeliver := func() {
+		net.Send(pkt)
+		clk.Step()
+	}
+	sendAndDeliver() // warm the link and the payload pool
+	if got := testing.AllocsPerRun(200, sendAndDeliver); got > 3 {
+		t.Fatalf("Send+Step = %v allocations per packet, want ≤ 3", got)
 	}
 }

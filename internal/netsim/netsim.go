@@ -18,10 +18,10 @@
 // event stream — every existing pinned-seed scenario replays exactly as
 // before. NewSharded partitions the network across a clock.ShardedVirtual:
 // every host is owned by one shard (the shardOf assignment), and all state a
-// Send touches on the hot path — the from→to link, the sender's egress
-// serializer, the shard RNG — lives with the *sending* host's shard, guarded
-// by that shard's own mutex, so traffic between hosts of one shard never
-// takes a cross-shard lock at all. A packet whose destination lives on
+// transmission touches on the hot path — the from→to links, the sender's
+// egress serializer, the shard RNG — lives with the *sending* host's shard,
+// guarded by that shard's own mutex, so traffic between hosts of one shard
+// never takes a cross-shard lock at all. A packet whose destination lives on
 // another shard is handed to the driver's cross-shard mailbox and
 // delivered at the destination's next safe window; the conservative
 // lookahead makes that handoff always land in the destination's future, and
@@ -31,6 +31,15 @@
 // byte-identically regardless of GOMAXPROCS; each shard also folds every
 // delivery into a digest that the determinism tests and experiment E15
 // compare across runs.
+//
+// # One send path
+//
+// Send and SendMulti are the same function, transmit, called with one
+// destination or with many: a packet's fate — link accounting, injected
+// fault, the sender's egress serializer, the link's queue, loss and jitter,
+// the payload copy, the scheduled deliveries — is decided in one place, so a
+// fan-out of one and a plain Send are indistinguishable in every counter,
+// every drop cause and the delivery digest (TestSendIsFanOutOfOne).
 //
 // # Packet buffer ownership
 //
@@ -53,6 +62,7 @@ package netsim
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,7 +91,7 @@ func (a Addr) Host() string {
 
 // MakeAddr builds an Addr from host and port.
 func MakeAddr(host string, port int) Addr {
-	return Addr(fmt.Sprintf("%s:%d", host, port))
+	return Addr(host + ":" + strconv.Itoa(port))
 }
 
 // Packet is one network datagram.
@@ -131,7 +141,8 @@ type Net interface {
 // ownership rule is identical to Send: the caller's buffer is borrowed only
 // for the duration of the call. Implementations charge the sender's egress
 // once for the whole fan-out; per-destination link behavior (loss, jitter,
-// faults) still applies to each copy independently.
+// faults) still applies to each copy independently, and a per-destination
+// failure never fails the batch.
 type MultiSender interface {
 	SendMulti(pkt Packet, tos []Addr) error
 }
@@ -193,16 +204,14 @@ type Phase struct {
 	BandwidthFactor float64
 }
 
-// LinkStats aggregates one direction's counters.
+// LinkStats aggregates one direction's counters. Nothing is retained per
+// packet: a receiver that wants delays measures them where it stands, as
+// clk.Since(pkt.SentAt).
 type LinkStats struct {
 	Sent      int
 	Delivered int
 	Dropped   int
 	Bytes     int64
-	// Delays collects per-packet one-way delays in milliseconds in a
-	// fixed-cap reservoir (delayReservoirCap): quantiles stay faithful
-	// while memory stays bounded no matter how many packets the link moves.
-	Delays stats.Sample
 }
 
 // LossRate returns the observed drop fraction.
@@ -235,11 +244,6 @@ type egress struct {
 	nextFree   time.Time
 }
 
-// delayReservoirCap bounds each link's per-packet delay sample. Below
-// the cap the record is exact — today's scenarios never notice — while a
-// 100k-client storm retains at most this many floats per link.
-const delayReservoirCap = 8192
-
 // netShard is one partition of the simulated network: every host assigned
 // to it, every link leaving those hosts, their shared egress serializers,
 // the endpoints listening on them, and the shard's own RNG stream. The
@@ -252,7 +256,7 @@ type netShard struct {
 
 	mu        sync.Mutex
 	rng       *stats.RNG
-	links     map[string]*link // key host→host, keyed by sending host's shard
+	links     map[linkKey]*link // links leaving this shard's hosts
 	egresses  map[string]*egress
 	endpoints map[Addr]Handler
 	defaults  LinkConfig
@@ -271,7 +275,6 @@ type Network struct {
 	shardOf func(string) int      // nil = everything on shard 0
 	shards  []*netShard
 	epoch   time.Time
-	seed    uint64
 
 	// DropHandler, when set, observes every dropped unreliable packet.
 	// Set it before traffic starts; it is read without synchronization on
@@ -291,7 +294,7 @@ type Network struct {
 // New creates a single-partition network on the given clock. seed drives
 // all randomness.
 func New(clk clock.Clock, seed uint64) *Network {
-	return &Network{epoch: clk.Now(), seed: seed, shards: []*netShard{newShard(0, clk, seed)}}
+	return &Network{epoch: clk.Now(), shards: []*netShard{newShard(0, clk, seed)}}
 }
 
 func newShard(id int, clk clock.Clock, seed uint64) *netShard {
@@ -299,7 +302,7 @@ func newShard(id int, clk clock.Clock, seed uint64) *netShard {
 		id:        id,
 		clk:       clk,
 		rng:       stats.NewRNG(seed),
-		links:     map[string]*link{},
+		links:     map[linkKey]*link{},
 		egresses:  map[string]*egress{},
 		endpoints: map[Addr]Handler{},
 		defaults:  DefaultLAN(),
@@ -317,7 +320,6 @@ func NewSharded(sv *clock.ShardedVirtual, seed uint64, shardOf func(host string)
 		sv:      sv,
 		shardOf: shardOf,
 		epoch:   sv.Now(),
-		seed:    seed,
 		shards:  make([]*netShard, k),
 	}
 	for i := 0; i < k; i++ {
@@ -411,20 +413,18 @@ func (n *Network) clampCross(from, to string, cfg LinkConfig) LinkConfig {
 	return cfg
 }
 
-// linkKey names the directed link in its sending shard's links map.
-func linkKey(from, to string) string { return from + "→" + to }
+// linkKey names a pair of hosts: the directed link from→to in its sending
+// shard's links map, the ordered pair of a partition in the fault schedule.
+type linkKey struct{ from, to string }
 
 // getLinkLocked returns (creating on demand) the directed link. Caller
 // holds s.mu, where s owns the sending host. A new link splits its RNG from
-// the shard stream — creation order is part of the replay — while the delay
-// reservoir gets an independent stream derived from the link name, so
-// enabling or resizing it can never perturb loss and jitter draws.
+// the shard stream — creation order is part of the replay.
 func (n *Network) getLinkLocked(s *netShard, from, to string) *link {
-	key := linkKey(from, to)
+	key := linkKey{from, to}
 	l, ok := s.links[key]
 	if !ok {
 		l = &link{cfg: n.clampCross(from, to, s.defaults), rng: s.rng.Split()}
-		l.stats.Delays.Reservoir(delayReservoirCap, stats.NewRNG(fnv64str(key)^n.seed))
 		s.links[key] = l
 	}
 	return l
@@ -445,22 +445,17 @@ func (n *Network) Listen(addr Addr, h Handler) error {
 	return nil
 }
 
-// Stats returns a snapshot of the directed link's counters. The delay
-// sample is deep-copied, so the snapshot can be sorted and queried while
-// the simulation keeps running. A pair that has no link yet reads as zero
-// and stays absent: creating the link here would split the shard RNG and
-// shift every later loss and jitter draw.
+// Stats returns a snapshot of the directed link's counters. A pair that has
+// no link yet reads as zero and stays absent: creating the link here would
+// split the shard RNG and shift every later loss and jitter draw.
 func (n *Network) Stats(from, to string) LinkStats {
 	s := n.shardFor(from)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l, ok := s.links[linkKey(from, to)]
-	if !ok {
-		return LinkStats{}
+	if l, ok := s.links[linkKey{from, to}]; ok {
+		return l.stats
 	}
-	st := l.stats
-	st.Delays = l.stats.Delays.Clone()
-	return st
+	return LinkStats{}
 }
 
 // Totals aggregates sent/delivered/dropped/bytes over every link in every
@@ -588,7 +583,6 @@ func (n *Network) linkPlanLocked(s *netShard, l *link, pkt *Packet, now time.Tim
 		l.lastReliableArrival = arrival
 	}
 	l.stats.Delivered++
-	l.stats.Delays.AddDuration(arrival.Sub(now))
 	if !pkt.Reliable && l.cfg.Dup > 0 && l.rng.Bool(l.cfg.Dup) {
 		dupArrival = arrival.Add(time.Millisecond + time.Duration(l.rng.Float64()*float64(jitterBound+time.Millisecond)))
 	}
@@ -600,8 +594,8 @@ func (n *Network) linkPlanLocked(s *netShard, l *link, pkt *Packet, now time.Tim
 // left the host (now, for a host without an egress limit), or overflow when
 // an unreliable packet would wait longer than the queue limit, in which case
 // the serializer is not charged. Caller holds s.mu.
-func (s *netShard) egressLocked(pkt *Packet, now time.Time) (start time.Time, overflow bool) {
-	eg, ok := s.egresses[pkt.From.Host()]
+func (s *netShard) egressLocked(host string, pkt *Packet, now time.Time) (start time.Time, overflow bool) {
+	eg, ok := s.egresses[host]
 	if !ok {
 		return now, false
 	}
@@ -616,32 +610,123 @@ func (s *netShard) egressLocked(pkt *Packet, now time.Time) (start time.Time, ov
 	return eg.nextFree, false
 }
 
-// scheduleDelivery arranges for the packet (whose payload is already a
-// pooled copy shared via the refcount) to be handed to the destination's
-// endpoint at the arrival instant: directly on the owning shard's clock
-// when source and destination share a shard, through the driver's
-// cross-shard mailbox otherwise.
-func (n *Network) scheduleDelivery(src int, pkt Packet, now, arrival time.Time, pb *buffer.Buf, remaining *int32) {
-	dst := n.shardIdx(pkt.To.Host())
-	ds := n.shards[dst]
-	deliver := func() {
-		ds.mu.Lock()
-		h := ds.endpoints[pkt.To]
-		ds.delivered++
-		ds.digest = deliveryFold(ds.digest, pkt.To, ds.clk.Now().Sub(n.epoch), len(pkt.Payload))
-		ds.mu.Unlock()
-		if h != nil {
-			h(pkt)
+// transmit is the one send path: pkt leaves its sender once and is offered to
+// every destination in tos, in order. Under the sending shard's lock — every
+// link leaving a host lives on that host's shard, so one lock covers the
+// whole plan — each destination's link counts the packet, an injected fault
+// may kill it, and the link plans its arrival (a duplicate is a second
+// arrival). The sender's egress serializer is charged once per transmission,
+// by the first destination no fault killed, so a fan-out whose every
+// destination is partitioned or down consumes no uplink. Refusals reach the
+// DropHandler after the lock is released; the accepted arrivals share one
+// pooled copy of the payload, which the last delivery releases. fault is the
+// injected fault that killed a destination, if any: Send, with its one
+// destination, is its reader.
+func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
+	from := pkt.From.Host()
+	src := n.shardIdx(from)
+	s := n.shards[src]
+	now := s.clk.Now()
+	pkt.SentAt = now
+	if sn := n.Sniffer; sn != nil {
+		sn(pkt)
+	}
+	offset := now.Sub(n.epoch)
+
+	type arrival struct {
+		to Addr
+		at time.Time
+	}
+	type refusal struct {
+		to    Addr
+		cause string
+	}
+	// Backing for a fan-out of one (and its duplicate) that stays off the heap.
+	var arrivalBuf [2]arrival
+	var refusalBuf [1]refusal
+	arrivals, refusals := arrivalBuf[:0], refusalBuf[:0]
+	var egressStart time.Time
+	charged, overflow := false, false
+
+	s.mu.Lock()
+	for _, to := range tos {
+		pkt.To = to
+		toHost := to.Host()
+		l := n.getLinkLocked(s, from, toHost)
+		l.stats.Sent++
+		l.stats.Bytes += int64(pkt.Size())
+
+		var at, dupAt time.Time
+		cause := "egress overflow"
+		// Injected faults kill the packet regardless of reliability: a
+		// partitioned or downed host drops TCP segments just as surely as UDP
+		// datagrams.
+		if err := n.faults.check(&pkt, from, toHost, offset); err != nil {
+			fault, cause = err, err.Error()
+		} else {
+			if !charged {
+				egressStart, overflow = s.egressLocked(from, &pkt, now)
+				charged = true
+			}
+			if !overflow {
+				at, dupAt, cause = n.linkPlanLocked(s, l, &pkt, now, offset, egressStart)
+			}
 		}
-		if atomic.AddInt32(remaining, -1) == 0 {
-			payloadPool.Put(pb)
+		if cause != "" {
+			l.stats.Dropped++
+			refusals = append(refusals, refusal{to, cause})
+			continue
+		}
+		arrivals = append(arrivals, arrival{to, at})
+		if !dupAt.IsZero() {
+			arrivals = append(arrivals, arrival{to, dupAt})
 		}
 	}
-	if src == dst {
-		n.shards[src].clk.AfterFunc(arrival.Sub(now), deliver)
-	} else {
-		n.sv.ScheduleCross(src, dst, arrival, deliver)
+	s.mu.Unlock()
+
+	if dh := n.DropHandler; dh != nil {
+		for _, r := range refusals {
+			pkt.To = r.to
+			dh(pkt, r.cause)
+		}
 	}
+	if len(arrivals) == 0 {
+		return fault
+	}
+
+	// Delivery is deferred, but the caller owns pkt.Payload again as soon as
+	// the call returns: copy-on-enqueue into one pooled buffer, released
+	// after the last delivery fires.
+	pb := payloadPool.Get(len(pkt.Payload))
+	copy(pb.B, pkt.Payload)
+	remaining := new(int32)
+	*remaining = int32(len(arrivals))
+	for _, a := range arrivals {
+		// Never assigned after this line, so the closure holds p by value
+		// and the packet costs no allocation of its own (TestSendAllocs).
+		p := Packet{From: pkt.From, To: a.to, Payload: pb.B, Reliable: pkt.Reliable, SentAt: now}
+		dst := n.shardIdx(a.to.Host())
+		ds := n.shards[dst]
+		deliver := func() {
+			ds.mu.Lock()
+			h := ds.endpoints[p.To]
+			ds.delivered++
+			ds.digest = deliveryFold(ds.digest, p.To, ds.clk.Now().Sub(n.epoch), len(p.Payload))
+			ds.mu.Unlock()
+			if h != nil {
+				h(p)
+			}
+			if atomic.AddInt32(remaining, -1) == 0 {
+				payloadPool.Put(pb)
+			}
+		}
+		if dst == src {
+			s.clk.AfterFunc(a.at.Sub(now), deliver)
+		} else {
+			n.sv.ScheduleCross(src, dst, a.at, deliver)
+		}
+	}
+	return fault
 }
 
 // Send injects a packet. Delivery (or drop) is decided immediately and the
@@ -654,168 +739,24 @@ func (n *Network) scheduleDelivery(src int, pkt Packet, now, arrival time.Time, 
 // natural discipline, since simulated traffic originates from timers on the
 // owning shard's clock — or from setup code before the driver runs.
 func (n *Network) Send(pkt Packet) error {
-	src := n.shardIdx(pkt.From.Host())
-	s := n.shards[src]
-	pkt.SentAt = s.clk.Now()
-	if sn := n.Sniffer; sn != nil {
-		sn(pkt)
-	}
-	now := pkt.SentAt
-	offset := now.Sub(n.epoch)
-
-	s.mu.Lock()
-	l := n.getLinkLocked(s, pkt.From.Host(), pkt.To.Host())
-	l.stats.Sent++
-	l.stats.Bytes += int64(pkt.Size())
-
-	// Injected faults kill the packet regardless of reliability: a
-	// partitioned or downed host drops TCP segments just as surely as UDP
-	// datagrams.
-	if cause, faulted := n.faults.check(pkt, offset); faulted {
-		l.stats.Dropped++
-		dh := n.DropHandler
-		s.mu.Unlock()
-		if dh != nil {
-			dh(pkt, cause.Error())
-		}
+	if fault := n.transmit(pkt, []Addr{pkt.To}); fault != nil {
 		// %w keeps the typed cause (ErrHostDown, ErrPartitioned, ...)
 		// reachable through errors.Is.
-		return fmt.Errorf("netsim: fault drop %s→%s: %w", pkt.From, pkt.To, cause)
-	}
-
-	var arrival, dupArrival time.Time
-	dropCause := "egress overflow"
-	if egressStart, overflow := s.egressLocked(&pkt, now); !overflow {
-		arrival, dupArrival, dropCause = n.linkPlanLocked(s, l, &pkt, now, offset, egressStart)
-	}
-	if dropCause != "" {
-		l.stats.Dropped++
-		dh := n.DropHandler
-		s.mu.Unlock()
-		if dh != nil {
-			dh(pkt, dropCause)
-		}
-		return nil
-	}
-	s.mu.Unlock()
-
-	// Delivery is deferred (and possibly duplicated), but the caller owns
-	// pkt.Payload again as soon as Send returns: copy-on-enqueue into a
-	// pooled buffer, released after the last delivery fires.
-	pb := payloadPool.Get(len(pkt.Payload))
-	copy(pb.B, pkt.Payload)
-	pkt.Payload = pb.B
-	remaining := new(int32)
-	*remaining = 1
-	if !dupArrival.IsZero() {
-		*remaining = 2
-	}
-	n.scheduleDelivery(src, pkt, now, arrival, pb, remaining)
-	if !dupArrival.IsZero() {
-		n.scheduleDelivery(src, pkt, now, dupArrival, pb, remaining)
+		return fmt.Errorf("netsim: fault drop %s→%s: %w", pkt.From, pkt.To, fault)
 	}
 	return nil
 }
 
-// multiDrop records one destination's drop decision so the DropHandler can
-// run after the shard lock is released.
-type multiDrop struct {
-	to    Addr
-	cause string
-}
-
 // SendMulti implements MultiSender: one packet, many destinations, one
-// pooled payload copy shared by every scheduled delivery (refcounted exactly
-// like Send's dup deliveries). The sending host's egress serializer is
-// charged for a single transmission — the multicast model: fanning a hot
-// flow out to N subscribers does not multiply the server's uplink load —
-// while each destination's link still makes its own serialization, loss,
-// jitter and fault decisions. Per-destination failures (faults, tail drops,
-// stochastic loss) never fail the batch; like stochastic loss in Send, they
-// return nil. Every link leaving the sending host lives on the sending
-// host's shard, so the whole fan-out plan is computed under that single
-// shard lock; deliveries then spread to each destination's own shard.
+// transmission. The sending host's egress serializer is charged once — the
+// multicast model: fanning a hot flow out to N subscribers does not multiply
+// the server's uplink load — while each destination's link still makes its
+// own serialization, loss, jitter and fault decisions. Per-destination
+// failures never fail the batch; like stochastic loss in Send, they return
+// nil. An empty destination list sends nothing.
 func (n *Network) SendMulti(pkt Packet, tos []Addr) error {
-	if len(tos) == 0 {
-		return nil
-	}
-	src := n.shardIdx(pkt.From.Host())
-	s := n.shards[src]
-	pkt.SentAt = s.clk.Now()
-	if sn := n.Sniffer; sn != nil {
-		sn(pkt)
-	}
-	now := pkt.SentAt
-	type arrivalPlan struct {
-		to    Addr
-		at    time.Time
-		dupAt time.Time // zero = no duplicate
-	}
-	arrivals := make([]arrivalPlan, 0, len(tos))
-	var drops []multiDrop
-	s.mu.Lock()
-	offset := now.Sub(n.epoch)
-
-	// One egress serialization for the whole fan-out.
-	egressStart, egressOverflow := s.egressLocked(&pkt, now)
-
-	for _, to := range tos {
-		p := pkt
-		p.To = to
-		l := n.getLinkLocked(s, p.From.Host(), to.Host())
-		l.stats.Sent++
-		l.stats.Bytes += int64(p.Size())
-		if egressOverflow {
-			l.stats.Dropped++
-			drops = append(drops, multiDrop{to: to, cause: "egress overflow"})
-			continue
-		}
-		if cause, faulted := n.faults.check(p, offset); faulted {
-			l.stats.Dropped++
-			drops = append(drops, multiDrop{to: to, cause: cause.Error()})
-			continue
-		}
-		arrival, dupAt, dropCause := n.linkPlanLocked(s, l, &p, now, offset, egressStart)
-		if dropCause != "" {
-			l.stats.Dropped++
-			drops = append(drops, multiDrop{to: to, cause: dropCause})
-			continue
-		}
-		arrivals = append(arrivals, arrivalPlan{to: to, at: arrival, dupAt: dupAt})
-	}
-	s.mu.Unlock()
-
-	if dh := n.DropHandler; dh != nil {
-		for _, d := range drops {
-			p := pkt
-			p.To = d.to
-			dh(p, d.cause)
-		}
-	}
-	if len(arrivals) == 0 {
-		return nil
-	}
-
-	// One pooled copy backs every delivery of the fan-out; the refcount
-	// releases it after the last handler returns, exactly as Send does for
-	// its dup deliveries.
-	pb := payloadPool.Get(len(pkt.Payload))
-	copy(pb.B, pkt.Payload)
-	remaining := new(int32)
-	for _, a := range arrivals {
-		*remaining++
-		if !a.dupAt.IsZero() {
-			*remaining++
-		}
-	}
-	for _, a := range arrivals {
-		p := pkt
-		p.To = a.to
-		p.Payload = pb.B
-		n.scheduleDelivery(src, p, now, a.at, pb, remaining)
-		if !a.dupAt.IsZero() {
-			n.scheduleDelivery(src, p, now, a.dupAt, pb, remaining)
-		}
+	if len(tos) > 0 {
+		n.transmit(pkt, tos)
 	}
 	return nil
 }

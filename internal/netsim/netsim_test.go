@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/stats"
 )
 
 func newSim() (*clock.Virtual, *Network) {
@@ -160,13 +161,13 @@ func TestReliableLossIncreasesDelay(t *testing.T) {
 		clk := clock.NewSim()
 		net := New(clk, 7)
 		net.SetLink("a", "b", LinkConfig{Loss: loss, Delay: 40 * time.Millisecond})
-		net.Listen("b:1", func(Packet) {})
+		var delays stats.Sample
+		net.Listen("b:1", func(p Packet) { delays.AddDuration(clk.Since(p.SentAt)) })
 		for i := 0; i < 2000; i++ {
 			net.Send(Packet{From: "a:1", To: "b:1", Payload: []byte("x"), Reliable: true})
 			clk.RunUntilIdle()
 		}
-		st := net.Stats("a", "b")
-		return st.Delays.Mean()
+		return delays.Mean()
 	}
 	clean, lossy := mean(0), mean(0.2)
 	if lossy <= clean*1.1 {
@@ -178,16 +179,16 @@ func TestJitterSpreadsDelays(t *testing.T) {
 	clk := clock.NewSim()
 	net := New(clk, 3)
 	net.SetLink("a", "b", LinkConfig{Delay: 20 * time.Millisecond, Jitter: 100 * time.Millisecond})
-	net.Listen("b:1", func(Packet) {})
+	var delays stats.Sample
+	net.Listen("b:1", func(p Packet) { delays.AddDuration(clk.Since(p.SentAt)) })
 	for i := 0; i < 2000; i++ {
 		net.Send(Packet{From: "a:1", To: "b:1", Payload: []byte("x")})
 		clk.RunUntilIdle()
 	}
-	st := net.Stats("a", "b")
-	if st.Delays.Min() < 20 || st.Delays.Max() > 121 {
-		t.Fatalf("delays outside [20,120]ms: [%v,%v]", st.Delays.Min(), st.Delays.Max())
+	if delays.Min() < 20 || delays.Max() > 121 {
+		t.Fatalf("delays outside [20,120]ms: [%v,%v]", delays.Min(), delays.Max())
 	}
-	spread := st.Delays.Percentile(95) - st.Delays.Percentile(5)
+	spread := delays.Percentile(95) - delays.Percentile(5)
 	if spread < 60 {
 		t.Fatalf("jitter spread = %.1fms, want wide", spread)
 	}
@@ -311,7 +312,7 @@ func TestStatsDoesNotPerturbReplay(t *testing.T) {
 		net.SetDefaultLink(LinkConfig{Loss: 0.1, Jitter: 30 * time.Millisecond, QueueLimit: time.Hour})
 		net.Listen("b:1", func(Packet) {})
 		if peek {
-			if st := net.Stats("x", "y"); st.Sent != 0 || st.Delays.N() != 0 {
+			if st := net.Stats("x", "y"); st != (LinkStats{}) {
 				t.Fatalf("unknown pair reads %+v, want zero", st)
 			}
 		}

@@ -12,6 +12,7 @@ package playout
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -183,12 +184,14 @@ type streamState struct {
 	// holdTicks orders deliberate duplications (skew control on a leader).
 	holdTicks int
 	ticker    *clock.Timer
-	lateness  stats.Sample
-	plays     int
-	gaps      int
-	holds     int
-	drops     int
-	lateStill bool
+	// latenessSumMS and latenessMax summarize how late the plays were.
+	latenessSumMS float64
+	latenessMax   time.Duration
+	plays         int
+	gaps          int
+	holds         int
+	drops         int
+	lateStill     bool
 }
 
 // Player is the presentation scheduler.
@@ -201,12 +204,17 @@ type Player struct {
 	disp *Display
 	opts Options
 
-	origin    time.Time // wall instant of presentation time zero
-	started   bool
-	finished  bool
-	paused    bool
-	pausedAt  time.Duration
-	streams   map[string]*streamState
+	origin   time.Time // wall instant of presentation time zero
+	started  bool
+	finished bool
+	paused   bool
+	pausedAt time.Duration
+	streams  map[string]*streamState
+	// order holds the stream states in schedule order, groups the sync groups
+	// in name order: whatever arms timers or records events for several
+	// streams walks these, never a map, so one instant's events repeat.
+	order     []*streamState
+	groups    [][]*scenario.Stream
 	timers    []*clock.Timer
 	skewTimer *clock.Timer
 	linkFired bool
@@ -245,13 +253,19 @@ func New(clk clock.Clock, sc *scenario.Scenario, sch *scenario.Schedule, bufs *b
 		if b != nil {
 			interval = b.FrameInterval
 		}
-		p.streams[e.Stream.ID] = &streamState{
+		s := &streamState{
 			entry:    e,
 			buf:      b,
 			interval: interval,
 			still:    !e.Stream.Type.TimeSensitive(),
 		}
+		p.streams[e.Stream.ID] = s
+		p.order = append(p.order, s)
 	}
+	for _, members := range sc.SyncGroups() {
+		p.groups = append(p.groups, members)
+	}
+	sort.Slice(p.groups, func(i, j int) bool { return p.groups[i][0].SyncGroup < p.groups[j][0].SyncGroup })
 	return p
 }
 
@@ -289,7 +303,7 @@ func (p *Player) Start() {
 
 // armAllLocked schedules every pending timer from presentation time from.
 func (p *Player) armAllLocked(from time.Duration) {
-	for _, s := range p.streams {
+	for _, s := range p.order {
 		p.armStreamLocked(s, from)
 	}
 	if p.sch.HasLinkAt && !p.linkFired && p.sch.LinkAt >= from {
@@ -376,7 +390,8 @@ func (p *Player) playStill(id string) {
 			late = 0
 		}
 		s.plays++
-		s.lateness.AddDuration(late)
+		s.latenessSumMS += float64(late) / float64(time.Millisecond)
+		s.latenessMax = max(s.latenessMax, late)
 		p.mPlays.Inc()
 		p.hLateness.Observe(late)
 		p.disp.Record(Event{At: at, StreamID: id, Kind: EvPlay, Frame: it.Frame, Lateness: late})
@@ -423,7 +438,8 @@ func (p *Player) tick(id string) {
 				late = 0
 			}
 			s.plays++
-			s.lateness.AddDuration(late)
+			s.latenessSumMS += float64(late) / float64(time.Millisecond)
+			s.latenessMax = max(s.latenessMax, late)
 			s.mediaPos = it.Frame.PTS + s.interval
 			p.mPlays.Inc()
 			p.hLateness.Observe(late)
@@ -493,10 +509,11 @@ func (p *Player) skewCheck() {
 	}
 	now := p.now()
 	if p.opts.EnableWatermarkControl {
-		for id, s := range p.streams {
+		for _, s := range p.order {
 			if s.still || !s.started || s.done || s.buf == nil {
 				continue
 			}
+			id := s.entry.Stream.ID
 			if s.buf.AboveHigh() {
 				// Trim the stale backlog behind the playout position,
 				// never future frames: high occupancy from pre-rolled
@@ -519,8 +536,8 @@ func (p *Player) skewCheck() {
 			}
 		}
 	}
-	for group, members := range p.sc.SyncGroups() {
-		p.controlGroupLocked(group, members, now)
+	for _, members := range p.groups {
+		p.controlGroupLocked(members[0].SyncGroup, members, now)
 	}
 	p.skewTimer = p.clk.AfterFunc(p.opts.SkewCheckInterval, p.skewCheck)
 	p.mu.Unlock()
@@ -633,13 +650,11 @@ func (p *Player) Finish() {
 	p.finished = true
 	now := p.now()
 	p.cancelTimersLocked()
-	for id, s := range p.streams {
+	for _, s := range p.order {
 		if s.started && !s.done {
-			s.done = true
-			p.disp.Record(Event{At: now, StreamID: id, Kind: EvStop})
-		} else {
-			s.done = true
+			p.disp.Record(Event{At: now, StreamID: s.entry.Stream.ID, Kind: EvStop})
 		}
+		s.done = true
 	}
 	p.mu.Unlock()
 }
@@ -660,7 +675,7 @@ func (p *Player) cancelTimersLocked() {
 		p.skewTimer.Stop()
 		p.skewTimer = nil
 	}
-	for _, s := range p.streams {
+	for _, s := range p.order {
 		if s.ticker != nil {
 			s.ticker.Stop()
 			s.ticker = nil
@@ -716,8 +731,8 @@ func (p *Player) Report() Report {
 			Gaps:           s.gaps,
 			Holds:          s.holds,
 			Drops:          s.drops,
-			MeanLatenessMS: s.lateness.Mean(),
-			MaxLatenessMS:  s.lateness.Max(),
+			MeanLatenessMS: s.latenessSumMS / float64(max(s.plays, 1)),
+			MaxLatenessMS:  float64(s.latenessMax) / float64(time.Millisecond),
 			Expected:       expected,
 		}
 	}

@@ -20,6 +20,10 @@ import (
 	"repro/internal/qos"
 )
 
+// ControlPort is the well-known control port of every multimedia server: the
+// one address a browser knows before it has spoken to anyone.
+const ControlPort = 5000
+
 // MsgType tags each control message.
 type MsgType byte
 

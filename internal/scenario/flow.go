@@ -122,38 +122,3 @@ func BuildFlow(sc *Scenario, opts FlowOptions) []*FlowSpec {
 	})
 	return out
 }
-
-// PeakBandwidth returns the maximum aggregate nominal rate (bits/s) of
-// simultaneously transmitting streams under the flow scenario, evaluated at
-// every send-start boundary. Stills count over [SendAt, Start); streams over
-// [SendAt, End).
-func PeakBandwidth(flows []*FlowSpec) float64 {
-	var marks []time.Duration
-	seen := make(map[time.Duration]bool, len(flows))
-	for _, f := range flows {
-		if !seen[f.SendAt] {
-			seen[f.SendAt] = true
-			marks = append(marks, f.SendAt)
-		}
-	}
-	peak := 0.0
-	for _, m := range marks {
-		sum := 0.0
-		for _, f := range flows {
-			end := f.Stream.End()
-			if !f.Stream.Type.TimeSensitive() {
-				end = f.Stream.Start
-				if end <= f.SendAt {
-					end = f.SendAt + time.Millisecond
-				}
-			}
-			if m >= f.SendAt && m < end {
-				sum += f.Rate
-			}
-		}
-		if sum > peak {
-			peak = sum
-		}
-	}
-	return peak
-}

@@ -7,7 +7,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/hml"
@@ -306,30 +305,4 @@ func (sc *Scenario) ActiveAt(t time.Duration) []*Stream {
 		}
 	}
 	return out
-}
-
-// PeakConcurrency returns the maximum number of simultaneously active timed
-// streams over the scenario, evaluated at every start/end boundary.
-func (sc *Scenario) PeakConcurrency() int {
-	var marks []time.Duration
-	for _, s := range sc.TimedStreams() {
-		marks = append(marks, s.Start)
-		if s.Duration > 0 {
-			marks = append(marks, s.End()-time.Nanosecond)
-		}
-	}
-	sort.Slice(marks, func(i, j int) bool { return marks[i] < marks[j] })
-	peak := 0
-	for _, m := range marks {
-		n := 0
-		for _, s := range sc.TimedStreams() {
-			if s.ActiveAt(m) {
-				n++
-			}
-		}
-		if n > peak {
-			peak = n
-		}
-	}
-	return peak
 }

@@ -99,14 +99,6 @@ func TestNextTimedLink(t *testing.T) {
 	}
 }
 
-func TestPeakConcurrency(t *testing.T) {
-	sc := fig2(t)
-	// At t=10s: I2 active (8–18), A1 and V active (10–22) → 3.
-	if got := sc.PeakConcurrency(); got != 3 {
-		t.Fatalf("PeakConcurrency = %d, want 3", got)
-	}
-}
-
 func TestActiveAtBoundaries(t *testing.T) {
 	sc := fig2(t)
 	at10 := sc.ActiveAt(10 * time.Second)
@@ -160,14 +152,6 @@ func TestSchedulePeers(t *testing.T) {
 	}
 	if sch.Entry("nope") != nil {
 		t.Fatal("phantom entry")
-	}
-}
-
-func TestScheduleDueBy(t *testing.T) {
-	sch := BuildSchedule(fig2(t))
-	due := sch.DueBy(9 * time.Second)
-	if len(due) != 2 { // I1 (0) and I2 (8)
-		t.Fatalf("DueBy(9s) = %d entries", len(due))
 	}
 }
 
@@ -251,32 +235,6 @@ func TestBuildFlowStillAccounting(t *testing.T) {
 			t.Fatalf("%s rate = %v, want %v (size %v bits over %v lead)",
 				f.Stream.ID, f.Rate, want, totalBits, lead)
 		}
-	}
-}
-
-// PeakBandwidth must not double-count boundaries where several flows start at
-// the same instant: duplicate marks are harmless for the max but wasteful,
-// and deduping keeps the evaluation O(unique boundaries).
-func TestPeakBandwidthDedupedMarks(t *testing.T) {
-	mk := func(id string, rate float64) *FlowSpec {
-		return &FlowSpec{
-			Stream: &Stream{ID: id, Type: TypeAudio, Start: time.Second, Duration: 10 * time.Second},
-			SendAt: 0, Rate: rate,
-		}
-	}
-	flows := []*FlowSpec{mk("a", 100), mk("b", 200), mk("c", 300)}
-	if got := PeakBandwidth(flows); got != 600 {
-		t.Fatalf("peak = %v, want 600", got)
-	}
-}
-
-func TestPeakBandwidth(t *testing.T) {
-	sc := fig2(t)
-	flows := BuildFlow(sc, FlowOptions{PreRoll: 2 * time.Second})
-	peak := PeakBandwidth(flows)
-	// A1+V overlap: ≥ 1.564 Mb/s.
-	if peak < 1_564_000 {
-		t.Fatalf("peak = %v, want ≥ 1.564 Mb/s", peak)
 	}
 }
 

@@ -80,17 +80,6 @@ func (sch *Schedule) Entry(id string) *Entry {
 	return nil
 }
 
-// DueBy returns the entries whose playout deadline is ≤ t, in order.
-func (sch *Schedule) DueBy(t time.Duration) []*Entry {
-	var out []*Entry
-	for _, e := range sch.Entries {
-		if e.PlayAt <= t {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Validate checks schedule invariants: entries sorted by deadline, sync
 // peers symmetric and co-timed.
 func (sch *Schedule) Validate() error {

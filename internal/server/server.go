@@ -17,7 +17,7 @@ import (
 )
 
 // ControlPort is the well-known control port of every multimedia server.
-const ControlPort = 5000
+const ControlPort = protocol.ControlPort
 
 // mediaPort is the source port media senders transmit from.
 const mediaPort = 5001

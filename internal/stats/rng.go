@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random generator
 // (SplitMix64-seeded xorshift*), used by the network simulator and workload
 // generators so every experiment run is reproducible from its seed without
@@ -59,26 +57,6 @@ func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
 // Uniform returns a uniform value in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*r.Float64() }
-
-// Norm returns a normally distributed value with the given mean and standard
-// deviation (Box–Muller transform).
-func (r *RNG) Norm(mean, std float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return mean + std*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
-}
-
-// Exp returns an exponentially distributed value with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
 
 // Split derives an independent generator, useful for giving each simulated
 // link or workload its own stream while preserving reproducibility.

@@ -1,7 +1,7 @@
 // Package stats provides the small measurement toolkit used by the
-// experiment harness and the hot paths: Sample (exact or reservoir-bounded
-// percentiles, for experiments), DurationHistogram (lock-free fixed buckets,
-// for the hot path), time series, counters, a seeded RNG and plain-text table
+// experiment harness and the hot paths: Sample (exact percentiles, for
+// experiments and tests), DurationHistogram (lock-free fixed buckets, for the
+// hot path), time series, counters, a seeded RNG and plain-text table
 // rendering.
 //
 // Everything here is deliberately dependency-free and deterministic so that
@@ -16,51 +16,16 @@ import (
 	"time"
 )
 
-// Sample retains observations for percentile queries. By default it keeps
-// every observation (exact percentiles, O(N) memory). Reservoir switches it
-// to a fixed-capacity uniform reservoir (Vitter's Algorithm R): memory is
-// bounded at the cap while percentiles remain an unbiased estimate of the
-// full stream — the mode the network simulator uses for per-link delay
-// records, where a 100k-client run would otherwise retain one float per
-// packet forever.
+// Sample retains every observation for exact percentile queries (O(N)
+// memory): the tool of experiments and tests. Hot paths that must not grow
+// use DurationHistogram.
 type Sample struct {
 	xs     []float64
 	sorted bool
-	// Reservoir mode: cap > 0 bounds len(xs); seen counts every observation
-	// ever offered; rng drives the replacement draws deterministically.
-	cap  int
-	seen int
-	rng  *RNG
-}
-
-// Reservoir switches the sample (which must still be empty) to fixed-cap
-// reservoir mode. The RNG makes replacement deterministic per seed; a nil
-// rng gets a fixed-seed generator.
-func (s *Sample) Reservoir(cap int, rng *RNG) {
-	if len(s.xs) > 0 {
-		panic("stats: Reservoir must be set before observations arrive")
-	}
-	if cap < 1 {
-		cap = 1
-	}
-	if rng == nil {
-		rng = NewRNG(0x5eed)
-	}
-	s.cap, s.rng = cap, rng
 }
 
 // Add records one observation.
 func (s *Sample) Add(x float64) {
-	s.seen++
-	if s.cap > 0 && len(s.xs) >= s.cap {
-		// Keep each of the seen observations with equal probability cap/seen
-		// by overwriting a uniformly chosen slot (Algorithm R).
-		if j := s.rng.Intn(s.seen); j < s.cap {
-			s.xs[j] = x
-			s.sorted = false
-		}
-		return
-	}
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }
@@ -68,22 +33,8 @@ func (s *Sample) Add(x float64) {
 // AddDuration records a duration observation in milliseconds.
 func (s *Sample) AddDuration(d time.Duration) { s.Add(float64(d) / float64(time.Millisecond)) }
 
-// N returns the number of observations offered (not the number retained;
-// the two differ only once a reservoir overflows its cap).
-func (s *Sample) N() int { return s.seen }
-
-// Retained returns the number of observations currently held.
-func (s *Sample) Retained() int { return len(s.xs) }
-
-// Clone returns an independent copy safe to sort and query while the
-// original keeps accumulating.
-func (s *Sample) Clone() Sample {
-	out := *s
-	out.xs = append([]float64(nil), s.xs...)
-	out.rng = nil
-	out.cap = 0
-	return out
-}
+// N returns the number of observations.
+func (s *Sample) N() int { return len(s.xs) }
 
 // Mean returns the arithmetic mean (0 when empty).
 func (s *Sample) Mean() float64 {
