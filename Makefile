@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos bench-dataplane bench-controlplane bench-netsim bench-check digests size
+.PHONY: check fmt vet build test race chaos bench-dataplane bench-controlplane bench-check digests size
 
 # The full gate: everything below except chaos, digests, size and the bench-* generators.
 check: fmt vet build test race bench-check
@@ -34,11 +34,6 @@ bench-dataplane:
 # Connect storms, heartbeats and timer-wheel sweep cost at 1k/10k/100k sessions. Prints only; its invariants are tests in internal/server, the numbers of record are bench/'s connect_storm workload.
 bench-controlplane:
 	$(GO) test -bench BenchmarkControlPlane -benchmem -benchtime 1x -run '^$$' ./internal/server/
-
-# Sharded simulator packet mill, determinism cross-check and 100k-client storm (experiment E15; gates: experiments.NetsimReport.check). Prints only.
-bench-netsim:
-	$(GO) test -bench BenchmarkVirtualRun -benchmem -run '^$$' ./internal/clock/
-	$(GO) run ./cmd/experiments -only E15
 
 # Vets and tests the end-to-end benchmark under bench/, a module of its own that ./... does not reach.
 bench-check:

@@ -184,11 +184,6 @@ func (v *Virtual) AfterFunc(d time.Duration, fn func()) *Timer {
 	return t
 }
 
-// At schedules fn at absolute instant t (clamped to now when in the past).
-func (v *Virtual) At(t time.Time, fn func()) *Timer {
-	return v.AfterFunc(t.Sub(v.Now()), fn)
-}
-
 // fireNext is the one firing step every driver is built on. It fires the
 // earliest pending timer whose deadline is not after limit (a zero limit
 // admits any deadline), advancing time to that deadline, and reports true.
@@ -238,17 +233,6 @@ func (v *Virtual) RunFor(d time.Duration) int { return v.Run(v.Now().Add(d)) }
 // until the queue drains, then returns the number fired.
 func (v *Virtual) RunUntilIdle() int { return v.Run(time.Time{}) }
 
-// NextDeadline reports the earliest pending timer deadline, and false when no
-// timer is pending.
-func (v *Virtual) NextDeadline() (time.Time, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if len(v.events) == 0 {
-		return time.Time{}, false
-	}
-	return v.events[0].at, true
-}
-
 // Pending reports the number of scheduled, unfired timers.
 func (v *Virtual) Pending() int {
 	v.mu.Lock()
@@ -257,8 +241,6 @@ func (v *Virtual) Pending() int {
 }
 
 // FiredCount reports the lifetime number of events this clock has fired.
-// The sharded driver uses deltas of this counter to report how many events a
-// window ran without instrumenting the callbacks themselves.
 func (v *Virtual) FiredCount() uint64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()

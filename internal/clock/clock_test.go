@@ -197,29 +197,6 @@ func TestStepAdvancesOneEvent(t *testing.T) {
 	}
 }
 
-func TestNextDeadline(t *testing.T) {
-	v := NewSim()
-	if _, ok := v.NextDeadline(); ok {
-		t.Fatal("NextDeadline reported a deadline on an empty clock")
-	}
-	v.AfterFunc(7*time.Second, func() {})
-	v.AfterFunc(2*time.Second, func() {})
-	d, ok := v.NextDeadline()
-	if !ok || !d.Equal(Epoch.Add(2*time.Second)) {
-		t.Fatalf("NextDeadline = %v,%v; want %v,true", d, ok, Epoch.Add(2*time.Second))
-	}
-}
-
-func TestAtSchedulesAbsolute(t *testing.T) {
-	v := NewSim()
-	var fired time.Time
-	v.At(Epoch.Add(42*time.Second), func() { fired = v.Now() })
-	v.RunUntilIdle()
-	if !fired.Equal(Epoch.Add(42 * time.Second)) {
-		t.Fatalf("fired at %v, want Epoch+42s", fired)
-	}
-}
-
 func TestWallClockBasics(t *testing.T) {
 	w := NewWall()
 	before := time.Now()

@@ -9,19 +9,17 @@ import (
 	"repro/internal/clock"
 )
 
-// The churn test's four host groups: group g's server and client both live
-// on shard g, which the host name's second byte spells out.
-func churnServer(g int) string     { return fmt.Sprintf("g%d-srv", g) }
-func churnClient(g int) string     { return fmt.Sprintf("g%d-cli", g) }
-func churnShardOf(host string) int { return int(host[1] - '0') }
+// The churn test's four host groups: client g sends to server g+1.
+func churnServer(g int) string { return fmt.Sprintf("g%d-srv", g) }
+func churnClient(g int) string { return fmt.Sprintf("g%d-cli", g) }
 
-// TestShardChurnStressRace hammers a running sharded network with the
-// dynamic control surface — fault flips, one-shot drops, stats snapshots,
-// link edits — from racing goroutines. It asserts nothing beyond survival;
-// its job is to give the -race gate (make race) something to bite on.
-func TestShardChurnStressRace(t *testing.T) {
-	sv := clock.NewShardedSim(4, 2*time.Millisecond)
-	n := NewSharded(sv, 99, churnShardOf)
+// TestChurnStressRace hammers a running network with the dynamic control
+// surface — fault flips, one-shot drops, stats snapshots — from racing
+// goroutines. It asserts nothing beyond survival; its job is to give the
+// -race gate (make race) something to bite on.
+func TestChurnStressRace(t *testing.T) {
+	clk := clock.NewSim()
+	n := New(clk, 99)
 	n.SetDefaultLink(LinkConfig{Delay: 2 * time.Millisecond, Loss: 0.01})
 	for g := 0; g < 4; g++ {
 		n.Listen(Addr(churnServer(g)+":1"), func(Packet) {})
@@ -29,13 +27,12 @@ func TestShardChurnStressRace(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		g := g
 		host := churnClient(g)
-		shard := sv.Shard(g)
 		var tick func()
 		tick = func() {
 			n.Send(Packet{From: Addr(host + ":2"), To: Addr(churnServer((g+1)%4) + ":1"), Payload: []byte("x")})
-			shard.AfterFunc(500*time.Microsecond, tick)
+			clk.AfterFunc(500*time.Microsecond, tick)
 		}
-		shard.AfterFunc(time.Millisecond, tick)
+		clk.AfterFunc(time.Millisecond, tick)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -67,12 +64,12 @@ func TestShardChurnStressRace(t *testing.T) {
 		}()
 	}
 	for r := 0; r < 40; r++ {
-		sv.RunFor(5 * time.Millisecond)
+		clk.RunFor(5 * time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
 	for g := 0; g < 4; g++ {
 		n.SetHostDown(churnClient(g), false)
 	}
-	sv.RunFor(20 * time.Millisecond)
+	clk.RunFor(20 * time.Millisecond)
 }

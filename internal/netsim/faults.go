@@ -9,17 +9,11 @@
 // (the clock time at New), the same convention as Phase, so a run is fully
 // determined by the seed and the fault schedule.
 //
-// Fault state is global to the network — a partition spans two shards by
-// nature — so it lives behind its own small lock rather than any shard's.
-// An atomic fault-count keeps the fault-free hot path lock-free: when no
-// fault of any kind is registered, check returns without touching the
-// mutex, so sharded senders never serialize on it. Scheduled windows
-// (AddPartition, AddOutage) are deterministic under sharding because they
-// are pure functions of the epoch offset; dynamic flips (SetHostDown,
-// DropNext) issued from outside the simulation while shards are running are
-// race-safe but land at a nondeterministic window boundary — drive them
-// from simulated events (timers on a shard clock) when replay fidelity
-// matters.
+// Fault state lives behind its own small lock, with an atomic fault count
+// in front of it: when no fault of any kind is registered, check returns
+// without touching the mutex. Dynamic flips (SetHostDown, DropNext) are
+// race-safe from any goroutine; drive them from timers on the network's
+// clock when replay fidelity matters.
 package netsim
 
 import (

@@ -11,26 +11,9 @@
 //
 // The simulator is driven by a clock.Clock: with a clock.Virtual it forms a
 // discrete-event simulation, with clock.Wall it delays packets in real time.
-//
-// # Sharding
-//
-// New builds the classic single-partition network: one lock, one RNG, one
-// event stream — every existing pinned-seed scenario replays exactly as
-// before. NewSharded partitions the network across a clock.ShardedVirtual:
-// every host is owned by one shard (the shardOf assignment), and all state a
-// transmission touches on the hot path — the from→to links, the sender's
-// egress serializer, the shard RNG — lives with the *sending* host's shard,
-// guarded by that shard's own mutex, so traffic between hosts of one shard
-// never takes a cross-shard lock at all. A packet whose destination lives on
-// another shard is handed to the driver's cross-shard mailbox and
-// delivered at the destination's next safe window; the conservative
-// lookahead makes that handoff always land in the destination's future, and
-// cross-shard links are clamped to at least the lookahead of propagation
-// delay to guarantee it. Per-shard RNG streams are derived as
-// seed^hash(shard), so a given seed plus a given shard assignment replays
-// byte-identically regardless of GOMAXPROCS; each shard also folds every
-// delivery into a digest that the determinism tests and experiment E15
-// compare across runs.
+// A Network is one lock, one RNG and one event stream: a seed plus a fault
+// schedule replays identically, and every delivery is folded into
+// DeliveryDigest, the fingerprint the replay tests compare across runs.
 //
 // # One send path
 //
@@ -244,63 +227,45 @@ type egress struct {
 	nextFree   time.Time
 }
 
-// netShard is one partition of the simulated network: every host assigned
-// to it, every link leaving those hosts, their shared egress serializers,
-// the endpoints listening on them, and the shard's own RNG stream. The
-// shard's mutex is the only lock the intra-shard hot path takes, and under
-// the sharded driver it is effectively uncontended: all of the shard's
-// events run on the shard's own worker.
-type netShard struct {
-	id  int
-	clk clock.Clock
+// Network is the simulated network: a set of host-pair links, per-host
+// egress serializers and registered endpoints, all guarded by mu.
+type Network struct {
+	clk   clock.Clock
+	epoch time.Time
 
 	mu        sync.Mutex
 	rng       *stats.RNG
-	links     map[linkKey]*link // links leaving this shard's hosts
+	links     map[linkKey]*link
 	egresses  map[string]*egress
 	endpoints map[Addr]Handler
 	defaults  LinkConfig
 
-	// delivered and digest fold every packet delivery on this shard into a
-	// replay fingerprint: the determinism gate compares them across
-	// GOMAXPROCS settings and reruns.
+	// delivered and digest fold every packet delivery into the replay
+	// fingerprint DeliveryDigest returns.
 	delivered int64
 	digest    uint64
-}
 
-// Network is the simulated network: a set of host-pair links and registered
-// endpoints, partitioned across one or more shards.
-type Network struct {
-	sv      *clock.ShardedVirtual // nil = single-partition mode
-	shardOf func(string) int      // nil = everything on shard 0
-	shards  []*netShard
-	epoch   time.Time
-
-	// DropHandler, when set, observes every dropped unreliable packet.
-	// Set it before traffic starts; it is read without synchronization on
-	// the hot path.
+	// DropHandler, when set, observes every packet the network refuses at
+	// Send time, with the cause: an injected fault (which kills reliable and
+	// unreliable packets alike), or egress overflow, queue overflow or loss
+	// (unreliable packets only). Set it before traffic starts; it is read
+	// without synchronization on the hot path.
 	DropHandler func(Packet, string)
 	// Sniffer, when set, observes every packet at Send time (before any
 	// loss decision); used for protocol-stack byte accounting.
 	Sniffer func(Packet)
-	// Fault-injection state (see faults.go): schedules are global (a
-	// partition spans two shards by nature), guarded by their own lock with
+	// Fault-injection state (see faults.go), guarded by its own lock with
 	// an atomic zero-faults fast path so fault-free traffic never touches
 	// it. Windows are offsets from the network's epoch, so a given seed
 	// plus a given fault schedule replays identically.
 	faults faultState
 }
 
-// New creates a single-partition network on the given clock. seed drives
-// all randomness.
+// New creates a network on the given clock. seed drives all randomness.
 func New(clk clock.Clock, seed uint64) *Network {
-	return &Network{epoch: clk.Now(), shards: []*netShard{newShard(0, clk, seed)}}
-}
-
-func newShard(id int, clk clock.Clock, seed uint64) *netShard {
-	return &netShard{
-		id:        id,
+	return &Network{
 		clk:       clk,
+		epoch:     clk.Now(),
 		rng:       stats.NewRNG(seed),
 		links:     map[linkKey]*link{},
 		egresses:  map[string]*egress{},
@@ -309,78 +274,36 @@ func newShard(id int, clk clock.Clock, seed uint64) *netShard {
 	}
 }
 
-// NewSharded creates a network partitioned across the driver's shards.
-// shardOf assigns each host to its owning shard (it must be a pure function
-// of the host name so replays agree); nil assigns everything to shard 0.
-// Shard s draws from the RNG stream seed^hash(s) — with one shard the plain
-// seed is kept, so a 1-shard NewSharded reproduces New exactly.
-func NewSharded(sv *clock.ShardedVirtual, seed uint64, shardOf func(host string) int) *Network {
-	k := sv.Shards()
-	n := &Network{
-		sv:      sv,
-		shardOf: shardOf,
-		epoch:   sv.Now(),
-		shards:  make([]*netShard, k),
-	}
-	for i := 0; i < k; i++ {
-		shardSeed := seed
-		if k > 1 {
-			shardSeed = seed ^ mix64(uint64(i)+1)
-		}
-		n.shards[i] = newShard(i, sv.Shard(i), shardSeed)
-	}
-	return n
-}
-
-// shardIdx maps a host to its owning shard index.
-func (n *Network) shardIdx(host string) int {
-	if n.shardOf == nil || len(n.shards) == 1 {
-		return 0
-	}
-	i := n.shardOf(host)
-	if i < 0 || i >= len(n.shards) {
-		i = ((i % len(n.shards)) + len(n.shards)) % len(n.shards)
-	}
-	return i
-}
-
-func (n *Network) shardFor(host string) *netShard { return n.shards[n.shardIdx(host)] }
-
 // SetEgressLimit caps a host's total outbound rate: every packet the host
 // sends, to any destination, passes one shared serializer before its link.
 // A zero queueLimit defaults to 500ms of backlog (tail drop beyond it for
 // unreliable packets).
 func (n *Network) SetEgressLimit(host string, bps float64, queueLimit time.Duration) {
-	s := n.shardFor(host)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if bps <= 0 {
-		delete(s.egresses, host)
+		delete(n.egresses, host)
 		return
 	}
 	if queueLimit <= 0 {
 		queueLimit = 500 * time.Millisecond
 	}
-	s.egresses[host] = &egress{rate: bps, queueLimit: queueLimit}
+	n.egresses[host] = &egress{rate: bps, queueLimit: queueLimit}
 }
 
 // SetDefaultLink sets the config used for host pairs without an explicit
 // link.
 func (n *Network) SetDefaultLink(cfg LinkConfig) {
-	for _, s := range n.shards {
-		s.mu.Lock()
-		s.defaults = cfg
-		s.mu.Unlock()
-	}
+	n.mu.Lock()
+	n.defaults = cfg
+	n.mu.Unlock()
 }
 
 // SetLink configures the directed link from one host to another.
 func (n *Network) SetLink(from, to string, cfg LinkConfig) {
-	s := n.shardFor(from)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l := n.getLinkLocked(s, from, to)
-	l.cfg = n.clampCross(from, to, cfg)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.getLinkLocked(from, to).cfg = cfg
 }
 
 // SetDuplexLink configures both directions identically.
@@ -391,41 +314,26 @@ func (n *Network) SetDuplexLink(a, b string, cfg LinkConfig) {
 
 // AddPhase appends a congestion phase to the directed link.
 func (n *Network) AddPhase(from, to string, p Phase) {
-	s := n.shardFor(from)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l := n.getLinkLocked(s, from, to)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	l := n.getLinkLocked(from, to)
 	l.phases = append(l.phases, p)
 	sort.SliceStable(l.phases, func(i, j int) bool { return l.phases[i].Start < l.phases[j].Start })
 }
 
-// clampCross enforces the conservative-lookahead contract on cross-shard
-// links: their propagation delay is raised to at least the driver's
-// lookahead, so a cross-shard packet always arrives after the destination
-// shard's current window. Intra-shard links are untouched.
-func (n *Network) clampCross(from, to string, cfg LinkConfig) LinkConfig {
-	if n.shardIdx(from) == n.shardIdx(to) {
-		return cfg
-	}
-	if la := n.sv.Lookahead(); cfg.Delay < la {
-		cfg.Delay = la
-	}
-	return cfg
-}
-
-// linkKey names a pair of hosts: the directed link from→to in its sending
-// shard's links map, the ordered pair of a partition in the fault schedule.
+// linkKey names a pair of hosts: the directed link from→to in the links map,
+// the ordered pair of a partition in the fault schedule.
 type linkKey struct{ from, to string }
 
 // getLinkLocked returns (creating on demand) the directed link. Caller
-// holds s.mu, where s owns the sending host. A new link splits its RNG from
-// the shard stream — creation order is part of the replay.
-func (n *Network) getLinkLocked(s *netShard, from, to string) *link {
+// holds n.mu. A new link splits its RNG from the network's stream —
+// creation order is part of the replay.
+func (n *Network) getLinkLocked(from, to string) *link {
 	key := linkKey{from, to}
-	l, ok := s.links[key]
+	l, ok := n.links[key]
 	if !ok {
-		l = &link{cfg: n.clampCross(from, to, s.defaults), rng: s.rng.Split()}
-		s.links[key] = l
+		l = &link{cfg: n.defaults, rng: n.rng.Split()}
+		n.links[key] = l
 	}
 	return l
 }
@@ -434,57 +342,48 @@ func (n *Network) getLinkLocked(s *netShard, from, to string) *link {
 // previous handler. A nil handler unregisters. The simulated network can
 // always bind, so the error is always nil.
 func (n *Network) Listen(addr Addr, h Handler) error {
-	s := n.shardFor(addr.Host())
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if h == nil {
-		delete(s.endpoints, addr)
+		delete(n.endpoints, addr)
 		return nil
 	}
-	s.endpoints[addr] = h
+	n.endpoints[addr] = h
 	return nil
 }
 
 // Stats returns a snapshot of the directed link's counters. A pair that has
 // no link yet reads as zero and stays absent: creating the link here would
-// split the shard RNG and shift every later loss and jitter draw.
+// split the network's RNG and shift every later loss and jitter draw.
 func (n *Network) Stats(from, to string) LinkStats {
-	s := n.shardFor(from)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if l, ok := s.links[linkKey{from, to}]; ok {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if l, ok := n.links[linkKey{from, to}]; ok {
 		return l.stats
 	}
 	return LinkStats{}
 }
 
-// Totals aggregates sent/delivered/dropped/bytes over every link in every
-// shard — the harness-facing roll-up.
+// Totals aggregates sent/delivered/dropped/bytes over every link — the
+// harness-facing roll-up.
 func (n *Network) Totals() (sent, delivered, dropped int, bytes int64) {
-	for _, s := range n.shards {
-		s.mu.Lock()
-		for _, l := range s.links {
-			sent += l.stats.Sent
-			delivered += l.stats.Delivered
-			dropped += l.stats.Dropped
-			bytes += l.stats.Bytes
-		}
-		s.mu.Unlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, l := range n.links {
+		sent += l.stats.Sent
+		delivered += l.stats.Delivered
+		dropped += l.stats.Dropped
+		bytes += l.stats.Bytes
 	}
 	return
 }
 
-// DeliveryDigest folds every shard's replay digest and delivered-packet
-// count (in shard order) into one fingerprint for the whole network.
+// DeliveryDigest folds the running delivery digest and the delivered-packet
+// count into one replay fingerprint for the whole network.
 func (n *Network) DeliveryDigest() uint64 {
-	d := uint64(fnvOffset)
-	for _, s := range n.shards {
-		s.mu.Lock()
-		d = fnvMix(d, s.digest)
-		d = fnvMix(d, uint64(s.delivered))
-		s.mu.Unlock()
-	}
-	return d
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return fnvMix(fnvMix(fnvOffset, n.digest), uint64(n.delivered))
 }
 
 // activePhase returns the multipliers in effect at offset t.
@@ -509,10 +408,8 @@ func (l *link) activePhase(t time.Duration) (lossF float64, extraD, extraJ time.
 // delay machinery: egress and link serialization, tail drop, stochastic and
 // bursty loss, jitter, reliable-path retransmission and ordering. It
 // returns the arrival time, an optional duplicate arrival, and a drop
-// cause ("" = delivered). Caller holds the sending shard's mutex; all
-// mutated state (egress serializer, link serializer, burst state, RNG,
-// stats) belongs to that shard.
-func (n *Network) linkPlanLocked(s *netShard, l *link, pkt *Packet, now time.Time, offset time.Duration, egressStart time.Time) (arrival, dupArrival time.Time, dropCause string) {
+// cause ("" = delivered). Caller holds n.mu.
+func (n *Network) linkPlanLocked(l *link, pkt *Packet, now time.Time, offset time.Duration, egressStart time.Time) (arrival, dupArrival time.Time, dropCause string) {
 	lossF, extraD, extraJ, bwF := l.activePhase(offset)
 
 	// Serialization: the link transmits one packet at a time.
@@ -593,9 +490,9 @@ func (n *Network) linkPlanLocked(s *netShard, l *link, pkt *Packet, now time.Tim
 // one queue everything the host sends shares: it returns when the packet has
 // left the host (now, for a host without an egress limit), or overflow when
 // an unreliable packet would wait longer than the queue limit, in which case
-// the serializer is not charged. Caller holds s.mu.
-func (s *netShard) egressLocked(host string, pkt *Packet, now time.Time) (start time.Time, overflow bool) {
-	eg, ok := s.egresses[host]
+// the serializer is not charged. Caller holds n.mu.
+func (n *Network) egressLocked(host string, pkt *Packet, now time.Time) (start time.Time, overflow bool) {
+	eg, ok := n.egresses[host]
 	if !ok {
 		return now, false
 	}
@@ -611,22 +508,19 @@ func (s *netShard) egressLocked(host string, pkt *Packet, now time.Time) (start 
 }
 
 // transmit is the one send path: pkt leaves its sender once and is offered to
-// every destination in tos, in order. Under the sending shard's lock — every
-// link leaving a host lives on that host's shard, so one lock covers the
-// whole plan — each destination's link counts the packet, an injected fault
-// may kill it, and the link plans its arrival (a duplicate is a second
-// arrival). The sender's egress serializer is charged once per transmission,
-// by the first destination no fault killed, so a fan-out whose every
-// destination is partitioned or down consumes no uplink. Refusals reach the
-// DropHandler after the lock is released; the accepted arrivals share one
-// pooled copy of the payload, which the last delivery releases. fault is the
-// injected fault that killed a destination, if any: Send, with its one
-// destination, is its reader.
+// every destination in tos, in order. Under the network's lock each
+// destination's link counts the packet, an injected fault may kill it, and
+// the link plans its arrival (a duplicate is a second arrival). The sender's
+// egress serializer is charged once per transmission, by the first
+// destination no fault killed, so a fan-out whose every destination is
+// partitioned or down consumes no uplink. Refusals reach the DropHandler
+// after the lock is released; the accepted arrivals share one pooled copy of
+// the payload, which the last delivery releases. fault is the injected fault
+// that killed a destination, if any: Send, with its one destination, is its
+// reader.
 func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
 	from := pkt.From.Host()
-	src := n.shardIdx(from)
-	s := n.shards[src]
-	now := s.clk.Now()
+	now := n.clk.Now()
 	pkt.SentAt = now
 	if sn := n.Sniffer; sn != nil {
 		sn(pkt)
@@ -648,11 +542,11 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
 	var egressStart time.Time
 	charged, overflow := false, false
 
-	s.mu.Lock()
+	n.mu.Lock()
 	for _, to := range tos {
 		pkt.To = to
 		toHost := to.Host()
-		l := n.getLinkLocked(s, from, toHost)
+		l := n.getLinkLocked(from, toHost)
 		l.stats.Sent++
 		l.stats.Bytes += int64(pkt.Size())
 
@@ -665,11 +559,11 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
 			fault, cause = err, err.Error()
 		} else {
 			if !charged {
-				egressStart, overflow = s.egressLocked(from, &pkt, now)
+				egressStart, overflow = n.egressLocked(from, &pkt, now)
 				charged = true
 			}
 			if !overflow {
-				at, dupAt, cause = n.linkPlanLocked(s, l, &pkt, now, offset, egressStart)
+				at, dupAt, cause = n.linkPlanLocked(l, &pkt, now, offset, egressStart)
 			}
 		}
 		if cause != "" {
@@ -682,7 +576,7 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
 			arrivals = append(arrivals, arrival{to, dupAt})
 		}
 	}
-	s.mu.Unlock()
+	n.mu.Unlock()
 
 	if dh := n.DropHandler; dh != nil {
 		for _, r := range refusals {
@@ -705,26 +599,19 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
 		// Never assigned after this line, so the closure holds p by value
 		// and the packet costs no allocation of its own (TestSendAllocs).
 		p := Packet{From: pkt.From, To: a.to, Payload: pb.B, Reliable: pkt.Reliable, SentAt: now}
-		dst := n.shardIdx(a.to.Host())
-		ds := n.shards[dst]
-		deliver := func() {
-			ds.mu.Lock()
-			h := ds.endpoints[p.To]
-			ds.delivered++
-			ds.digest = deliveryFold(ds.digest, p.To, ds.clk.Now().Sub(n.epoch), len(p.Payload))
-			ds.mu.Unlock()
+		n.clk.AfterFunc(a.at.Sub(now), func() {
+			n.mu.Lock()
+			h := n.endpoints[p.To]
+			n.delivered++
+			n.digest = deliveryFold(n.digest, p.To, n.clk.Now().Sub(n.epoch), len(p.Payload))
+			n.mu.Unlock()
 			if h != nil {
 				h(p)
 			}
 			if atomic.AddInt32(remaining, -1) == 0 {
 				payloadPool.Put(pb)
 			}
-		}
-		if dst == src {
-			s.clk.AfterFunc(a.at.Sub(now), deliver)
-		} else {
-			n.sv.ScheduleCross(src, dst, a.at, deliver)
-		}
+		})
 	}
 	return fault
 }
@@ -734,10 +621,6 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
 // an address with no listener silently drops at arrival time. Only
 // fault-injected drops (partitions, outages, downed hosts, one-shot drops)
 // return an error; stochastic loss and tail drop return nil.
-//
-// In sharded mode, Send must be called from the sending host's shard — the
-// natural discipline, since simulated traffic originates from timers on the
-// owning shard's clock — or from setup code before the driver runs.
 func (n *Network) Send(pkt Packet) error {
 	if fault := n.transmit(pkt, []Addr{pkt.To}); fault != nil {
 		// %w keeps the typed cause (ErrHostDown, ErrPartitioned, ...)
@@ -785,7 +668,7 @@ func fnv64str(s string) uint64 {
 	return h
 }
 
-// deliveryFold mixes one delivery event into a shard digest.
+// deliveryFold mixes one delivery event into the network's digest.
 func deliveryFold(h uint64, to Addr, at time.Duration, size int) uint64 {
 	if h == 0 {
 		h = fnvOffset
@@ -794,12 +677,4 @@ func deliveryFold(h uint64, to Addr, at time.Duration, size int) uint64 {
 	h = fnvMix(h, uint64(at))
 	h = fnvMix(h, uint64(size))
 	return h
-}
-
-// mix64 is the SplitMix64 finalizer, used to derive per-shard seeds.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -303,7 +303,7 @@ func TestDeterministicReplay(t *testing.T) {
 
 // TestStatsDoesNotPerturbReplay pins Stats as read-only: peeking at a host
 // pair that has carried no traffic must not create its link, because link
-// creation splits the shard RNG and would shift the loss and jitter draws of
+// creation splits the network RNG and would shift the loss and jitter draws of
 // every link created after it.
 func TestStatsDoesNotPerturbReplay(t *testing.T) {
 	run := func(peek bool) uint64 {

@@ -34,6 +34,8 @@ func BenchmarkControlPlane(b *testing.B) {
 				b.ReportMetric(res.HeartbeatsPerSec, "heartbeats/s")
 				b.ReportMetric(res.SweepTickMicros, "sweep-µs/tick")
 				b.ReportMetric(float64(res.LockAcqsTotal), "lock-acqs")
+				b.ReportMetric(res.HandleMax, "handle-max-µs")
+				b.ReportMetric(res.LockWaitMax, "lockwait-max-µs")
 			}
 		})
 	}
