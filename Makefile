@@ -15,9 +15,9 @@ vet:
 build:
 	$(GO) build ./...
 
-# Includes the allocation regression tests in internal/server.
+# Includes the allocation regression tests in internal/server. Shuffled, so a test that leans on another's leftovers fails here.
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 # Race detector over the concurrent packages: simulator, transport, telemetry, both endpoints and their churn stresses, the media path with its buffer pool, and the determinism/cluster-replay tests in experiments.
 race:

@@ -91,7 +91,7 @@ func main() {
 			scope.Counter("client_handoffs").Value(),
 			scope.Counter("client_handoffs_completed").Value(),
 			scope.Counter("client_handoff_fallbacks").Value())
-		fmt.Fprint(os.Stderr, live.Metrics().Table())
+		fmt.Fprint(os.Stderr, scope.Registry().Table())
 		if *tracePath == "" {
 			return
 		}

@@ -175,7 +175,6 @@ func main() {
 		scope.Counter("cluster_handoffs").Value(),
 		scope.Counter("cluster_handoff_accepts").Value())
 	fmt.Print(scope.Registry().Table())
-	fmt.Print(live.Metrics().Table())
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {

@@ -1,6 +1,9 @@
 // Command hmlcheck parses and validates hypermedia markup language (HML)
 // documents, optionally printing the canonical serialization, the document
-// statistics and the reconstructed playout timeline.
+// statistics and the reconstructed playout timeline. A document is "ok"
+// exactly when the server would store it: the verdict and the printed
+// length come from scenario.FromDocument, the build server.Database.Put
+// runs.
 //
 // Usage:
 //
@@ -11,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,13 +25,25 @@ import (
 )
 
 func main() {
-	printCanon := flag.Bool("print", false, "print the canonical serialization")
-	showStats := flag.Bool("stats", false, "print document statistics")
-	timeline := flag.Bool("timeline", false, "print the playout timeline")
-	screen := flag.String("screen", "", "render the desktop layout at the given time (e.g. 3s)")
-	conflicts := flag.Bool("conflicts", false, "report overlapping simultaneous placements")
-	figure2 := flag.Bool("figure2", false, "check the bundled Figure 2 scenario")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is main with its process state passed in; it returns the exit code.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hmlcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	printCanon := fs.Bool("print", false, "print the canonical serialization")
+	showStats := fs.Bool("stats", false, "print document statistics")
+	timeline := fs.Bool("timeline", false, "print the playout timeline")
+	screen := fs.String("screen", "", "render the desktop layout at the given time (e.g. 3s)")
+	conflicts := fs.Bool("conflicts", false, "report overlapping simultaneous placements")
+	figure2 := fs.Bool("figure2", false, "check the bundled Figure 2 scenario")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	type input struct {
 		name string
@@ -37,19 +53,19 @@ func main() {
 	if *figure2 {
 		inputs = append(inputs, input{"figure2", hml.Figure2Source})
 	}
-	for _, f := range flag.Args() {
+	for _, f := range fs.Args() {
 		data, err := os.ReadFile(f)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hmlcheck: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "hmlcheck: %v\n", err)
+			return 2
 		}
 		inputs = append(inputs, input{f, string(data)})
 	}
 	if len(inputs) == 0 {
-		data, err := io.ReadAll(os.Stdin)
+		data, err := io.ReadAll(stdin)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hmlcheck: stdin: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "hmlcheck: stdin: %v\n", err)
+			return 2
 		}
 		inputs = append(inputs, input{"<stdin>", string(data)})
 	}
@@ -58,57 +74,53 @@ func main() {
 	for _, in := range inputs {
 		doc, err := hml.Parse(in.src)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: PARSE ERROR: %v\n", in.name, err)
+			fmt.Fprintf(stderr, "%s: PARSE ERROR: %v\n", in.name, err)
 			bad++
 			continue
 		}
 		doc.Name = in.name
-		if err := hml.Validate(doc); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: INVALID: %v\n", in.name, err)
+		sc, err := scenario.FromDocument(doc)
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: INVALID: %v\n", in.name, err)
 			bad++
 			continue
 		}
-		fmt.Printf("%s: ok — %q, length %s\n", in.name, doc.Title, doc.Length())
+		fmt.Fprintf(stdout, "%s: ok — %q, length %s\n", in.name, sc.Title, sc.Length())
 		if *showStats {
 			st := hml.Statistics(doc)
-			fmt.Printf("  sentences=%d headings=%d texts=%d images=%d audios=%d videos=%d sync-groups=%d links=%d (timed %d)\n",
+			fmt.Fprintf(stdout, "  sentences=%d headings=%d texts=%d images=%d audios=%d videos=%d sync-groups=%d links=%d (timed %d)\n",
 				st.Sentences, st.Headings, st.Texts, st.Images, st.Audios, st.Videos, st.SyncGroups, st.Links, st.TimedLinks)
 		}
 		if *timeline {
-			sc, err := scenario.FromDocument(doc)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", in.name, err)
-				bad++
-				continue
-			}
-			fmt.Print(scenario.RenderTimeline(sc, 64))
+			fmt.Fprint(stdout, scenario.RenderTimeline(sc, 64))
 		}
 		if *screen != "" || *conflicts {
-			l, err := hml.BuildLayout(doc)
+			l, err := scenario.BuildLayout(sc)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: layout: %v\n", in.name, err)
+				fmt.Fprintf(stderr, "%s: layout: %v\n", in.name, err)
 				bad++
 				continue
 			}
 			if *conflicts {
 				for _, c := range l.Conflicts() {
-					fmt.Printf("  layout conflict: %s overlaps %s from t=%s\n", c.A, c.B, hml.FormatTime(c.From))
+					fmt.Fprintf(stdout, "  layout conflict: %s overlaps %s from t=%s\n", c.A, c.B, hml.FormatTime(c.From))
 				}
 			}
 			if *screen != "" {
 				at, err := hml.ParseTime(*screen)
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "hmlcheck:", err)
-					os.Exit(2)
+					fmt.Fprintln(stderr, "hmlcheck:", err)
+					return 2
 				}
-				fmt.Print(l.RenderScreen(at, 72, 18))
+				fmt.Fprint(stdout, l.RenderScreen(at, 72, 18))
 			}
 		}
 		if *printCanon {
-			fmt.Print(hml.Serialize(doc))
+			fmt.Fprint(stdout, hml.Serialize(doc))
 		}
 	}
 	if bad > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

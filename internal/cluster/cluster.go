@@ -21,9 +21,9 @@ import (
 	"repro/internal/server"
 )
 
-// DefaultClusterKey signs handoff tickets when the config does not supply a
-// key. Any non-empty shared secret works: the threat model is a client
-// forging or replaying tickets, not an attacker inside the federation.
+// DefaultClusterKey signs every federation's handoff tickets. Any non-empty
+// shared secret works: the threat model is a client forging or replaying
+// tickets, not an attacker inside the federation.
 var DefaultClusterKey = []byte("hermes-federation-key")
 
 // Config describes a federation to boot.
@@ -38,13 +38,9 @@ type Config struct {
 	// placement entry; each server's database gets exactly the documents
 	// placed on it.
 	Docs map[string]string
-	// Descriptions optionally annotates docs for the database listing.
-	Descriptions map[string]string
 	// ServerOptions is the per-server option template. Obs, Directory and
 	// ClusterKey are filled per server by New.
 	ServerOptions server.Options
-	// Key overrides DefaultClusterKey for handoff-ticket signing.
-	Key []byte
 }
 
 // Cluster is a running federation: N servers over one network, sharing a
@@ -84,10 +80,6 @@ func (v view) PeerLoad(host string) (float64, bool) {
 func New(clk clock.Clock, net netsim.Net, users *auth.DB, cfg Config) (*Cluster, error) {
 	if len(cfg.Servers) == 0 {
 		return nil, fmt.Errorf("cluster: no servers")
-	}
-	key := cfg.Key
-	if key == nil {
-		key = DefaultClusterKey
 	}
 	c := &Cluster{
 		Servers: map[string]*server.Server{},
@@ -133,7 +125,7 @@ func New(clk clock.Clock, net netsim.Net, users *auth.DB, cfg Config) (*Cluster,
 				if h != name {
 					continue
 				}
-				if err := db.Put(d, cfg.Docs[d], cfg.Descriptions[d]); err != nil {
+				if err := db.Put(d, cfg.Docs[d], ""); err != nil {
 					return nil, fmt.Errorf("cluster: %s: %w", d, err)
 				}
 				break
@@ -143,7 +135,7 @@ func New(clk clock.Clock, net netsim.Net, users *auth.DB, cfg Config) (*Cluster,
 		scope := obs.NewScope(clk)
 		opts.Obs = scope
 		opts.Directory = view{c: c, self: name}
-		opts.ClusterKey = key
+		opts.ClusterKey = DefaultClusterKey
 		srv, err := server.New(name, clk, net, users, db, opts)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: boot %s: %w", name, err)

@@ -122,9 +122,6 @@ type Media struct {
 	Note string
 }
 
-// End returns Start+Duration.
-func (m Media) End() time.Duration { return m.Start + m.Duration }
-
 // Image is an <IMG> element.
 type Image struct{ Media }
 
@@ -213,41 +210,6 @@ func (d *Document) TimedLinks() []*Link {
 		}
 	}
 	return out
-}
-
-// Length returns the scenario length: the latest media end time, or the
-// earliest timed-link activation if that comes later (a timed link ends the
-// presentation by navigating away).
-func (d *Document) Length() time.Duration {
-	var max time.Duration
-	for _, it := range d.Items() {
-		switch m := it.(type) {
-		case *Image:
-			if m.End() > max {
-				max = m.End()
-			}
-		case *Audio:
-			if m.End() > max {
-				max = m.End()
-			}
-		case *Video:
-			if m.End() > max {
-				max = m.End()
-			}
-		case *AudioVideo:
-			if m.Audio.End() > max {
-				max = m.Audio.End()
-			}
-			if m.Video.End() > max {
-				max = m.Video.End()
-			}
-		case *Link:
-			if m.HasAt && m.At > max {
-				max = m.At
-			}
-		}
-	}
-	return max
 }
 
 // ParseTime parses the language's time values: Go duration syntax ("1m30s",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/hml"
+	"repro/internal/scenario"
 )
 
 // ExampleParse shows the markup language's core primitives: timed media, a
@@ -19,9 +20,15 @@ func ExampleParse() {
 		fmt.Println("parse error:", err)
 		return
 	}
+	// The markup carries the times; package scenario resolves them.
+	sc, err := scenario.FromDocument(doc)
+	if err != nil {
+		fmt.Println("invalid:", err)
+		return
+	}
 	st := hml.Statistics(doc)
 	fmt.Printf("%q: %d image(s), %d sync group(s), length %s\n",
-		doc.Title, st.Images, st.SyncGroups, doc.Length())
+		doc.Title, st.Images, st.SyncGroups, sc.Length())
 	// Output:
 	// "Demo": 1 image(s), 1 sync group(s), length 15s
 }

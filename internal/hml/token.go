@@ -5,7 +5,8 @@
 //
 // The package provides a lexer, a recursive-descent parser producing an AST,
 // a semantic validator, and a canonical serializer such that
-// Parse(Serialize(doc)) round-trips.
+// Parse(Serialize(doc)) round-trips. It is only the markup: the times and
+// regions a document's media resolve to are computed by package scenario.
 package hml
 
 import "fmt"

@@ -137,24 +137,6 @@ func TestStatisticsCounts(t *testing.T) {
 	}
 }
 
-func TestDocumentLengthOpenEnded(t *testing.T) {
-	d := MustParse(`<TITLE>t</TITLE>
-<IMG SOURCE=i ID=i STARTIME=5> </IMG>
-<AU SOURCE=a ID=a STARTIME=0 DURATION=3> </AU>`)
-	// Open-ended image contributes its start time only; audio ends at 3s;
-	// so length is 5s (image appears at 5 and stays).
-	if got := d.Length(); got != 5*time.Second {
-		t.Fatalf("Length = %v, want 5s", got)
-	}
-}
-
-func TestMediaEnd(t *testing.T) {
-	m := Media{Start: 2 * time.Second, Duration: 3 * time.Second}
-	if m.End() != 5*time.Second {
-		t.Fatalf("End = %v", m.End())
-	}
-}
-
 func TestValidateAfterReferences(t *testing.T) {
 	// Forward reference is fine.
 	d := MustParse(`<TITLE>t</TITLE>

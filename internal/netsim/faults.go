@@ -9,18 +9,16 @@
 // (the clock time at New), the same convention as Phase, so a run is fully
 // determined by the seed and the fault schedule.
 //
-// Fault state lives behind its own small lock, with an atomic fault count
-// in front of it: when no fault of any kind is registered, check returns
-// without touching the mutex. Dynamic flips (SetHostDown, DropNext) are
-// race-safe from any goroutine; drive them from timers on the network's
+// Fault state is guarded by the network's one lock: check runs inside
+// transmit, which already holds it, and returns after one length test when
+// no fault of any kind is registered. Dynamic flips (SetHostDown, DropNext)
+// are race-safe from any goroutine; drive them from timers on the network's
 // clock when replay fidelity matters.
 package netsim
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -63,65 +61,48 @@ func partitionKey(a, b string) linkKey {
 	return linkKey{a, b}
 }
 
-// faultState holds every injected fault, guarded by its own mutex with an
-// atomic registered-fault count as the lock-free fast path.
+// faultState holds every injected fault, guarded by the network's n.mu.
 type faultState struct {
-	mu         sync.Mutex
-	active     atomic.Int32
 	partitions map[linkKey][]faultWindow
 	outages    map[string][]faultWindow
 	downHosts  map[string]bool
 	oneShots   []*oneShotDrop
 }
 
-// recountLocked refreshes the fast-path counter after a mutation.
-func (f *faultState) recountLocked() {
-	n := len(f.downHosts) + len(f.oneShots)
-	for _, ws := range f.partitions {
-		n += len(ws)
-	}
-	for _, ws := range f.outages {
-		n += len(ws)
-	}
-	f.active.Store(int32(n))
-}
-
 // AddPartition schedules a bidirectional partition between hosts a and b:
 // every packet between them sent in [start, start+duration) — reliable or
 // not — is dropped. start is an offset from the network's epoch.
 func (n *Network) AddPartition(a, b string, start, duration time.Duration) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	f := &n.faults
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.partitions == nil {
 		f.partitions = map[linkKey][]faultWindow{}
 	}
 	key := partitionKey(a, b)
 	f.partitions[key] = append(f.partitions[key], faultWindow{start: start, end: start + duration})
-	f.recountLocked()
 }
 
 // AddOutage schedules a blackhole for one host: during [start,
 // start+duration) every packet to or from it is dropped, modeling a crash
 // followed by a restart. start is an offset from the network's epoch.
 func (n *Network) AddOutage(host string, start, duration time.Duration) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	f := &n.faults
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.outages == nil {
 		f.outages = map[string][]faultWindow{}
 	}
 	f.outages[host] = append(f.outages[host], faultWindow{start: start, end: start + duration})
-	f.recountLocked()
 }
 
 // SetHostDown crashes (true) or restarts (false) a host immediately: while
 // down, every packet to or from it is dropped. Unlike AddOutage the
 // duration is open-ended, for tests that decide recovery dynamically.
 func (n *Network) SetHostDown(host string, down bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	f := &n.faults
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.downHosts == nil {
 		f.downHosts = map[string]bool{}
 	}
@@ -130,18 +111,13 @@ func (n *Network) SetHostDown(host string, down bool) {
 	} else {
 		delete(f.downHosts, host)
 	}
-	f.recountLocked()
 }
 
 // HostDown reports whether the host is currently crashed via SetHostDown.
 func (n *Network) HostDown(host string) bool {
-	f := &n.faults
-	if f.active.Load() == 0 {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.downHosts[host]
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.faults.downHosts[host]
 }
 
 // DropNext swallows the next count packets sent from one host to another
@@ -154,16 +130,16 @@ func (n *Network) DropNext(from, to string, count int) {
 }
 
 // DropNextMatching swallows the next count packets satisfying pred. reason
-// is reported to the DropHandler and in the Send error.
+// is reported to the DropHandler and in the Send error. pred runs under the
+// network's lock and must not call back into the network.
 func (n *Network) DropNextMatching(count int, reason string, pred func(Packet) bool) {
 	if count <= 0 || pred == nil {
 		return
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	f := &n.faults
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.oneShots = append(f.oneShots, &oneShotDrop{remaining: count, reason: reason, match: pred})
-	f.recountLocked()
 }
 
 // check decides whether an injected fault kills the packet travelling from
@@ -171,13 +147,11 @@ func (n *Network) DropNextMatching(count int, reason string, pred func(Packet) b
 // nil lets it pass. offset is the send time relative to the epoch. The
 // returned error wraps the typed cause (ErrHostDown, ErrOutage,
 // ErrPartitioned) and its text doubles as the DropHandler reason. With no
-// faults registered it is a single atomic load.
+// faults registered it is one length test. Caller holds n.mu.
 func (f *faultState) check(pkt *Packet, fromH, toH string, offset time.Duration) error {
-	if f.active.Load() == 0 {
+	if len(f.downHosts)+len(f.outages)+len(f.partitions)+len(f.oneShots) == 0 {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.downHosts[fromH] {
 		return fmt.Errorf("%w: %s", ErrHostDown, fromH)
 	}
@@ -204,7 +178,6 @@ func (f *faultState) check(pkt *Packet, fromH, toH string, offset time.Duration)
 			os.remaining--
 			if os.remaining <= 0 {
 				f.oneShots = append(f.oneShots[:i], f.oneShots[i+1:]...)
-				f.recountLocked()
 			}
 			return errors.New(os.reason)
 		}

@@ -11,9 +11,10 @@
 //
 // The simulator is driven by a clock.Clock: with a clock.Virtual it forms a
 // discrete-event simulation, with clock.Wall it delays packets in real time.
-// A Network is one lock, one RNG and one event stream: a seed plus a fault
-// schedule replays identically, and every delivery is folded into
-// DeliveryDigest, the fingerprint the replay tests compare across runs.
+// A Network is one lock (its fault schedule included), one RNG and one event
+// stream: a seed plus a fault schedule replays identically, and every
+// delivery is folded into DeliveryDigest, the fingerprint the replay tests
+// compare across runs.
 //
 // # One send path
 //
@@ -254,9 +255,8 @@ type Network struct {
 	// Sniffer, when set, observes every packet at Send time (before any
 	// loss decision); used for protocol-stack byte accounting.
 	Sniffer func(Packet)
-	// Fault-injection state (see faults.go), guarded by its own lock with
-	// an atomic zero-faults fast path so fault-free traffic never touches
-	// it. Windows are offsets from the network's epoch, so a given seed
+	// Fault-injection state (see faults.go), guarded by mu like everything
+	// else. Windows are offsets from the network's epoch, so a given seed
 	// plus a given fault schedule replays identically.
 	faults faultState
 }

@@ -141,8 +141,6 @@ type Options struct {
 	// SkewThreshold is the intermedia skew beyond which short-term
 	// recovery acts. Steinmetz-style lip-sync tolerance is ±80 ms.
 	SkewThreshold time.Duration
-	// SkewCheckInterval is the monitor period.
-	SkewCheckInterval time.Duration
 	// EnableSkewControl turns the short-term recovery on.
 	EnableSkewControl bool
 	// EnableWatermarkControl drops frames when a buffer exceeds its high
@@ -150,23 +148,22 @@ type Options struct {
 	EnableWatermarkControl bool
 	// OnLink is invoked when a timed hyperlink fires.
 	OnLink func(scenario.Link)
-	// StillRetryInterval is how often an unplayed still checks for its
-	// data after missing its deadline.
-	StillRetryInterval time.Duration
 	// Obs, when set, receives playout counters, a lateness histogram, and
 	// deadline-miss/skew-action trace events.
 	Obs *obs.Scope
 }
 
+const (
+	// skewCheckInterval is the skew monitor's period.
+	skewCheckInterval = 100 * time.Millisecond
+	// stillRetryInterval is how often an unplayed still checks for its data
+	// after missing its deadline.
+	stillRetryInterval = 50 * time.Millisecond
+)
+
 func (o *Options) fill() {
 	if o.SkewThreshold <= 0 {
 		o.SkewThreshold = 80 * time.Millisecond
-	}
-	if o.SkewCheckInterval <= 0 {
-		o.SkewCheckInterval = 100 * time.Millisecond
-	}
-	if o.StillRetryInterval <= 0 {
-		o.StillRetryInterval = 50 * time.Millisecond
 	}
 }
 
@@ -311,7 +308,7 @@ func (p *Player) armAllLocked(from time.Duration) {
 	}
 	// The monitor always runs so skew is measured even when the recovery
 	// actions are disabled (the E2 ablation compares the two).
-	p.skewTimer = p.clk.AfterFunc(p.opts.SkewCheckInterval, p.skewCheck)
+	p.skewTimer = p.clk.AfterFunc(skewCheckInterval, p.skewCheck)
 }
 
 func (p *Player) addTimer(d time.Duration, fn func()) {
@@ -405,7 +402,7 @@ func (p *Player) playStill(id string) {
 		p.obs.Emit(obs.EvDeadlineMiss, id, 1, "still data not yet arrived")
 		p.disp.Record(Event{At: at, StreamID: id, Kind: EvLate, Note: "data not yet arrived"})
 	}
-	p.addTimer(p.opts.StillRetryInterval, func() { p.playStill(id) })
+	p.addTimer(stillRetryInterval, func() { p.playStill(id) })
 	p.mu.Unlock()
 }
 
@@ -539,7 +536,7 @@ func (p *Player) skewCheck() {
 	for _, members := range p.groups {
 		p.controlGroupLocked(members[0].SyncGroup, members, now)
 	}
-	p.skewTimer = p.clk.AfterFunc(p.opts.SkewCheckInterval, p.skewCheck)
+	p.skewTimer = p.clk.AfterFunc(skewCheckInterval, p.skewCheck)
 	p.mu.Unlock()
 }
 

@@ -2,7 +2,9 @@
 // scenario the service operates on: the set of media streams S_i with their
 // relative playout start times t_i and durations d_i, synchronization groups,
 // hyperlinks, the client-side playout schedule (the paper's E_i structures),
-// and the server-side flow scenario computed by the flow scheduler.
+// the server-side flow scenario computed by the flow scheduler, and the
+// desktop layout. It is the one place a document's times and regions are
+// computed; package hml only reads and writes the markup.
 package scenario
 
 import (
@@ -62,6 +64,8 @@ type Stream struct {
 	SyncGroup string
 	// Width, Height are display dimensions for visual media.
 	Width, Height int
+	// Where places visual media on the display ("x,y"; see BuildLayout).
+	Where string
 	// Note is the author's annotation.
 	Note string
 	// Text holds inline text content for TypeText streams.
@@ -207,6 +211,7 @@ func fromMedia(m hml.Media, t MediaType, group string) *Stream {
 		SyncGroup: group,
 		Width:     m.Width,
 		Height:    m.Height,
+		Where:     m.Where,
 		Note:      m.Note,
 	}
 }
@@ -297,11 +302,7 @@ func (sc *Scenario) ActiveAt(t time.Duration) []*Stream {
 	var out []*Stream
 	for _, s := range sc.Streams {
 		if s.Type == TypeText || s.ActiveAt(t) {
-			if s.Type != TypeText {
-				out = append(out, s)
-			} else {
-				out = append(out, s)
-			}
+			out = append(out, s)
 		}
 	}
 	return out

@@ -88,6 +88,30 @@ func TestScenarioLength(t *testing.T) {
 	}
 }
 
+func TestLengthOpenEndedStill(t *testing.T) {
+	sc, err := Parse(`<TITLE>t</TITLE>
+<IMG SOURCE=i ID=i STARTIME=5> </IMG>
+<AU SOURCE=a ID=a STARTIME=0 DURATION=3> </AU>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Open-ended image contributes its start time only; audio ends at 3s;
+	// so length is 5s (image appears at 5 and stays).
+	if got := sc.Length(); got != 5*time.Second {
+		t.Fatalf("Length = %v, want 5s", got)
+	}
+}
+
+func TestLessonGeneratorLength(t *testing.T) {
+	sc, err := Parse(hml.LessonSource("algo", 5, 30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Length() != 150*time.Second {
+		t.Fatalf("length = %v", sc.Length())
+	}
+}
+
 func TestNextTimedLink(t *testing.T) {
 	sc := fig2(t)
 	l := sc.NextTimedLink(0)

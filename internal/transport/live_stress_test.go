@@ -8,8 +8,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
+
+// newCounted returns a transport whose counters land in a fresh scope's
+// registry, where the tests read them.
+func newCounted() (*Live, *obs.Scope) {
+	scope := obs.NewScope(clock.NewWall())
+	return NewLiveObs(scope), scope
+}
 
 // TestListenErrorReported verifies that a bind failure surfaces to the
 // caller instead of being silently swallowed (run with a conflicting
@@ -57,11 +66,11 @@ func TestListenErrorReported(t *testing.T) {
 }
 
 // TestConcurrentStressMultiHost hammers several destination hosts from many
-// goroutines while a reader polls Metrics; run under -race this checks the
+// goroutines while a reader polls the registry; run under -race this checks the
 // writer-per-host concurrency design end to end. Every reliable frame must
 // either be delivered or be accounted as a queue drop.
 func TestConcurrentStressMultiHost(t *testing.T) {
-	l := NewLive()
+	l, scope := newCounted()
 	defer l.Close()
 
 	hosts := []string{"stress-a", "stress-b", "stress-c"}
@@ -89,7 +98,7 @@ func TestConcurrentStressMultiHost(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = l.Metrics()
+				_ = scope.Registry().Snapshot()
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -121,19 +130,20 @@ func TestConcurrentStressMultiHost(t *testing.T) {
 	// each settle asynchronously; wait until the books balance.
 	const totalReliable = senders * perSender
 	waitFor(t, 10*time.Second, func() bool {
-		m := l.Metrics()
-		kept := totalReliable - m.QueueDrops
-		return reliable.Load() == kept && m.TCPFramesSent == kept && m.TCPFramesRecv >= kept
+		kept := totalReliable - scope.Counter("transport_queue_drops").Value()
+		return reliable.Load() == kept &&
+			scope.Counter("transport_tcp_frames_sent").Value() == kept &&
+			scope.Counter("transport_tcp_frames_recv").Value() >= kept
 	})
 	close(stop)
 	pollers.Wait()
 
-	m := l.Metrics()
-	if m.QueueHighWater < 1 {
+	if scope.HighWater("transport_queue_high_water").Value() < 1 {
 		t.Fatal("queue high-water never observed")
 	}
-	if m.UDPDatagramsSent == 0 || m.UDPDatagramsRecv == 0 {
-		t.Fatalf("udp path unused: %+v", m)
+	sent, recv := scope.Counter("transport_udp_datagrams_sent").Value(), scope.Counter("transport_udp_datagrams_recv").Value()
+	if sent == 0 || recv == 0 {
+		t.Fatalf("udp path unused: sent %d, received %d", sent, recv)
 	}
 }
 
@@ -143,7 +153,7 @@ func TestConcurrentStressMultiHost(t *testing.T) {
 func TestReconnectAfterPeerRestart(t *testing.T) {
 	const peerIP = "127.0.0.99"
 
-	sender := NewLive()
+	sender, scope := newCounted()
 	defer sender.Close()
 	sender.MapHost("peer", peerIP)
 
@@ -184,9 +194,8 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 		return got2.Load() > 0
 	})
 
-	m := sender.Metrics()
-	if m.Reconnects+m.DialFailures == 0 {
-		t.Fatalf("restart left no trace in metrics: %+v", m)
+	if scope.Counter("transport_reconnects").Value()+scope.Counter("transport_dial_failures").Value() == 0 {
+		t.Fatal("restart left no trace in the transport counters")
 	}
 }
 
@@ -194,7 +203,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 // unreachable host: excess frames are dropped whole and counted, the caller
 // never blocks, and Close interrupts the writer's dial backoff promptly.
 func TestQueueOverflowDropsWholeFrames(t *testing.T) {
-	l := NewLive()
+	l, scope := newCounted()
 	l.queueSize = 1
 	const frames = 20
 	done := make(chan struct{})
@@ -213,8 +222,8 @@ func TestQueueOverflowDropsWholeFrames(t *testing.T) {
 		t.Fatal("Send blocked on a full queue")
 	}
 	waitFor(t, 5*time.Second, func() bool {
-		m := l.Metrics()
-		return m.QueueDrops > 0 && m.DialFailures > 0
+		return scope.Counter("transport_queue_drops").Value() > 0 &&
+			scope.Counter("transport_dial_failures").Value() > 0
 	})
 
 	start := time.Now()

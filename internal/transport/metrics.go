@@ -1,17 +1,15 @@
 package transport
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
-// liveMetrics holds the transport's concurrency-safe counters. Hot paths
-// (writer goroutines, read loops) update them lock-free. With a telemetry
-// scope the instruments live in its registry under transport_* names, so
-// periodic dumps and the control-protocol stats snapshot see them; without
-// one they are private and only Metrics exposes them.
+// liveMetrics holds the transport's concurrency-safe instruments, which live
+// in the telemetry scope's registry under transport_* names (shared no-ops
+// when the scope is nil), so periodic dumps, the exit table and the
+// control-protocol stats snapshot all read the same values. Hot paths
+// (writer goroutines, read loops) update them lock-free.
 type liveMetrics struct {
 	tcpFramesSent    *stats.Counter
 	tcpBytesSent     *stats.Counter
@@ -21,119 +19,39 @@ type liveMetrics struct {
 	udpBytesSent     *stats.Counter
 	udpDatagramsRecv *stats.Counter
 	udpBytesRecv     *stats.Counter
-	queueHighWater   *stats.HighWater
-	queueDrops       *stats.Counter
-	reconnects       *stats.Counter
-	dialFailures     *stats.Counter
-	udpSendErrors    *stats.Counter
-	decodeErrors     *stats.Counter
-	acceptedConns    *stats.Counter
+	// queueHighWater is the deepest any per-host send queue ever got;
+	// queueDrops counts reliable frames dropped whole on a full queue.
+	queueHighWater *stats.HighWater
+	queueDrops     *stats.Counter
+	// reconnects counts outbound connections torn down and redialed;
+	// dialFailures counts failed dial attempts (each retried on backoff).
+	reconnects    *stats.Counter
+	dialFailures  *stats.Counter
+	udpSendErrors *stats.Counter
+	decodeErrors  *stats.Counter
+	// acceptedConns counts inbound connections over the transport's life;
+	// inboundConns is how many are open now.
+	acceptedConns *stats.Counter
+	inboundConns  *stats.Gauge
 }
 
-// newLiveMetrics binds the counters into scope's registry, or to private
-// instruments when scope is nil. Private instruments (not the scope's
-// shared no-ops) keep Metrics() truthful either way.
 func newLiveMetrics(scope *obs.Scope) liveMetrics {
-	counter := func(name string) *stats.Counter {
-		if scope == nil {
-			return new(stats.Counter)
-		}
-		return scope.Counter(name)
-	}
-	high := func(name string) *stats.HighWater {
-		if scope == nil {
-			return new(stats.HighWater)
-		}
-		return scope.HighWater(name)
-	}
 	return liveMetrics{
-		tcpFramesSent:    counter("transport_tcp_frames_sent"),
-		tcpBytesSent:     counter("transport_tcp_bytes_sent"),
-		tcpFramesRecv:    counter("transport_tcp_frames_recv"),
-		tcpBytesRecv:     counter("transport_tcp_bytes_recv"),
-		udpDatagramsSent: counter("transport_udp_datagrams_sent"),
-		udpBytesSent:     counter("transport_udp_bytes_sent"),
-		udpDatagramsRecv: counter("transport_udp_datagrams_recv"),
-		udpBytesRecv:     counter("transport_udp_bytes_recv"),
-		queueHighWater:   high("transport_queue_high_water"),
-		queueDrops:       counter("transport_queue_drops"),
-		reconnects:       counter("transport_reconnects"),
-		dialFailures:     counter("transport_dial_failures"),
-		udpSendErrors:    counter("transport_udp_send_errors"),
-		decodeErrors:     counter("transport_decode_errors"),
-		acceptedConns:    counter("transport_accepted_conns"),
+		tcpFramesSent:    scope.Counter("transport_tcp_frames_sent"),
+		tcpBytesSent:     scope.Counter("transport_tcp_bytes_sent"),
+		tcpFramesRecv:    scope.Counter("transport_tcp_frames_recv"),
+		tcpBytesRecv:     scope.Counter("transport_tcp_bytes_recv"),
+		udpDatagramsSent: scope.Counter("transport_udp_datagrams_sent"),
+		udpBytesSent:     scope.Counter("transport_udp_bytes_sent"),
+		udpDatagramsRecv: scope.Counter("transport_udp_datagrams_recv"),
+		udpBytesRecv:     scope.Counter("transport_udp_bytes_recv"),
+		queueHighWater:   scope.HighWater("transport_queue_high_water"),
+		queueDrops:       scope.Counter("transport_queue_drops"),
+		reconnects:       scope.Counter("transport_reconnects"),
+		dialFailures:     scope.Counter("transport_dial_failures"),
+		udpSendErrors:    scope.Counter("transport_udp_send_errors"),
+		decodeErrors:     scope.Counter("transport_decode_errors"),
+		acceptedConns:    scope.Counter("transport_accepted_conns"),
+		inboundConns:     scope.Gauge("transport_inbound_conns"),
 	}
-}
-
-// Metrics is a point-in-time snapshot of the live transport's counters.
-type Metrics struct {
-	// Reliable (TCP) path.
-	TCPFramesSent, TCPBytesSent int64
-	TCPFramesRecv, TCPBytesRecv int64
-	// Unreliable (UDP) path.
-	UDPDatagramsSent, UDPBytesSent int64
-	UDPDatagramsRecv, UDPBytesRecv int64
-	// QueueHighWater is the deepest any per-host send queue ever got.
-	QueueHighWater int64
-	// QueueDrops counts reliable frames dropped whole because the
-	// destination host's bounded send queue was full.
-	QueueDrops int64
-	// Reconnects counts outbound connections torn down — after a write
-	// error or when the peer-close probe saw the remote side go away — and
-	// replaced by a fresh dial on the next frame.
-	Reconnects int64
-	// DialFailures counts individual failed dial attempts; each is retried
-	// on the capped-backoff schedule.
-	DialFailures int64
-	// UDPSendErrors counts datagrams that could not be sent (bad
-	// destination port or socket write error).
-	UDPSendErrors int64
-	// DecodeErrors counts received frames/datagrams that failed to parse.
-	DecodeErrors int64
-	// AcceptedConns counts inbound connections accepted over the
-	// transport's lifetime; InboundConns is how many are open now.
-	AcceptedConns int64
-	InboundConns  int
-}
-
-// Metrics returns a snapshot of the transport's counters.
-func (l *Live) Metrics() Metrics {
-	l.mu.Lock()
-	inbound := len(l.tcpIn)
-	l.mu.Unlock()
-	m := &l.met
-	return Metrics{
-		TCPFramesSent:    m.tcpFramesSent.Value(),
-		TCPBytesSent:     m.tcpBytesSent.Value(),
-		TCPFramesRecv:    m.tcpFramesRecv.Value(),
-		TCPBytesRecv:     m.tcpBytesRecv.Value(),
-		UDPDatagramsSent: m.udpDatagramsSent.Value(),
-		UDPBytesSent:     m.udpBytesSent.Value(),
-		UDPDatagramsRecv: m.udpDatagramsRecv.Value(),
-		UDPBytesRecv:     m.udpBytesRecv.Value(),
-		QueueHighWater:   m.queueHighWater.Value(),
-		QueueDrops:       m.queueDrops.Value(),
-		Reconnects:       m.reconnects.Value(),
-		DialFailures:     m.dialFailures.Value(),
-		UDPSendErrors:    m.udpSendErrors.Value(),
-		DecodeErrors:     m.decodeErrors.Value(),
-		AcceptedConns:    m.acceptedConns.Value(),
-		InboundConns:     inbound,
-	}
-}
-
-// Table renders the snapshot as an aligned text table (printed by the live
-// binaries on shutdown).
-func (m Metrics) Table() *stats.Table {
-	t := stats.NewTable("live transport", "path", "frames", "bytes", "notes")
-	t.AddRow("tcp out", m.TCPFramesSent, m.TCPBytesSent,
-		fmt.Sprintf("qmax=%d drops=%d reconnects=%d dialfail=%d",
-			m.QueueHighWater, m.QueueDrops, m.Reconnects, m.DialFailures))
-	t.AddRow("tcp in", m.TCPFramesRecv, m.TCPBytesRecv,
-		fmt.Sprintf("conns=%d/%d", m.InboundConns, m.AcceptedConns))
-	t.AddRow("udp out", m.UDPDatagramsSent, m.UDPBytesSent,
-		fmt.Sprintf("senderr=%d", m.UDPSendErrors))
-	t.AddRow("udp in", m.UDPDatagramsRecv, m.UDPBytesRecv,
-		fmt.Sprintf("decodeerr=%d", m.DecodeErrors))
-	return t
 }

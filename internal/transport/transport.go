@@ -15,8 +15,8 @@
 // writer goroutine fed through a bounded queue: Send never blocks and never
 // holds the transport lock across a socket write, frames are enqueued and
 // dropped whole (never partially written), and when a TCP peer goes away
-// the writer redials with capped exponential backoff plus jitter. All
-// counters are exposed through Metrics.
+// the writer redials with capped exponential backoff plus jitter. Every
+// counter lives in the telemetry scope's registry under a transport_* name.
 package transport
 
 import (
@@ -40,7 +40,7 @@ const MuxPort = 4999
 
 const (
 	// DefaultQueueSize bounds each destination host's reliable send queue;
-	// a full queue drops new frames whole (counted in Metrics.QueueDrops).
+	// a full queue drops new frames whole (counted in transport_queue_drops).
 	DefaultQueueSize = 256
 	// maxFrame bounds one reliable frame on the wire.
 	maxFrame = 64 << 20
@@ -246,6 +246,7 @@ func (l *Live) acceptLoop(ln net.Listener) {
 		}
 		l.tcpIn[conn] = struct{}{}
 		l.met.acceptedConns.Inc()
+		l.met.inboundConns.Inc()
 		l.wg.Add(1)
 		l.mu.Unlock()
 		go l.readLoop(conn)
@@ -259,6 +260,7 @@ func (l *Live) readLoop(conn net.Conn) {
 		l.mu.Lock()
 		delete(l.tcpIn, conn)
 		l.mu.Unlock()
+		l.met.inboundConns.Dec()
 	}()
 	for {
 		var sz [4]byte
