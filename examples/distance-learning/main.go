@@ -73,8 +73,9 @@ func main() {
 		b.State("hermes-algorithms"), b.SuspendToken("hermes-algorithms") != "")
 	svc.Run(20 * time.Second)
 
-	// Return within the grace period: no re-authentication.
-	b.ReturnTo("hermes-algorithms")
+	// Return within the grace period: the connect presents the resume
+	// token, so there is no re-authentication.
+	b.Connect("hermes-algorithms")
 	svc.Run(time.Second)
 	fmt.Printf("after returning: %v\n", b.State("hermes-algorithms"))
 

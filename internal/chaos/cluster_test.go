@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/qos"
+	"repro/internal/scenario"
 	"repro/internal/server"
 )
 
@@ -278,6 +279,50 @@ func TestClusterHandoffTargetDownFallsBackToSource(t *testing.T) {
 	}
 	if got := w.cscope.Counter("client_handoffs_completed").Value(); got != 0 {
 		t.Fatalf("client_handoffs_completed = %d, want 0 (target was down)", got)
+	}
+}
+
+// TestClusterLinkTargetDownFallsBackToSource is the link twin of the test
+// above: the user follows a link to a lesson on s2 while s2 is down. The
+// link is the same move episode as a handoff, so the client falls back to
+// s1 on the resume token its suspend earned — same session, browsing, and
+// still so after s1's grace period would have closed.
+func TestClusterLinkTargetDownFallsBackToSource(t *testing.T) {
+	w := newClusterWorld(t,
+		server.Placement{"lecture": {"s1"}, "satellite": {"s2"}},
+		map[string]string{"lecture": lesson90, "satellite": lesson90},
+		server.Options{Grace: 10 * time.Second, HeartbeatEvery: 500 * time.Millisecond,
+			LivenessMisses: 3},
+		"s1", "s2")
+	c := w.newClient(t, "laptop", fastClient())
+
+	c.Connect("s1")
+	w.clk.RunFor(time.Second)
+	c.RequestDoc("lecture")
+	w.clk.RunFor(2 * time.Second)
+	if c.State("s1") != protocol.StViewing {
+		t.Fatalf("state = %v, want viewing on s1", c.State("s1"))
+	}
+	sess := c.SessionID("s1")
+
+	w.net.SetHostDown("s2", true)
+	c.FollowLink(scenario.Link{Target: "satellite", Host: "s2"})
+	w.clk.RunFor(8 * time.Second)
+
+	check := func(after string) {
+		t.Helper()
+		if st := c.State("s1"); st != protocol.StBrowsing {
+			t.Fatalf("state on s1 = %v after %s, want browsing (err %q)", st, after, c.LastError())
+		}
+		if got := c.SessionID("s1"); got != sess {
+			t.Fatalf("session on s1 = %q after %s, want the original %q", got, after, sess)
+		}
+	}
+	check("the fallback")
+	w.clk.RunFor(20 * time.Second)
+	check("s1's grace period")
+	if got := w.cscope.Counter("client_handoff_fallbacks").Value(); got < 1 {
+		t.Fatalf("client_handoff_fallbacks = %d, want ≥1", got)
 	}
 }
 

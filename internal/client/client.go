@@ -202,11 +202,9 @@ type Client struct {
 
 	mediaPorts []netsim.Addr
 
-	// pendingAfterSuspend runs once the suspend ack arrives (cross-server
-	// navigation chains suspend → connect → request asynchronously);
-	// pendingDoc is requested once the follow-up connect succeeds.
-	pendingAfterSuspend func()
-	pendingDoc          string
+	// pendingDoc is requested once the follow-up connect of a move or
+	// failover succeeds.
+	pendingDoc string
 
 	// reliable control plane (reliable.go)
 	nextReq uint32
@@ -226,10 +224,12 @@ type Client struct {
 	failedPeers     map[string]bool
 
 	// Cluster episode state (cluster.go): admission-redirect following with
-	// bounded hops, and the in-flight cross-server handoff.
+	// bounded hops, and the in-flight move between servers (a handoff or a
+	// cross-server link).
 	redirectHops  int
 	redirectTried map[string]bool
-	handoffFrom   string // source server of the in-flight handoff ("" none)
+	handoffFrom   string // source server of the in-flight move ("" none)
+	handoffTo     string // its first target
 	handoffTicket *protocol.HandoffTicket
 	handoffPeers  []string // replicas advertised with the handoff
 	handoffStart  time.Time
@@ -377,7 +377,9 @@ func (c *Client) send(host string, t protocol.MsgType, body interface{}) {
 
 // Connect initiates a session with a server. A previous session's terminal
 // state does not block a new one: the Figure 4 machine is per session, so a
-// fresh machine is started when the old one reached disconnected.
+// fresh machine is started when the old one reached disconnected. Toward a
+// server whose session is suspended, Connect is the return within the grace
+// period: it presents the resume token instead of credentials.
 func (c *Client) Connect(host string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -623,7 +625,7 @@ func (c *Client) Back() bool {
 	c.backStack = c.backStack[:len(c.backStack)-1]
 	c.navDirection = -1
 	c.logEvent("back → " + target.Name)
-	c.navigateLocked(target)
+	c.followLinkLocked(scenario.Link{Target: target.Name, Host: target.Host})
 	return true
 }
 
@@ -639,7 +641,7 @@ func (c *Client) Forward() bool {
 	c.fwdStack = c.fwdStack[:len(c.fwdStack)-1]
 	c.navDirection = 1
 	c.logEvent("forward → " + target.Name)
-	c.navigateLocked(target)
+	c.followLinkLocked(scenario.Link{Target: target.Name, Host: target.Host})
 	return true
 }
 
@@ -657,20 +659,10 @@ func (c *Client) CanForward() bool {
 	return len(c.fwdStack) > 0
 }
 
-// navigateLocked requests a document, switching servers when the entry
-// lives elsewhere.
-func (c *Client) navigateLocked(e navEntry) {
-	if e.Host == "" || e.Host == c.current {
-		c.requestDocLocked(e.Name)
-		return
-	}
-	dir := c.navDirection
-	c.followLinkLocked(scenario.Link{Target: e.Name, Host: e.Host})
-	c.navDirection = dir
-}
-
-// FollowLink navigates to a linked document, suspending the current
-// connection when the target lives on another server.
+// FollowLink navigates to a linked document. A link to another server
+// moves there: the connection here is suspended behind its grace period
+// (return to it with Connect), and when the other server does not answer
+// the browser falls back to the suspended one.
 func (c *Client) FollowLink(link scenario.Link) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -678,54 +670,25 @@ func (c *Client) FollowLink(link scenario.Link) {
 }
 
 func (c *Client) followLinkLocked(link scenario.Link) {
-	target := link.Target
 	if link.Host == "" || link.Host == c.current {
-		c.requestDocLocked(target)
+		c.requestDocLocked(link.Target)
 		return
 	}
-	// Cross-server navigation: suspend here, connect there.
-	m := c.machine(c.current)
+	// Figure 4 from wherever the user is: the remote document is requested
+	// (from browsing), found to live elsewhere, and the connection suspends.
+	from := c.current
+	m := c.machine(from)
+	if m.State() == protocol.StBrowsing {
+		m.Apply(protocol.InRequestDoc)
+	}
 	if m.Can(protocol.InRedirect) {
 		m.Apply(protocol.InRedirect)
 	}
-	c.teardownPresentationLocked()
-	from := c.current
-	c.logEvent(fmt.Sprintf("suspend %s → %s", from, link.Host))
-	c.sendReqLocked(from, protocol.MsgSuspend, protocol.Suspend{},
-		time.Time{}, c.suspendAbandonedLocked)
-	// The new connection proceeds immediately; the suspend ack arrives
-	// asynchronously and stores the resume token.
-	host := link.Host
-	c.pendingAfterSuspend = func() {
-		c.mu.Lock()
-		c.pendingDoc = target
-		c.mu.Unlock()
-		c.Connect(host)
-	}
-}
-
-// suspendAbandonedLocked runs when a suspend request times out: proceed
-// with the pending navigation anyway (the unreachable session expires
-// server-side). The continuation re-locks, so it runs off a zero timer.
-func (c *Client) suspendAbandonedLocked() {
-	after := c.pendingAfterSuspend
-	c.pendingAfterSuspend = nil
-	if after != nil {
-		c.clk.AfterFunc(0, after)
-	}
-}
-
-// ReturnTo resumes a previously suspended connection within its grace
-// period.
-func (c *Client) ReturnTo(host string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.logEvent("return to " + host)
-	c.current = host
-	c.lastConnect = nil
-	c.sendReqLocked(host, protocol.MsgConnect, protocol.Connect{
-		User: c.opts.User, ResumeToken: c.suspendTokens[host],
-	}, time.Time{}, nil)
+	c.beginMoveLocked(from, link.Host, link.Target, nil, nil)
+	// The connect waits for the suspend's ack (onSuspendResult), which
+	// carries the resume token a fallback needs; a lost ack connects anyway.
+	c.sendReqLocked(from, protocol.MsgSuspend, protocol.Suspend{}, time.Time{},
+		func() { c.connectHandoffLocked(link.Host) })
 }
 
 // --- accessors for tests and experiments ---

@@ -1,9 +1,10 @@
 // Cluster behavior on the browser side: following load-aware admission
-// redirects with a bounded hop count and capped backoff, and executing the
-// cross-server handoff a source server issues when a requested document is
-// homed elsewhere — connect to the target with the signed ticket, re-request
-// the document there, and fall back to a plain reconnect (next replica, then
-// the suspended source) when the target is down.
+// redirects with a bounded hop count and capped backoff, and the one move
+// between servers: the handoff a source server issues when a requested
+// document is homed elsewhere, or a link the user follows to another host —
+// connect to the target (with the signed ticket when there is one),
+// re-request the document there, and fall back to the next replica, then to
+// the suspended source, when the target is down or refuses.
 package client
 
 import (
@@ -88,12 +89,25 @@ func (c *Client) onDocHandoffLocked(from string, m protocol.DocResponse) {
 	if m.GraceSecs > 0 {
 		c.graceSecs = m.GraceSecs
 	}
+	c.beginMoveLocked(from, m.Redirect, m.Name, m.Handoff, m.Peers)
+	c.connectHandoffLocked(m.Redirect)
+}
+
+// beginMoveLocked is where every move between servers starts, whether the
+// source handed the session off or the user followed a link to another
+// host: the presentation here ends, the source's session is (or is about to
+// be) suspended behind its grace timer, and doc is requested once a target
+// admits us. The episode ends at the target's document response or, when no
+// target answers, back at the source (handoffConnectFailedLocked).
+// Caller holds c.mu.
+func (c *Client) beginMoveLocked(from, to, doc string, ticket *protocol.HandoffTicket, peers []string) {
 	c.teardownPresentationLocked()
 	c.handoffFrom = from
-	c.handoffTicket = m.Handoff
+	c.handoffTo = to
+	c.handoffTicket = ticket
 	c.handoffPeers = nil
-	for _, p := range m.Peers {
-		if p != m.Redirect {
+	for _, p := range peers {
+		if p != to {
 			c.handoffPeers = append(c.handoffPeers, p)
 		}
 	}
@@ -102,11 +116,10 @@ func (c *Client) onDocHandoffLocked(from string, m protocol.DocResponse) {
 		// original start, so the latency covers the whole user-visible gap.
 		c.handoffStart = c.clk.Now()
 	}
-	c.pendingDoc = m.Name
+	c.pendingDoc = doc
 	c.opts.Obs.Counter("client_handoffs").Inc()
-	c.opts.Obs.Emit(obs.EvHandoff, from, 0, "handoff of "+m.Name+" → "+m.Redirect)
-	c.logEvent("handoff " + from + " → " + m.Redirect)
-	c.connectHandoffLocked(m.Redirect)
+	c.opts.Obs.Emit(obs.EvHandoff, from, 0, "handoff of "+doc+" → "+to)
+	c.logEvent("handoff " + from + " → " + to)
 }
 
 // connectHandoffLocked connects to a handoff target, presenting the signed
@@ -185,6 +198,7 @@ func (c *Client) handoffConnectFailedLocked(host string) {
 // clearHandoffLocked ends the handoff episode. Caller holds c.mu.
 func (c *Client) clearHandoffLocked() {
 	c.handoffFrom = ""
+	c.handoffTo = ""
 	c.handoffTicket = nil
 	c.handoffPeers = nil
 	c.handoffStart = time.Time{}

@@ -224,16 +224,16 @@ func (c *Client) onSubscribeResult(from string, m protocol.SubscribeResult) {
 	}
 }
 
+// onSuspendResult stores the resume token of a link's move and connects to
+// its target.
 func (c *Client) onSuspendResult(from string, m protocol.SuspendResult) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if m.OK {
 		c.suspendTokens[from] = m.ResumeToken
 	}
-	after := c.pendingAfterSuspend
-	c.pendingAfterSuspend = nil
-	c.mu.Unlock()
-	if after != nil {
-		after()
+	if from == c.handoffFrom && from == c.current {
+		c.connectHandoffLocked(c.handoffTo)
 	}
 }
 
@@ -539,45 +539,8 @@ func (c *Client) onTimedLink(link scenario.Link) {
 		return
 	}
 	c.logEvent("timed link → " + link.Target)
-	mach := c.machine(c.current)
-	if mach.State() == protocol.StViewing {
-		// The player already finished; the machine goes back through
-		// browsing before the next request.
-		c.teardownPresentationLocked()
-		mach.Apply(protocol.InPresentationEnd)
-	}
-	c.followLinkFromEndLocked(link)
+	c.followLinkLocked(link)
 	c.mu.Unlock()
-}
-
-// followLinkFromEndLocked navigates after the presentation already ended
-// (state Browsing), unlike FollowLink which may interrupt a live one.
-func (c *Client) followLinkFromEndLocked(link scenario.Link) {
-	if link.Host == "" || link.Host == c.current {
-		c.requestDocLocked(link.Target)
-		return
-	}
-	host := link.Host
-	target := link.Target
-	// Per Figure 4 the remote document is requested, found to live on
-	// another server, and the connection suspends: browsing → requesting
-	// → suspended.
-	mach := c.machine(c.current)
-	if mach.Can(protocol.InRequestDoc) {
-		mach.Apply(protocol.InRequestDoc)
-	}
-	if mach.Can(protocol.InRedirect) {
-		mach.Apply(protocol.InRedirect)
-	}
-	c.logEvent("suspend " + c.current + " → " + host)
-	c.sendReqLocked(c.current, protocol.MsgSuspend, protocol.Suspend{},
-		time.Time{}, c.suspendAbandonedLocked)
-	c.pendingAfterSuspend = func() {
-		c.mu.Lock()
-		c.pendingDoc = target
-		c.mu.Unlock()
-		c.Connect(host)
-	}
 }
 
 // onPresentationEnd handles the natural completion of a scenario.

@@ -189,41 +189,54 @@ func TestTimedLinkAutoNavigationSameServer(t *testing.T) {
 	}
 }
 
+// TestCrossServerSuspendAndReturn follows an explorational link to
+// server-b from each state a user can leave from: the source is suspended
+// per Figure 4 (browsing goes through request-doc first), the target plays
+// the document, and the source's session expires after its grace period.
 func TestCrossServerSuspendAndReturn(t *testing.T) {
-	w := newWorld(t, netsim.DefaultLAN(), Options{AutoFollowLinks: false},
-		server.Options{Grace: 10 * time.Second}, "server-a", "server-b")
-	w.subscribe(t, "alice", "pw")
-	putDoc(t, w.servers["server-a"], "intro", shortAV)
-	putDoc(t, w.servers["server-b"], "extra", shortAV)
+	for _, tc := range []struct {
+		name string
+		at   func(w *world) // leaves the client in the state under test
+		want protocol.State
+	}{
+		{"viewing", func(w *world) { w.c.RequestDoc("intro"); w.run(2 * time.Second) }, protocol.StViewing},
+		{"browsing", func(w *world) {}, protocol.StBrowsing},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, netsim.DefaultLAN(), Options{AutoFollowLinks: false},
+				server.Options{Grace: 10 * time.Second}, "server-a", "server-b")
+			w.subscribe(t, "alice", "pw")
+			putDoc(t, w.servers["server-a"], "intro", shortAV)
+			putDoc(t, w.servers["server-b"], "extra", shortAV)
 
-	w.c.Connect("server-a")
-	w.run(time.Second)
-	w.c.RequestDoc("intro")
-	w.run(2 * time.Second) // presentation under way
-	// Follow an explorational link to server-b.
-	w.c.FollowLink(scenario.Link{Target: "extra", Host: "server-b"})
-	w.run(3 * time.Second)
-	if w.c.State("server-a") != protocol.StSuspended {
-		t.Fatalf("old state = %v", w.c.State("server-a"))
-	}
-	if w.c.SuspendToken("server-a") == "" {
-		t.Fatal("no resume token held")
-	}
-	if w.c.State("server-b") != protocol.StViewing && w.c.State("server-b") != protocol.StRequesting {
-		t.Fatalf("new state = %v", w.c.State("server-b"))
-	}
-	w.run(10 * time.Second) // let "extra" finish
-	// Return to server-a within the grace period (grace restarted? no —
-	// grace is 10s from suspension; we are at ~15s... use ReturnTo before
-	// expiry in a fresh run below; here verify expiry instead).
-	if got := w.c.State("server-a"); got != protocol.StDisconnected {
-		t.Fatalf("suspended session after grace = %v", got)
-	}
-	if !strings.Contains(w.c.LastError(), "grace") {
-		t.Fatalf("expiry notice = %q", w.c.LastError())
-	}
-	if w.servers["server-a"].Sessions() != 0 {
-		t.Fatal("server-a kept the expired session")
+			w.c.Connect("server-a")
+			w.run(time.Second)
+			tc.at(w)
+			if got := w.c.State("server-a"); got != tc.want {
+				t.Fatalf("state before the link = %v, want %v", got, tc.want)
+			}
+			w.c.FollowLink(scenario.Link{Target: "extra", Host: "server-b"})
+			w.run(3 * time.Second)
+			if w.c.State("server-a") != protocol.StSuspended {
+				t.Fatalf("old state = %v", w.c.State("server-a"))
+			}
+			if w.c.SuspendToken("server-a") == "" {
+				t.Fatal("no resume token held")
+			}
+			if w.c.State("server-b") != protocol.StViewing && w.c.State("server-b") != protocol.StRequesting {
+				t.Fatalf("new state = %v", w.c.State("server-b"))
+			}
+			w.run(10 * time.Second) // past server-a's 10s grace
+			if got := w.c.State("server-a"); got != protocol.StDisconnected {
+				t.Fatalf("suspended session after grace = %v", got)
+			}
+			if !strings.Contains(w.c.LastError(), "grace") {
+				t.Fatalf("expiry notice = %q", w.c.LastError())
+			}
+			if w.servers["server-a"].Sessions() != 0 {
+				t.Fatal("server-a kept the expired session")
+			}
+		})
 	}
 }
 
@@ -239,8 +252,9 @@ func TestReturnWithinGrace(t *testing.T) {
 	w.run(2 * time.Second)
 	w.c.FollowLink(scenario.Link{Target: "extra", Host: "server-b"})
 	w.run(8 * time.Second)
-	// Return within grace: no re-authentication, session preserved.
-	w.c.ReturnTo("server-a")
+	// Return within grace: the connect presents the resume token, so there
+	// is no re-authentication and the session is preserved.
+	w.c.Connect("server-a")
 	w.run(time.Second)
 	if w.c.State("server-a") != protocol.StBrowsing {
 		t.Fatalf("state after return = %v", w.c.State("server-a"))

@@ -4,9 +4,10 @@
 // admission load through a shared directory view, and the three cluster
 // behaviors — load-aware admission redirects, in-protocol cross-server
 // handoffs, and replica-aware failover — fall out of wiring the existing
-// server.Options cluster knobs to that view. The cluster-scale load/chaos
-// harness of experiment E13 drives this package from outside
-// (internal/experiments/clusterbench.go), as does the seeded chaos suite
+// server.Options cluster knobs to that view. New is the product's one
+// federation builder: the §6 Hermes service (internal/hermes) is a New
+// federation, and so are the cluster-scale load/chaos harness of experiment
+// E13 (internal/experiments/clusterbench.go) and the seeded chaos suite
 // (internal/chaos).
 package cluster
 
@@ -38,6 +39,9 @@ type Config struct {
 	// placement entry; each server's database gets exactly the documents
 	// placed on it.
 	Docs map[string]string
+	// Descriptions maps document name → catalogue blurb, which topic
+	// listings show and search matches; a missing entry stores none.
+	Descriptions map[string]string
 	// ServerOptions is the per-server option template. Obs, Directory and
 	// ClusterKey are filled per server by New.
 	ServerOptions server.Options
@@ -114,7 +118,6 @@ func New(clk clock.Clock, net netsim.Net, users *auth.DB, cfg Config) (*Cluster,
 	}
 	for _, name := range cfg.Servers {
 		db := server.NewDatabase()
-		// Deterministic doc order so database IDs replay identically.
 		docs := make([]string, 0, len(c.placement))
 		for d := range c.placement {
 			docs = append(docs, d)
@@ -125,7 +128,7 @@ func New(clk clock.Clock, net netsim.Net, users *auth.DB, cfg Config) (*Cluster,
 				if h != name {
 					continue
 				}
-				if err := db.Put(d, cfg.Docs[d], ""); err != nil {
+				if err := db.Put(d, cfg.Docs[d], cfg.Descriptions[d]); err != nil {
 					return nil, fmt.Errorf("cluster: %s: %w", d, err)
 				}
 				break

@@ -140,8 +140,8 @@ func E9Scale(seed uint64, quick bool) (*stats.Table, error) {
 			Servers: []hermes.ServerSpec{{
 				Name:    "srv",
 				Lessons: hermes.MakeCourse("c", 1, 1, 10*time.Second),
-				Options: server.Options{Capacity: 10_000_000},
 			}},
+			ServerOptions: server.Options{Capacity: 10_000_000},
 		})
 		if err != nil {
 			return nil, err
@@ -202,11 +202,11 @@ func E10SharedUplink(seed uint64) (*stats.Table, error) {
 					Name:   "av",
 					Source: avDoc(30 * time.Second),
 				}},
-				Options: server.Options{
-					Capacity:       100_000_000, // admission out of the way
-					DisableGrading: !enabled,
-				},
 			}},
+			ServerOptions: server.Options{
+				Capacity:       100_000_000, // admission out of the way
+				DisableGrading: !enabled,
+			},
 		})
 		if err != nil {
 			return nil, err

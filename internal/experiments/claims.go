@@ -277,11 +277,10 @@ func E7Suspend(seed uint64) (*stats.Table, error) {
 		svc, err := hermes.NewSimulated(hermes.Config{
 			Seed: seed,
 			Servers: []hermes.ServerSpec{
-				{Name: "srv-a", Lessons: hermes.MakeCourse("a", 1, 1, 5*time.Second),
-					Options: serverOptsWithGrace(c.grace)},
-				{Name: "srv-b", Lessons: hermes.MakeCourse("b", 1, 1, 5*time.Second),
-					Options: serverOptsWithGrace(c.grace)},
+				{Name: "srv-a", Lessons: hermes.MakeCourse("a", 1, 1, 5*time.Second)},
+				{Name: "srv-b", Lessons: hermes.MakeCourse("b", 1, 1, 5*time.Second)},
 			},
+			ServerOptions: server.Options{Grace: c.grace},
 		})
 		if err != nil {
 			return nil, err
@@ -296,21 +295,14 @@ func E7Suspend(seed uint64) (*stats.Table, error) {
 		svc.Run(c.wait)
 		admBefore, _, _ := svc.Servers["srv-a"].Admission().Counts(qos.Standard)
 		kept := svc.Servers["srv-a"].Sessions() == 1
-		if kept {
-			b.ReturnTo("srv-a")
-		} else {
-			b.Connect("srv-a")
-		}
+		// Within the grace the connect presents the resume token; after it
+		// the session is gone and the connect is a fresh admission.
+		b.Connect("srv-a")
 		svc.Run(2 * time.Second)
 		admAfter, _, _ := svc.Servers["srv-a"].Admission().Counts(qos.Standard)
 		tb.AddRow(c.wait, c.grace, kept, admAfter-admBefore, b.State("srv-a").String())
 	}
 	return tb, nil
-}
-
-func serverOptsWithGrace(g time.Duration) (o server.Options) {
-	o.Grace = g
-	return o
 }
 
 // E8Search measures federated search latency and correctness against the

@@ -21,17 +21,10 @@ func E12FlightRecorder(seed uint64) (*stats.Table, error) {
 	svc, err := hermes.NewSimulated(hermes.Config{
 		Seed: seed,
 		Servers: []hermes.ServerSpec{
-			{
-				Name:    "srv-a",
-				Lessons: []hermes.LessonSpec{{Name: "av", Source: avDoc(60 * time.Second)}},
-				Options: server.Options{Grace: 3 * time.Second, HeartbeatEvery: time.Second, LivenessMisses: 3},
-			},
-			{
-				Name:    "srv-b",
-				Lessons: []hermes.LessonSpec{{Name: "av", Source: avDoc(60 * time.Second)}},
-				Options: server.Options{Grace: 3 * time.Second, HeartbeatEvery: time.Second, LivenessMisses: 3},
-			},
+			{Name: "srv-a", Lessons: []hermes.LessonSpec{{Name: "av", Source: avDoc(60 * time.Second)}}},
+			{Name: "srv-b", Lessons: []hermes.LessonSpec{{Name: "av", Source: avDoc(60 * time.Second)}}},
 		},
+		ServerOptions: server.Options{Grace: 3 * time.Second, HeartbeatEvery: time.Second, LivenessMisses: 3},
 	})
 	if err != nil {
 		return nil, err

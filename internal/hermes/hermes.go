@@ -3,7 +3,10 @@
 // database of authorized users, the mail service for asynchronous
 // tutor/student interaction, and browser (client) instances — all wired over
 // a simulated broadband network on a virtual clock, or over a real network
-// in the cmd/hermesd and cmd/hermes binaries.
+// in the cmd/hermesd and cmd/hermes binaries. The simulated federation is a
+// cluster.New federation, so a lesson requested from a server that does not
+// hold it is handed off to one that does, and a browser moving between
+// servers runs the same suspend/connect/fallback episode as a handoff.
 package hermes
 
 import (
@@ -13,6 +16,7 @@ import (
 	"repro/internal/auth"
 	"repro/internal/client"
 	"repro/internal/clock"
+	"repro/internal/cluster"
 	"repro/internal/hml"
 	"repro/internal/mail"
 	"repro/internal/netsim"
@@ -31,13 +35,14 @@ type LessonSpec struct {
 type ServerSpec struct {
 	Name    string
 	Lessons []LessonSpec
-	// Options tunes the server (zero value = defaults).
-	Options server.Options
 }
 
 // Config configures a simulated deployment.
 type Config struct {
 	Servers []ServerSpec
+	// ServerOptions tunes every server (zero value = defaults); the
+	// federation fills in Obs, Directory and ClusterKey.
+	ServerOptions server.Options
 	// Link is the default network link between every host pair.
 	Link netsim.LinkConfig
 	// Seed drives the network's randomness.
@@ -55,7 +60,10 @@ type Service struct {
 	clients int
 }
 
-// NewSimulated builds the deployment on a fresh virtual clock.
+// NewSimulated builds the deployment on a fresh virtual clock: a
+// cluster.New federation in which each lesson is placed on the servers
+// whose spec lists it, in spec order. A lesson listed on several servers
+// must be the same lesson on each.
 func NewSimulated(cfg Config) (*Service, error) {
 	clk := clock.NewSim()
 	if cfg.Seed == 0 {
@@ -67,38 +75,35 @@ func NewSimulated(cfg Config) (*Service, error) {
 		link = netsim.DefaultLAN()
 	}
 	net.SetDefaultLink(link)
-	svc := &Service{
+	fed := cluster.Config{
+		Placement:     server.Placement{},
+		Docs:          map[string]string{},
+		Descriptions:  map[string]string{},
+		ServerOptions: cfg.ServerOptions,
+	}
+	for _, spec := range cfg.Servers {
+		fed.Servers = append(fed.Servers, spec.Name)
+		for _, l := range spec.Lessons {
+			if src, ok := fed.Docs[l.Name]; ok && src != l.Source {
+				return nil, fmt.Errorf("hermes: lesson %s on %s has a different source than its other copies", l.Name, spec.Name)
+			}
+			fed.Placement[l.Name] = append(fed.Placement[l.Name], spec.Name)
+			fed.Docs[l.Name] = l.Source
+			fed.Descriptions[l.Name] = l.Description
+		}
+	}
+	users := auth.NewDB()
+	cl, err := cluster.New(clk, net, users, fed)
+	if err != nil {
+		return nil, fmt.Errorf("hermes: %w", err)
+	}
+	return &Service{
 		Clk:     clk,
 		Net:     net,
-		Users:   auth.NewDB(),
-		Servers: map[string]*server.Server{},
+		Users:   users,
+		Servers: cl.Servers,
 		Mail:    mail.NewServer("hermes.cti.gr"),
-	}
-	var names []string
-	for _, spec := range cfg.Servers {
-		db := server.NewDatabase()
-		for _, l := range spec.Lessons {
-			if err := db.Put(l.Name, l.Source, l.Description); err != nil {
-				return nil, fmt.Errorf("hermes: lesson %s/%s: %w", spec.Name, l.Name, err)
-			}
-		}
-		srv, err := server.New(spec.Name, clk, net, svc.Users, db, spec.Options)
-		if err != nil {
-			return nil, fmt.Errorf("hermes: server %s: %w", spec.Name, err)
-		}
-		svc.Servers[spec.Name] = srv
-		names = append(names, spec.Name)
-	}
-	for _, n := range names {
-		var peers []string
-		for _, p := range names {
-			if p != n {
-				peers = append(peers, p)
-			}
-		}
-		svc.Servers[n].SetPeers(peers)
-	}
-	return svc, nil
+	}, nil
 }
 
 // Enroll subscribes a student directly into the central user database (the

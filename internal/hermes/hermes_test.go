@@ -1,6 +1,7 @@
 package hermes
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -218,13 +219,49 @@ func TestTimedLinkAcrossServers(t *testing.T) {
 	if rep.Streams["p2a"].Plays < rep.Streams["p2a"].Expected*8/10 {
 		t.Fatalf("part-two plays = %d/%d", rep.Streams["p2a"].Plays, rep.Streams["p2a"].Expected)
 	}
-	// Back returns across servers within the grace period.
+	// Back returns across servers within the grace period, and part one's
+	// timed link moves the viewer to server B a second time.
 	if !b.Back() {
 		t.Fatal("back unavailable")
 	}
 	svc.Run(10 * time.Second)
-	hist = b.History()
-	if hist[len(hist)-1] != "part-one" {
-		t.Fatalf("after back, history = %v", hist)
+	if got := fmt.Sprint(b.History()); got != "[part-one part-two part-one part-two]" {
+		t.Fatalf("after back, history = %s", got)
+	}
+	if b.State("hermes-a") != protocol.StSuspended || b.CurrentServer() != "hermes-b" {
+		t.Fatalf("after back: hermes-a %v, current server %q", b.State("hermes-a"), b.CurrentServer())
+	}
+}
+
+// TestRequestHandedOffToHoldingServer asks hermes-a for a lesson only
+// hermes-b holds, as the federated search lists it: the request is handed
+// off and the lesson plays on hermes-b behind a suspended hermes-a.
+func TestRequestHandedOffToHoldingServer(t *testing.T) {
+	svc := twoServerService(t)
+	svc.Enroll("eva", "pw", qos.Standard)
+	b := svc.NewBrowser("eva", "pw", client.Options{})
+	b.Connect("hermes-a")
+	svc.Run(time.Second)
+	b.RequestDoc("nets-L1")
+	svc.Run(5 * time.Second)
+	if b.State("hermes-b") != protocol.StViewing {
+		t.Fatalf("state on hermes-b = %v, want viewing (err %q)", b.State("hermes-b"), b.LastError())
+	}
+	if b.State("hermes-a") != protocol.StSuspended {
+		t.Fatalf("state on hermes-a = %v, want suspended", b.State("hermes-a"))
+	}
+	if got := b.History(); len(got) != 1 || got[0] != "nets-L1" {
+		t.Fatalf("history = %v", got)
+	}
+}
+
+func TestNewSimulatedRejectsDivergentCopies(t *testing.T) {
+	one := MakeCourse("c", 1, 1, 5*time.Second)
+	other := MakeCourse("c", 1, 2, 5*time.Second)
+	_, err := NewSimulated(Config{
+		Servers: []ServerSpec{{Name: "x", Lessons: one}, {Name: "y", Lessons: other}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "c-L1") {
+		t.Fatalf("divergent copies of c-L1: err = %v", err)
 	}
 }

@@ -128,9 +128,6 @@ func TestHappyPathTransitions(t *testing.T) {
 			t.Fatalf("after %v: state %v, want %v", s.in, m.State(), s.want)
 		}
 	}
-	if len(m.History()) != len(seq) {
-		t.Fatalf("history = %d", len(m.History()))
-	}
 }
 
 func TestGraceExpiryPath(t *testing.T) {

@@ -175,14 +175,12 @@ func (e *TransitionError) Error() string {
 	return fmt.Sprintf("protocol: input %q illegal in state %q", e.Input, e.From)
 }
 
-// Machine tracks a session through the Figure 4 state diagram and records
-// its history for coverage analysis.
+// Machine tracks a session through the Figure 4 state diagram.
 type Machine struct {
-	state   State
-	history []Step
+	state State
 }
 
-// Step is one recorded transition.
+// Step is one edge of the diagram.
 type Step struct {
 	From  State
 	Input Input
@@ -202,7 +200,6 @@ func (m *Machine) Apply(in Input) error {
 	if !ok {
 		return &TransitionError{From: m.state, Input: in}
 	}
-	m.history = append(m.history, Step{From: m.state, Input: in, To: next})
 	m.state = next
 	return nil
 }
@@ -211,13 +208,6 @@ func (m *Machine) Apply(in Input) error {
 func (m *Machine) Can(in Input) bool {
 	_, ok := transitions[m.state][in]
 	return ok
-}
-
-// History returns the recorded transitions.
-func (m *Machine) History() []Step {
-	out := make([]Step, len(m.history))
-	copy(out, m.history)
-	return out
 }
 
 // States enumerates all states.
