@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos bench-dataplane bench-controlplane bench-check digests size
+.PHONY: check fmt vet build test race fuzz chaos bench-dataplane bench-controlplane bench-check digests size
 
 # The full gate: everything below except chaos, digests, size and the bench-* generators.
-check: fmt vet build test race bench-check
+check: fmt vet build test race fuzz bench-check
 
 # Fails, listing the files, when anything is not gofmt-clean.
 fmt:
@@ -22,6 +22,10 @@ test:
 # Race detector over the concurrent packages: simulator, transport, telemetry, both endpoints and their churn stresses, the media path with its buffer pool, and the determinism/cluster-replay tests in experiments.
 race:
 	$(GO) test -race ./internal/clock/... ./internal/transport/... ./internal/netsim/... ./internal/obs/... ./internal/playout/... ./internal/client/... ./internal/server/... ./internal/media/... ./internal/rtp/... ./internal/buffer/... ./internal/cluster/... ./internal/experiments/...
+
+# The fuzz smoke: 10 s of each Fuzz target, one line per target (go test fuzzes one target per run). A crasher is written under the package's testdata/fuzz and committed, so plain go test replays it from then on.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/rtp/
 
 # The fault-injection suite on its pinned seed, under the race detector.
 chaos:

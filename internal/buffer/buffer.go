@@ -50,6 +50,11 @@ type Stats struct {
 // Buffer is one media stream's receive queue, ordered by PTS. It is safe
 // for concurrent use (the real client pushes from a network goroutine while
 // the playout process pops).
+//
+// The queue lives in one backing array that steady playout never
+// reallocates: popping advances the front and zeroes the popped slot (so no
+// played Payload stays reachable), and when the tail is full Push moves the
+// queued items down to the front of the array before it appends.
 type Buffer struct {
 	mu sync.Mutex
 
@@ -65,7 +70,9 @@ type Buffer struct {
 	// LowWM and HighWM are the occupancy watermarks (playback time).
 	LowWM, HighWM time.Duration
 
-	items []Item
+	// items is the queue, a window onto base, the whole backing array; the
+	// slots of base outside the window hold zero Items.
+	items, base []Item
 	// floor is the PTS below which arriving frames are stale (playout
 	// has moved past them).
 	floor time.Duration
@@ -161,6 +168,16 @@ func (b *Buffer) Push(it Item) (accepted, overflow bool) {
 		b.obs.Emit(obs.EvFrameDrop, b.StreamID, 1, "stale arrival")
 		return false, false
 	}
+	if len(b.items) == cap(b.items) {
+		// The tail is full: move the queue down over the slots popped off
+		// the front, or into a larger array when there are none.
+		if len(b.items) == len(b.base) {
+			b.base = make([]Item, 2*len(b.base)+4)
+		}
+		n := copy(b.base, b.items)
+		clear(b.base[n:])
+		b.items = b.base[:n]
+	}
 	// Insert keeping PTS order (arrivals may be reordered by the network).
 	i := sort.Search(len(b.items), func(i int) bool { return b.items[i].Frame.PTS > it.Frame.PTS })
 	b.items = append(b.items, Item{})
@@ -214,8 +231,7 @@ func (b *Buffer) PopDue(maxPTS time.Duration) (Item, bool) {
 		}
 		return Item{}, false
 	}
-	it := b.items[0]
-	b.items = b.items[1:]
+	it := b.popFrontLocked()
 	b.stats.Popped++
 	b.last = it
 	b.hasLast = true
@@ -223,6 +239,15 @@ func (b *Buffer) PopDue(maxPTS time.Duration) (Item, bool) {
 		b.floor = pts
 	}
 	return it, true
+}
+
+// popFrontLocked removes and returns the earliest frame, zeroing its slot.
+// The queue must not be empty.
+func (b *Buffer) popFrontLocked() Item {
+	it := b.items[0]
+	b.items[0] = Item{}
+	b.items = b.items[1:]
+	return it
 }
 
 // Peek returns the earliest frame without removing it.
@@ -250,8 +275,7 @@ func (b *Buffer) DropBefore(pts time.Duration, max int) (dropped int, newFloor t
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for dropped < max && len(b.items) > 0 && b.items[0].Frame.PTS < pts {
-		it := b.items[0]
-		b.items = b.items[1:]
+		it := b.popFrontLocked()
 		dropped++
 		b.stats.Dropped++
 		b.mDropped.Inc()
@@ -310,7 +334,8 @@ func (b *Buffer) Stats() Stats {
 func (b *Buffer) Reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.items = nil
+	clear(b.items)
+	b.items = b.base[:0]
 	b.floor = 0
 	b.hasLast = false
 	b.last = Item{}

@@ -360,6 +360,70 @@ func TestDropBeforeOnlyDropsStale(t *testing.T) {
 	}
 }
 
+// vacatedSlotsZero reports whether every slot of the backing array outside
+// the queue holds a zero Item, so no popped frame's Payload stays reachable.
+func vacatedSlotsZero(b *Buffer) bool {
+	front := len(b.base) - cap(b.items)
+	for i, it := range b.base {
+		if i >= front && i < front+len(b.items) {
+			continue
+		}
+		if it.Frame != (media.Frame{}) || !it.ArrivedAt.IsZero() || it.Payload != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSteadyPushPopReusesTheArray pins the jitter buffer's steady state: a
+// Push + PopDue cycle at constant depth allocates nothing, the backing array
+// stops growing, and the slots outside the queue hold zero Items — after
+// pops, after DropBefore and after Reset.
+func TestSteadyPushPopReusesTheArray(t *testing.T) {
+	const depth = 10
+	b := New(Config{StreamID: "s", FrameInterval: time.Millisecond, Window: time.Hour, HighWM: time.Hour})
+	payload := []byte("frame body")
+	next := 0
+	push := func() {
+		it := frame(next, time.Millisecond)
+		it.Payload = payload
+		b.Push(it)
+		next++
+	}
+	cycle := func() {
+		push()
+		if _, ok := b.PopDue(time.Duration(next-depth) * time.Millisecond); !ok {
+			t.Fatalf("frame %d not due", next-depth)
+		}
+	}
+	for i := 0; i < depth-1; i++ {
+		push()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+		t.Fatalf("Push+PopDue = %v allocations per cycle, want 0", got)
+	}
+	for i := 0; i < 10_000; i++ {
+		cycle()
+	}
+	if b.Len() != depth-1 || cap(b.base) > 4*depth {
+		t.Fatalf("after 10 000 cycles: %d queued, cap %d, want %d queued and cap ≤ %d", b.Len(), cap(b.base), depth-1, 4*depth)
+	}
+	if !vacatedSlotsZero(b) {
+		t.Fatal("a popped slot still holds its Item")
+	}
+	if n, _ := b.DropBefore(time.Duration(next-2)*time.Millisecond, 100); n != depth-3 {
+		t.Fatalf("DropBefore dropped %d, want %d", n, depth-3)
+	}
+	if !vacatedSlotsZero(b) {
+		t.Fatal("a dropped slot still holds its Item")
+	}
+	b.Reset()
+	if b.Len() != 0 || !vacatedSlotsZero(b) {
+		t.Fatal("Reset left Items behind")
+	}
+}
+
 func TestDropBeforeNothingStale(t *testing.T) {
 	b := newBuf()
 	b.Push(frame(10, b.FrameInterval))

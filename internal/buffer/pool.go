@@ -10,9 +10,8 @@ type Buf struct {
 }
 
 // Pool recycles byte buffers for the data plane's per-packet and per-frame
-// scratch: packet assembly on the server, frame reassembly on the client,
-// in-flight payload copies inside the network simulator. The zero value is
-// ready to use.
+// scratch: packet assembly on the server, frame reassembly on the client.
+// The zero value is ready to use.
 //
 // Ownership is strictly hand-over-hand: a Buf obtained from Get belongs to
 // the caller until Put, after which the caller must not touch it (or any

@@ -429,9 +429,9 @@ func (c *Client) pollFillLocked(deadline time.Time) {
 //
 // Per the netsim.Net ownership rule, pkt.Payload is borrowed for the
 // duration of the call only — the simulator recycles the buffer afterwards.
-// rtp.Unmarshal and ParseFrameHeader return zero-copy views into it, so the
-// fragment data is copied into the assembly's pooled scratch before return
-// and nothing retains pkt.Payload.
+// The RTP packet, parsed into a stack value, and ParseFrameHeader's result
+// are zero-copy views into it, so the fragment data is copied into the
+// assembly's pooled scratch before return and nothing retains pkt.Payload.
 func (c *Client) handleMedia(pkt netsim.Packet) {
 	// RTP/RTCP demultiplexing: RTCP packet types occupy 200–204 in the
 	// second octet, a range RTP payload types never reach.
@@ -443,8 +443,8 @@ func (c *Client) handleMedia(pkt netsim.Packet) {
 		}
 		return
 	}
-	p, err := rtp.Unmarshal(pkt.Payload)
-	if err != nil {
+	var p rtp.Packet
+	if p.Unmarshal(pkt.Payload) != nil {
 		return
 	}
 	c.mu.Lock()
@@ -453,7 +453,7 @@ func (c *Client) handleMedia(pkt netsim.Packet) {
 	if !ok {
 		return
 	}
-	c.monitor.Observe(id, p, c.clk.Now(), pkt.SentAt)
+	c.monitor.Observe(id, &p, c.clk.Now(), pkt.SentAt)
 	hdr, data, err := media.ParseFrameHeader(p.Payload)
 	if err != nil {
 		return

@@ -13,8 +13,8 @@ import (
 
 // TestFramePayloadIntegrityUnderPoolReuse is the end-to-end proof of the
 // pooled data plane's buffer ownership: a full client/server session runs
-// over a lossy, duplicating link (so the simulator's in-flight payload pool
-// sees drops, recycling and double deliveries) while the server's packet
+// over a lossy, duplicating link (so the simulator's free lists of in-flight
+// payloads see drops, recycling and double deliveries) while the server's packet
 // pool and the client's reassembly pool churn, and every frame the client
 // completes must be byte-identical to the deterministic synthesis of that
 // frame. A single shared or stale buffer anywhere on the path shows up as a

@@ -190,10 +190,12 @@ func F5StackSplit(seed uint64) (*stats.Table, *StackSplit, error) {
 	sniff := func(p netsim.Packet) {
 		split.Packets++
 		n := int64(p.Size())
+		var pkt rtp.Packet
+		isRTP := pkt.Unmarshal(p.Payload) == nil
 		if !p.Reliable {
 			// Unreliable datagrams are RTP media.
 			split.AVBytes += n
-			if pkt, err := rtp.Unmarshal(p.Payload); err == nil {
+			if isRTP {
 				switch pkt.PayloadType {
 				case rtp.PTPCM, rtp.PTADPCM, rtp.PTVADPCM:
 					split.AudioBytes += n
@@ -204,8 +206,7 @@ func F5StackSplit(seed uint64) (*stats.Table, *StackSplit, error) {
 			return
 		}
 		// Reliable path: either RTP stills or control messages.
-		if pkt, err := rtp.Unmarshal(p.Payload); err == nil &&
-			(pkt.PayloadType == rtp.PTJPEG || pkt.PayloadType == rtp.PTGIF || pkt.PayloadType == rtp.PTText) {
+		if isRTP && (pkt.PayloadType == rtp.PTJPEG || pkt.PayloadType == rtp.PTGIF || pkt.PayloadType == rtp.PTText) {
 			split.StillBytes += n
 			return
 		}

@@ -169,21 +169,86 @@ func TestSendIsFanOutOfOne(t *testing.T) {
 	}
 }
 
-// TestSendAllocs pins what one packet costs the heap on a warm link: the
-// delivery closure, the payload refcount and the clock's timer. The link key,
-// the destination list and the arrival plan must stay off it.
+// TestSendAllocs pins that a packet costs the heap nothing on a warm network:
+// deliveries (with their timers) and payload copies come off the network's
+// free lists, and the link key, the destination list and the arrival plan
+// stay on the stack. It covers a Send, a fan-out to three destinations, and a
+// duplicating link, whose second arrival shares the first one's payload.
 func TestSendAllocs(t *testing.T) {
 	clk := clock.NewSim()
 	net := New(clk, 1)
 	net.SetLink("a", "b", LinkConfig{Delay: time.Millisecond})
-	net.Listen("b:1", func(Packet) {})
-	pkt := Packet{From: "a:1", To: "b:1", Payload: make([]byte, 1000)}
-	sendAndDeliver := func() {
-		net.Send(pkt)
-		clk.Step()
+	net.SetLink("a", "c", LinkConfig{Delay: 2 * time.Millisecond})
+	net.SetLink("a", "d", LinkConfig{Delay: 3 * time.Millisecond})
+	net.SetLink("a", "e", LinkConfig{Delay: time.Millisecond, Dup: 1})
+	for _, to := range []Addr{"b:1", "c:1", "d:1", "e:1"} {
+		net.Listen(to, func(Packet) {})
 	}
-	sendAndDeliver() // warm the link and the payload pool
-	if got := testing.AllocsPerRun(200, sendAndDeliver); got > 3 {
-		t.Fatalf("Send+Step = %v allocations per packet, want ≤ 3", got)
+	pkt := Packet{From: "a:1", Payload: make([]byte, 1000)}
+	tos := []Addr{"b:1", "c:1", "d:1"}
+	cases := []struct {
+		name string
+		send func()
+	}{
+		{"Send", func() { pkt.To = "b:1"; net.Send(pkt) }},
+		{"SendMulti to 3", func() { net.SendMulti(pkt, tos) }},
+		{"Send on a Dup: 1 link", func() { pkt.To = "e:1"; net.Send(pkt) }},
+	}
+	for _, c := range cases {
+		sendAndDeliver := func() {
+			c.send()
+			clk.RunUntilIdle()
+		}
+		sendAndDeliver() // warm the links and the free lists
+		if got := testing.AllocsPerRun(200, sendAndDeliver); got != 0 {
+			t.Errorf("%s: %v allocations per transmission on a warm network, want 0", c.name, got)
+		}
+	}
+}
+
+// TestRecycledDeliveryKeepsFanOutPayload pins the recycling order: a delivery
+// is freed only after its handler returns, and a payload only after its last
+// delivery. Each destination of a fan-out first sends new packets from
+// inside its handler, which take the deliveries and payloads freed so far,
+// and only then reads its own payload: every destination must still read the
+// original bytes, and the quiet network leaves nothing scheduled.
+func TestRecycledDeliveryKeepsFanOutPayload(t *testing.T) {
+	clk := clock.NewSim()
+	net := New(clk, 3)
+	net.SetLink("a", "b", LinkConfig{Delay: time.Millisecond})
+	net.SetLink("a", "c", LinkConfig{Delay: 2 * time.Millisecond})
+	net.SetLink("a", "d", LinkConfig{Delay: 3 * time.Millisecond})
+	net.SetLink("b", "e", LinkConfig{Delay: 10 * time.Millisecond})
+	// Warm the free lists with a few deliveries and payloads.
+	net.Listen("e:1", func(Packet) {})
+	for i := 0; i < 4; i++ {
+		net.Send(Packet{From: "b:1", To: "e:1", Payload: []byte("warm")})
+	}
+	clk.RunUntilIdle()
+
+	const want = "fan-out-frame"
+	// As long as the original, so a reused payload is overwritten in place.
+	overwrite := []byte(strings.Repeat("X", len(want)))
+	got := map[Addr]string{}
+	sendThenRead := func(p Packet) {
+		for i := 0; i < 3; i++ {
+			net.Send(Packet{From: "b:1", To: "e:1", Payload: overwrite})
+		}
+		got[p.To] = string(p.Payload)
+	}
+	for _, to := range []Addr{"b:1", "c:1", "d:1"} {
+		net.Listen(to, sendThenRead)
+	}
+	if err := net.SendMulti(Packet{From: "a:1", Payload: []byte(want)}, []Addr{"b:1", "c:1", "d:1"}); err != nil {
+		t.Fatal(err)
+	}
+	clk.RunUntilIdle()
+	for _, to := range []Addr{"b:1", "c:1", "d:1"} {
+		if got[to] != want {
+			t.Errorf("%s read %q, want %q: a recycled delivery overwrote a shared payload", to, got[to], want)
+		}
+	}
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("Pending() = %d on a quiet network, want 0", n)
 	}
 }

@@ -29,18 +29,28 @@
 //
 // Send borrows pkt.Payload only for the duration of the call: the moment
 // Send returns, the caller may reuse (or pool) the backing array. The
-// simulated Network enforces this by copying the payload on enqueue into
-// its own pooled buffer — delivery is deferred through the clock and may
-// even duplicate the packet, so retaining the caller's slice would alias
-// whatever the caller writes next. The pooled copy is released after the
-// final delivery (or never taken for drops, which are decided before the
-// copy). Symmetrically, the Payload a Handler receives is borrowed: it is
-// valid only until the handler returns, after which the network may recycle
-// it. Handlers that keep payload bytes — the client's frame reassembly, for
-// example — must copy them out. Sniffer and DropHandler run synchronously
-// inside Send and observe the caller's original buffer under the same rule.
-// Every Net implementation (transport.Live encodes into fresh frames before
-// returning; test sinks only count) honors the same contract.
+// simulated Network enforces this by copying the payload on enqueue —
+// delivery is deferred through the clock and may even duplicate the packet,
+// so retaining the caller's slice would alias whatever the caller writes
+// next. Drops are decided before the copy, so a dropped packet takes none.
+//
+// A Network keeps two free lists under its lock, so a warm network sends
+// and delivers without allocating. A payload is one copy of a transmission's
+// bytes, shared by every arrival of it (each destination of a fan-out, and a
+// duplicate), and it carries its own count of the deliveries still to run.
+// A delivery is one scheduled arrival: the packet, its payload and a clock
+// timer bound once to the delivery, re-armed with Reset for each new
+// arrival. A delivery returns to its free list only after its handler has
+// returned, and the last delivery of a payload returns the payload, so a
+// handler that sends (and so reuses freed deliveries) can never overwrite
+// bytes another destination has yet to read. Symmetrically, the Payload a
+// Handler receives is borrowed: it is valid only until the handler returns,
+// after which the network recycles it. Handlers that keep payload bytes —
+// the client's frame reassembly, for example — must copy them out. Sniffer
+// and DropHandler run synchronously inside Send and observe the caller's
+// original buffer under the same rule. Every Net implementation
+// (transport.Live encodes into fresh frames before returning; test sinks
+// only count) honors the same contract.
 package netsim
 
 import (
@@ -49,17 +59,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/buffer"
 	"repro/internal/clock"
 	"repro/internal/stats"
 )
-
-// payloadPool recycles the in-flight payload copies made at Send time and
-// released after each packet's final delivery.
-var payloadPool buffer.Pool
 
 // Addr is an endpoint address of the form "host:port".
 type Addr string
@@ -245,6 +249,11 @@ type Network struct {
 	// fingerprint DeliveryDigest returns.
 	delivered int64
 	digest    uint64
+
+	// Free lists of recycled deliveries and payload copies (see "Packet
+	// buffer ownership").
+	freeDeliveries *delivery
+	freePayloads   *payload
 
 	// DropHandler, when set, observes every packet the network refuses at
 	// Send time, with the cause: an injected fault (which kills reliable and
@@ -507,6 +516,85 @@ func (n *Network) egressLocked(host string, pkt *Packet, now time.Time) (start t
 	return eg.nextFree, false
 }
 
+// payload is one copy of a transmission's bytes, shared by all its arrivals.
+// refs counts the deliveries that have yet to run; next links the free list.
+// Both are guarded by the network's lock.
+type payload struct {
+	b    []byte
+	refs int
+	next *payload
+}
+
+// delivery is one scheduled arrival of a packet. Its timer is bound to
+// deliver once, when the delivery is first made, and re-armed with Reset
+// every time the delivery is reused. While a delivery is being planned, next
+// chains the arrivals of one transmission; on the free list it links the
+// list.
+type delivery struct {
+	n     *Network
+	pkt   Packet
+	pl    *payload
+	wait  time.Duration
+	timer *clock.Timer
+	next  *delivery
+}
+
+// newDeliveryLocked takes a delivery off the free list, or makes one.
+// Caller holds n.mu.
+func (n *Network) newDeliveryLocked() *delivery {
+	d := n.freeDeliveries
+	if d == nil {
+		return &delivery{n: n}
+	}
+	n.freeDeliveries, d.next = d.next, nil
+	return d
+}
+
+// newPayloadLocked copies b into a payload off the free list, or a new one,
+// with no readers yet. Caller holds n.mu.
+func (n *Network) newPayloadLocked(b []byte) *payload {
+	pl := n.freePayloads
+	if pl == nil {
+		pl = &payload{}
+	} else {
+		n.freePayloads, pl.next = pl.next, nil
+	}
+	pl.b = append(pl.b[:0], b...)
+	return pl
+}
+
+// arm schedules the delivery wait from now.
+func (d *delivery) arm() {
+	if d.timer == nil {
+		d.timer = d.n.clk.AfterFunc(d.wait, d.deliver)
+		return
+	}
+	d.timer.Reset(d.wait)
+}
+
+// deliver is the arrival: it folds the packet into the replay digest, runs
+// the destination's handler, and only then recycles the delivery, and the
+// payload if this was its last reader.
+func (d *delivery) deliver() {
+	n := d.n
+	n.mu.Lock()
+	h := n.endpoints[d.pkt.To]
+	n.delivered++
+	n.digest = deliveryFold(n.digest, d.pkt.To, n.clk.Now().Sub(n.epoch), len(d.pkt.Payload))
+	n.mu.Unlock()
+	if h != nil {
+		h(d.pkt)
+	}
+	n.mu.Lock()
+	pl := d.pl
+	if pl.refs--; pl.refs == 0 {
+		n.freePayloads, pl.next = pl, n.freePayloads
+	}
+	d.pkt, d.pl = Packet{}, nil
+	n.freeDeliveries, d.next = d, n.freeDeliveries
+	n.mu.Unlock()
+}
+
 // transmit is the one send path: pkt leaves its sender once and is offered to
 // every destination in tos, in order. Under the network's lock each
 // destination's link counts the packet, an injected fault may kill it, and
@@ -514,10 +602,10 @@ func (n *Network) egressLocked(host string, pkt *Packet, now time.Time) (start t
 // egress serializer is charged once per transmission, by the first
 // destination no fault killed, so a fan-out whose every destination is
 // partitioned or down consumes no uplink. Refusals reach the DropHandler
-// after the lock is released; the accepted arrivals share one pooled copy of
-// the payload, which the last delivery releases. fault is the injected fault
-// that killed a destination, if any: Send, with its one destination, is its
-// reader.
+// after the lock is released, and then the accepted arrivals are armed in
+// plan order; they share one copy of the payload, which the last delivery
+// frees. fault is the injected fault that killed a destination, if any:
+// Send, with its one destination, is its reader.
 func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
 	from := pkt.From.Host()
 	now := n.clk.Now()
@@ -527,18 +615,17 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
 	}
 	offset := now.Sub(n.epoch)
 
-	type arrival struct {
-		to Addr
-		at time.Time
-	}
 	type refusal struct {
 		to    Addr
 		cause string
 	}
-	// Backing for a fan-out of one (and its duplicate) that stays off the heap.
-	var arrivalBuf [2]arrival
+	// Backing for a fan-out of one that stays off the heap.
 	var refusalBuf [1]refusal
-	arrivals, refusals := arrivalBuf[:0], refusalBuf[:0]
+	refusals := refusalBuf[:0]
+	// The planned arrivals, chained in plan order through delivery.next, and
+	// the one copy of the payload they share.
+	var first, last *delivery
+	var pl *payload
 	var egressStart time.Time
 	charged, overflow := false, false
 
@@ -571,9 +658,25 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
 			refusals = append(refusals, refusal{to, cause})
 			continue
 		}
-		arrivals = append(arrivals, arrival{to, at})
-		if !dupAt.IsZero() {
-			arrivals = append(arrivals, arrival{to, dupAt})
+		for _, when := range [2]time.Time{at, dupAt} {
+			if when.IsZero() {
+				break
+			}
+			if pl == nil {
+				// Delivery is deferred, but the caller owns pkt.Payload again
+				// as soon as the call returns: copy on enqueue, once.
+				pl = n.newPayloadLocked(pkt.Payload)
+			}
+			pl.refs++
+			d := n.newDeliveryLocked()
+			d.pkt = Packet{From: pkt.From, To: to, Payload: pl.b, Reliable: pkt.Reliable, SentAt: now}
+			d.pl, d.wait = pl, when.Sub(now)
+			if last == nil {
+				first = d
+			} else {
+				last.next = d
+			}
+			last = d
 		}
 	}
 	n.mu.Unlock()
@@ -584,34 +687,13 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
 			dh(pkt, r.cause)
 		}
 	}
-	if len(arrivals) == 0 {
-		return fault
-	}
-
-	// Delivery is deferred, but the caller owns pkt.Payload again as soon as
-	// the call returns: copy-on-enqueue into one pooled buffer, released
-	// after the last delivery fires.
-	pb := payloadPool.Get(len(pkt.Payload))
-	copy(pb.B, pkt.Payload)
-	remaining := new(int32)
-	*remaining = int32(len(arrivals))
-	for _, a := range arrivals {
-		// Never assigned after this line, so the closure holds p by value
-		// and the packet costs no allocation of its own (TestSendAllocs).
-		p := Packet{From: pkt.From, To: a.to, Payload: pb.B, Reliable: pkt.Reliable, SentAt: now}
-		n.clk.AfterFunc(a.at.Sub(now), func() {
-			n.mu.Lock()
-			h := n.endpoints[p.To]
-			n.delivered++
-			n.digest = deliveryFold(n.digest, p.To, n.clk.Now().Sub(n.epoch), len(p.Payload))
-			n.mu.Unlock()
-			if h != nil {
-				h(p)
-			}
-			if atomic.AddInt32(remaining, -1) == 0 {
-				payloadPool.Put(pb)
-			}
-		})
+	for d := first; d != nil; {
+		// On a wall clock the delivery may fire, and be recycled, as soon as
+		// it is armed: read the chain first.
+		next := d.next
+		d.next = nil
+		d.arm()
+		d = next
 	}
 	return fault
 }

@@ -98,10 +98,16 @@ type Event struct {
 
 // Display records playout events — the trace stand-in for the browser's
 // rendering surface. It is safe for concurrent use.
+//
+// The trace is kept in chunks of displayChunk events, each allocated once,
+// so recording never copies the history.
 type Display struct {
 	mu     sync.Mutex
-	events []Event
+	chunks [][]Event // every chunk but the last holds displayChunk events
 }
+
+// displayChunk is the number of events per trace chunk (≈ 26 KB).
+const displayChunk = 256
 
 // NewDisplay creates an empty display trace.
 func NewDisplay() *Display { return &Display{} }
@@ -109,7 +115,11 @@ func NewDisplay() *Display { return &Display{} }
 // Record appends an event.
 func (d *Display) Record(ev Event) {
 	d.mu.Lock()
-	d.events = append(d.events, ev)
+	if n := len(d.chunks); n == 0 || len(d.chunks[n-1]) == displayChunk {
+		d.chunks = append(d.chunks, make([]Event, 0, displayChunk))
+	}
+	last := &d.chunks[len(d.chunks)-1]
+	*last = append(*last, ev)
 	d.mu.Unlock()
 }
 
@@ -117,8 +127,14 @@ func (d *Display) Record(ev Event) {
 func (d *Display) Events() []Event {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]Event, len(d.events))
-	copy(out, d.events)
+	n := 0
+	for _, c := range d.chunks {
+		n += len(c)
+	}
+	out := make([]Event, 0, n)
+	for _, c := range d.chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 
@@ -128,9 +144,11 @@ func (d *Display) Count(k EventKind, streamID string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := 0
-	for _, ev := range d.events {
-		if ev.Kind == k && (streamID == "" || ev.StreamID == streamID) {
-			n++
+	for _, c := range d.chunks {
+		for _, ev := range c {
+			if ev.Kind == k && (streamID == "" || ev.StreamID == streamID) {
+				n++
+			}
 		}
 	}
 	return n
@@ -180,7 +198,12 @@ type streamState struct {
 	mediaPos time.Duration
 	// holdTicks orders deliberate duplications (skew control on a leader).
 	holdTicks int
-	ticker    *clock.Timer
+	// ticker is the stream's one timer: the next tick of a time-sensitive
+	// stream, the next retry of a still whose data is late. step is the
+	// function it runs, tick or playStill, bound once in New, and armStepLocked
+	// re-arms the timer with Reset.
+	ticker *clock.Timer
+	step   func()
 	// latenessSumMS and latenessMax summarize how late the plays were.
 	latenessSumMS float64
 	latenessMax   time.Duration
@@ -256,7 +279,13 @@ func New(clk clock.Clock, sc *scenario.Scenario, sch *scenario.Schedule, bufs *b
 			interval: interval,
 			still:    !e.Stream.Type.TimeSensitive(),
 		}
-		p.streams[e.Stream.ID] = s
+		id := e.Stream.ID
+		if s.still {
+			s.step = func() { p.playStill(id) }
+		} else {
+			s.step = func() { p.tick(id) }
+		}
+		p.streams[id] = s
 		p.order = append(p.order, s)
 	}
 	for _, members := range sc.SyncGroups() {
@@ -307,13 +336,26 @@ func (p *Player) armAllLocked(from time.Duration) {
 		p.addTimer(p.sch.LinkAt-from, p.fireLink)
 	}
 	// The monitor always runs so skew is measured even when the recovery
-	// actions are disabled (the E2 ablation compares the two).
+	// actions are disabled (the E2 ablation compares the two). Start and
+	// Resume find no timer (cancelTimersLocked drops it); skewCheck re-arms
+	// this one with Reset.
 	p.skewTimer = p.clk.AfterFunc(skewCheckInterval, p.skewCheck)
 }
 
+// addTimer arms a one-shot timer that cancelTimersLocked stops.
 func (p *Player) addTimer(d time.Duration, fn func()) {
 	t := p.clk.AfterFunc(d, fn)
 	p.timers = append(p.timers, t)
+}
+
+// armStepLocked arms s.ticker to run s.step after d. It re-arms the one timer
+// with Reset and makes a new one only after cancelTimersLocked dropped it.
+func (p *Player) armStepLocked(s *streamState, d time.Duration) {
+	if s.ticker != nil {
+		s.ticker.Reset(d)
+		return
+	}
+	s.ticker = p.clk.AfterFunc(d, s.step)
 }
 
 func (p *Player) armStreamLocked(s *streamState, from time.Duration) {
@@ -336,7 +378,7 @@ func (p *Player) armStreamLocked(s *streamState, from time.Duration) {
 		}
 		return
 	}
-	s.ticker = p.clk.AfterFunc(s.interval, func() { p.tick(id) })
+	p.armStepLocked(s, s.interval)
 	if s.entry.Stream.Duration > 0 {
 		p.addTimer(s.entry.EndAt-from, func() { p.stopStream(id) })
 	}
@@ -402,7 +444,7 @@ func (p *Player) playStill(id string) {
 		p.obs.Emit(obs.EvDeadlineMiss, id, 1, "still data not yet arrived")
 		p.disp.Record(Event{At: at, StreamID: id, Kind: EvLate, Note: "data not yet arrived"})
 	}
-	p.addTimer(stillRetryInterval, func() { p.playStill(id) })
+	p.armStepLocked(s, stillRetryInterval)
 	p.mu.Unlock()
 }
 
@@ -458,7 +500,7 @@ func (p *Player) tick(id string) {
 			p.disp.Record(Event{At: at, StreamID: id, Kind: EvGap, Frame: it.Frame, Note: "underflow duplicate"})
 		}
 	}
-	s.ticker = p.clk.AfterFunc(s.interval, func() { p.tick(id) })
+	p.armStepLocked(s, s.interval)
 	p.mu.Unlock()
 }
 
@@ -536,7 +578,7 @@ func (p *Player) skewCheck() {
 	for _, members := range p.groups {
 		p.controlGroupLocked(members[0].SyncGroup, members, now)
 	}
-	p.skewTimer = p.clk.AfterFunc(skewCheckInterval, p.skewCheck)
+	p.skewTimer.Reset(skewCheckInterval)
 	p.mu.Unlock()
 }
 

@@ -1,6 +1,7 @@
 package playout
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -244,6 +245,41 @@ func TestStillPlaysOnTimeAndLate(t *testing.T) {
 				t.Fatalf("image lateness = %v", ev.Lateness)
 			}
 		}
+	}
+}
+
+// TestLateStillRetriesOnOneTimer pins a late still's retries to the stream's
+// one timer: data that arrives 2 s after the still's deadline costs forty
+// retries and not one entry of p.timers, and the still plays the instant the
+// data is there.
+func TestLateStillRetriesOnOneTimer(t *testing.T) {
+	r := newRig(t, `<TITLE>still</TITLE>
+<IMG SOURCE=img/i ID=i STARTIME=1 DURATION=5 WIDTH=64 HEIGHT=64> </IMG>`, Options{})
+	im := media.NewImage("i", 64, 64)
+	r.clk.AfterFunc(3*time.Second, func() {
+		r.bufs.Get("i").Push(buffer.Item{Frame: im.FrameAt(0, 0), ArrivedAt: r.clk.Now()})
+	})
+	r.p.Start()
+	timers := func() int {
+		r.p.mu.Lock()
+		defer r.p.mu.Unlock()
+		return len(r.p.timers)
+	}
+	r.run(1100 * time.Millisecond) // started at 1 s, late, retrying
+	before := timers()
+	r.run(1800 * time.Millisecond) // 36 retries later, the data not yet in
+	if after := timers(); after != before {
+		t.Fatalf("len(p.timers) went from %d to %d while the still retried", before, after)
+	}
+	r.run(10 * time.Second)
+	want := []Event{
+		{At: time.Second, StreamID: "i", Kind: EvStart},
+		{At: time.Second, StreamID: "i", Kind: EvLate, Note: "data not yet arrived"},
+		{At: 3 * time.Second, StreamID: "i", Kind: EvPlay, Frame: im.FrameAt(0, 0), Lateness: 2 * time.Second},
+		{At: 6 * time.Second, StreamID: "i", Kind: EvStop},
+	}
+	if got := r.disp.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace:\n got  %+v\n want %+v", got, want)
 	}
 }
 

@@ -112,31 +112,42 @@ func AppendHeader(dst []byte, marker bool, pt PayloadType, seq uint16, ts, ssrc 
 // ErrMalformed reports an undecodable RTP/RTCP packet.
 var ErrMalformed = errors.New("rtp: malformed packet")
 
-// Unmarshal decodes an RTP packet from wire format. The returned packet's
-// Payload is a zero-copy view into buf: it stays valid only as long as the
-// caller owns buf. Receivers that hand the buffer back to a transport (or a
-// pool) after the handler returns must copy whatever payload bytes they
-// keep — the client's frame reassembly copies fragments into its own pooled
-// scratch for exactly this reason.
-func Unmarshal(buf []byte) (*Packet, error) {
+// Unmarshal decodes an RTP packet from wire format into p, so a receiver can
+// parse into a value on its stack. p's Payload is a zero-copy view into buf:
+// it stays valid only as long as the caller owns buf. Receivers that hand the
+// buffer back to a transport (or a pool) after the handler returns must copy
+// whatever payload bytes they keep — the client's frame reassembly copies
+// fragments into its own pooled scratch for exactly this reason. On error p
+// is left unchanged.
+func (p *Packet) Unmarshal(buf []byte) error {
 	if len(buf) < HeaderSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrMalformed, len(buf))
+		return fmt.Errorf("%w: %d bytes", ErrMalformed, len(buf))
 	}
 	if v := buf[0] >> 6; v != Version {
-		return nil, fmt.Errorf("%w: version %d", ErrMalformed, v)
+		return fmt.Errorf("%w: version %d", ErrMalformed, v)
 	}
 	cc := int(buf[0] & 0x0f)
 	hdr := HeaderSize + 4*cc
 	if len(buf) < hdr {
-		return nil, fmt.Errorf("%w: truncated CSRC list", ErrMalformed)
+		return fmt.Errorf("%w: truncated CSRC list", ErrMalformed)
 	}
-	p := &Packet{
+	*p = Packet{
 		Marker:         buf[1]&0x80 != 0,
 		PayloadType:    PayloadType(buf[1] & 0x7f),
 		SequenceNumber: binary.BigEndian.Uint16(buf[2:]),
 		Timestamp:      binary.BigEndian.Uint32(buf[4:]),
 		SSRC:           binary.BigEndian.Uint32(buf[8:]),
+		Payload:        buf[hdr:],
 	}
-	p.Payload = buf[hdr:]
+	return nil
+}
+
+// Unmarshal decodes an RTP packet from wire format into a new Packet; see
+// (*Packet).Unmarshal.
+func Unmarshal(buf []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := p.Unmarshal(buf); err != nil {
+		return nil, err
+	}
 	return p, nil
 }

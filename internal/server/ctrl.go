@@ -443,7 +443,7 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 	// DocResponse on the unordered datagram path.
 	origin := s.clk.Now().Add(200 * time.Millisecond)
 	for i, f := range flows {
-		src := media.ForStream(f.Stream)
+		src := doc.MediaSource(f.Stream)
 		port := base + i
 		snd := &sender{stream: f.Stream, qos: sess.qosMgr, to: netsim.MakeAddr(clientHost, port)}
 		sess.senders = append(sess.senders, snd)

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/auth"
+	"repro/internal/client"
 	"repro/internal/clock"
 	"repro/internal/hml"
 	"repro/internal/netsim"
@@ -80,6 +82,62 @@ func TestEmitPathAllocFree(t *testing.T) {
 	if avg > 1 {
 		t.Fatalf("emit path allocates %.2f objects/frame; the steady-state "+
 			"data plane must be allocation-free (pool refills excepted)", avg)
+	}
+}
+
+// TestReceivePathAllocFree is the receive-side mirror of
+// TestEmitPathAllocFree: one viewer plays a lesson from one server over the
+// simulated network on the virtual clock, and over 10 s of steady playout the
+// whole world — emit, netsim delivery, RTP parse, reassembly, jitter buffer,
+// playout tick and display trace, plus the periodic control traffic — makes
+// at most one heap allocation per presented frame.
+func TestReceivePathAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool deliberately drops items under -race; allocation bounds don't hold")
+	}
+	clk := clock.NewSim()
+	net := netsim.New(clk, 1)
+	users := auth.NewDB()
+	if err := users.Subscribe(auth.User{
+		Name: "viewer", Password: "pw", Email: "viewer@load", Class: qos.Standard,
+	}, clk.Now()); err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase()
+	if err := db.Put("lesson", hml.LessonSource("bench", 1, 30*time.Second), "load doc"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New("srv", clk, net, users, db, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.New("laptop", clk, net, client.Options{User: "viewer", Password: "pw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Connect("srv")
+	clk.RunFor(time.Second)
+	c.RequestDoc("lesson")
+	clk.RunFor(5 * time.Second) // start-up delay, then warm every pool and free list
+	presented := func() int {
+		n := 0
+		for _, s := range c.Player().Report().Streams {
+			n += s.Plays
+		}
+		return n
+	}
+	before := presented()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	clk.RunFor(10 * time.Second)
+	runtime.ReadMemStats(&m1)
+	frames := presented() - before
+	if frames < 700 { // 10 s of 50 audio + 25 video frames a second
+		t.Fatalf("%d frames presented in 10 s of steady playout, want ≥ 700", frames)
+	}
+	t.Logf("%d allocations over %d presented frames", m1.Mallocs-m0.Mallocs, frames)
+	if perFrame := float64(m1.Mallocs-m0.Mallocs) / float64(frames); perFrame > 1 {
+		t.Fatalf("steady playout allocates %.2f objects/frame (%d over %d frames); "+
+			"the receive path must stay at ≤ 1", perFrame, m1.Mallocs-m0.Mallocs, frames)
 	}
 }
 
