@@ -19,13 +19,14 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# Race detector over the concurrent packages: simulator, transport, telemetry, both endpoints and their churn stresses, the media path with its buffer pool, and the determinism/cluster-replay tests in experiments.
+# Race detector over the concurrent packages: simulator, transport, telemetry, the control codec's pool, both endpoints and their churn stresses, the media path with its buffer pool, and the determinism/cluster-replay tests in experiments.
 race:
-	$(GO) test -race ./internal/clock/... ./internal/transport/... ./internal/netsim/... ./internal/obs/... ./internal/playout/... ./internal/client/... ./internal/server/... ./internal/media/... ./internal/rtp/... ./internal/buffer/... ./internal/cluster/... ./internal/experiments/...
+	$(GO) test -race ./internal/clock/... ./internal/transport/... ./internal/netsim/... ./internal/obs/... ./internal/playout/... ./internal/protocol/... ./internal/client/... ./internal/server/... ./internal/media/... ./internal/rtp/... ./internal/buffer/... ./internal/cluster/... ./internal/experiments/...
 
 # The fuzz smoke: 10 s of each Fuzz target, one line per target (go test fuzzes one target per run). A crasher is written under the package's testdata/fuzz and committed, so plain go test replays it from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/rtp/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s ./internal/protocol/
 
 # The fault-injection suite on its pinned seed, under the race detector.
 chaos:

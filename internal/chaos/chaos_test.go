@@ -473,3 +473,45 @@ func TestUserPauseSurvivesSuspendAndRecovery(t *testing.T) {
 		t.Fatalf("no audio plays after pause-spanning recovery: %+v", n)
 	}
 }
+
+// TestMalformedReplyIsALoss: a server that answers every connect with a
+// body that does not decode must look to the client like one that never
+// answers. The connect retransmits, then times out through its onFail,
+// instead of the first bad reply resolving the request and stranding the
+// client in connecting.
+func TestMalformedReplyIsALoss(t *testing.T) {
+	w := newWorld(t, server.Options{}, client.Options{})
+	ctrl := netsim.MakeAddr("srv-bad", server.ControlPort)
+	connects := 0
+	w.net.Listen(ctrl, func(p netsim.Packet) {
+		mt, reqID, _, err := protocol.DecodeReq(p.Payload)
+		if err != nil || mt != protocol.MsgConnect {
+			return
+		}
+		connects++
+		reply := append(protocol.MustEncodeReq(protocol.MsgConnectResult, reqID, protocol.ConnectResult{})[:5], "{bad json"...)
+		w.net.Send(netsim.Packet{From: ctrl, To: p.From, Payload: reply, Reliable: true})
+	})
+	w.c.Connect("srv-bad")
+	w.run(60 * time.Second)
+
+	if st := w.c.State("srv-bad"); st != protocol.StIdle {
+		t.Fatalf("state = %v, want idle after the connect timed out", st)
+	}
+	if connects < 2 {
+		t.Fatalf("server saw %d connects, want retransmissions", connects)
+	}
+	if got := w.cscope.Counter("client_ctrl_decode_errors").Value(); got != int64(connects) {
+		t.Fatalf("client_ctrl_decode_errors = %d, want one per reply (%d)", got, connects)
+	}
+	if got := w.cscope.Counter("client_ctrl_timeouts").Value(); got != 1 {
+		t.Fatalf("client_ctrl_timeouts = %d, want 1", got)
+	}
+	found := false
+	for _, e := range w.cscope.Trace().Events() {
+		found = found || e.Kind == obs.EvCtrlDecodeError
+	}
+	if !found {
+		t.Fatal("no EvCtrlDecodeError trace event")
+	}
+}

@@ -366,15 +366,6 @@ func (c *Client) CurrentServer() string {
 	return c.current
 }
 
-func (c *Client) send(host string, t protocol.MsgType, body interface{}) {
-	c.net.Send(netsim.Packet{
-		From:     c.ctrlAddr(),
-		To:       netsim.MakeAddr(host, protocol.ControlPort),
-		Payload:  protocol.MustEncode(t, body),
-		Reliable: true,
-	})
-}
-
 // Connect initiates a session with a server. A previous session's terminal
 // state does not block a new one: the Figure 4 machine is per session, so a
 // fresh machine is started when the old one reached disconnected. Toward a
@@ -398,7 +389,7 @@ func (c *Client) connectLocked(host string, failover bool) {
 		c.current = host
 		c.lastConnect = nil
 		c.logEvent("return to " + host)
-		c.sendReqLocked(host, protocol.MsgConnect, protocol.Connect{
+		c.sendReqLocked(host, protocol.MsgConnect, &protocol.Connect{
 			User: c.opts.User, ResumeToken: c.suspendTokens[host],
 		}, time.Time{}, func() { c.connectFailedLocked(host, failover) })
 		return
@@ -410,7 +401,7 @@ func (c *Client) connectLocked(host string, failover bool) {
 	c.current = host
 	c.lastConnect = nil
 	c.logEvent("connect → " + host)
-	c.sendReqLocked(host, protocol.MsgConnect, protocol.Connect{
+	c.sendReqLocked(host, protocol.MsgConnect, &protocol.Connect{
 		User: c.opts.User, Password: c.opts.Password, Class: c.opts.Class,
 		PeakRate: c.opts.PeakRate, MinRate: c.opts.MinRate,
 		FloorLevel:  c.opts.FloorLevel,
@@ -442,7 +433,7 @@ func (c *Client) Subscribe(form protocol.SubscriptionForm) {
 	c.lastSubscribe = nil
 	c.opts.User = form.User
 	c.opts.Password = form.Password
-	c.sendReqLocked(c.current, protocol.MsgSubscribe, form, time.Time{}, nil)
+	c.sendReqLocked(c.current, protocol.MsgSubscribe, &form, time.Time{}, nil)
 }
 
 // RequestTopics asks for the contents listing.
@@ -450,7 +441,7 @@ func (c *Client) RequestTopics() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.topics = nil
-	c.sendReqLocked(c.current, protocol.MsgTopicList, protocol.TopicListRequest{}, time.Time{}, nil)
+	c.sendReqLocked(c.current, protocol.MsgTopicList, &protocol.TopicListRequest{}, time.Time{}, nil)
 }
 
 // Search launches a federated content search from the current server.
@@ -459,7 +450,7 @@ func (c *Client) Search(token string) {
 	defer c.mu.Unlock()
 	c.searchHits = nil
 	c.searchDone = false
-	c.sendReqLocked(c.current, protocol.MsgSearch, protocol.Search{Token: token},
+	c.sendReqLocked(c.current, protocol.MsgSearch, &protocol.Search{Token: token},
 		time.Time{}, func() { c.searchDone = true })
 }
 
@@ -489,7 +480,7 @@ func (c *Client) requestDocLocked(name string) {
 		win = buffer.ComputeWindow(40*time.Millisecond, c.opts.JitterBudget, c.opts.WindowSafety)
 	}
 	host := c.current
-	c.sendReqLocked(host, protocol.MsgDocRequest, protocol.DocRequest{
+	c.sendReqLocked(host, protocol.MsgDocRequest, &protocol.DocRequest{
 		Name:          name,
 		MediaPortBase: c.opts.MediaPortBase,
 		WindowMS:      int(win / time.Millisecond),
@@ -519,7 +510,7 @@ func (c *Client) Disconnect() {
 		c.hbTimer.Stop()
 		c.hbTimer = nil
 	}
-	c.send(c.current, protocol.MsgDisconnect, protocol.Disconnect{})
+	c.send(c.current, protocol.MsgDisconnect, &protocol.Disconnect{})
 	c.logEvent("disconnect " + c.current)
 	c.opts.Obs.Emit(obs.EvSessionEnd, c.current, 0, "client disconnect")
 	c.current = ""
@@ -533,7 +524,7 @@ func (c *Client) Pause() {
 		return
 	}
 	c.machine(c.current).Apply(protocol.InPause)
-	c.send(c.current, protocol.MsgPause, protocol.MediaOp{})
+	c.send(c.current, protocol.MsgPause, &protocol.MediaOp{})
 	c.player.Pause()
 	c.userPaused = true
 	c.logEvent("pause")
@@ -547,7 +538,7 @@ func (c *Client) Resume() {
 		return
 	}
 	c.machine(c.current).Apply(protocol.InResume)
-	c.send(c.current, protocol.MsgResume, protocol.MediaOp{})
+	c.send(c.current, protocol.MsgResume, &protocol.MediaOp{})
 	c.player.Resume()
 	c.userPaused = false
 	c.logEvent("resume")
@@ -557,7 +548,7 @@ func (c *Client) Resume() {
 func (c *Client) DisableMedia(streamID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.send(c.current, protocol.MsgDisableMedia, protocol.MediaOp{StreamID: streamID})
+	c.send(c.current, protocol.MsgDisableMedia, &protocol.MediaOp{StreamID: streamID})
 	c.logEvent("disable " + streamID)
 }
 
@@ -565,7 +556,7 @@ func (c *Client) DisableMedia(streamID string) {
 func (c *Client) Annotate(text string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.send(c.current, protocol.MsgAnnotate, protocol.Annotate{Text: text})
+	c.send(c.current, protocol.MsgAnnotate, &protocol.Annotate{Text: text})
 }
 
 // RequestStats asks the current server for its telemetry registry
@@ -574,7 +565,7 @@ func (c *Client) RequestStats() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lastStats = nil
-	c.sendReqLocked(c.current, protocol.MsgStatsRequest, protocol.StatsRequest{}, time.Time{}, nil)
+	c.sendReqLocked(c.current, protocol.MsgStatsRequest, &protocol.StatsRequest{}, time.Time{}, nil)
 }
 
 // Stats returns the last received server telemetry snapshot (nil = none
@@ -591,7 +582,7 @@ func (c *Client) RequestAnnotations(doc string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.annotations = nil
-	c.sendReqLocked(c.current, protocol.MsgListAnnotations, protocol.ListAnnotations{Doc: doc}, time.Time{}, nil)
+	c.sendReqLocked(c.current, protocol.MsgListAnnotations, &protocol.ListAnnotations{Doc: doc}, time.Time{}, nil)
 }
 
 // Annotations returns the last received annotation listing (nil = none yet).
@@ -687,7 +678,7 @@ func (c *Client) followLinkLocked(link scenario.Link) {
 	c.beginMoveLocked(from, link.Host, link.Target, nil, nil)
 	// The connect waits for the suspend's ack (onSuspendResult), which
 	// carries the resume token a fallback needs; a lost ack connects anyway.
-	c.sendReqLocked(from, protocol.MsgSuspend, protocol.Suspend{}, time.Time{},
+	c.sendReqLocked(from, protocol.MsgSuspend, &protocol.Suspend{}, time.Time{},
 		func() { c.connectHandoffLocked(link.Host) })
 }
 

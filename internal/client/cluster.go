@@ -151,7 +151,7 @@ func (c *Client) connectHandoffLocked(host string) {
 		body.Password = c.opts.Password
 	}
 	c.logEvent("handoff connect → " + host)
-	c.sendReqLocked(host, protocol.MsgConnect, body, time.Time{},
+	c.sendReqLocked(host, protocol.MsgConnect, &body, time.Time{},
 		func() { c.handoffConnectFailedLocked(host) })
 }
 

@@ -13,45 +13,36 @@ import (
 	"repro/internal/scenario"
 )
 
-// handleCtrl dispatches control-channel packets from servers. Replies to
-// tracked requests echo the request ID: the first one resolves the pending
-// retransmission entry, duplicates (from retransmitted requests the server
-// deduplicated) are dropped here so they cannot double-apply.
+// handleCtrl dispatches control-channel packets from servers. Each body is
+// decoded before accept decides whether it is handled.
 func (c *Client) handleCtrl(pkt netsim.Packet) {
+	from := pkt.From.Host()
 	mt, reqID, body, err := protocol.DecodeReq(pkt.Payload)
 	if err != nil {
+		c.accept(from, mt, 0, err)
 		return
-	}
-	from := pkt.From.Host()
-	if reqID != 0 {
-		c.mu.Lock()
-		ok := c.completePendingLocked(reqID)
-		c.mu.Unlock()
-		if !ok {
-			return
-		}
 	}
 	switch mt {
 	case protocol.MsgConnectResult:
 		var m protocol.ConnectResult
-		if protocol.DecodeBody(body, &m) == nil {
+		if c.accept(from, mt, reqID, protocol.DecodeBody(body, &m)) {
 			c.onConnectResult(from, m)
 		}
 	case protocol.MsgSubscribeResult:
 		var m protocol.SubscribeResult
-		if protocol.DecodeBody(body, &m) == nil {
+		if c.accept(from, mt, reqID, protocol.DecodeBody(body, &m)) {
 			c.onSubscribeResult(from, m)
 		}
 	case protocol.MsgTopics:
 		var m protocol.Topics
-		if protocol.DecodeBody(body, &m) == nil {
+		if c.accept(from, mt, reqID, protocol.DecodeBody(body, &m)) {
 			c.mu.Lock()
 			c.topics = m.Topics
 			c.mu.Unlock()
 		}
 	case protocol.MsgSearchResult:
 		var m protocol.SearchResult
-		if protocol.DecodeBody(body, &m) == nil {
+		if c.accept(from, mt, reqID, protocol.DecodeBody(body, &m)) {
 			c.mu.Lock()
 			c.searchHits = m.Hits
 			c.searchDone = true
@@ -59,36 +50,36 @@ func (c *Client) handleCtrl(pkt netsim.Packet) {
 		}
 	case protocol.MsgDocResponse:
 		var m protocol.DocResponse
-		if protocol.DecodeBody(body, &m) == nil {
+		if c.accept(from, mt, reqID, protocol.DecodeBody(body, &m)) {
 			c.onDocResponse(from, m)
 		}
 	case protocol.MsgAnnotations:
 		var m protocol.Annotations
-		if protocol.DecodeBody(body, &m) == nil {
+		if c.accept(from, mt, reqID, protocol.DecodeBody(body, &m)) {
 			c.mu.Lock()
 			c.annotations = &m
 			c.mu.Unlock()
 		}
 	case protocol.MsgSuspendResult:
 		var m protocol.SuspendResult
-		if protocol.DecodeBody(body, &m) == nil {
+		if c.accept(from, mt, reqID, protocol.DecodeBody(body, &m)) {
 			c.onSuspendResult(from, m)
 		}
 	case protocol.MsgStatsResult:
 		var m protocol.StatsResult
-		if protocol.DecodeBody(body, &m) == nil {
+		if c.accept(from, mt, reqID, protocol.DecodeBody(body, &m)) {
 			c.mu.Lock()
 			c.lastStats = &m
 			c.mu.Unlock()
 		}
 	case protocol.MsgHeartbeatAck:
 		var m protocol.HeartbeatAck
-		if protocol.DecodeBody(body, &m) == nil {
+		if c.accept(from, mt, reqID, protocol.DecodeBody(body, &m)) {
 			c.onHeartbeatAck(from, m)
 		}
 	case protocol.MsgError:
 		var m protocol.ErrorMsg
-		if protocol.DecodeBody(body, &m) == nil {
+		if c.accept(from, mt, reqID, protocol.DecodeBody(body, &m)) {
 			c.mu.Lock()
 			c.lastError = m.Msg
 			mach := c.machine(from)
@@ -99,7 +90,29 @@ func (c *Client) handleCtrl(pkt netsim.Packet) {
 			c.logEvent("server error: " + m.Msg)
 			c.mu.Unlock()
 		}
+	default:
+		c.accept(from, mt, reqID, nil)
 	}
+}
+
+// accept reports whether a reply is handled. A body that failed to decode
+// is counted and otherwise treated as lost, so the request it answers keeps
+// retransmitting and times out through its onFail. Replies to tracked
+// requests echo the request ID: the first one resolves the pending
+// retransmission entry, duplicates (from retransmitted requests the server
+// deduplicated) are dropped here so they cannot double-apply.
+func (c *Client) accept(from string, mt protocol.MsgType, reqID uint32, decodeErr error) bool {
+	if decodeErr != nil {
+		c.opts.Obs.Counter("client_ctrl_decode_errors").Inc()
+		c.opts.Obs.Emit(obs.EvCtrlDecodeError, from, int64(reqID), mt.String()+": "+decodeErr.Error())
+		return false
+	}
+	if reqID == 0 {
+		return true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.completePendingLocked(reqID)
 }
 
 func (c *Client) onConnectResult(from string, m protocol.ConnectResult) {
@@ -211,7 +224,7 @@ func (c *Client) onSubscribeResult(from string, m protocol.SubscribeResult) {
 		// The connection attempt that triggered the subscription never
 		// created a server-side session; re-handshake transparently so
 		// admission runs with the now-known user.
-		c.sendReqLocked(from, protocol.MsgConnect, protocol.Connect{
+		c.sendReqLocked(from, protocol.MsgConnect, &protocol.Connect{
 			User: c.opts.User, Password: c.opts.Password, Class: c.opts.Class,
 			PeakRate: c.opts.PeakRate, MinRate: c.opts.MinRate,
 			FloorLevel: c.opts.FloorLevel,
@@ -528,7 +541,7 @@ func (c *Client) sendFeedback() {
 	host := c.current
 	c.fbTimer = c.clk.AfterFunc(c.opts.FeedbackInterval, c.sendFeedback)
 	c.mu.Unlock()
-	c.send(host, protocol.MsgFeedback, protocol.Feedback{RTCP: rr.Marshal()})
+	c.send(host, protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
 }
 
 // onTimedLink fires when the presentation scenario auto-follows a link.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/clock"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -54,18 +55,39 @@ func (c *Client) sendFrame(host string, frame []byte) {
 	})
 }
 
+// ctrlScratch recycles the buffers fire-and-forget control frames are
+// encoded into. Send copies the payload before it returns, so the buffer
+// goes straight back.
+var ctrlScratch buffer.Pool
+
+// send puts one fire-and-forget control message on the wire.
+func (c *Client) send(host string, t protocol.MsgType, body protocol.Message) {
+	pb := ctrlScratch.Get(0)
+	frame, err := protocol.AppendFrame(pb.B, t, 0, body)
+	if err != nil {
+		panic(err)
+	}
+	c.sendFrame(host, frame)
+	pb.B = frame
+	ctrlScratch.Put(pb)
+}
+
 // sendReqLocked sends a tracked request: it is retransmitted with capped
 // backoff until its reply (correlated by request ID) arrives. A zero
 // deadline bounds it by Options.RetryAttempts; otherwise it retries until
 // the deadline. Caller holds c.mu.
-func (c *Client) sendReqLocked(host string, mt protocol.MsgType, body interface{}, deadline time.Time, onFail func()) uint32 {
+func (c *Client) sendReqLocked(host string, mt protocol.MsgType, body protocol.Message, deadline time.Time, onFail func()) uint32 {
 	c.nextReq++
 	id := c.nextReq
+	frame, err := protocol.NewFrame(mt, id, body)
+	if err != nil {
+		panic(err)
+	}
 	pr := &pendingReq{
 		id:       id,
 		host:     host,
 		mt:       mt,
-		frame:    protocol.MustEncodeReq(mt, id, body),
+		frame:    frame,
 		delay:    c.opts.RetryTimeout,
 		deadline: deadline,
 		sentAt:   c.clk.Now(),
@@ -198,7 +220,7 @@ func (c *Client) heartbeatTick() {
 	c.hbAwait = true
 	c.hbTimer = c.clk.AfterFunc(c.opts.HeartbeatInterval, c.heartbeatTick)
 	c.mu.Unlock()
-	c.send(host, protocol.MsgHeartbeat, protocol.Heartbeat{SessionID: sess})
+	c.send(host, protocol.MsgHeartbeat, &protocol.Heartbeat{SessionID: sess})
 }
 
 func (c *Client) onHeartbeatAck(from string, m protocol.HeartbeatAck) {
@@ -252,7 +274,7 @@ func (c *Client) onPeerLostLocked(host, why string) {
 		grace = 30 * time.Second
 	}
 	c.recoverDeadline = c.clk.Now().Add(grace)
-	c.sendReqLocked(host, protocol.MsgConnect, protocol.Connect{
+	c.sendReqLocked(host, protocol.MsgConnect, &protocol.Connect{
 		User: c.opts.User, ResumeSession: c.sessions[host],
 	}, c.recoverDeadline, func() {
 		c.recovering = ""

@@ -91,6 +91,9 @@ const (
 	// the servers, initiated/completed on the client (value = latency in µs
 	// on completion).
 	EvHandoff
+	// EvCtrlDecodeError marks a control message whose frame or body failed
+	// to decode and was dropped (value = its request ID).
+	EvCtrlDecodeError
 )
 
 func (k EventKind) String() string {
@@ -141,6 +144,8 @@ func (k EventKind) String() string {
 		return "redirect"
 	case EvHandoff:
 		return "handoff"
+	case EvCtrlDecodeError:
+		return "ctrl-decode-error"
 	default:
 		return fmt.Sprintf("kind-%d", uint8(k))
 	}

@@ -50,6 +50,16 @@ type HandoffTicket struct {
 	Sig []byte `json:"sig"`
 }
 
+func (t *HandoffTicket) wire(c *codec) {
+	c.str("user", &t.User, keep)
+	integer(c, "class", &t.Class, keep)
+	c.str("doc", &t.Doc, keep)
+	c.str("from", &t.From, keep)
+	c.str("target", &t.Target, omit)
+	integer(c, "expires", &t.ExpiresUnixMilli, keep)
+	c.bytes("sig", &t.Sig, keep)
+}
+
 // mac computes the ticket's HMAC-SHA256 under key. Fields are joined with
 // an unambiguous separator (NUL cannot appear in names) so no two distinct
 // tickets share a MAC input.

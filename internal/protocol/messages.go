@@ -7,16 +7,17 @@
 // Control messages travel over the reliable channel; they are encoded as a
 // one-byte type tag, a 4-byte request ID (0 for fire-and-forget messages;
 // replies echo the request's ID) and a JSON body, so the wire format is
-// self-describing and diffable in traces.
+// self-describing and diffable in traces. The body is written and read by
+// a hand-written codec (codec.go) that produces exactly the bytes
+// encoding/json produces for the struct tags below; encoding/json is kept
+// only in the tests, as the oracle that holds the codec to that.
 package protocol
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/obs"
-
 	"repro/internal/qos"
 )
 
@@ -109,6 +110,19 @@ type Connect struct {
 	Handoff *HandoffTicket `json:"handoff,omitempty"`
 }
 
+func (m *Connect) wire(c *codec) {
+	c.str("user", &m.User, keep)
+	c.str("password", &m.Password, omit)
+	integer(c, "class", &m.Class, keep)
+	c.float("peakRate", &m.PeakRate, keep)
+	c.float("minRate", &m.MinRate, keep)
+	integer(c, "floorLevel", &m.FloorLevel, keep)
+	c.str("resumeToken", &m.ResumeToken, omit)
+	c.str("resumeSession", &m.ResumeSession, omit)
+	c.boolean("failover", &m.Failover, omit)
+	pointer(c, "handoff", &m.Handoff, omit, (*HandoffTicket).wire)
+}
+
 // ConnectResult answers a Connect.
 type ConnectResult struct {
 	OK bool `json:"ok"`
@@ -136,6 +150,20 @@ type ConnectResult struct {
 	SessionLost bool `json:"sessionLost,omitempty"`
 }
 
+func (m *ConnectResult) wire(c *codec) {
+	c.boolean("ok", &m.OK, keep)
+	c.boolean("needSubscription", &m.NeedSubscription, omit)
+	c.str("sessionId", &m.SessionID, omit)
+	c.float("grantedRate", &m.GrantedRate, omit)
+	c.boolean("degraded", &m.Degraded, omit)
+	c.str("reason", &m.Reason, omit)
+	integer(c, "graceSecs", &m.GraceSecs, omit)
+	c.strs("peers", &m.Peers, omit)
+	c.boolean("redirect", &m.Redirect, omit)
+	c.boolean("resumed", &m.Resumed, omit)
+	c.boolean("sessionLost", &m.SessionLost, omit)
+}
+
 // SubscriptionForm is the paper's subscription form: "personal data such as
 // name and address, telephone, e-mail".
 type SubscriptionForm struct {
@@ -148,14 +176,31 @@ type SubscriptionForm struct {
 	Class    qos.PricingClass `json:"class"`
 }
 
+func (m *SubscriptionForm) wire(c *codec) {
+	c.str("user", &m.User, keep)
+	c.str("password", &m.Password, keep)
+	c.str("realName", &m.RealName, keep)
+	c.str("address", &m.Address, keep)
+	c.str("email", &m.Email, keep)
+	c.str("phone", &m.Phone, keep)
+	integer(c, "class", &m.Class, keep)
+}
+
 // SubscribeResult answers a SubscriptionForm.
 type SubscribeResult struct {
 	OK     bool   `json:"ok"`
 	Reason string `json:"reason,omitempty"`
 }
 
+func (m *SubscribeResult) wire(c *codec) {
+	c.boolean("ok", &m.OK, keep)
+	c.str("reason", &m.Reason, omit)
+}
+
 // TopicListRequest asks for the list of available topics/lessons.
 type TopicListRequest struct{}
+
+func (*TopicListRequest) wire(*codec) {}
 
 // TopicInfo describes one available document.
 type TopicInfo struct {
@@ -165,9 +210,20 @@ type TopicInfo struct {
 	Description string `json:"description,omitempty"`
 }
 
+func (m *TopicInfo) wire(c *codec) {
+	c.str("name", &m.Name, keep)
+	c.str("title", &m.Title, keep)
+	c.str("server", &m.Server, keep)
+	c.str("description", &m.Description, omit)
+}
+
 // Topics is the contents listing.
 type Topics struct {
 	Topics []TopicInfo `json:"topics"`
+}
+
+func (m *Topics) wire(c *codec) {
+	list(c, "topics", &m.Topics, keep, (*TopicInfo).wire)
 }
 
 // Search is a federated content search: the receiving server scans its
@@ -180,10 +236,21 @@ type Search struct {
 	SearchID int `json:"searchId,omitempty"`
 }
 
+func (m *Search) wire(c *codec) {
+	c.str("token", &m.Token, keep)
+	c.boolean("noForward", &m.NoForward, omit)
+	integer(c, "searchId", &m.SearchID, omit)
+}
+
 // SearchResult lists matches.
 type SearchResult struct {
 	SearchID int         `json:"searchId,omitempty"`
 	Hits     []TopicInfo `json:"hits"`
+}
+
+func (m *SearchResult) wire(c *codec) {
+	integer(c, "searchId", &m.SearchID, omit)
+	list(c, "hits", &m.Hits, keep, (*TopicInfo).wire)
 }
 
 // DocRequest asks for a document's presentation scenario.
@@ -196,6 +263,12 @@ type DocRequest struct {
 	// flow scheduler pre-rolls transmission by this much (plus a margin)
 	// so the buffers hold one window when playout begins.
 	WindowMS int `json:"windowMs,omitempty"`
+}
+
+func (m *DocRequest) wire(c *codec) {
+	c.str("name", &m.Name, keep)
+	integer(c, "mediaPortBase", &m.MediaPortBase, keep)
+	integer(c, "windowMs", &m.WindowMS, omit)
 }
 
 // StreamAnnounce tells the client how one media stream will arrive.
@@ -212,6 +285,16 @@ type StreamAnnounce struct {
 	FrameIntervalUS int64 `json:"frameIntervalUs"`
 	// Levels is the quality ladder depth.
 	Levels int `json:"levels"`
+}
+
+func (m *StreamAnnounce) wire(c *codec) {
+	c.str("streamId", &m.StreamID, keep)
+	integer(c, "ssrc", &m.SSRC, keep)
+	integer(c, "port", &m.Port, keep)
+	integer(c, "payloadType", &m.PayloadType, keep)
+	c.float("rate", &m.Rate, keep)
+	integer(c, "frameIntervalUs", &m.FrameIntervalUS, keep)
+	integer(c, "levels", &m.Levels, keep)
 }
 
 // DocResponse carries the scenario and the media connection plan.
@@ -239,10 +322,27 @@ type DocResponse struct {
 	Reason      string           `json:"reason,omitempty"`
 }
 
+func (m *DocResponse) wire(c *codec) {
+	c.boolean("ok", &m.OK, keep)
+	c.str("name", &m.Name, omit)
+	c.str("redirect", &m.Redirect, omit)
+	pointer(c, "handoff", &m.Handoff, omit, (*HandoffTicket).wire)
+	c.str("resumeToken", &m.ResumeToken, omit)
+	integer(c, "graceSecs", &m.GraceSecs, omit)
+	c.strs("peers", &m.Peers, omit)
+	c.str("scenarioSrc", &m.ScenarioSrc, omit)
+	list(c, "streams", &m.Streams, omit, (*StreamAnnounce).wire)
+	c.str("reason", &m.Reason, omit)
+}
+
 // MediaOp addresses an interactive operation at the current document
 // (pause, resume, reload) or one media stream (disable).
 type MediaOp struct {
 	StreamID string `json:"streamId,omitempty"`
+}
+
+func (m *MediaOp) wire(c *codec) {
+	c.str("streamId", &m.StreamID, omit)
 }
 
 // Annotate attaches a user remark to the current document.
@@ -251,9 +351,18 @@ type Annotate struct {
 	Text     string `json:"text"`
 }
 
+func (m *Annotate) wire(c *codec) {
+	c.str("streamId", &m.StreamID, omit)
+	c.str("text", &m.Text, keep)
+}
+
 // ListAnnotations asks for the remarks attached to a document.
 type ListAnnotations struct {
 	Doc string `json:"doc"`
+}
+
+func (m *ListAnnotations) wire(c *codec) {
+	c.str("doc", &m.Doc, keep)
 }
 
 // AnnotationRecord is one stored user remark.
@@ -264,15 +373,28 @@ type AnnotationRecord struct {
 	AtUnixMilli int64 `json:"at"`
 }
 
+func (m *AnnotationRecord) wire(c *codec) {
+	c.str("user", &m.User, keep)
+	c.str("text", &m.Text, keep)
+	integer(c, "at", &m.AtUnixMilli, keep)
+}
+
 // Annotations answers ListAnnotations.
 type Annotations struct {
 	Doc     string             `json:"doc"`
 	Records []AnnotationRecord `json:"records"`
 }
 
+func (m *Annotations) wire(c *codec) {
+	c.str("doc", &m.Doc, keep)
+	list(c, "records", &m.Records, keep, (*AnnotationRecord).wire)
+}
+
 // Suspend asks the server to keep the session alive for the grace period
 // while the client visits another server.
 type Suspend struct{}
+
+func (*Suspend) wire(*codec) {}
 
 // SuspendResult grants a resume token and the grace period in seconds.
 type SuspendResult struct {
@@ -281,14 +403,28 @@ type SuspendResult struct {
 	GraceSecs   int    `json:"graceSecs,omitempty"`
 }
 
+func (m *SuspendResult) wire(c *codec) {
+	c.boolean("ok", &m.OK, keep)
+	c.str("resumeToken", &m.ResumeToken, omit)
+	integer(c, "graceSecs", &m.GraceSecs, omit)
+}
+
 // Disconnect ends the session; the pricing primitive is informed.
 type Disconnect struct {
 	Reason string `json:"reason,omitempty"`
 }
 
+func (m *Disconnect) wire(c *codec) {
+	c.str("reason", &m.Reason, omit)
+}
+
 // ErrorMsg reports a protocol-level failure.
 type ErrorMsg struct {
 	Msg string `json:"msg"`
+}
+
+func (m *ErrorMsg) wire(c *codec) {
+	c.str("msg", &m.Msg, keep)
 }
 
 // Feedback wraps an RTCP receiver report travelling on the control channel
@@ -298,10 +434,16 @@ type Feedback struct {
 	RTCP []byte `json:"rtcp"`
 }
 
+func (m *Feedback) wire(c *codec) {
+	c.bytes("rtcp", &m.RTCP, keep)
+}
+
 // StatsRequest asks a server for its telemetry registry snapshot. It is
 // sessionless (like TopicListRequest): monitoring must not require
 // admission.
 type StatsRequest struct{}
+
+func (*StatsRequest) wire(*codec) {}
 
 // StatsResult answers StatsRequest with the server's metric snapshot and
 // the shape of its trace ring.
@@ -316,9 +458,35 @@ type StatsResult struct {
 	TraceDropped int64 `json:"traceDropped,omitempty"`
 }
 
+func (m *StatsResult) wire(c *codec) {
+	c.boolean("ok", &m.OK, keep)
+	c.str("server", &m.Server, omit)
+	list(c, "metrics", &m.Metrics, omit, metricPointWire)
+	integer(c, "traceEvents", &m.TraceEvents, omit)
+	integer(c, "traceDropped", &m.TraceDropped, omit)
+}
+
+// metricPointWire lists the wire fields of obs.MetricPoint, whose package
+// knows nothing of the codec.
+func metricPointWire(m *obs.MetricPoint, c *codec) {
+	c.str("name", &m.Name, keep)
+	c.str("kind", &m.Kind, keep)
+	c.float("value", &m.Value, keep)
+	integer(c, "count", &m.Count, omit)
+	c.float("p50_ms", &m.P50, omit)
+	c.float("p95_ms", &m.P95, omit)
+	c.float("p99_ms", &m.P99, omit)
+	c.float("min_ms", &m.Min, omit)
+	c.float("max_ms", &m.Max, omit)
+}
+
 // Heartbeat is the client's periodic liveness probe on the control channel.
 type Heartbeat struct {
 	SessionID string `json:"sessionId,omitempty"`
+}
+
+func (m *Heartbeat) wire(c *codec) {
+	c.str("sessionId", &m.SessionID, omit)
 }
 
 // HeartbeatAck answers a Heartbeat. OK=false tells the client the server no
@@ -333,48 +501,43 @@ type HeartbeatAck struct {
 	Peers []string `json:"peers,omitempty"`
 }
 
+func (m *HeartbeatAck) wire(c *codec) {
+	c.boolean("ok", &m.OK, keep)
+	c.str("sessionId", &m.SessionID, omit)
+	c.strs("peers", &m.Peers, omit)
+}
+
 // headerSize is the frame header: one type byte plus a 4-byte big-endian
 // request ID (0 = fire-and-forget, no reply correlation).
 const headerSize = 5
 
-// Encode frames a fire-and-forget message (request ID 0) as
-// [type | reqID=0 | JSON body].
-func Encode(t MsgType, body interface{}) ([]byte, error) {
-	return EncodeReq(t, 0, body)
+// bodyOf constrains P to *M for a message body M, so that the functions
+// below can take a body by value.
+type bodyOf[M any] interface {
+	*M
+	Message
 }
 
 // EncodeReq frames a message as [type byte | 4-byte big-endian request ID |
-// JSON body]. Requests carry a nonzero ID; replies echo it, which lets the
-// client match replies to pending retransmissions and the server dedup
-// duplicated requests.
-func EncodeReq(t MsgType, reqID uint32, body interface{}) ([]byte, error) {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: encode %s: %w", t, err)
-	}
-	out := make([]byte, headerSize+len(data))
-	out[0] = byte(t)
-	binary.BigEndian.PutUint32(out[1:headerSize], reqID)
-	copy(out[headerSize:], data)
-	return out, nil
-}
-
-// MustEncode is Encode for bodies that cannot fail.
-func MustEncode(t MsgType, body interface{}) []byte {
-	b, err := Encode(t, body)
-	if err != nil {
-		panic(err)
-	}
-	return b
+// JSON body], in an allocation of its own. Requests carry a nonzero ID;
+// replies echo it, which lets the client match replies to pending
+// retransmissions and the server dedup duplicated requests.
+func EncodeReq[M any, P bodyOf[M]](t MsgType, reqID uint32, body M) ([]byte, error) {
+	return NewFrame(t, reqID, P(&body))
 }
 
 // MustEncodeReq is EncodeReq for bodies that cannot fail.
-func MustEncodeReq(t MsgType, reqID uint32, body interface{}) []byte {
-	b, err := EncodeReq(t, reqID, body)
+func MustEncodeReq[M any, P bodyOf[M]](t MsgType, reqID uint32, body M) []byte {
+	b, err := NewFrame(t, reqID, P(&body))
 	if err != nil {
 		panic(err)
 	}
 	return b
+}
+
+// MustEncode is MustEncodeReq for a fire-and-forget message (request ID 0).
+func MustEncode[M any, P bodyOf[M]](t MsgType, body M) []byte {
+	return MustEncodeReq[M, P](t, 0, body)
 }
 
 // Decode splits a framed message, discarding the request ID; the body
@@ -390,12 +553,4 @@ func DecodeReq(buf []byte) (MsgType, uint32, []byte, error) {
 		return 0, 0, nil, fmt.Errorf("protocol: short message (%d bytes)", len(buf))
 	}
 	return MsgType(buf[0]), binary.BigEndian.Uint32(buf[1:headerSize]), buf[headerSize:], nil
-}
-
-// DecodeBody unmarshals a message body into out.
-func DecodeBody(body []byte, out interface{}) error {
-	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("protocol: decode body: %w", err)
-	}
-	return nil
 }

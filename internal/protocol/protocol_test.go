@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,7 +12,7 @@ import (
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	in := Connect{User: "alice", Password: "pw", Class: qos.Premium, PeakRate: 2e6, MinRate: 5e5, FloorLevel: 3}
-	buf, err := Encode(MsgConnect, in)
+	buf, err := EncodeReq(MsgConnect, 0, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,23 +50,26 @@ func TestEncodeReqRoundTripsRequestID(t *testing.T) {
 	}
 }
 
-func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode(nil); err == nil {
-		t.Fatal("empty decode accepted")
-	}
-	var c Connect
-	if err := DecodeBody([]byte("{bad json"), &c); err == nil {
-		t.Fatal("bad json accepted")
-	}
-}
-
+// A body encoding/json refuses, NaN or ±Inf, fails to encode: EncodeReq
+// returns the error and MustEncode panics.
 func TestMustEncodePanicsOnUnmarshalable(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		body := Connect{User: "u", PeakRate: f}
+		if _, err := json.Marshal(body); err == nil {
+			t.Fatalf("oracle accepts %v", f)
 		}
-	}()
-	MustEncode(MsgError, make(chan int))
+		if _, err := EncodeReq(MsgConnect, 1, body); err == nil {
+			t.Fatalf("EncodeReq accepts %v", f)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("MustEncode of %v: no panic", f)
+				}
+			}()
+			MustEncode(MsgConnect, body)
+		}()
+	}
 }
 
 func TestDocResponseRoundTrip(t *testing.T) {

@@ -185,5 +185,5 @@ func (s *Server) issueHandoff(sh *ctrlShard, sess *session, from netsim.Addr, re
 	}
 	s.cHandoffs.Inc()
 	s.opts.Obs.Emit(obs.EvHandoff, user, 0, "handoff of "+doc+" → "+target)
-	s.replyReq(from, reqID, protocol.MsgDocResponse, res)
+	s.replyReq(from, reqID, protocol.MsgDocResponse, &res)
 }

@@ -43,7 +43,7 @@ func (s *Server) handle(pkt netsim.Packet) {
 
 func (s *Server) handlePacket(pkt netsim.Packet) {
 	mt, reqID, body, err := protocol.DecodeReq(pkt.Payload)
-	if err != nil {
+	if !s.decoded(pkt.From, mt, reqID, err) {
 		return
 	}
 	if reqID != 0 && dedupable(mt) {
@@ -69,39 +69,39 @@ func (s *Server) handlePacket(pkt netsim.Packet) {
 	switch mt {
 	case protocol.MsgConnect:
 		var m protocol.Connect
-		if protocol.DecodeBody(body, &m) == nil {
+		if s.decoded(pkt.From, mt, reqID, protocol.DecodeBody(body, &m)) {
 			s.onConnect(pkt.From, reqID, m)
 		}
 	case protocol.MsgSubscribe:
 		var m protocol.SubscriptionForm
-		if protocol.DecodeBody(body, &m) == nil {
+		if s.decoded(pkt.From, mt, reqID, protocol.DecodeBody(body, &m)) {
 			s.onSubscribe(pkt.From, reqID, m)
 		}
 	case protocol.MsgTopicList:
-		s.replyReq(pkt.From, reqID, protocol.MsgTopics, protocol.Topics{Topics: s.db.Topics(s.Name)})
+		s.replyReq(pkt.From, reqID, protocol.MsgTopics, &protocol.Topics{Topics: s.db.Topics(s.Name)})
 	case protocol.MsgSearch:
 		var m protocol.Search
-		if protocol.DecodeBody(body, &m) == nil {
+		if s.decoded(pkt.From, mt, reqID, protocol.DecodeBody(body, &m)) {
 			s.onSearch(pkt.From, reqID, m)
 		}
 	case protocol.MsgSearchResult:
 		var m protocol.SearchResult
-		if protocol.DecodeBody(body, &m) == nil {
+		if s.decoded(pkt.From, mt, reqID, protocol.DecodeBody(body, &m)) {
 			s.onSearchResult(m)
 		}
 	case protocol.MsgDocRequest:
 		var m protocol.DocRequest
-		if protocol.DecodeBody(body, &m) == nil {
+		if s.decoded(pkt.From, mt, reqID, protocol.DecodeBody(body, &m)) {
 			s.onDocRequest(pkt.From, reqID, m)
 		}
 	case protocol.MsgHeartbeat:
 		var m protocol.Heartbeat
-		if protocol.DecodeBody(body, &m) == nil {
+		if s.decoded(pkt.From, mt, reqID, protocol.DecodeBody(body, &m)) {
 			s.onHeartbeat(pkt.From, m)
 		}
 	case protocol.MsgFeedback:
 		var m protocol.Feedback
-		if protocol.DecodeBody(body, &m) == nil {
+		if s.decoded(pkt.From, mt, reqID, protocol.DecodeBody(body, &m)) {
 			s.onFeedback(pkt.From, m)
 		}
 	case protocol.MsgPause:
@@ -112,18 +112,18 @@ func (s *Server) handlePacket(pkt netsim.Packet) {
 		s.onMediaOp(pkt.From, mt, protocol.MediaOp{})
 	case protocol.MsgDisableMedia:
 		var m protocol.MediaOp
-		if protocol.DecodeBody(body, &m) == nil {
+		if s.decoded(pkt.From, mt, reqID, protocol.DecodeBody(body, &m)) {
 			s.onMediaOp(pkt.From, mt, m)
 		}
 	case protocol.MsgAnnotate:
 		// Annotations are accepted and logged with the access trail.
 		var m protocol.Annotate
-		if protocol.DecodeBody(body, &m) == nil {
+		if s.decoded(pkt.From, mt, reqID, protocol.DecodeBody(body, &m)) {
 			s.onAnnotate(pkt.From, m)
 		}
 	case protocol.MsgListAnnotations:
 		var m protocol.ListAnnotations
-		if protocol.DecodeBody(body, &m) == nil {
+		if s.decoded(pkt.From, mt, reqID, protocol.DecodeBody(body, &m)) {
 			s.onListAnnotations(pkt.From, reqID, m)
 		}
 	case protocol.MsgSuspend:
@@ -133,6 +133,17 @@ func (s *Server) handlePacket(pkt netsim.Packet) {
 	case protocol.MsgStatsRequest:
 		s.onStats(pkt.From, reqID)
 	}
+}
+
+// decoded reports whether a frame or body decoded. A failure is counted,
+// traced and dropped, like a lost packet.
+func (s *Server) decoded(from netsim.Addr, mt protocol.MsgType, reqID uint32, err error) bool {
+	if err == nil {
+		return true
+	}
+	s.opts.Obs.Counter("server_ctrl_decode_errors").Inc()
+	s.opts.Obs.Emit(obs.EvCtrlDecodeError, string(from), int64(reqID), mt.String()+": "+err.Error())
+	return false
 }
 
 // onHeartbeat refreshes the session's liveness deadline and acks. An ack
@@ -149,7 +160,7 @@ func (s *Server) onHeartbeat(from netsim.Addr, m protocol.Heartbeat) {
 	sess, ok := sh.sessions[string(from)]
 	if !ok || sess.suspended {
 		sh.mu.Unlock()
-		s.reply(from, protocol.MsgHeartbeatAck, protocol.HeartbeatAck{OK: false})
+		s.reply(from, protocol.MsgHeartbeatAck, &protocol.HeartbeatAck{OK: false})
 		return
 	}
 	id, doc := sess.id, sess.doc
@@ -159,7 +170,7 @@ func (s *Server) onHeartbeat(from netsim.Addr, m protocol.Heartbeat) {
 		sh.mu.Unlock()
 		// Every ack refreshes the per-document replica set, so the client's
 		// failover targets track the document it is actually viewing.
-		s.reply(from, protocol.MsgHeartbeatAck, protocol.HeartbeatAck{
+		s.reply(from, protocol.MsgHeartbeatAck, &protocol.HeartbeatAck{
 			OK: true, SessionID: id, Peers: s.peersForDoc(doc)})
 		return
 	}
@@ -167,7 +178,7 @@ func (s *Server) onHeartbeat(from netsim.Addr, m protocol.Heartbeat) {
 	s.opts.Obs.Counter("server_stale_heartbeats").Inc()
 	s.opts.Obs.Emit(obs.EvLiveness, string(from), 0,
 		"stale heartbeat for "+m.SessionID+"; live session is "+id)
-	s.reply(from, protocol.MsgHeartbeatAck, protocol.HeartbeatAck{
+	s.reply(from, protocol.MsgHeartbeatAck, &protocol.HeartbeatAck{
 		OK: true, SessionID: id, Peers: s.peersForDoc(doc)})
 }
 
@@ -244,7 +255,7 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 			return sh.byToken[m.ResumeToken]
 		})
 		if sess == nil {
-			s.replyReq(from, reqID, protocol.MsgConnectResult, protocol.ConnectResult{
+			s.replyReq(from, reqID, protocol.MsgConnectResult, &protocol.ConnectResult{
 				OK: false, Reason: "resume token expired"})
 			return
 		}
@@ -252,7 +263,7 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 		s.unlockPair(oi, ni)
 		res := protocol.ConnectResult{OK: true, SessionID: sess.id, Resumed: true}
 		s.connectExtras(&res)
-		s.replyReq(from, reqID, protocol.MsgConnectResult, res)
+		s.replyReq(from, reqID, protocol.MsgConnectResult, &res)
 		return
 	}
 
@@ -265,7 +276,7 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 			return sh.byID[m.ResumeSession]
 		})
 		if sess == nil {
-			s.replyReq(from, reqID, protocol.MsgConnectResult, protocol.ConnectResult{
+			s.replyReq(from, reqID, protocol.MsgConnectResult, &protocol.ConnectResult{
 				OK: false, SessionLost: true, Reason: "unknown session " + m.ResumeSession})
 			return
 		}
@@ -279,7 +290,7 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 		}
 		res := protocol.ConnectResult{OK: true, SessionID: sess.id, Resumed: true}
 		s.connectExtras(&res)
-		s.replyReq(from, reqID, protocol.MsgConnectResult, res)
+		s.replyReq(from, reqID, protocol.MsgConnectResult, &res)
 		return
 	}
 
@@ -292,7 +303,7 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 	viaHandoff := false
 	if m.Handoff != nil {
 		if err := m.Handoff.Verify(s.opts.ClusterKey, now); err != nil {
-			s.replyReq(from, reqID, protocol.MsgConnectResult, protocol.ConnectResult{
+			s.replyReq(from, reqID, protocol.MsgConnectResult, &protocol.ConnectResult{
 				OK: false, Reason: "handoff ticket rejected: " + err.Error()})
 			return
 		}
@@ -305,12 +316,12 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 		// Authentication.
 		u, err := s.users.Authenticate(m.User, m.Password, now)
 		if err == auth.ErrUnknownUser {
-			s.replyReq(from, reqID, protocol.MsgConnectResult, protocol.ConnectResult{
+			s.replyReq(from, reqID, protocol.MsgConnectResult, &protocol.ConnectResult{
 				OK: false, NeedSubscription: true, Reason: "please subscribe"})
 			return
 		}
 		if err != nil {
-			s.replyReq(from, reqID, protocol.MsgConnectResult, protocol.ConnectResult{
+			s.replyReq(from, reqID, protocol.MsgConnectResult, &protocol.ConnectResult{
 				OK: false, Reason: err.Error()})
 			return
 		}
@@ -325,7 +336,7 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 			if targets := s.redirectTargets(nil); len(targets) > 0 {
 				s.cRedirects.Inc()
 				s.opts.Obs.Emit(obs.EvRedirect, user, 0, "redirect: "+reason)
-				s.replyReq(from, reqID, protocol.MsgConnectResult, protocol.ConnectResult{
+				s.replyReq(from, reqID, protocol.MsgConnectResult, &protocol.ConnectResult{
 					OK: false, Redirect: true, Peers: targets, Reason: reason})
 				return
 			}
@@ -343,7 +354,7 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 		Resumed: m.Failover || viaHandoff,
 	})
 	if dec.Verdict == qos.Rejected {
-		s.replyReq(from, reqID, protocol.MsgConnectResult, protocol.ConnectResult{
+		s.replyReq(from, reqID, protocol.MsgConnectResult, &protocol.ConnectResult{
 			OK: false, Reason: dec.Reason})
 		return
 	}
@@ -377,7 +388,7 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 		GrantedRate: dec.Rate, Degraded: dec.Verdict == qos.AdmittedDegraded,
 	}
 	s.connectExtras(&res)
-	s.replyReq(from, reqID, protocol.MsgConnectResult, res)
+	s.replyReq(from, reqID, protocol.MsgConnectResult, &res)
 }
 
 func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequest) {
@@ -386,7 +397,7 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 	sess, ok := sh.sessions[string(from)]
 	if !ok || sess.suspended {
 		sh.mu.Unlock()
-		s.replyReq(from, reqID, protocol.MsgDocResponse, protocol.DocResponse{
+		s.replyReq(from, reqID, protocol.MsgDocResponse, &protocol.DocResponse{
 			OK: false, Reason: "no active session"})
 		return
 	}
@@ -407,7 +418,7 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 			}
 		}
 		sh.mu.Unlock()
-		s.replyReq(from, reqID, protocol.MsgDocResponse, protocol.DocResponse{
+		s.replyReq(from, reqID, protocol.MsgDocResponse, &protocol.DocResponse{
 			OK: false, Reason: "document not found: " + m.Name})
 		return
 	}
@@ -480,7 +491,7 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 	s.users.LogRetrieval(sess.user, m.Name, s.clk.Now())
 	sh.mu.Unlock()
 
-	s.replyReq(from, reqID, protocol.MsgDocResponse, protocol.DocResponse{
+	s.replyReq(from, reqID, protocol.MsgDocResponse, &protocol.DocResponse{
 		OK:          true,
 		Name:        doc.Name,
 		ScenarioSrc: doc.Source,
@@ -667,13 +678,13 @@ func (s *Server) onSuspend(from netsim.Addr, reqID uint32) {
 	sess, ok := sh.sessions[string(from)]
 	if !ok {
 		sh.mu.Unlock()
-		s.replyReq(from, reqID, protocol.MsgSuspendResult, protocol.SuspendResult{OK: false})
+		s.replyReq(from, reqID, protocol.MsgSuspendResult, &protocol.SuspendResult{OK: false})
 		return
 	}
 	tok := s.suspendSessionLocked(sh, sess)
 	grace := s.opts.Grace
 	sh.mu.Unlock()
-	s.replyReq(from, reqID, protocol.MsgSuspendResult, protocol.SuspendResult{
+	s.replyReq(from, reqID, protocol.MsgSuspendResult, &protocol.SuspendResult{
 		OK: true, ResumeToken: tok, GraceSecs: int(grace.Seconds()),
 	})
 }
@@ -696,7 +707,7 @@ func (s *Server) expireSuspended(token string) {
 		client := sess.client
 		s.teardownSessionLocked(sh, sess, "grace period expired")
 		sh.mu.Unlock()
-		s.reply(client, protocol.MsgError, protocol.ErrorMsg{Msg: "suspended connection closed: grace period expired"})
+		s.reply(client, protocol.MsgError, &protocol.ErrorMsg{Msg: "suspended connection closed: grace period expired"})
 		return
 	}
 }

@@ -62,6 +62,10 @@ func (d *Document) MediaSource(st *scenario.Stream) media.Source {
 type Database struct {
 	mu   sync.Mutex
 	docs map[string]*Document
+	// topics is the listing Topics last built, for server topicsOf; Put
+	// drops it.
+	topics   []protocol.TopicInfo
+	topicsOf string
 }
 
 // NewDatabase creates an empty database.
@@ -82,6 +86,7 @@ func (db *Database) Put(name, src, description string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.docs[name] = &Document{Name: name, Source: src, Doc: doc, Scenario: sc, Description: description}
+	db.topics = nil
 	return nil
 }
 
@@ -112,10 +117,15 @@ func (db *Database) Names() []string {
 	return out
 }
 
-// Topics builds the catalogue listing for this server.
+// Topics returns the catalogue listing for this server, sorted by name. It
+// is built on the first call after the catalogue changes and shared by
+// every caller until the next change, so callers must not modify it.
 func (db *Database) Topics(serverName string) []protocol.TopicInfo {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.topics != nil && db.topicsOf == serverName {
+		return db.topics
+	}
 	var out []protocol.TopicInfo
 	for _, d := range db.docs {
 		out = append(out, protocol.TopicInfo{
@@ -126,6 +136,7 @@ func (db *Database) Topics(serverName string) []protocol.TopicInfo {
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	db.topics, db.topicsOf = out, serverName
 	return out
 }
 

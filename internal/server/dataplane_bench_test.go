@@ -12,10 +12,10 @@ import (
 
 // makeCtrlPacket frames one control message from the fake client, for
 // injecting straight into the server's handler.
-func makeCtrlPacket(mt protocol.MsgType, body interface{}) netsim.Packet {
+func makeCtrlPacket(mt protocol.MsgType, body protocol.Message) netsim.Packet {
 	return netsim.Packet{
 		From: fakeClient, To: netsim.MakeAddr("srv", ControlPort),
-		Payload: protocol.MustEncode(mt, body), Reliable: true,
+		Payload: mustFrame(mt, 0, body), Reliable: true,
 	}
 }
 
@@ -118,8 +118,8 @@ func TestSharedFlowFanOutFlat(t *testing.T) {
 // the split locking is sound; sized modestly so it stays cheap in plain runs.
 func TestDataPlaneRaceStress(t *testing.T) {
 	h := newHarness(t, Options{})
-	h.send(protocol.MsgConnect, protocol.Connect{User: "u", Password: "p"})
-	h.send(protocol.MsgDocRequest, protocol.DocRequest{Name: "doc"})
+	h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
+	h.send(protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc"})
 
 	sess, unlock := h.srv.lockedSession(fakeClient)
 	if sess == nil {
@@ -158,7 +158,7 @@ func TestDataPlaneRaceStress(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
 			for _, mt := range ops {
-				h.srv.handle(makeCtrlPacket(mt, protocol.MediaOp{}))
+				h.srv.handle(makeCtrlPacket(mt, &protocol.MediaOp{}))
 			}
 			h.srv.queueRenegotiate(sess)
 		}
@@ -167,6 +167,6 @@ func TestDataPlaneRaceStress(t *testing.T) {
 
 	// The session must still be coherent: a reload left pacing armed and a
 	// final resume is a no-op, not a crash.
-	h.send(protocol.MsgResume, protocol.MediaOp{})
+	h.send(protocol.MsgResume, &protocol.MediaOp{})
 	h.clk.RunFor(2 * time.Second)
 }

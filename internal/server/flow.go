@@ -53,11 +53,12 @@ import (
 // with the control plane. Whatever a flow needs of the server (clock,
 // transport, telemetry) it reads from fields immutable after construction.
 
-// pktPool recycles the packet assembly buffers of every flow: RTP header,
+// pktPool recycles the packet assembly buffers of every flow (RTP header,
 // frame header and payload fragment are appended into one pooled buffer per
-// packet. Per the netsim.Net ownership rule, Send borrows the buffer only
-// for the duration of the call, so it goes straight back to the pool after
-// each Send returns.
+// packet) and of the server's fire-and-forget control frames. Per the
+// netsim.Net ownership rule, Send borrows the buffer only for the duration
+// of the call, so it goes straight back to the pool after each Send
+// returns.
 var pktPool buffer.Pool
 
 // flowKey identifies one registered flow: a document's stream encoded at one

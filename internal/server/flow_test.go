@@ -35,15 +35,15 @@ func attachClient(t *testing.T, h *harness, host string, portBase int) protocol.
 			}{mt, append([]byte(nil), body...)})
 		}
 	})
-	send := func(mt protocol.MsgType, body interface{}) {
+	send := func(mt protocol.MsgType, body protocol.Message) {
 		h.net.Send(netsim.Packet{
 			From: addr, To: netsim.MakeAddr("srv", ControlPort),
-			Payload: protocol.MustEncode(mt, body), Reliable: true,
+			Payload: mustFrame(mt, 0, body), Reliable: true,
 		})
 		h.clk.RunFor(time.Second)
 	}
-	send(protocol.MsgConnect, protocol.Connect{User: "u", Password: "p"})
-	send(protocol.MsgDocRequest, protocol.DocRequest{Name: "doc", MediaPortBase: portBase, WindowMS: 300})
+	send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
+	send(protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc", MediaPortBase: portBase, WindowMS: 300})
 	for i := len(replies) - 1; i >= 0; i-- {
 		if replies[i].mt == protocol.MsgDocResponse {
 			var dr protocol.DocResponse
@@ -130,7 +130,7 @@ func TestSharedFlowFanOutLifecycle(t *testing.T) {
 	}
 
 	// c1 pauses: it detaches, c2 rides on undisturbed.
-	h.send(protocol.MsgPause, protocol.MediaOp{})
+	h.send(protocol.MsgPause, &protocol.MediaOp{})
 	if vf := videoFlowStat(t, h.srv); vf.Subscribers != 1 {
 		t.Fatalf("subscribers after pause = %d, want 1", vf.Subscribers)
 	}
@@ -144,7 +144,7 @@ func TestSharedFlowFanOutLifecycle(t *testing.T) {
 	}
 
 	// c1 resumes privately; the flow keeps one subscriber.
-	h.send(protocol.MsgResume, protocol.MediaOp{})
+	h.send(protocol.MsgResume, &protocol.MediaOp{})
 	c1Base = c1Pkts
 	h.clk.RunFor(2 * time.Second)
 	if c1Pkts <= c1Base {
@@ -239,10 +239,10 @@ func TestSharedFlowLateJoinerCatchUp(t *testing.T) {
 		{"fake4", 9300, protocol.MsgReload},
 	} {
 		addr := netsim.MakeAddr(c.host, 6000)
-		sendAt := func(mt protocol.MsgType, body interface{}, run time.Duration) {
+		sendAt := func(mt protocol.MsgType, body protocol.Message, run time.Duration) {
 			h.net.Send(netsim.Packet{
 				From: addr, To: netsim.MakeAddr("srv", ControlPort),
-				Payload: protocol.MustEncode(mt, body), Reliable: true,
+				Payload: mustFrame(mt, 0, body), Reliable: true,
 			})
 			h.clk.RunFor(run)
 		}
@@ -263,13 +263,13 @@ func TestSharedFlowLateJoinerCatchUp(t *testing.T) {
 			})
 		}
 		before := catchup.Value()
-		sendAt(protocol.MsgConnect, protocol.Connect{User: "u", Password: "p"}, time.Second)
-		sendAt(protocol.MsgDocRequest, protocol.DocRequest{Name: "doc", MediaPortBase: c.base, WindowMS: 300}, 10*time.Millisecond)
+		sendAt(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"}, time.Second)
+		sendAt(protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc", MediaPortBase: c.base, WindowMS: 300}, 10*time.Millisecond)
 		if vf := videoFlowStat(t, h.srv); vf.Subscribers < 2 || vf.Frames < 100 {
 			t.Fatalf("%s did not join the flow mid-stream: %+v", c.host, vf)
 		}
 		opAt = h.clk.Now()
-		sendAt(c.op, protocol.MediaOp{}, 500*time.Millisecond)
+		sendAt(c.op, &protocol.MediaOp{}, 500*time.Millisecond)
 		if stale != 0 {
 			t.Fatalf("%s: %d stale patch packets sent after %v", c.host, stale, c.op)
 		}
@@ -295,7 +295,7 @@ func TestSharedFlowGradeDivergenceDetaches(t *testing.T) {
 		rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{
 			SSRC: videoSSRC, FractionLost: 200,
 		}}}
-		h.send(protocol.MsgFeedback, protocol.Feedback{RTCP: rr.Marshal()})
+		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
 		h.clk.RunFor(3 * time.Second)
 		if lvl, stopped := mgr.Level("v"); lvl > 0 || stopped {
 			break
@@ -367,10 +367,10 @@ type flowWorld struct {
 
 const c2Addr = netsim.Addr("fake2:6000")
 
-func (w *flowWorld) sendFrom(from netsim.Addr, mt protocol.MsgType, body interface{}) {
+func (w *flowWorld) sendFrom(from netsim.Addr, mt protocol.MsgType, body protocol.Message) {
 	w.h.net.Send(netsim.Packet{
 		From: from, To: netsim.MakeAddr("srv", ControlPort),
-		Payload: protocol.MustEncode(mt, body), Reliable: true,
+		Payload: mustFrame(mt, 0, body), Reliable: true,
 	})
 	w.h.clk.RunFor(time.Second)
 }
@@ -399,7 +399,7 @@ func (w *flowWorld) degradeVideo() {
 		rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{
 			SSRC: w.c1.ssrc, FractionLost: 200,
 		}}}
-		w.h.send(protocol.MsgFeedback, protocol.Feedback{RTCP: rr.Marshal()})
+		w.h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
 		w.h.clk.RunFor(3 * time.Second)
 	}
 	if lvl, stopped := mgr.Level("v"); lvl != 4 || stopped {
@@ -421,10 +421,10 @@ type flowStep struct {
 }
 
 var (
-	stepPause   = flowStep{name: "pause", do: func(w *flowWorld) { w.h.send(protocol.MsgPause, protocol.MediaOp{}) }}
-	stepResume  = flowStep{name: "resume", playing: true, do: func(w *flowWorld) { w.h.send(protocol.MsgResume, protocol.MediaOp{}) }}
+	stepPause   = flowStep{name: "pause", do: func(w *flowWorld) { w.h.send(protocol.MsgPause, &protocol.MediaOp{}) }}
+	stepResume  = flowStep{name: "resume", playing: true, do: func(w *flowWorld) { w.h.send(protocol.MsgResume, &protocol.MediaOp{}) }}
 	stepSuspend = flowStep{name: "suspend", do: func(w *flowWorld) {
-		w.h.send(protocol.MsgSuspend, protocol.Suspend{})
+		w.h.send(protocol.MsgSuspend, &protocol.Suspend{})
 		var sr protocol.SuspendResult
 		w.h.lastReply(w.t, protocol.MsgSuspendResult, &sr)
 		if !sr.OK {
@@ -434,7 +434,7 @@ var (
 	}}
 	// A user pause underneath the suspend must survive the reattach.
 	stepReattachStillPaused = flowStep{name: "reattach", do: func(w *flowWorld) {
-		w.h.send(protocol.MsgConnect, protocol.Connect{ResumeToken: w.token})
+		w.h.send(protocol.MsgConnect, &protocol.Connect{ResumeToken: w.token})
 	}}
 	stepDegrade = flowStep{name: "degrade", playing: true, do: (*flowWorld).degradeVideo}
 	// The reload regression: a degraded stream that is reloaded must seed its
@@ -443,7 +443,7 @@ var (
 	// seed only shows before the first post-reload frame — and for good on a
 	// stream that is disabled or cut off at reload time.
 	stepReloadDegraded = flowStep{name: "reload", playing: true, replays: true,
-		do: func(w *flowWorld) { w.h.srv.handle(makeCtrlPacket(protocol.MsgReload, protocol.MediaOp{})) },
+		do: func(w *flowWorld) { w.h.srv.handle(makeCtrlPacket(protocol.MsgReload, &protocol.MediaOp{})) },
 		check: func(w *flowWorld) {
 			fl := w.v.flow()
 			fl.mu.Lock()
@@ -454,7 +454,7 @@ var (
 			}
 		}}
 	stepDisable = flowStep{name: "disable", do: func(w *flowWorld) {
-		w.h.send(protocol.MsgDisableMedia, protocol.MediaOp{StreamID: "v"})
+		w.h.send(protocol.MsgDisableMedia, &protocol.MediaOp{StreamID: "v"})
 	}}
 	// The pause/origin regression: pause and resume on a disabled flow must be
 	// no-ops — recording pausedAt and shifting the origin on resume would
@@ -464,9 +464,9 @@ var (
 		fl.mu.Lock()
 		origin0 := fl.origin
 		fl.mu.Unlock()
-		w.h.send(protocol.MsgPause, protocol.MediaOp{})
+		w.h.send(protocol.MsgPause, &protocol.MediaOp{})
 		w.h.clk.RunFor(5 * time.Second)
-		w.h.send(protocol.MsgResume, protocol.MediaOp{})
+		w.h.send(protocol.MsgResume, &protocol.MediaOp{})
 		fl.mu.Lock()
 		origin1, paused := fl.origin, fl.paused
 		fl.mu.Unlock()
@@ -478,7 +478,7 @@ var (
 		}
 	}}
 	stepStop = flowStep{name: "stop", do: func(w *flowWorld) {
-		w.h.send(protocol.MsgDisconnect, protocol.Disconnect{})
+		w.h.send(protocol.MsgDisconnect, &protocol.Disconnect{})
 	}}
 )
 
@@ -516,8 +516,8 @@ func TestFlowLifecycle(t *testing.T) {
 				// Both viewers connect first, so the timers pending now are the
 				// control plane's own; then c1 opens the document and c2 joins
 				// mid-playout.
-				h.send(protocol.MsgConnect, protocol.Connect{User: "u", Password: "p"})
-				w.sendFrom(c2Addr, protocol.MsgConnect, protocol.Connect{User: "u", Password: "p"})
+				h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
+				w.sendFrom(c2Addr, protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
 				ctrlTimers := h.clk.Pending()
 				for _, c := range []struct {
 					tap  *rtpTap
@@ -529,7 +529,7 @@ func TestFlowLifecycle(t *testing.T) {
 					// first packet and any catch-up patch.
 					c.tap.listen(h, netsim.MakeAddr(c.host, c.base+1))
 					ctl := netsim.MakeAddr(c.host, 6000)
-					w.sendFrom(ctl, protocol.MsgDocRequest, protocol.DocRequest{Name: "doc", MediaPortBase: c.base, WindowMS: 300})
+					w.sendFrom(ctl, protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc", MediaPortBase: c.base, WindowMS: 300})
 					sess, unlock := h.srv.lockedSession(ctl)
 					if sess == nil || sess.sender("v") == nil || sess.sender("v").to != netsim.MakeAddr(c.host, c.base+1) {
 						unlock()
@@ -588,8 +588,8 @@ func TestFlowLifecycle(t *testing.T) {
 				// Everyone leaves (c1 may already have).
 				w.note(fakeClient)
 				w.note(c2Addr)
-				h.send(protocol.MsgDisconnect, protocol.Disconnect{})
-				w.sendFrom(c2Addr, protocol.MsgDisconnect, protocol.Disconnect{})
+				h.send(protocol.MsgDisconnect, &protocol.Disconnect{})
+				w.sendFrom(c2Addr, protocol.MsgDisconnect, &protocol.Disconnect{})
 				if n := h.srv.Sessions(); n != 0 {
 					t.Fatalf("sessions left = %d", n)
 				}

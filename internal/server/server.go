@@ -307,21 +307,33 @@ func (s *Server) Database() *Database { return s.db }
 func (s *Server) Admission() *qos.Admission { return s.adm }
 
 // reply sends a fire-and-forget control message (request ID 0).
-func (s *Server) reply(to netsim.Addr, t protocol.MsgType, body interface{}) {
-	s.replyReq(to, 0, t, body)
+func (s *Server) reply(to netsim.Addr, t protocol.MsgType, body protocol.Message) {
+	pb := pktPool.Get(0)
+	frame, err := protocol.AppendFrame(pb.B, t, 0, body)
+	if err != nil {
+		panic(err)
+	}
+	s.sendCtrl(to, frame)
+	pb.B = frame
+	pktPool.Put(pb)
 }
 
 // replyReq answers a request, echoing its request ID and caching the
 // encoded reply for idempotent retransmission handling.
-func (s *Server) replyReq(to netsim.Addr, reqID uint32, t protocol.MsgType, body interface{}) {
-	frame := protocol.MustEncodeReq(t, reqID, body)
-	if reqID != 0 {
-		si := shardIndex(string(to))
-		sh := &s.shards[si]
-		sh.dmu.Lock()
-		s.dedupRingLocked(sh, si, string(to)).put(reqID, frame)
-		sh.dmu.Unlock()
+func (s *Server) replyReq(to netsim.Addr, reqID uint32, t protocol.MsgType, body protocol.Message) {
+	if reqID == 0 {
+		s.reply(to, t, body)
+		return
 	}
+	frame, err := protocol.NewFrame(t, reqID, body)
+	if err != nil {
+		panic(err)
+	}
+	si := shardIndex(string(to))
+	sh := &s.shards[si]
+	sh.dmu.Lock()
+	s.dedupRingLocked(sh, si, string(to)).put(reqID, frame)
+	sh.dmu.Unlock()
 	s.sendCtrl(to, frame)
 }
 
@@ -351,7 +363,7 @@ func (s *Server) onStats(from netsim.Addr, reqID uint32) {
 		res.TraceEvents = sc.Trace().Len()
 		res.TraceDropped = sc.Trace().Dropped()
 	}
-	s.replyReq(from, reqID, protocol.MsgStatsResult, res)
+	s.replyReq(from, reqID, protocol.MsgStatsResult, &res)
 }
 
 func (s *Server) onSubscribe(from netsim.Addr, reqID uint32, m protocol.SubscriptionForm) {
@@ -363,21 +375,21 @@ func (s *Server) onSubscribe(from netsim.Addr, reqID uint32, m protocol.Subscrip
 	if err != nil {
 		res.Reason = err.Error()
 	}
-	s.replyReq(from, reqID, protocol.MsgSubscribeResult, res)
+	s.replyReq(from, reqID, protocol.MsgSubscribeResult, &res)
 }
 
 func (s *Server) onSearch(from netsim.Addr, reqID uint32, m protocol.Search) {
 	local := s.db.Search(m.Token, s.Name)
 	if m.NoForward {
 		// Fan-out query from a peer server: answer directly.
-		s.replyReq(from, reqID, protocol.MsgSearchResult, protocol.SearchResult{
+		s.replyReq(from, reqID, protocol.MsgSearchResult, &protocol.SearchResult{
 			SearchID: m.SearchID, Hits: local,
 		})
 		return
 	}
 	peers := s.peerList()
 	if len(peers) == 0 {
-		s.replyReq(from, reqID, protocol.MsgSearchResult, protocol.SearchResult{Hits: local})
+		s.replyReq(from, reqID, protocol.MsgSearchResult, &protocol.SearchResult{Hits: local})
 		return
 	}
 	s.searchMu.Lock()
@@ -389,13 +401,8 @@ func (s *Server) onSearch(from netsim.Addr, reqID uint32, m protocol.Search) {
 	ps.timer = s.clk.AfterFunc(2*time.Second, func() { s.finishSearch(qid) })
 	s.searchMu.Unlock()
 	for _, p := range peers {
-		s.net.Send(netsim.Packet{
-			From: s.ctrlAddr(),
-			To:   netsim.MakeAddr(p, ControlPort),
-			Payload: protocol.MustEncode(protocol.MsgSearch, protocol.Search{
-				Token: m.Token, NoForward: true, SearchID: qid,
-			}),
-			Reliable: true,
+		s.reply(netsim.MakeAddr(p, ControlPort), protocol.MsgSearch, &protocol.Search{
+			Token: m.Token, NoForward: true, SearchID: qid,
 		})
 	}
 }
@@ -436,7 +443,7 @@ func (s *Server) finishSearch(qid int) {
 	})
 	client := ps.client
 	s.searchMu.Unlock()
-	s.replyReq(client, ps.reqID, protocol.MsgSearchResult, protocol.SearchResult{Hits: hits})
+	s.replyReq(client, ps.reqID, protocol.MsgSearchResult, &protocol.SearchResult{Hits: hits})
 }
 
 func (s *Server) onAnnotate(from netsim.Addr, m protocol.Annotate) {
@@ -472,7 +479,7 @@ func (s *Server) onListAnnotations(from netsim.Addr, reqID uint32, m protocol.Li
 	s.annMu.Lock()
 	recs := append([]protocol.AnnotationRecord(nil), s.annotations[doc]...)
 	s.annMu.Unlock()
-	s.replyReq(from, reqID, protocol.MsgAnnotations, protocol.Annotations{Doc: doc, Records: recs})
+	s.replyReq(from, reqID, protocol.MsgAnnotations, &protocol.Annotations{Doc: doc, Records: recs})
 }
 
 func minInt(a, b int) int {

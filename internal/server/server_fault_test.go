@@ -59,15 +59,15 @@ func newFaultHarness(t *testing.T, opts Options) *faultHarness {
 	return h
 }
 
-func (h *faultHarness) sendReq(reqID uint32, t protocol.MsgType, body interface{}) {
+func (h *faultHarness) sendReq(reqID uint32, t protocol.MsgType, body protocol.Message) {
 	h.net.Send(netsim.Packet{
 		From: fakeClient, To: netsim.MakeAddr("srv", ControlPort),
-		Payload: protocol.MustEncodeReq(t, reqID, body), Reliable: true,
+		Payload: mustFrame(t, reqID, body), Reliable: true,
 	})
 	h.clk.RunFor(time.Second)
 }
 
-func (h *faultHarness) lastReply(t *testing.T, want protocol.MsgType, out interface{}) {
+func (h *faultHarness) lastReply(t *testing.T, want protocol.MsgType, out protocol.Message) {
 	t.Helper()
 	for i := len(h.replies) - 1; i >= 0; i-- {
 		if h.replies[i].mt == want {
@@ -82,13 +82,13 @@ func (h *faultHarness) lastReply(t *testing.T, want protocol.MsgType, out interf
 
 func (h *faultHarness) connectAndPlay(t *testing.T) {
 	t.Helper()
-	h.sendReq(1, protocol.MsgConnect, protocol.Connect{User: "u", Password: "p", PeakRate: 1_000_000})
+	h.sendReq(1, protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p", PeakRate: 1_000_000})
 	var cr protocol.ConnectResult
 	h.lastReply(t, protocol.MsgConnectResult, &cr)
 	if !cr.OK {
 		t.Fatalf("connect = %+v", cr)
 	}
-	h.sendReq(2, protocol.MsgDocRequest, protocol.DocRequest{Name: "doc", MediaPortBase: 9000, WindowMS: 300})
+	h.sendReq(2, protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc", MediaPortBase: 9000, WindowMS: 300})
 	var dr protocol.DocResponse
 	h.lastReply(t, protocol.MsgDocResponse, &dr)
 	if !dr.OK {
@@ -104,7 +104,7 @@ func TestSuspendGraceExpiryReleasesAdmission(t *testing.T) {
 	if h.srv.Admission().Reserved() == 0 {
 		t.Fatal("no admission reservation after connect")
 	}
-	h.sendReq(3, protocol.MsgSuspend, protocol.Suspend{})
+	h.sendReq(3, protocol.MsgSuspend, &protocol.Suspend{})
 	sess, unlock := h.srv.lockedSession(fakeClient)
 	if sess == nil || !sess.suspended {
 		unlock()
@@ -132,7 +132,7 @@ func TestResumeBeforeExpiryRestoresSenders(t *testing.T) {
 	h := newFaultHarness(t, Options{Grace: 10 * time.Second})
 	h.connectAndPlay(t)
 	reserved := h.srv.Admission().Reserved()
-	h.sendReq(3, protocol.MsgSuspend, protocol.Suspend{})
+	h.sendReq(3, protocol.MsgSuspend, &protocol.Suspend{})
 	var sr protocol.SuspendResult
 	h.lastReply(t, protocol.MsgSuspendResult, &sr)
 	if !sr.OK || sr.ResumeToken == "" {
@@ -216,7 +216,7 @@ func TestLivenessSweepAutoSuspendsSilentClient(t *testing.T) {
 func TestReplySendFailureCounted(t *testing.T) {
 	h := newFaultHarness(t, Options{})
 	h.net.DropNext("srv", "fake", 1)
-	h.sendReq(1, protocol.MsgConnect, protocol.Connect{User: "u", Password: "p"})
+	h.sendReq(1, protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
 	if got := h.scope.Counter("server_reply_send_failures").Value(); got != 1 {
 		t.Fatalf("send-failure counter = %d, want 1", got)
 	}
@@ -274,15 +274,15 @@ func TestRejectStormDoesNotLeakDedupRings(t *testing.T) {
 func TestMediaOpsIgnoredWhileSuspended(t *testing.T) {
 	h := newFaultHarness(t, Options{Grace: time.Minute})
 	h.connectAndPlay(t)
-	h.sendReq(3, protocol.MsgSuspend, protocol.Suspend{})
+	h.sendReq(3, protocol.MsgSuspend, &protocol.Suspend{})
 	var sr protocol.SuspendResult
 	h.lastReply(t, protocol.MsgSuspendResult, &sr)
 	if !sr.OK {
 		t.Fatalf("suspend = %+v", sr)
 	}
 	// Delayed media ops from the suspended client's address.
-	h.sendReq(0, protocol.MsgResume, protocol.MediaOp{})
-	h.sendReq(0, protocol.MsgReload, protocol.MediaOp{})
+	h.sendReq(0, protocol.MsgResume, &protocol.MediaOp{})
+	h.sendReq(0, protocol.MsgReload, &protocol.MediaOp{})
 	sess, unlock := h.srv.lockedSession(fakeClient)
 	if sess == nil || !sess.suspended {
 		unlock()
@@ -296,7 +296,7 @@ func TestMediaOpsIgnoredWhileSuspended(t *testing.T) {
 		}
 	}
 	// The legitimate resume path still works afterwards.
-	h.sendReq(4, protocol.MsgConnect, protocol.Connect{ResumeToken: sr.ResumeToken})
+	h.sendReq(4, protocol.MsgConnect, &protocol.Connect{ResumeToken: sr.ResumeToken})
 	var cr protocol.ConnectResult
 	h.lastReply(t, protocol.MsgConnectResult, &cr)
 	if !cr.OK || !cr.Resumed {
@@ -330,7 +330,7 @@ func TestReloadResetsSenderCounters(t *testing.T) {
 	}
 	// Inject the reload synchronously: no virtual time passes, so any
 	// non-zero counter afterwards is carried-over history.
-	h.srv.handle(makeCtrlPacket(protocol.MsgReload, protocol.MediaOp{}))
+	h.srv.handle(makeCtrlPacket(protocol.MsgReload, &protocol.MediaOp{}))
 	st := busy.stats()
 	if st.frames != 0 || st.packets != 0 || st.bytes != 0 || st.skipped != 0 {
 		t.Fatalf("sender counters after reload = %+v, want all zero", st)
@@ -377,5 +377,31 @@ func TestDuplicateRequestDeduped(t *testing.T) {
 	}
 	if len(ids) != 2 || ids[0] != ids[1] {
 		t.Fatalf("connect replies = %v, want the cached reply re-sent with the same session", ids)
+	}
+}
+
+// TestMalformedRequestCounted: a request whose body fails to decode is
+// dropped like a lost packet, but counted and traced.
+func TestMalformedRequestCounted(t *testing.T) {
+	h := newFaultHarness(t, Options{})
+	frame := append(mustFrame(protocol.MsgConnect, 1, &protocol.Connect{})[:5], "{bad json"...)
+	h.net.Send(netsim.Packet{From: fakeClient, To: netsim.MakeAddr("srv", ControlPort), Payload: frame, Reliable: true})
+	h.net.Send(netsim.Packet{From: fakeClient, To: netsim.MakeAddr("srv", ControlPort), Payload: frame[:3], Reliable: true})
+	h.clk.RunFor(time.Second)
+
+	if got := h.scope.Counter("server_ctrl_decode_errors").Value(); got != 2 {
+		t.Fatalf("server_ctrl_decode_errors = %d, want 2", got)
+	}
+	if len(h.replies) != 0 {
+		t.Fatalf("replies = %+v, want none", h.replies)
+	}
+	n := 0
+	for _, e := range h.scope.Trace().Events() {
+		if e.Kind == obs.EvCtrlDecodeError {
+			n++
+		}
+	}
+	if n != 2 {
+		t.Fatalf("%d decode-error trace events, want 2", n)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // senders.
 func connectAndRequest(t *testing.T, h *harness) protocol.DocResponse {
 	t.Helper()
-	h.send(protocol.MsgConnect, protocol.Connect{User: "u", Password: "p"})
-	h.send(protocol.MsgDocRequest, protocol.DocRequest{Name: "doc", MediaPortBase: 9000, WindowMS: 300})
+	h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
+	h.send(protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc", MediaPortBase: 9000, WindowMS: 300})
 	var dr protocol.DocResponse
 	h.lastReply(t, protocol.MsgDocResponse, &dr)
 	if !dr.OK {
@@ -26,7 +26,7 @@ func connectAndRequest(t *testing.T, h *harness) protocol.DocResponse {
 
 func TestServerSubscribeInBand(t *testing.T) {
 	h := newHarness(t, Options{})
-	h.send(protocol.MsgSubscribe, protocol.SubscriptionForm{
+	h.send(protocol.MsgSubscribe, &protocol.SubscriptionForm{
 		User: "new", Password: "np", Email: "n@x", RealName: "New",
 	})
 	var sr protocol.SubscribeResult
@@ -38,7 +38,7 @@ func TestServerSubscribeInBand(t *testing.T) {
 		t.Fatal("user missing from the database")
 	}
 	// Duplicate subscription is refused with a reason.
-	h.send(protocol.MsgSubscribe, protocol.SubscriptionForm{
+	h.send(protocol.MsgSubscribe, &protocol.SubscriptionForm{
 		User: "new", Password: "np", Email: "n@x",
 	})
 	var sr2 protocol.SubscribeResult
@@ -58,7 +58,7 @@ func TestServerFederatedSearchFanOut(t *testing.T) {
 	}
 	h.srv.SetPeers([]string{"peer"})
 
-	h.send(protocol.MsgSearch, protocol.Search{Token: "databases"})
+	h.send(protocol.MsgSearch, &protocol.Search{Token: "databases"})
 	h.clk.RunFor(3 * time.Second)
 	var res protocol.SearchResult
 	h.lastReply(t, protocol.MsgSearchResult, &res)
@@ -71,7 +71,7 @@ func TestServerSearchTimeoutWithDeadPeer(t *testing.T) {
 	h := newHarness(t, Options{})
 	h.srv.SetPeers([]string{"ghost-server"}) // nobody listens there
 	h.srv.Database().Put("local-db", `<TITLE>Local databases</TITLE><TEXT>y</TEXT>`, "")
-	h.send(protocol.MsgSearch, protocol.Search{Token: "databases"})
+	h.send(protocol.MsgSearch, &protocol.Search{Token: "databases"})
 	h.clk.RunFor(5 * time.Second) // past the 2s search timeout
 	var res protocol.SearchResult
 	h.lastReply(t, protocol.MsgSearchResult, &res)
@@ -84,7 +84,7 @@ func TestServerSearchTimeoutWithDeadPeer(t *testing.T) {
 func TestServerSearchNoForwardAnswersDirectly(t *testing.T) {
 	h := newHarness(t, Options{})
 	h.srv.Database().Put("d", `<TITLE>Databases</TITLE><TEXT>z</TEXT>`, "")
-	h.send(protocol.MsgSearch, protocol.Search{Token: "databases", NoForward: true, SearchID: 77})
+	h.send(protocol.MsgSearch, &protocol.Search{Token: "databases", NoForward: true, SearchID: 77})
 	var res protocol.SearchResult
 	h.lastReply(t, protocol.MsgSearchResult, &res)
 	if res.SearchID != 77 || len(res.Hits) != 1 {
@@ -107,7 +107,7 @@ func TestServerMediaOpsDriveSenders(t *testing.T) {
 		t.Fatal("no media flowing")
 	}
 	// Pause stops the flow.
-	h.send(protocol.MsgPause, protocol.MediaOp{})
+	h.send(protocol.MsgPause, &protocol.MediaOp{})
 	base := pkts
 	h.clk.RunFor(2 * time.Second)
 	if pkts > base+2 {
@@ -115,7 +115,7 @@ func TestServerMediaOpsDriveSenders(t *testing.T) {
 	}
 	// Resume restarts it; run far enough that the next flows (I2 at
 	// ~7.6s, shifted by the pause) come due.
-	h.send(protocol.MsgResume, protocol.MediaOp{})
+	h.send(protocol.MsgResume, &protocol.MediaOp{})
 	base = pkts
 	h.clk.RunFor(8 * time.Second)
 	if pkts <= base {
@@ -135,7 +135,7 @@ func TestServerMediaOpsDriveSenders(t *testing.T) {
 	var vPkts, aPkts int
 	h.net.Listen(netsim.MakeAddr("fake", videoPort), func(netsim.Packet) { vPkts++ })
 	h.net.Listen(netsim.MakeAddr("fake", audioPort), func(netsim.Packet) { aPkts++ })
-	h.send(protocol.MsgDisableMedia, protocol.MediaOp{StreamID: videoID})
+	h.send(protocol.MsgDisableMedia, &protocol.MediaOp{StreamID: videoID})
 	// A couple of in-flight packets may still land; after that the
 	// disabled stream is silent while the audio continues.
 	h.clk.RunFor(time.Second)
@@ -173,7 +173,7 @@ func TestServerReloadRestartsFlows(t *testing.T) {
 		t.Fatal("still never sent")
 	}
 	// Reload: the one-shot still is transmitted again.
-	h.send(protocol.MsgReload, protocol.MediaOp{})
+	h.send(protocol.MsgReload, &protocol.MediaOp{})
 	h.clk.RunFor(2 * time.Second)
 	if *counts[i1Port] <= first {
 		t.Fatalf("reload did not resend the still: %d → %d", first, *counts[i1Port])
@@ -198,7 +198,7 @@ func TestServerFeedbackDrivesGrading(t *testing.T) {
 		rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{
 			SSRC: videoSSRC, FractionLost: 128, // 50%
 		}}}
-		h.send(protocol.MsgFeedback, protocol.Feedback{RTCP: rr.Marshal()})
+		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
 		h.clk.RunFor(3 * time.Second)
 	}
 	lvl, stopped := mgr.Level("V")
@@ -206,9 +206,9 @@ func TestServerFeedbackDrivesGrading(t *testing.T) {
 		t.Fatal("feedback never degraded the video")
 	}
 	// Unknown SSRCs and garbage RTCP are ignored without panic.
-	h.send(protocol.MsgFeedback, protocol.Feedback{RTCP: []byte{1, 2, 3}})
+	h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: []byte{1, 2, 3}})
 	rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{SSRC: 999999}}}
-	h.send(protocol.MsgFeedback, protocol.Feedback{RTCP: rr.Marshal()})
+	h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
 }
 
 func TestServerFeedbackIgnoredWhenGradingDisabled(t *testing.T) {
@@ -219,7 +219,7 @@ func TestServerFeedbackIgnoredWhenGradingDisabled(t *testing.T) {
 		rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{
 			SSRC: dr.Streams[0].SSRC, FractionLost: 255,
 		}}}
-		h.send(protocol.MsgFeedback, protocol.Feedback{RTCP: rr.Marshal()})
+		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
 		h.clk.RunFor(3 * time.Second)
 	}
 	if len(mgr.Actions()) != 0 {
@@ -248,7 +248,7 @@ func TestServerCutoffStopsTransmissionAndRestoreResumes(t *testing.T) {
 		rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{
 			SSRC: videoSSRC, FractionLost: 200,
 		}}}
-		h.send(protocol.MsgFeedback, protocol.Feedback{RTCP: rr.Marshal()})
+		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
 		h.clk.RunFor(3 * time.Second)
 		if _, stopped := mgr.Level("v"); stopped {
 			break
@@ -267,7 +267,7 @@ func TestServerCutoffStopsTransmissionAndRestoreResumes(t *testing.T) {
 	// must decay below the upgrade threshold, then the hold must pass).
 	for i := 0; i < 25; i++ {
 		rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{SSRC: videoSSRC}}}
-		h.send(protocol.MsgFeedback, protocol.Feedback{RTCP: rr.Marshal()})
+		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
 		h.clk.RunFor(3 * time.Second)
 		if _, stopped := mgr.Level("v"); !stopped {
 			break

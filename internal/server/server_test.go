@@ -50,6 +50,17 @@ func TestDatabaseTopics(t *testing.T) {
 	if tops[0].Server != "srv" || tops[0].Title != "Alpha" {
 		t.Fatalf("topic 0 = %+v", tops[0])
 	}
+	// The listing is kept until the catalogue changes.
+	if again := db.Topics("srv"); &again[0] != &tops[0] {
+		t.Fatal("listing rebuilt with the catalogue unchanged")
+	}
+	db.Put("c-doc", `<TITLE>Gamma</TITLE><TEXT>z</TEXT>`, "third")
+	if tops = db.Topics("srv"); len(tops) != 3 || tops[2].Name != "c-doc" {
+		t.Fatalf("topics after Put = %+v", tops)
+	}
+	if tops = db.Topics("other"); tops[0].Server != "other" {
+		t.Fatalf("topics for another server = %+v", tops)
+	}
 }
 
 func TestDatabaseSearchFields(t *testing.T) {
@@ -118,15 +129,24 @@ func newHarness(t *testing.T, opts Options) *harness {
 	return h
 }
 
-func (h *harness) send(t protocol.MsgType, body interface{}) {
+// mustFrame encodes a control frame for the tests' fake clients.
+func mustFrame(t protocol.MsgType, reqID uint32, body protocol.Message) []byte {
+	b, err := protocol.NewFrame(t, reqID, body)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+func (h *harness) send(t protocol.MsgType, body protocol.Message) {
 	h.net.Send(netsim.Packet{
 		From: fakeClient, To: netsim.MakeAddr("srv", ControlPort),
-		Payload: protocol.MustEncode(t, body), Reliable: true,
+		Payload: mustFrame(t, 0, body), Reliable: true,
 	})
 	h.clk.RunFor(time.Second)
 }
 
-func (h *harness) lastReply(t *testing.T, want protocol.MsgType, out interface{}) {
+func (h *harness) lastReply(t *testing.T, want protocol.MsgType, out protocol.Message) {
 	t.Helper()
 	for i := len(h.replies) - 1; i >= 0; i-- {
 		if h.replies[i].mt == want {
@@ -141,7 +161,7 @@ func (h *harness) lastReply(t *testing.T, want protocol.MsgType, out interface{}
 
 func TestServerConnectAuthAndAdmission(t *testing.T) {
 	h := newHarness(t, Options{})
-	h.send(protocol.MsgConnect, protocol.Connect{User: "u", Password: "p"})
+	h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
 	var cr protocol.ConnectResult
 	h.lastReply(t, protocol.MsgConnectResult, &cr)
 	if !cr.OK || cr.SessionID == "" {
@@ -151,14 +171,14 @@ func TestServerConnectAuthAndAdmission(t *testing.T) {
 		t.Fatal("no session")
 	}
 	// Unknown user → subscription prompt.
-	h.send(protocol.MsgConnect, protocol.Connect{User: "ghost"})
+	h.send(protocol.MsgConnect, &protocol.Connect{User: "ghost"})
 	var cr2 protocol.ConnectResult
 	h.lastReply(t, protocol.MsgConnectResult, &cr2)
 	if cr2.OK || !cr2.NeedSubscription {
 		t.Fatalf("ghost connect = %+v", cr2)
 	}
 	// Bad password → refusal without subscription prompt.
-	h.send(protocol.MsgConnect, protocol.Connect{User: "u", Password: "wrong"})
+	h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "wrong"})
 	var cr3 protocol.ConnectResult
 	h.lastReply(t, protocol.MsgConnectResult, &cr3)
 	if cr3.OK || cr3.NeedSubscription {
@@ -168,7 +188,7 @@ func TestServerConnectAuthAndAdmission(t *testing.T) {
 
 func TestServerDocRequestWithoutSession(t *testing.T) {
 	h := newHarness(t, Options{})
-	h.send(protocol.MsgDocRequest, protocol.DocRequest{Name: "doc"})
+	h.send(protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc"})
 	var dr protocol.DocResponse
 	h.lastReply(t, protocol.MsgDocResponse, &dr)
 	if dr.OK {
@@ -178,8 +198,8 @@ func TestServerDocRequestWithoutSession(t *testing.T) {
 
 func TestServerDocResponseAnnouncesAllStreams(t *testing.T) {
 	h := newHarness(t, Options{})
-	h.send(protocol.MsgConnect, protocol.Connect{User: "u", Password: "p"})
-	h.send(protocol.MsgDocRequest, protocol.DocRequest{Name: "doc", MediaPortBase: 9000, WindowMS: 300})
+	h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
+	h.send(protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc", MediaPortBase: 9000, WindowMS: 300})
 	var dr protocol.DocResponse
 	h.lastReply(t, protocol.MsgDocResponse, &dr)
 	if !dr.OK || dr.Name != "doc" {
@@ -220,8 +240,8 @@ func hasRetrieval(log []auth.AccessEntry, doc string) bool {
 
 func TestServerSuspendGraceExpiry(t *testing.T) {
 	h := newHarness(t, Options{Grace: 5 * time.Second})
-	h.send(protocol.MsgConnect, protocol.Connect{User: "u", Password: "p"})
-	h.send(protocol.MsgSuspend, protocol.Suspend{})
+	h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
+	h.send(protocol.MsgSuspend, &protocol.Suspend{})
 	var sr protocol.SuspendResult
 	h.lastReply(t, protocol.MsgSuspendResult, &sr)
 	if !sr.OK || sr.ResumeToken == "" || sr.GraceSecs != 5 {
@@ -240,7 +260,7 @@ func TestServerSuspendGraceExpiry(t *testing.T) {
 		t.Fatal("client not informed of expiry")
 	}
 	// Resuming with the stale token fails.
-	h.send(protocol.MsgConnect, protocol.Connect{ResumeToken: sr.ResumeToken})
+	h.send(protocol.MsgConnect, &protocol.Connect{ResumeToken: sr.ResumeToken})
 	var cr protocol.ConnectResult
 	h.lastReply(t, protocol.MsgConnectResult, &cr)
 	if cr.OK {
@@ -250,12 +270,12 @@ func TestServerSuspendGraceExpiry(t *testing.T) {
 
 func TestServerResumeWithinGrace(t *testing.T) {
 	h := newHarness(t, Options{Grace: 30 * time.Second})
-	h.send(protocol.MsgConnect, protocol.Connect{User: "u", Password: "p"})
-	h.send(protocol.MsgSuspend, protocol.Suspend{})
+	h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
+	h.send(protocol.MsgSuspend, &protocol.Suspend{})
 	var sr protocol.SuspendResult
 	h.lastReply(t, protocol.MsgSuspendResult, &sr)
 	h.clk.RunFor(10 * time.Second)
-	h.send(protocol.MsgConnect, protocol.Connect{ResumeToken: sr.ResumeToken})
+	h.send(protocol.MsgConnect, &protocol.Connect{ResumeToken: sr.ResumeToken})
 	var cr protocol.ConnectResult
 	h.lastReply(t, protocol.MsgConnectResult, &cr)
 	if !cr.OK {
@@ -272,13 +292,13 @@ func TestServerResumeWithinGrace(t *testing.T) {
 
 func TestServerDisconnectChargesAndReleases(t *testing.T) {
 	h := newHarness(t, Options{})
-	h.send(protocol.MsgConnect, protocol.Connect{User: "u", Password: "p"})
+	h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
 	reserved := h.srv.Admission().Reserved()
 	if reserved <= 0 {
 		t.Fatal("nothing reserved")
 	}
 	h.clk.RunFor(10 * time.Second)
-	h.send(protocol.MsgDisconnect, protocol.Disconnect{})
+	h.send(protocol.MsgDisconnect, &protocol.Disconnect{})
 	if h.srv.Admission().Reserved() != 0 {
 		t.Fatal("reservation not released")
 	}
@@ -292,9 +312,9 @@ func TestServerDisconnectChargesAndReleases(t *testing.T) {
 
 func TestServerAnnotateLogged(t *testing.T) {
 	h := newHarness(t, Options{})
-	h.send(protocol.MsgConnect, protocol.Connect{User: "u", Password: "p"})
-	h.send(protocol.MsgDocRequest, protocol.DocRequest{Name: "doc"})
-	h.send(protocol.MsgAnnotate, protocol.Annotate{Text: "great slide"})
+	h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
+	h.send(protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc"})
+	h.send(protocol.MsgAnnotate, &protocol.Annotate{Text: "great slide"})
 	found := false
 	for _, e := range h.users.AccessLog("u") {
 		if e.Kind == auth.AccessRetrieve && e.Detail == "annotate doc: great slide" {

@@ -15,7 +15,7 @@ import (
 // virtual clock go quiet.
 func TestDedupSweepQuiescesWithLiveSession(t *testing.T) {
 	h := newFaultHarness(t, Options{})
-	h.sendReq(1, protocol.MsgConnect, protocol.Connect{User: "u", Password: "p", PeakRate: 1_000_000})
+	h.sendReq(1, protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p", PeakRate: 1_000_000})
 	var cr protocol.ConnectResult
 	h.lastReply(t, protocol.MsgConnectResult, &cr)
 	if !cr.OK {
@@ -34,7 +34,7 @@ func TestDedupSweepQuiescesWithLiveSession(t *testing.T) {
 	// a retransmission of the original connect is answered from the cache,
 	// not re-admitted.
 	decisions := h.srv.Admission().Decisions()
-	h.sendReq(1, protocol.MsgConnect, protocol.Connect{User: "u", Password: "p", PeakRate: 1_000_000})
+	h.sendReq(1, protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p", PeakRate: 1_000_000})
 	var cr2 protocol.ConnectResult
 	h.lastReply(t, protocol.MsgConnectResult, &cr2)
 	if !cr2.OK || cr2.SessionID != cr.SessionID {
