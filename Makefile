@@ -26,6 +26,7 @@ race:
 # The fuzz smoke: 10 s of each Fuzz target, one line per target (go test fuzzes one target per run). A crasher is written under the package's testdata/fuzz and committed, so plain go test replays it from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/rtp/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalControl$$' -fuzztime 10s ./internal/rtp/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s ./internal/protocol/
 
 # The fault-injection suite on its pinned seed, under the race detector.

@@ -148,9 +148,10 @@ type Client struct {
 	spans    *obs.FrameSpans
 	hCtrlRTT *stats.DurationHistogram
 
-	machines map[string]*protocol.Machine
-	current  string // connected server host ("" when none)
-	sessions map[string]string
+	// servers holds one record per server talked to; current names the
+	// connected one ("" when none).
+	servers map[string]*record
+	current string
 
 	// presentation state
 	sc         *scenario.Scenario
@@ -187,9 +188,8 @@ type Client struct {
 	lastStats     *protocol.StatsResult
 	lastError     string
 
-	suspendTokens map[string]string
-	history       []string
-	events        []Event
+	history []string
+	events  []Event
 
 	// Browser navigation stacks ("moving backward and forward in the list
 	// of already viewed lessons", §6.2.3). Each entry records the document
@@ -234,6 +234,15 @@ type Client struct {
 	handoffPeers  []string // replicas advertised with the handoff
 	handoffStart  time.Time
 	hHandoff      *stats.DurationHistogram // handoff_latency, resolved at New
+}
+
+// record is what the browser knows of one server: where its session there
+// is in Figure 4, the session ID it granted, and the resume token of a
+// suspended session.
+type record struct {
+	m       protocol.Machine
+	session string
+	token   string
 }
 
 // navEntry is one visited document in the navigation stacks.
@@ -306,16 +315,14 @@ func (c *Client) freeAssemblyLocked(a *assembly) {
 func New(host string, clk clock.Clock, net netsim.Net, opts Options) (*Client, error) {
 	opts.fill()
 	c := &Client{
-		Host:          host,
-		clk:           clk,
-		net:           net,
-		opts:          opts,
-		machines:      map[string]*protocol.Machine{},
-		sessions:      map[string]string{},
-		suspendTokens: map[string]string{},
-		pending:       map[uint32]*pendingReq{},
-		failedPeers:   map[string]bool{},
-		monitor:       qos.NewClientMonitor(clk, 0x1996),
+		Host:        host,
+		clk:         clk,
+		net:         net,
+		opts:        opts,
+		servers:     map[string]*record{},
+		pending:     map[uint32]*pendingReq{},
+		failedPeers: map[string]bool{},
+		monitor:     qos.NewClientMonitor(clk, 0x1996),
 	}
 	c.spans = opts.Obs.FrameSpans()
 	c.hCtrlRTT = opts.Obs.Histogram("client_ctrl_rtt")
@@ -342,21 +349,32 @@ func (c *Client) Events() []Event {
 	return out
 }
 
-// machine returns (creating if needed) the per-server state machine.
-func (c *Client) machine(host string) *protocol.Machine {
-	m, ok := c.machines[host]
+// server returns (creating if needed) the record of a server.
+func (c *Client) server(host string) *record {
+	r, ok := c.servers[host]
 	if !ok {
-		m = protocol.NewMachine()
-		c.machines[host] = m
+		r = &record{}
+		c.servers[host] = r
 	}
-	return m
+	return r
+}
+
+// connectable returns the record of a server about to be connected: a
+// session that reached disconnected is over, and a new one starts a fresh
+// Figure 4 machine.
+func (c *Client) connectable(host string) *record {
+	r := c.server(host)
+	if r.m.State() == protocol.StDisconnected {
+		r.m = protocol.Machine{}
+	}
+	return r
 }
 
 // State returns the application state toward a server.
 func (c *Client) State(host string) protocol.State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.machine(host).State()
+	return c.server(host).m.State()
 }
 
 // CurrentServer returns the host currently connected ("" when none).
@@ -378,23 +396,19 @@ func (c *Client) Connect(host string) {
 }
 
 func (c *Client) connectLocked(host string, failover bool) {
-	m := c.machine(host)
-	if m.State() == protocol.StDisconnected {
-		m = protocol.NewMachine()
-		c.machines[host] = m
-	}
-	if m.State() == protocol.StSuspended {
+	rec := c.connectable(host)
+	if rec.m.State() == protocol.StSuspended {
 		// Connecting toward a suspended session is a return: the resume
 		// token rides along and InReturn fires on the server's answer.
 		c.current = host
 		c.lastConnect = nil
 		c.logEvent("return to " + host)
 		c.sendReqLocked(host, protocol.MsgConnect, &protocol.Connect{
-			User: c.opts.User, ResumeToken: c.suspendTokens[host],
+			User: c.opts.User, ResumeToken: rec.token,
 		}, time.Time{}, func() { c.connectFailedLocked(host, failover) })
 		return
 	}
-	if err := m.Apply(protocol.InConnect); err != nil {
+	if err := rec.m.Apply(protocol.InConnect); err != nil {
 		c.lastError = err.Error()
 		return
 	}
@@ -405,7 +419,7 @@ func (c *Client) connectLocked(host string, failover bool) {
 		User: c.opts.User, Password: c.opts.Password, Class: c.opts.Class,
 		PeakRate: c.opts.PeakRate, MinRate: c.opts.MinRate,
 		FloorLevel:  c.opts.FloorLevel,
-		ResumeToken: c.suspendTokens[host],
+		ResumeToken: rec.token,
 		Failover:    failover,
 	}, time.Time{}, func() { c.connectFailedLocked(host, failover) })
 }
@@ -414,10 +428,7 @@ func (c *Client) connectLocked(host string, failover bool) {
 // machine leaves Connecting instead of hanging there forever. During a
 // failover the next untried replica is attempted.
 func (c *Client) connectFailedLocked(host string, failover bool) {
-	m := c.machine(host)
-	if m.State() == protocol.StConnecting && m.Can(protocol.InAuthReject) {
-		m.Apply(protocol.InAuthReject)
-	}
+	c.server(host).m.Try(protocol.InAuthReject)
 	c.lastError = "connect timed out: " + host
 	c.logEvent("connect timed out: " + host)
 	if failover {
@@ -462,15 +473,15 @@ func (c *Client) RequestDoc(name string) {
 }
 
 func (c *Client) requestDocLocked(name string) {
-	m := c.machine(c.current)
-	if m.State() == protocol.StViewing || m.State() == protocol.StPaused {
-		// Selecting a new document ends the current presentation.
-		c.teardownPresentationLocked()
-		m.Apply(protocol.InPresentationEnd)
-	}
+	m := &c.server(c.current).m
+	presenting := m.State() == protocol.StViewing || m.State() == protocol.StPaused
 	if err := m.Apply(protocol.InRequestDoc); err != nil {
 		c.lastError = err.Error()
 		return
+	}
+	if presenting {
+		// Selecting a new document ends the current presentation.
+		c.teardownPresentationLocked()
 	}
 	c.logEvent("request " + name)
 	win := c.opts.Window
@@ -485,10 +496,7 @@ func (c *Client) requestDocLocked(name string) {
 		MediaPortBase: c.opts.MediaPortBase,
 		WindowMS:      int(win / time.Millisecond),
 	}, time.Time{}, func() {
-		mach := c.machine(host)
-		if mach.State() == protocol.StRequesting && mach.Can(protocol.InDocFail) {
-			mach.Apply(protocol.InDocFail)
-		}
+		c.server(host).m.Try(protocol.InDocFail)
 		c.lastError = "document request timed out: " + name
 	})
 }
@@ -501,10 +509,7 @@ func (c *Client) Disconnect() {
 		return
 	}
 	c.teardownPresentationLocked()
-	m := c.machine(c.current)
-	if m.Can(protocol.InDisconnect) {
-		m.Apply(protocol.InDisconnect)
-	}
+	c.server(c.current).m.Try(protocol.InDisconnect)
 	c.cancelPendingLocked(c.current)
 	if c.hbTimer != nil {
 		c.hbTimer.Stop()
@@ -520,10 +525,9 @@ func (c *Client) Disconnect() {
 func (c *Client) Pause() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.player == nil || c.machine(c.current).State() != protocol.StViewing {
+	if c.player == nil || !c.server(c.current).m.Try(protocol.InPause) {
 		return
 	}
-	c.machine(c.current).Apply(protocol.InPause)
 	c.send(c.current, protocol.MsgPause, &protocol.MediaOp{})
 	c.player.Pause()
 	c.userPaused = true
@@ -534,10 +538,9 @@ func (c *Client) Pause() {
 func (c *Client) Resume() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.player == nil || c.machine(c.current).State() != protocol.StPaused {
+	if c.player == nil || !c.server(c.current).m.Try(protocol.InResume) {
 		return
 	}
-	c.machine(c.current).Apply(protocol.InResume)
 	c.send(c.current, protocol.MsgResume, &protocol.MediaOp{})
 	c.player.Resume()
 	c.userPaused = false
@@ -668,13 +671,11 @@ func (c *Client) followLinkLocked(link scenario.Link) {
 	// Figure 4 from wherever the user is: the remote document is requested
 	// (from browsing), found to live elsewhere, and the connection suspends.
 	from := c.current
-	m := c.machine(from)
+	m := &c.server(from).m
 	if m.State() == protocol.StBrowsing {
-		m.Apply(protocol.InRequestDoc)
+		m.Try(protocol.InRequestDoc)
 	}
-	if m.Can(protocol.InRedirect) {
-		m.Apply(protocol.InRedirect)
-	}
+	m.Try(protocol.InRedirect)
 	c.beginMoveLocked(from, link.Host, link.Target, nil, nil)
 	// The connect waits for the suspend's ack (onSuspendResult), which
 	// carries the resume token a fallback needs; a lost ack connects anyway.
@@ -764,7 +765,7 @@ func (c *Client) History() []string {
 func (c *Client) SuspendToken(host string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.suspendTokens[host]
+	return c.server(host).token
 }
 
 // StreamInfo returns the media connection plan the server announced for a
@@ -781,7 +782,7 @@ func (c *Client) StreamInfo(id string) (protocol.StreamAnnounce, bool) {
 func (c *Client) SessionID(host string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.sessions[host]
+	return c.server(host).session
 }
 
 // Scenario returns the active scenario (nil when idle).

@@ -21,10 +21,7 @@ import (
 // backoff between hops so a cluster-wide overload cannot tight-loop.
 // Caller holds c.mu.
 func (c *Client) onRedirectLocked(from string, m protocol.ConnectResult) {
-	mach := c.machine(from)
-	if mach.State() == protocol.StConnecting && mach.Can(protocol.InAuthReject) {
-		mach.Apply(protocol.InAuthReject)
-	}
+	c.server(from).m.Try(protocol.InAuthReject)
 	if c.redirectTried == nil {
 		c.redirectTried = map[string]bool{}
 	}
@@ -79,12 +76,10 @@ func (c *Client) endRedirectEpisodeLocked(from, why string) {
 // the target, present the ticket, and re-request the document there.
 // Caller holds c.mu.
 func (c *Client) onDocHandoffLocked(from string, m protocol.DocResponse) {
-	mach := c.machine(from)
-	if mach.Can(protocol.InRedirect) {
-		mach.Apply(protocol.InRedirect) // requesting → suspended, per Figure 4
-	}
+	rec := c.server(from)
+	rec.m.Try(protocol.InRedirect) // requesting → suspended, per Figure 4
 	if m.ResumeToken != "" {
-		c.suspendTokens[from] = m.ResumeToken
+		rec.token = m.ResumeToken
 	}
 	if m.GraceSecs > 0 {
 		c.graceSecs = m.GraceSecs
@@ -127,18 +122,12 @@ func (c *Client) beginMoveLocked(from, to, doc string, ticket *protocol.HandoffT
 // rides the normal tracked-retransmission machinery; exhaustion falls back
 // via handoffConnectFailedLocked. Caller holds c.mu.
 func (c *Client) connectHandoffLocked(host string) {
-	m := c.machine(host)
-	if m.State() == protocol.StDisconnected {
-		m = protocol.NewMachine()
-		c.machines[host] = m
-	}
-	if m.State() != protocol.StIdle {
+	if !c.connectable(host).m.Try(protocol.InConnect) {
 		// E.g. a session already suspended toward the target: the ordinary
 		// connect path resumes it by token.
 		c.connectLocked(host, false)
 		return
 	}
-	m.Apply(protocol.InConnect)
 	c.current = host
 	c.lastConnect = nil
 	body := protocol.Connect{
@@ -160,10 +149,7 @@ func (c *Client) connectHandoffLocked(host string) {
 // back to a plain reconnect at the suspended source (its grace timer is
 // still running). Caller holds c.mu.
 func (c *Client) handoffConnectFailedLocked(host string) {
-	mach := c.machine(host)
-	if mach.State() == protocol.StConnecting && mach.Can(protocol.InAuthReject) {
-		mach.Apply(protocol.InAuthReject)
-	}
+	c.server(host).m.Try(protocol.InAuthReject)
 	c.opts.Obs.Counter("client_handoff_fallbacks").Inc()
 	c.logEvent("handoff target unreachable: " + host)
 	if c.failedPeers == nil {
@@ -182,7 +168,7 @@ func (c *Client) handoffConnectFailedLocked(host string) {
 	src := c.handoffFrom
 	c.clearHandoffLocked()
 	c.pendingDoc = ""
-	if src != "" && c.suspendTokens[src] != "" {
+	if src != "" && c.server(src).token != "" {
 		c.lastError = "handoff failed: " + host + " unreachable; returned to " + src
 		c.logEvent("handoff failed; returning to " + src)
 		c.connectLocked(src, false)

@@ -82,10 +82,8 @@ func (c *Client) handleCtrl(pkt netsim.Packet) {
 		if c.accept(from, mt, reqID, protocol.DecodeBody(body, &m)) {
 			c.mu.Lock()
 			c.lastError = m.Msg
-			mach := c.machine(from)
-			if mach.State() == protocol.StSuspended && mach.Can(protocol.InGraceExpired) {
-				mach.Apply(protocol.InGraceExpired)
-				delete(c.suspendTokens, from)
+			if rec := c.server(from); rec.m.Try(protocol.InGraceExpired) {
+				rec.token = ""
 			}
 			c.logEvent("server error: " + m.Msg)
 			c.mu.Unlock()
@@ -118,9 +116,9 @@ func (c *Client) accept(from string, mt protocol.MsgType, reqID uint32, decodeEr
 func (c *Client) onConnectResult(from string, m protocol.ConnectResult) {
 	c.mu.Lock()
 	c.lastConnect = &m
-	mach := c.machine(from)
+	rec := c.server(from)
 	if m.OK {
-		c.sessions[from] = m.SessionID
+		rec.session = m.SessionID
 		// The server advertises its suspend grace window and replica set on
 		// every successful connect: they bound recovery probing and name the
 		// failover candidates.
@@ -143,27 +141,25 @@ func (c *Client) onConnectResult(from string, m protocol.ConnectResult) {
 		if recovered {
 			c.recovering = ""
 		}
-		switch mach.State() {
-		case protocol.StConnecting:
-			mach.Apply(protocol.InAuthOK)
-		case protocol.StSuspended:
+		rec.m.Try(protocol.InAuthOK) // a new session: connecting → browsing
+		if rec.m.State() == protocol.StSuspended {
 			if recovered && m.Resumed && c.player != nil && !c.player.Finished() && c.docHost == from {
 				// Resumed in place within the grace window: straight back
 				// to viewing, the frozen presentation continues.
-				mach.Apply(protocol.InRecover)
+				rec.m.Try(protocol.InRecover)
 				if c.userPaused {
 					// The user paused before the outage: recover into the
 					// paused presentation. The server kept the sender
 					// user-paused across the suspend, so nothing resumes
 					// until the user asks.
-					mach.Apply(protocol.InPause)
+					rec.m.Try(protocol.InPause)
 				} else {
 					c.player.Resume()
 				}
 			} else {
-				mach.Apply(protocol.InReturn)
+				rec.m.Try(protocol.InReturn)
 			}
-			delete(c.suspendTokens, from)
+			rec.token = ""
 		}
 		if recovered {
 			c.opts.Obs.Counter("client_sessions_resumed").Inc()
@@ -182,9 +178,7 @@ func (c *Client) onConnectResult(from string, m protocol.ConnectResult) {
 			c.requestDocLocked(doc)
 		}
 	} else if m.NeedSubscription {
-		if mach.State() == protocol.StConnecting {
-			mach.Apply(protocol.InAuthNeedSubscribe)
-		}
+		rec.m.Try(protocol.InAuthNeedSubscribe)
 		c.logEvent("subscription required at " + from)
 	} else if m.Redirect {
 		// Load-aware admission redirect: retry at a less-loaded peer.
@@ -202,9 +196,7 @@ func (c *Client) onConnectResult(from string, m protocol.ConnectResult) {
 		c.logEvent("handoff refused by " + from + ": " + m.Reason)
 		c.handoffConnectFailedLocked(from)
 	} else {
-		if mach.Can(protocol.InAuthReject) {
-			mach.Apply(protocol.InAuthReject)
-		}
+		rec.m.Try(protocol.InAuthReject)
 		c.lastError = m.Reason
 		c.logEvent("connection rejected: " + m.Reason)
 	}
@@ -215,11 +207,9 @@ func (c *Client) onSubscribeResult(from string, m protocol.SubscribeResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lastSubscribe = &m
-	mach := c.machine(from)
+	mach := &c.server(from).m
 	if m.OK {
-		if mach.State() == protocol.StSubscribing {
-			mach.Apply(protocol.InSubscribed)
-		}
+		mach.Try(protocol.InSubscribed)
 		c.logEvent("subscribed at " + from)
 		// The connection attempt that triggered the subscription never
 		// created a server-side session; re-handshake transparently so
@@ -230,9 +220,7 @@ func (c *Client) onSubscribeResult(from string, m protocol.SubscribeResult) {
 			FloorLevel: c.opts.FloorLevel,
 		}, time.Time{}, nil)
 	} else {
-		if mach.Can(protocol.InSubscribeFail) {
-			mach.Apply(protocol.InSubscribeFail)
-		}
+		mach.Try(protocol.InSubscribeFail)
 		c.lastError = m.Reason
 	}
 }
@@ -243,7 +231,7 @@ func (c *Client) onSuspendResult(from string, m protocol.SuspendResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if m.OK {
-		c.suspendTokens[from] = m.ResumeToken
+		c.server(from).token = m.ResumeToken
 	}
 	if from == c.handoffFrom && from == c.current {
 		c.connectHandoffLocked(c.handoffTo)
@@ -257,7 +245,7 @@ func (c *Client) onSuspendResult(from string, m protocol.SuspendResult) {
 func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	mach := c.machine(from)
+	mach := &c.server(from).m
 	if !m.OK {
 		if m.Redirect != "" {
 			// The document is homed on another server: the source suspended
@@ -265,9 +253,7 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 			c.onDocHandoffLocked(from, m)
 			return
 		}
-		if mach.Can(protocol.InDocFail) {
-			mach.Apply(protocol.InDocFail)
-		}
+		mach.Try(protocol.InDocFail)
 		c.lastError = m.Reason
 		c.logEvent("document failed: " + m.Reason)
 		if c.handoffFrom != "" && from != c.handoffFrom {
@@ -291,16 +277,12 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 	}
 	sc, err := scenario.Parse(m.ScenarioSrc)
 	if err != nil {
-		if mach.Can(protocol.InDocFail) {
-			mach.Apply(protocol.InDocFail)
-		}
+		mach.Try(protocol.InDocFail)
 		c.lastError = err.Error()
 		return
 	}
 	c.teardownPresentationLocked()
-	if mach.Can(protocol.InDocReady) {
-		mach.Apply(protocol.InDocReady)
-	}
+	mach.Try(protocol.InDocReady)
 	c.sc = sc
 	c.sch = scenario.BuildSchedule(sc)
 	// Maintain the back/forward stacks around the document switch.
@@ -569,10 +551,8 @@ func (c *Client) onPresentationEnd() {
 		c.endTimer = c.clk.AfterFunc(remaining, c.onPresentationEnd)
 		return
 	}
-	mach := c.machine(c.current)
-	if mach.State() == protocol.StViewing {
+	if c.server(c.current).m.Try(protocol.InPresentationEnd) {
 		c.player.Finish()
-		mach.Apply(protocol.InPresentationEnd)
 		c.logEvent("presentation ended")
 	}
 	c.stopTimersLocked()

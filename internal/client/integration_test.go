@@ -9,6 +9,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/hml"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/playout"
 	"repro/internal/protocol"
 	"repro/internal/qos"
@@ -24,6 +25,7 @@ type world struct {
 	net     *netsim.Network
 	users   *auth.DB
 	servers map[string]*server.Server
+	scopes  map[string]*obs.Scope
 	c       *Client
 }
 
@@ -33,15 +35,19 @@ func newWorld(t testing.TB, link netsim.LinkConfig, copts Options, sopts server.
 	net := netsim.New(clk, 1234)
 	net.SetDefaultLink(link)
 	users := auth.NewDB()
-	w := &world{clk: clk, net: net, users: users, servers: map[string]*server.Server{}}
+	w := &world{clk: clk, net: net, users: users, servers: map[string]*server.Server{}, scopes: map[string]*obs.Scope{}}
 	for _, name := range serverNames {
 		db := server.NewDatabase()
-		srv, err := server.New(name, clk, net, users, db, sopts)
+		opts := sopts
+		opts.Obs = obs.NewScope(clk)
+		srv, err := server.New(name, clk, net, users, db, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.servers[name] = srv
+		w.scopes[name] = opts.Obs
 	}
+	t.Cleanup(func() { w.noIllegalInputs(t) })
 	var peers []string
 	for _, n := range serverNames {
 		peers = append(peers, n)
@@ -78,6 +84,23 @@ func (w *world) subscribe(t testing.TB, user, pw string) {
 }
 
 func (w *world) run(d time.Duration) { w.clk.RunFor(d) }
+
+// noIllegalInputs fails the test when a server refused a Figure 4 input:
+// every test in this file is a happy path, so client and server must agree
+// on each session's state throughout.
+func (w *world) noIllegalInputs(t testing.TB) {
+	t.Helper()
+	for name, sc := range w.scopes {
+		if n := sc.Counter("server_illegal_inputs").Value(); n != 0 {
+			for _, e := range sc.Trace().Events() {
+				if e.Kind == obs.EvIllegalInput {
+					t.Errorf("%s: %s", name, e.Note)
+				}
+			}
+			t.Errorf("%s refused %d Figure 4 inputs", name, n)
+		}
+	}
+}
 
 const shortAV = `<TITLE>short av</TITLE>
 <TEXT>narrated clip</TEXT>
@@ -265,6 +288,108 @@ func TestReturnWithinGrace(t *testing.T) {
 	// The resume consumed the token.
 	if w.c.SuspendToken("server-a") != "" {
 		t.Fatal("token not consumed")
+	}
+}
+
+// TestReturnStopsSuspendedFlows: a return with the resume token lands in
+// browsing on both ends, so the source stops streaming the presentation it
+// suspended (the client released those media ports when it left), and the
+// next request there plays.
+func TestReturnStopsSuspendedFlows(t *testing.T) {
+	long := `<TITLE>long</TITLE>
+<AU_VI SOURCE=au/n SOURCE=vi/c ID=n ID=cv STARTIME=0 DURATION=20> </AU_VI>`
+	w := newWorld(t, netsim.DefaultLAN(), Options{AutoFollowLinks: false},
+		server.Options{Grace: 60 * time.Second}, "server-a", "server-b")
+	w.subscribe(t, "alice", "pw")
+	putDoc(t, w.servers["server-a"], "intro", long)
+	putDoc(t, w.servers["server-b"], "extra", shortAV)
+	w.c.Connect("server-a")
+	w.run(time.Second)
+	w.c.RequestDoc("intro")
+	w.run(2 * time.Second)
+	w.c.FollowLink(scenario.Link{Target: "extra", Host: "server-b"})
+	w.run(8 * time.Second) // extra plays out on server-b
+	w.c.Connect("server-a")
+	w.run(time.Second)
+	if got := w.c.State("server-a"); got != protocol.StBrowsing {
+		t.Fatalf("state after return = %v", got)
+	}
+	media := 0
+	for p := 7000; p < 7010; p++ {
+		w.net.Listen(netsim.MakeAddr("laptop", p), func(pkt netsim.Packet) {
+			if pkt.From.Host() == "server-a" {
+				media++
+			}
+		})
+	}
+	w.run(5 * time.Second)
+	if media != 0 {
+		t.Fatalf("server-a sent %d media packets to a client browsing there", media)
+	}
+	for p := 7000; p < 7010; p++ {
+		w.net.Listen(netsim.MakeAddr("laptop", p), nil)
+	}
+	w.c.RequestDoc("intro")
+	w.run(25 * time.Second)
+	if got := w.c.History(); len(got) != 3 || got[2] != "intro" {
+		t.Fatalf("history = %v (err %q)", got, w.c.LastError())
+	}
+	if v := w.c.Player().Report().Streams["cv"]; v.Plays < v.Expected*9/10 {
+		t.Fatalf("intro after the return plays %d/%d", v.Plays, v.Expected)
+	}
+}
+
+// TestRequestWhilePaused: every way of asking for a document while paused —
+// reload, a request, back, forward, a link on the same server — ends the
+// paused presentation and plays the requested one (Figure 4's paused
+// --request-doc--> requesting).
+func TestRequestWhilePaused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(c *Client)
+		want string
+	}{
+		{"reload", (*Client).Reload, "two"},
+		{"request", func(c *Client) { c.RequestDoc("one") }, "one"},
+		{"back", func(c *Client) { c.Back() }, "one"},
+		{"forward", func(c *Client) { c.Forward() }, "three"},
+		{"link", func(c *Client) { c.FollowLink(scenario.Link{Target: "three", Host: "server-a"}) }, "three"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, netsim.DefaultLAN(), Options{}, server.Options{}, "server-a")
+			w.subscribe(t, "alice", "pw")
+			for _, doc := range []string{"one", "two", "three"} {
+				putDoc(t, w.servers["server-a"], doc, shortAV)
+			}
+			w.c.Connect("server-a")
+			w.run(time.Second)
+			for _, doc := range []string{"one", "two", "three"} {
+				w.c.RequestDoc(doc)
+				w.run(2 * time.Second)
+			}
+			w.c.Back() // to "two", with somewhere to go either way
+			w.run(2 * time.Second)
+			w.c.Pause()
+			w.run(time.Second)
+			if got := w.c.State("server-a"); got != protocol.StPaused {
+				t.Fatalf("state before the request = %v", got)
+			}
+			paused := w.c.Player()
+			tc.op(w.c)
+			w.run(12 * time.Second)
+			if e := w.c.LastError(); e != "" {
+				t.Fatalf("request while paused: %s", e)
+			}
+			if got := w.c.History(); got[len(got)-1] != tc.want || len(got) != 5 {
+				t.Fatalf("history = %v, want %s played last", got, tc.want)
+			}
+			if w.c.Player() == paused || !paused.Finished() {
+				t.Fatal("the paused presentation was not replaced")
+			}
+			if a := w.c.Player().Report().Streams["n"]; a.Plays < a.Expected*9/10 {
+				t.Fatalf("%s plays %d/%d", tc.want, a.Plays, a.Expected)
+			}
+		})
 	}
 }
 

@@ -190,13 +190,13 @@ func (c *Client) startHeartbeatLocked() {
 func (c *Client) heartbeatTick() {
 	c.mu.Lock()
 	host := c.current
-	sess := c.sessions[host]
-	if host == "" || sess == "" || c.recovering != "" {
+	rec := c.servers[host]
+	if rec == nil || rec.session == "" || c.recovering != "" {
 		c.hbTimer = nil
 		c.mu.Unlock()
 		return
 	}
-	switch c.machine(host).State() {
+	switch rec.m.State() {
 	case protocol.StIdle, protocol.StConnecting, protocol.StSuspended, protocol.StDisconnected:
 		// No live session toward this server right now (e.g. a voluntary
 		// suspend in flight): stop probing; a connect result re-arms.
@@ -220,7 +220,7 @@ func (c *Client) heartbeatTick() {
 	c.hbAwait = true
 	c.hbTimer = c.clk.AfterFunc(c.opts.HeartbeatInterval, c.heartbeatTick)
 	c.mu.Unlock()
-	c.send(host, protocol.MsgHeartbeat, &protocol.Heartbeat{SessionID: sess})
+	c.send(host, protocol.MsgHeartbeat, &protocol.Heartbeat{SessionID: rec.session})
 }
 
 func (c *Client) onHeartbeatAck(from string, m protocol.HeartbeatAck) {
@@ -241,7 +241,7 @@ func (c *Client) onHeartbeatAck(from string, m protocol.HeartbeatAck) {
 	}
 	// The server answers but holds no session for us: it restarted and
 	// lost its state. Skip the remaining miss budget and recover now.
-	if c.sessions[from] != "" && c.machine(from).State() != protocol.StSuspended {
+	if rec := c.server(from); rec.session != "" && rec.m.State() != protocol.StSuspended {
 		c.onPeerLostLocked(from, "server lost session state")
 	}
 }
@@ -261,10 +261,8 @@ func (c *Client) onPeerLostLocked(host, why string) {
 		c.hbTimer.Stop()
 		c.hbTimer = nil
 	}
-	mach := c.machine(host)
-	if mach.Can(protocol.InPeerLost) {
-		mach.Apply(protocol.InPeerLost)
-	}
+	rec := c.server(host)
+	rec.m.Try(protocol.InPeerLost)
 	if c.player != nil && !c.player.Finished() && c.docHost == host {
 		c.player.Pause()
 	}
@@ -275,7 +273,7 @@ func (c *Client) onPeerLostLocked(host, why string) {
 	}
 	c.recoverDeadline = c.clk.Now().Add(grace)
 	c.sendReqLocked(host, protocol.MsgConnect, &protocol.Connect{
-		User: c.opts.User, ResumeSession: c.sessions[host],
+		User: c.opts.User, ResumeSession: rec.session,
 	}, c.recoverDeadline, func() {
 		c.recovering = ""
 		c.failoverLocked(host)
@@ -291,13 +289,10 @@ func (c *Client) failoverLocked(deadHost string) {
 		c.failedPeers = map[string]bool{}
 	}
 	c.failedPeers[deadHost] = true
-	delete(c.sessions, deadHost)
-	delete(c.suspendTokens, deadHost)
+	rec := c.server(deadHost)
+	rec.session, rec.token = "", ""
+	rec.m.Try(protocol.InGraceExpired)
 	c.cancelPendingLocked(deadHost)
-	mach := c.machine(deadHost)
-	if mach.Can(protocol.InGraceExpired) {
-		mach.Apply(protocol.InGraceExpired)
-	}
 	doc := c.docName
 	c.teardownPresentationLocked()
 	var target string

@@ -128,7 +128,7 @@ func F4Protocol() (*stats.Table, error) {
 	}
 	driven := 0
 	for _, e := range edges {
-		m := protocol.NewMachine()
+		m := &protocol.Machine{}
 		for _, in := range paths[e.From] {
 			if err := m.Apply(in); err != nil {
 				return nil, fmt.Errorf("F4 replay: %w", err)
@@ -141,17 +141,17 @@ func F4Protocol() (*stats.Table, error) {
 	}
 	illegal, rejected := 0, 0
 	for _, s := range states {
-		m := protocol.NewMachine()
+		m := &protocol.Machine{}
 		for _, in := range paths[s] {
 			m.Apply(in)
 		}
 		for _, in := range inputs {
-			if m.Can(in) {
+			probe := *m
+			if probe.Apply(in) == nil {
 				continue
 			}
 			illegal++
-			before := m.State()
-			if err := m.Apply(in); err != nil && m.State() == before {
+			if probe.State() == m.State() {
 				rejected++
 			}
 		}

@@ -57,6 +57,7 @@ type Service struct {
 	Servers map[string]*server.Server
 	Mail    *mail.Server
 
+	fed     *cluster.Cluster
 	clients int
 }
 
@@ -103,6 +104,7 @@ func NewSimulated(cfg Config) (*Service, error) {
 		Users:   users,
 		Servers: cl.Servers,
 		Mail:    mail.NewServer("hermes.cti.gr"),
+		fed:     cl,
 	}, nil
 }
 

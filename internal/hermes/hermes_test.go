@@ -13,18 +13,30 @@ import (
 	"repro/internal/scenario"
 )
 
+// simulated builds a deployment for a happy-path test: by the end of it,
+// no server may have refused a Figure 4 input.
+func simulated(t *testing.T, cfg Config) *Service {
+	t.Helper()
+	svc, err := NewSimulated(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if n := svc.fed.CounterTotal("server_illegal_inputs"); n != 0 {
+			t.Errorf("servers refused %d Figure 4 inputs", n)
+		}
+	})
+	return svc
+}
+
 func twoServerService(t *testing.T) *Service {
 	t.Helper()
-	svc, err := NewSimulated(Config{
+	return simulated(t, Config{
 		Servers: []ServerSpec{
 			{Name: "hermes-a", Lessons: MakeCourse("algo", 2, 2, 8*time.Second)},
 			{Name: "hermes-b", Lessons: MakeCourse("nets", 1, 2, 8*time.Second)},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return svc
 }
 
 func TestMakeCourseStructure(t *testing.T) {
@@ -162,14 +174,11 @@ func TestNewSimulatedRejectsBadLesson(t *testing.T) {
 }
 
 func TestCustomLink(t *testing.T) {
-	svc, err := NewSimulated(Config{
+	svc := simulated(t, Config{
 		Servers: []ServerSpec{{Name: "a", Lessons: MakeCourse("c", 1, 1, 5*time.Second)}},
 		Link:    netsim.DefaultWAN(),
 		Seed:    7,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	svc.Enroll("u", "pw", qos.Economy)
 	b := svc.NewBrowser("u", "pw", client.Options{})
 	b.Connect("a")
@@ -188,15 +197,12 @@ func TestTimedLinkAcrossServers(t *testing.T) {
 <HLINK HREF=part-two HOST=hermes-b AT=5 KIND=SEQ> </HLINK>`
 	partTwo := `<TITLE>part two</TITLE>
 <AU SOURCE=au/b ID=p2a STARTIME=0 DURATION=4> </AU>`
-	svc, err := NewSimulated(Config{
+	svc := simulated(t, Config{
 		Servers: []ServerSpec{
 			{Name: "hermes-a", Lessons: []LessonSpec{{Name: "part-one", Source: partOne}}},
 			{Name: "hermes-b", Lessons: []LessonSpec{{Name: "part-two", Source: partTwo}}},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	svc.Enroll("u", "pw", qos.Standard)
 	b := svc.NewBrowser("u", "pw", client.Options{AutoFollowLinks: true})
 	b.Connect("hermes-a")

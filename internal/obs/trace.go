@@ -94,6 +94,9 @@ const (
 	// EvCtrlDecodeError marks a control message whose frame or body failed
 	// to decode and was dropped (value = its request ID).
 	EvCtrlDecodeError
+	// EvIllegalInput marks a control input the Figure 4 state machine
+	// refused for the session it arrived on (value = the protocol input).
+	EvIllegalInput
 )
 
 func (k EventKind) String() string {
@@ -146,6 +149,8 @@ func (k EventKind) String() string {
 		return "handoff"
 	case EvCtrlDecodeError:
 		return "ctrl-decode-error"
+	case EvIllegalInput:
+		return "illegal-input"
 	default:
 		return fmt.Sprintf("kind-%d", uint8(k))
 	}

@@ -107,7 +107,7 @@ func TestMsgTypeNames(t *testing.T) {
 }
 
 func TestHappyPathTransitions(t *testing.T) {
-	m := NewMachine()
+	m := &Machine{}
 	seq := []struct {
 		in   Input
 		want State
@@ -136,7 +136,7 @@ func TestHappyPathTransitions(t *testing.T) {
 }
 
 func TestGraceExpiryPath(t *testing.T) {
-	m := NewMachine()
+	m := &Machine{}
 	for _, in := range []Input{InConnect, InAuthOK, InRequestDoc, InRedirect, InGraceExpired} {
 		if err := m.Apply(in); err != nil {
 			t.Fatal(err)
@@ -148,7 +148,7 @@ func TestGraceExpiryPath(t *testing.T) {
 }
 
 func TestIllegalTransitionsRejected(t *testing.T) {
-	m := NewMachine()
+	m := &Machine{}
 	err := m.Apply(InPause)
 	if err == nil {
 		t.Fatal("pause in idle accepted")
@@ -167,19 +167,19 @@ func TestIllegalTransitionsRejected(t *testing.T) {
 }
 
 func TestDisconnectedIsTerminal(t *testing.T) {
-	m := NewMachine()
+	m := &Machine{}
 	m.Apply(InConnect)
 	m.Apply(InAuthOK)
 	m.Apply(InDisconnect)
 	for _, in := range Inputs() {
-		if m.Can(in) {
+		if probe := *m; probe.Try(in) {
 			t.Fatalf("input %v legal in disconnected", in)
 		}
 	}
 }
 
 func TestAuthRejectReturnsToIdle(t *testing.T) {
-	m := NewMachine()
+	m := &Machine{}
 	m.Apply(InConnect)
 	if err := m.Apply(InAuthReject); err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestAuthRejectReturnsToIdle(t *testing.T) {
 		t.Fatalf("state = %v", m.State())
 	}
 	// Idle allows reconnect.
-	if !m.Can(InConnect) {
+	if !m.Try(InConnect) {
 		t.Fatal("cannot reconnect")
 	}
 }
@@ -238,7 +238,7 @@ func TestEveryEdgeDrivable(t *testing.T) {
 		if !ok {
 			t.Fatalf("no path to %v", e.From)
 		}
-		m := NewMachine()
+		m := &Machine{}
 		for _, in := range path {
 			if err := m.Apply(in); err != nil {
 				t.Fatalf("replay to %v: %v", e.From, err)
@@ -277,7 +277,7 @@ func TestStateAndInputNames(t *testing.T) {
 // a declared edge or leaves the state unchanged with an error.
 func TestQuickMachineTotal(t *testing.T) {
 	f := func(seq []uint8) bool {
-		m := NewMachine()
+		m := &Machine{}
 		for _, raw := range seq {
 			in := Input(int(raw) % len(Inputs()))
 			before := m.State()

@@ -79,8 +79,8 @@ const (
 	InDocFail
 	// InRedirect: the document lives on another server: suspend here.
 	InRedirect
-	// InPresentationEnd: the scenario completed (or a link was followed
-	// within the same server): back to browsing.
+	// InPresentationEnd: the scenario completed: back to browsing. Only the
+	// client observes it; the server never learns when playout ends.
 	InPresentationEnd
 	// InPause / InResume: user playback control.
 	InPause
@@ -152,6 +152,7 @@ var transitions = map[State]map[Input]State{
 	},
 	StPaused: {
 		InResume:     StViewing,
+		InRequestDoc: StRequesting,
 		InDisconnect: StDisconnected,
 		InRedirect:   StSuspended,
 		InPeerLost:   StSuspended,
@@ -175,7 +176,8 @@ func (e *TransitionError) Error() string {
 	return fmt.Sprintf("protocol: input %q illegal in state %q", e.Input, e.From)
 }
 
-// Machine tracks a session through the Figure 4 state diagram.
+// Machine tracks a session through the Figure 4 state diagram. Its zero
+// value is idle.
 type Machine struct {
 	state State
 }
@@ -187,26 +189,25 @@ type Step struct {
 	To    State
 }
 
-// NewMachine starts in StIdle.
-func NewMachine() *Machine { return &Machine{state: StIdle} }
-
 // State returns the current state.
 func (m *Machine) State() State { return m.state }
 
 // Apply performs one transition, returning a TransitionError if the input
 // is illegal in the current state.
 func (m *Machine) Apply(in Input) error {
-	next, ok := transitions[m.state][in]
-	if !ok {
-		return &TransitionError{From: m.state, Input: in}
+	if m.Try(in) {
+		return nil
 	}
-	m.state = next
-	return nil
+	return &TransitionError{From: m.state, Input: in}
 }
 
-// Can reports whether the input is legal in the current state.
-func (m *Machine) Can(in Input) bool {
-	_, ok := transitions[m.state][in]
+// Try performs the transition when the input is legal in the current state
+// and reports whether it did; an illegal input leaves the state as it was.
+func (m *Machine) Try(in Input) bool {
+	next, ok := transitions[m.state][in]
+	if ok {
+		m.state = next
+	}
 	return ok
 }
 

@@ -156,6 +156,7 @@ func (s *Server) redirectTargets(candidates []string) []string {
 // ticket bound to user+document, and points the client at the least-loaded
 // replica. Caller holds sh.mu; it is released here before the reply.
 func (s *Server) issueHandoff(sh *ctrlShard, sess *session, from netsim.Addr, reqID uint32, doc string, holders []string) {
+	s.step(sess, protocol.InRedirect)
 	tok := s.suspendSessionLocked(sh, sess)
 	user, class := sess.user, sess.class
 	sh.mu.Unlock()

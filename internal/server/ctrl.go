@@ -104,11 +104,7 @@ func (s *Server) handlePacket(pkt netsim.Packet) {
 		if s.decoded(pkt.From, mt, reqID, protocol.DecodeBody(body, &m)) {
 			s.onFeedback(pkt.From, m)
 		}
-	case protocol.MsgPause:
-		s.onMediaOp(pkt.From, mt, protocol.MediaOp{})
-	case protocol.MsgResume:
-		s.onMediaOp(pkt.From, mt, protocol.MediaOp{})
-	case protocol.MsgReload:
+	case protocol.MsgPause, protocol.MsgResume:
 		s.onMediaOp(pkt.From, mt, protocol.MediaOp{})
 	case protocol.MsgDisableMedia:
 		var m protocol.MediaOp
@@ -158,7 +154,7 @@ func (s *Server) onHeartbeat(from netsim.Addr, m protocol.Heartbeat) {
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	sess, ok := sh.sessions[string(from)]
-	if !ok || sess.suspended {
+	if !ok || sess.suspended() {
 		sh.mu.Unlock()
 		s.reply(from, protocol.MsgHeartbeatAck, &protocol.HeartbeatAck{OK: false})
 		return
@@ -190,14 +186,26 @@ func (s *Server) connectExtras(res *protocol.ConnectResult) {
 	res.Peers = s.peerList()
 }
 
-// reattachLocked moves a (possibly suspended) session to a client address
-// and restarts its paused media. Shared by the voluntary resume-token path
-// and the liveness-recovery ResumeSession path; only the latter re-arms
-// liveness policing (police), mirroring where the old sweep armed. Caller
+// step advances the session through Figure 4. An input the table refuses
+// changes nothing: it is counted in server_illegal_inputs and traced, and the
+// caller answers as it would have without the table. Caller holds the
+// session's shard lock, or has not published the session yet.
+func (s *Server) step(sess *session, in protocol.Input) bool {
+	if sess.state.Try(in) {
+		return true
+	}
+	s.opts.Obs.Counter("server_illegal_inputs").Inc()
+	s.opts.Obs.Emit(obs.EvIllegalInput, sess.id, int64(in),
+		"input "+in.String()+" illegal in state "+sess.state.State().String())
+	return false
+}
+
+// reattachLocked moves a (possibly suspended) session to a client address,
+// stopping its grace timer and retiring its resume token. Shared by the
+// resume-token return and the liveness-recovery ResumeSession path. Caller
 // holds the locks of shards oi (owning) and ni (target) via lockPair.
-func (s *Server) reattachLocked(oi, ni int, sess *session, from netsim.Addr, police bool) {
+func (s *Server) reattachLocked(oi, ni int, sess *session, from netsim.Addr) {
 	old, neu := &s.shards[oi], &s.shards[ni]
-	sess.suspended = false
 	if sess.graceTimer != nil {
 		sess.graceTimer.Stop()
 		sess.graceTimer = nil
@@ -225,15 +233,22 @@ func (s *Server) reattachLocked(oi, ni int, sess *session, from netsim.Addr, pol
 	neu.sessions[string(from)] = sess
 	neu.byID[sess.id] = sess
 	sess.shard.Store(int32(ni))
-	// Resume-before-expiry wakes every sender the suspend parked — and ONLY
-	// those: a sender the user paused before the suspend stays paused with
-	// its pause-shifted origin intact, so the user's own Resume later picks
-	// up exactly where playback stopped. A fresh liveness deadline keeps the
-	// sweep from instantly re-suspending.
-	sess.lastBeat = s.clk.Now()
-	if police {
-		s.scheduleLivenessLocked(neu, ni, sess)
+}
+
+// recoverLocked resumes a session after a liveness loss. A suspended one
+// goes back to the presentation it left, paused when the user had paused it,
+// or to browsing when there is none. Only the senders the suspend parked
+// wake: one the user paused keeps its pause-shifted origin for the user's own
+// Resume. A fresh liveness deadline keeps the sweep from instantly
+// re-suspending. Caller holds shard ni's lock.
+func (s *Server) recoverLocked(ni int, sess *session, suspended bool) {
+	if suspended && len(sess.senders) == 0 {
+		s.step(sess, protocol.InReturn)
+	} else if suspended && s.step(sess, protocol.InRecover) && sess.userPaused() {
+		s.step(sess, protocol.InPause)
 	}
+	sess.lastBeat = s.clk.Now()
+	s.scheduleLivenessLocked(&s.shards[ni], ni, sess)
 	for _, snd := range sess.senders {
 		snd.unpark()
 	}
@@ -248,42 +263,41 @@ func (s *Server) reattachLocked(oi, ni int, sess *session, from netsim.Addr, pol
 func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 	now := s.clk.Now()
 
-	// Returning to a suspended session within the grace period skips
-	// authentication and admission entirely.
-	if m.ResumeToken != "" {
+	// Coming back to a session skips authentication and admission entirely.
+	// A resume token returns within the grace period from a suspend the user
+	// chose, and lands in browsing: the client released its media ports when
+	// it left, so the suspended presentation's flows stop. A session ID
+	// recovers from a liveness loss the user never chose: a session that
+	// survived (possibly auto-suspended by the sweep) goes back to the
+	// presentation it left, and one that is gone sends the client to fail
+	// over.
+	if m.ResumeToken != "" || m.ResumeSession != "" {
 		sess, oi, ni := s.claimSessionFor(from, func(sh *ctrlShard) *session {
-			return sh.byToken[m.ResumeToken]
-		})
-		if sess == nil {
-			s.replyReq(from, reqID, protocol.MsgConnectResult, &protocol.ConnectResult{
-				OK: false, Reason: "resume token expired"})
-			return
-		}
-		s.reattachLocked(oi, ni, sess, from, false)
-		s.unlockPair(oi, ni)
-		res := protocol.ConnectResult{OK: true, SessionID: sess.id, Resumed: true}
-		s.connectExtras(&res)
-		s.replyReq(from, reqID, protocol.MsgConnectResult, &res)
-		return
-	}
-
-	// Recovering a session by ID after a liveness loss: the client never
-	// got a resume token because it never chose to leave. If the session
-	// survived (possibly auto-suspended by the sweep), re-attach it;
-	// otherwise tell the client the session is gone so it fails over.
-	if m.ResumeSession != "" {
-		sess, oi, ni := s.claimSessionFor(from, func(sh *ctrlShard) *session {
+			if m.ResumeToken != "" {
+				return sh.byToken[m.ResumeToken]
+			}
 			return sh.byID[m.ResumeSession]
 		})
-		if sess == nil {
+		switch {
+		case sess == nil && m.ResumeToken != "":
 			s.replyReq(from, reqID, protocol.MsgConnectResult, &protocol.ConnectResult{
-				OK: false, SessionLost: true, Reason: "unknown session " + m.ResumeSession})
+				Reason: "resume token expired"})
+			return
+		case sess == nil:
+			s.replyReq(from, reqID, protocol.MsgConnectResult, &protocol.ConnectResult{
+				SessionLost: true, Reason: "unknown session " + m.ResumeSession})
 			return
 		}
-		wasSuspended := sess.suspended
-		s.reattachLocked(oi, ni, sess, from, true)
+		recovered := m.ResumeToken == "" && sess.suspended()
+		s.reattachLocked(oi, ni, sess, from)
+		if m.ResumeToken != "" {
+			s.step(sess, protocol.InReturn)
+			s.stopSendersLocked(sess)
+		} else {
+			s.recoverLocked(ni, sess, recovered)
+		}
 		s.unlockPair(oi, ni)
-		if wasSuspended {
+		if recovered {
 			s.opts.Obs.Counter("server_sessions_resumed").Inc()
 			s.opts.Obs.Emit(obs.EvSessionResume, sess.user, int64(sess.connID),
 				"session "+sess.id+" resumed after liveness loss")
@@ -370,6 +384,8 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 		startedAt:  now,
 		lwPos:      noWheelPos(),
 	}
+	s.step(sess, protocol.InConnect)
+	s.step(sess, protocol.InAuthOK)
 	sess.qosMgr.SetObs(s.opts.Obs)
 	ni := shardIndex(string(from))
 	sess.shard.Store(int32(ni))
@@ -395,7 +411,7 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 	sh := s.shardOf(string(from))
 	sh.mu.Lock()
 	sess, ok := sh.sessions[string(from)]
-	if !ok || sess.suspended {
+	if !ok || !s.step(sess, protocol.InRequestDoc) {
 		sh.mu.Unlock()
 		s.replyReq(from, reqID, protocol.MsgDocResponse, &protocol.DocResponse{
 			OK: false, Reason: "no active session"})
@@ -417,6 +433,7 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 				return
 			}
 		}
+		s.step(sess, protocol.InDocFail)
 		sh.mu.Unlock()
 		s.replyReq(from, reqID, protocol.MsgDocResponse, &protocol.DocResponse{
 			OK: false, Reason: "document not found: " + m.Name})
@@ -489,6 +506,7 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 		})
 	}
 	s.users.LogRetrieval(sess.user, m.Name, s.clk.Now())
+	s.step(sess, protocol.InDocReady)
 	sh.mu.Unlock()
 
 	s.replyReq(from, reqID, protocol.MsgDocResponse, &protocol.DocResponse{
@@ -521,7 +539,7 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 // lock-free.
 func (s *Server) sendSenderReports(sess *session) {
 	sh, _ := s.lockSession(sess)
-	if sess.suspended || sh.byID[sess.id] != sess {
+	if sess.suspended() || sh.byID[sess.id] != sess {
 		sh.mu.Unlock()
 		return
 	}
@@ -621,29 +639,27 @@ func (s *Server) onMediaOp(from netsim.Addr, mt protocol.MsgType, m protocol.Med
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sess, ok := sh.sessions[string(from)]
-	if !ok || sess.suspended {
-		// A suspended session's media is parked behind the grace machinery;
-		// a delayed fire-and-forget resume/reload must not restart senders
-		// toward a client the suspend machinery believes is paused. Only
-		// the resume-token / ResumeSession paths may wake it.
+	if !ok {
 		return
 	}
+	// The table refuses a delayed resume toward a suspended session: its
+	// media is parked behind the grace machinery, and only the resume-token
+	// and ResumeSession paths may wake it.
 	switch mt {
 	case protocol.MsgPause:
-		for _, snd := range sess.senders {
-			snd.pause()
+		if s.step(sess, protocol.InPause) {
+			for _, snd := range sess.senders {
+				snd.pause()
+			}
 		}
 	case protocol.MsgResume:
-		for _, snd := range sess.senders {
-			snd.resume()
-		}
-	case protocol.MsgReload:
-		origin := s.clk.Now()
-		for _, snd := range sess.senders {
-			snd.restart(origin)
+		if s.step(sess, protocol.InResume) {
+			for _, snd := range sess.senders {
+				snd.resume()
+			}
 		}
 	case protocol.MsgDisableMedia:
-		if snd := sess.sender(m.StreamID); snd != nil {
+		if snd := sess.sender(m.StreamID); snd != nil && !sess.suspended() {
 			snd.disable()
 		}
 	}
@@ -657,7 +673,9 @@ func (s *Server) suspendSessionLocked(sh *ctrlShard, sess *session) string {
 	for _, snd := range sess.senders {
 		snd.park()
 	}
-	sess.suspended = true
+	if sess.resumeToken != "" {
+		delete(sh.byToken, sess.resumeToken)
+	}
 	sess.resumeToken = fmt.Sprintf("%s-tok-%d", s.Name, s.nextID.Add(1))
 	sh.byToken[sess.resumeToken] = sess
 	tok := sess.resumeToken
@@ -681,6 +699,12 @@ func (s *Server) onSuspend(from netsim.Addr, reqID uint32) {
 		s.replyReq(from, reqID, protocol.MsgSuspendResult, &protocol.SuspendResult{OK: false})
 		return
 	}
+	// A link to another server: from browsing, the remote document is
+	// requested first. A refused second suspend still gets a fresh token.
+	if sess.state.State() == protocol.StBrowsing {
+		s.step(sess, protocol.InRequestDoc)
+	}
+	s.step(sess, protocol.InRedirect)
 	tok := s.suspendSessionLocked(sh, sess)
 	grace := s.opts.Grace
 	sh.mu.Unlock()
@@ -700,7 +724,7 @@ func (s *Server) expireSuspended(token string) {
 			sh.mu.Unlock()
 			continue
 		}
-		if !sess.suspended {
+		if !s.step(sess, protocol.InGraceExpired) {
 			sh.mu.Unlock()
 			return
 		}
@@ -720,6 +744,7 @@ func (s *Server) onDisconnect(from netsim.Addr) {
 		sh.mu.Unlock()
 		return
 	}
+	s.step(sess, protocol.InDisconnect)
 	s.teardownSessionLocked(sh, sess, "client disconnect")
 	sh.mu.Unlock()
 }

@@ -113,9 +113,10 @@ func TestSharedFlowFanOutFlat(t *testing.T) {
 }
 
 // TestDataPlaneRaceStress hammers the emit path from per-sender goroutines
-// while the control plane concurrently pauses, resumes, reloads, suspends and
-// processes feedback. Run under -race (make race / make check) this proves
-// the split locking is sound; sized modestly so it stays cheap in plain runs.
+// while the control plane concurrently pauses, resumes, reloads (a repeated
+// document request) and processes feedback. Run under -race (make race /
+// make check) this proves the split locking is sound; sized modestly so it
+// stays cheap in plain runs.
 func TestDataPlaneRaceStress(t *testing.T) {
 	h := newHarness(t, Options{})
 	h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
@@ -149,16 +150,16 @@ func TestDataPlaneRaceStress(t *testing.T) {
 	}
 	// Control plane churn against the same session, through the real
 	// handler so it exercises the same paths as live traffic.
-	ops := []protocol.MsgType{
-		protocol.MsgPause, protocol.MsgResume, protocol.MsgReload,
-		protocol.MsgPause, protocol.MsgResume,
-	}
+	pause := makeCtrlPacket(protocol.MsgPause, &protocol.MediaOp{})
+	resume := makeCtrlPacket(protocol.MsgResume, &protocol.MediaOp{})
+	reload := makeCtrlPacket(protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc"})
+	ops := []netsim.Packet{pause, resume, reload, pause, resume}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			for _, mt := range ops {
-				h.srv.handle(makeCtrlPacket(mt, &protocol.MediaOp{}))
+			for _, pkt := range ops {
+				h.srv.handle(pkt)
 			}
 			h.srv.queueRenegotiate(sess)
 		}
@@ -166,7 +167,7 @@ func TestDataPlaneRaceStress(t *testing.T) {
 	wg.Wait()
 
 	// The session must still be coherent: a reload left pacing armed and a
-	// final resume is a no-op, not a crash.
+	// final resume is refused by the table, not a crash.
 	h.send(protocol.MsgResume, &protocol.MediaOp{})
 	h.clk.RunFor(2 * time.Second)
 }

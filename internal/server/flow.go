@@ -34,13 +34,12 @@ import (
 //
 // Each session holds one sender per stream: the handle naming the stream's
 // destination and the flow currently serving it. Any per-session divergence
-// from a shared flow — pause, suspend, reload, disable, stop, a QoS grade
-// change — is one operation, split: the handle leaves the shared flow for a
-// new private flow continuing at the shared cursor with forked RTP state (same
-// SSRC, contiguous sequence numbers) and the subscriber's share of the
-// counters, so the other subscribers never notice. A shared flow tears down
-// when its last subscriber leaves. A handle never moves back onto a shared
-// flow.
+// from a shared flow — pause, suspend, disable, stop, a QoS grade change — is
+// one operation, split: the handle leaves the shared flow for a new private
+// flow continuing at the shared cursor with forked RTP state (same SSRC,
+// contiguous sequence numbers) and the subscriber's share of the counters,
+// so the other subscribers never notice. A shared flow tears down when its
+// last subscriber leaves. A handle never moves back onto a shared flow.
 //
 // Lock order (continues the shard.go hierarchy):
 //
@@ -130,8 +129,8 @@ type flow struct {
 	subs     []flowSub     // sorted by destination
 	dests    []netsim.Addr // subs' destinations, the fan-out list
 
-	// counters (reset on restart so per-document stats and RTCP sender
-	// reports describe the current playback, not cumulative history)
+	// counters; a new document request builds new flows, so per-document
+	// stats and RTCP sender reports describe the current playback only
 	frames    int
 	packets   int
 	bytes     int64
@@ -603,7 +602,7 @@ func (sn *sender) flow() *flow {
 
 // join attaches the handle to the key's registered flow. A late joiner's
 // catch-up patch is sent — and only then counted — after flowPatchDelay,
-// provided the handle has not replayed or stopped the stream by then.
+// provided the handle has not stopped the stream by then.
 func (sn *sender) join(srv *Server, key flowKey, src media.Source, sendAt time.Duration, origin time.Time) {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
@@ -630,8 +629,8 @@ func (sn *sender) join(srv *Server, key flowKey, src media.Source, sendAt time.D
 
 // own returns the handle's flow LOCKED, having first split the handle off a
 // shared flow; the caller unlocks it. dropPatch also cancels a pending
-// catch-up patch, for operations after which the patched frames no longer
-// belong to what the client plays (replay, stop).
+// catch-up patch, for stop: the patched frames no longer belong to anything
+// the client plays.
 func (sn *sender) own(dropPatch bool) *flow {
 	sn.mu.Lock()
 	if dropPatch && sn.patch != nil {
@@ -702,27 +701,6 @@ func (sn *sender) wake(onlyParked bool) {
 	fl.paused = false
 	fl.parked = false
 	fl.origin = fl.origin.Add(fl.srv.clk.Now().Sub(fl.pausedAt))
-	fl.armLocked()
-}
-
-// restart replays the stream from the beginning (reload). Counters — both
-// the flow's own and the RTP-layer totals carried in RTCP sender reports —
-// reset so per-document stats describe the new playback only. The fresh RTP
-// state is seeded with the payload type of the session's CURRENT quality
-// level: a reload of a degraded session must keep advertising the degraded
-// codec, not snap back to level 0 until the next renegotiation.
-func (sn *sender) restart(origin time.Time) {
-	fl := sn.own(true)
-	defer fl.mu.Unlock()
-	fl.stopTimerLocked()
-	fl.origin = origin
-	fl.nextIdx = 0
-	fl.finished = false
-	fl.paused = false
-	fl.parked = false
-	fl.frames, fl.packets, fl.bytes, fl.skipped = 0, 0, 0, 0
-	level, _ := fl.qos.Level(fl.stream.ID)
-	fl.rtpS = rtp.NewSender(fl.ssrc, fl.src.PayloadType(level), 0)
 	fl.armLocked()
 }
 

@@ -227,55 +227,45 @@ func TestSharedFlowLateJoinerCatchUp(t *testing.T) {
 		t.Fatal("delivered patch not counted in server_flow_catchup_frames")
 	}
 
-	// A joiner that disconnects or reloads before the patch is due must get
-	// none of it — on the wire or in the counters: the patched frames no
-	// longer belong to anything its client plays.
-	for _, c := range []struct {
-		host string
-		base int
-		op   protocol.MsgType
-	}{
-		{"fake3", 9200, protocol.MsgDisconnect},
-		{"fake4", 9300, protocol.MsgReload},
-	} {
-		addr := netsim.MakeAddr(c.host, 6000)
-		sendAt := func(mt protocol.MsgType, body protocol.Message, run time.Duration) {
-			h.net.Send(netsim.Packet{
-				From: addr, To: netsim.MakeAddr("srv", ControlPort),
-				Payload: mustFrame(mt, 0, body), Reliable: true,
-			})
-			h.clk.RunFor(run)
-		}
-		// Once the op has taken effect the shared flow no longer sends here:
-		// a disconnect leaves silence and a reload a replay still among the
-		// first frames, so any frame from the flow's mid-stream position
-		// (past frame 100 by now) can only be the patch.
-		var opAt time.Time
-		stale := 0
-		for p := c.base; p < c.base+10; p++ {
-			h.net.Listen(netsim.MakeAddr(c.host, p), func(p netsim.Packet) {
-				if opAt.IsZero() || h.clk.Now().Sub(opAt) < 20*time.Millisecond || len(p.Payload) <= rtp.HeaderSize {
-					return
-				}
-				if hdr, _, err := media.ParseFrameHeader(p.Payload[rtp.HeaderSize:]); err == nil && hdr.Index > 50 {
-					stale++
-				}
-			})
-		}
-		before := catchup.Value()
-		sendAt(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"}, time.Second)
-		sendAt(protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc", MediaPortBase: c.base, WindowMS: 300}, 10*time.Millisecond)
-		if vf := videoFlowStat(t, h.srv); vf.Subscribers < 2 || vf.Frames < 100 {
-			t.Fatalf("%s did not join the flow mid-stream: %+v", c.host, vf)
-		}
-		opAt = h.clk.Now()
-		sendAt(c.op, &protocol.MediaOp{}, 500*time.Millisecond)
-		if stale != 0 {
-			t.Fatalf("%s: %d stale patch packets sent after %v", c.host, stale, c.op)
-		}
-		if got := catchup.Value(); got != before {
-			t.Fatalf("%s: catch-up counter %d → %d for a patch that was never due", c.host, before, got)
-		}
+	// A joiner that disconnects before the patch is due must get none of it
+	// — on the wire or in the counters: the patched frames no longer belong
+	// to anything its client plays.
+	addr := netsim.MakeAddr("fake3", 6000)
+	sendAt := func(mt protocol.MsgType, body protocol.Message, run time.Duration) {
+		h.net.Send(netsim.Packet{
+			From: addr, To: netsim.MakeAddr("srv", ControlPort),
+			Payload: mustFrame(mt, 0, body), Reliable: true,
+		})
+		h.clk.RunFor(run)
+	}
+	// Once the disconnect has taken effect the shared flow no longer sends
+	// here, so any frame from the flow's mid-stream position (past frame 100
+	// by now) can only be the patch.
+	var opAt time.Time
+	stale := 0
+	for p := 9200; p < 9210; p++ {
+		h.net.Listen(netsim.MakeAddr("fake3", p), func(p netsim.Packet) {
+			if opAt.IsZero() || h.clk.Now().Sub(opAt) < 20*time.Millisecond || len(p.Payload) <= rtp.HeaderSize {
+				return
+			}
+			if hdr, _, err := media.ParseFrameHeader(p.Payload[rtp.HeaderSize:]); err == nil && hdr.Index > 50 {
+				stale++
+			}
+		})
+	}
+	before := catchup.Value()
+	sendAt(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"}, time.Second)
+	sendAt(protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc", MediaPortBase: 9200, WindowMS: 300}, 10*time.Millisecond)
+	if vf := videoFlowStat(t, h.srv); vf.Subscribers < 2 || vf.Frames < 100 {
+		t.Fatalf("fake3 did not join the flow mid-stream: %+v", vf)
+	}
+	opAt = h.clk.Now()
+	sendAt(protocol.MsgDisconnect, &protocol.Disconnect{}, 500*time.Millisecond)
+	if stale != 0 {
+		t.Fatalf("%d stale patch packets sent after the disconnect", stale)
+	}
+	if got := catchup.Value(); got != before {
+		t.Fatalf("catch-up counter %d → %d for a patch that was never due", before, got)
 	}
 }
 
@@ -362,7 +352,6 @@ type flowWorld struct {
 	c1, c2 rtpTap
 	v      *sender // c1's video handle
 	flows  map[*flow]bool
-	token  string // c1's resume token while suspended
 }
 
 const c2Addr = netsim.Addr("fake2:6000")
@@ -415,9 +404,6 @@ type flowStep struct {
 	check func(w *flowWorld)
 	// playing says whether c1's video must be arriving afterwards.
 	playing bool
-	// replays marks a reload: the RTP state is reseeded, so c1's sequence
-	// numbers legitimately start over once.
-	replays bool
 }
 
 var (
@@ -430,29 +416,43 @@ var (
 		if !sr.OK {
 			w.t.Fatalf("suspend = %+v", sr)
 		}
-		w.token = sr.ResumeToken
 	}}
-	// A user pause underneath the suspend must survive the reattach.
-	stepReattachStillPaused = flowStep{name: "reattach", do: func(w *flowWorld) {
-		w.h.send(protocol.MsgConnect, &protocol.Connect{ResumeToken: w.token})
+	// A user pause underneath the suspend must survive the recovery.
+	stepReattachStillPaused = flowStep{name: "recover", do: func(w *flowWorld) {
+		var cr protocol.ConnectResult
+		w.h.lastReply(w.t, protocol.MsgConnectResult, &cr)
+		w.h.send(protocol.MsgConnect, &protocol.Connect{ResumeSession: cr.SessionID})
 	}}
 	stepDegrade = flowStep{name: "degrade", playing: true, do: (*flowWorld).degradeVideo}
-	// The reload regression: a degraded stream that is reloaded must seed its
-	// fresh RTP state with the payload type of its CURRENT level, not level
-	// 0's. The paced path re-derives the payload type per frame, so a stale
-	// seed only shows before the first post-reload frame — and for good on a
-	// stream that is disabled or cut off at reload time.
-	stepReloadDegraded = flowStep{name: "reload", playing: true, replays: true,
-		do: func(w *flowWorld) { w.h.srv.handle(makeCtrlPacket(protocol.MsgReload, &protocol.MediaOp{})) },
-		check: func(w *flowWorld) {
-			fl := w.v.flow()
-			fl.mu.Lock()
-			pt, seq := fl.rtpS.PayloadType, fl.rtpS.Seq()
-			fl.mu.Unlock()
-			if pt != rtp.PTAVI || seq != 0 {
-				w.t.Fatalf("reloaded flow payload type = %d seq = %d, want PTAVI (%d) from seq 0: restart reseeded from level 0", pt, seq, rtp.PTAVI)
-			}
-		}}
+	// A reload is the same document requested again: the degraded stream's
+	// flow stops, and c1's video starts over on another flow at level 0 (a
+	// fresh request grades afresh). c1's tap re-anchors once the old flow's
+	// packets and any catch-up patch have landed.
+	stepReload = flowStep{name: "reload", playing: true, do: func(w *flowWorld) {
+		old := w.v.flow()
+		w.h.net.Send(netsim.Packet{
+			From: fakeClient, To: netsim.MakeAddr("srv", ControlPort),
+			Payload: mustFrame(protocol.MsgDocRequest, 0, &protocol.DocRequest{Name: "doc", MediaPortBase: 9000, WindowMS: 300}), Reliable: true,
+		})
+		w.h.clk.RunFor(500 * time.Millisecond)
+		w.c1 = rtpTap{}
+		sess, unlock := w.h.srv.lockedSession(fakeClient)
+		w.v = sess.sender("v")
+		unlock()
+		fl := w.v.flow()
+		fl.mu.Lock()
+		pt := fl.rtpS.PayloadType
+		fl.mu.Unlock()
+		old.mu.Lock()
+		finished := old.finished
+		old.mu.Unlock()
+		if fl == old || pt == rtp.PTAVI {
+			w.t.Fatalf("reloaded video on its old flow (%v) or at its old level (payload type %d)", fl == old, pt)
+		}
+		if !finished {
+			w.t.Fatal("the degraded flow outlived the reload")
+		}
+	}}
 	stepDisable = flowStep{name: "disable", do: func(w *flowWorld) {
 		w.h.send(protocol.MsgDisableMedia, &protocol.MediaOp{StreamID: "v"})
 	}}
@@ -496,7 +496,7 @@ func TestFlowLifecycle(t *testing.T) {
 	}{
 		{"pause then resume", []flowStep{stepPause, stepResume}},
 		{"park and unpark under a user pause", []flowStep{stepPause, stepSuspend, stepReattachStillPaused, stepResume}},
-		{"reload at a degraded level", []flowStep{stepDegrade, stepReloadDegraded}},
+		{"reload at a degraded level", []flowStep{stepDegrade, stepReload}},
 		{"disable then pause and resume", []flowStep{stepDisable, stepPauseResumeDisabled}},
 		{"stop", []flowStep{stepStop}},
 	}
@@ -507,7 +507,9 @@ func TestFlowLifecycle(t *testing.T) {
 				mode = "shared"
 			}
 			t.Run(mode+"/"+row.name, func(t *testing.T) {
-				h := newHarness(t, Options{SharedFlows: shared, PreRoll: 300 * time.Millisecond, Grace: time.Minute})
+				// No heartbeats in these rows: keep a recovered session off the
+				// liveness sweep.
+				h := newHarness(t, Options{SharedFlows: shared, PreRoll: 300 * time.Millisecond, Grace: time.Minute, LivenessMisses: 1000})
 				h.net.SetDefaultLink(netsim.LinkConfig{Bandwidth: 1e9, Delay: time.Millisecond})
 				h.srv.Database().Put("doc", `<TITLE>long</TITLE>
 <AU_VI SOURCE=au/a SOURCE=vi/v ID=a ID=v STARTIME=0 DURATION=600> </AU_VI>`, "")
@@ -568,9 +570,6 @@ func TestFlowLifecycle(t *testing.T) {
 						t.Fatalf("after %s: SSRC changed (%d foreign packets, flow ssrc %d, announced %d)",
 							st.name, w.c1.foreign, w.v.flow().ssrc, w.c1.ssrc)
 					}
-					if st.replays {
-						breaks++
-					}
 					if w.c1.breaks != breaks {
 						t.Fatalf("after %s: %d RTP sequence breaks on c1's video, want %d", st.name, w.c1.breaks, breaks)
 					}
@@ -615,7 +614,7 @@ func TestFlowLifecycle(t *testing.T) {
 	}
 }
 
-// TestSharedFlowConcurrentChurn hammers the attach/detach/pause/reload
+// TestSharedFlowConcurrentChurn hammers the attach/detach/pause/park
 // surface from many goroutines while the flows pump — a lock-order and race
 // exercise (run under -race via `make race`). No assertions beyond
 // consistency: it must neither deadlock nor corrupt the registry.
@@ -652,7 +651,6 @@ func TestSharedFlowConcurrentChurn(t *testing.T) {
 		t.Fatal("no shared flows stood up")
 	}
 
-	origin := h.clk.Now()
 	var wg sync.WaitGroup
 	for i, snd := range senders {
 		wg.Add(1)
@@ -667,7 +665,7 @@ func TestSharedFlowConcurrentChurn(t *testing.T) {
 				case 2:
 					snd.split()
 				case 3:
-					snd.restart(origin)
+					snd.park()
 				default:
 					_ = snd.stats()
 				}

@@ -182,10 +182,12 @@ type session struct {
 	// order, so streams due at the same instant leave in a repeatable order;
 	// stopSendersLocked replaces the slice, never mutates it, so a snapshot
 	// taken under the shard lock stays valid after unlock.
-	senders     []*sender
-	ssrcToID    map[uint32]string
-	doc         string
-	suspended   bool
+	senders  []*sender
+	ssrcToID map[uint32]string
+	doc      string
+	// state is where the session is in Figure 4, stepped by every handler
+	// through the same table the client runs (see step).
+	state       protocol.Machine
 	resumeToken string
 	graceTimer  *clock.Timer
 	srTimer     *clock.Timer
@@ -203,6 +205,24 @@ type session struct {
 	shard       atomic.Int32
 	lwPos       wheelPos
 	renegQueued atomic.Bool
+}
+
+func (sess *session) suspended() bool { return sess.state.State() == protocol.StSuspended }
+
+// userPaused reports whether the user paused the presentation before it was
+// suspended: parking leaves a user-paused flow as it was, paused but not
+// parked.
+func (sess *session) userPaused() bool {
+	for _, snd := range sess.senders {
+		fl := snd.flow()
+		fl.mu.Lock()
+		paused := fl.paused && !fl.parked
+		fl.mu.Unlock()
+		if paused {
+			return true
+		}
+	}
+	return false
 }
 
 // sender returns the session's sender for a stream ID, or nil.

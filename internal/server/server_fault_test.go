@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -106,7 +107,7 @@ func TestSuspendGraceExpiryReleasesAdmission(t *testing.T) {
 	}
 	h.sendReq(3, protocol.MsgSuspend, &protocol.Suspend{})
 	sess, unlock := h.srv.lockedSession(fakeClient)
-	if sess == nil || !sess.suspended {
+	if sess == nil || !sess.suspended() {
 		unlock()
 		t.Fatal("session not suspended")
 	}
@@ -126,11 +127,14 @@ func TestSuspendGraceExpiryReleasesAdmission(t *testing.T) {
 	}
 }
 
-// Resuming before the grace deadline must restore every paused sender and
-// keep the admission reservation intact.
+// Recovering a session before the grace deadline must restore every parked
+// sender and keep the admission reservation intact.
 func TestResumeBeforeExpiryRestoresSenders(t *testing.T) {
-	h := newFaultHarness(t, Options{Grace: 10 * time.Second})
+	// No heartbeats here: keep the recovered session off the liveness sweep.
+	h := newFaultHarness(t, Options{Grace: 10 * time.Second, LivenessMisses: 100})
 	h.connectAndPlay(t)
+	var cr protocol.ConnectResult
+	h.lastReply(t, protocol.MsgConnectResult, &cr)
 	reserved := h.srv.Admission().Reserved()
 	h.sendReq(3, protocol.MsgSuspend, &protocol.Suspend{})
 	var sr protocol.SuspendResult
@@ -138,17 +142,18 @@ func TestResumeBeforeExpiryRestoresSenders(t *testing.T) {
 	if !sr.OK || sr.ResumeToken == "" {
 		t.Fatalf("suspend = %+v", sr)
 	}
-	// The user returns from a different address within the grace window.
+	// The user recovers the session from a different address within the
+	// grace window.
 	const cl2 = netsim.Addr("fake2:6000")
 	h.net.Send(netsim.Packet{
 		From: cl2, To: netsim.MakeAddr("srv", ControlPort),
 		Payload: protocol.MustEncodeReq(protocol.MsgConnect, 4,
-			protocol.Connect{User: "u", ResumeToken: sr.ResumeToken}),
+			protocol.Connect{User: "u", ResumeSession: cr.SessionID}),
 		Reliable: true,
 	})
 	h.clk.RunFor(time.Second)
 	sess, unlock := h.srv.lockedSession(cl2)
-	if sess == nil || sess.suspended {
+	if sess == nil || sess.state.State() != protocol.StViewing {
 		unlock()
 		t.Fatalf("session not reattached to %s", cl2)
 	}
@@ -194,7 +199,7 @@ func TestLivenessSweepAutoSuspendsSilentClient(t *testing.T) {
 	// Silence: past the miss budget the sweep suspends the session.
 	h.clk.RunFor(5 * time.Second)
 	sess, unlock := h.srv.lockedSession(fakeClient)
-	suspended := sess != nil && sess.suspended
+	suspended := sess != nil && sess.suspended()
 	unlock()
 	if !suspended {
 		t.Fatal("silent session not auto-suspended")
@@ -268,9 +273,9 @@ func TestRejectStormDoesNotLeakDedupRings(t *testing.T) {
 }
 
 // Fire-and-forget media ops arriving for a suspended session must be
-// ignored: a delayed resume or reload must not restart senders the suspend
-// machinery paused, or the grace/resume bookkeeping would desynchronize from
-// what is actually on the wire.
+// ignored: a delayed resume must not restart senders the suspend machinery
+// paused, or the grace/resume bookkeeping would desynchronize from what is
+// actually on the wire.
 func TestMediaOpsIgnoredWhileSuspended(t *testing.T) {
 	h := newFaultHarness(t, Options{Grace: time.Minute})
 	h.connectAndPlay(t)
@@ -282,9 +287,8 @@ func TestMediaOpsIgnoredWhileSuspended(t *testing.T) {
 	}
 	// Delayed media ops from the suspended client's address.
 	h.sendReq(0, protocol.MsgResume, &protocol.MediaOp{})
-	h.sendReq(0, protocol.MsgReload, &protocol.MediaOp{})
 	sess, unlock := h.srv.lockedSession(fakeClient)
-	if sess == nil || !sess.suspended {
+	if sess == nil || !sess.suspended() {
 		unlock()
 		t.Fatal("session no longer suspended")
 	}
@@ -304,45 +308,106 @@ func TestMediaOpsIgnoredWhileSuspended(t *testing.T) {
 	}
 }
 
-// Reload must restart per-document statistics from zero: the sender's own
-// counters and the RTP-layer totals carried in RTCP sender reports describe
-// the new playback, not the sum of every playback since the doc was opened.
-func TestReloadResetsSenderCounters(t *testing.T) {
-	h := newFaultHarness(t, Options{})
+// Every (state, input) pair the server can observe and Figure 4 refuses is
+// counted once and traced, leaves the session where it was, and is answered
+// exactly as before the server ran the table: fire-and-forget ops get no
+// reply, a document request "no active session", and a second suspend a
+// fresh token and grace period.
+func TestIllegalInputsCounted(t *testing.T) {
+	suspend := func(h *faultHarness, t *testing.T) {
+		h.connectAndPlay(t)
+		h.sendReq(3, protocol.MsgSuspend, &protocol.Suspend{})
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(h *faultHarness, t *testing.T)
+		state protocol.State
+		in    protocol.Input
+		mt    protocol.MsgType
+		body  protocol.Message
+		want  []byte // the reply frame; nil for none
+	}{
+		{"resume while viewing", (*faultHarness).connectAndPlay, protocol.StViewing, protocol.InResume,
+			protocol.MsgResume, &protocol.MediaOp{}, nil},
+		{"pause while browsing", func(h *faultHarness, t *testing.T) {
+			h.sendReq(1, protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p", PeakRate: 1_000_000})
+		}, protocol.StBrowsing, protocol.InPause, protocol.MsgPause, &protocol.MediaOp{}, nil},
+		{"doc request while suspended", suspend, protocol.StSuspended, protocol.InRequestDoc,
+			protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc", MediaPortBase: 9000, WindowMS: 300},
+			[]byte("\x0a\x00\x00\x00\x04{\"ok\":false,\"reason\":\"no active session\"}")},
+		{"second suspend", suspend, protocol.StSuspended, protocol.InRedirect,
+			protocol.MsgSuspend, &protocol.Suspend{},
+			[]byte("\x11\x00\x00\x00\x04{\"ok\":true,\"resumeToken\":\"srv-tok-3\",\"graceSecs\":60}")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newFaultHarness(t, Options{Grace: time.Minute})
+			tc.setup(h, t)
+			state := func() protocol.State {
+				sess, unlock := h.srv.lockedSession(fakeClient)
+				defer unlock()
+				return sess.state.State()
+			}
+			if got := state(); got != tc.state {
+				t.Fatalf("state before the input = %v, want %v", got, tc.state)
+			}
+			replies := len(h.replies)
+			var reqID uint32
+			if tc.want != nil {
+				reqID = 4
+			}
+			h.sendReq(reqID, tc.mt, tc.body)
+			if got := h.scope.Counter("server_illegal_inputs").Value(); got != 1 {
+				t.Fatalf("server_illegal_inputs = %d, want 1", got)
+			}
+			var traced []obs.Event
+			for _, e := range h.scope.Trace().Events() {
+				if e.Kind == obs.EvIllegalInput {
+					traced = append(traced, e)
+				}
+			}
+			if len(traced) != 1 || traced[0].Value != int64(tc.in) {
+				t.Fatalf("illegal-input trace = %+v, want one event for %v", traced, tc.in)
+			}
+			if got := state(); got != tc.state {
+				t.Fatalf("state after the input = %v, want %v", got, tc.state)
+			}
+			var got []byte
+			for _, r := range h.replies[replies:] {
+				if got != nil {
+					t.Fatalf("more than one reply: %+v", h.replies[replies:])
+				}
+				got = append(binary.BigEndian.AppendUint32([]byte{byte(r.mt)}, r.reqID), r.body...)
+			}
+			if string(got) != string(tc.want) {
+				t.Fatalf("reply = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// A second suspend replaces the resume token: the first one no longer
+// reaches the session, so it cannot outlive the session in the token index.
+func TestSecondSuspendRetiresFirstToken(t *testing.T) {
+	h := newFaultHarness(t, Options{Grace: time.Minute})
 	h.connectAndPlay(t)
-	h.clk.RunFor(3 * time.Second)
-	sess, unlock := h.srv.lockedSession(fakeClient)
-	snds := sess.senders
-	unlock()
-	var busy *sender
-	for _, snd := range snds {
-		if snd.stats().frames > 0 {
-			busy = snd
-			break
-		}
+	var first, second protocol.SuspendResult
+	h.sendReq(3, protocol.MsgSuspend, &protocol.Suspend{})
+	h.lastReply(t, protocol.MsgSuspendResult, &first)
+	h.sendReq(4, protocol.MsgSuspend, &protocol.Suspend{})
+	h.lastReply(t, protocol.MsgSuspendResult, &second)
+	if first.ResumeToken == second.ResumeToken {
+		t.Fatalf("both suspends returned %q", first.ResumeToken)
 	}
-	if busy == nil {
-		t.Fatal("no sender emitted anything before the reload")
+	var cr protocol.ConnectResult
+	h.sendReq(5, protocol.MsgConnect, &protocol.Connect{ResumeToken: first.ResumeToken})
+	h.lastReply(t, protocol.MsgConnectResult, &cr)
+	if cr.OK {
+		t.Fatalf("the replaced token %q still resumes the session", first.ResumeToken)
 	}
-	rtpBefore := busy.rtpPackets()
-	if rtpBefore == 0 {
-		t.Fatal("RTP layer recorded no packets before the reload")
-	}
-	// Inject the reload synchronously: no virtual time passes, so any
-	// non-zero counter afterwards is carried-over history.
-	h.srv.handle(makeCtrlPacket(protocol.MsgReload, &protocol.MediaOp{}))
-	st := busy.stats()
-	if st.frames != 0 || st.packets != 0 || st.bytes != 0 || st.skipped != 0 {
-		t.Fatalf("sender counters after reload = %+v, want all zero", st)
-	}
-	rtpAfter := busy.rtpPackets()
-	if rtpAfter != 0 {
-		t.Fatalf("RTP packet count after reload = %d, want 0", rtpAfter)
-	}
-	// Replay proceeds: the stream re-emits from its first frame.
-	h.clk.RunFor(2 * time.Second)
-	if busy.stats().frames == 0 {
-		t.Fatal("no frames emitted after reload")
+	h.sendReq(6, protocol.MsgConnect, &protocol.Connect{ResumeToken: second.ResumeToken})
+	h.lastReply(t, protocol.MsgConnectResult, &cr)
+	if !cr.OK || !cr.Resumed {
+		t.Fatalf("return with the current token = %+v", cr)
 	}
 }
 

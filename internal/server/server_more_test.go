@@ -172,8 +172,9 @@ func TestServerReloadRestartsFlows(t *testing.T) {
 	if first == 0 {
 		t.Fatal("still never sent")
 	}
-	// Reload: the one-shot still is transmitted again.
-	h.send(protocol.MsgReload, &protocol.MediaOp{})
+	// Reload, a repeated document request: the one-shot still is
+	// transmitted again.
+	h.send(protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc", MediaPortBase: 9000, WindowMS: 300})
 	h.clk.RunFor(2 * time.Second)
 	if *counts[i1Port] <= first {
 		t.Fatalf("reload did not resend the still: %d → %d", first, *counts[i1Port])

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/protocol"
 )
 
 // This file holds the incremental periodic work of the control plane. The
@@ -157,10 +158,11 @@ func (s *Server) liveTick(si int) {
 	now := s.clk.Now()
 	window := s.livenessWindow()
 	sh.live.advance(now, func(sess *session) time.Time {
-		if sess.suspended || sess.lastBeat.IsZero() {
+		if sess.suspended() || sess.lastBeat.IsZero() {
 			return time.Time{}
 		}
 		if now.Sub(sess.lastBeat) >= window {
+			s.step(sess, protocol.InPeerLost)
 			s.suspendSessionLocked(sh, sess)
 			s.opts.Obs.Counter("server_sessions_suspended_liveness").Inc()
 			s.opts.Obs.Emit(obs.EvLiveness, sess.user, 0,
