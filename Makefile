@@ -28,6 +28,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/rtp/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalControl$$' -fuzztime 10s ./internal/rtp/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzTicketVerify$$' -fuzztime 10s ./internal/protocol/
 
 # The fault-injection suite on its pinned seed, under the race detector.
 chaos:

@@ -15,6 +15,7 @@ import (
 	"repro/internal/auth"
 	"repro/internal/client"
 	"repro/internal/clock"
+	"repro/internal/cluster"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -55,17 +56,18 @@ func newWorld(t testing.TB, sopts server.Options, copts client.Options, names ..
 	}, clk.Now())
 	w := &world{clk: clk, net: net, users: users,
 		srvs: map[string]*server.Server{}, scopes: map[string]*obs.Scope{}}
-	for _, name := range names {
-		w.addServer(t, name, sopts)
-	}
-	for _, name := range names {
-		var others []string
-		for _, p := range names {
-			if p != name {
-				others = append(others, p)
-			}
+	if len(names) > 0 {
+		fed, err := cluster.New(clk, net, users, cluster.Config{
+			Servers:       names,
+			Placement:     server.Placement{"lecture": names},
+			Docs:          map[string]string{"lecture": longAV},
+			Descriptions:  map[string]string{"lecture": "chaos doc"},
+			ServerOptions: sopts,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		w.srvs[name].SetPeers(others)
+		w.srvs, w.scopes = fed.Servers, fed.Scopes
 	}
 	w.cscope = obs.NewScope(clk)
 	copts.User = "alice"
@@ -80,9 +82,9 @@ func newWorld(t testing.TB, sopts server.Options, copts client.Options, names ..
 	return w
 }
 
-// addServer boots (or re-boots, for restart tests) a server: a second call
-// with the same name replaces the control listener with a fresh instance
-// that has lost all session state.
+// addServer re-boots a server for restart tests: it replaces the named
+// server's control listener with a fresh instance that has lost all session
+// state.
 func (w *world) addServer(t testing.TB, name string, sopts server.Options) *server.Server {
 	t.Helper()
 	db := server.NewDatabase()

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/clock"
+	"repro/internal/cluster"
 	"repro/internal/hml"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -35,32 +36,12 @@ func newWorld(t testing.TB, link netsim.LinkConfig, copts Options, sopts server.
 	net := netsim.New(clk, 1234)
 	net.SetDefaultLink(link)
 	users := auth.NewDB()
-	w := &world{clk: clk, net: net, users: users, servers: map[string]*server.Server{}, scopes: map[string]*obs.Scope{}}
-	for _, name := range serverNames {
-		db := server.NewDatabase()
-		opts := sopts
-		opts.Obs = obs.NewScope(clk)
-		srv, err := server.New(name, clk, net, users, db, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.servers[name] = srv
-		w.scopes[name] = opts.Obs
+	fed, err := cluster.New(clk, net, users, cluster.Config{Servers: serverNames, ServerOptions: sopts})
+	if err != nil {
+		t.Fatal(err)
 	}
+	w := &world{clk: clk, net: net, users: users, servers: fed.Servers, scopes: fed.Scopes}
 	t.Cleanup(func() { w.noIllegalInputs(t) })
-	var peers []string
-	for _, n := range serverNames {
-		peers = append(peers, n)
-	}
-	for _, n := range serverNames {
-		var others []string
-		for _, p := range peers {
-			if p != n {
-				others = append(others, p)
-			}
-		}
-		w.servers[n].SetPeers(others)
-	}
 	if copts.User == "" {
 		copts.User = "alice"
 		copts.Password = "pw"

@@ -6,8 +6,9 @@
 // handoffs, and replica-aware failover — fall out of wiring the existing
 // server.Options cluster knobs to that view. New is the product's one
 // federation builder: the §6 Hermes service (internal/hermes) is a New
-// federation, and so are the cluster-scale load/chaos harness of experiment
-// E13 (internal/experiments/clusterbench.go) and the seeded chaos suite
+// federation, and so are core.Play's one-server world (through hermes), the
+// cluster-scale load/chaos harness of experiment E13
+// (internal/experiments/clusterbench.go) and the seeded chaos suite
 // (internal/chaos).
 package cluster
 
@@ -99,6 +100,9 @@ func New(clk clock.Clock, net netsim.Net, users *auth.DB, cfg Config) (*Cluster,
 	}
 	held := map[string]bool{}
 	for _, name := range cfg.Servers {
+		if held[name] {
+			return nil, fmt.Errorf("cluster: duplicate server %q", name)
+		}
 		held[name] = true
 	}
 	for doc, hosts := range c.placement {

@@ -14,6 +14,16 @@ import (
 	"repro/internal/server"
 )
 
+// TestNewRejectsDuplicateServer: two servers of one name would share a
+// control address and be counted twice by CounterTotal, so New refuses them.
+func TestNewRejectsDuplicateServer(t *testing.T) {
+	clk := clock.NewSim()
+	_, err := New(clk, netsim.New(clk, 1), auth.NewDB(), Config{Servers: []string{"a", "b", "a"}})
+	if err == nil || !strings.Contains(err.Error(), `"a"`) {
+		t.Fatalf("New with a duplicate server: err = %v, want one naming %q", err, "a")
+	}
+}
+
 // --- claimSessionFor cross-shard reattach race (satellite) ---
 
 // directNet is a synchronous netsim.Net: Send invokes the destination

@@ -5,18 +5,18 @@
 // quality-grading trajectory, network statistics and startup delay.
 //
 // One call to Play is a complete instance of the paper's architecture
-// (Figure 3) in motion; the experiment harness and the benchmarks are built
-// on it.
+// (Figure 3) in motion: a one-server hermes.NewSimulated world, so the
+// server is booted by the same cluster.New path as every federation. The
+// experiment harness and the benchmarks are built on it.
 package core
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/auth"
 	"repro/internal/buffer"
 	"repro/internal/client"
-	"repro/internal/clock"
+	"repro/internal/hermes"
 	"repro/internal/netsim"
 	"repro/internal/playout"
 	"repro/internal/qos"
@@ -72,8 +72,6 @@ type Result struct {
 	// Buffers holds each stream buffer's lifetime counters (underflows,
 	// duplications, drops, stale arrivals).
 	Buffers map[string]buffer.Stats
-	// Client and server wall identifiers, for composed setups.
-	ClientHost, ServerHost string
 }
 
 // Play runs one complete session and collects the metrics.
@@ -82,34 +80,23 @@ func Play(cfg PlayConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	clk := clock.NewSim()
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+	svc, err := hermes.NewSimulated(hermes.Config{
+		Servers: []hermes.ServerSpec{{Name: "server", Lessons: []hermes.LessonSpec{
+			{Name: "doc", Source: cfg.DocSource, Description: "experiment document"},
+		}}},
+		ServerOptions: cfg.Server,
+		Link:          cfg.Link,
+		Seed:          cfg.Seed,
+	})
+	if err != nil {
+		return nil, err
 	}
-	net := netsim.New(clk, cfg.Seed)
-	link := cfg.Link
-	if link.Bandwidth == 0 && link.Delay == 0 {
-		link = netsim.DefaultLAN()
-	}
-	net.SetDefaultLink(link)
+	clk, net := svc.Clk, svc.Net
 	net.Sniffer = cfg.Sniffer
 	for _, p := range cfg.Phases {
 		net.AddPhase("server", "viewer", p)
 	}
-
-	users := auth.NewDB()
-	if err := users.Subscribe(auth.User{
-		Name: "user", Password: "pw", RealName: "Experiment User",
-		Email: "user@example.gr", Class: cfg.Class,
-	}, clk.Now()); err != nil {
-		return nil, err
-	}
-	db := server.NewDatabase()
-	if err := db.Put("doc", cfg.DocSource, "experiment document"); err != nil {
-		return nil, err
-	}
-	srv, err := server.New("server", clk, net, users, db, cfg.Server)
-	if err != nil {
+	if err := svc.Enroll("user", "pw", cfg.Class); err != nil {
 		return nil, err
 	}
 
@@ -145,8 +132,6 @@ func Play(cfg PlayConfig) (*Result, error) {
 		Net:         net.Stats("server", "viewer"),
 		Monitor:     c.Monitor().Reports(),
 		LevelSeries: map[string]*stats.Series{},
-		ClientHost:  "viewer",
-		ServerHost:  "server",
 	}
 	if res.Scenario == nil {
 		res.Scenario = sc
@@ -161,7 +146,7 @@ func Play(cfg PlayConfig) (*Result, error) {
 			res.Buffers[b.StreamID] = b.Stats()
 		}
 	}
-	if mgr := srv.QoSManager(netsim.MakeAddr("viewer", 6000)); mgr != nil {
+	if mgr := svc.Servers["server"].QoSManager(netsim.MakeAddr("viewer", 6000)); mgr != nil {
 		res.Actions = mgr.Actions()
 		for _, st := range sc.TimedStreams() {
 			if s := mgr.LevelSeries(st.ID); s != nil {

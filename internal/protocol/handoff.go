@@ -13,6 +13,7 @@ package protocol
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -60,18 +61,20 @@ func (t *HandoffTicket) wire(c *codec) {
 	c.bytes("sig", &t.Sig, keep)
 }
 
-// mac computes the ticket's HMAC-SHA256 under key. Fields are joined with
-// an unambiguous separator (NUL cannot appear in names) so no two distinct
-// tickets share a MAC input.
+// mac computes the ticket's HMAC-SHA256 under key. Each field is prefixed
+// with its length, so no two distinct tickets share a MAC input whatever
+// bytes the names hold.
 func (t *HandoffTicket) mac(key []byte) []byte {
-	h := hmac.New(sha256.New, key)
+	var in []byte
 	for _, f := range []string{
 		t.User, strconv.Itoa(int(t.Class)), t.Doc, t.From, t.Target,
 		strconv.FormatInt(t.ExpiresUnixMilli, 10),
 	} {
-		h.Write([]byte(f))
-		h.Write([]byte{0})
+		in = binary.AppendUvarint(in, uint64(len(f)))
+		in = append(in, f...)
 	}
+	h := hmac.New(sha256.New, key)
+	h.Write(in)
 	return h.Sum(nil)
 }
 
