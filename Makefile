@@ -29,6 +29,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalControl$$' -fuzztime 10s ./internal/rtp/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzTicketVerify$$' -fuzztime 10s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime 10s ./internal/clock/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/transport/
 
 # The fault-injection suite on its pinned seed, under the race detector.
 chaos:

@@ -11,15 +11,18 @@
 // The Virtual clock doubles as a discrete-event scheduler: timers registered
 // with AfterFunc fire as ordinary function calls from whichever goroutine
 // drives the clock (Step, Run, RunFor or RunUntilIdle), in strict deadline
-// order with FIFO tie-breaking. A Timer is its own entry in the scheduler's
-// heap, so arming one costs a single allocation and re-arming it none. A whole
-// client/server session over the simulated network is therefore a
-// single-threaded, perfectly reproducible computation.
+// order with FIFO tie-breaking. The scheduler's heap holds each pending
+// timer's (deadline, sequence) key inline beside a pointer to the Timer, and
+// the Timer keeps only its slot index, so arming one costs a single
+// allocation and re-arming it none. A whole client/server session over the
+// simulated network is therefore a single-threaded, perfectly reproducible
+// computation.
 package clock
 
 import (
-	"container/heap"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -34,15 +37,14 @@ type Clock interface {
 	AfterFunc(d time.Duration, fn func()) *Timer
 }
 
-// Timer is a cancellable pending AfterFunc call. A Virtual clock's timer is
-// the scheduler's own heap entry: at, seq and index are guarded by v.mu. A
-// wall-clock timer (v == nil) only wraps the runtime timer.
+// Timer is a cancellable pending AfterFunc call. A Virtual clock's timer
+// knows only its slot in the scheduler's heap (guarded by v.mu); its deadline
+// lives in the heap entry. A wall-clock timer (v == nil) only wraps the
+// runtime timer.
 type Timer struct {
 	v    *Virtual
 	wall *time.Timer
 
-	at    time.Time
-	seq   uint64 // tie-break so equal deadlines fire FIFO
 	fn    func()
 	index int // heap index, -1 while not queued (fired or stopped)
 }
@@ -62,7 +64,7 @@ func (t *Timer) Stop() bool {
 	if t.index < 0 {
 		return false
 	}
-	heap.Remove(&v.events, t.index)
+	v.events.remove(t.index)
 	return true
 }
 
@@ -106,9 +108,13 @@ func (Wall) AfterFunc(d time.Duration, fn func()) *Timer {
 // Virtual is a manually advanced simulation clock and discrete-event
 // scheduler. It is safe for concurrent use, although deterministic replay
 // requires a single driving goroutine.
+//
+// Virtual time is kept as int64 nanoseconds since Epoch, so it spans Epoch to
+// Epoch + 292 years; a deadline past that end saturates there instead of
+// wrapping around, so a huge delay never fires early.
 type Virtual struct {
 	mu     sync.Mutex
-	now    time.Time
+	now    atomic.Int64 // ns since Epoch; written under mu, read by Now without it
 	events timerHeap
 	seq    uint64 // last tie-break handed out
 	fired  uint64 // lifetime count of events popped for firing
@@ -119,43 +125,96 @@ type Virtual struct {
 var Epoch = time.Date(1996, time.August, 6, 9, 0, 0, 0, time.UTC)
 
 // NewSim returns a virtual clock starting at Epoch.
-func NewSim() *Virtual { return &Virtual{now: Epoch} }
+func NewSim() *Virtual { return &Virtual{} }
 
-type timerHeap []*Timer
+// entry is one pending timer in the heap: its deadline in ns since Epoch and
+// its FIFO tie-break, inline so that comparisons never dereference t.
+type entry struct {
+	at  int64
+	seq uint64
+	t   *Timer
+}
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
+func (e *entry) before(f *entry) bool {
+	return e.at < f.at || (e.at == f.at && e.seq < f.seq)
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// timerHeap is a 4-ary min-heap of entries ordered by (at, seq). Every move
+// of an entry updates its timer's index.
+type timerHeap []entry
+
+const arity = 4
+
+func (h *timerHeap) push(e entry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
 }
-func (h *timerHeap) Push(x interface{}) {
-	t := x.(*Timer)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
-func (h *timerHeap) Pop() interface{} {
+
+// remove takes the entry at slot i out of the heap and returns its timer.
+func (h *timerHeap) remove(i int) *Timer {
 	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
+	t := old[i].t
+	n := len(old) - 1
+	old[i] = old[n]
+	old[n] = entry{}
+	*h = old[:n]
+	if i < n {
+		h.fix(i)
+	}
 	t.index = -1
-	*h = old[:n-1]
 	return t
 }
 
-// Now implements Clock.
-func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
+// fix restores the heap order after the key at slot i changed.
+func (h timerHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
 }
+
+func (h timerHeap) up(i int) {
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / arity
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].t.index = i
+		i = p
+	}
+	h[i] = e
+	e.t.index = i
+}
+
+// down sinks the entry at slot i and reports whether it moved.
+func (h timerHeap) down(i int) bool {
+	e, i0, n := h[i], i, len(h)
+	for {
+		c := arity*i + 1
+		if c >= n {
+			break
+		}
+		m, end := c, min(c+arity, n)
+		for j := c + 1; j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&e) {
+			break
+		}
+		h[i] = h[m]
+		h[i].t.index = i
+		i = m
+	}
+	h[i] = e
+	e.t.index = i
+	return i > i0
+}
+
+// Now implements Clock.
+func (v *Virtual) Now() time.Time { return Epoch.Add(time.Duration(v.now.Load())) }
 
 // Since implements Clock.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
@@ -166,11 +225,16 @@ func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 // Caller holds v.mu.
 func (v *Virtual) armLocked(t *Timer, d time.Duration) {
 	v.seq++
-	t.at, t.seq = v.now.Add(max(d, 0)), v.seq
+	now := v.now.Load()
+	at := now + int64(max(d, 0))
+	if at < now {
+		at = math.MaxInt64
+	}
 	if t.index >= 0 {
-		heap.Fix(&v.events, t.index)
+		v.events[t.index].at, v.events[t.index].seq = at, v.seq
+		v.events.fix(t.index)
 	} else {
-		heap.Push(&v.events, t)
+		v.events.push(entry{at: at, seq: v.seq, t: t})
 	}
 }
 
@@ -185,24 +249,24 @@ func (v *Virtual) AfterFunc(d time.Duration, fn func()) *Timer {
 }
 
 // fireNext is the one firing step every driver is built on. It fires the
-// earliest pending timer whose deadline is not after limit (a zero limit
-// admits any deadline), advancing time to that deadline, and reports true.
-// With nothing due it moves time forward to limit and reports false. Peek,
-// pop and time-advance happen under a single lock acquisition; the callback
-// runs unlocked.
-func (v *Virtual) fireNext(limit time.Time) bool {
+// earliest pending timer whose deadline is not after limit (ns since Epoch),
+// advancing time to that deadline, and reports true. With nothing due it
+// moves time forward to limit if advance is set, and reports false. Peek, pop
+// and time-advance happen under a single lock acquisition; the callback runs
+// unlocked.
+func (v *Virtual) fireNext(limit int64, advance bool) bool {
 	v.mu.Lock()
-	if len(v.events) == 0 || (!limit.IsZero() && v.events[0].at.After(limit)) {
-		if limit.After(v.now) {
-			v.now = limit
+	if len(v.events) == 0 || v.events[0].at > limit {
+		if advance && limit > v.now.Load() {
+			v.now.Store(limit)
 		}
 		v.mu.Unlock()
 		return false
 	}
-	t := heap.Pop(&v.events).(*Timer)
-	if t.at.After(v.now) {
-		v.now = t.at
+	if at := v.events[0].at; at > v.now.Load() {
+		v.now.Store(at)
 	}
+	t := v.events.remove(0)
 	v.fired++
 	v.mu.Unlock()
 	t.fn()
@@ -211,7 +275,7 @@ func (v *Virtual) fireNext(limit time.Time) bool {
 
 // Step fires the single earliest pending timer, advancing time to its
 // deadline. It reports false when no timer is pending.
-func (v *Virtual) Step() bool { return v.fireNext(time.Time{}) }
+func (v *Virtual) Step() bool { return v.fireNext(math.MaxInt64, false) }
 
 // Run fires every timer due by horizon, in deadline order, including timers
 // scheduled by fired callbacks, and returns the number fired. A non-zero
@@ -219,8 +283,12 @@ func (v *Virtual) Step() bool { return v.fireNext(time.Time{}) }
 // first; a zero horizon means run until idle and leaves the clock at the last
 // deadline fired.
 func (v *Virtual) Run(horizon time.Time) int {
+	limit, advance := int64(math.MaxInt64), false
+	if !horizon.IsZero() {
+		limit, advance = int64(horizon.Sub(Epoch)), true
+	}
 	fired := 0
-	for v.fireNext(horizon) {
+	for v.fireNext(limit, advance) {
 		fired++
 	}
 	return fired

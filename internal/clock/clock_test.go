@@ -1,6 +1,8 @@
 package clock
 
 import (
+	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -161,8 +163,8 @@ func TestRunStopsAtHorizon(t *testing.T) {
 	}
 }
 
-// TestTimerAllocs pins the cost of arming: a Timer is the scheduler's own heap
-// entry, so AfterFunc allocates exactly that one object and Reset reuses it.
+// TestTimerAllocs pins the cost of arming: the heap holds its entries by
+// value, so AfterFunc allocates exactly the Timer and Reset reuses it.
 func TestTimerAllocs(t *testing.T) {
 	v := NewSim()
 	nop := func() {}
@@ -178,6 +180,88 @@ func TestTimerAllocs(t *testing.T) {
 		v.Step()
 	}); got != 0 {
 		t.Errorf("Reset+Step = %v allocations, want 0", got)
+	}
+}
+
+// TestHugeDelayNeverFiresEarly: a deadline past the end of virtual time
+// saturates there. However far the clock has advanced, it must never wrap
+// around and fire ahead of an ordinary timer.
+func TestHugeDelayNeverFiresEarly(t *testing.T) {
+	v := NewSim()
+	var order []string
+	re := v.AfterFunc(time.Second, func() { order = append(order, "reset") })
+	v.RunFor(2 * time.Hour)
+	v.AfterFunc(math.MaxInt64, func() { order = append(order, "after") })
+	re.Reset(math.MaxInt64)
+	v.AfterFunc(time.Hour, func() { order = append(order, "hour") })
+	if n := v.Pending(); n != 3 {
+		t.Fatalf("Pending() = %d, want 3", n)
+	}
+	v.RunFor(100 * 365 * 24 * time.Hour)
+	if len(order) != 2 || order[1] != "hour" || v.Pending() != 2 {
+		t.Fatalf("fired %v with %d pending, want [reset hour] and 2", order, v.Pending())
+	}
+	v.RunUntilIdle()
+	if len(order) != 4 || order[2] != "after" || order[3] != "reset" {
+		t.Fatalf("fired %v, want [reset hour after reset]", order)
+	}
+}
+
+// TestConcurrentUseWhileDriven: while one goroutine drives the clock, others
+// read it and arm, stop and re-arm shared timers. Now must never go
+// backwards on any reader. Run it under -race.
+func TestConcurrentUseWhileDriven(t *testing.T) {
+	v := NewSim()
+	nop := func() {}
+	shared := make([]*Timer, 8)
+	for i := range shared {
+		shared[i] = v.AfterFunc(time.Duration(i+1)*time.Millisecond, nop)
+	}
+	var pacer *Timer
+	pacer = v.AfterFunc(time.Millisecond, func() { pacer.Reset(time.Millisecond) })
+
+	stop, driven := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(driven)
+		for {
+			v.RunFor(time.Millisecond) // at least once, so the pacer fires
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last, lastSince := v.Now(), v.Since(Epoch)
+			for i := 0; i < 2000; i++ {
+				now, since := v.Now(), v.Since(Epoch)
+				if now.Before(last) || since < lastSince {
+					t.Errorf("reader %d: Now went back from %v to %v", g, last, now)
+					return
+				}
+				last, lastSince = now, since
+				tm := shared[(g+i)%len(shared)]
+				switch i % 3 {
+				case 0:
+					tm.Reset(time.Duration(i%5) * time.Millisecond)
+				case 1:
+					tm.Stop()
+				case 2:
+					v.AfterFunc(time.Millisecond, nop)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-driven
+	if v.FiredCount() == 0 {
+		t.Fatal("no event fired while driven")
 	}
 }
 
@@ -354,10 +438,7 @@ func TestQuickFiringOrder(t *testing.T) {
 
 // BenchmarkVirtualRun drives the event loop with the workload shape the
 // simulator produces: a population of pacing timers that each re-arm
-// themselves from their own callback, plus one-shot deliveries. The hot cost
-// is the per-event pop; the loop now takes the mutex once per fired event
-// (it used to peek in Run, peek again in Step and pop in popDue — three
-// acquisitions per event).
+// themselves from their own callback. The hot cost is the per-event pop.
 func BenchmarkVirtualRun(b *testing.B) {
 	const pacers = 256
 	b.ReportAllocs()

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"strconv"
@@ -53,7 +54,10 @@ const (
 	backoffMax  = 2 * time.Second
 )
 
-var errClosed = errors.New("transport: closed")
+var (
+	errClosed      = errors.New("transport: closed")
+	errAddrTooLong = errors.New("transport: address longer than a frame's 16-bit length")
+)
 
 // Live is a netsim.Net backed by real sockets.
 type Live struct {
@@ -296,7 +300,7 @@ func (l *Live) dispatch(pkt netsim.Packet) {
 }
 
 // encodeFrame packs from/to/payload into one frame (without the TCP length
-// prefix).
+// prefix). Each address length is a uint16, so Send refuses longer ones.
 func encodeFrame(pkt netsim.Packet) []byte {
 	from, to := []byte(pkt.From), []byte(pkt.To)
 	out := make([]byte, 2+len(from)+2+len(to)+len(pkt.Payload))
@@ -331,9 +335,13 @@ func decodeFrame(buf []byte) (netsim.Packet, bool) {
 }
 
 // Send implements netsim.Net. The error reports local refusal only — a
-// closed transport, an unparseable destination, a saturated host queue, or
-// a failed datagram write; an accepted frame may still be lost in flight.
+// closed transport, an unparseable destination, an address too long for its
+// 16-bit frame length, a saturated host queue, or a failed datagram write; an
+// accepted frame may still be lost in flight.
 func (l *Live) Send(pkt netsim.Packet) error {
+	if len(pkt.From) > math.MaxUint16 || len(pkt.To) > math.MaxUint16 {
+		return errAddrTooLong
+	}
 	pkt.SentAt = time.Now()
 	if pkt.Reliable {
 		return l.sendTCP(pkt)

@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"bytes"
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -38,6 +41,45 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, ok := decodeFrame([]byte{0, 5, 'x'}); ok {
 		t.Fatal("truncated from accepted")
+	}
+}
+
+// FuzzDecodeFrame holds the live binaries' socket parser to its contract on
+// any input: decodeFrame never panics, and every frame it accepts re-encodes
+// with encodeFrame to the same bytes.
+func FuzzDecodeFrame(f *testing.F) {
+	f.Add(encodeFrame(netsim.Packet{From: "a:1", To: "b:2", Payload: []byte("payload")}))
+	f.Add(encodeFrame(netsim.Packet{From: "viewer:5004", To: "server:4000"}))
+	f.Add(encodeFrame(netsim.Packet{From: "", To: "b:2", Payload: []byte("x")}))
+	f.Add([]byte{0, 3, 'a', ':', '1', 0, 9, 'b'})
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		pkt, ok := decodeFrame(buf)
+		if !ok {
+			return
+		}
+		if again := encodeFrame(pkt); !bytes.Equal(again, buf) {
+			t.Fatalf("re-encoding differs:\n got  %x\n want %x", again, buf)
+		}
+	})
+}
+
+// TestSendRefusesOversizedAddress: a frame stores each address length in 16
+// bits, so an address of 65 536 bytes or more cannot be framed. Both paths
+// refuse it locally instead of sending a mis-framed packet.
+func TestSendRefusesOversizedAddress(t *testing.T) {
+	l := NewLive()
+	defer l.Close()
+	long := netsim.Addr(strings.Repeat("h", 1<<16) + ":2")
+	for _, pkt := range []netsim.Packet{
+		{From: "a:1", To: long, Payload: []byte("x")},
+		{From: "a:1", To: long, Payload: []byte("x"), Reliable: true},
+		{From: long, To: "b:2", Payload: []byte("x")},
+		{From: long, To: "b:2", Payload: []byte("x"), Reliable: true},
+	} {
+		if err := l.Send(pkt); !errors.Is(err, errAddrTooLong) {
+			t.Errorf("Send(from %d bytes, to %d bytes, reliable %v) = %v, want errAddrTooLong",
+				len(pkt.From), len(pkt.To), pkt.Reliable, err)
+		}
 	}
 }
 
