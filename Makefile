@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz chaos bench-dataplane bench-controlplane bench-check digests size
+.PHONY: check fmt vet build test race fuzz bench-dataplane bench-controlplane bench-check digests size
 
-# The full gate: everything below except chaos, digests, size and the bench-* generators.
+# The full gate: everything below except digests, size and the bench-* generators.
 check: fmt vet build test race fuzz bench-check
 
 # Fails, listing the files, when anything is not gofmt-clean.
@@ -19,9 +19,9 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# Race detector over the concurrent packages: simulator, transport, telemetry, the control codec's pool, both endpoints and their churn stresses, the media path with its buffer pool, and the determinism/cluster-replay tests in experiments.
+# Race detector over the concurrent packages: simulator, transport, telemetry, the control codec's pool, both endpoints and their churn stresses, the media path with its buffer pool, the determinism/cluster-replay tests in experiments, and the fault-injection suite on its pinned seed.
 race:
-	$(GO) test -race ./internal/clock/... ./internal/transport/... ./internal/netsim/... ./internal/obs/... ./internal/playout/... ./internal/protocol/... ./internal/client/... ./internal/server/... ./internal/media/... ./internal/rtp/... ./internal/buffer/... ./internal/cluster/... ./internal/experiments/...
+	$(GO) test -race ./internal/clock/... ./internal/transport/... ./internal/netsim/... ./internal/obs/... ./internal/playout/... ./internal/protocol/... ./internal/client/... ./internal/server/... ./internal/media/... ./internal/rtp/... ./internal/buffer/... ./internal/cluster/... ./internal/experiments/... ./internal/chaos/...
 
 # The fuzz smoke: 10 s of each Fuzz target, one line per target (go test fuzzes one target per run). A crasher is written under the package's testdata/fuzz and committed, so plain go test replays it from then on.
 fuzz:
@@ -31,10 +31,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTicketVerify$$' -fuzztime 10s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime 10s ./internal/clock/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/transport/
-
-# The fault-injection suite on its pinned seed, under the race detector.
-chaos:
-	$(GO) test -race -count=1 ./internal/chaos/...
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFrameHeader$$' -fuzztime 10s ./internal/media/
 
 # Server media data plane at 1/8/64 sessions: frames/s, emit p95, allocs per frame. Prints only; its invariants are tests in internal/server, the numbers of record are bench/'s lecture_* workloads.
 bench-dataplane:

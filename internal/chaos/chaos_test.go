@@ -23,7 +23,8 @@ import (
 	"repro/internal/server"
 )
 
-// chaosSeed pins the whole suite: `make chaos` must be reproducible.
+// chaosSeed pins the whole suite: every run, `make race` included, must
+// be reproducible.
 const chaosSeed = 0xC4A05
 
 // longAV runs for 30 virtual seconds, long enough to hold a partition in

@@ -202,10 +202,6 @@ type Client struct {
 
 	mediaPorts []netsim.Addr
 
-	// pendingDoc is requested once the follow-up connect of a move or
-	// failover succeeds.
-	pendingDoc string
-
 	// reliable control plane (reliable.go)
 	nextReq uint32
 	pending map[uint32]*pendingReq
@@ -217,22 +213,17 @@ type Client struct {
 	hbAwait   bool
 	hbMisses  int
 	// recovering names the server currently being probed for session
-	// recovery ("" when healthy); failedPeers tracks replicas that already
-	// failed us during this failover episode.
+	// recovery ("" when healthy); failedPeers holds the dead sources and
+	// failed targets of moves since the last successful connect.
 	recovering      string
 	recoverDeadline time.Time
 	failedPeers     map[string]bool
 
 	// Cluster episode state (cluster.go): admission-redirect following with
-	// bounded hops, and the in-flight move between servers (a handoff or a
-	// cross-server link).
+	// bounded hops, and the in-flight move between servers.
 	redirectHops  int
 	redirectTried map[string]bool
-	handoffFrom   string // source server of the in-flight move ("" none)
-	handoffTo     string // its first target
-	handoffTicket *protocol.HandoffTicket
-	handoffPeers  []string // replicas advertised with the handoff
-	handoffStart  time.Time
+	move          moveEpisode
 	hHandoff      *stats.DurationHistogram // handoff_latency, resolved at New
 }
 
@@ -315,14 +306,15 @@ func (c *Client) freeAssemblyLocked(a *assembly) {
 func New(host string, clk clock.Clock, net netsim.Net, opts Options) (*Client, error) {
 	opts.fill()
 	c := &Client{
-		Host:        host,
-		clk:         clk,
-		net:         net,
-		opts:        opts,
-		servers:     map[string]*record{},
-		pending:     map[uint32]*pendingReq{},
-		failedPeers: map[string]bool{},
-		monitor:     qos.NewClientMonitor(clk, 0x1996),
+		Host:          host,
+		clk:           clk,
+		net:           net,
+		opts:          opts,
+		servers:       map[string]*record{},
+		pending:       map[uint32]*pendingReq{},
+		failedPeers:   map[string]bool{},
+		redirectTried: map[string]bool{},
+		monitor:       qos.NewClientMonitor(clk, 0x1996),
 	}
 	c.spans = opts.Obs.FrameSpans()
 	c.hCtrlRTT = opts.Obs.Histogram("client_ctrl_rtt")
@@ -392,10 +384,10 @@ func (c *Client) CurrentServer() string {
 func (c *Client) Connect(host string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.connectLocked(host, false)
+	c.connectLocked(host)
 }
 
-func (c *Client) connectLocked(host string, failover bool) {
+func (c *Client) connectLocked(host string) {
 	rec := c.connectable(host)
 	if rec.m.State() == protocol.StSuspended {
 		// Connecting toward a suspended session is a return: the resume
@@ -405,7 +397,7 @@ func (c *Client) connectLocked(host string, failover bool) {
 		c.logEvent("return to " + host)
 		c.sendReqLocked(host, protocol.MsgConnect, &protocol.Connect{
 			User: c.opts.User, ResumeToken: rec.token,
-		}, time.Time{}, func() { c.connectFailedLocked(host, failover) })
+		}, time.Time{}, func() { c.connectFailedLocked(host) })
 		return
 	}
 	if err := rec.m.Apply(protocol.InConnect); err != nil {
@@ -420,20 +412,15 @@ func (c *Client) connectLocked(host string, failover bool) {
 		PeakRate: c.opts.PeakRate, MinRate: c.opts.MinRate,
 		FloorLevel:  c.opts.FloorLevel,
 		ResumeToken: rec.token,
-		Failover:    failover,
-	}, time.Time{}, func() { c.connectFailedLocked(host, failover) })
+	}, time.Time{}, func() { c.connectFailedLocked(host) })
 }
 
 // connectFailedLocked unsticks a connect whose reply never arrived: the
-// machine leaves Connecting instead of hanging there forever. During a
-// failover the next untried replica is attempted.
-func (c *Client) connectFailedLocked(host string, failover bool) {
+// machine leaves Connecting instead of hanging there forever.
+func (c *Client) connectFailedLocked(host string) {
 	c.server(host).m.Try(protocol.InAuthReject)
 	c.lastError = "connect timed out: " + host
 	c.logEvent("connect timed out: " + host)
-	if failover {
-		c.failoverLocked(host)
-	}
 }
 
 // Subscribe submits the subscription form to the current server; the

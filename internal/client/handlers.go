@@ -128,18 +128,21 @@ func (c *Client) onConnectResult(from string, m protocol.ConnectResult) {
 		if len(m.Peers) > 0 {
 			c.peers = append([]string(nil), m.Peers...)
 		}
-		// A server is serving us again: any failover/redirect episode is
+		// A server is serving us again: any move/redirect episode is
 		// over. Replicas that failed during it become eligible again for
 		// later, unrelated episodes — failedPeers must not be sticky across
 		// episodes, or a once-failed replica is shunned forever.
-		if len(c.failedPeers) > 0 {
-			c.failedPeers = map[string]bool{}
-		}
+		clear(c.failedPeers)
 		c.redirectHops = 0
-		c.redirectTried = nil
+		clear(c.redirectTried)
 		recovered := c.recovering == from
 		if recovered {
 			c.recovering = ""
+		}
+		doc := c.move.doc
+		c.move.doc = ""
+		if c.move.failover {
+			c.move = moveEpisode{} // a failover ends once a replica admits us
 		}
 		rec.m.Try(protocol.InAuthOK) // a new session: connecting → browsing
 		if rec.m.State() == protocol.StSuspended {
@@ -172,9 +175,7 @@ func (c *Client) onConnectResult(from string, m protocol.ConnectResult) {
 		if from == c.current {
 			c.startHeartbeatLocked()
 		}
-		if c.pendingDoc != "" {
-			doc := c.pendingDoc
-			c.pendingDoc = ""
+		if doc != "" {
 			c.requestDocLocked(doc)
 		}
 	} else if m.NeedSubscription {
@@ -189,11 +190,11 @@ func (c *Client) onConnectResult(from string, m protocol.ConnectResult) {
 		c.lastError = m.Reason
 		c.logEvent("session lost at " + from)
 		c.failoverLocked(from)
-	} else if c.handoffFrom != "" && from != c.handoffFrom {
-		// The handoff target answered but refused (bad ticket, admission
+	} else if c.move.from != "" && from != c.move.from {
+		// The move's target answered but refused (bad ticket, admission
 		// reject): treat like an unreachable target and fall back.
 		c.lastError = m.Reason
-		c.logEvent("handoff refused by " + from + ": " + m.Reason)
+		c.logEvent(c.move.verb + " refused by " + from + ": " + m.Reason)
 		c.handoffConnectFailedLocked(from)
 	} else {
 		rec.m.Try(protocol.InAuthReject)
@@ -233,8 +234,8 @@ func (c *Client) onSuspendResult(from string, m protocol.SuspendResult) {
 	if m.OK {
 		c.server(from).token = m.ResumeToken
 	}
-	if from == c.handoffFrom && from == c.current {
-		c.connectHandoffLocked(c.handoffTo)
+	if from == c.move.from && from == c.current {
+		c.connectHandoffLocked(c.move.to)
 	}
 }
 
@@ -256,9 +257,9 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 		mach.Try(protocol.InDocFail)
 		c.lastError = m.Reason
 		c.logEvent("document failed: " + m.Reason)
-		if c.handoffFrom != "" && from != c.handoffFrom {
-			// The handoff target could not serve the document after all.
-			c.clearHandoffLocked()
+		if c.move.from != "" && from != c.move.from {
+			// The move's target could not serve the document after all.
+			c.move = moveEpisode{}
 		}
 		return
 	}
@@ -267,13 +268,13 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 		// must land on a server that holds it.
 		c.peers = append([]string(nil), m.Peers...)
 	}
-	if c.handoffFrom != "" && from != c.handoffFrom && !c.handoffStart.IsZero() {
-		lat := c.clk.Now().Sub(c.handoffStart)
+	if c.move.from != "" && from != c.move.from {
+		lat := c.clk.Now().Sub(c.move.start)
 		c.hHandoff.Observe(lat)
 		c.opts.Obs.Counter("client_handoffs_completed").Inc()
 		c.opts.Obs.Emit(obs.EvHandoff, from, lat.Microseconds(), "handoff complete: "+m.Name)
 		c.logEvent("handoff complete → " + from)
-		c.clearHandoffLocked()
+		c.move = moveEpisode{}
 	}
 	sc, err := scenario.Parse(m.ScenarioSrc)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/hml"
+	"repro/internal/media"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/playout"
@@ -619,6 +620,32 @@ func TestClientIgnoresGarbageMediaPackets(t *testing.T) {
 	a := rep.Streams["n"]
 	if a.Plays < a.Expected*9/10 {
 		t.Fatalf("garbage disrupted playback: %d/%d", a.Plays, a.Expected)
+	}
+}
+
+// TestClientSurvivesBadFragmentGeometry injects one RTP packet on an
+// announced stream whose frame header places fragment 65534 of 65535 in a
+// 10-byte frame, with no data. It used to pass the fragment-length check and
+// panic slicing the frame's reassembly scratch out of range.
+func TestClientSurvivesBadFragmentGeometry(t *testing.T) {
+	w := newWorld(t, netsim.DefaultLAN(), Options{}, server.Options{}, "server-a")
+	w.subscribe(t, "alice", "pw")
+	putDoc(t, w.servers["server-a"], "clip", shortAV)
+	w.c.Connect("server-a")
+	w.run(time.Second)
+	w.c.RequestDoc("clip")
+	w.run(time.Second)
+	ann, ok := w.c.StreamInfo("cv")
+	if !ok {
+		t.Fatal("no announce for stream cv")
+	}
+	hdr := media.FrameHeader{Index: 1 << 30, FrameSize: 10, FragCount: 65535, Frag: 65534}
+	bad := rtp.Packet{SSRC: ann.SSRC, PayloadType: rtp.PTMPEG, Payload: hdr.Marshal(nil)}
+	w.net.Send(netsim.Packet{From: "attacker:1", To: netsim.MakeAddr("laptop", ann.Port),
+		Payload: bad.Marshal()})
+	w.run(10 * time.Second)
+	if v := w.c.Player().Report().Streams["cv"]; v.Plays < v.Expected*9/10 {
+		t.Fatalf("bad header disrupted playback: %d/%d", v.Plays, v.Expected)
 	}
 }
 

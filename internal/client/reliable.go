@@ -6,7 +6,8 @@ package client
 // On top of it sit the session heartbeats: when enough go unanswered the
 // client enters the paper's suspend state, pauses the presentation, and
 // probes the server with a resume-by-session-ID connect until the grace
-// window closes — then fails over to a replica and is re-admitted there.
+// window closes. Failover is a suspend whose peer never answers: past the
+// window the client moves to a replica (cluster.go) with no source to return to.
 
 import (
 	"fmt"
@@ -246,7 +247,7 @@ func (c *Client) onHeartbeatAck(from string, m protocol.HeartbeatAck) {
 	}
 }
 
-// onPeerLostLocked declares the server dead: the paper's suspend state is
+// onPeerLostLocked declares the server lost: the paper's suspend state is
 // entered, the presentation freezes, and a resume-by-session-ID connect
 // probes the server until the grace window closes, after which the client
 // fails over. Caller holds c.mu.
@@ -274,48 +275,26 @@ func (c *Client) onPeerLostLocked(host, why string) {
 	c.recoverDeadline = c.clk.Now().Add(grace)
 	c.sendReqLocked(host, protocol.MsgConnect, &protocol.Connect{
 		User: c.opts.User, ResumeSession: rec.session,
-	}, c.recoverDeadline, func() {
-		c.recovering = ""
-		c.failoverLocked(host)
-	})
+	}, c.recoverDeadline, func() { c.failoverLocked(host) })
 }
 
-// failoverLocked abandons a dead server and re-admits the session at the
-// first untried replica, re-requesting the interrupted document there.
+// failoverLocked abandons a dead server: it is marked failed, its session
+// and resume token are forgotten, and the move between servers starts toward
+// the first untried replica, re-requesting the interrupted document there.
 // Caller holds c.mu.
-func (c *Client) failoverLocked(deadHost string) {
+func (c *Client) failoverLocked(dead string) {
 	c.recovering = ""
-	if c.failedPeers == nil {
-		c.failedPeers = map[string]bool{}
-	}
-	c.failedPeers[deadHost] = true
-	rec := c.server(deadHost)
+	c.failedPeers[dead] = true
+	rec := c.server(dead)
 	rec.session, rec.token = "", ""
 	rec.m.Try(protocol.InGraceExpired)
-	c.cancelPendingLocked(deadHost)
-	doc := c.docName
-	c.teardownPresentationLocked()
-	var target string
-	for _, p := range c.peers {
-		if p != deadHost && p != c.Host && !c.failedPeers[p] {
-			target = p
-			break
-		}
-	}
+	c.cancelPendingLocked(dead)
+	target := c.nextTargetLocked(dead, c.peers)
 	if target == "" {
-		c.lastError = "session lost: no failover peer available"
-		c.logEvent("session lost: no failover peer")
-		c.opts.Obs.Emit(obs.EvFailover, deadHost, 0, "no replica available")
-		if c.current == deadHost {
-			c.current = ""
-		}
+		c.teardownPresentationLocked()
+		c.moveStrandedLocked(failoverCause, dead, dead)
 		return
 	}
-	c.opts.Obs.Counter("client_failovers").Inc()
-	c.opts.Obs.Emit(obs.EvFailover, deadHost, 0, "failing over to "+target)
-	c.logEvent("failover " + deadHost + " → " + target)
-	if doc != "" {
-		c.pendingDoc = doc
-	}
-	c.connectLocked(target, true)
+	c.beginMoveLocked(dead, target, c.docName, nil, c.peers)
+	c.connectHandoffLocked(target)
 }

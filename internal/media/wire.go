@@ -52,7 +52,9 @@ func (h *FrameHeader) AppendTo(dst []byte) []byte {
 	)
 }
 
-// ParseFrameHeader splits a payload into header and fragment data.
+// ParseFrameHeader splits a payload into header and fragment data. It accepts
+// only the geometry senders emit (FragCount is FragmentCount(FrameSize), Frag
+// lies below it), so FragmentSpan of the result lies inside the frame.
 func ParseFrameHeader(buf []byte) (FrameHeader, []byte, error) {
 	if len(buf) < FrameHeaderSize {
 		return FrameHeader{}, nil, ErrShortHeader
@@ -64,6 +66,9 @@ func ParseFrameHeader(buf []byte) (FrameHeader, []byte, error) {
 		Frag:      binary.BigEndian.Uint16(buf[6:]),
 		FragCount: binary.BigEndian.Uint16(buf[8:]),
 		FrameSize: binary.BigEndian.Uint32(buf[10:]),
+	}
+	if int(h.FragCount) != FragmentCount(int(h.FrameSize)) || h.Frag >= h.FragCount {
+		return FrameHeader{}, nil, errors.New("media: fragment outside its frame")
 	}
 	return h, buf[FrameHeaderSize:], nil
 }

@@ -32,16 +32,83 @@ func TestParseFrameHeaderShort(t *testing.T) {
 	}
 }
 
+// Property: a header is accepted exactly when its geometry is consistent,
+// and an accepted header round-trips. Arbitrary geometry is almost never
+// consistent, so each case also checks the consistent header nearest to it.
 func TestQuickFrameHeaderRoundTrip(t *testing.T) {
+	roundTrips := func(h FrameHeader, data []byte) bool {
+		consistent := int(h.FragCount) == FragmentCount(int(h.FrameSize)) && h.Frag < h.FragCount
+		got, rest, err := ParseFrameHeader(h.Marshal(data))
+		if !consistent {
+			return err != nil
+		}
+		return err == nil && got == h && bytes.Equal(rest, data)
+	}
 	f := func(index uint32, level, kind uint8, frag, count uint16, size uint32, data []byte) bool {
 		h := FrameHeader{Index: index, Level: level, Kind: FrameKind(kind),
 			Frag: frag, FragCount: count, FrameSize: size}
-		got, rest, err := ParseFrameHeader(h.Marshal(data))
-		return err == nil && got == h && bytes.Equal(rest, data)
+		fit := h
+		fit.FrameSize = size % (0xFFFF * MTU)
+		fit.FragCount = uint16(FragmentCount(int(fit.FrameSize)))
+		fit.Frag = frag % fit.FragCount
+		return roundTrips(h, data) && roundTrips(fit, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Regression: a header whose fragment lies outside its frame used to parse,
+// and the client then sliced reassembly scratch out of range (FrameSize 10
+// with fragment 65534 of 65535) or sized it by a FrameSize near 4 GiB.
+func TestParseFrameHeaderRejectsBadGeometry(t *testing.T) {
+	for _, h := range []FrameHeader{
+		{FrameSize: 10, FragCount: 65535, Frag: 65534},
+		{FrameSize: 0xFFFFFFF0, FragCount: 65535},
+		{FrameSize: 10, FragCount: 0},
+		{FrameSize: 3 * MTU, FragCount: 3, Frag: 3},
+		{FrameSize: 3 * MTU, FragCount: 4, Frag: 3},
+	} {
+		if _, _, err := ParseFrameHeader(h.Marshal(nil)); err == nil {
+			t.Errorf("ParseFrameHeader(%+v) accepted a fragment outside its frame", h)
+		}
+	}
+	for _, h := range []FrameHeader{
+		{FrameSize: 0, FragCount: 1},
+		{FrameSize: 3 * MTU, FragCount: 3, Frag: 2},
+		{FrameSize: 0xFFFF * MTU, FragCount: 0xFFFF, Frag: 0xFFFE},
+	} {
+		if _, _, err := ParseFrameHeader(h.Marshal(nil)); err != nil {
+			t.Errorf("ParseFrameHeader(%+v) = %v, want accepted", h, err)
+		}
+	}
+}
+
+// FuzzParseFrameHeader: whatever a packet carries, an accepted header
+// re-encodes to the same 14 bytes and its fragment lies inside the frame.
+func FuzzParseFrameHeader(f *testing.F) {
+	for _, h := range []FrameHeader{
+		{Index: 7, Level: 1, Kind: FrameP, Frag: 2, FragCount: 5, FrameSize: 7000},
+		{FrameSize: 10, FragCount: 65535, Frag: 65534},
+		{FrameSize: 0, FragCount: 1},
+	} {
+		f.Add(h.Marshal([]byte("fragment")))
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		h, rest, err := ParseFrameHeader(buf)
+		if err != nil {
+			return
+		}
+		if wire := h.AppendTo(nil); !bytes.Equal(wire, buf[:FrameHeaderSize]) {
+			t.Fatalf("header %+v re-encodes to %x, parsed from %x", h, wire, buf[:FrameHeaderSize])
+		}
+		if !bytes.Equal(rest, buf[FrameHeaderSize:]) {
+			t.Fatal("fragment data is not the bytes after the header")
+		}
+		if off, n := FragmentSpan(int(h.FrameSize), int(h.Frag)); off < 0 || n < 0 || off+n > int(h.FrameSize) {
+			t.Fatalf("header %+v: fragment span [%d, %d) outside the frame", h, off, off+n)
+		}
+	})
 }
 
 // Regression: frame sizes past 64 KiB must survive the wire header intact.
