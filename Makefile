@@ -32,6 +32,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime 10s ./internal/clock/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrameHeader$$' -fuzztime 10s ./internal/media/
+	$(GO) test -run '^$$' -fuzz '^FuzzHMLRoundTrip$$' -fuzztime 10s ./internal/hml/
 
 # Server media data plane at 1/8/64 sessions: frames/s, emit p95, allocs per frame. Prints only; its invariants are tests in internal/server, the numbers of record are bench/'s lecture_* workloads.
 bench-dataplane:

@@ -55,7 +55,6 @@ func main() {
 	retryTimeout := flag.Duration("retry-timeout", 750*time.Millisecond, "initial control-request reply timeout")
 	retryAttempts := flag.Int("retry-attempts", 5, "control-request transmissions before giving up")
 	peers := flag.String("peers", "", "comma-separated replica servers seeding the failover/redirect set")
-	redirectHops := flag.Int("max-redirect-hops", 3, "admission redirects followed before giving up")
 	flag.Parse()
 
 	scope := obs.NewScope(clock.NewWall())
@@ -73,7 +72,6 @@ func main() {
 		LivenessMisses:    *livenessMisses,
 		RetryTimeout:      *retryTimeout,
 		RetryAttempts:     *retryAttempts,
-		MaxRedirectHops:   *redirectHops,
 		Obs:               scope,
 	}
 	if *peers != "" {

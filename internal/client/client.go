@@ -69,11 +69,9 @@ type Options struct {
 	// RetryAttempts bounds retransmissions of requests without an explicit
 	// deadline.
 	RetryAttempts int
-	// MaxRedirectHops bounds how many admission redirects the client follows
-	// in one connect episode before giving up.
-	MaxRedirectHops int
-	// Peers seeds the failover/redirect replica set before the first
-	// successful connect advertises one (the hermes -peers flag).
+	// Peers seeds the known replicas before the first successful connect
+	// advertises them (the hermes -peers flag): a failover's targets, and
+	// a redirect's after the peers the redirecting server names.
 	Peers []string
 	// Obs, when set, threads telemetry through the browser's buffers and
 	// playout scheduler and records session lifecycle events.
@@ -119,9 +117,6 @@ func (o *Options) fill() {
 	}
 	if o.RetryAttempts <= 0 {
 		o.RetryAttempts = 5
-	}
-	if o.MaxRedirectHops <= 0 {
-		o.MaxRedirectHops = 3
 	}
 }
 
@@ -219,12 +214,10 @@ type Client struct {
 	recoverDeadline time.Time
 	failedPeers     map[string]bool
 
-	// Cluster episode state (cluster.go): admission-redirect following with
-	// bounded hops, and the in-flight move between servers.
-	redirectHops  int
-	redirectTried map[string]bool
-	move          moveEpisode
-	hHandoff      *stats.DurationHistogram // handoff_latency, resolved at New
+	// move is the server change in flight (cluster.go): a handoff, link,
+	// failover or redirect.
+	move     moveEpisode
+	hHandoff *stats.DurationHistogram // handoff_latency, resolved at New
 }
 
 // record is what the browser knows of one server: where its session there
@@ -306,15 +299,14 @@ func (c *Client) freeAssemblyLocked(a *assembly) {
 func New(host string, clk clock.Clock, net netsim.Net, opts Options) (*Client, error) {
 	opts.fill()
 	c := &Client{
-		Host:          host,
-		clk:           clk,
-		net:           net,
-		opts:          opts,
-		servers:       map[string]*record{},
-		pending:       map[uint32]*pendingReq{},
-		failedPeers:   map[string]bool{},
-		redirectTried: map[string]bool{},
-		monitor:       qos.NewClientMonitor(clk, 0x1996),
+		Host:        host,
+		clk:         clk,
+		net:         net,
+		opts:        opts,
+		servers:     map[string]*record{},
+		pending:     map[uint32]*pendingReq{},
+		failedPeers: map[string]bool{},
+		monitor:     qos.NewClientMonitor(clk, 0x1996),
 	}
 	c.spans = opts.Obs.FrameSpans()
 	c.hCtrlRTT = opts.Obs.Histogram("client_ctrl_rtt")
@@ -353,11 +345,11 @@ func (c *Client) server(host string) *record {
 
 // connectable returns the record of a server about to be connected: a
 // session that reached disconnected is over, and a new one starts a fresh
-// Figure 4 machine.
+// Figure 4 machine with no session.
 func (c *Client) connectable(host string) *record {
 	r := c.server(host)
 	if r.m.State() == protocol.StDisconnected {
-		r.m = protocol.Machine{}
+		r.m, r.session = protocol.Machine{}, ""
 	}
 	return r
 }
@@ -387,32 +379,58 @@ func (c *Client) Connect(host string) {
 	c.connectLocked(host)
 }
 
+// connectLocked builds and sends every Connect the browser sends. The
+// server's record and the episode in flight decide the body and what a
+// timeout does:
+//   - the recovery probe resumes the session by ID until the grace window
+//     closes, then fails over;
+//   - toward a suspended session, a return presents the resume token;
+//   - a record browsing with no session has just had its subscription
+//     accepted, and the re-handshake presents the new credentials;
+//   - a move's target gets the signed ticket (or the credentials) and the
+//     failover bit, and a timeout falls back to the next target;
+//   - anything else, a redirect's next hop included, is a fresh connect.
+//
+// Caller holds c.mu.
 func (c *Client) connectLocked(host string) {
 	rec := c.connectable(host)
-	if rec.m.State() == protocol.StSuspended {
-		// Connecting toward a suspended session is a return: the resume
-		// token rides along and InReturn fires on the server's answer.
-		c.current = host
-		c.lastConnect = nil
+	body := protocol.Connect{User: c.opts.User}
+	var deadline time.Time
+	onFail := func() { c.connectFailedLocked(host) }
+	switch st := rec.m.State(); {
+	case c.recovering == host:
+		body.ResumeSession = rec.session
+		deadline = c.recoverDeadline
+		onFail = func() { c.failoverLocked(host) }
+	case st == protocol.StSuspended:
+		// The return fires InReturn on the server's answer.
+		c.current, c.lastConnect = host, nil
 		c.logEvent("return to " + host)
-		c.sendReqLocked(host, protocol.MsgConnect, &protocol.Connect{
-			User: c.opts.User, ResumeToken: rec.token,
-		}, time.Time{}, func() { c.connectFailedLocked(host) })
-		return
+		body.ResumeToken = rec.token
+	default:
+		body.Class, body.PeakRate, body.MinRate = c.opts.Class, c.opts.PeakRate, c.opts.MinRate
+		body.FloorLevel, body.Password = c.opts.FloorLevel, c.opts.Password
+		if st == protocol.StBrowsing && rec.session == "" {
+			break
+		}
+		if err := rec.m.Apply(protocol.InConnect); err != nil {
+			c.lastError = err.Error()
+			return
+		}
+		c.current, c.lastConnect = host, nil
+		if host != c.move.to || c.move.fresh {
+			body.ResumeToken = rec.token
+			c.logEvent("connect → " + host)
+			break
+		}
+		body.Handoff, body.Failover = c.move.ticket, c.move.failover
+		if body.Handoff != nil {
+			body.Password = ""
+		}
+		c.logEvent(c.move.verb + " connect → " + host)
+		onFail = func() { c.handoffConnectFailedLocked(host) }
 	}
-	if err := rec.m.Apply(protocol.InConnect); err != nil {
-		c.lastError = err.Error()
-		return
-	}
-	c.current = host
-	c.lastConnect = nil
-	c.logEvent("connect → " + host)
-	c.sendReqLocked(host, protocol.MsgConnect, &protocol.Connect{
-		User: c.opts.User, Password: c.opts.Password, Class: c.opts.Class,
-		PeakRate: c.opts.PeakRate, MinRate: c.opts.MinRate,
-		FloorLevel:  c.opts.FloorLevel,
-		ResumeToken: rec.token,
-	}, time.Time{}, func() { c.connectFailedLocked(host) })
+	c.sendReqLocked(host, protocol.MsgConnect, &body, deadline, onFail)
 }
 
 // connectFailedLocked unsticks a connect whose reply never arrived: the
@@ -431,7 +449,11 @@ func (c *Client) Subscribe(form protocol.SubscriptionForm) {
 	c.lastSubscribe = nil
 	c.opts.User = form.User
 	c.opts.Password = form.Password
-	c.sendReqLocked(c.current, protocol.MsgSubscribe, &form, time.Time{}, nil)
+	host := c.current
+	c.sendReqLocked(host, protocol.MsgSubscribe, &form, time.Time{}, func() {
+		c.server(host).m.Try(protocol.InSubscribeFail)
+		c.lastError = "subscription timed out: " + host
+	})
 }
 
 // RequestTopics asks for the contents listing.
@@ -667,7 +689,7 @@ func (c *Client) followLinkLocked(link scenario.Link) {
 	// The connect waits for the suspend's ack (onSuspendResult), which
 	// carries the resume token a fallback needs; a lost ack connects anyway.
 	c.sendReqLocked(from, protocol.MsgSuspend, &protocol.Suspend{}, time.Time{},
-		func() { c.connectHandoffLocked(link.Host) })
+		func() { c.connectLocked(link.Host) })
 }
 
 // --- accessors for tests and experiments ---

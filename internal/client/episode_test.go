@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 	"repro/internal/qos"
+	"repro/internal/scenario"
 	"repro/internal/server"
 )
 
@@ -86,5 +88,111 @@ func TestRedirectEpisodeHopsAndGivesUp(t *testing.T) {
 	}
 	if got := c.CurrentServer(); got != "" {
 		t.Errorf("CurrentServer = %q, want none", got)
+	}
+}
+
+// dropReplies swallows every one of the next n control replies of type mt
+// from host to the world's client, so the request they answer times out.
+func dropReplies(w *world, host string, mt protocol.MsgType, n int) {
+	w.net.DropNextMatching(n, "drop "+mt.String(), func(p netsim.Packet) bool {
+		got, _, _, err := protocol.DecodeReq(p.Payload)
+		return err == nil && got == mt && p.From.Host() == host && p.To.Host() == w.c.Host
+	})
+}
+
+// newbieWorld is a one-server world whose client is not yet subscribed: its
+// first connect asks for the subscription form.
+func newbieWorld(t *testing.T) *world {
+	w := newWorld(t, netsim.DefaultLAN(), Options{User: "newbie", Password: "np"}, server.Options{}, "server-a")
+	w.c.Connect("server-a")
+	w.run(time.Second)
+	if got := w.c.State("server-a"); got != protocol.StSubscribing {
+		t.Fatalf("state = %v, want subscribing", got)
+	}
+	return w
+}
+
+var newbieForm = protocol.SubscriptionForm{
+	User: "newbie", Password: "np", RealName: "New User",
+	Address: "Patras", Email: "new@uni.gr", Phone: "123",
+}
+
+// reconnects checks that a Connect after a timed-out exchange is not
+// refused by the client's own table and lands in browsing with a session.
+func reconnects(t *testing.T, w *world) {
+	t.Helper()
+	w.c.Connect("server-a")
+	w.run(time.Second)
+	if got := w.c.State("server-a"); got != protocol.StBrowsing || w.c.SessionID("server-a") == "" {
+		t.Fatalf("after reconnect: state %v, session %q (err %q)",
+			got, w.c.SessionID("server-a"), w.c.LastError())
+	}
+}
+
+// TestLostSubscribeReplyDoesNotStrand loses every reply to the subscription
+// form: the request times out, and the next Connect must still go through.
+func TestLostSubscribeReplyDoesNotStrand(t *testing.T) {
+	w := newbieWorld(t)
+	dropReplies(w, "server-a", protocol.MsgSubscribeResult, 5)
+	w.c.Subscribe(newbieForm)
+	w.run(20 * time.Second)
+	if w.c.LastSubscribe() != nil {
+		t.Fatal("a subscribe reply got through")
+	}
+	reconnects(t, w)
+}
+
+// TestLostRehandshakeReplyDoesNotStrand loses every reply to the connect
+// the browser re-sends after a subscription: the re-handshake times out,
+// and the next Connect must still go through.
+func TestLostRehandshakeReplyDoesNotStrand(t *testing.T) {
+	w := newbieWorld(t)
+	w.c.Subscribe(newbieForm)
+	dropReplies(w, "server-a", protocol.MsgConnectResult, 5)
+	w.run(20 * time.Second)
+	if ls := w.c.LastSubscribe(); ls == nil || !ls.OK {
+		t.Fatalf("subscribe = %+v", ls)
+	}
+	if w.c.SessionID("server-a") != "" {
+		t.Fatal("a re-handshake reply got through")
+	}
+	reconnects(t, w)
+}
+
+// TestRedirectedLinkMovesOn follows a link to server-b while server-b is at
+// its session watermark. A link carries no ticket, so server-b redirects the
+// move's connect to server-c; the move goes on there and plays the linked
+// document, and server-a keeps the suspended session to return to.
+func TestRedirectedLinkMovesOn(t *testing.T) {
+	names := []string{"server-a", "server-b", "server-c"}
+	w := newWorld(t, netsim.DefaultLAN(), Options{},
+		server.Options{Grace: 10 * time.Second, SessionWatermark: 1}, names...)
+	w.subscribe(t, "alice", "pw")
+	for _, n := range names {
+		putDoc(t, w.servers[n], "extra", shortAV)
+	}
+	scope := obs.NewScope(w.clk)
+	c, err := New("viewer", w.clk, w.net, Options{User: "alice", Password: "pw", Obs: scope})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.c.Connect("server-b") // holds server-b's one session
+	c.Connect("server-a")
+	w.run(time.Second)
+
+	c.FollowLink(scenario.Link{Target: "extra", Host: "server-b"})
+	w.run(3 * time.Second)
+	if got := c.State("server-c"); got != protocol.StViewing {
+		t.Fatalf("server-c state = %v, want viewing (err %q)", got, c.LastError())
+	}
+	if c.State("server-a") != protocol.StSuspended || c.SuspendToken("server-a") == "" {
+		t.Fatalf("server-a = %v with token %q, want suspended", c.State("server-a"), c.SuspendToken("server-a"))
+	}
+	for counter, want := range map[string]int64{
+		"client_redirects_followed": 1, "client_handoffs": 1, "client_handoffs_completed": 1,
+	} {
+		if got := scope.Counter(counter).Value(); got != want {
+			t.Errorf("%s = %d, want %d", counter, got, want)
+		}
 	}
 }

@@ -128,21 +128,20 @@ func (c *Client) onConnectResult(from string, m protocol.ConnectResult) {
 		if len(m.Peers) > 0 {
 			c.peers = append([]string(nil), m.Peers...)
 		}
-		// A server is serving us again: any move/redirect episode is
-		// over. Replicas that failed during it become eligible again for
-		// later, unrelated episodes — failedPeers must not be sticky across
-		// episodes, or a once-failed replica is shunned forever.
+		// A server is serving us again: any move or redirect is past its
+		// connect. Servers that failed or refused us during it become
+		// eligible again for later, unrelated episodes — failedPeers must
+		// not be sticky across episodes, or a once-failed replica is
+		// shunned forever.
 		clear(c.failedPeers)
-		c.redirectHops = 0
-		clear(c.redirectTried)
 		recovered := c.recovering == from
 		if recovered {
 			c.recovering = ""
 		}
 		doc := c.move.doc
 		c.move.doc = ""
-		if c.move.failover {
-			c.move = moveEpisode{} // a failover ends once a replica admits us
+		if c.move.failover || c.move.fresh {
+			c.move = moveEpisode{} // a failover or redirect ends once a target admits us
 		}
 		rec.m.Try(protocol.InAuthOK) // a new session: connecting → browsing
 		if rec.m.State() == protocol.StSuspended {
@@ -190,9 +189,10 @@ func (c *Client) onConnectResult(from string, m protocol.ConnectResult) {
 		c.lastError = m.Reason
 		c.logEvent("session lost at " + from)
 		c.failoverLocked(from)
-	} else if c.move.from != "" && from != c.move.from {
+	} else if c.move.from != "" && !c.move.fresh && from != c.move.from {
 		// The move's target answered but refused (bad ticket, admission
-		// reject): treat like an unreachable target and fall back.
+		// reject): treat like an unreachable target and fall back. A
+		// redirect's target answers for itself, below.
 		c.lastError = m.Reason
 		c.logEvent(c.move.verb + " refused by " + from + ": " + m.Reason)
 		c.handoffConnectFailedLocked(from)
@@ -215,11 +215,7 @@ func (c *Client) onSubscribeResult(from string, m protocol.SubscribeResult) {
 		// The connection attempt that triggered the subscription never
 		// created a server-side session; re-handshake transparently so
 		// admission runs with the now-known user.
-		c.sendReqLocked(from, protocol.MsgConnect, &protocol.Connect{
-			User: c.opts.User, Password: c.opts.Password, Class: c.opts.Class,
-			PeakRate: c.opts.PeakRate, MinRate: c.opts.MinRate,
-			FloorLevel: c.opts.FloorLevel,
-		}, time.Time{}, nil)
+		c.connectLocked(from)
 	} else {
 		mach.Try(protocol.InSubscribeFail)
 		c.lastError = m.Reason
@@ -235,7 +231,7 @@ func (c *Client) onSuspendResult(from string, m protocol.SuspendResult) {
 		c.server(from).token = m.ResumeToken
 	}
 	if from == c.move.from && from == c.current {
-		c.connectHandoffLocked(c.move.to)
+		c.connectLocked(c.move.to)
 	}
 }
 

@@ -7,7 +7,8 @@ package client
 // client enters the paper's suspend state, pauses the presentation, and
 // probes the server with a resume-by-session-ID connect until the grace
 // window closes. Failover is a suspend whose peer never answers: past the
-// window the client moves to a replica (cluster.go) with no source to return to.
+// window the client moves to a replica (cluster.go) with no source to return
+// to. The probe, like every Connect, is built by connectLocked (client.go).
 
 import (
 	"fmt"
@@ -273,9 +274,7 @@ func (c *Client) onPeerLostLocked(host, why string) {
 		grace = 30 * time.Second
 	}
 	c.recoverDeadline = c.clk.Now().Add(grace)
-	c.sendReqLocked(host, protocol.MsgConnect, &protocol.Connect{
-		User: c.opts.User, ResumeSession: rec.session,
-	}, c.recoverDeadline, func() { c.failoverLocked(host) })
+	c.connectLocked(host)
 }
 
 // failoverLocked abandons a dead server: it is marked failed, its session
@@ -292,9 +291,10 @@ func (c *Client) failoverLocked(dead string) {
 	target := c.nextTargetLocked(dead, c.peers)
 	if target == "" {
 		c.teardownPresentationLocked()
-		c.moveStrandedLocked(failoverCause, dead, dead)
+		c.move = moveEpisode{moveCause: failoverCause, from: dead}
+		c.moveFailedLocked(dead)
 		return
 	}
 	c.beginMoveLocked(dead, target, c.docName, nil, c.peers)
-	c.connectHandoffLocked(target)
+	c.connectLocked(target)
 }

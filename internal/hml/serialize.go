@@ -58,15 +58,15 @@ func writeItem(b *strings.Builder, it Item) {
 		b.WriteString("</TEXT>\n")
 	case *Image:
 		b.WriteString("<IMG>")
-		writeMediaAttrs(b, v.Media, true)
+		writeMediaAttrs(b, v.Media)
 		b.WriteString(" </IMG>\n")
 	case *Audio:
 		b.WriteString("<AU>")
-		writeMediaAttrs(b, v.Media, false)
+		writeMediaAttrs(b, v.Media)
 		b.WriteString(" </AU>\n")
 	case *Video:
 		b.WriteString("<VI>")
-		writeMediaAttrs(b, v.Media, false)
+		writeMediaAttrs(b, v.Media)
 		b.WriteString(" </VI>\n")
 	case *AudioVideo:
 		b.WriteString("<AU_VI>")
@@ -75,9 +75,7 @@ func writeItem(b *strings.Builder, it Item) {
 			quoteVal(v.Audio.ID), quoteVal(v.Video.ID),
 			FormatTime(v.Audio.Start), FormatTime(v.Video.Start),
 			FormatTime(v.Audio.Duration), FormatTime(v.Video.Duration))
-		if v.Audio.Note != "" {
-			fmt.Fprintf(b, " NOTE=%s", quoteVal(v.Audio.Note))
-		}
+		writeSharedAttrs(b, v.Audio)
 		b.WriteString(" </AU_VI>\n")
 	case *Link:
 		b.WriteString("<HLINK>")
@@ -98,27 +96,31 @@ func writeItem(b *strings.Builder, it Item) {
 	}
 }
 
-func writeMediaAttrs(b *strings.Builder, m Media, layout bool) {
+func writeMediaAttrs(b *strings.Builder, m Media) {
 	if m.Source != "" {
 		fmt.Fprintf(b, " SOURCE=%s", quoteVal(m.Source))
 	}
 	if m.ID != "" {
 		fmt.Fprintf(b, " ID=%s", quoteVal(m.ID))
 	}
-	if m.After != "" {
-		fmt.Fprintf(b, " AFTER=%s", quoteVal(m.After))
-	}
 	fmt.Fprintf(b, " STARTIME=%s", FormatTime(m.Start))
 	if m.Duration != 0 {
 		fmt.Fprintf(b, " DURATION=%s", FormatTime(m.Duration))
 	}
-	if layout {
-		if m.Width != 0 {
-			fmt.Fprintf(b, " WIDTH=%d", m.Width)
-		}
-		if m.Height != 0 {
-			fmt.Fprintf(b, " HEIGHT=%d", m.Height)
-		}
+	writeSharedAttrs(b, m)
+}
+
+// writeSharedAttrs writes the attributes an AU_VI gives both its halves
+// (the parser reads them for every media element).
+func writeSharedAttrs(b *strings.Builder, m Media) {
+	if m.After != "" {
+		fmt.Fprintf(b, " AFTER=%s", quoteVal(m.After))
+	}
+	if m.Width != 0 {
+		fmt.Fprintf(b, " WIDTH=%d", m.Width)
+	}
+	if m.Height != 0 {
+		fmt.Fprintf(b, " HEIGHT=%d", m.Height)
 	}
 	if m.Where != "" {
 		fmt.Fprintf(b, " WHERE=%s", quoteVal(m.Where))

@@ -28,7 +28,6 @@ var bodies = []struct {
 	{MsgDocResponse, func() Message { return new(DocResponse) }},
 	{MsgPause, func() Message { return new(MediaOp) }},
 	{MsgResume, func() Message { return new(MediaOp) }},
-	{MsgReload, func() Message { return new(MediaOp) }},
 	{MsgDisableMedia, func() Message { return new(MediaOp) }},
 	{MsgAnnotate, func() Message { return new(Annotate) }},
 	{MsgSuspend, func() Message { return new(Suspend) }},

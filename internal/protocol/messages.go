@@ -42,7 +42,7 @@ const (
 	MsgDocResponse
 	MsgPause
 	MsgResume
-	MsgReload
+	_ // reserved: the retired reload tag, so later tags keep their wire values
 	MsgDisableMedia
 	MsgAnnotate
 	MsgSuspend
@@ -65,7 +65,7 @@ var msgTypeNames = [...]string{
 	MsgTopicList: "topic-list", MsgTopics: "topics",
 	MsgSearch: "search", MsgSearchResult: "search-result",
 	MsgDocRequest: "doc-request", MsgDocResponse: "doc-response",
-	MsgPause: "pause", MsgResume: "resume", MsgReload: "reload",
+	MsgPause: "pause", MsgResume: "resume",
 	MsgDisableMedia: "disable-media", MsgAnnotate: "annotate",
 	MsgSuspend: "suspend", MsgSuspendResult: "suspend-result",
 	MsgDisconnect: "disconnect", MsgError: "error", MsgFeedback: "feedback",
