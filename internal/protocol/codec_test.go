@@ -289,6 +289,17 @@ func FuzzDecodeBody(f *testing.F) {
 			f.Add(uint8(i), body)
 		}
 	}
+	// Hand-written media-op bodies the generator never writes: JSON null,
+	// a key given twice inside surrounding whitespace, and a body cut short.
+	var pause uint8
+	for i, b := range bodies {
+		if b.mt == MsgPause {
+			pause = uint8(i)
+		}
+	}
+	for _, body := range []string{`null`, " {\"streamId\":\"a\",\"streamId\":\"b\"}\n", `{"streamId":"a"`} {
+		f.Add(pause, []byte(body))
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
 		b := bodies[int(kind)%len(bodies)]
 		got := b.new()
