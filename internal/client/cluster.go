@@ -17,14 +17,11 @@ import (
 
 // onRedirectLocked handles a ConnectResult carrying Redirect: the server is
 // over its admission watermark and names less-loaded peers. A redirect is a
-// move whose source refused us: the source joins the episode's tried set
-// (failedPeers), nextTargetLocked picks the next target from the named peers
-// and then the known replicas, and a capped backoff between hops keeps a
-// cluster-wide overload from tight-looping. No server is revisited within the
-// episode, so the tried set bounds the hops. A refusal from the target of
-// the move in flight continues that move (a ticketless link's target may
-// redirect it); any other begins a move that holds no session.
-// Caller holds c.mu.
+// move whose source refused us and joins the tried set (failedPeers), which
+// bounds the hops; nextTargetLocked picks the next target from the named
+// peers, then the known replicas, after a capped backoff. A refusal from the
+// target of the move in flight (a ticketless link's) continues that move;
+// any other begins one that holds no session. Caller holds c.mu.
 func (c *Client) onRedirectLocked(from string, m protocol.ConnectResult) {
 	c.server(from).m.Try(protocol.InAuthReject)
 	if from != c.move.to {
@@ -75,31 +72,35 @@ func (c *Client) onDocHandoffLocked(from string, m protocol.DocResponse) {
 
 // moveCause is what differs between the causes of a move: a handoff or link
 // leaves a live source, a failover a dead one, and a redirect a source that
-// refused a fresh connect. counter counts the moves started, kind and note
-// trace the start, verb opens each log line, and failover is the
-// Connect.Failover bit, which exempts the connect from the target's redirect
-// watermark. fresh marks the redirect: no session moves, so each target gets
-// a fresh connect, its own answer stands (no fallback), and the episode ends
-// at the first admission. Only a handoff times its completion.
+// refused a fresh connect. counter, kind and note count and trace the start,
+// verb opens each log line, and giveUp (logged after abandon) is the error a
+// stranded move ends with. failover is the Connect.Failover bit, which
+// exempts the connect from the target's redirect watermark. timed marks the
+// handoff, whose episode runs on to the target's document response to time
+// it; any other ends once a target admits us. fresh marks the redirect, which
+// moves no session: each hop is a plain connect with the resume token, and a
+// hop's refusal or timeout stands instead of falling back (no
+// client_handoff_fallbacks).
 type moveCause struct {
-	counter, verb string
-	kind          obs.EventKind
-	note          func(doc, to string) string
-	failover      bool
-	fresh         bool
+	counter, verb, giveUp, abandon string
+	kind                           obs.EventKind
+	note                           func(doc, to string) string
+	failover, timed, fresh         bool
 }
 
 var (
 	handoffCause = moveCause{counter: "client_handoffs", kind: obs.EvHandoff, verb: "handoff",
-		note: func(doc, to string) string { return "handoff of " + doc + " → " + to }}
+		note:   func(doc, to string) string { return "handoff of " + doc + " → " + to },
+		giveUp: "handoff failed: no reachable replica", timed: true}
 	failoverCause = moveCause{counter: "client_failovers", kind: obs.EvFailover, verb: "failover",
-		note: func(_, to string) string { return "failing over to " + to }, failover: true}
-	redirectCause = moveCause{verb: "redirect", fresh: true}
+		note:   func(_, to string) string { return "failing over to " + to },
+		giveUp: "failover failed: no reachable replica", failover: true}
+	redirectCause = moveCause{verb: "redirect",
+		giveUp: "redirected: no untried server", abandon: "redirect abandoned: ", fresh: true}
 )
 
 // moveEpisode is the move between servers in flight; the zero value is none.
-// doc is requested once a target admits us; hops counts the redirects
-// followed.
+// doc is requested once a target admits us; hops counts redirects followed.
 type moveEpisode struct {
 	moveCause
 	from, to, doc string // the source, the current target
@@ -164,10 +165,9 @@ func (c *Client) handoffConnectFailedLocked(host string) {
 
 // moveFailedLocked gives up a move that no target took, host being the
 // last one tried. A suspended source's grace timer is still running, so the
-// browser returns there and the remote document stays unplayed. A dead
-// source, or one that refused us, holds no resume token: the move ends
-// stranded, and a stranded failover is traced, so the flight recorder dumps
-// the outage. Caller holds c.mu.
+// browser returns there and the remote document stays unplayed; a dead
+// source, or one that refused us, holds no resume token, and the move ends
+// stranded. Caller holds c.mu.
 func (c *Client) moveFailedLocked(host string) {
 	move := c.move
 	c.move = moveEpisode{}
@@ -177,15 +177,18 @@ func (c *Client) moveFailedLocked(host string) {
 		c.connectLocked(src)
 		return
 	}
-	if move.fresh {
-		c.lastError = "redirected: no untried server"
-		c.logEvent("redirect abandoned: " + c.lastError)
-	} else {
-		c.lastError = move.verb + " failed: no reachable replica"
-		c.logEvent(c.lastError)
-	}
-	if move.failover {
-		c.opts.Obs.Emit(obs.EvFailover, move.from, 0, "no replica available")
+	c.strandLocked(move.moveCause, move.from, host)
+}
+
+// strandLocked ends a move that no target took and no source can take back,
+// and its tried set with it. A stranded failover is traced, so the flight
+// recorder dumps the outage. Caller holds c.mu.
+func (c *Client) strandLocked(cause moveCause, src, host string) {
+	clear(c.failedPeers)
+	c.lastError = cause.giveUp
+	c.logEvent(cause.abandon + c.lastError)
+	if cause.failover {
+		c.opts.Obs.Emit(obs.EvFailover, src, 0, "no replica available")
 	}
 	if c.current == host {
 		c.current = ""

@@ -196,3 +196,48 @@ func TestRedirectedLinkMovesOn(t *testing.T) {
 		}
 	}
 }
+
+// TestRedirectRetriedAfterGiveUp gives up the episode of
+// TestRedirectEpisodeHopsAndGivesUp, empties b, and connects to a again.
+// The tried set ends with the episode, so the next one follows the hop the
+// first one already took: a names b, and b admits us.
+func TestRedirectRetriedAfterGiveUp(t *testing.T) {
+	w := newWorld(t, netsim.DefaultLAN(), Options{}, server.Options{RedirectWatermark: 0.5}, "a", "b", "c")
+	w.subscribe(t, "alice", "pw")
+	fill := func(host string, rate float64) int {
+		t.Helper()
+		d := w.servers[host].Admission().Request(qos.ConnRequest{User: "load", Class: qos.Premium, PeakRate: rate})
+		if d.Verdict != qos.Admitted {
+			t.Fatalf("pre-fill %s: %+v", host, d)
+		}
+		return d.ConnID
+	}
+	fill("a", 8_000_000)
+	bLoad := []int{fill("b", 6_000_000)}
+	fill("c", 9_000_000)
+
+	scope := obs.NewScope(w.clk)
+	c, err := New("viewer", w.clk, w.net, Options{User: "alice", Password: "pw", Obs: scope})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Connect("a")
+	w.run(100 * time.Millisecond)
+	bLoad = append(bLoad, fill("b", 3_500_000))
+	w.run(5 * time.Second)
+	if got := c.LastError(); got != "redirected: no untried server" {
+		t.Fatalf("first episode: LastError = %q, want the give-up", got)
+	}
+
+	for _, id := range bLoad {
+		w.servers["b"].Admission().Release(id)
+	}
+	c.Connect("a")
+	w.run(5 * time.Second)
+	if got := c.CurrentServer(); got != "b" || c.State("b") != protocol.StBrowsing {
+		t.Fatalf("second episode: current %q in state %v, want b browsing (err %q)", got, c.State("b"), c.LastError())
+	}
+	if n := scope.Counter("client_redirects_followed").Value(); n != 3 {
+		t.Errorf("client_redirects_followed = %d, want 3", n)
+	}
+}

@@ -140,8 +140,8 @@ func (c *Client) onConnectResult(from string, m protocol.ConnectResult) {
 		}
 		doc := c.move.doc
 		c.move.doc = ""
-		if c.move.failover || c.move.fresh {
-			c.move = moveEpisode{} // a failover or redirect ends once a target admits us
+		if !c.move.timed {
+			c.move = moveEpisode{} // only a handoff runs on to its document response
 		}
 		rec.m.Try(protocol.InAuthOK) // a new session: connecting → browsing
 		if rec.m.State() == protocol.StSuspended {

@@ -291,8 +291,7 @@ func (c *Client) failoverLocked(dead string) {
 	target := c.nextTargetLocked(dead, c.peers)
 	if target == "" {
 		c.teardownPresentationLocked()
-		c.move = moveEpisode{moveCause: failoverCause, from: dead}
-		c.moveFailedLocked(dead)
+		c.strandLocked(failoverCause, dead, dead)
 		return
 	}
 	c.beginMoveLocked(dead, target, c.docName, nil, c.peers)

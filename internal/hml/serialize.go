@@ -75,7 +75,10 @@ func writeItem(b *strings.Builder, it Item) {
 			quoteVal(v.Audio.ID), quoteVal(v.Video.ID),
 			FormatTime(v.Audio.Start), FormatTime(v.Video.Start),
 			FormatTime(v.Audio.Duration), FormatTime(v.Video.Duration))
-		writeSharedAttrs(b, v.Audio)
+		if v.Audio.After != "" {
+			fmt.Fprintf(b, " AFTER=%s", quoteVal(v.Audio.After))
+		}
+		writeLayoutAttrs(b, v.Audio)
 		b.WriteString(" </AU_VI>\n")
 	case *Link:
 		b.WriteString("<HLINK>")
@@ -103,19 +106,19 @@ func writeMediaAttrs(b *strings.Builder, m Media) {
 	if m.ID != "" {
 		fmt.Fprintf(b, " ID=%s", quoteVal(m.ID))
 	}
+	if m.After != "" {
+		fmt.Fprintf(b, " AFTER=%s", quoteVal(m.After))
+	}
 	fmt.Fprintf(b, " STARTIME=%s", FormatTime(m.Start))
 	if m.Duration != 0 {
 		fmt.Fprintf(b, " DURATION=%s", FormatTime(m.Duration))
 	}
-	writeSharedAttrs(b, m)
+	writeLayoutAttrs(b, m)
 }
 
-// writeSharedAttrs writes the attributes an AU_VI gives both its halves
-// (the parser reads them for every media element).
-func writeSharedAttrs(b *strings.Builder, m Media) {
-	if m.After != "" {
-		fmt.Fprintf(b, " AFTER=%s", quoteVal(m.After))
-	}
+// writeLayoutAttrs writes the attributes after a media element's timing; an
+// AU_VI's apply to both its halves.
+func writeLayoutAttrs(b *strings.Builder, m Media) {
 	if m.Width != 0 {
 		fmt.Fprintf(b, " WIDTH=%d", m.Width)
 	}
