@@ -5,9 +5,9 @@ GO ?= go
 # The full gate: everything below except digests, size and the bench-* generators.
 check: fmt vet build test race fuzz bench-check
 
-# Fails, listing the files, when anything is not gofmt-clean.
+# Fails, listing the files, when anything is not gofmt-clean, and fails when gofmt itself does (a file that does not parse, a missing path).
 fmt:
-	@out=$$(gofmt -l cmd internal examples bench *.go); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
+	@out=$$(gofmt -l cmd internal examples bench) || { echo "gofmt -l failed"; exit 1; }; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -28,6 +28,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/rtp/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalControl$$' -fuzztime 10s ./internal/rtp/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReq$$' -fuzztime 10s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzTicketVerify$$' -fuzztime 10s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime 10s ./internal/clock/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/transport/

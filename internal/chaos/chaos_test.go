@@ -8,6 +8,7 @@
 package chaos
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -478,43 +479,57 @@ func TestUserPauseSurvivesSuspendAndRecovery(t *testing.T) {
 }
 
 // TestMalformedReplyIsALoss: a server that answers every connect with a
-// body that does not decode must look to the client like one that never
-// answers. The connect retransmits, then times out through its onFail,
-// instead of the first bad reply resolving the request and stranding the
-// client in connecting.
+// frame that does not decode, or with a type the client is never sent,
+// must look to the client like one that never answers. The connect
+// retransmits, then times out through its onFail, instead of the first bad
+// reply resolving the request whose ID it echoes and stranding the client
+// in connecting.
 func TestMalformedReplyIsALoss(t *testing.T) {
-	w := newWorld(t, server.Options{}, client.Options{})
-	ctrl := netsim.MakeAddr("srv-bad", server.ControlPort)
-	connects := 0
-	w.net.Listen(ctrl, func(p netsim.Packet) {
-		mt, reqID, _, err := protocol.DecodeReq(p.Payload)
-		if err != nil || mt != protocol.MsgConnect {
-			return
-		}
-		connects++
-		reply := append(protocol.MustEncodeReq(protocol.MsgConnectResult, reqID, protocol.ConnectResult{})[:5], "{bad json"...)
-		w.net.Send(netsim.Packet{From: ctrl, To: p.From, Payload: reply, Reliable: true})
-	})
-	w.c.Connect("srv-bad")
-	w.run(60 * time.Second)
+	// Each reply echoes the connect's ID under the type byte tag; body, when
+	// set, replaces its JSON.
+	for _, tc := range []struct {
+		name, body string
+		tag        protocol.MsgType
+	}{
+		{"bad-json", "{bad json", protocol.MsgConnectResult},
+		{"reserved-tag", "", protocol.MsgResume + 1},
+		{"request-tag", "", protocol.MsgConnect},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, server.Options{}, client.Options{})
+			ctrl := netsim.MakeAddr("srv-bad", server.ControlPort)
+			connects := 0
+			w.net.Listen(ctrl, func(p netsim.Packet) {
+				mt, reqID, _, err := protocol.DecodeReq(p.Payload)
+				if err != nil || mt != protocol.MsgConnect {
+					return
+				}
+				connects++
+				reply := protocol.MustEncodeReq(protocol.MsgConnectResult, reqID, protocol.ConnectResult{OK: true})
+				reply[0] = byte(tc.tag)
+				if tc.body != "" {
+					reply = append(reply[:5], tc.body...)
+				}
+				w.net.Send(netsim.Packet{From: ctrl, To: p.From, Payload: reply, Reliable: true})
+			})
+			w.c.Connect("srv-bad")
+			w.run(60 * time.Second)
 
-	if st := w.c.State("srv-bad"); st != protocol.StIdle {
-		t.Fatalf("state = %v, want idle after the connect timed out", st)
-	}
-	if connects < 2 {
-		t.Fatalf("server saw %d connects, want retransmissions", connects)
-	}
-	if got := w.cscope.Counter("client_ctrl_decode_errors").Value(); got != int64(connects) {
-		t.Fatalf("client_ctrl_decode_errors = %d, want one per reply (%d)", got, connects)
-	}
-	if got := w.cscope.Counter("client_ctrl_timeouts").Value(); got != 1 {
-		t.Fatalf("client_ctrl_timeouts = %d, want 1", got)
-	}
-	found := false
-	for _, e := range w.cscope.Trace().Events() {
-		found = found || e.Kind == obs.EvCtrlDecodeError
-	}
-	if !found {
-		t.Fatal("no EvCtrlDecodeError trace event")
+			if st := w.c.State("srv-bad"); st != protocol.StIdle {
+				t.Fatalf("state = %v, want idle after the connect timed out", st)
+			}
+			if connects < 2 {
+				t.Fatalf("server saw %d connects, want retransmissions", connects)
+			}
+			if got := w.cscope.Counter("client_ctrl_decode_errors").Value(); got != int64(connects) {
+				t.Fatalf("client_ctrl_decode_errors = %d, want one per reply (%d)", got, connects)
+			}
+			if got := w.cscope.Counter("client_ctrl_timeouts").Value(); got != 1 {
+				t.Fatalf("client_ctrl_timeouts = %d, want 1", got)
+			}
+			if !slices.ContainsFunc(w.cscope.Trace().Events(), func(e obs.Event) bool { return e.Kind == obs.EvCtrlDecodeError }) {
+				t.Fatal("no EvCtrlDecodeError trace event")
+			}
+		})
 	}
 }

@@ -312,13 +312,15 @@ func New(host string, clk clock.Clock, net netsim.Net, opts Options) (*Client, e
 	c.hCtrlRTT = opts.Obs.Histogram("client_ctrl_rtt")
 	c.hHandoff = opts.Obs.Histogram("handoff_latency")
 	c.peers = append([]string(nil), opts.Peers...)
-	if err := net.Listen(c.ctrlAddr(), c.handleCtrl); err != nil {
+	if err := net.Listen(c.CtrlAddr(), c.handleCtrl); err != nil {
 		return nil, fmt.Errorf("client %s: %w", host, err)
 	}
 	return c, nil
 }
 
-func (c *Client) ctrlAddr() netsim.Addr { return netsim.MakeAddr(c.Host, c.opts.CtrlPort) }
+// CtrlAddr is the address the client's control channel listens on and
+// sends from: the key a server files the client's session under.
+func (c *Client) CtrlAddr() netsim.Addr { return netsim.MakeAddr(c.Host, c.opts.CtrlPort) }
 
 func (c *Client) logEvent(what string) {
 	c.events = append(c.events, Event{At: c.clk.Now(), What: what})

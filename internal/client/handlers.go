@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"time"
 
 	"repro/internal/buffer"
@@ -89,9 +90,13 @@ func (c *Client) handleCtrl(pkt netsim.Packet) {
 			c.mu.Unlock()
 		}
 	default:
-		c.accept(from, mt, reqID, nil)
+		// A type the client is never sent must not resolve the request
+		// whose ID it echoes: it is dropped like an undecodable reply.
+		c.accept(from, mt, reqID, errUnexpectedReply)
 	}
 }
+
+var errUnexpectedReply = errors.New("not a reply the client handles")
 
 // accept reports whether a reply is handled. A body that failed to decode
 // is counted and otherwise treated as lost, so the request it answers keeps

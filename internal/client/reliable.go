@@ -50,7 +50,7 @@ type pendingReq struct {
 // one.
 func (c *Client) sendFrame(host string, frame []byte) {
 	_ = c.net.Send(netsim.Packet{
-		From:     c.ctrlAddr(),
+		From:     c.CtrlAddr(),
 		To:       netsim.MakeAddr(host, protocol.ControlPort),
 		Payload:  frame,
 		Reliable: true,

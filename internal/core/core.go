@@ -146,7 +146,7 @@ func Play(cfg PlayConfig) (*Result, error) {
 			res.Buffers[b.StreamID] = b.Stats()
 		}
 	}
-	if mgr := svc.Servers["server"].QoSManager(netsim.MakeAddr("viewer", 6000)); mgr != nil {
+	if mgr := svc.Servers["server"].QoSManager(c.CtrlAddr()); mgr != nil {
 		res.Actions = mgr.Actions()
 		for _, st := range sc.TimedStreams() {
 			if s := mgr.LevelSeries(st.ID); s != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -119,32 +120,38 @@ func TestPlayCongestionDegradesQuality(t *testing.T) {
 }
 
 func TestPlayGradingActsUnderCongestion(t *testing.T) {
-	cfg := PlayConfig{
-		DocSource: `<TITLE>long</TITLE><AU_VI SOURCE=au/a SOURCE=vi/v ID=a ID=v STARTIME=0 DURATION=30> </AU_VI>`,
-		Seed:      9,
-		Phases: []netsim.Phase{{Start: 3 * time.Second, Duration: 20 * time.Second,
-			LossFactor: 400}},
-	}
-	cfg.Client.FeedbackInterval = 500 * time.Millisecond
-	res, err := Play(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DegradeCount() == 0 {
-		t.Fatalf("no degrades; actions = %+v", res.Actions)
-	}
-	vSeries := res.LevelSeries["v"]
-	if vSeries == nil || vSeries.N() < 2 {
-		t.Fatalf("video level series = %+v", vSeries)
-	}
-	// Video degraded before audio (video-first rule).
-	for _, a := range res.Actions {
-		if a.Kind == qos.ActDegrade {
-			if a.StreamID != "v" {
-				t.Fatalf("first degrade on %s", a.StreamID)
+	// The server files the viewer's QoS manager under its control address,
+	// so a non-default control port must still find it.
+	for _, port := range []int{0, 6100} {
+		t.Run(fmt.Sprintf("ctrl-port-%d", port), func(t *testing.T) {
+			cfg := PlayConfig{
+				DocSource: `<TITLE>long</TITLE><AU_VI SOURCE=au/a SOURCE=vi/v ID=a ID=v STARTIME=0 DURATION=30> </AU_VI>`,
+				Seed:      9,
+				Phases:    []netsim.Phase{{Start: 3 * time.Second, Duration: 20 * time.Second, LossFactor: 400}},
 			}
-			break
-		}
+			cfg.Client.FeedbackInterval = 500 * time.Millisecond
+			cfg.Client.CtrlPort = port
+			res, err := Play(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.DegradeCount() == 0 {
+				t.Fatalf("no degrades; actions = %+v", res.Actions)
+			}
+			vSeries := res.LevelSeries["v"]
+			if vSeries == nil || vSeries.N() < 2 {
+				t.Fatalf("video level series = %+v", vSeries)
+			}
+			// Video degraded before audio (video-first rule).
+			for _, a := range res.Actions {
+				if a.Kind == qos.ActDegrade {
+					if a.StreamID != "v" {
+						t.Fatalf("first degrade on %s", a.StreamID)
+					}
+					break
+				}
+			}
+		})
 	}
 }
 

@@ -232,7 +232,7 @@ func E10SharedUplink(seed uint64) (*stats.Table, error) {
 		gapRate := 0.0
 		plays := 0
 		degrades := 0
-		for i, b := range browsers {
+		for _, b := range browsers {
 			if p := b.Player(); p != nil {
 				rep := p.Report()
 				g, e := 0, 0
@@ -245,7 +245,7 @@ func E10SharedUplink(seed uint64) (*stats.Table, error) {
 					gapRate += float64(g) / float64(e)
 				}
 			}
-			mgr := svc.Servers["srv"].QoSManager(netsim.MakeAddr(fmt.Sprintf("pc-%d", i+1), 6000))
+			mgr := svc.Servers["srv"].QoSManager(b.CtrlAddr())
 			if mgr != nil {
 				for _, a := range mgr.Actions() {
 					if a.Kind == qos.ActDegrade || a.Kind == qos.ActCutoff {

@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one runner per
-// figure (F1–F5) and per evaluated claim (E1–E8) of the paper, as indexed in
-// DESIGN.md. Each runner returns printable tables (and, for the timeline,
-// the rendered chart); cmd/experiments prints them and bench_test.go wraps
-// them as benchmarks.
+// figure (F1–F5), per evaluated claim (E1–E8) of the paper and per extension
+// and ablation, as indexed in DESIGN.md. Each runner returns printable
+// tables (and, for the timeline, the rendered chart); cmd/experiments
+// prints them, and the package's tests gate each one's shape.
 package experiments
 
 import (

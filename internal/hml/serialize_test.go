@@ -160,3 +160,11 @@ func TestQuickRoundTripMediaTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func BenchmarkHMLSerialize(b *testing.B) {
+	doc := Figure2()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = Serialize(doc)
+	}
+}

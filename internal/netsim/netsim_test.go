@@ -464,3 +464,19 @@ func TestEgressLimitRemoval(t *testing.T) {
 		t.Fatalf("delivered %d", got)
 	}
 }
+
+func BenchmarkNetsimThroughput(b *testing.B) {
+	clk, net := newSim()
+	net.SetLink("a", "b", LinkConfig{Delay: 10 * time.Millisecond, Jitter: 5 * time.Millisecond})
+	net.Listen("b:1", func(Packet) {})
+	payload := make([]byte, 1000)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		net.Send(Packet{From: "a:1", To: "b:1", Payload: payload})
+		if i%1024 == 0 {
+			clk.RunUntilIdle()
+		}
+	}
+	clk.RunUntilIdle()
+}

@@ -237,3 +237,19 @@ func TestDashboard(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkObsOverhead(b *testing.B) {
+	// A nil scope is telemetry switched off: instrument lookups return
+	// shared no-ops and Emit returns immediately. The instrumented hot
+	// paths (buffer push, playout tick) rely on this costing nothing.
+	var scope *Scope
+	c := scope.Counter("hot_counter")
+	h := scope.Histogram("hot_histogram")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Inc()
+		h.Observe(time.Duration(i))
+		scope.Counter("hot_counter").Add(1)
+		scope.Emit(EvBufferWatermark, "x", int64(i), "note")
+	}
+}

@@ -74,8 +74,14 @@ var msgTypeNames = [...]string{
 	MsgHeartbeat: "heartbeat", MsgHeartbeatAck: "heartbeat-ack",
 }
 
+// named reports whether t is a message type of the protocol: neither 0,
+// the reserved slot, nor past the last tag.
+func (t MsgType) named() bool {
+	return int(t) < len(msgTypeNames) && msgTypeNames[t] != ""
+}
+
 func (t MsgType) String() string {
-	if int(t) < len(msgTypeNames) && msgTypeNames[t] != "" {
+	if t.named() {
 		return msgTypeNames[t]
 	}
 	return fmt.Sprintf("msg-%d", byte(t))
@@ -548,9 +554,15 @@ func Decode(buf []byte) (MsgType, []byte, error) {
 }
 
 // DecodeReq splits a framed message into type, request ID and JSON body.
+// It refuses a frame shorter than the header or tagged with a type the
+// protocol does not name.
 func DecodeReq(buf []byte) (MsgType, uint32, []byte, error) {
 	if len(buf) < headerSize {
 		return 0, 0, nil, fmt.Errorf("protocol: short message (%d bytes)", len(buf))
 	}
-	return MsgType(buf[0]), binary.BigEndian.Uint32(buf[1:headerSize]), buf[headerSize:], nil
+	t := MsgType(buf[0])
+	if !t.named() {
+		return 0, 0, nil, fmt.Errorf("protocol: unknown message type %d", buf[0])
+	}
+	return t, binary.BigEndian.Uint32(buf[1:headerSize]), buf[headerSize:], nil
 }

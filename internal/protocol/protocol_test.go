@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
@@ -110,6 +111,36 @@ func TestMsgTypeNames(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { _ = MsgHeartbeatAck.String() }); got != 0 {
 		t.Fatalf("MsgHeartbeatAck.String() = %v allocations, want 0", got)
 	}
+}
+
+// FuzzDecodeReq feeds arbitrary frames to DecodeReq. It must not panic,
+// must accept exactly the frames of at least a header whose tag names a
+// message type, and an accepted frame's tag and request ID must survive
+// AppendFrame → DecodeReq.
+func FuzzDecodeReq(f *testing.F) {
+	for tag := range 256 {
+		f.Add([]byte{byte(tag), 0, 0, 0, 7, '{', '}'})
+	}
+	f.Add([]byte{byte(MsgConnect), 0, 0, 1})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		mt, reqID, body, err := DecodeReq(frame)
+		// Named tags run from connect to heartbeat-ack, less the reserved 13.
+		want := len(frame) >= 5 && frame[0] >= byte(MsgConnect) && frame[0] <= byte(MsgHeartbeatAck) && frame[0] != byte(MsgResume+1)
+		if (err == nil) != want {
+			t.Fatalf("DecodeReq(%x): err %v, want accepted %v", frame, err, want)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(body, frame[5:]) {
+			t.Fatalf("DecodeReq(%x): body %x, want the bytes after the header", frame, body)
+		}
+		again, _ := AppendFrame(nil, mt, reqID, &Heartbeat{})
+		if mt2, reqID2, _, err := DecodeReq(again); err != nil || mt2 != mt || reqID2 != reqID {
+			t.Fatalf("re-framed %s/%d decodes as %s/%d (%v)", mt, reqID, mt2, reqID2, err)
+		}
+	})
 }
 
 func TestHappyPathTransitions(t *testing.T) {

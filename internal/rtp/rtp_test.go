@@ -438,3 +438,19 @@ func TestSenderForkSeamlessContinuation(t *testing.T) {
 		t.Fatalf("original's next seq = %d, want its own 105", q.SequenceNumber)
 	}
 }
+
+func BenchmarkRTCPReceiverReport(b *testing.B) {
+	r := NewReceiver(7)
+	at := time.Unix(100, 0)
+	for i := 0; i < 1000; i++ {
+		r.Observe(&Packet{SequenceNumber: uint16(i), Timestamp: uint32(i) * 3600}, at, time.Time{})
+		at = at.Add(40 * time.Millisecond)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rr := ReceiverReport{SSRC: 1, Reports: []ReceptionReport{r.Report()}}
+		if _, err := UnmarshalControl(rr.Marshal()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -445,17 +445,21 @@ func TestDuplicateRequestDeduped(t *testing.T) {
 	}
 }
 
-// TestMalformedRequestCounted: a request whose body fails to decode is
-// dropped like a lost packet, but counted and traced.
+// TestMalformedRequestCounted: a request that is too short, whose body
+// fails to decode, or whose tag names no message type is dropped like a
+// lost packet, but counted and traced.
 func TestMalformedRequestCounted(t *testing.T) {
 	h := newFaultHarness(t, Options{})
 	frame := append(mustFrame(protocol.MsgConnect, 1, &protocol.Connect{})[:5], "{bad json"...)
 	h.net.Send(netsim.Packet{From: fakeClient, To: netsim.MakeAddr("srv", ControlPort), Payload: frame, Reliable: true})
 	h.net.Send(netsim.Packet{From: fakeClient, To: netsim.MakeAddr("srv", ControlPort), Payload: frame[:3], Reliable: true})
+	unnamed := mustFrame(protocol.MsgConnect, 2, &protocol.Connect{User: "guest"})
+	unnamed[0] = byte(protocol.MsgResume + 1) // tag 13, the reserved slot
+	h.net.Send(netsim.Packet{From: fakeClient, To: netsim.MakeAddr("srv", ControlPort), Payload: unnamed, Reliable: true})
 	h.clk.RunFor(time.Second)
 
-	if got := h.scope.Counter("server_ctrl_decode_errors").Value(); got != 2 {
-		t.Fatalf("server_ctrl_decode_errors = %d, want 2", got)
+	if got := h.scope.Counter("server_ctrl_decode_errors").Value(); got != 3 {
+		t.Fatalf("server_ctrl_decode_errors = %d, want 3", got)
 	}
 	if len(h.replies) != 0 {
 		t.Fatalf("replies = %+v, want none", h.replies)
@@ -466,7 +470,7 @@ func TestMalformedRequestCounted(t *testing.T) {
 			n++
 		}
 	}
-	if n != 2 {
-		t.Fatalf("%d decode-error trace events, want 2", n)
+	if n != 3 {
+		t.Fatalf("%d decode-error trace events, want 3", n)
 	}
 }
