@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz bench-dataplane bench-controlplane bench-check digests size
+.PHONY: check fmt vet build test race fuzz bench-check digests size
 
-# The full gate: everything below except digests, size and the bench-* generators.
+# The full gate: everything below except digests and size.
 check: fmt vet build test race fuzz bench-check
 
 # Fails, listing the files, when anything is not gofmt-clean, and fails when gofmt itself does (a file that does not parse, a missing path).
@@ -34,14 +34,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrameHeader$$' -fuzztime 10s ./internal/media/
 	$(GO) test -run '^$$' -fuzz '^FuzzHMLRoundTrip$$' -fuzztime 10s ./internal/hml/
-
-# Server media data plane at 1/8/64 sessions: frames/s, emit p95, allocs per frame. Prints only; its invariants are tests in internal/server, the numbers of record are bench/'s lecture_* workloads.
-bench-dataplane:
-	$(GO) test -bench BenchmarkDataPlane -benchmem -run '^$$' ./internal/server/
-
-# Connect storms, heartbeats and timer-wheel sweep cost at 1k/10k/100k sessions. Prints only; its invariants are tests in internal/server, the numbers of record are bench/'s connect_storm workload.
-bench-controlplane:
-	$(GO) test -bench BenchmarkControlPlane -benchmem -benchtime 1x -run '^$$' ./internal/server/
 
 # Vets and tests the end-to-end benchmark under bench/, a module of its own that ./... does not reach.
 bench-check:

@@ -104,8 +104,7 @@ func (f *FrameSpans) RecordSlack(stream string, d time.Duration) {
 	f.tee(stream, d, HopDeadlineSlack)
 }
 
-// EmitToWire exposes the emit→wire histogram (harnesses report its
-// percentiles).
+// EmitToWire exposes the emit→wire histogram.
 func (f *FrameSpans) EmitToWire() *stats.DurationHistogram { return f.hEmit }
 
 // WireToReassembled exposes the wire→reassembled histogram.

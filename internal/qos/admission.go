@@ -128,7 +128,7 @@ type Admission struct {
 	// storm of N clients costs O(N), not O(N²).
 	reserved float64
 	// decisions counts every verdict rendered (admitted + degraded +
-	// rejected across classes); the control-plane load harness asserts
+	// rejected across classes); the server's connect-storm tests assert
 	// exactly one per storm client.
 	decisions int64
 	// counters

@@ -3,7 +3,11 @@ package server
 import "repro/internal/netsim"
 
 // Test-only accessors into the sharded control plane, so tests reach
-// session and dedup state without hard-coding the shard layout.
+// session and dedup state without hard-coding the shard layout. The
+// exported ones serve the package server_test invariants in world_test.go.
+
+// RaceEnabled reports whether this test binary was built with -race.
+const RaceEnabled = raceEnabled
 
 // lockedSession write-locks addr's shard and returns the session attached
 // there (nil when none) plus the unlock.
@@ -39,15 +43,29 @@ func (sn *sender) rtpPackets() uint32 {
 	return fl.rtpS.PacketCount()
 }
 
-// dedupLen counts resident reply caches across all shards (the dedup tests
-// and the control-plane harness).
-func (s *Server) dedupLen() int {
+// DedupLen counts resident reply caches across all shards.
+func (s *Server) DedupLen() int {
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.dmu.Lock()
 		n += len(sh.dedup)
 		sh.dmu.Unlock()
+	}
+	return n
+}
+
+// Senders counts the stream handles of every resident session, on the
+// shards' unmetered read side.
+func (s *Server) Senders() int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, sess := range sh.sessions {
+			n += len(sess.senders)
+		}
+		sh.mu.RUnlock()
 	}
 	return n
 }

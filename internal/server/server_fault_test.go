@@ -254,13 +254,13 @@ func TestRejectStormDoesNotLeakDedupRings(t *testing.T) {
 		})
 	}
 	h.clk.RunFor(time.Second)
-	grown := h.srv.dedupLen()
+	grown := h.srv.DedupLen()
 	if grown < storm {
 		t.Fatalf("dedup rings after storm = %d, want ≥ %d", grown, storm)
 	}
 	// Past the TTL the sweep reaps every sessionless ring.
 	h.clk.RunFor(3 * dedupTTL)
-	left := h.srv.dedupLen()
+	left := h.srv.DedupLen()
 	clientSurvives := h.srv.dedupHas(fakeClient)
 	if left != 1 || !clientSurvives {
 		t.Fatalf("dedup rings after sweep = %d (client survives=%v), want only the live client's",

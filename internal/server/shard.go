@@ -46,7 +46,7 @@ func shardIndex(key string) int {
 }
 
 // lockMeter is one shard's control-plane mutex, instrumented so the
-// data-plane benchmark can prove the per-frame emit path never touches it:
+// data-plane tests can prove the per-frame emit path never touches it:
 // it counts acquisitions, accumulates wall-clock hold time, and (when the
 // server has a telemetry scope) feeds a per-shard wait histogram so lock
 // contention shows up as a distribution, not just a total. The few time.Now
@@ -213,7 +213,7 @@ func (s *Server) claimSessionFor(from netsim.Addr, pick func(*ctrlShard) *sessio
 
 // LockStats reports how many times the control-plane shard locks have been
 // write-acquired and their cumulative wall-clock hold time, summed across
-// shards. The data-plane benchmark samples it around the emit phase to
+// shards. TestDataPlaneEmitOffGlobalLock samples it around a paced window to
 // prove media pacing runs entirely off the control plane.
 func (s *Server) LockStats() (acqs int64, held time.Duration) {
 	for i := range s.shards {
@@ -224,22 +224,6 @@ func (s *Server) LockStats() (acqs int64, held time.Duration) {
 	return acqs, held
 }
 
-// LockWaitHist merges the per-shard lock-wait histograms into one fresh
-// distribution, so harnesses can report wait quantiles across the whole
-// control plane. Nil when the server has no telemetry scope.
-func (s *Server) LockWaitHist() *stats.DurationHistogram {
-	if !s.opts.Obs.Enabled() {
-		return nil
-	}
-	merged := stats.NewDurationHistogram(stats.MicroLatencyBounds()...)
-	for i := range s.shards {
-		if h := s.shards[i].mu.hWait; h != nil {
-			h.AddTo(merged)
-		}
-	}
-	return merged
-}
-
 // Sessions returns the number of live sessions. Served from a counter the
 // mutating paths maintain, so monitoring never touches the metered locks.
 func (s *Server) Sessions() int { return int(s.sessionCount.Load()) }
@@ -247,7 +231,7 @@ func (s *Server) Sessions() int { return int(s.sessionCount.Load()) }
 // QoSManager returns the grading manager of the session attached to the
 // given client address (nil when unknown); used by experiments to inspect
 // quality trajectories. Read-only: it takes the shard's unmetered read
-// side, so polling it during a benchmark does not pollute the lock meter.
+// side, so polling it during a lock-sampled window does not pollute the meter.
 func (s *Server) QoSManager(client netsim.Addr) *qos.Manager {
 	sh := s.shardOf(string(client))
 	sh.mu.RLock()

@@ -117,34 +117,6 @@ func (h *DurationHistogram) Min() time.Duration {
 	return time.Duration(v - 1)
 }
 
-// AddTo folds this histogram's buckets and aggregates into dst, which must
-// have identical bounds. It lets per-shard histograms be merged into one
-// distribution for quantile reporting; the merge is not atomic with respect
-// to concurrent observes (monitoring semantics, like Quantile).
-func (h *DurationHistogram) AddTo(dst *DurationHistogram) {
-	if len(dst.bounds) != len(h.bounds) {
-		panic("stats: AddTo between histograms with different bounds")
-	}
-	for i := range h.bounds {
-		if dst.bounds[i] != h.bounds[i] {
-			panic("stats: AddTo between histograms with different bounds")
-		}
-	}
-	for i := range h.counts {
-		dst.counts[i].Add(h.counts[i].Load())
-	}
-	dst.n.Add(h.n.Load())
-	dst.sum.Add(h.sum.Load())
-	if m := h.max.Load(); m > dst.max.Load() {
-		dst.max.Store(m)
-	}
-	if m := h.minp1.Load(); m != 0 {
-		if cur := dst.minp1.Load(); cur == 0 || m < cur {
-			dst.minp1.Store(m)
-		}
-	}
-}
-
 // Bucket returns bucket i's count; i == len(Bounds()) is the overflow
 // bucket (observations above the last bound).
 func (h *DurationHistogram) Bucket(i int) int64 { return h.counts[i].Load() }

@@ -211,42 +211,6 @@ func TestDurationHistogramMinTracking(t *testing.T) {
 	}
 }
 
-func TestDurationHistogramAddToMerge(t *testing.T) {
-	a := NewDurationHistogram(MicroLatencyBounds()...)
-	b := NewDurationHistogram(MicroLatencyBounds()...)
-	a.Observe(15 * time.Microsecond)
-	a.Observe(40 * time.Microsecond)
-	b.Observe(300 * time.Microsecond)
-	dst := NewDurationHistogram(MicroLatencyBounds()...)
-	a.AddTo(dst)
-	b.AddTo(dst)
-	if got := dst.N(); got != 3 {
-		t.Fatalf("merged n = %d, want 3", got)
-	}
-	if got := dst.Min(); got != 15*time.Microsecond {
-		t.Fatalf("merged min = %v", got)
-	}
-	if got := dst.Max(); got != 300*time.Microsecond {
-		t.Fatalf("merged max = %v", got)
-	}
-	if got := dst.Mean(); got != (15+40+300)*time.Microsecond/3 {
-		t.Fatalf("merged mean = %v", got)
-	}
-	// Per-bucket counts carried over: the p99 lands in b's bucket.
-	if q := dst.P99(); q < 200*time.Microsecond {
-		t.Fatalf("merged p99 = %v, want the 500µs bucket region", q)
-	}
-}
-
-func TestDurationHistogramAddToBoundsMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddTo across different bounds did not panic")
-		}
-	}()
-	NewDurationHistogram(MicroLatencyBounds()...).AddTo(NewDurationHistogram())
-}
-
 func TestMicroLatencyBoundsShape(t *testing.T) {
 	bs := MicroLatencyBounds()
 	if bs[0] != 10*time.Microsecond || bs[len(bs)-1] != 100*time.Millisecond {
