@@ -33,6 +33,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime 10s ./internal/clock/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrameHeader$$' -fuzztime 10s ./internal/media/
+	$(GO) test -run '^$$' -fuzz '^FuzzPayloadWriter$$' -fuzztime 10s ./internal/media/
 	$(GO) test -run '^$$' -fuzz '^FuzzHMLRoundTrip$$' -fuzztime 10s ./internal/hml/
 
 # Vets and tests the end-to-end benchmark under bench/, a module of its own that ./... does not reach.

@@ -136,43 +136,81 @@ func Payload(id string, index, size int) []byte {
 }
 
 // AppendPayload appends the deterministic filler payload for (id, index) to
-// dst and returns the extended slice: the tag "id#index|" (truncated when the
-// payload is smaller) followed by seeded RNG filler written eight bytes per
-// RNG draw. A sender reusing one scratch buffer across frames synthesizes
-// payloads with zero steady-state allocations.
+// dst and returns the extended slice. A sender reusing one scratch buffer
+// across frames synthesizes payloads with zero steady-state allocations.
 func AppendPayload(dst []byte, id string, index, size int) []byte {
+	var w PayloadWriter
+	w.Reset(id, index, size)
+	return w.Append(dst, w.left)
+}
+
+// PayloadWriter streams the bytes of Payload(id, index, size) in pieces of
+// any length, so a sender can write each fragment's share of a frame body
+// straight into its packet. The payload is the tag "id#index|" (truncated
+// when the payload is smaller) followed by seeded RNG filler, eight bytes
+// per RNG draw counted from the end of the tag. The zero value has nothing
+// left to write; Reset starts a payload.
+type PayloadWriter struct {
+	id      string
+	suffix  [22]byte // "#index|": '#', up to 20 digits with sign, '|'
+	sufN    int
+	tagOff  int // tag bytes written so far
+	rng     stats.RNG
+	word    [8]byte // the current filler draw; word[wordOff:] is still unwritten
+	wordOff int
+	left    int // payload bytes not yet written
+}
+
+// Reset starts the payload for (id, index) of the given size. A size below
+// one writes one byte, as Payload does.
+func (w *PayloadWriter) Reset(id string, index, size int) {
 	if size <= 0 {
 		size = 1
 	}
-	start := len(dst)
-	dst = extend(dst, size)
-	buf := dst[start:]
-	// Tag, truncated to the payload size exactly as the copy in the original
-	// formatting-based implementation truncated it.
-	var tag [tagMax]byte
-	t := append(tag[:0], id...)
-	t = append(t, '#')
-	t = strconv.AppendInt(t, int64(index), 10)
-	t = append(t, '|')
-	n := copy(buf, t)
-	// Seeded filler, 8 bytes per draw.
-	seed := uint64(index)*2654435761 + uint64(len(id))
-	var rng stats.RNG
-	rng.Seed(seed)
-	for ; n+8 <= size; n += 8 {
-		binary.LittleEndian.PutUint64(buf[n:], rng.Uint64())
+	w.id = id
+	w.suffix[0] = '#'
+	s := strconv.AppendInt(w.suffix[:1], int64(index), 10)
+	w.sufN = len(append(s, '|'))
+	w.tagOff = 0
+	w.rng.Seed(uint64(index)*2654435761 + uint64(len(id)))
+	w.wordOff = len(w.word)
+	w.left = size
+}
+
+// Append appends the payload's next n bytes to dst (fewer when less than n
+// remain) and returns the extended slice.
+func (w *PayloadWriter) Append(dst []byte, n int) []byte {
+	n = min(n, w.left)
+	if n <= 0 {
+		return dst
 	}
-	if n < size {
-		var last [8]byte
-		binary.LittleEndian.PutUint64(last[:], rng.Uint64())
-		copy(buf[n:], last[:size-n])
+	w.left -= n
+	start := len(dst)
+	dst = extend(dst, n)
+	buf := dst[start:]
+	for len(buf) > 0 && w.tagOff < len(w.id)+w.sufN {
+		var k int
+		if w.tagOff < len(w.id) {
+			k = copy(buf, w.id[w.tagOff:])
+		} else {
+			k = copy(buf, w.suffix[w.tagOff-len(w.id):w.sufN])
+		}
+		w.tagOff += k
+		buf = buf[k:]
+	}
+	k := copy(buf, w.word[w.wordOff:])
+	w.wordOff += k
+	buf = buf[k:]
+	for len(buf) >= 8 {
+		binary.LittleEndian.PutUint64(buf, w.rng.Uint64())
+		buf = buf[8:]
+	}
+	if len(buf) > 0 {
+		binary.LittleEndian.PutUint64(w.word[:], w.rng.Uint64())
+		w.wordOff = copy(buf, w.word[:])
 	}
 	return dst
 }
-
-// tagMax bounds the stack scratch for payload tags; stream ids are short,
-// and an id long enough to overflow merely costs one allocation.
-const tagMax = 96
 
 // extend grows dst by n bytes (reallocating only when capacity is short) and
 // returns the lengthened slice; the added bytes are uninitialized garbage the
@@ -190,7 +228,7 @@ func extend(dst []byte, n int) []byte {
 // materialized. One-shot stills are the motivating case: a reload or session
 // restart re-sends the same image, and re-synthesizing a 640×480 still costs
 // 153600 bytes of RNG output each time. A nil return means "not cached,
-// synthesize" — senders fall back to AppendPayload.
+// synthesize" — senders fall back to a PayloadWriter.
 type CachedPayloadSource interface {
 	// CachedPayload returns the full payload of frame (index, level), or
 	// nil when the source does not cache that frame. The returned slice is

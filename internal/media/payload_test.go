@@ -2,6 +2,7 @@ package media
 
 import (
 	"bytes"
+	"hash/crc32"
 	"strconv"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func TestPayloadTagEdgeCases(t *testing.T) {
 	if len(tiny) != 3 || string(tiny) != "str" {
 		t.Fatalf("tiny payload = %q", tiny)
 	}
-	// Ids longer than the stack tag scratch still encode correctly.
+	// Long ids are written whole.
 	long := strings.Repeat("x", 200)
 	p := Payload(long, 5, 300)
 	if !strings.HasPrefix(string(p), long+"#5|") {
@@ -41,7 +42,7 @@ func TestPayloadTagEdgeCases(t *testing.T) {
 }
 
 // TestAppendPayloadAllocFree: with a pre-grown destination the synthesis path
-// must not allocate — it runs once per emitted frame on the server.
+// must not allocate — its writer runs once per emitted frame on the server.
 func TestAppendPayloadAllocFree(t *testing.T) {
 	scratch := make([]byte, 0, 8192)
 	avg := testing.AllocsPerRun(100, func() {
@@ -132,4 +133,58 @@ func TestFrameHeaderAppendToMatchesMarshal(t *testing.T) {
 	if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], h.Marshal(nil)) {
 		t.Fatal("AppendTo after a prefix corrupted the encoding")
 	}
+}
+
+// TestPayloadBytesPinned pins the filler bytes themselves: the client checks
+// every frame body against Payload, so a change here would pass end to end
+// while changing what every stream carries.
+func TestPayloadBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		id          string
+		index, size int
+		crc         uint32
+	}{
+		{"vid", 17, 1, 0x6b643b84},
+		{"vid", 17, 5, 0x56374e5c},
+		{"vid", 17, 7, 0x0f07a724},
+		{"vid", 17, 4096, 0x627bfcbd},
+		{"algorithmsu1a0", 123456, MTU, 0xf6555219},
+		{strings.Repeat("x", 200), -5, MTU + 1, 0xf3100857},
+		{"s", 0, 0, 0x1b0ecf0b},
+	} {
+		if got := crc32.ChecksumIEEE(Payload(c.id, c.index, c.size)); got != c.crc {
+			t.Errorf("Payload(%.8q, %d, %d) crc32 = %08x, want %08x", c.id, c.index, c.size, got, c.crc)
+		}
+	}
+}
+
+// FuzzPayloadWriter: a PayloadWriter fed any split schedule writes exactly
+// Payload's bytes. Each byte of split is the length of the next piece.
+func FuzzPayloadWriter(f *testing.F) {
+	long := strings.Repeat("x", 200) // a tag longer than any fixed scratch
+	f.Add("vid", 17, 4096, []byte{7, 1, 0, 255})
+	f.Add(long, 5, 300, []byte{3, 250})
+	f.Add("stream-a", 42, 3, []byte{1, 1})      // smaller than the tag
+	f.Add("stream-a", -42, 12, []byte{2, 9, 9}) // tag ends mid-piece
+	f.Add("s", 0, 0, []byte{0})
+	for _, size := range []int{MTU - 1, MTU, MTU + 1, 2*MTU - 1, 2 * MTU, 2*MTU + 1} {
+		f.Add("algorithmsu1v0", 9999, size, []byte{255, 255, 255, 255, 255, 120})
+	}
+	f.Fuzz(func(t *testing.T, id string, index, size int, split []byte) {
+		size %= 1 << 16 // bound the work per input
+		want := Payload(id, index, size)
+		var w PayloadWriter
+		w.Reset(id, index, size)
+		got := []byte("hdr")
+		for _, n := range split {
+			got = w.Append(got, int(n))
+		}
+		got = w.Append(got, len(want)) // the rest, if the schedule fell short
+		if !bytes.Equal(got[3:], want) || string(got[:3]) != "hdr" {
+			t.Fatalf("Payload(%q, %d, %d) split %v: pieces differ from Payload", id, index, size, split)
+		}
+		if more := w.Append(nil, 1); len(more) != 0 {
+			t.Fatalf("writer kept writing past the payload's %d bytes", len(want))
+		}
+	})
 }

@@ -112,7 +112,6 @@ type flow struct {
 	// path takes.
 	mu       sync.Mutex
 	rtpS     *rtp.Sender
-	scratch  []byte    // reusable payload synthesis buffer, grows to the max frame size
 	origin   time.Time // flow time zero
 	nextIdx  int
 	timer    *clock.Timer
@@ -265,18 +264,19 @@ func (fl *flow) emitFrameLocked() bool {
 	fl.rtpS.PayloadType = fl.src.PayloadType(level)
 
 	// Frame body: a cached still body when the source keeps one, otherwise
-	// synthesized into the flow's reusable scratch (which grows once to the
-	// stream's largest frame and is then allocation-free).
-	payload := []byte(nil)
+	// synthesized fragment by fragment straight into the packets. A
+	// registered flow copies each fragment's body into its segment cache.
+	var cachedBody []byte
 	if fl.cached != nil {
-		payload = fl.cached.CachedPayload(i, frame.Level)
+		cachedBody = fl.cached.CachedPayload(i, frame.Level)
 	}
-	if payload == nil {
-		fl.scratch = media.AppendPayload(fl.scratch[:0], fl.stream.ID, i, frame.Size)
-		payload = fl.scratch
+	var body media.PayloadWriter
+	if cachedBody == nil {
+		body.Reset(fl.stream.ID, i, frame.Size)
 	}
+	var seg *flowSeg
 	if fl.cache != nil {
-		fl.storeSegLocked(i, frame, payload)
+		seg = fl.startSegLocked(i, frame)
 	}
 
 	// Single-pass packet assembly: RTP header, frame header and payload
@@ -297,7 +297,14 @@ func (fl *flow) emitFrameLocked() bool {
 			FrameSize: uint32(frame.Size),
 		}
 		buf = hdr.AppendTo(buf)
-		buf = append(buf, payload[off:off+fsize]...)
+		if cachedBody != nil {
+			buf = append(buf, cachedBody[off:off+fsize]...)
+		} else {
+			buf = body.Append(buf, fsize)
+		}
+		if seg != nil {
+			seg.buf = append(seg.buf, buf[len(buf)-fsize:]...)
+		}
 		pb.B = buf
 		fl.packets++
 		fl.bytes += int64(media.FrameHeaderSize + fsize)
@@ -384,17 +391,19 @@ func (fl *flow) rebuildDestsLocked() {
 	}
 }
 
-// storeSegLocked copies one emitted frame into the bounded segment cache.
-// Slot buffers are reused across ring laps, so the steady state allocates
-// nothing once every slot has grown to the stream's largest frame.
-func (fl *flow) storeSegLocked(idx int, frame media.Frame, payload []byte) {
+// startSegLocked claims frame idx's slot in the bounded segment cache and
+// empties its body, which the emit loop fills fragment by fragment. Slot
+// buffers are reused across ring laps, so the steady state allocates nothing
+// once every slot has grown to the stream's largest frame.
+func (fl *flow) startSegLocked(idx int, frame media.Frame) *flowSeg {
 	seg := &fl.cache[idx%segCacheCap]
 	seg.idx = idx
 	seg.pts = frame.PTS
 	seg.kind = frame.Kind
 	seg.size = frame.Size
-	seg.buf = append(seg.buf[:0], payload...)
+	seg.buf = seg.buf[:0]
 	fl.cacheN++
+	return seg
 }
 
 // flowPatchDelay is how long after a late join the catch-up patch goes on the
