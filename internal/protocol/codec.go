@@ -79,6 +79,22 @@ func AppendFrame(dst []byte, t MsgType, reqID uint32, m Message) ([]byte, error)
 	return out, nil
 }
 
+// WriteFrame encodes the fire-and-forget frame (request ID 0) of m into
+// scratch the codec keeps, grown to the largest frame it has held, and
+// hands it to write, which must not keep it past its return: the form of a
+// frame that is sent once and dropped.
+func WriteFrame(t MsgType, m Message, write func(frame []byte)) error {
+	c := getCodec()
+	c.buf = c.own
+	err := c.frame(t, 0, m)
+	if err == nil {
+		write(c.buf)
+	}
+	c.own = c.buf
+	putCodec(c)
+	return err
+}
+
 // NewFrame returns the frame in an allocation of its own, exactly its
 // size: the form of a frame that is kept, such as a retransmit copy or a
 // cached reply.

@@ -201,8 +201,9 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 // TestCodecAllocs: a fire-and-forget frame appended into the caller's
-// buffer allocates nothing, a kept frame is one allocation, and decoding
-// allocates only the strings and the slice it returns.
+// buffer or written from the codec's scratch allocates nothing, a kept
+// frame is one allocation, and decoding allocates only the strings and the
+// slice it returns.
 func TestCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops items under -race; allocation bounds don't hold")
@@ -220,6 +221,19 @@ func TestCodecAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { buf, _ = NewFrame(c.mt, 1, c.m) }); n != 1 {
 			t.Errorf("NewFrame %s: %v allocations, want 1", c.mt, n)
 		}
+	}
+	// The scratch serves a frame of any size: the receiver report of a
+	// 64-stream document is 2 KB of base64, written between short frames.
+	fb := &Feedback{RTCP: make([]byte, 8+64*24)}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, c := range []struct {
+			mt MsgType
+			m  Message
+		}{{MsgHeartbeat, hb}, {MsgFeedback, fb}, {MsgHeartbeatAck, ack}} {
+			_ = WriteFrame(c.mt, c.m, func(frame []byte) { buf = append(buf[:0], frame...) })
+		}
+	}); n != 0 {
+		t.Errorf("WriteFrame: %v allocations, want 0", n)
 	}
 	hbBody := MustEncode(MsgHeartbeat, *hb)[headerSize:]
 	var gotHB Heartbeat
