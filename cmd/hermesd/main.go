@@ -159,7 +159,6 @@ func main() {
 					return
 				case <-t.C:
 					fmt.Printf("hermesd: telemetry %s\n%s", time.Now().Format(time.RFC3339), scope.Dashboard(10))
-					fmt.Print(series.Table(6))
 				}
 			}
 		}()

@@ -65,10 +65,9 @@ type Buffer struct {
 	FrameInterval time.Duration
 
 	// Window is the media time window: the target amount of buffered
-	// playback time established by the deliberate initial delay.
+	// playback time established by the deliberate initial delay. The
+	// occupancy watermarks derive from it: Window/4 low, 2×Window high.
 	Window time.Duration
-	// LowWM and HighWM are the occupancy watermarks (playback time).
-	LowWM, HighWM time.Duration
 
 	// items is the queue, a window onto base, the whole backing array; the
 	// slots of base outside the window hold zero Items.
@@ -99,8 +98,6 @@ type Config struct {
 	StreamID      string
 	FrameInterval time.Duration
 	Window        time.Duration
-	// LowWM/HighWM default to Window/4 and 2×Window.
-	LowWM, HighWM time.Duration
 	// Obs, when set, receives per-stream counters and watermark events.
 	Obs *obs.Scope
 }
@@ -113,12 +110,6 @@ func New(cfg Config) *Buffer {
 	if cfg.Window <= 0 {
 		cfg.Window = time.Second
 	}
-	if cfg.LowWM <= 0 {
-		cfg.LowWM = cfg.Window / 4
-	}
-	if cfg.HighWM <= 0 {
-		cfg.HighWM = 2 * cfg.Window
-	}
 	label := func(name string) string {
 		return obs.Label(name, "stream", cfg.StreamID)
 	}
@@ -126,8 +117,6 @@ func New(cfg Config) *Buffer {
 		StreamID:      cfg.StreamID,
 		FrameInterval: cfg.FrameInterval,
 		Window:        cfg.Window,
-		LowWM:         cfg.LowWM,
-		HighWM:        cfg.HighWM,
 		obs:           cfg.Obs,
 		mPushed:       cfg.Obs.Counter(label("buffer_pushed")),
 		mStale:        cfg.Obs.Counter(label("buffer_stale")),
@@ -186,7 +175,7 @@ func (b *Buffer) Push(it Item) (accepted, overflow bool) {
 	b.stats.Pushed++
 	b.mPushed.Inc()
 	b.mOccupancyMax.Observe(int64(len(b.items)))
-	if b.occupancyLocked() > b.HighWM {
+	if b.occupancyLocked() > b.highWM() {
 		b.stats.Overflows++
 		b.mOverflows.Inc()
 		b.obs.Emit(obs.EvBufferWatermark, b.StreamID,
@@ -305,10 +294,12 @@ func (b *Buffer) occupancyLocked() time.Duration {
 }
 
 // BelowLow reports occupancy under the low watermark.
-func (b *Buffer) BelowLow() bool { return b.Occupancy() < b.LowWM }
+func (b *Buffer) BelowLow() bool { return b.Occupancy() < b.Window/4 }
 
 // AboveHigh reports occupancy over the high watermark.
-func (b *Buffer) AboveHigh() bool { return b.Occupancy() > b.HighWM }
+func (b *Buffer) AboveHigh() bool { return b.Occupancy() > b.highWM() }
+
+func (b *Buffer) highWM() time.Duration { return 2 * b.Window }
 
 // Filled reports whether the buffer holds at least its media time window of
 // data — the presentation-start criterion after the deliberate initial

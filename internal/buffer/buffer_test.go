@@ -21,8 +21,19 @@ func TestConfigDefaults(t *testing.T) {
 	if b.FrameInterval != 40*time.Millisecond || b.Window != time.Second {
 		t.Fatalf("defaults: %v %v", b.FrameInterval, b.Window)
 	}
-	if b.LowWM != b.Window/4 || b.HighWM != 2*b.Window {
-		t.Fatalf("watermarks: %v %v", b.LowWM, b.HighWM)
+	// The watermarks sit at Window/4 = 250ms and 2×Window = 2s.
+	for i := 0; i < 51; i++ {
+		n := i * 40 // ms buffered before this push
+		if low := n < 250; b.BelowLow() != low {
+			t.Fatalf("at %dms: BelowLow = %v, want %v", n, !low, low)
+		}
+		if high := n > 2000; b.AboveHigh() != high {
+			t.Fatalf("at %dms: AboveHigh = %v, want %v", n, !high, high)
+		}
+		b.Push(frame(i, b.FrameInterval))
+	}
+	if !b.AboveHigh() {
+		t.Fatal("2040ms buffered is not above the high watermark")
 	}
 }
 
@@ -97,7 +108,7 @@ func TestStaleRejection(t *testing.T) {
 }
 
 func TestOverflowSignal(t *testing.T) {
-	b := New(Config{StreamID: "s", FrameInterval: 40 * time.Millisecond, Window: 200 * time.Millisecond, HighWM: 200 * time.Millisecond})
+	b := New(Config{StreamID: "s", FrameInterval: 40 * time.Millisecond, Window: 100 * time.Millisecond})
 	overflowAt := -1
 	for i := 0; i < 10; i++ {
 		_, over := b.Push(frame(i, b.FrameInterval))
@@ -105,7 +116,7 @@ func TestOverflowSignal(t *testing.T) {
 			overflowAt = i
 		}
 	}
-	// High WM 200ms = 5 frames; the 6th push crosses it.
+	// High WM 2×100ms = 5 frames; the 6th push crosses it.
 	if overflowAt != 5 {
 		t.Fatalf("overflow at push %d, want 5", overflowAt)
 	}
@@ -252,7 +263,7 @@ func TestSetOperations(t *testing.T) {
 // push order, and counters balance.
 func TestQuickPopOrderAndConservation(t *testing.T) {
 	f := func(indices []uint8) bool {
-		b := New(Config{StreamID: "q", FrameInterval: time.Millisecond, Window: time.Hour, HighWM: time.Hour})
+		b := New(Config{StreamID: "q", FrameInterval: time.Millisecond, Window: time.Hour})
 		pushed := 0
 		for _, i := range indices {
 			if ok, _ := b.Push(frame(int(i), time.Millisecond)); ok {
@@ -283,7 +294,7 @@ func TestQuickPopOrderAndConservation(t *testing.T) {
 // Property: after Drop(k) the head PTS is ≥ the floor.
 func TestQuickDropFloorInvariant(t *testing.T) {
 	f := func(n, k uint8) bool {
-		b := New(Config{StreamID: "q", FrameInterval: time.Millisecond, Window: time.Hour, HighWM: time.Hour})
+		b := New(Config{StreamID: "q", FrameInterval: time.Millisecond, Window: time.Hour})
 		for i := 0; i < int(n); i++ {
 			b.Push(frame(i, time.Millisecond))
 		}
@@ -381,7 +392,7 @@ func vacatedSlotsZero(b *Buffer) bool {
 // pops, after DropBefore and after Reset.
 func TestSteadyPushPopReusesTheArray(t *testing.T) {
 	const depth = 10
-	b := New(Config{StreamID: "s", FrameInterval: time.Millisecond, Window: time.Hour, HighWM: time.Hour})
+	b := New(Config{StreamID: "s", FrameInterval: time.Millisecond, Window: time.Hour})
 	payload := []byte("frame body")
 	next := 0
 	push := func() {

@@ -42,8 +42,6 @@ type PlayConfig struct {
 	Server server.Options
 	// RunFor bounds the simulation; zero runs scenario length + 10 s.
 	RunFor time.Duration
-	// User pricing class (subscription is handled automatically).
-	Class qos.PricingClass
 	// Sniffer, when set, observes every packet sent on the simulated
 	// network (protocol-stack accounting).
 	Sniffer func(netsim.Packet)
@@ -96,14 +94,14 @@ func Play(cfg PlayConfig) (*Result, error) {
 	for _, p := range cfg.Phases {
 		net.AddPhase("server", "viewer", p)
 	}
-	if err := svc.Enroll("user", "pw", cfg.Class); err != nil {
+	if err := svc.Enroll("user", "pw", qos.Economy); err != nil {
 		return nil, err
 	}
 
 	copts := cfg.Client
 	copts.User = "user"
 	copts.Password = "pw"
-	copts.Class = cfg.Class
+	copts.Class = qos.Economy
 	c, err := client.New("viewer", clk, net, copts)
 	if err != nil {
 		return nil, err

@@ -28,9 +28,7 @@ func A1DegradeOrder(seed uint64) (*stats.Table, error) {
 			Phases: []netsim.Phase{{Start: 4 * time.Second, Duration: 20 * time.Second,
 				BandwidthFactor: 0.45}},
 		}
-		policy := qos.DefaultPolicy()
-		policy.VideoFirst = videoFirst
-		cfg.Server.Policy = policy
+		cfg.Server.Policy.GradeIndependently = !videoFirst
 		cfg.Client.FeedbackInterval = 500 * time.Millisecond
 		res, err := core.Play(cfg)
 		if err != nil {
@@ -72,9 +70,7 @@ func A2Hysteresis(seed uint64) (*stats.Table, error) {
 			},
 			RunFor: 55 * time.Second,
 		}
-		policy := qos.DefaultPolicy()
-		policy.UpgradeHold = hold
-		cfg.Server.Policy = policy
+		cfg.Server.Policy.UpgradeHold = hold
 		cfg.Client.FeedbackInterval = 500 * time.Millisecond
 		res, err := core.Play(cfg)
 		if err != nil {

@@ -1,7 +1,6 @@
 // Package netsim is the broadband-network substrate: a deterministic
 // packet-level network simulator with configurable bandwidth, propagation
-// delay, jitter, random and bursty (Gilbert–Elliott) loss, and scripted
-// congestion phases.
+// delay, jitter, random loss, and scripted congestion phases.
 //
 // The paper evaluated its service over 1996-era Internet/ATM testbeds whose
 // only observable effects on the service are per-packet delay, delay
@@ -149,20 +148,9 @@ type LinkConfig struct {
 	// (the duplicate arrives with fresh jitter), modeling routing
 	// pathologies the receiver must tolerate.
 	Dup float64
-	// Burst enables Gilbert–Elliott two-state bursty loss on top of (or
-	// instead of) independent loss.
-	Burst *BurstLoss
 	// QueueLimit bounds the serialization backlog: a packet whose queueing
 	// delay would exceed it is dropped (tail drop). Zero = 500ms.
 	QueueLimit time.Duration
-}
-
-// BurstLoss is a Gilbert–Elliott loss model: the link alternates between a
-// Good state (loss = PGood) and a Bad state (loss = PBad), with per-packet
-// transition probabilities.
-type BurstLoss struct {
-	PGood, PBad            float64 // loss probability in each state
-	PGoodToBad, PBadToGood float64 // transition probabilities per packet
 }
 
 // DefaultLAN approximates a lightly loaded 10 Mb/s campus link.
@@ -219,7 +207,6 @@ type link struct {
 	// lastReliableArrival enforces in-order delivery on the reliable path
 	// per link direction.
 	lastReliableArrival time.Time
-	burstBad            bool
 	stats               LinkStats
 }
 
@@ -414,10 +401,10 @@ func (l *link) activePhase(t time.Duration) (lossF float64, extraD, extraJ time.
 }
 
 // linkPlanLocked runs one packet through the link's queueing, loss and
-// delay machinery: egress and link serialization, tail drop, stochastic and
-// bursty loss, jitter, reliable-path retransmission and ordering. It
-// returns the arrival time, an optional duplicate arrival, and a drop
-// cause ("" = delivered). Caller holds n.mu.
+// delay machinery: egress and link serialization, tail drop, stochastic
+// loss, jitter, reliable-path retransmission and ordering. It returns the
+// arrival time, an optional duplicate arrival, and a drop cause
+// ("" = delivered). Caller holds n.mu.
 func (n *Network) linkPlanLocked(l *link, pkt *Packet, now time.Time, offset time.Duration, egressStart time.Time) (arrival, dupArrival time.Time, dropCause string) {
 	lossF, extraD, extraJ, bwF := l.activePhase(offset)
 
@@ -441,25 +428,7 @@ func (n *Network) linkPlanLocked(l *link, pkt *Packet, now time.Time, offset tim
 	l.nextFree = depart.Add(txTime)
 
 	// Loss decision.
-	ploss := l.cfg.Loss * lossF
-	if l.cfg.Burst != nil {
-		b := l.cfg.Burst
-		if l.burstBad {
-			if l.rng.Bool(b.PBadToGood) {
-				l.burstBad = false
-			}
-		} else if l.rng.Bool(b.PGoodToBad) {
-			l.burstBad = true
-		}
-		if l.burstBad {
-			ploss = max(ploss, b.PBad*lossF)
-		} else {
-			ploss = max(ploss, b.PGood*lossF)
-		}
-	}
-	if ploss > 0.95 {
-		ploss = 0.95
-	}
+	ploss := min(l.cfg.Loss*lossF, 0.95)
 
 	delay := l.cfg.Delay + extraD
 	jitterBound := l.cfg.Jitter + extraJ

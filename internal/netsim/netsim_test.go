@@ -194,46 +194,6 @@ func TestJitterSpreadsDelays(t *testing.T) {
 	}
 }
 
-func TestBurstLossIsBursty(t *testing.T) {
-	clk := clock.NewSim()
-	net := New(clk, 5)
-	net.SetLink("a", "b", LinkConfig{
-		QueueLimit: time.Hour,
-		Burst:      &BurstLoss{PGood: 0.001, PBad: 0.5, PGoodToBad: 0.01, PBadToGood: 0.1},
-	})
-	var outcomes []bool // true = delivered
-	net.Listen("b:1", func(Packet) { outcomes = append(outcomes, true) })
-	net.DropHandler = func(Packet, string) { outcomes = append(outcomes, false) }
-	const N = 20000
-	for i := 0; i < N; i++ {
-		net.Send(Packet{From: "a:1", To: "b:1", Payload: []byte("x")})
-		clk.RunUntilIdle()
-	}
-	// Compute run-length distribution of drops: bursty loss yields runs of
-	// consecutive drops far more often than independent loss at the same
-	// average rate would.
-	drops, runs, cur := 0, 0, 0
-	for _, ok := range outcomes {
-		if !ok {
-			drops++
-			cur++
-		} else if cur > 0 {
-			runs++
-			cur = 0
-		}
-	}
-	if cur > 0 {
-		runs++
-	}
-	if drops == 0 || runs == 0 {
-		t.Fatalf("drops=%d runs=%d", drops, runs)
-	}
-	meanRun := float64(drops) / float64(runs)
-	if meanRun < 1.5 {
-		t.Fatalf("mean drop-run length %.2f, want bursty (≥1.5)", meanRun)
-	}
-}
-
 func TestCongestionPhaseRaisesLossAndDelay(t *testing.T) {
 	clk := clock.NewSim()
 	net := New(clk, 9)

@@ -19,19 +19,19 @@ import (
 // moment it mattered.
 //
 // Anomalies: a failover, a liveness loss (EvLiveness with value 0), a
-// deadline-miss burst (BurstN misses inside BurstWindow) or a grade drop
+// deadline-miss burst (8 misses inside 2 s) or a grade drop
 // (degrade/cutoff grading action). The dump is deferred by FlushDelay so
 // the aftermath (recovery probes, the session resuming at a replica) lands
 // inside the window; a second anomaly while one is pending extends the
-// delay instead of dumping twice. After a dump, Cooldown suppresses
-// re-triggering so one incident produces one file.
+// delay instead of dumping twice. For 30 s after a dump no anomaly
+// re-triggers, so one incident produces one file.
 type Recorder struct {
 	clk  clock.Clock
 	opts RecorderOptions
-	win  *Trace // the last opts.Cap events; guarded by its own lock
+	win  *Trace // the last recorderCap events; guarded by its own lock
 
 	mu       sync.Mutex
-	missAt   []time.Time // timestamps of the last BurstN-1 deadline misses
+	missAt   [burstN - 1]time.Time // timestamps of the last burstN-1 deadline misses
 	missNext int
 	missFull bool
 	pending  string // anomaly reason awaiting flush ("" = none)
@@ -43,10 +43,18 @@ type Recorder struct {
 	scratch  []Event
 }
 
+// The recorder's fixed shape: the ring's size, the deadline-miss burst that
+// counts as an anomaly (burstN misses inside burstWindow), and how long a
+// dump suppresses new triggers so one incident produces one file.
+const (
+	recorderCap = 512
+	burstN      = 8
+	burstWindow = 2 * time.Second
+	cooldown    = 30 * time.Second
+)
+
 // RecorderOptions tunes a flight recorder. Zero values take defaults.
 type RecorderOptions struct {
-	// Cap bounds the ring (default 512 entries).
-	Cap int
 	// Dir, when set, receives one flight-NNN.jsonl file per dump: a header
 	// line naming the anomaly, then the window's events in the trace JSONL
 	// schema.
@@ -57,45 +65,18 @@ type RecorderOptions struct {
 	// FlushDelay is how long after the trigger the window is frozen
 	// (default 2s); anomalies arriving meanwhile extend it.
 	FlushDelay time.Duration
-	// BurstN deadline misses within BurstWindow trigger a dump (defaults
-	// 8 within 2s).
-	BurstN      int
-	BurstWindow time.Duration
-	// Cooldown suppresses new triggers after a dump (default 30s).
-	Cooldown time.Duration
-}
-
-func (o *RecorderOptions) fill() {
-	if o.Cap <= 0 {
-		o.Cap = 512
-	}
-	if o.FlushDelay <= 0 {
-		o.FlushDelay = 2 * time.Second
-	}
-	if o.BurstN <= 0 {
-		o.BurstN = 8
-	}
-	if o.BurstWindow <= 0 {
-		o.BurstWindow = 2 * time.Second
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 30 * time.Second
-	}
 }
 
 // NewRecorder creates a flight recorder on clk. Scopes normally build one
 // via Scope.EnableFlightRecorder, which also tees every Emit into it.
 func NewRecorder(clk clock.Clock, opts RecorderOptions) *Recorder {
-	opts.fill()
-	n := opts.BurstN - 1
-	if n < 1 {
-		n = 1
+	if opts.FlushDelay <= 0 {
+		opts.FlushDelay = 2 * time.Second
 	}
 	return &Recorder{
-		clk:    clk,
-		opts:   opts,
-		win:    NewTrace(opts.Cap),
-		missAt: make([]time.Time, n),
+		clk:  clk,
+		opts: opts,
+		win:  NewTrace(recorderCap),
 	}
 }
 
@@ -134,12 +115,12 @@ func (r *Recorder) Record(ev Event) {
 }
 
 // burstLocked registers a deadline miss and reports whether it completes a
-// burst: this miss plus the BurstN-1 before it all inside BurstWindow.
+// burst: this miss plus the burstN-1 before it all inside burstWindow.
 func (r *Recorder) burstLocked(at time.Time) bool {
 	burst := false
 	if r.missFull {
 		oldest := r.missAt[r.missNext]
-		burst = at.Sub(oldest) <= r.opts.BurstWindow
+		burst = at.Sub(oldest) <= burstWindow
 	}
 	r.missAt[r.missNext] = at
 	r.missNext++
@@ -151,7 +132,7 @@ func (r *Recorder) burstLocked(at time.Time) bool {
 }
 
 func (r *Recorder) triggerLocked(reason string, at time.Time) {
-	if !r.lastDump.IsZero() && at.Sub(r.lastDump) < r.opts.Cooldown {
+	if !r.lastDump.IsZero() && at.Sub(r.lastDump) < cooldown {
 		return
 	}
 	// Mark the trigger inside the window itself, then freeze (or keep

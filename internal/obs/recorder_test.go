@@ -68,10 +68,7 @@ func TestRecorderSecondAnomalyExtendsNotDoubles(t *testing.T) {
 func TestRecorderCooldownSuppressesRetrigger(t *testing.T) {
 	clk := clock.NewSim()
 	s := NewScope(clk)
-	rec := s.EnableFlightRecorder(RecorderOptions{
-		FlushDelay: time.Second,
-		Cooldown:   30 * time.Second,
-	})
+	rec := s.EnableFlightRecorder(RecorderOptions{FlushDelay: time.Second})
 	s.Emit(EvLiveness, "a", 0, "lost")
 	clk.RunFor(2 * time.Second)
 	if rec.Dumps() != 1 {
@@ -93,21 +90,17 @@ func TestRecorderCooldownSuppressesRetrigger(t *testing.T) {
 func TestRecorderDeadlineMissBurst(t *testing.T) {
 	clk := clock.NewSim()
 	s := NewScope(clk)
-	rec := s.EnableFlightRecorder(RecorderOptions{
-		FlushDelay:  time.Second,
-		BurstN:      4,
-		BurstWindow: 2 * time.Second,
-	})
-	// 3 spaced misses: no burst.
-	for i := 0; i < 3; i++ {
+	rec := s.EnableFlightRecorder(RecorderOptions{FlushDelay: time.Second})
+	// burstN spaced misses: no burst.
+	for i := 0; i < burstN; i++ {
 		s.Emit(EvDeadlineMiss, "v", 1, "late")
 		clk.RunFor(3 * time.Second)
 	}
 	if rec.Pending() || rec.Dumps() != 0 {
 		t.Fatal("spaced misses must not trigger")
 	}
-	// 4 misses inside the window: burst.
-	for i := 0; i < 4; i++ {
+	// burstN misses inside burstWindow: burst.
+	for i := 0; i < burstN; i++ {
 		s.Emit(EvDeadlineMiss, "v", 1, "late")
 		clk.RunFor(100 * time.Millisecond)
 	}
@@ -180,15 +173,16 @@ func TestRecorderDumpFileFormat(t *testing.T) {
 
 func TestRecorderRingBounded(t *testing.T) {
 	clk := clock.NewSim()
-	rec := NewRecorder(clk, RecorderOptions{Cap: 8})
-	for i := 0; i < 100; i++ {
+	rec := NewRecorder(clk, RecorderOptions{})
+	const n = recorderCap + 100
+	for i := 0; i < n; i++ {
 		rec.Record(Event{At: clk.Now(), Kind: EvFrameDrop, Value: int64(i)})
 	}
 	evs := rec.Events()
-	if len(evs) != 8 {
-		t.Fatalf("ring holds %d, want 8", len(evs))
+	if len(evs) != recorderCap {
+		t.Fatalf("ring holds %d, want %d", len(evs), recorderCap)
 	}
-	if evs[0].Value != 92 || evs[7].Value != 99 {
+	if evs[0].Value != n-recorderCap || evs[recorderCap-1].Value != n-1 {
 		t.Fatalf("ring kept wrong window: first=%d last=%d", evs[0].Value, evs[7].Value)
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
@@ -44,7 +43,6 @@ const (
 // at construction (like counters) and call Sampled/Record* on the hot path.
 // The shared no-op instance a nil scope hands out never samples.
 type FrameSpans struct {
-	every atomic.Uint32
 	scope *Scope // nil on the shared no-op
 	hEmit *stats.DurationHistogram
 	hWire *stats.DurationHistogram
@@ -54,34 +52,19 @@ type FrameSpans struct {
 var noopSpans = &FrameSpans{hEmit: noopHist, hWire: noopHist, hSlak: noopHist}
 
 func newFrameSpans(s *Scope) *FrameSpans {
-	f := &FrameSpans{
+	return &FrameSpans{
 		scope: s,
 		hEmit: s.reg.HistogramBounds(SpanEmitToWire, stats.MicroLatencyBounds()...),
 		hWire: s.reg.Histogram(SpanWireToReassembled),
 		hSlak: s.reg.Histogram(SpanDeadlineSlack),
 	}
-	f.every.Store(DefaultSpanSampleEvery)
-	return f
 }
-
-// SetSampleEvery changes the sampling stride (0 disables sampling). It is a
-// no-op on the shared no-op instance.
-func (f *FrameSpans) SetSampleEvery(n uint32) {
-	if f.scope == nil {
-		return
-	}
-	f.every.Store(n)
-}
-
-// SampleEvery returns the current stride (0 = sampling off).
-func (f *FrameSpans) SampleEvery() uint32 { return f.every.Load() }
 
 // Sampled reports whether the frame with this index belongs to the 1-in-N
 // sample. Every hop keys on the same index, so a sampled frame is sampled
-// end to end.
+// end to end. The shared no-op never samples.
 func (f *FrameSpans) Sampled(idx uint32) bool {
-	n := f.every.Load()
-	return n != 0 && idx%n == 0
+	return f.scope != nil && idx%DefaultSpanSampleEvery == 0
 }
 
 // RecordEmit records the emit→wire service time of a sampled frame.

@@ -190,8 +190,8 @@ func TestWatermarkControlDropsStaleBacklog(t *testing.T) {
 		t.Fatal("watermark control never dropped the stale backlog")
 	}
 	vb := r.bufs.Get("v")
-	if vb.Occupancy() > vb.HighWM {
-		t.Fatalf("occupancy %v still above high WM %v", vb.Occupancy(), vb.HighWM)
+	if vb.AboveHigh() {
+		t.Fatalf("occupancy %v still above high WM %v", vb.Occupancy(), 2*vb.Window)
 	}
 }
 

@@ -79,43 +79,34 @@ type Action struct {
 	Reason   string
 }
 
-// Policy tunes the server QoS manager.
+// The paper's grading thresholds. A stream degrades when its smoothed loss
+// or jitter passes the degrade threshold and may upgrade only while both sit
+// below the upgrade thresholds; the gap between them is the hysteresis.
+const (
+	degradeLoss   = 0.05
+	upgradeLoss   = 0.01
+	degradeJitter = 120 * time.Millisecond
+	upgradeJitter = 40 * time.Millisecond
+	// holdDown is the minimum spacing between degrade actions per stream.
+	holdDown = 2 * time.Second
+	// alpha is the EWMA smoothing factor applied to incoming reports.
+	alpha = 0.3
+	// defaultUpgradeHold is Policy.UpgradeHold's zero-value meaning.
+	defaultUpgradeHold = 8 * time.Second
+)
+
+// Policy tunes the server QoS manager. The zero value is the paper's policy.
 type Policy struct {
-	// DegradeLoss: smoothed loss above this triggers degradation.
-	DegradeLoss float64
-	// UpgradeLoss: smoothed loss below this (and jitter below
-	// UpgradeJitter) permits upgrading.
-	UpgradeLoss float64
-	// DegradeJitter: smoothed jitter above this triggers degradation.
-	DegradeJitter time.Duration
-	// UpgradeJitter: ceiling for upgrades.
-	UpgradeJitter time.Duration
-	// HoldDown is the minimum spacing between degrade actions per stream.
-	HoldDown time.Duration
 	// UpgradeHold is the minimum good-conditions time before an upgrade
 	// (hysteresis: upgrades are slower than degrades, per "gracefully
-	// upgrade ... when the network's condition permits it").
+	// upgrade ... when the network's condition permits it"); zero means
+	// 8 s.
 	UpgradeHold time.Duration
-	// Alpha is the EWMA smoothing factor applied to incoming reports.
-	Alpha float64
-	// VideoFirst degrades a sync group's video before touching its audio
-	// ("users can tolerate lower video quality rather than not hear
-	// well"), and upgrades audio before video.
-	VideoFirst bool
-}
-
-// DefaultPolicy returns the policy used by the experiments.
-func DefaultPolicy() Policy {
-	return Policy{
-		DegradeLoss:   0.05,
-		UpgradeLoss:   0.01,
-		DegradeJitter: 120 * time.Millisecond,
-		UpgradeJitter: 40 * time.Millisecond,
-		HoldDown:      2 * time.Second,
-		UpgradeHold:   8 * time.Second,
-		Alpha:         0.3,
-		VideoFirst:    true,
-	}
+	// GradeIndependently turns off the video-first rule, under which a
+	// sync group's video degrades before its audio is touched ("users can
+	// tolerate lower video quality rather than not hear well") and audio
+	// upgrades before video.
+	GradeIndependently bool
 }
 
 // StreamConfig registers one stream with the manager.
@@ -162,8 +153,8 @@ type Manager struct {
 
 // NewManager creates a server QoS manager.
 func NewManager(clk clock.Clock, policy Policy) *Manager {
-	if policy.Alpha <= 0 || policy.Alpha > 1 {
-		policy.Alpha = 0.3
+	if policy.UpgradeHold <= 0 {
+		policy.UpgradeHold = defaultUpgradeHold
 	}
 	return &Manager{
 		clk:     clk,
@@ -267,14 +258,13 @@ func (m *Manager) Feedback(rep Report) []Action {
 	if st == nil {
 		return nil
 	}
-	a := m.policy.Alpha
 	jms := float64(rep.Jitter) / float64(time.Millisecond)
 	if !st.haveData {
 		st.lossEWMA, st.jitterEWMA = rep.Loss, jms
 		st.haveData = true
 	} else {
-		st.lossEWMA = a*rep.Loss + (1-a)*st.lossEWMA
-		st.jitterEWMA = a*jms + (1-a)*st.jitterEWMA
+		st.lossEWMA = alpha*rep.Loss + (1-alpha)*st.lossEWMA
+		st.jitterEWMA = alpha*jms + (1-alpha)*st.jitterEWMA
 	}
 	now := m.clk.Now()
 
@@ -282,11 +272,11 @@ func (m *Manager) Feedback(rep Report) []Action {
 	// breach the threshold: the EWMA filters single spikes, the
 	// instantaneous check stops degradation cascading on after the
 	// congestion episode has already ended.
-	dj := float64(m.policy.DegradeJitter) / float64(time.Millisecond)
-	uj := float64(m.policy.UpgradeJitter) / float64(time.Millisecond)
-	bad := (st.lossEWMA > m.policy.DegradeLoss && rep.Loss >= m.policy.DegradeLoss) ||
+	dj := float64(degradeJitter) / float64(time.Millisecond)
+	uj := float64(upgradeJitter) / float64(time.Millisecond)
+	bad := (st.lossEWMA > degradeLoss && rep.Loss >= degradeLoss) ||
 		(st.jitterEWMA > dj && jms >= dj)
-	good := st.lossEWMA < m.policy.UpgradeLoss && rep.Loss <= m.policy.UpgradeLoss &&
+	good := st.lossEWMA < upgradeLoss && rep.Loss <= upgradeLoss &&
 		st.jitterEWMA < uj && jms <= uj
 
 	if bad {
@@ -298,7 +288,7 @@ func (m *Manager) Feedback(rep Report) []Action {
 	var out []Action
 	if bad {
 		target := m.pickDegradeTargetLocked(st)
-		if target != nil && now.Sub(target.lastChange) >= m.policy.HoldDown {
+		if target != nil && now.Sub(target.lastChange) >= holdDown {
 			out = append(out, m.degradeLocked(target, now,
 				fmt.Sprintf("loss=%.3f jitter=%.0fms", st.lossEWMA, st.jitterEWMA)))
 		}
@@ -322,7 +312,7 @@ func latest(a, b time.Time) time.Time {
 // pickDegradeTargetLocked applies the video-first rule: degrading an audio
 // stream is redirected to its group's video while the video has headroom.
 func (m *Manager) pickDegradeTargetLocked(st *streamState) *streamState {
-	if m.policy.VideoFirst && st.cfg.Kind == scenario.TypeAudio && st.cfg.Group != "" {
+	if !m.policy.GradeIndependently && st.cfg.Kind == scenario.TypeAudio && st.cfg.Group != "" {
 		if v := m.groupVideoLocked(st.cfg.Group); v != nil && !v.stopped && v.level < v.cfg.Floor {
 			return v
 		}
@@ -335,7 +325,7 @@ func (m *Manager) pickDegradeTargetLocked(st *streamState) *streamState {
 
 // pickUpgradeTargetLocked prefers restoring/upgrading audio before video.
 func (m *Manager) pickUpgradeTargetLocked(st *streamState) *streamState {
-	if m.policy.VideoFirst && st.cfg.Kind == scenario.TypeVideo && st.cfg.Group != "" {
+	if !m.policy.GradeIndependently && st.cfg.Kind == scenario.TypeVideo && st.cfg.Group != "" {
 		if a := m.groupAudioLocked(st.cfg.Group); a != nil && (a.stopped || a.level > 0) {
 			return a
 		}

@@ -15,7 +15,7 @@ import (
 func TestGraderEmitsGradeChangeEventsVideoFirst(t *testing.T) {
 	clk := clock.NewSim()
 	scope := obs.NewScope(clk)
-	m := NewManager(clk, DefaultPolicy())
+	m := NewManager(clk, Policy{})
 	m.SetObs(scope)
 	m.Register(StreamConfig{ID: "a", Kind: scenario.TypeAudio, Group: "g", Levels: 4, Floor: 3})
 	m.Register(StreamConfig{ID: "v", Kind: scenario.TypeVideo, Group: "g", Levels: 5, Floor: 4})

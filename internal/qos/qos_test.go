@@ -11,7 +11,7 @@ import (
 
 func mgr() (*clock.Virtual, *Manager) {
 	clk := clock.NewSim()
-	m := NewManager(clk, DefaultPolicy())
+	m := NewManager(clk, Policy{})
 	return clk, m
 }
 

@@ -37,13 +37,11 @@ type FlowSpec struct {
 
 // FlowOptions tunes flow-scenario computation.
 type FlowOptions struct {
-	// PreRoll is the transmission lead for time-sensitive streams: it
-	// equals the client's media time window so that the buffer holds one
-	// window of data when playout begins.
+	// PreRoll is the transmission lead: it equals the client's media time
+	// window so that the buffer holds one window of data when playout
+	// begins, and stills (images, text) get the same lead to arrive in full
+	// before their appearance deadline.
 	PreRoll time.Duration
-	// StillLead is the lead for images and text (delivered in full before
-	// their appearance deadline).
-	StillLead time.Duration
 	// Rate supplies per-stream nominal rates; nil uses DefaultRates.
 	Rate RateFunc
 }
@@ -58,7 +56,7 @@ func DefaultRates(s *Stream) float64 {
 	case TypeAudio:
 		return 64_000
 	case TypeImage:
-		return 512 * 1024 // bits, spread over the still lead
+		return 512 * 1024 // bits, spread over the pre-roll lead
 	default:
 		return 8_000
 	}
@@ -75,16 +73,9 @@ func BuildFlow(sc *Scenario, opts FlowOptions) []*FlowSpec {
 	if opts.PreRoll <= 0 {
 		opts.PreRoll = 2 * time.Second
 	}
-	if opts.StillLead <= 0 {
-		opts.StillLead = opts.PreRoll
-	}
 	var out []*FlowSpec
 	for _, s := range sc.TimedStreams() {
-		lead := opts.PreRoll
-		if !s.Type.TimeSensitive() {
-			lead = opts.StillLead
-		}
-		sendAt := s.Start - lead
+		sendAt := s.Start - opts.PreRoll
 		if sendAt < 0 {
 			sendAt = 0
 		}
@@ -102,7 +93,7 @@ func BuildFlow(sc *Scenario, opts FlowOptions) []*FlowSpec {
 			bytes = int64(totalBits / 8)
 			effLead := s.Start - sendAt
 			if effLead <= 0 {
-				effLead = opts.StillLead
+				effLead = opts.PreRoll
 			}
 			rate = totalBits / effLead.Seconds()
 		}

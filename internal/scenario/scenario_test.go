@@ -195,7 +195,7 @@ func TestScheduleValidateCatchesBrokenPeers(t *testing.T) {
 
 func TestBuildFlowLeadsAndOrdering(t *testing.T) {
 	sc := fig2(t)
-	flows := BuildFlow(sc, FlowOptions{PreRoll: 2 * time.Second, StillLead: time.Second})
+	flows := BuildFlow(sc, FlowOptions{PreRoll: 2 * time.Second})
 	if len(flows) != 5 {
 		t.Fatalf("flows = %d, want 5", len(flows))
 	}
@@ -216,8 +216,8 @@ func TestBuildFlowLeadsAndOrdering(t *testing.T) {
 	if f := byID["A1"]; f.SendAt != 8*time.Second || f.PreRoll != 2*time.Second {
 		t.Fatalf("A1 flow = %+v", f)
 	}
-	// I2 is a still with a 1s lead → send at 7s.
-	if f := byID["I2"]; f.SendAt != 7*time.Second {
+	// I2 is a still starting at 8s; it gets the same 2s lead → send at 6s.
+	if f := byID["I2"]; f.SendAt != 6*time.Second || f.PreRoll != 2*time.Second {
 		t.Fatalf("I2 flow = %+v", f)
 	}
 	// Video volume: 1.5 Mb/s × 12 s / 8 = 2.25 MB.
@@ -241,7 +241,7 @@ func TestBuildFlowDefaults(t *testing.T) {
 // not size/8 "per second" figures that ignored the lead entirely.
 func TestBuildFlowStillAccounting(t *testing.T) {
 	sc := fig2(t)
-	flows := BuildFlow(sc, FlowOptions{PreRoll: 2 * time.Second, StillLead: 4 * time.Second})
+	flows := BuildFlow(sc, FlowOptions{PreRoll: 4 * time.Second})
 	for _, f := range flows {
 		if f.Stream.Type.TimeSensitive() {
 			continue

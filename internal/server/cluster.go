@@ -43,7 +43,8 @@ func (p Placement) Replicas(doc string) []string { return p[doc] }
 func (p Placement) PeerLoad(string) (float64, bool) { return 0, false }
 
 // ParsePlacement parses the -placement flag syntax:
-// "doc=srvA+srvB,doc2=srvB". Replica order is preserved (primary first).
+// "doc=srvA+srvB,doc2=srvB". Replica order is preserved (primary first); a
+// document may appear in only one entry.
 func ParsePlacement(s string) (Placement, error) {
 	p := Placement{}
 	if strings.TrimSpace(s) == "" {
@@ -58,6 +59,9 @@ func ParsePlacement(s string) (Placement, error) {
 		doc = strings.TrimSpace(doc)
 		if !ok || doc == "" {
 			return nil, fmt.Errorf("placement: bad entry %q (want doc=srvA+srvB)", ent)
+		}
+		if _, dup := p[doc]; dup {
+			return nil, fmt.Errorf("placement: %q placed twice (list every replica in one entry: doc=srvA+srvB)", doc)
 		}
 		var hosts []string
 		for _, h := range strings.Split(reps, "+") {

@@ -31,7 +31,7 @@ type Options struct {
 	// PreRoll is the flow scheduler's transmission lead over playout
 	// deadlines (fills the client's media time window).
 	PreRoll time.Duration
-	// Policy is the QoS grading policy.
+	// Policy is the QoS grading policy; the zero value is the paper's.
 	Policy qos.Policy
 	// DisableGrading turns the long-term quality adaptation off (the E3
 	// ablation baseline).
@@ -83,9 +83,6 @@ func (o *Options) fill() {
 	}
 	if o.PreRoll <= 0 {
 		o.PreRoll = 2 * time.Second
-	}
-	if o.Policy.Alpha == 0 {
-		o.Policy = qos.DefaultPolicy()
 	}
 	if o.HeartbeatEvery <= 0 {
 		o.HeartbeatEvery = time.Second

@@ -295,3 +295,29 @@ func TestPricingClassSanity(t *testing.T) {
 		t.Fatal("premium cap")
 	}
 }
+
+// ParsePlacement reads the -placement flag: outside input, so every
+// malformed entry is an error rather than a silently different map.
+func TestParsePlacement(t *testing.T) {
+	p, err := ParsePlacement(" lec = a + b ,, cold=c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Replicas("lec"); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("lec replicas = %v, want [a b] in order", got)
+	}
+	if got := p.Replicas("cold"); len(got) != 1 || got[0] != "c" {
+		t.Fatalf("cold replicas = %v, want [c]", got)
+	}
+	for _, bad := range []string{
+		"lec",           // no '='
+		"=a",            // no document
+		"lec=+",         // no replicas
+		"lec=a,lec=b",   // the same document placed twice
+		"lec=a,lec=a+b", // ... even when one list extends the other
+	} {
+		if p, err := ParsePlacement(bad); err == nil {
+			t.Errorf("ParsePlacement(%q) = %v, want an error", bad, p)
+		}
+	}
+}

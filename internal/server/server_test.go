@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/qos"
+	"repro/internal/scenario"
 )
 
 func TestDatabasePutGetValidation(t *testing.T) {
@@ -342,5 +343,31 @@ func TestQoSManagerUnknownClient(t *testing.T) {
 	h := newHarness(t, Options{})
 	if h.srv.QoSManager(netsim.Addr("nobody:1")) != nil {
 		t.Fatal("phantom manager")
+	}
+}
+
+// A caller's partial grading policy must reach each session's grader
+// unchanged: a zero field means the paper's value, not "replace the whole
+// policy with the default".
+func TestServerPolicyReachesGrader(t *testing.T) {
+	const hold = 500 * time.Millisecond
+	h := newHarness(t, Options{Policy: qos.Policy{UpgradeHold: hold}})
+	h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
+	mgr := h.srv.QoSManager(fakeClient)
+	if mgr == nil {
+		t.Fatal("no grader for the session")
+	}
+	mgr.Register(qos.StreamConfig{ID: "probe", Kind: scenario.TypeVideo, Levels: 3})
+	if acts := mgr.Feedback(qos.Report{StreamID: "probe", Loss: 0.5}); len(acts) != 1 || acts[0].Kind != qos.ActDegrade {
+		t.Fatalf("bad report: actions %+v, want one degrade", acts)
+	}
+	// Clean reports decay the smoothed loss (0.5 × 0.7^20) far below the
+	// upgrade threshold; the hold then runs from the first of them.
+	for i := 0; i < 20; i++ {
+		mgr.Feedback(qos.Report{StreamID: "probe"})
+	}
+	h.clk.RunFor(hold + 100*time.Millisecond)
+	if acts := mgr.Feedback(qos.Report{StreamID: "probe"}); len(acts) != 1 || acts[0].Kind != qos.ActUpgrade {
+		t.Fatalf("good conditions past a %v hold: actions %+v, want one upgrade", hold, acts)
 	}
 }
