@@ -268,7 +268,7 @@ func execute(c *client.Client, scope *obs.Scope, serverName, line string) bool {
 			fmt.Printf("  %-12s plays %d/%d gaps %d drops %d\n", id, s.Plays, s.Expected, s.Gaps, s.Drops)
 		}
 		fmt.Printf("  startup delay %v, display events %d\n",
-			c.StartupDelay(), len(c.Display().Events()))
+			c.StartupDelay(), c.Display().Len())
 		_ = playout.EvPlay
 
 	case "stats":

@@ -172,6 +172,7 @@ type Client struct {
 	fillTimer  *clock.Timer
 	endTimer   *clock.Timer
 	fbTimer    *clock.Timer
+	feedback   *protocol.Feedback // sendFeedback's message, made on first use and reused
 
 	// results of the last control exchanges
 	lastConnect   *protocol.ConnectResult

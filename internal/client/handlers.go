@@ -433,9 +433,10 @@ func (c *Client) handleMedia(pkt netsim.Packet) {
 	// RTP/RTCP demultiplexing: RTCP packet types occupy 200–204 in the
 	// second octet, a range RTP payload types never reach.
 	if len(pkt.Payload) >= 2 && pkt.Payload[1] >= 200 && pkt.Payload[1] <= 204 {
-		if cp, err := rtp.UnmarshalControl(pkt.Payload); err == nil && cp.SR != nil {
-			if id, ok := c.monitor.StreamID(cp.SR.SSRC); ok {
-				c.monitor.ObserveSR(id, cp.SR)
+		var sr rtp.SenderReport
+		if sr.Unmarshal(pkt.Payload) == nil {
+			if id, ok := c.monitor.StreamID(sr.SSRC); ok {
+				c.monitor.ObserveSR(id, sr)
 			}
 		}
 		return
@@ -514,18 +515,20 @@ func (c *Client) handleMedia(pkt netsim.Packet) {
 	c.freeAssemblyLocked(a)
 }
 
-// sendFeedback ships the periodic RTCP receiver report to the server.
+// sendFeedback ships the periodic RTCP receiver report to the server,
+// marshaled into the client's feedback scratch, and re-arms its own timer.
 func (c *Client) sendFeedback() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.player == nil || c.player.Finished() || c.current == "" {
-		c.mu.Unlock()
 		return
 	}
-	rr := c.monitor.BuildRR()
-	host := c.current
-	c.fbTimer = c.clk.AfterFunc(c.opts.FeedbackInterval, c.sendFeedback)
-	c.mu.Unlock()
-	c.send(host, protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
+	if c.feedback == nil {
+		c.feedback = &protocol.Feedback{}
+	}
+	c.feedback.RTCP = c.monitor.BuildRR().AppendTo(c.feedback.RTCP[:0])
+	c.fbTimer.Reset(c.opts.FeedbackInterval)
+	c.send(c.current, protocol.MsgFeedback, c.feedback)
 }
 
 // onTimedLink fires when the presentation scenario auto-follows a link.

@@ -582,14 +582,14 @@ func TestSenderReportsReachClient(t *testing.T) {
 	w.run(time.Second)
 	w.c.RequestDoc("long")
 	w.run(12 * time.Second) // past two SR intervals
-	sr := w.c.Monitor().LastSR("cv")
-	if sr == nil {
+	sr, ok := w.c.Monitor().LastSR("cv")
+	if !ok {
 		t.Fatal("no sender report received for the video stream")
 	}
 	if sr.PacketCount == 0 || sr.NTPTime == 0 {
 		t.Fatalf("SR contents = %+v", sr)
 	}
-	if w.c.Monitor().LastSR("ghost") != nil {
+	if _, ok := w.c.Monitor().LastSR("ghost"); ok {
 		t.Fatal("phantom SR")
 	}
 }

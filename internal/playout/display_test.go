@@ -1,12 +1,13 @@
 package playout
 
 import (
+	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/media"
 )
@@ -16,9 +17,6 @@ import (
 // notes than 16-bit indices could name; and on a fresh display whose events
 // name no string, as a pause before any stream has started.
 func TestDisplayRoundTrip(t *testing.T) {
-	if s := unsafe.Sizeof(slot{}); s > 64 {
-		t.Fatalf("a display slot is %d B, want ≤ 64 (an Event is %d B)", s, unsafe.Sizeof(Event{}))
-	}
 	var want []Event
 	for k := EvStart; k <= EvResume; k++ {
 		for fk := media.FrameI; fk <= media.FrameStill; fk++ {
@@ -46,26 +44,129 @@ func TestDisplayRoundTrip(t *testing.T) {
 		for _, ev := range want {
 			d.Record(ev)
 		}
-		if got := d.Events(); !reflect.DeepEqual(got, want) {
-			for i := range got {
-				if i < len(want) && !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("event %d: got %+v, want %+v", i, got[i], want[i])
+		checkDisplay(t, d, want, []string{"", "s1", "repeated", "absent"})
+	}
+}
+
+// checkDisplay fails unless d's Events deep-equal want, Len is its length,
+// and Count agrees with want for every declared kind and each of ids.
+func checkDisplay(t *testing.T, d *Display, want []Event, ids []string) {
+	t.Helper()
+	if got := d.Events(); !reflect.DeepEqual(got, want) {
+		for i := range got {
+			if i < len(want) && !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("event %d: got %+v, want %+v", i, got[i], want[i])
+			}
+		}
+		t.Fatalf("got %d events, want %d", len(got), len(want))
+	}
+	if d.Len() != len(want) {
+		t.Fatalf("Len() = %d, want %d", d.Len(), len(want))
+	}
+	for k := EvStart; k <= EvResume; k++ {
+		for _, id := range ids {
+			n := 0
+			for _, ev := range want {
+				if ev.Kind == k && (id == "" || ev.StreamID == id) {
+					n++
 				}
 			}
-			t.Fatalf("got %d events, want %d", len(got), len(want))
-		}
-		for k := EvStart; k <= EvResume; k++ {
-			for _, id := range []string{"", "s1", "repeated", "absent"} {
-				n := 0
-				for _, ev := range want {
-					if ev.Kind == k && (id == "" || ev.StreamID == id) {
-						n++
-					}
-				}
-				if got := d.Count(k, id); got != n {
-					t.Errorf("Count(%v, %q) = %d, want %d", k, id, got, n)
-				}
+			if got := d.Count(k, id); got != n {
+				t.Errorf("Count(%v, %q) = %d, want %d", k, id, got, n)
 			}
 		}
 	}
+}
+
+// TestDisplayBytesPerEvent: the trace of a steady 25 fps AU_VI pair — an
+// audio block every 20 ms and a video frame every 40 ms, each presented a
+// little late — costs at most 20 B of heap per event.
+func TestDisplayBytesPerEvent(t *testing.T) {
+	const plays = 10_000
+	d := NewDisplay()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i, a, v := 0, 0, 0; i < plays; i++ {
+		ev := Event{Kind: EvPlay, Lateness: time.Duration(i%7) * time.Millisecond}
+		if i%3 == 2 {
+			ev.StreamID = "v"
+			ev.Frame = media.Frame{Index: v, PTS: time.Duration(v) * 40 * time.Millisecond,
+				Kind: media.FrameKind(v % 3), Size: 6000 - v%12*300, Marker: true}
+			v++
+		} else {
+			ev.StreamID = "a"
+			ev.Frame = media.Frame{Index: a, PTS: time.Duration(a) * 20 * time.Millisecond,
+				Kind: media.FrameAudio, Size: 320, Marker: true}
+			a++
+		}
+		ev.At = ev.Frame.PTS + ev.Lateness
+		d.Record(ev)
+	}
+	runtime.ReadMemStats(&m1)
+	if d.Len() != plays {
+		t.Fatalf("Len() = %d, want %d", d.Len(), plays)
+	}
+	per := float64(m1.TotalAlloc-m0.TotalAlloc) / plays
+	t.Logf("%.1f B/event", per)
+	if per > 20 {
+		t.Fatalf("the display trace costs %.1f B/event, want ≤ 20", per)
+	}
+}
+
+// FuzzDisplayRoundTrip: any event sequence the fuzzer spells — declared and
+// undeclared kinds, numeric extremes, up to 256 streams and notes — comes
+// back from Events exactly as recorded, and Count agrees with it.
+func FuzzDisplayRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19})
+	f.Add(bytes.Repeat([]byte{0x05, 0x81, 0x42}, 40))
+	f.Add(bytes.Repeat([]byte{0xff}, 120))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		extremes := []int64{math.MaxInt64, math.MinInt64, 0, -1, 1 << 40}
+		num := func() int64 {
+			switch s := next(); s % 4 {
+			case 0:
+				return int64(int8(next()))
+			case 1:
+				return extremes[int(s/4)%len(extremes)]
+			case 2:
+				var v uint64
+				for i := 0; i < 8; i++ {
+					v = v<<8 | uint64(next())
+				}
+				return int64(v)
+			default:
+				return int64(next()) * int64(20*time.Millisecond)
+			}
+		}
+		name := func(prefix string) string {
+			if b := next(); b != 0 {
+				return prefix + strconv.Itoa(int(b))
+			}
+			return ""
+		}
+		want := []Event{}
+		ids := []string{"", "absent"}
+		for len(data) > 0 {
+			ev := Event{StreamID: name("s"), Note: name("n"), Kind: EventKind(num())}
+			ev.At, ev.Lateness = time.Duration(num()), time.Duration(num())
+			ev.Frame = media.Frame{Index: int(num()), PTS: time.Duration(num()),
+				Kind: media.FrameKind(num()), Size: int(num()), Marker: next()&1 != 0, Level: int(num())}
+			want = append(want, ev)
+			ids = append(ids, ev.StreamID)
+		}
+		d := NewDisplay()
+		for _, ev := range want {
+			d.Record(ev)
+		}
+		checkDisplay(t, d, want, ids)
+	})
 }

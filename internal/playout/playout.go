@@ -11,6 +11,7 @@
 package playout
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -99,35 +100,54 @@ type Event struct {
 // Display records playout events — the trace stand-in for the browser's
 // rendering surface. It is safe for concurrent use.
 //
-// The trace is kept as compact slots in chunks of displayChunk, each
-// allocated once, so recording never copies the history.
+// The trace is a byte log in chunks of displayChunk bytes, each allocated
+// once; an event is written whole into one chunk, so recording never copies
+// the history. An event is encoded as:
+//   - a header byte: kind in bits 0–3, frame kind in bits 4–6, the marker
+//     in bit 7; a kind outside 0–14 or a frame kind outside 0–6 sets both
+//     fields to all ones and follows the header with both as varints;
+//   - the interned stream and note indices as uvarints;
+//   - At as a varint delta from the previous event's;
+//   - PTS and Index as varint deltas from the previous event of the same
+//     stream;
+//   - Size, Level and Lateness as varints.
+//
+// Deltas wrap in int64 arithmetic, so every value round-trips exactly.
 type Display struct {
 	mu     sync.Mutex
-	chunks [][]slot // every chunk but the last holds displayChunk slots
-	// strs interns the stream IDs and notes the slots name; strs[0] is "".
+	chunks [][]byte
+	n      int // events recorded
+	// strs interns the stream IDs and notes the log names; strs[0] is "".
 	strs []string
 	ids  map[string]uint32
+	// prevAt is the last event's At; prev holds, per interned stream
+	// index, the PTS and Index of that stream's last event.
+	prevAt time.Duration
+	prev   []framePos
 }
 
-// slot is one recorded Event: strings interned, enums narrowed to the width
-// of their declared constants, numerics at full width.
-type slot struct {
-	at, pts, lateness  time.Duration
-	index, size, level int
-	stream, note       uint32 // indices into Display.strs
-	kind               uint8  // EventKind
-	frameKind          uint8  // media.FrameKind
-	marker             bool
+// framePos is a stream's last recorded PTS and Index, the base of the next
+// event's deltas.
+type framePos struct {
+	pts   time.Duration
+	index int64
 }
 
-// displayChunk is the number of slots per trace chunk (16 KB).
-const displayChunk = 256
+const (
+	// displayChunk is the size of one trace chunk.
+	displayChunk = 4 << 10
+	// maxEventLen bounds one encoded event: the header, the escaped kinds,
+	// two indices and six numerics.
+	maxEventLen = 1 + 2*binary.MaxVarintLen64 + 2*binary.MaxVarintLen32 + 6*binary.MaxVarintLen64
+	// escKinds is the header's kind fields when the kinds follow as varints.
+	escKinds = 0x7f
+)
 
 // NewDisplay creates an empty display trace.
 func NewDisplay() *Display { return &Display{} }
 
 // internLocked returns str's index in d.strs, adding it when new. The
-// first call sets strs[0] = "", so every recorded slot's indices resolve.
+// first call sets strs[0] = "", so every recorded index resolves.
 func (d *Display) internLocked(str string) uint32 {
 	if d.strs == nil {
 		d.strs, d.ids = []string{""}, map[string]uint32{}
@@ -147,54 +167,110 @@ func (d *Display) internLocked(str string) uint32 {
 // Record appends an event.
 func (d *Display) Record(ev Event) {
 	d.mu.Lock()
-	if n := len(d.chunks); n == 0 || len(d.chunks[n-1]) == displayChunk {
-		d.chunks = append(d.chunks, make([]slot, 0, displayChunk))
+	defer d.mu.Unlock()
+	if n := len(d.chunks); n == 0 || cap(d.chunks[n-1])-len(d.chunks[n-1]) < maxEventLen {
+		d.chunks = append(d.chunks, make([]byte, 0, displayChunk))
 	}
-	last := &d.chunks[len(d.chunks)-1]
-	*last = append(*last, slot{
-		at:        ev.At,
-		pts:       ev.Frame.PTS,
-		lateness:  ev.Lateness,
-		index:     ev.Frame.Index,
-		size:      ev.Frame.Size,
-		level:     ev.Frame.Level,
-		stream:    d.internLocked(ev.StreamID),
-		note:      d.internLocked(ev.Note),
-		kind:      uint8(ev.Kind),
-		frameKind: uint8(ev.Frame.Kind),
-		marker:    ev.Frame.Marker,
-	})
-	d.mu.Unlock()
+	stream, note := d.internLocked(ev.StreamID), d.internLocked(ev.Note)
+	for int(stream) >= len(d.prev) {
+		d.prev = append(d.prev, framePos{})
+	}
+	b := d.chunks[len(d.chunks)-1]
+	kind, fkind := int64(ev.Kind), int64(ev.Frame.Kind)
+	h := byte(kind) | byte(fkind)<<4
+	escaped := kind < 0 || kind >= 15 || fkind < 0 || fkind >= 7
+	if escaped {
+		h = escKinds
+	}
+	if ev.Frame.Marker {
+		h |= 0x80
+	}
+	b = append(b, h)
+	if escaped {
+		b = binary.AppendVarint(binary.AppendVarint(b, kind), fkind)
+	}
+	b = binary.AppendUvarint(b, uint64(stream))
+	b = binary.AppendUvarint(b, uint64(note))
+	prev := &d.prev[stream]
+	b = binary.AppendVarint(b, int64(ev.At-d.prevAt))
+	b = binary.AppendVarint(b, int64(ev.Frame.PTS-prev.pts))
+	b = binary.AppendVarint(b, int64(ev.Frame.Index)-prev.index)
+	b = binary.AppendVarint(b, int64(ev.Frame.Size))
+	b = binary.AppendVarint(b, int64(ev.Frame.Level))
+	b = binary.AppendVarint(b, int64(ev.Lateness))
+	d.chunks[len(d.chunks)-1] = b
+	d.prevAt = ev.At
+	*prev = framePos{pts: ev.Frame.PTS, index: int64(ev.Frame.Index)}
+	d.n++
+}
+
+// Len returns how many events were recorded.
+func (d *Display) Len() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.n
+}
+
+// eachLocked decodes the log in order, handing each event to fn.
+func (d *Display) eachLocked(fn func(*Event)) {
+	var (
+		ev   Event
+		at   time.Duration
+		prev = make([]framePos, len(d.prev))
+	)
+	for _, b := range d.chunks {
+		for len(b) > 0 {
+			h := b[0]
+			b = b[1:]
+			kind, fkind := int64(h&0x0f), int64(h>>4&0x07)
+			if h&0x7f == escKinds {
+				kind, fkind = varint(&b), varint(&b)
+			}
+			stream, note := uvarint(&b), uvarint(&b)
+			p := &prev[stream]
+			at += time.Duration(varint(&b))
+			p.pts += time.Duration(varint(&b))
+			p.index += varint(&b)
+			ev = Event{
+				At:       at,
+				StreamID: d.strs[stream],
+				Kind:     EventKind(kind),
+				Frame: media.Frame{
+					Index:  int(p.index),
+					PTS:    p.pts,
+					Kind:   media.FrameKind(fkind),
+					Size:   int(varint(&b)),
+					Marker: h&0x80 != 0,
+					Level:  int(varint(&b)),
+				},
+				Lateness: time.Duration(varint(&b)),
+				Note:     d.strs[note],
+			}
+			fn(&ev)
+		}
+	}
+}
+
+// varint and uvarint decode one value from the front of *b, which Record
+// wrote whole.
+func varint(b *[]byte) int64 {
+	v, n := binary.Varint(*b)
+	*b = (*b)[n:]
+	return v
+}
+
+func uvarint(b *[]byte) uint64 {
+	v, n := binary.Uvarint(*b)
+	*b = (*b)[n:]
+	return v
 }
 
 // Events returns a copy of the trace.
 func (d *Display) Events() []Event {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := 0
-	for _, c := range d.chunks {
-		n += len(c)
-	}
-	out := make([]Event, 0, n)
-	for _, c := range d.chunks {
-		for _, s := range c {
-			out = append(out, Event{
-				At:       s.at,
-				StreamID: d.strs[s.stream],
-				Kind:     EventKind(s.kind),
-				Frame: media.Frame{
-					Index:  s.index,
-					PTS:    s.pts,
-					Kind:   media.FrameKind(s.frameKind),
-					Size:   s.size,
-					Marker: s.marker,
-					Level:  s.level,
-				},
-				Lateness: s.lateness,
-				Note:     d.strs[s.note],
-			})
-		}
-	}
+	out := make([]Event, 0, d.n)
+	d.eachLocked(func(ev *Event) { out = append(out, *ev) })
 	return out
 }
 
@@ -203,21 +279,12 @@ func (d *Display) Events() []Event {
 func (d *Display) Count(k EventKind, streamID string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	id, ok := uint32(0), true
-	if streamID != "" {
-		id, ok = d.ids[streamID]
-	}
-	if !ok {
-		return 0
-	}
 	n := 0
-	for _, c := range d.chunks {
-		for _, s := range c {
-			if EventKind(s.kind) == k && (streamID == "" || s.stream == id) {
-				n++
-			}
+	d.eachLocked(func(ev *Event) {
+		if ev.Kind == k && (streamID == "" || ev.StreamID == streamID) {
+			n++
 		}
-	}
+	})
 	return n
 }
 

@@ -1,7 +1,7 @@
 package qos
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,7 +20,17 @@ type ClientMonitor struct {
 	ssrc      uint32 // the receiver's own SSRC for its RRs
 	receivers map[string]*rtp.Receiver
 	ssrcToID  map[uint32]string
-	lastSR    map[string]*rtp.SenderReport
+	lastSR    map[string]rtp.SenderReport
+	// rr is made on first use, so a monitor that never tracks a stream
+	// stays small.
+	rr *receiverReport
+}
+
+// receiverReport is BuildRR's report, reused, and the tracked stream IDs
+// in the sorted order of its blocks.
+type receiverReport struct {
+	ids []string
+	rtp.ReceiverReport
 }
 
 // NewClientMonitor creates a monitor with the receiver's own SSRC.
@@ -30,30 +40,37 @@ func NewClientMonitor(clk clock.Clock, ssrc uint32) *ClientMonitor {
 		ssrc:      ssrc,
 		receivers: map[string]*rtp.Receiver{},
 		ssrcToID:  map[uint32]string{},
-		lastSR:    map[string]*rtp.SenderReport{},
+		lastSR:    map[string]rtp.SenderReport{},
 	}
 }
 
 // ObserveSR records an RTCP sender report from a stream's source; the SR's
 // NTP↔RTP timestamp pair lets receivers map media time to the sender's wall
-// clock.
-func (c *ClientMonitor) ObserveSR(streamID string, sr *rtp.SenderReport) {
+// clock. The monitor keeps sr's Reports, which the caller must not reuse.
+func (c *ClientMonitor) ObserveSR(streamID string, sr rtp.SenderReport) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lastSR[streamID] = sr
 }
 
-// LastSR returns the most recent sender report for a stream (nil = none).
-func (c *ClientMonitor) LastSR(streamID string) *rtp.SenderReport {
+// LastSR returns the most recent sender report for a stream, and whether
+// there is one.
+func (c *ClientMonitor) LastSR(streamID string) (rtp.SenderReport, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lastSR[streamID]
+	sr, ok := c.lastSR[streamID]
+	return sr, ok
 }
 
 // Track registers a stream and its source SSRC.
 func (c *ClientMonitor) Track(streamID string, ssrc uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if _, ok := c.receivers[streamID]; !ok {
+		rr := c.reportLocked()
+		i, _ := slices.BinarySearch(rr.ids, streamID)
+		rr.ids = slices.Insert(rr.ids, i, streamID)
+	}
 	c.receivers[streamID] = rtp.NewReceiver(ssrc)
 	c.ssrcToID[ssrc] = streamID
 }
@@ -87,19 +104,24 @@ func (c *ClientMonitor) Receiver(streamID string) *rtp.Receiver {
 // BuildRR assembles the RTCP receiver report covering every tracked stream,
 // resetting the per-interval counters — this is the feedback packet the
 // client sends "periodically or in specifically calculated intervals".
+// The report is the monitor's own, valid until the next BuildRR.
 func (c *ClientMonitor) BuildRR() *rtp.ReceiverReport {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rr := &rtp.ReceiverReport{SSRC: c.ssrc}
-	ids := make([]string, 0, len(c.receivers))
-	for id := range c.receivers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	rr := c.reportLocked()
+	rr.SSRC = c.ssrc
+	rr.Reports = rr.Reports[:0]
+	for _, id := range rr.ids {
 		rr.Reports = append(rr.Reports, c.receivers[id].Report())
 	}
-	return rr
+	return &rr.ReceiverReport
+}
+
+func (c *ClientMonitor) reportLocked() *receiverReport {
+	if c.rr == nil {
+		c.rr = &receiverReport{}
+	}
+	return c.rr
 }
 
 // Reports converts the current reception state into qos.Reports without
@@ -108,13 +130,8 @@ func (c *ClientMonitor) Reports() []Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clk.Now()
-	ids := make([]string, 0, len(c.receivers))
-	for id := range c.receivers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	var out []Report
-	for _, id := range ids {
+	for _, id := range c.reportLocked().ids {
 		r := c.receivers[id]
 		loss := 0.0
 		if exp := r.Expected(); exp > 0 {

@@ -10,7 +10,6 @@ package qos
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -344,19 +343,16 @@ func (m *Manager) groupAudioLocked(group string) *streamState {
 	return m.groupKindLocked(group, scenario.TypeAudio)
 }
 
+// groupKindLocked returns the group's stream of the given kind, the one
+// with the least ID when there are several.
 func (m *Manager) groupKindLocked(group string, kind scenario.MediaType) *streamState {
-	var ids []string
-	for id := range m.streams {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		st := m.streams[id]
-		if st.cfg.Group == group && st.cfg.Kind == kind {
-			return st
+	var found *streamState
+	for id, st := range m.streams {
+		if st.cfg.Group == group && st.cfg.Kind == kind && (found == nil || id < found.cfg.ID) {
+			found = st
 		}
 	}
-	return nil
+	return found
 }
 
 func (m *Manager) degradeLocked(st *streamState, now time.Time, reason string) Action {

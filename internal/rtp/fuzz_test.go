@@ -88,7 +88,7 @@ func FuzzUnmarshalControl(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		parts, err := SplitCompound(buf)
+		parts, err := SplitCompound(nil, buf)
 		if err != nil && !errors.Is(err, ErrMalformed) {
 			t.Fatalf("SplitCompound error %v does not wrap ErrMalformed", err)
 		}

@@ -3,6 +3,7 @@ package rtp
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -103,34 +104,67 @@ func unmarshalReport(buf []byte) ReceptionReport {
 	}
 }
 
-// Marshal encodes the sender report.
-func (sr *SenderReport) Marshal() []byte {
-	n := len(sr.Reports)
-	size := 28 + n*rrBlockSize
-	buf := make([]byte, size)
-	marshalHeader(buf, n, TypeSR, size/4-1)
+// maxBlocks is the most reception-report blocks one SR or RR carries: the
+// header's count field is five bits wide.
+const maxBlocks = 31
+
+// AppendTo appends the encoded sender report to dst. More than 31 blocks
+// do not fit one SR: it carries the first 31, and RRs from the same SSRC
+// follow it with the rest (RFC 3550 §6.4.2).
+func (sr *SenderReport) AppendTo(dst []byte) []byte {
+	n := min(len(sr.Reports), maxBlocks)
+	off := len(dst)
+	dst = grow(dst, 28+n*rrBlockSize)
+	buf := dst[off:]
+	marshalHeader(buf, n, TypeSR, len(buf)/4-1)
 	binary.BigEndian.PutUint32(buf[4:], sr.SSRC)
 	binary.BigEndian.PutUint64(buf[8:], sr.NTPTime)
 	binary.BigEndian.PutUint32(buf[16:], sr.RTPTime)
 	binary.BigEndian.PutUint32(buf[20:], sr.PacketCount)
 	binary.BigEndian.PutUint32(buf[24:], sr.OctetCount)
-	for i := range sr.Reports {
+	for i := range sr.Reports[:n] {
 		marshalReport(buf[28+i*rrBlockSize:], &sr.Reports[i])
 	}
-	return buf
+	if n == len(sr.Reports) {
+		return dst
+	}
+	return appendRRs(dst, sr.SSRC, sr.Reports[n:])
+}
+
+// Marshal encodes the sender report.
+func (sr *SenderReport) Marshal() []byte { return sr.AppendTo(nil) }
+
+// AppendTo appends the encoded receiver report to dst: one RR per 31
+// blocks, and one RR when there are none (RFC 3550 §6.4.2).
+func (rr *ReceiverReport) AppendTo(dst []byte) []byte {
+	return appendRRs(dst, rr.SSRC, rr.Reports)
 }
 
 // Marshal encodes the receiver report.
-func (rr *ReceiverReport) Marshal() []byte {
-	n := len(rr.Reports)
-	size := 8 + n*rrBlockSize
-	buf := make([]byte, size)
-	marshalHeader(buf, n, TypeRR, size/4-1)
-	binary.BigEndian.PutUint32(buf[4:], rr.SSRC)
-	for i := range rr.Reports {
-		marshalReport(buf[8+i*rrBlockSize:], &rr.Reports[i])
+func (rr *ReceiverReport) Marshal() []byte { return rr.AppendTo(nil) }
+
+// appendRRs appends RRs from ssrc carrying blocks, at most 31 in each, and
+// one RR when blocks is empty.
+func appendRRs(dst []byte, ssrc uint32, blocks []ReceptionReport) []byte {
+	for {
+		n := min(len(blocks), maxBlocks)
+		off := len(dst)
+		dst = grow(dst, 8+n*rrBlockSize)
+		buf := dst[off:]
+		marshalHeader(buf, n, TypeRR, len(buf)/4-1)
+		binary.BigEndian.PutUint32(buf[4:], ssrc)
+		for i := range blocks[:n] {
+			marshalReport(buf[8+i*rrBlockSize:], &blocks[i])
+		}
+		if blocks = blocks[n:]; len(blocks) == 0 {
+			return dst
+		}
 	}
-	return buf
+}
+
+// grow extends dst by n bytes.
+func grow(dst []byte, n int) []byte {
+	return slices.Grow(dst, n)[:len(dst)+n]
 }
 
 // Marshal encodes the BYE packet.
@@ -169,44 +203,94 @@ type ControlPacket struct {
 	BYE  *Goodbye
 }
 
+// parseHeader checks the RTCP header common to every packet type and
+// returns its count field and packet type.
+func parseHeader(buf []byte) (count int, ptype uint8, err error) {
+	if len(buf) < 8 {
+		return 0, 0, fmt.Errorf("%w: rtcp %d bytes", ErrMalformed, len(buf))
+	}
+	if v := buf[0] >> 6; v != Version {
+		return 0, 0, fmt.Errorf("%w: rtcp version %d", ErrMalformed, v)
+	}
+	words := int(binary.BigEndian.Uint16(buf[2:]))
+	if len(buf) < (words+1)*4 {
+		return 0, 0, fmt.Errorf("%w: rtcp truncated", ErrMalformed)
+	}
+	return int(buf[0] & 0x1f), buf[1], nil
+}
+
+// Unmarshal decodes one SR packet into sr, reusing the storage of
+// sr.Reports.
+func (sr *SenderReport) Unmarshal(buf []byte) error {
+	count, ptype, err := parseHeader(buf)
+	if err != nil {
+		return err
+	}
+	if ptype != TypeSR {
+		return fmt.Errorf("%w: rtcp type %d, want SR", ErrMalformed, ptype)
+	}
+	if len(buf) < 28+count*rrBlockSize {
+		return fmt.Errorf("%w: SR truncated", ErrMalformed)
+	}
+	sr.SSRC = binary.BigEndian.Uint32(buf[4:])
+	sr.NTPTime = binary.BigEndian.Uint64(buf[8:])
+	sr.RTPTime = binary.BigEndian.Uint32(buf[16:])
+	sr.PacketCount = binary.BigEndian.Uint32(buf[20:])
+	sr.OctetCount = binary.BigEndian.Uint32(buf[24:])
+	unmarshalReports(&sr.Reports, buf[28:], count)
+	return nil
+}
+
+// Unmarshal decodes one RR packet into rr, reusing the storage of
+// rr.Reports.
+func (rr *ReceiverReport) Unmarshal(buf []byte) error {
+	count, ptype, err := parseHeader(buf)
+	if err != nil {
+		return err
+	}
+	if ptype != TypeRR {
+		return fmt.Errorf("%w: rtcp type %d, want RR", ErrMalformed, ptype)
+	}
+	if len(buf) < 8+count*rrBlockSize {
+		return fmt.Errorf("%w: RR truncated", ErrMalformed)
+	}
+	rr.SSRC = binary.BigEndian.Uint32(buf[4:])
+	unmarshalReports(&rr.Reports, buf[8:], count)
+	return nil
+}
+
+// unmarshalReports decodes the count blocks at the front of buf into *dst,
+// reusing its storage when it has room. It reslices *dst in place rather
+// than appending, so a caller's stack-backed blocks stay on the stack.
+func unmarshalReports(dst *[]ReceptionReport, buf []byte, count int) {
+	if cap(*dst) >= count {
+		*dst = (*dst)[:count]
+	} else {
+		*dst = make([]ReceptionReport, count)
+	}
+	for i := range *dst {
+		(*dst)[i] = unmarshalReport(buf[i*rrBlockSize:])
+	}
+}
+
 // UnmarshalControl decodes a single RTCP packet (compound packets: call
 // repeatedly via SplitCompound).
 func UnmarshalControl(buf []byte) (*ControlPacket, error) {
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("%w: rtcp %d bytes", ErrMalformed, len(buf))
-	}
-	if v := buf[0] >> 6; v != Version {
-		return nil, fmt.Errorf("%w: rtcp version %d", ErrMalformed, v)
-	}
-	count := int(buf[0] & 0x1f)
-	ptype := buf[1]
-	words := int(binary.BigEndian.Uint16(buf[2:]))
-	if len(buf) < (words+1)*4 {
-		return nil, fmt.Errorf("%w: rtcp truncated", ErrMalformed)
+	_, ptype, err := parseHeader(buf)
+	if err != nil {
+		return nil, err
 	}
 	switch ptype {
 	case TypeSR:
-		if len(buf) < 28+count*rrBlockSize {
-			return nil, fmt.Errorf("%w: SR truncated", ErrMalformed)
-		}
-		sr := &SenderReport{
-			SSRC:        binary.BigEndian.Uint32(buf[4:]),
-			NTPTime:     binary.BigEndian.Uint64(buf[8:]),
-			RTPTime:     binary.BigEndian.Uint32(buf[16:]),
-			PacketCount: binary.BigEndian.Uint32(buf[20:]),
-			OctetCount:  binary.BigEndian.Uint32(buf[24:]),
-		}
-		for i := 0; i < count; i++ {
-			sr.Reports = append(sr.Reports, unmarshalReport(buf[28+i*rrBlockSize:]))
+		sr := &SenderReport{}
+		if err := sr.Unmarshal(buf); err != nil {
+			return nil, err
 		}
 		return &ControlPacket{SR: sr}, nil
 	case TypeRR:
-		if len(buf) < 8+count*rrBlockSize {
-			return nil, fmt.Errorf("%w: RR truncated", ErrMalformed)
-		}
-		rr := &ReceiverReport{SSRC: binary.BigEndian.Uint32(buf[4:])}
-		for i := 0; i < count; i++ {
-			rr.Reports = append(rr.Reports, unmarshalReport(buf[8+i*rrBlockSize:]))
+		rr := &ReceiverReport{}
+		if err := rr.Unmarshal(buf); err != nil {
+			return nil, err
 		}
 		return &ControlPacket{RR: rr}, nil
 	case TypeSDES:
@@ -235,22 +319,23 @@ func UnmarshalControl(buf []byte) (*ControlPacket, error) {
 	}
 }
 
-// SplitCompound splits a compound RTCP datagram into individual packets.
-func SplitCompound(buf []byte) ([][]byte, error) {
-	var out [][]byte
+// SplitCompound appends the packets of a compound RTCP datagram to dst, as
+// views into buf; a datagram whose framing breaks anywhere yields none.
+func SplitCompound(dst [][]byte, buf []byte) ([][]byte, error) {
+	n := len(dst)
 	for len(buf) > 0 {
 		if len(buf) < 4 {
-			return nil, fmt.Errorf("%w: compound remainder %d bytes", ErrMalformed, len(buf))
+			return dst[:n], fmt.Errorf("%w: compound remainder %d bytes", ErrMalformed, len(buf))
 		}
 		words := int(binary.BigEndian.Uint16(buf[2:]))
 		size := (words + 1) * 4
 		if len(buf) < size {
-			return nil, fmt.Errorf("%w: compound truncated", ErrMalformed)
+			return dst[:n], fmt.Errorf("%w: compound truncated", ErrMalformed)
 		}
-		out = append(out, buf[:size])
+		dst = append(dst, buf[:size])
 		buf = buf[size:]
 	}
-	return out, nil
+	return dst, nil
 }
 
 // NTPTime converts a wall instant to the 64-bit NTP timestamp format used by

@@ -2,6 +2,7 @@ package rtp
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -312,6 +313,87 @@ func TestReceiverReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReportsBeyond31Blocks: a report naming more sources than the 5-bit
+// count can hold marshals as a compound whose SR or RRs carry at most 31
+// blocks each, and decoding every packet of it gives back all 40 blocks in
+// order, with the reporter's SSRC on each packet.
+func TestReportsBeyond31Blocks(t *testing.T) {
+	blocks := make([]ReceptionReport, 40)
+	for i := range blocks {
+		blocks[i] = ReceptionReport{SSRC: uint32(100 + i), FractionLost: uint8(i), ExtendedHighSeq: uint32(i) << 16}
+	}
+	sr := &SenderReport{SSRC: 7, NTPTime: 1 << 40, PacketCount: 3, Reports: blocks}
+	rr := &ReceiverReport{SSRC: 9, Reports: blocks}
+	for _, tc := range []struct {
+		name  string
+		buf   []byte
+		ssrc  uint32
+		types []uint8
+	}{
+		{"SR", sr.Marshal(), 7, []uint8{TypeSR, TypeRR}},
+		{"RR", rr.Marshal(), 9, []uint8{TypeRR, TypeRR}},
+	} {
+		parts, err := SplitCompound(nil, tc.buf)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got []ReceptionReport
+		for i, part := range parts {
+			if part[1] != tc.types[min(i, len(tc.types)-1)] {
+				t.Fatalf("%s: packet %d has type %d", tc.name, i, part[1])
+			}
+			cp, err := UnmarshalControl(part)
+			if err != nil {
+				t.Fatalf("%s: packet %d: %v", tc.name, i, err)
+			}
+			if cp.SR != nil {
+				if cp.SR.SSRC != tc.ssrc || cp.SR.NTPTime != sr.NTPTime || cp.SR.PacketCount != sr.PacketCount {
+					t.Fatalf("%s: SR = %+v", tc.name, cp.SR)
+				}
+				got = append(got, cp.SR.Reports...)
+			} else {
+				if cp.RR.SSRC != tc.ssrc {
+					t.Fatalf("%s: packet %d from SSRC %d, want %d", tc.name, i, cp.RR.SSRC, tc.ssrc)
+				}
+				got = append(got, cp.RR.Reports...)
+			}
+		}
+		if len(parts) != 2 || !reflect.DeepEqual(got, blocks) {
+			t.Fatalf("%s: %d packets carry %d blocks, want 2 carrying the 40 sent", tc.name, len(parts), len(got))
+		}
+	}
+}
+
+// TestReportCodecAllocFree: encoding into a buffer with room, and decoding
+// into a report whose blocks have room, allocate nothing.
+func TestReportCodecAllocFree(t *testing.T) {
+	rr := ReceiverReport{SSRC: 9, Reports: make([]ReceptionReport, 4)}
+	sr := SenderReport{SSRC: 7, NTPTime: 1 << 40}
+	buf := make([]byte, 0, 256)
+	var gotRR ReceiverReport
+	gotRR.Reports = make([]ReceptionReport, 0, 4)
+	var gotSR SenderReport
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = rr.AppendTo(buf[:0])
+		if gotRR.Unmarshal(buf) != nil {
+			t.Fatal("RR does not decode")
+		}
+		buf = sr.AppendTo(buf[:0])
+		if gotSR.Unmarshal(buf) != nil {
+			t.Fatal("SR does not decode")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("report encode and decode allocate %.1f objects, want 0", allocs)
+	}
+	if !reflect.DeepEqual(gotRR, rr) || !reflect.DeepEqual(gotSR, sr) {
+		t.Fatalf("decoded %+v and %+v, want %+v and %+v", gotRR, gotSR, rr, sr)
+	}
+	if gotRR.Unmarshal(buf) == nil || gotSR.Unmarshal(buf[:27]) == nil {
+		t.Fatal("an SR decoded as an RR, or a truncated SR decoded")
+	}
+}
+
 func TestNegativeCumulativeLostSignExtension(t *testing.T) {
 	rr := &ReceiverReport{SSRC: 1, Reports: []ReceptionReport{{SSRC: 2, CumulativeLost: -3}}}
 	cp, err := UnmarshalControl(rr.Marshal())
@@ -353,7 +435,7 @@ func TestCompoundSplit(t *testing.T) {
 	comp = append(comp, sr...)
 	comp = append(comp, rr...)
 	comp = append(comp, bye...)
-	parts, err := SplitCompound(comp)
+	parts, err := SplitCompound(nil, comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +448,7 @@ func TestCompoundSplit(t *testing.T) {
 			t.Fatalf("part %d type %d", i, p[1])
 		}
 	}
-	if _, err := SplitCompound(comp[:len(comp)-2]); err == nil {
+	if _, err := SplitCompound(nil, comp[:len(comp)-2]); err == nil {
 		t.Fatal("accepted truncated compound")
 	}
 }

@@ -562,38 +562,40 @@ func (s *Server) sendSenderReports(sess *session) {
 }
 
 func (s *Server) onFeedback(from netsim.Addr, m protocol.Feedback) {
-	// One short read-side critical section snapshots the session's SSRC
-	// map and QoS manager; report decoding and grading then run off the
-	// shard lock (the manager has its own fine-grained lock), and any
-	// rate change is queued for the batched renegotiation tick instead of
-	// renegotiating per packet.
+	// One short read-side critical section takes the session's SSRC map
+	// and QoS manager; report decoding and grading then run off the shard
+	// lock (the manager has its own fine-grained lock), and any rate change
+	// is queued for the batched renegotiation tick instead of renegotiating
+	// per packet. The map needs no copy: the document request that makes it
+	// fills it before releasing the shard lock and never writes it again, and
+	// the next document installs a map of its own.
 	sh := s.shardOf(string(from))
 	sh.mu.RLock()
 	sess, ok := sh.sessions[string(from)]
 	var mgr *qos.Manager
 	var ssrcToID map[uint32]string
 	if ok {
-		mgr = sess.qosMgr
-		ssrcToID = make(map[uint32]string, len(sess.ssrcToID))
-		for ssrc, id := range sess.ssrcToID {
-			ssrcToID[ssrc] = id
-		}
+		mgr, ssrcToID = sess.qosMgr, sess.ssrcToID
 	}
 	sh.mu.RUnlock()
 	if !ok || s.opts.DisableGrading {
 		return
 	}
-	parts, err := rtp.SplitCompound(m.RTCP)
+	// The compound's packets and an RR's blocks decode into stack storage
+	// that fits a lesson's streams.
+	var partsBuf [4][]byte
+	parts, err := rtp.SplitCompound(partsBuf[:0], m.RTCP)
 	if err != nil {
 		return
 	}
+	var blocks [8]rtp.ReceptionReport
+	rr := rtp.ReceiverReport{Reports: blocks[:0]}
 	var acted []string
 	for _, part := range parts {
-		cp, err := rtp.UnmarshalControl(part)
-		if err != nil || cp.RR == nil {
+		if rr.Unmarshal(part) != nil {
 			continue
 		}
-		for _, block := range cp.RR.Reports {
+		for _, block := range rr.Reports {
 			id, ok := ssrcToID[block.SSRC]
 			if !ok {
 				continue

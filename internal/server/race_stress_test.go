@@ -11,6 +11,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/protocol"
 	"repro/internal/qos"
+	"repro/internal/rtp"
 )
 
 // pump emits up to n frames back-to-back, bypassing the pacing timer, so
@@ -51,8 +52,10 @@ func TestDataPlaneRaceStress(t *testing.T) {
 		t.Fatal("no session")
 	}
 	snds := make([]*sender, 0, len(sess.senders))
+	rr := rtp.ReceiverReport{SSRC: 1}
 	for _, snd := range sess.senders {
 		snds = append(snds, snd)
+		rr.Reports = append(rr.Reports, rtp.ReceptionReport{SSRC: snd.flow().ssrc, FractionLost: 128})
 	}
 	unlock()
 	if len(snds) == 0 {
@@ -85,6 +88,16 @@ func TestDataPlaneRaceStress(t *testing.T) {
 				h.srv.handle(pkt)
 			}
 			h.srv.queueRenegotiate(sess)
+		}
+	}()
+	// Heavy-loss feedback from a goroutine of its own, racing the reloads
+	// that install a new SSRC map while a report is resolved against one.
+	feedback := makeCtrlPacket(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			h.srv.handle(feedback)
 		}
 	}()
 	wg.Wait()
