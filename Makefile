@@ -19,9 +19,9 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# Race detector over the concurrent packages: simulator, transport, telemetry and its metric instruments, the control codec's pool, both endpoints and their churn stresses, the QoS monitor and grader behind their locks, the media path with its buffer pool, the determinism/cluster-replay tests in experiments, and the fault-injection suite on its pinned seed.
+# Race detector over the concurrent packages: simulator, transport, telemetry and its metric instruments, the control codec's pool, the user database every server of a cluster shares, both endpoints and their churn stresses, the QoS monitor and grader behind their locks, the media path with its buffer pool, the determinism/cluster-replay tests in experiments, and the fault-injection suite on its pinned seed.
 race:
-	$(GO) test -race ./internal/clock/... ./internal/transport/... ./internal/netsim/... ./internal/obs/... ./internal/stats/... ./internal/playout/... ./internal/protocol/... ./internal/client/... ./internal/server/... ./internal/media/... ./internal/rtp/... ./internal/qos/... ./internal/buffer/... ./internal/cluster/... ./internal/experiments/... ./internal/chaos/...
+	$(GO) test -race ./internal/clock/... ./internal/transport/... ./internal/netsim/... ./internal/obs/... ./internal/stats/... ./internal/playout/... ./internal/protocol/... ./internal/auth/... ./internal/client/... ./internal/server/... ./internal/media/... ./internal/rtp/... ./internal/qos/... ./internal/buffer/... ./internal/cluster/... ./internal/experiments/... ./internal/chaos/...
 
 # The fuzz smoke: 10 s of each Fuzz target, one line per target (go test fuzzes one target per run). A crasher is written under the package's testdata/fuzz and committed, so plain go test replays it from then on.
 fuzz:

@@ -83,8 +83,8 @@ var (
 type DB struct {
 	mu      sync.Mutex
 	users   map[string]*User
-	log     []AccessEntry
-	charges []Charge
+	log     chunks[AccessEntry]
+	charges chunks[Charge]
 	// RatePerSecond prices connection time per class.
 	rates map[qos.PricingClass]float64
 }
@@ -122,14 +122,14 @@ func (db *DB) Authenticate(name, password string, at time.Time) (*User, error) {
 	defer db.mu.Unlock()
 	u, ok := db.users[name]
 	if !ok {
-		db.log = append(db.log, AccessEntry{At: at, User: name, Kind: AccessDenied, Detail: "unknown user"})
+		db.log.add(AccessEntry{At: at, User: name, Kind: AccessDenied, Detail: "unknown user"})
 		return nil, ErrUnknownUser
 	}
 	if u.Password != password {
-		db.log = append(db.log, AccessEntry{At: at, User: name, Kind: AccessDenied, Detail: "bad password"})
+		db.log.add(AccessEntry{At: at, User: name, Kind: AccessDenied, Detail: "bad password"})
 		return nil, ErrBadPassword
 	}
-	db.log = append(db.log, AccessEntry{At: at, User: name, Kind: AccessLogin})
+	db.log.add(AccessEntry{At: at, User: name, Kind: AccessLogin})
 	cp := *u
 	return &cp, nil
 }
@@ -146,14 +146,14 @@ func (db *DB) Known(name string) bool {
 func (db *DB) LogRetrieval(user, lesson string, at time.Time) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.log = append(db.log, AccessEntry{At: at, User: user, Kind: AccessRetrieve, Detail: lesson})
+	db.log.add(AccessEntry{At: at, User: user, Kind: AccessRetrieve, Detail: lesson})
 }
 
 // LogLogout records a disconnect.
 func (db *DB) LogLogout(user string, at time.Time) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.log = append(db.log, AccessEntry{At: at, User: user, Kind: AccessLogout})
+	db.log.add(AccessEntry{At: at, User: user, Kind: AccessLogout})
 }
 
 // AccessLog returns entries for a user ("" = all).
@@ -161,9 +161,11 @@ func (db *DB) AccessLog(user string) []AccessEntry {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var out []AccessEntry
-	for _, e := range db.log {
-		if user == "" || e.User == user {
-			out = append(out, e)
+	for _, chunk := range db.log {
+		for _, e := range chunk {
+			if user == "" || e.User == user {
+				out = append(out, e)
+			}
 		}
 	}
 	return out
@@ -179,7 +181,7 @@ func (db *DB) ChargeSession(user string, d time.Duration, at time.Time) (float64
 		return 0, ErrUnknownUser
 	}
 	amount := db.rates[u.Class] * d.Seconds()
-	db.charges = append(db.charges, Charge{
+	db.charges.add(Charge{
 		At: at, User: user, Amount: amount,
 		Detail: fmt.Sprintf("session %.0fs @ %s", d.Seconds(), u.Class),
 	})
@@ -191,9 +193,11 @@ func (db *DB) Balance(user string) float64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	sum := 0.0
-	for _, c := range db.charges {
-		if c.User == user {
-			sum += c.Amount
+	for _, chunk := range db.charges {
+		for _, c := range chunk {
+			if c.User == user {
+				sum += c.Amount
+			}
 		}
 	}
 	return sum
@@ -204,4 +208,20 @@ func (db *DB) Users() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return len(db.users)
+}
+
+// chunkLen is how many entries one chunk of a log holds.
+const chunkLen = 256
+
+// chunks is an append-only log kept in fixed-size chunks, oldest first: an
+// append fills the last chunk or starts a new one, so no entry is ever
+// copied again as the log grows.
+type chunks[T any] [][]T
+
+func (l *chunks[T]) add(e T) {
+	if n := len(*l); n == 0 || len((*l)[n-1]) == chunkLen {
+		*l = append(*l, make([]T, 0, chunkLen))
+	}
+	last := &(*l)[len(*l)-1]
+	*last = append(*last, e)
 }

@@ -2,6 +2,8 @@ package auth
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -131,5 +133,116 @@ func TestAccessKindStrings(t *testing.T) {
 	}
 	if AccessKind(99).String() != "unknown" {
 		t.Fatal("out of range")
+	}
+}
+
+// TestLogsAcrossChunks: the access log and the charges read back in the
+// order written, and sum as a plain running total would, when they span
+// several chunks with a partial one at the end.
+func TestLogsAcrossChunks(t *testing.T) {
+	db := NewDB()
+	users := []string{"ann", "ben", "cat"}
+	for _, u := range users {
+		db.Subscribe(form(u), t0)
+	}
+	const n = 2*chunkLen + chunkLen/2 + 1
+	var want []AccessEntry
+	balance := map[string]float64{}
+	for i := 0; i < n; i++ {
+		u, at := users[i%len(users)], t0.Add(time.Duration(i)*time.Second)
+		if i%2 == 0 {
+			db.LogRetrieval(u, fmt.Sprintf("lesson-%d", i), at)
+			want = append(want, AccessEntry{At: at, User: u, Kind: AccessRetrieve, Detail: fmt.Sprintf("lesson-%d", i)})
+		} else {
+			db.LogLogout(u, at)
+			want = append(want, AccessEntry{At: at, User: u, Kind: AccessLogout})
+		}
+		amount, err := db.ChargeSession(u, time.Duration(i)*time.Millisecond, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		balance[u] += amount
+	}
+	if len(db.log) != 3 || len(db.charges) != 3 {
+		t.Fatalf("%d entries in %d log and %d charge chunks, want 3 each", n, len(db.log), len(db.charges))
+	}
+	all := db.AccessLog("")
+	if len(all) != n {
+		t.Fatalf("access log holds %d entries, want %d", len(all), n)
+	}
+	for i := range want {
+		if all[i] != want[i] {
+			t.Fatalf("entry %d = %+v, want %+v", i, all[i], want[i])
+		}
+	}
+	for _, u := range users {
+		var mine []AccessEntry
+		for _, e := range want {
+			if e.User == u {
+				mine = append(mine, e)
+			}
+		}
+		got := db.AccessLog(u)
+		if len(got) != len(mine) {
+			t.Fatalf("%s: %d entries, want %d", u, len(got), len(mine))
+		}
+		for i := range mine {
+			if got[i] != mine[i] {
+				t.Fatalf("%s entry %d = %+v, want %+v", u, i, got[i], mine[i])
+			}
+		}
+		if got := db.Balance(u); got != balance[u] {
+			t.Fatalf("%s: balance %v, want %v", u, got, balance[u])
+		}
+	}
+}
+
+// TestConcurrentLogs: one DB serves every server of a cluster, so logins,
+// logouts and log reads race. Run under -race, every entry lands once, in
+// its writer's order, and the log a reader sees never shrinks.
+func TestConcurrentLogs(t *testing.T) {
+	db := NewDB()
+	const writers, perWriter = 4, chunkLen
+	for w := 0; w < writers; w++ {
+		db.Subscribe(form(fmt.Sprintf("u%d", w)), t0)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(2)
+		user := fmt.Sprintf("u%d", w)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if _, err := db.Authenticate(user, "pw", t0); err != nil {
+					t.Error(err)
+					return
+				}
+				db.LogLogout(user, t0)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			seen := 0
+			for i := 0; i < perWriter/8; i++ {
+				log := db.AccessLog(user)
+				if len(log) < seen {
+					t.Errorf("%s: log shrank from %d to %d entries", user, seen, len(log))
+					return
+				}
+				seen = len(log)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(db.AccessLog("")); got != writers*perWriter*2 {
+		t.Fatalf("access log holds %d entries, want %d", got, writers*perWriter*2)
+	}
+	for w := 0; w < writers; w++ {
+		log := db.AccessLog(fmt.Sprintf("u%d", w))
+		for i, e := range log {
+			if want := []AccessKind{AccessLogin, AccessLogout}[i%2]; e.Kind != want {
+				t.Fatalf("u%d entry %d is a %v, want %v", w, i, e.Kind, want)
+			}
+		}
 	}
 }

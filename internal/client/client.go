@@ -132,6 +132,8 @@ type Client struct {
 
 	// Host is the client's host name.
 	Host string
+	// addr is the client's control address, built once (CtrlAddr).
+	addr netsim.Addr
 
 	clk  clock.Clock
 	net  netsim.Net
@@ -159,16 +161,16 @@ type Client struct {
 	asm        map[uint32]map[uint32]*assembly
 	asmFree    []*assembly // recycled assembly shells (their bufs are pooled separately)
 	docName    string
-	docHost    string // server the current document came from
-	// userPaused remembers a user-requested pause across a liveness
-	// suspend: recovery restores the paused presentation instead of
-	// restarting playout (the server keeps the sender paused too).
-	userPaused bool
+	docHost    string   // server the current document came from
 	fillIDs    []string // stream buffers gating the deliberate initial delay
 	stillIDs   []string // stills that must be present before the start
 	docAt      time.Time
 	startDelay time.Duration
 	started    bool
+	// userPaused remembers a user-requested pause across a liveness
+	// suspend: recovery restores the paused presentation instead of
+	// restarting playout (the server keeps the sender paused too).
+	userPaused bool
 	fillTimer  *clock.Timer
 	endTimer   *clock.Timer
 	fbTimer    *clock.Timer
@@ -200,13 +202,13 @@ type Client struct {
 
 	// reliable control plane (reliable.go)
 	nextReq uint32
+	hbAwait bool
 	pending map[uint32]*pendingReq
 	// peers/graceSecs are the replica set and suspend grace window the
 	// server advertised on connect; they bound recovery and failover.
 	peers     []string
 	graceSecs int
 	hbTimer   *clock.Timer
-	hbAwait   bool
 	hbMisses  int
 	// recovering names the server currently being probed for session
 	// recovery ("" when healthy); failedPeers holds the dead sources and
@@ -228,6 +230,7 @@ type record struct {
 	m       protocol.Machine
 	session string
 	token   string
+	addr    netsim.Addr // the server's control address
 }
 
 // navEntry is one visited document in the navigation stacks.
@@ -301,6 +304,7 @@ func New(host string, clk clock.Clock, net netsim.Net, opts Options) (*Client, e
 	opts.fill()
 	c := &Client{
 		Host:        host,
+		addr:        netsim.MakeAddr(host, opts.CtrlPort),
 		clk:         clk,
 		net:         net,
 		opts:        opts,
@@ -321,7 +325,7 @@ func New(host string, clk clock.Clock, net netsim.Net, opts Options) (*Client, e
 
 // CtrlAddr is the address the client's control channel listens on and
 // sends from: the key a server files the client's session under.
-func (c *Client) CtrlAddr() netsim.Addr { return netsim.MakeAddr(c.Host, c.opts.CtrlPort) }
+func (c *Client) CtrlAddr() netsim.Addr { return c.addr }
 
 func (c *Client) logEvent(what string) {
 	c.events = append(c.events, Event{At: c.clk.Now(), What: what})
@@ -340,7 +344,7 @@ func (c *Client) Events() []Event {
 func (c *Client) server(host string) *record {
 	r, ok := c.servers[host]
 	if !ok {
-		r = &record{}
+		r = &record{addr: netsim.MakeAddr(host, protocol.ControlPort)}
 		c.servers[host] = r
 	}
 	return r
@@ -527,7 +531,7 @@ func (c *Client) Disconnect() {
 		c.hbTimer.Stop()
 		c.hbTimer = nil
 	}
-	c.send(c.current, protocol.MsgDisconnect, &protocol.Disconnect{})
+	c.send(c.server(c.current), protocol.MsgDisconnect, &protocol.Disconnect{})
 	c.logEvent("disconnect " + c.current)
 	c.opts.Obs.Emit(obs.EvSessionEnd, c.current, 0, "client disconnect")
 	c.current = ""
@@ -540,7 +544,7 @@ func (c *Client) Pause() {
 	if c.player == nil || !c.server(c.current).m.Try(protocol.InPause) {
 		return
 	}
-	c.send(c.current, protocol.MsgPause, &protocol.MediaOp{})
+	c.send(c.server(c.current), protocol.MsgPause, &protocol.MediaOp{})
 	c.player.Pause()
 	c.userPaused = true
 	c.logEvent("pause")
@@ -553,7 +557,7 @@ func (c *Client) Resume() {
 	if c.player == nil || !c.server(c.current).m.Try(protocol.InResume) {
 		return
 	}
-	c.send(c.current, protocol.MsgResume, &protocol.MediaOp{})
+	c.send(c.server(c.current), protocol.MsgResume, &protocol.MediaOp{})
 	c.player.Resume()
 	c.userPaused = false
 	c.logEvent("resume")
@@ -563,7 +567,7 @@ func (c *Client) Resume() {
 func (c *Client) DisableMedia(streamID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.send(c.current, protocol.MsgDisableMedia, &protocol.MediaOp{StreamID: streamID})
+	c.send(c.server(c.current), protocol.MsgDisableMedia, &protocol.MediaOp{StreamID: streamID})
 	c.logEvent("disable " + streamID)
 }
 
@@ -571,7 +575,7 @@ func (c *Client) DisableMedia(streamID string) {
 func (c *Client) Annotate(text string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.send(c.current, protocol.MsgAnnotate, &protocol.Annotate{Text: text})
+	c.send(c.server(c.current), protocol.MsgAnnotate, &protocol.Annotate{Text: text})
 }
 
 // RequestStats asks the current server for its telemetry registry

@@ -528,7 +528,7 @@ func (c *Client) sendFeedback() {
 	}
 	c.feedback.RTCP = c.monitor.BuildRR().AppendTo(c.feedback.RTCP[:0])
 	c.fbTimer.Reset(c.opts.FeedbackInterval)
-	c.send(c.current, protocol.MsgFeedback, c.feedback)
+	c.send(c.server(c.current), protocol.MsgFeedback, c.feedback)
 }
 
 // onTimedLink fires when the presentation scenario auto-follows a link.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/auth"
 	"repro/internal/clock"
@@ -836,5 +837,17 @@ func TestStreamInfoAndSessionID(t *testing.T) {
 	}
 	if _, ok := w.c.StreamInfo("ghost"); ok {
 		t.Fatal("phantom stream info")
+	}
+}
+
+// TestClientSizeClass keeps a Client in the 1 152 B size class, with the 8 B
+// header the allocator adds to an object of its size: a control-only
+// browser fleet (connect_storm's 8 000) pays the next class, 1 280 B, on
+// every browser for any field that tips it over. State that only a media
+// viewer needs goes behind a pointer made on first use, as feedback is, and
+// state kept per server goes in record.
+func TestClientSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Client{}); size+8 > 1152 {
+		t.Fatalf("Client is %d B; with its 8 B malloc header it leaves the 1 152 B size class", size)
 	}
 }

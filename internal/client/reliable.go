@@ -27,7 +27,7 @@ const retryBackoffCap = 4 * time.Second
 // pendingReq is one in-flight tracked control request.
 type pendingReq struct {
 	id       uint32
-	host     string
+	to       netsim.Addr // the server's control address; to.Host() names it
 	mt       protocol.MsgType
 	frame    []byte
 	attempts int
@@ -47,10 +47,10 @@ type pendingReq struct {
 // sendFrame puts one raw control frame on the wire. Send errors are left to
 // the retransmission machinery: a refused packet looks exactly like a lost
 // one.
-func (c *Client) sendFrame(host string, frame []byte) {
+func (c *Client) sendFrame(to netsim.Addr, frame []byte) {
 	_ = c.net.Send(netsim.Packet{
-		From:     c.CtrlAddr(),
-		To:       netsim.MakeAddr(host, protocol.ControlPort),
+		From:     c.addr,
+		To:       to,
 		Payload:  frame,
 		Reliable: true,
 	})
@@ -58,9 +58,9 @@ func (c *Client) sendFrame(host string, frame []byte) {
 
 // send puts one fire-and-forget control message on the wire. Send copies
 // the payload before it returns, so the frame is encoded into the codec's
-// scratch.
-func (c *Client) send(host string, t protocol.MsgType, body protocol.Message) {
-	if err := protocol.WriteFrame(t, body, func(frame []byte) { c.sendFrame(host, frame) }); err != nil {
+// scratch. Caller holds c.mu, or passes the record it read under it.
+func (c *Client) send(rec *record, t protocol.MsgType, body protocol.Message) {
+	if err := protocol.WriteFrame(t, body, func(frame []byte) { c.sendFrame(rec.addr, frame) }); err != nil {
 		panic(err)
 	}
 }
@@ -78,7 +78,7 @@ func (c *Client) sendReqLocked(host string, mt protocol.MsgType, body protocol.M
 	}
 	pr := &pendingReq{
 		id:       id,
-		host:     host,
+		to:       c.server(host).addr,
 		mt:       mt,
 		frame:    frame,
 		delay:    c.opts.RetryTimeout,
@@ -88,7 +88,7 @@ func (c *Client) sendReqLocked(host string, mt protocol.MsgType, body protocol.M
 	}
 	c.pending[id] = pr
 	pr.timer = c.clk.AfterFunc(pr.delay, func() { c.retryReq(id) })
-	c.sendFrame(host, pr.frame)
+	c.sendFrame(pr.to, pr.frame)
 	return id
 }
 
@@ -110,9 +110,9 @@ func (c *Client) retryReq(id uint32) {
 	if exhausted {
 		delete(c.pending, id)
 		c.opts.Obs.Counter("client_ctrl_timeouts").Inc()
-		c.opts.Obs.Emit(obs.EvCtrlTimeout, pr.host, int64(pr.attempts),
+		c.opts.Obs.Emit(obs.EvCtrlTimeout, pr.to.Host(), int64(pr.attempts),
 			fmt.Sprintf("%s abandoned after %d attempts", pr.mt, pr.attempts))
-		c.logEvent("request timeout: " + pr.mt.String() + " → " + pr.host)
+		c.logEvent("request timeout: " + pr.mt.String() + " → " + pr.to.Host())
 		if pr.onFail != nil {
 			pr.onFail()
 		}
@@ -120,15 +120,15 @@ func (c *Client) retryReq(id uint32) {
 		return
 	}
 	c.opts.Obs.Counter("client_ctrl_retries").Inc()
-	c.opts.Obs.Emit(obs.EvCtrlRetry, pr.host, int64(pr.attempts), "retrying "+pr.mt.String())
+	c.opts.Obs.Emit(obs.EvCtrlRetry, pr.to.Host(), int64(pr.attempts), "retrying "+pr.mt.String())
 	pr.delay *= 2
 	if pr.delay > retryBackoffCap {
 		pr.delay = retryBackoffCap
 	}
 	pr.timer = c.clk.AfterFunc(pr.delay, func() { c.retryReq(id) })
-	host, frame := pr.host, pr.frame
+	to, frame := pr.to, pr.frame
 	c.mu.Unlock()
-	c.sendFrame(host, frame)
+	c.sendFrame(to, frame)
 }
 
 // completePendingLocked resolves a tracked request when its echoed reply
@@ -146,7 +146,7 @@ func (c *Client) completePendingLocked(reqID uint32) bool {
 	delete(c.pending, reqID)
 	rtt := c.clk.Now().Sub(pr.sentAt)
 	c.hCtrlRTT.Observe(rtt)
-	c.opts.Obs.Sample(obs.EvCtrlSpan, pr.host, rtt.Microseconds(), pr.mt.String())
+	c.opts.Obs.Sample(obs.EvCtrlSpan, pr.to.Host(), rtt.Microseconds(), pr.mt.String())
 	return true
 }
 
@@ -154,7 +154,7 @@ func (c *Client) completePendingLocked(reqID uint32) bool {
 // running onFail (used when tearing the connection down deliberately).
 func (c *Client) cancelPendingLocked(host string) {
 	for id, pr := range c.pending {
-		if pr.host != host {
+		if pr.to.Host() != host {
 			continue
 		}
 		if pr.timer != nil {
@@ -213,7 +213,7 @@ func (c *Client) heartbeatTick() {
 	c.hbAwait = true
 	c.hbTimer = c.clk.AfterFunc(c.opts.HeartbeatInterval, c.heartbeatTick)
 	c.mu.Unlock()
-	c.send(host, protocol.MsgHeartbeat, &protocol.Heartbeat{SessionID: rec.session})
+	c.send(rec, protocol.MsgHeartbeat, &protocol.Heartbeat{SessionID: rec.session})
 }
 
 func (c *Client) onHeartbeatAck(from string, m protocol.HeartbeatAck) {

@@ -95,6 +95,23 @@ func WriteFrame(t MsgType, m Message, write func(frame []byte)) error {
 	return err
 }
 
+// WriteReply hands write the reply frame to request reqID: frame, a kept
+// request-ID-0 frame as NewFrame(t, 0, m) returns, with reqID written into
+// its header. A nonzero reqID is written into a copy in scratch the codec
+// keeps, so one kept frame answers any number of requests; write must not
+// keep what it is handed past its return.
+func WriteReply(frame []byte, reqID uint32, write func(frame []byte)) {
+	if reqID == 0 {
+		write(frame)
+		return
+	}
+	c := getCodec()
+	c.own = append(c.own[:0], frame...)
+	binary.BigEndian.PutUint32(c.own[1:headerSize], reqID)
+	write(c.own)
+	putCodec(c)
+}
+
 // NewFrame returns the frame in an allocation of its own, exactly its
 // size: the form of a frame that is kept, such as a retransmit copy or a
 // cached reply.
@@ -222,13 +239,47 @@ func (c *codec) next(i int) bool {
 	return i == 0 || c.expect(',')
 }
 
+// elems counts the elements of the array that opens at in[pos], so that
+// its slice is made once, at its final size. It skips strings and nested
+// values, and stops at the array's end or the body's. On a well-formed array
+// the count is exact; on any input it is at most what the bytes from pos
+// could hold, one byte and a comma per element.
+func elems(in []byte, pos int) int {
+	if pos+1 >= len(in) || in[pos] != '[' || in[pos+1] == ']' {
+		return 0
+	}
+	n, depth := 1, 0
+scan:
+	for i := pos; i < len(in); i++ {
+		switch in[i] {
+		case '"':
+			for i++; i < len(in) && in[i] != '"'; i++ {
+				if in[i] == '\\' {
+					i++
+				}
+			}
+		case '[', '{':
+			depth++
+		case ']', '}':
+			if depth--; depth == 0 {
+				break scan
+			}
+		case ',':
+			if depth == 1 {
+				n++
+			}
+		}
+	}
+	return min(n, (len(in)-pos)/2)
+}
+
 // list writes or reads a slice of objects.
 func list[T any](c *codec, name string, p *[]T, omitEmpty bool, fields func(*T, *codec)) {
 	if !c.field(name, len(*p) == 0, omitEmpty) {
 		return
 	}
 	if c.dec {
-		s := []T{}
+		s := make([]T, 0, elems(c.in, c.pos))
 		for i := 0; c.next(i); i++ {
 			var zero T
 			s = append(s, zero)
@@ -389,13 +440,11 @@ func (c *codec) strs(name string, p *[]string, omitEmpty bool) {
 		return
 	}
 	if c.dec {
-		// Collect on the stack, so the slice returned is one allocation.
-		var stack [8]string
-		s := stack[:0]
+		s := make([]string, 0, elems(c.in, c.pos))
 		for i := 0; c.next(i); i++ {
 			s = append(s, string(c.unquote()))
 		}
-		*p = append(make([]string, 0, len(s)), s...)
+		*p = s
 		return
 	}
 	if *p == nil {

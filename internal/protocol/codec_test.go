@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -315,6 +316,15 @@ func FuzzDecodeBody(f *testing.F) {
 		f.Add(pause, []byte(body))
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
+		// Whatever the input, the count that sizes a list never asks for
+		// more elements than the bytes left could hold: '[', then one byte
+		// and a comma per element.
+		for i := range body {
+			if n := elems(body, i); n > (len(body)-i)/2 {
+				t.Fatalf("%q: count %d at offset %d, but %d bytes hold at most %d elements",
+					body, n, i, len(body)-i, (len(body)-i)/2)
+			}
+		}
 		b := bodies[int(kind)%len(bodies)]
 		got := b.new()
 		if DecodeBody(body, got) != nil {
@@ -327,6 +337,9 @@ func FuzzDecodeBody(f *testing.F) {
 		if !reflect.DeepEqual(got, oracle) {
 			t.Fatalf("%s %q decoded\n got %#v\nwant %#v", b.mt, body, got, oracle)
 		}
+		if path := inexactList(reflect.ValueOf(got), b.mt.String()); path != "" {
+			t.Fatalf("%s %q: %s decoded with spare capacity", b.mt, body, path)
+		}
 		want, err := json.Marshal(got)
 		if err != nil {
 			t.Fatal(err)
@@ -336,6 +349,94 @@ func FuzzDecodeBody(f *testing.F) {
 			t.Fatalf("%s re-encoded\n got %s (%v)\nwant %s", b.mt, frame[headerSize:], err, want)
 		}
 	})
+}
+
+// inexactList returns the path of the first list or string list under v
+// whose capacity exceeds its length, or "". A decoded list is made once, at
+// the size its elements were counted to; a base64 []byte may keep spare
+// capacity, since padding is only known once decoded.
+func inexactList(v reflect.Value, path string) string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return inexactList(v.Elem(), path)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := inexactList(v.Field(i), path+"."+v.Type().Field(i).Name); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			return ""
+		}
+		if v.Cap() != v.Len() {
+			return fmt.Sprintf("%s (len %d, cap %d)", path, v.Len(), v.Cap())
+		}
+		for i := 0; i < v.Len(); i++ {
+			if p := inexactList(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
+// TestListDecodeExact: a decoded list is one allocation of exactly its
+// length, for lists of objects and of strings, nested or not, with strings
+// holding brackets, commas and escaped quotes.
+func TestListDecodeExact(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for i := range bodies {
+		for n := 0; n < 50; n++ {
+			body, err := json.Marshal(sample(r, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := bodies[i].new()
+			if err := DecodeBody(body, got); err != nil {
+				t.Fatalf("%s %s: %v", bodies[i].mt, body, err)
+			}
+			if path := inexactList(reflect.ValueOf(got), bodies[i].mt.String()); path != "" {
+				t.Fatalf("%s %s: %s decoded with spare capacity", bodies[i].mt, body, path)
+			}
+		}
+	}
+	topics := &Topics{}
+	body := `{"topics":[{"name":"a,[b]","title":"\"]{,"},{"name":"c"},{"name":"d"}]}`
+	if err := DecodeBody([]byte(body), topics); err != nil || len(topics.Topics) != 3 || cap(topics.Topics) != 3 {
+		t.Fatalf("%s decoded to %+v (cap %d, %v)", body, topics.Topics, cap(topics.Topics), err)
+	}
+}
+
+// TestWriteReplyMatchesAppendFrame: a kept request-ID-0 frame with a
+// request ID written in is, byte for byte, the frame encoded with that ID,
+// for every message type; the kept frame is left as it was.
+func TestWriteReplyMatchesAppendFrame(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for i, b := range bodies {
+		m := sample(r, i)
+		kept, err := NewFrame(b.mt, 0, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := append([]byte(nil), kept...)
+		for _, reqID := range []uint32{0, 1, 0x01020304, math.MaxUint32} {
+			want, err := AppendFrame(nil, b.mt, reqID, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []byte
+			WriteReply(kept, reqID, func(frame []byte) { got = append([]byte(nil), frame...) })
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s reqID %d: WriteReply sent\n%q\nwant\n%q", b.mt, reqID, got, want)
+			}
+		}
+		if !bytes.Equal(kept, before) {
+			t.Fatalf("%s: WriteReply changed the kept frame", b.mt)
+		}
+	}
 }
 
 // TestCodecConcurrent: the pooled codecs are shared by every goroutine that

@@ -59,7 +59,7 @@ func (s *Server) handlePacket(pkt netsim.Packet) {
 				// The reply is known: re-send it without re-running the
 				// handler. A nil frame means the original is still in
 				// flight, so the duplicate is simply dropped.
-				s.sendCtrl(pkt.From, frame)
+				s.sendReply(pkt.From, reqID, frame)
 			}
 			return
 		}
@@ -78,7 +78,7 @@ func (s *Server) handlePacket(pkt netsim.Packet) {
 			s.onSubscribe(pkt.From, reqID, m)
 		}
 	case protocol.MsgTopicList:
-		s.replyReq(pkt.From, reqID, protocol.MsgTopics, &protocol.Topics{Topics: s.db.Topics(s.Name)})
+		s.replyFrame(pkt.From, reqID, s.db.TopicsFrame(s.Name))
 	case protocol.MsgSearch:
 		var m protocol.Search
 		if s.decoded(pkt.From, mt, reqID, protocol.DecodeBody(body, &m)) {

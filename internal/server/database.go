@@ -63,9 +63,11 @@ type Database struct {
 	mu   sync.Mutex
 	docs map[string]*Document
 	// topics is the listing Topics last built, for server topicsOf; Put
-	// drops it.
-	topics   []protocol.TopicInfo
-	topicsOf string
+	// drops it. topicsFrame is its request-ID-0 Topics frame, made once
+	// TopicsFrame asks for it and dropped whenever topics is rebuilt.
+	topics      []protocol.TopicInfo
+	topicsFrame []byte
+	topicsOf    string
 }
 
 // NewDatabase creates an empty database.
@@ -123,9 +125,31 @@ func (db *Database) Names() []string {
 func (db *Database) Topics(serverName string) []protocol.TopicInfo {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.topicsLocked(serverName)
+}
+
+// TopicsFrame returns the Topics listing for this server encoded as a
+// request-ID-0 frame, kept like the listing itself: every topic-list reply
+// sends and caches this one frame, so callers must not modify it.
+func (db *Database) TopicsFrame(serverName string) []byte {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	topics := db.topicsLocked(serverName)
+	if db.topicsFrame == nil {
+		frame, err := protocol.NewFrame(protocol.MsgTopics, 0, &protocol.Topics{Topics: topics})
+		if err != nil {
+			panic(err)
+		}
+		db.topicsFrame = frame
+	}
+	return db.topicsFrame
+}
+
+func (db *Database) topicsLocked(serverName string) []protocol.TopicInfo {
 	if db.topics != nil && db.topicsOf == serverName {
 		return db.topics
 	}
+	db.topicsFrame = nil
 	var out []protocol.TopicInfo
 	for _, d := range db.docs {
 		out = append(out, protocol.TopicInfo{

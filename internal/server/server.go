@@ -98,6 +98,8 @@ func (o *Options) fill() {
 type Server struct {
 	// Name is the server's host name on the network.
 	Name string
+	// addr is the server's control address, built once.
+	addr netsim.Addr
 
 	clk   clock.Clock
 	net   netsim.Net
@@ -247,6 +249,7 @@ func New(name string, clk clock.Clock, net netsim.Net, users *auth.DB, db *Datab
 	opts.fill()
 	s := &Server{
 		Name:        name,
+		addr:        netsim.MakeAddr(name, ControlPort),
 		clk:         clk,
 		net:         net,
 		db:          db,
@@ -301,7 +304,7 @@ func New(name string, clk clock.Clock, net netsim.Net, users *auth.DB, db *Datab
 	return s, nil
 }
 
-func (s *Server) ctrlAddr() netsim.Addr { return netsim.MakeAddr(s.Name, ControlPort) }
+func (s *Server) ctrlAddr() netsim.Addr { return s.addr }
 
 // SetPeers configures the other servers for federated search.
 func (s *Server) SetPeers(names []string) {
@@ -339,16 +342,31 @@ func (s *Server) replyReq(to netsim.Addr, reqID uint32, t protocol.MsgType, body
 		s.reply(to, t, body)
 		return
 	}
-	frame, err := protocol.NewFrame(t, reqID, body)
+	frame, err := protocol.NewFrame(t, 0, body)
 	if err != nil {
 		panic(err)
 	}
-	si := shardIndex(string(to))
-	sh := &s.shards[si]
-	sh.dmu.Lock()
-	s.dedupRingLocked(sh, si, string(to)).put(reqID, frame)
-	sh.dmu.Unlock()
-	s.sendCtrl(to, frame)
+	s.replyFrame(to, reqID, frame)
+}
+
+// replyFrame answers a request with a kept request-ID-0 frame, caching the
+// frame itself, which may be shared (the catalogue's Topics frame is), and
+// sending it with the request's ID written in.
+func (s *Server) replyFrame(to netsim.Addr, reqID uint32, frame []byte) {
+	if reqID != 0 {
+		si := shardIndex(string(to))
+		sh := &s.shards[si]
+		sh.dmu.Lock()
+		s.dedupRingLocked(sh, si, string(to)).put(reqID, frame)
+		sh.dmu.Unlock()
+	}
+	s.sendReply(to, reqID, frame)
+}
+
+// sendReply sends a kept request-ID-0 reply frame as the answer to request
+// reqID.
+func (s *Server) sendReply(to netsim.Addr, reqID uint32, frame []byte) {
+	protocol.WriteReply(frame, reqID, func(f []byte) { s.sendCtrl(to, f) })
 }
 
 // sendCtrl puts one control frame on the wire, making transport refusals

@@ -253,32 +253,54 @@ const dedupCap = 64
 const dedupTTL = 2 * time.Minute
 
 // dedupRing is a bounded per-client cache of request IDs and their encoded
-// replies. A nil frame marks a request still being handled (in flight):
-// its duplicates are dropped silently rather than re-executed.
+// replies, oldest first. A nil frame marks a request still being handled
+// (in flight): its duplicates are dropped silently rather than re-executed.
+// A frame is the reply's request-ID-0 encoding (see replyFrame), so rings
+// can share one: every ring that answered a topic list holds the
+// catalogue's one Topics frame.
 type dedupRing struct {
 	addr     string
-	entries  map[uint32][]byte
-	order    []uint32
+	entries  []dedupEntry
 	lastUsed time.Time
 	pos      wheelPos // position on the shard's rings TTL wheel
 }
 
+// dedupEntry is one request ID and its reply frame.
+type dedupEntry struct {
+	id    uint32
+	frame []byte
+}
+
+// find returns the entry of a request ID, searching from the newest, or
+// nil.
+func (r *dedupRing) find(reqID uint32) *dedupEntry {
+	for i := len(r.entries) - 1; i >= 0; i-- {
+		if r.entries[i].id == reqID {
+			return &r.entries[i]
+		}
+	}
+	return nil
+}
+
 // get returns the cached reply frame and whether the request ID was seen.
 func (r *dedupRing) get(reqID uint32) ([]byte, bool) {
-	frame, seen := r.entries[reqID]
-	return frame, seen
+	if e := r.find(reqID); e != nil {
+		return e.frame, true
+	}
+	return nil, false
 }
 
 // put records (or completes) a request ID, evicting the oldest when full.
 func (r *dedupRing) put(reqID uint32, frame []byte) {
-	if _, seen := r.entries[reqID]; !seen {
-		if len(r.order) >= dedupCap {
-			delete(r.entries, r.order[0])
-			r.order = r.order[1:]
-		}
-		r.order = append(r.order, reqID)
+	if e := r.find(reqID); e != nil {
+		e.frame = frame
+		return
 	}
-	r.entries[reqID] = frame
+	if len(r.entries) == dedupCap {
+		copy(r.entries, r.entries[1:])
+		r.entries = r.entries[:dedupCap-1]
+	}
+	r.entries = append(r.entries, dedupEntry{id: reqID, frame: frame})
 }
 
 // dedupRingLocked returns the client's reply cache on the shard owning it,
@@ -287,7 +309,7 @@ func (r *dedupRing) put(reqID uint32, frame []byte) {
 func (s *Server) dedupRingLocked(sh *ctrlShard, si int, client string) *dedupRing {
 	ring, ok := sh.dedup[client]
 	if !ok {
-		ring = &dedupRing{addr: client, entries: map[uint32][]byte{}, pos: noWheelPos()}
+		ring = &dedupRing{addr: client, pos: noWheelPos()}
 		sh.dedup[client] = ring
 	}
 	ring.lastUsed = s.clk.Now()

@@ -157,3 +157,36 @@ func TestWheelAdvanceVisitsOnlyDue(t *testing.T) {
 		t.Fatalf("%d entries left queued after a full rotation", w.Len())
 	}
 }
+
+// TestDedupRingBounded: a reply cache holds the dedupCap newest request
+// IDs, evicting the oldest first; completing an in-flight request keeps
+// its place, and a frame several rings hold is shared, not copied.
+func TestDedupRingBounded(t *testing.T) {
+	var r dedupRing
+	shared := []byte{byte(protocol.MsgTopics), 0, 0, 0, 0}
+	const extra = 5
+	for id := uint32(1); id <= dedupCap+extra; id++ {
+		r.put(id, nil) // in flight
+		r.put(id, shared)
+	}
+	if len(r.entries) != dedupCap {
+		t.Fatalf("ring holds %d entries, want %d", len(r.entries), dedupCap)
+	}
+	for id := uint32(1); id <= dedupCap+extra; id++ {
+		frame, seen := r.get(id)
+		if seen != (id > extra) {
+			t.Fatalf("request %d seen = %v; want the %d oldest evicted", id, seen, extra)
+		}
+		if seen && &frame[0] != &shared[0] {
+			t.Fatalf("request %d: the ring copied the frame it was given", id)
+		}
+	}
+	r.put(extra+1, nil)
+	r.put(1000, nil)
+	if _, seen := r.get(extra + 1); seen {
+		t.Fatal("re-putting a known request moved it to the newest place")
+	}
+	if frame, seen := r.get(1000); !seen || frame != nil {
+		t.Fatalf("in-flight request = %v %v, want seen with no frame", frame, seen)
+	}
+}

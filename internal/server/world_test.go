@@ -1,12 +1,14 @@
 package server_test
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/auth"
+	"repro/internal/client"
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/hml"
@@ -198,21 +200,26 @@ func TestSharedFlowFanOutFlat(t *testing.T) {
 // worst case the reliable client produces under loss — must end as exactly
 // N sessions with N admission decisions, at most one dedup ring per client,
 // every duplicate answered from its ring and no transmission unanswered.
-// One heartbeat each is acknowledged, and liveness sweep ticks with every
-// session resident but none due suspend nobody.
+// Each client's topic list, sent DupFactor times, is answered every time
+// with the bytes of its first reply, its own request ID in them, and a
+// duplicate of it still gets those bytes after the catalogue changes,
+// while a new request lists the new document. One heartbeat each is
+// acknowledged, and liveness sweep ticks with every session resident but
+// none due suspend nobody.
 func TestConnectStormInvariants(t *testing.T) {
 	const (
 		sessions   = 96
 		dupFactor  = 4
 		sweepTicks = 4
 	)
-	w := newWorld(t, nil, server.Options{
+	w := newWorld(t, map[string]string{"intro": `<TITLE>Intro</TITLE><TEXT>x</TEXT>`}, server.Options{
 		Grace:          time.Hour,
 		HeartbeatEvery: time.Second,
 		// Every liveness deadline lies beyond the sweep ticks.
 		LivenessMisses: sweepTicks + 60,
 	})
 	var connectReplies [sessions]int
+	var listings [sessions][][]byte // every Topics frame each client got, in order
 	hbAcks := 0
 	addrs := make([]netsim.Addr, sessions)
 	for i := range addrs {
@@ -221,6 +228,8 @@ func TestConnectStormInvariants(t *testing.T) {
 			switch mt, _, _, _ := protocol.DecodeReq(p.Payload); mt {
 			case protocol.MsgConnectResult:
 				connectReplies[i]++
+			case protocol.MsgTopics:
+				listings[i] = append(listings[i], append([]byte(nil), p.Payload...))
 			case protocol.MsgHeartbeatAck:
 				hbAcks++
 			}
@@ -254,6 +263,49 @@ func TestConnectStormInvariants(t *testing.T) {
 		}
 	}
 
+	// Every duplicate topic list is answered with the first reply's bytes.
+	list := protocol.MustEncodeReq(protocol.MsgTopicList, 2, protocol.TopicListRequest{})
+	for _, a := range addrs {
+		for d := 0; d < dupFactor; d++ {
+			w.send(a, list)
+		}
+	}
+	w.clk.RunFor(time.Second)
+	first := protocol.MustEncodeReq(protocol.MsgTopics, 2, protocol.Topics{Topics: w.srv.Database().Topics(srvName)})
+	for i := range listings {
+		if len(listings[i]) != dupFactor {
+			t.Fatalf("client %d got %d listings, want %d (one per transmission)", i, len(listings[i]), dupFactor)
+		}
+		for d, got := range listings[i] {
+			if !bytes.Equal(got, first) {
+				t.Fatalf("client %d listing %d = %q, want %q", i, d, got, first)
+			}
+		}
+	}
+	if got := w.scope.Counter("server_ctrl_dedup_hits").Value(); got != 2*sessions*(dupFactor-1) {
+		t.Fatalf("dedup hits = %d after the listings, want %d", got, 2*sessions*(dupFactor-1))
+	}
+
+	// A catalogue change reaches the next request, not a duplicate of an
+	// answered one.
+	if err := w.srv.Database().Put("zeta", `<TITLE>Zeta</TITLE><TEXT>z</TEXT>`, "added"); err != nil {
+		t.Fatal(err)
+	}
+	w.send(addrs[0], list)
+	w.send(addrs[0], protocol.MustEncodeReq(protocol.MsgTopicList, 3, protocol.TopicListRequest{}))
+	w.clk.RunFor(time.Second)
+	if got := listings[0]; len(got) != dupFactor+2 || !bytes.Equal(got[dupFactor], first) {
+		t.Fatalf("a duplicate after the catalogue changed was not answered with its first reply: %q", got[dupFactor:])
+	}
+	mt, reqID, body, err := protocol.DecodeReq(listings[0][dupFactor+1])
+	var topics protocol.Topics
+	if err == nil {
+		err = protocol.DecodeBody(body, &topics)
+	}
+	if err != nil || mt != protocol.MsgTopics || reqID != 3 || len(topics.Topics) != 2 || topics.Topics[1].Name != "zeta" {
+		t.Fatalf("listing after the Put: %s reqID %d %+v (%v), want intro and zeta for request 3", mt, reqID, topics.Topics, err)
+	}
+
 	hb := protocol.MustEncode(protocol.MsgHeartbeat, protocol.Heartbeat{})
 	for _, a := range addrs {
 		w.send(a, hb)
@@ -267,5 +319,64 @@ func TestConnectStormInvariants(t *testing.T) {
 	if got := w.srv.Sessions(); got != sessions {
 		t.Fatalf("%d sessions after %d sweep ticks, want %d (the sweep suspended live sessions)",
 			got, sweepTicks, sessions)
+	}
+}
+
+// TestControlSessionBytes bounds what one control session costs the heap,
+// both ends included: a browser connects, lists the topics of an
+// eight-document catalogue, heartbeats for three seconds and disconnects.
+// A session allocates about 6.7 KB; the bound leaves 20 % headroom. It runs
+// on one P, as TestReceivePathBytesPerFrame does, so that pooled codecs and
+// buffers stay with the one goroutine that uses them.
+func TestControlSessionBytes(t *testing.T) {
+	if server.RaceEnabled {
+		t.Skip("sync.Pool deliberately drops items under -race; allocation bounds don't hold")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const (
+		sessions = 200
+		bound    = 8100
+	)
+	docs := map[string]string{}
+	for i := 0; i < 8; i++ {
+		docs[fmt.Sprintf("lesson-%d", i)] = fmt.Sprintf(`<TITLE>Lesson %d</TITLE><TEXT>x</TEXT>`, i)
+	}
+	w := newWorld(t, docs, server.Options{})
+	clients := make([]*client.Client, sessions)
+	for i := range clients {
+		c, err := client.New(fmt.Sprintf("browser%d", i), w.clk, w.net, client.Options{User: "load", Password: "pw"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for _, c := range clients {
+		c.Connect(srvName)
+	}
+	w.clk.RunFor(time.Second)
+	for _, c := range clients {
+		c.RequestTopics()
+	}
+	w.clk.RunFor(3 * time.Second)
+	for _, c := range clients {
+		c.Disconnect()
+	}
+	w.clk.RunFor(time.Second)
+	runtime.ReadMemStats(&m1)
+	for i, c := range clients {
+		if got := len(c.Topics()); got != len(docs) {
+			t.Fatalf("browser %d listed %d topics, want %d", i, got, len(docs))
+		}
+	}
+	if got := w.srv.Sessions(); got != 0 {
+		t.Fatalf("%d sessions resident after every browser disconnected", got)
+	}
+	perSession := float64(m1.TotalAlloc-m0.TotalAlloc) / sessions
+	t.Logf("%.0f B and %.1f allocations per control session",
+		perSession, float64(m1.Mallocs-m0.Mallocs)/sessions)
+	if perSession > bound {
+		t.Fatalf("a control session allocates %.0f B; it must stay at ≤ %d", perSession, bound)
 	}
 }
