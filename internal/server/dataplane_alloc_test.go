@@ -168,8 +168,8 @@ func TestReceivePathAllocFree(t *testing.T) {
 	}
 }
 
-// TestReceivePathBytesPerFrame: steady playout allocates at most 33 bytes
-// per presented frame; it reads 26.6, most of it the display trace's byte
+// TestReceivePathBytesPerFrame: steady playout allocates at most 12 bytes
+// per presented frame; it reads 8.7, most of it the display trace's byte
 // log. It runs on one P, as testing.AllocsPerRun does: a goroutine that
 // moves to another P misses the buffers pooled on the one it left, and each
 // refill of a still's 256 KB buffer would read as 350 B per frame of this
@@ -180,8 +180,8 @@ func TestReceivePathBytesPerFrame(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	_, bytes, frames := steadyPlayout(t)
-	if perFrame := float64(bytes) / float64(frames); perFrame > 33 {
+	if perFrame := float64(bytes) / float64(frames); perFrame > 12 {
 		t.Fatalf("steady playout allocates %.1f B/frame (%d B over %d frames); "+
-			"the receive path must stay at ≤ 33", perFrame, bytes, frames)
+			"the receive path must stay at ≤ 12", perFrame, bytes, frames)
 	}
 }
