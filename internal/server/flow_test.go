@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -173,7 +174,7 @@ func TestSharedFlowFanOutLifecycle(t *testing.T) {
 
 // TestSharedFlowLateJoinerCatchUp verifies a mid-playout joiner receives a
 // unicast catch-up patch aligned back to an I-frame, with the original frame
-// indices, then rides the live cursor.
+// indices and payload bytes, then rides the live cursor.
 func TestSharedFlowLateJoinerCatchUp(t *testing.T) {
 	h := newHarness(t, Options{SharedFlows: true, PreRoll: 300 * time.Millisecond})
 	h.srv.Database().Put("doc", longAVDoc, "")
@@ -187,20 +188,44 @@ func TestSharedFlowLateJoinerCatchUp(t *testing.T) {
 		idx  int
 		kind media.FrameKind
 	}
+	type frameAt struct{ port, idx int }
 	var got []rx
-	for p := 9100; p < 9110; p++ {
-		h.net.Listen(netsim.MakeAddr("fake2", p), func(p netsim.Packet) {
+	bodies, frags := map[frameAt][]byte{}, map[frameAt]int{}
+	for port := 9100; port < 9110; port++ {
+		h.net.Listen(netsim.MakeAddr("fake2", port), func(p netsim.Packet) {
 			if len(p.Payload) <= rtp.HeaderSize {
 				return
 			}
-			hdr, _, err := media.ParseFrameHeader(p.Payload[rtp.HeaderSize:])
-			if err == nil {
-				got = append(got, rx{int(hdr.Index), hdr.Kind})
+			hdr, data, err := media.ParseFrameHeader(p.Payload[rtp.HeaderSize:])
+			if err != nil {
+				return
 			}
+			got = append(got, rx{int(hdr.Index), hdr.Kind})
+			k := frameAt{port, int(hdr.Index)}
+			if bodies[k] == nil {
+				bodies[k] = make([]byte, hdr.FrameSize)
+			}
+			off, _ := media.FragmentSpan(int(hdr.FrameSize), int(hdr.Frag))
+			copy(bodies[k][off:], data)
+			frags[k]++
 		})
 	}
-	attachClient(t, h, "fake2", 9100)
+	dr := attachClient(t, h, "fake2", 9100)
 	h.clk.RunFor(time.Second)
+	streamAt := map[int]string{}
+	for _, sa := range dr.Streams {
+		streamAt[sa.Port] = sa.StreamID
+	}
+	// Every frame the joiner got, the patch's included, carries the bytes
+	// its stream, index and size name.
+	for k, body := range bodies {
+		id := streamAt[k.port]
+		if frags[k] != media.FragmentCount(len(body)) {
+			t.Errorf("stream %q frame %d: %d of %d fragments", id, k.idx, frags[k], media.FragmentCount(len(body)))
+		} else if !bytes.Equal(body, media.Payload(id, k.idx, len(body))) {
+			t.Errorf("stream %q frame %d does not reassemble to its payload", id, k.idx)
+		}
+	}
 
 	if vf := videoFlowStat(t, h.srv); vf.Subscribers != 2 {
 		t.Fatalf("late joiner not attached: %+v", vf)
