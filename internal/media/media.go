@@ -224,18 +224,6 @@ func extend(dst []byte, n int) []byte {
 	return out
 }
 
-// CachedPayloadSource is implemented by sources that keep their frame bodies
-// materialized. One-shot stills are the motivating case: a reload or session
-// restart re-sends the same image, and re-synthesizing a 640×480 still costs
-// 153600 bytes of RNG output each time. A nil return means "not cached,
-// synthesize" — senders fall back to a PayloadWriter.
-type CachedPayloadSource interface {
-	// CachedPayload returns the full payload of frame (index, level), or
-	// nil when the source does not cache that frame. The returned slice is
-	// owned by the source: callers must not modify it.
-	CachedPayload(index, level int) []byte
-}
-
 // ForStream builds the appropriate Source for a scenario stream.
 func ForStream(s *scenario.Stream) Source {
 	switch s.Type {

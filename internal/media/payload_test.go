@@ -3,7 +3,6 @@ package media
 import (
 	"bytes"
 	"hash/crc32"
-	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -90,34 +89,6 @@ func TestFragmentSpanMatchesFragments(t *testing.T) {
 	}
 	if off, n := FragmentSpan(0, 0); off != 0 || n != 0 {
 		t.Fatalf("FragmentSpan(0,0) = %d,%d", off, n)
-	}
-}
-
-func TestStillPayloadCaching(t *testing.T) {
-	im := NewImage("pic", 640, 480)
-	for level := 0; level < im.Levels(); level++ {
-		p1 := im.CachedPayload(0, level)
-		p2 := im.CachedPayload(0, level)
-		if p1 == nil || &p1[0] != &p2[0] {
-			t.Fatalf("level %d: still body re-synthesized instead of cached", level)
-		}
-		if want := Payload("pic", 0, im.Size(level)); !bytes.Equal(p1, want) {
-			t.Fatalf("level %d: cached body differs from synthesis", level)
-		}
-	}
-	if im.CachedPayload(1, 0) != nil {
-		t.Fatal("secondary still frames have no body to cache")
-	}
-	tx := NewText("note", "hello "+strconv.Itoa(42))
-	t1, t2 := tx.CachedPayload(0, 0), tx.CachedPayload(0, 0)
-	if t1 == nil || &t1[0] != &t2[0] {
-		t.Fatal("text body re-synthesized instead of cached")
-	}
-	if want := Payload("note", 0, tx.FrameAt(0, 0).Size); !bytes.Equal(t1, want) {
-		t.Fatal("cached text body differs from synthesis")
-	}
-	if tx.CachedPayload(3, 0) != nil {
-		t.Fatal("secondary text frames have no body to cache")
 	}
 }
 

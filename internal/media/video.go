@@ -1,7 +1,6 @@
 package media
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/rtp"
@@ -237,16 +236,9 @@ func (a *Audio) LevelName(level int) string {
 // Image is a still-image source: the whole image is a single "frame",
 // chunked by the transport. Quality levels trade JPEG quality for size;
 // level names cycle through the prototype's supported formats.
-//
-// Image caches its frame bodies: stills are one-shot, but a reload or
-// session restart re-sends the same image, and a full-quality 640×480 still
-// is 153600 bytes of RNG synthesis per send without the cache.
 type Image struct {
 	id            string
 	width, height int
-
-	mu    sync.Mutex
-	cache [3][]byte // per-level frame bodies, built lazily
 }
 
 // NewImage creates an image source for the given pixel dimensions.
@@ -294,21 +286,6 @@ func (im *Image) FramesIn(from, to time.Duration, level int) []Frame {
 	return nil
 }
 
-// CachedPayload implements CachedPayloadSource: the still's body is built
-// once per level and reused across reload/restart re-sends.
-func (im *Image) CachedPayload(index, level int) []byte {
-	if index != 0 {
-		return nil
-	}
-	level = clampLevel(level, im.Levels())
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	if im.cache[level] == nil {
-		im.cache[level] = Payload(im.id, 0, im.Size(level))
-	}
-	return im.cache[level]
-}
-
 // PayloadType implements Source.
 func (im *Image) PayloadType(level int) rtp.PayloadType {
 	if clampLevel(level, im.Levels()) == 2 {
@@ -323,13 +300,9 @@ func (im *Image) LevelName(level int) string {
 }
 
 // Text is a text-content source: one still frame holding the content.
-// Like Image it caches its one-shot frame body for reload/restart re-sends.
 type Text struct {
 	id      string
 	content string
-
-	mu    sync.Mutex
-	cache []byte
 }
 
 // NewText creates a text source.
@@ -367,19 +340,6 @@ func (t *Text) FramesIn(from, to time.Duration, level int) []Frame {
 	return nil
 }
 
-// CachedPayload implements CachedPayloadSource.
-func (t *Text) CachedPayload(index, level int) []byte {
-	if index != 0 {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cache == nil {
-		t.cache = Payload(t.id, 0, t.FrameAt(0, level).Size)
-	}
-	return t.cache
-}
-
 // PayloadType implements Source.
 func (t *Text) PayloadType(int) rtp.PayloadType { return rtp.PTText }
 
@@ -394,7 +354,4 @@ var (
 	_ Source = (*Audio)(nil)
 	_ Source = (*Image)(nil)
 	_ Source = (*Text)(nil)
-
-	_ CachedPayloadSource = (*Image)(nil)
-	_ CachedPayloadSource = (*Text)(nil)
 )

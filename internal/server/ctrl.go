@@ -471,7 +471,7 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 	// DocResponse on the unordered datagram path.
 	origin := s.clk.Now().Add(200 * time.Millisecond)
 	for i, f := range flows {
-		src := doc.MediaSource(f.Stream)
+		src := media.ForStream(f.Stream)
 		port := base + i
 		snd := &sender{stream: f.Stream, qos: sess.qosMgr, to: netsim.MakeAddr(clientHost, port)}
 		sess.senders = append(sess.senders, snd)

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"repro/internal/hml"
-	"repro/internal/media"
 	"repro/internal/protocol"
 	"repro/internal/scenario"
 )
@@ -26,39 +25,10 @@ type Document struct {
 	Scenario *scenario.Scenario
 	// Description is the catalogue blurb.
 	Description string
-
-	// stills holds the document's Image and Text sources by stream ID, made
-	// on the first request for the document (see MediaSource).
-	mu     sync.Mutex
-	stills map[string]media.Source
-}
-
-// MediaSource returns the source a flow of stream st sends from. A still
-// (image or text) has one source per stored document, made on the first
-// request rather than in Put, so every flow of the document sends the same
-// cached body and a still is synthesized once per level, not once per
-// viewer. A time-sensitive stream gets a source of its own, because a
-// Video's noise RNG is per-flow state.
-func (d *Document) MediaSource(st *scenario.Stream) media.Source {
-	if st.Type.TimeSensitive() {
-		return media.ForStream(st)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	src, ok := d.stills[st.ID]
-	if !ok {
-		if d.stills == nil {
-			d.stills = map[string]media.Source{}
-		}
-		src = media.ForStream(st)
-		d.stills[st.ID] = src
-	}
-	return src
 }
 
 // Database is the multimedia database: named documents plus their parsed
-// presentation scenarios. A document also keeps the media sources of its
-// stills, shared by every viewer it is sent to (Document.MediaSource).
+// presentation scenarios.
 type Database struct {
 	mu   sync.Mutex
 	docs map[string]*Document
