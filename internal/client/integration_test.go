@@ -771,9 +771,12 @@ func TestReloadKeepsStacks(t *testing.T) {
 	}
 }
 
+// TestClientToleratesDuplicatedPackets: with 30 % duplication on the media
+// path, the reassembler and buffers dedupe, so every audio frame plays at
+// most once and the narration stays on time. A single-fragment frame
+// duplicated on the link reassembles twice; the buffer must refuse the
+// second copy, or the player pops both and the audio drifts ever later.
 func TestClientToleratesDuplicatedPackets(t *testing.T) {
-	// 30% duplication on the media path: the reassembler and buffers must
-	// dedupe (frames play once each).
 	w := newWorld(t, netsim.LinkConfig{Bandwidth: 10_000_000, Delay: 5 * time.Millisecond,
 		Jitter: 2 * time.Millisecond, Dup: 0.3}, Options{}, server.Options{}, "server-a")
 	w.subscribe(t, "alice", "pw")
@@ -789,6 +792,23 @@ func TestClientToleratesDuplicatedPackets(t *testing.T) {
 	}
 	if a.Plays < a.Expected*9/10 {
 		t.Fatalf("duplication broke playback: %d/%d", a.Plays, a.Expected)
+	}
+	played := map[int]bool{}
+	for _, ev := range w.c.Display().Events() {
+		if ev.StreamID != "n" || ev.Kind != playout.EvPlay {
+			continue
+		}
+		if played[ev.Frame.Index] {
+			t.Fatalf("audio frame %d played twice", ev.Frame.Index)
+		}
+		played[ev.Frame.Index] = true
+	}
+	t.Logf("%d plays of %d frames, %d distinct; max lateness %.0f ms", a.Plays, a.Expected, len(played), a.MaxLatenessMS)
+	if a.MaxLatenessMS > 100 {
+		t.Fatalf("audio played up to %.0f ms late; duplicates must not delay it", a.MaxLatenessMS)
+	}
+	if st := w.c.Buffers().Get("n").Stats(); st.Repeated == 0 {
+		t.Fatalf("no duplicate arrival refused at 30 %% duplication: %+v", st)
 	}
 }
 
