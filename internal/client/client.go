@@ -76,11 +76,11 @@ type Options struct {
 	// Obs, when set, threads telemetry through the browser's buffers and
 	// playout scheduler and records session lifecycle events.
 	Obs *obs.Scope
-	// OnFrame, when set, observes every fully reassembled media frame with
-	// its payload bytes (integrity tests hook it). The payload slice is
-	// borrowed pooled scratch: it is valid only for the duration of the
-	// call, and the callback runs under the client's internal lock, so it
-	// must copy what it keeps and must not call back into the client.
+	// OnFrame, when set, observes every reassembled media frame with its
+	// payload bytes, gathered for it alone into one frame-sized pooled
+	// scratch buffer per frame in progress (integrity tests hook it). The
+	// payload is borrowed: valid only during the call, which runs under the
+	// client's lock, so it must copy what it keeps and not call back in.
 	OnFrame func(streamID string, hdr media.FrameHeader, payload []byte)
 }
 
@@ -239,16 +239,16 @@ type navEntry struct {
 	Name string
 }
 
-// asmPool recycles the frame-sized reassembly scratch buffers of every
-// client's media receive path.
+// asmPool recycles the frame-sized scratch buffers in which clients with
+// an Options.OnFrame observer gather frame bodies.
 var asmPool buffer.Pool
 
-// assembly collects one frame's fragments into pooled scratch. Fragment fi
-// occupies bytes [fi×MTU, fi×MTU+len) of the frame, so arrival order does
-// not matter, and the per-fragment data is copied out of the (borrowed,
-// transport-owned) packet payload immediately.
+// assembly counts one frame's fragments. The service acts on frame timing
+// and sizes, never on content, so only an observer needs the body: then
+// fragment fi is copied out of the (borrowed, transport-owned) packet
+// payload into bytes [fi×MTU, fi×MTU+len) of pooled scratch, in any order.
 type assembly struct {
-	pb    *buffer.Buf // FrameSize bytes of pooled scratch
+	pb    *buffer.Buf // FrameSize bytes of pooled scratch; nil without an observer
 	got   []bool      // fragments seen; duplicate deliveries must not double-count
 	have  uint16
 	total uint16
@@ -260,7 +260,7 @@ type assembly struct {
 }
 
 // newAssemblyLocked takes an assembly shell off the free list (or makes one)
-// and equips it with pooled scratch sized for the frame. Caller holds c.mu.
+// and gives an observer's frame pooled scratch. Caller holds c.mu.
 func (c *Client) newAssemblyLocked(hdr media.FrameHeader, ts uint32) *assembly {
 	var a *assembly
 	if n := len(c.asmFree); n > 0 {
@@ -270,7 +270,9 @@ func (c *Client) newAssemblyLocked(hdr media.FrameHeader, ts uint32) *assembly {
 	} else {
 		a = &assembly{}
 	}
-	a.pb = asmPool.Get(int(hdr.FrameSize))
+	if c.opts.OnFrame != nil {
+		a.pb = asmPool.Get(int(hdr.FrameSize))
+	}
 	if cap(a.got) < int(hdr.FragCount) {
 		a.got = make([]bool, hdr.FragCount)
 	} else {
@@ -287,7 +289,7 @@ func (c *Client) newAssemblyLocked(hdr media.FrameHeader, ts uint32) *assembly {
 	return a
 }
 
-// freeAssemblyLocked returns the scratch to the pool and the shell to the
+// freeAssemblyLocked returns any scratch to the pool and the shell to the
 // free list. Caller holds c.mu and must not touch a afterwards.
 func (c *Client) freeAssemblyLocked(a *assembly) {
 	asmPool.Put(a.pb)

@@ -427,8 +427,8 @@ func (c *Client) pollFillLocked(deadline time.Time) {
 // Per the netsim.Net ownership rule, pkt.Payload is borrowed for the
 // duration of the call only — the simulator recycles the buffer afterwards.
 // The RTP packet, parsed into a stack value, and ParseFrameHeader's result
-// are zero-copy views into it, so the fragment data is copied into the
-// assembly's pooled scratch before return and nothing retains pkt.Payload.
+// are zero-copy views into it; an OnFrame observer's fragment data is copied
+// into pooled scratch before return, and nothing retains pkt.Payload.
 func (c *Client) handleMedia(pkt netsim.Packet) {
 	// RTP/RTCP demultiplexing: RTCP packet types occupy 200–204 in the
 	// second octet, a range RTP payload types never reach.
@@ -469,14 +469,16 @@ func (c *Client) handleMedia(pkt netsim.Packet) {
 	if !pkt.SentAt.IsZero() && (a.sentAt.IsZero() || pkt.SentAt.Before(a.sentAt)) {
 		a.sentAt = pkt.SentAt
 	}
-	// Copy the fragment into its slot of the frame scratch. The first-seen
-	// header is authoritative: fragments whose length disagrees with the
-	// frame's fragmentation geometry (corruption, a mismatched retransmit)
-	// are dropped, and duplicate deliveries must not double-count.
+	// Count the fragment, copying it into an observer's frame scratch. The
+	// first-seen header is authoritative: fragments whose length disagrees
+	// with the frame's fragmentation geometry (corruption, a mismatched
+	// retransmit) are dropped, and duplicate deliveries must not double-count.
 	if int(hdr.Frag) < len(a.got) && !a.got[hdr.Frag] {
 		off, n := media.FragmentSpan(int(a.hdr.FrameSize), int(hdr.Frag))
 		if n == len(data) {
-			copy(a.pb.B[off:off+n], data)
+			if a.pb != nil {
+				copy(a.pb.B[off:off+n], data)
+			}
 			a.got[hdr.Frag] = true
 			a.have++
 		}
@@ -486,7 +488,7 @@ func (c *Client) handleMedia(pkt netsim.Packet) {
 	}
 	delete(byFrame, hdr.Index)
 	// Drop stale assemblies far behind this frame (lost fragments never
-	// complete; bound the state) and recycle their scratch.
+	// complete; bound the state) and recycle them.
 	for idx, stale := range byFrame {
 		if idx+50 < hdr.Index {
 			delete(byFrame, idx)

@@ -627,9 +627,11 @@ func TestClientIgnoresGarbageMediaPackets(t *testing.T) {
 // TestClientSurvivesBadFragmentGeometry injects one RTP packet on an
 // announced stream whose frame header places fragment 65534 of 65535 in a
 // 10-byte frame, with no data. It used to pass the fragment-length check and
-// panic slicing the frame's reassembly scratch out of range.
+// panic slicing the frame's reassembly scratch out of range; an observer
+// keeps that scratch in play.
 func TestClientSurvivesBadFragmentGeometry(t *testing.T) {
-	w := newWorld(t, netsim.DefaultLAN(), Options{}, server.Options{}, "server-a")
+	observe := Options{OnFrame: func(string, media.FrameHeader, []byte) {}}
+	w := newWorld(t, netsim.DefaultLAN(), observe, server.Options{}, "server-a")
 	w.subscribe(t, "alice", "pw")
 	putDoc(t, w.servers["server-a"], "clip", shortAV)
 	w.c.Connect("server-a")

@@ -116,9 +116,9 @@ var ErrMalformed = errors.New("rtp: malformed packet")
 // parse into a value on its stack. p's Payload is a zero-copy view into buf:
 // it stays valid only as long as the caller owns buf. Receivers that hand the
 // buffer back to a transport (or a pool) after the handler returns must copy
-// whatever payload bytes they keep — the client's frame reassembly copies
-// fragments into its own pooled scratch for exactly this reason. On error p
-// is left unchanged.
+// whatever payload bytes they keep — the client's frame reassembly copies an
+// observer's fragments into its own pooled scratch for exactly this reason.
+// On error p is left unchanged.
 func (p *Packet) Unmarshal(buf []byte) error {
 	if len(buf) < HeaderSize {
 		return fmt.Errorf("%w: %d bytes", ErrMalformed, len(buf))

@@ -171,9 +171,9 @@ func TestReceivePathAllocFree(t *testing.T) {
 // TestReceivePathBytesPerFrame: steady playout allocates at most 12 bytes
 // per presented frame; it reads 8.7, most of it the display trace's byte
 // log. It runs on one P, as testing.AllocsPerRun does: a goroutine that
-// moves to another P misses the buffers pooled on the one it left, and each
-// refill of a still's 256 KB buffer would read as 350 B per frame of this
-// window.
+// moves to another P misses the server's packet scratch pooled on the one
+// it left. The client with no OnFrame observer draws no frame scratch at
+// all, so a still costs this window no more than any other frame.
 func TestReceivePathBytesPerFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops items under -race; allocation bounds don't hold")
