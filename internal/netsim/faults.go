@@ -22,8 +22,8 @@ import (
 	"time"
 )
 
-// Typed fault causes. Send wraps these with %w, so tests and cluster logic
-// can distinguish a crashed host from a partition or an outage with
+// Typed fault causes. Send's error unwraps to them, so tests and cluster
+// logic can distinguish a crashed host from a partition or an outage with
 // errors.Is instead of matching on the error string:
 //
 //	if errors.Is(net.Send(pkt), netsim.ErrHostDown) { ... }
@@ -49,9 +49,33 @@ func (w faultWindow) contains(off time.Duration) bool {
 // oneShotDrop swallows the next n packets matching its predicate.
 type oneShotDrop struct {
 	remaining int
-	reason    string
+	err       error // the reason, built once for every drop
 	match     func(Packet) bool
 }
+
+// faultDrop is Send's error for a fault-injected drop, formatted when read.
+type faultDrop struct {
+	from, to Addr
+	cause    error  // ErrHostDown, ErrOutage, ErrPartitioned or a one-shot's reason
+	host     string // the host a down or outage cause names
+}
+
+// reason is the drop's cause as the DropHandler reports it.
+func (e *faultDrop) reason() string {
+	switch e.cause {
+	case ErrHostDown, ErrOutage:
+		return e.cause.Error() + ": " + e.host
+	case ErrPartitioned:
+		return e.cause.Error() + ": " + e.from.Host() + "⇹" + e.to.Host()
+	}
+	return e.cause.Error()
+}
+
+func (e *faultDrop) Error() string {
+	return "netsim: fault drop " + string(e.from) + "→" + string(e.to) + ": " + e.reason()
+}
+
+func (e *faultDrop) Unwrap() error { return e.cause }
 
 // partitionKey is direction-independent: a partition severs both ways.
 func partitionKey(a, b string) linkKey {
@@ -139,38 +163,37 @@ func (n *Network) DropNextMatching(count int, reason string, pred func(Packet) b
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	f := &n.faults
-	f.oneShots = append(f.oneShots, &oneShotDrop{remaining: count, reason: reason, match: pred})
+	f.oneShots = append(f.oneShots, &oneShotDrop{remaining: count, err: errors.New(reason), match: pred})
 }
 
 // check decides whether an injected fault kills the packet travelling from
-// host fromH to host toH (pkt's own endpoints, parsed once by the caller);
-// nil lets it pass. offset is the send time relative to the epoch. The
-// returned error wraps the typed cause (ErrHostDown, ErrOutage,
-// ErrPartitioned) and its text doubles as the DropHandler reason. With no
-// faults registered it is one length test. Caller holds n.mu.
-func (f *faultState) check(pkt *Packet, fromH, toH string, offset time.Duration) error {
+// host fromH to host toH (pkt's own endpoints, parsed once by the caller) at
+// offset from the epoch: cause is nil, a typed cause or a one-shot's reason,
+// and host the endpoint a down or outage cause names. With no faults
+// registered it is one length test. Caller holds n.mu.
+func (f *faultState) check(pkt *Packet, fromH, toH string, offset time.Duration) (cause error, host string) {
 	if len(f.downHosts)+len(f.outages)+len(f.partitions)+len(f.oneShots) == 0 {
-		return nil
+		return nil, ""
 	}
 	if f.downHosts[fromH] {
-		return fmt.Errorf("%w: %s", ErrHostDown, fromH)
+		return ErrHostDown, fromH
 	}
 	if f.downHosts[toH] {
-		return fmt.Errorf("%w: %s", ErrHostDown, toH)
+		return ErrHostDown, toH
 	}
 	for _, w := range f.outages[fromH] {
 		if w.contains(offset) {
-			return fmt.Errorf("%w: %s", ErrOutage, fromH)
+			return ErrOutage, fromH
 		}
 	}
 	for _, w := range f.outages[toH] {
 		if w.contains(offset) {
-			return fmt.Errorf("%w: %s", ErrOutage, toH)
+			return ErrOutage, toH
 		}
 	}
 	for _, w := range f.partitions[partitionKey(fromH, toH)] {
 		if w.contains(offset) {
-			return fmt.Errorf("%w: %s⇹%s", ErrPartitioned, fromH, toH)
+			return ErrPartitioned, ""
 		}
 	}
 	for i, os := range f.oneShots {
@@ -179,8 +202,8 @@ func (f *faultState) check(pkt *Packet, fromH, toH string, offset time.Duration)
 			if os.remaining <= 0 {
 				f.oneShots = append(f.oneShots[:i], f.oneShots[i+1:]...)
 			}
-			return errors.New(os.reason)
+			return os.err, ""
 		}
 	}
-	return nil
+	return nil, ""
 }

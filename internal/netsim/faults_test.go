@@ -130,6 +130,50 @@ func TestFaultDropsReportedToDropHandler(t *testing.T) {
 	}
 }
 
+// TestFaultDropErrors pins each fault's Send error text, its typed cause
+// and the DropHandler reason, which is the text after the endpoints.
+func TestFaultDropErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		inject func(*Network)
+		cause  error
+		text   string
+	}{
+		{"down", func(n *Network) { n.SetHostDown("b", true) }, ErrHostDown, "host down: b"},
+		{"outage", func(n *Network) { n.AddOutage("a", 0, time.Second) }, ErrOutage, "outage: a"},
+		{"partition", func(n *Network) { n.AddPartition("b", "a", 0, time.Second) }, ErrPartitioned, "partition: a⇹b"},
+		{"one-shot", func(n *Network) { n.DropNext("a", "b", 1) }, nil, "one-shot drop a→b"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, net := newSim()
+			var reasons []string
+			net.DropHandler = func(_ Packet, reason string) { reasons = append(reasons, reason) }
+			tc.inject(net)
+			err := net.Send(Packet{From: "a:1", To: "b:2", Payload: []byte("x")})
+			if want := "netsim: fault drop a:1→b:2: " + tc.text; err == nil || err.Error() != want {
+				t.Fatalf("Send = %v, want %q", err, want)
+			}
+			if tc.cause != nil && !errors.Is(err, tc.cause) {
+				t.Fatalf("errors.Is(%v, %v) = false", err, tc.cause)
+			}
+			if len(reasons) != 1 || reasons[0] != tc.text {
+				t.Fatalf("drop reasons = %q, want [%q]", reasons, tc.text)
+			}
+		})
+	}
+}
+
+// TestFaultDropAllocs: with no DropHandler, a fault-dropped Send allocates
+// only the error it returns; no reason text is built.
+func TestFaultDropAllocs(t *testing.T) {
+	_, net := newSim()
+	net.SetHostDown("b", true)
+	pkt := Packet{From: "a:1", To: "b:2", Payload: []byte("x")}
+	if got := testing.AllocsPerRun(100, func() { net.Send(pkt) }); got > 1 {
+		t.Fatalf("fault-dropped Send allocates %.1f times, want ≤ 1", got)
+	}
+}
+
 // TestFaultScheduleDeterministic replays the same seed and fault schedule
 // over a lossy link and expects bit-identical delivery traces.
 func TestFaultScheduleDeterministic(t *testing.T) {

@@ -45,15 +45,14 @@
 // bytes another destination has yet to read. Symmetrically, the Payload a
 // Handler receives is borrowed: it is valid only until the handler returns,
 // after which the network recycles it. Handlers that keep payload bytes —
-// the client's frame reassembly, for example — must copy them out. Sniffer
-// and DropHandler run synchronously inside Send and observe the caller's
-// original buffer under the same rule. Every Net implementation
+// the client's reassembly, for an observer's frames — must copy them out.
+// Sniffer and DropHandler run synchronously inside Send and observe the
+// caller's original buffer under the same rule. Every Net implementation
 // (transport.Live encodes into fresh frames before returning; test sinks
 // only count) honors the same contract.
 package netsim
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -573,9 +572,9 @@ func (d *delivery) deliver() {
 // partitioned or down consumes no uplink. Refusals reach the DropHandler
 // after the lock is released, and then the accepted arrivals are armed in
 // plan order; they share one copy of the payload, which the last delivery
-// frees. fault is the injected fault that killed a destination, if any:
-// Send, with its one destination, is its reader.
-func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
+// frees. fault is the injected fault that killed a destination (a nil
+// cause if none did): Send, with its one destination, is its reader.
+func (n *Network) transmit(pkt Packet, tos []Addr) (fault faultDrop) {
 	from := pkt.From.Host()
 	now := n.clk.Now()
 	pkt.SentAt = now
@@ -610,9 +609,12 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
 		cause := "egress overflow"
 		// Injected faults kill the packet regardless of reliability: a
 		// partitioned or downed host drops TCP segments just as surely as UDP
-		// datagrams.
-		if err := n.faults.check(&pkt, from, toHost, offset); err != nil {
-			fault, cause = err, err.Error()
+		// datagrams. Only a DropHandler reads the formatted reason.
+		if fc, fh := n.faults.check(&pkt, from, toHost, offset); fc != nil {
+			fault, cause = faultDrop{from: pkt.From, to: to, cause: fc, host: fh}, fc.Error()
+			if n.DropHandler != nil {
+				cause = fault.reason()
+			}
 		} else {
 			if !charged {
 				egressStart, overflow = n.egressLocked(from, &pkt, now)
@@ -673,10 +675,11 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault error) {
 // fault-injected drops (partitions, outages, downed hosts, one-shot drops)
 // return an error; stochastic loss and tail drop return nil.
 func (n *Network) Send(pkt Packet) error {
-	if fault := n.transmit(pkt, []Addr{pkt.To}); fault != nil {
-		// %w keeps the typed cause (ErrHostDown, ErrPartitioned, ...)
+	if fault := n.transmit(pkt, []Addr{pkt.To}); fault.cause != nil {
+		// Unwrap keeps the typed cause (ErrHostDown, ErrPartitioned, ...)
 		// reachable through errors.Is.
-		return fmt.Errorf("netsim: fault drop %s→%s: %w", pkt.From, pkt.To, fault)
+		err := fault
+		return &err
 	}
 	return nil
 }
