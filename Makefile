@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz bench-check digests size
+.PHONY: check fmt vet build test race fuzz bench-check digests size ledger
 
 # The full gate: everything below except digests and size.
 check: fmt vet build test race fuzz bench-check
@@ -49,6 +49,11 @@ digests:
 		echo "$$out" | grep -q "sim_digest $$d identical in all" || { echo "$$w: want sim_digest $$d identical in all, got:"; echo "$$out" | grep digest; exit 1; }; \
 		echo "$$w: sim_digest $$d identical in all"; \
 	done
+
+# Rewrites the byte ledger (TestByteLedger's four worlds, by owner) and prints how much of it moved; a PR that claims bytes shows its claim as this diff. It rewrites a pinned file, so it is not part of check.
+ledger:
+	$(GO) test ./internal/core -run TestByteLedger -count=1 -update
+	@git diff --stat -- internal/core/testdata/ledger.txt
 
 # The three sizes every ROADMAP re-anchor quotes: non-test Go lines outside bench/, test lines, lines under bench/.
 OUTSIDE_BENCH = -not -path './bench/*' -not -path './.bench_build/*'
