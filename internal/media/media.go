@@ -7,11 +7,12 @@
 // The service machinery manipulates frame timing, sizes and rates — never
 // pixel or sample content — so synthetic frames with the right size/rate
 // structure exercise exactly the code paths the paper describes. Payload
-// bytes are deterministic filler.
+// bytes are deterministic filler: a tag naming the stream and frame, then a
+// window of one fixed pseudo-random table whose offset is keyed on the whole
+// stream id and the frame index.
 package media
 
 import (
-	"encoding/binary"
 	"strconv"
 	"time"
 
@@ -147,18 +148,36 @@ func AppendPayload(dst []byte, id string, index, size int) []byte {
 // PayloadWriter streams the bytes of Payload(id, index, size) in pieces of
 // any length, so a sender can write each fragment's share of a frame body
 // straight into its packet. The payload is the tag "id#index|" (truncated
-// when the payload is smaller) followed by seeded RNG filler, eight bytes
-// per RNG draw counted from the end of the tag. The zero value has nothing
-// left to write; Reset starts a payload.
+// when the payload is smaller) followed by a window of the fixed filler
+// table, read from an offset keyed on the whole id and the index and
+// wrapping at the table's end. The zero value has nothing left to write;
+// Reset starts a payload.
 type PayloadWriter struct {
-	id      string
-	suffix  [22]byte // "#index|": '#', up to 20 digits with sign, '|'
-	sufN    int
-	tagOff  int // tag bytes written so far
-	rng     stats.RNG
-	word    [8]byte // the current filler draw; word[wordOff:] is still unwritten
-	wordOff int
-	left    int // payload bytes not yet written
+	id     string
+	suffix [22]byte // "#index|": '#', up to 20 digits with sign, '|'
+	sufN   int
+	tagOff int // tag bytes written so far
+	pos    int // the next filler byte's offset in filler
+	left   int // payload bytes not yet written
+}
+
+// Filler geometry. The table's length is prime, so the MTU-spaced fragments
+// of one frame never read the same window; fillerStep (odd, near len/φ) moves
+// each next frame of a stream to a fresh offset.
+const (
+	fillerLen  = 65521
+	fillerStep = 40503
+)
+
+// filler is the read-only pseudo-random table every payload's filler is
+// copied from; init fills it.
+var filler [fillerLen]byte
+
+func init() {
+	r := stats.NewRNG(1)
+	for i := range filler {
+		filler[i] = byte(r.Uint64() >> 56)
+	}
 }
 
 // Reset starts the payload for (id, index) of the given size. A size below
@@ -172,8 +191,11 @@ func (w *PayloadWriter) Reset(id string, index, size int) {
 	s := strconv.AppendInt(w.suffix[:1], int64(index), 10)
 	w.sufN = len(append(s, '|'))
 	w.tagOff = 0
-	w.rng.Seed(uint64(index)*2654435761 + uint64(len(id)))
-	w.wordOff = len(w.word)
+	h := uint64(14695981039346656037) // FNV-1a over every byte of the id
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint64(id[i])) * 1099511628211
+	}
+	w.pos = int((h%fillerLen + uint64(index)%fillerLen*fillerStep) % fillerLen)
 	w.left = size
 }
 
@@ -198,16 +220,12 @@ func (w *PayloadWriter) Append(dst []byte, n int) []byte {
 		w.tagOff += k
 		buf = buf[k:]
 	}
-	k := copy(buf, w.word[w.wordOff:])
-	w.wordOff += k
-	buf = buf[k:]
-	for len(buf) >= 8 {
-		binary.LittleEndian.PutUint64(buf, w.rng.Uint64())
-		buf = buf[8:]
-	}
-	if len(buf) > 0 {
-		binary.LittleEndian.PutUint64(w.word[:], w.rng.Uint64())
-		w.wordOff = copy(buf, w.word[:])
+	for len(buf) > 0 {
+		k := copy(buf, filler[w.pos:])
+		buf = buf[k:]
+		if w.pos += k; w.pos == fillerLen {
+			w.pos = 0
+		}
 	}
 	return dst
 }

@@ -3,6 +3,7 @@ package media
 import (
 	"bytes"
 	"hash/crc32"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -106,9 +107,11 @@ func TestFrameHeaderAppendToMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestPayloadBytesPinned pins the filler bytes themselves: the client checks
-// every frame body against Payload, so a change here would pass end to end
-// while changing what every stream carries.
+// TestPayloadBytesPinned pins the payload bytes themselves: an OnFrame
+// observer (the bench's check repetition, the client integrity tests) checks
+// frame bodies against Payload, so a change here would pass end to end while
+// changing what every stream carries. The rows no longer than the tag pin
+// the tag alone.
 func TestPayloadBytesPinned(t *testing.T) {
 	for _, c := range []struct {
 		id          string
@@ -118,14 +121,76 @@ func TestPayloadBytesPinned(t *testing.T) {
 		{"vid", 17, 1, 0x6b643b84},
 		{"vid", 17, 5, 0x56374e5c},
 		{"vid", 17, 7, 0x0f07a724},
-		{"vid", 17, 4096, 0x627bfcbd},
-		{"algorithmsu1a0", 123456, MTU, 0xf6555219},
-		{strings.Repeat("x", 200), -5, MTU + 1, 0xf3100857},
+		{"vid", 17, 4096, 0xfbabeee8},
+		{"algorithmsu1a0", 123456, MTU, 0x302f79b1},
+		{strings.Repeat("x", 200), -5, MTU + 1, 0x79f08ef9},
 		{"s", 0, 0, 0x1b0ecf0b},
 	} {
 		if got := crc32.ChecksumIEEE(Payload(c.id, c.index, c.size)); got != c.crc {
 			t.Errorf("Payload(%.8q, %d, %d) crc32 = %08x, want %08x", c.id, c.index, c.size, got, c.crc)
 		}
+	}
+}
+
+// TestPayloadDistinctPastTag: past the tag, two streams whose ids have the
+// same length, and two consecutive frames of one stream, carry different
+// bytes in every fragment, so a fragment delivered into the wrong frame
+// fails a Payload check even when it carries no tag.
+func TestPayloadDistinctPastTag(t *testing.T) {
+	const size = 5 * MTU
+	differ := func(a, b []byte) bool {
+		for f := 1; f < FragmentCount(size); f++ {
+			off, n := FragmentSpan(size, f)
+			if bytes.Equal(a[off:off+n], b[off:off+n]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, pair := range [][2]string{
+		{"algorithmsu1a0", "algorithmsu1v0"},
+		{"algorithmsu1v0", "algorithmsu1s0"},
+		{"algorithmsu1a0", "algorithmsu2a0"},
+		{"algou1v0", "algou2v0"},
+	} {
+		for _, i := range []int{0, 7, 123456} {
+			if !differ(Payload(pair[0], i, size), Payload(pair[1], i, size)) {
+				t.Errorf("%s and %s frame %d share a fragment past the tag", pair[0], pair[1], i)
+			}
+		}
+	}
+	for _, i := range []int{0, 7, 9, 99, 4095} {
+		if !differ(Payload("algorithmsu1v0", i, size), Payload("algorithmsu1v0", i+1, size)) {
+			t.Errorf("frames %d and %d share a fragment past the tag", i, i+1)
+		}
+	}
+}
+
+// TestStillFragmentsDistinct: no two MTU fragments of one 256 KB still are
+// byte-equal, so a fragment misplaced within a large frame fails the check.
+func TestStillFragmentsDistinct(t *testing.T) {
+	const size = 256 << 10
+	p := Payload("algorithmsu1s0", 0, size)
+	seen := make(map[string]int)
+	for f := 0; f < FragmentCount(size); f++ {
+		off, n := FragmentSpan(size, f)
+		if g, dup := seen[string(p[off:off+n])]; dup {
+			t.Fatalf("fragments %d and %d are byte-equal", g, f)
+		}
+		seen[string(p[off:off+n])] = f
+	}
+}
+
+// BenchmarkPayloadWriter times one MTU fragment: a Reset and its Append.
+func BenchmarkPayloadWriter(b *testing.B) {
+	b.SetBytes(MTU)
+	dst := make([]byte, 0, MTU)
+	var w PayloadWriter
+	i := 0
+	for b.Loop() {
+		w.Reset("algorithmsu1v0", i, MTU)
+		dst = w.Append(dst[:0], MTU)
+		i++
 	}
 }
 
@@ -140,6 +205,22 @@ func FuzzPayloadWriter(f *testing.F) {
 	f.Add("s", 0, 0, []byte{0})
 	for _, size := range []int{MTU - 1, MTU, MTU + 1, 2*MTU - 1, 2 * MTU, 2*MTU + 1} {
 		f.Add("algorithmsu1v0", 9999, size, []byte{255, 255, 255, 255, 255, 120})
+	}
+	// Payloads that cross the filler table's end, found by search: the wrap
+	// falls inside a piece in one and on a piece boundary in the other.
+	var w PayloadWriter
+	for index, inside, boundary := 0, false, false; !inside || !boundary; index++ {
+		w.Reset("algorithmsu1v0", index, MTU)
+		tag := len("algorithmsu1v0#|") + len(strconv.Itoa(index))
+		wrap := tag + fillerLen - w.pos // payload offset of the table's first byte
+		switch {
+		case !inside && wrap < MTU && wrap%255 != 0:
+			f.Add("algorithmsu1v0", index, MTU, []byte{255, 255, 255, 255, 255, 255})
+			inside = true
+		case !boundary && wrap < 256:
+			f.Add("algorithmsu1v0", index, MTU, []byte{byte(wrap), 255})
+			boundary = true
+		}
 	}
 	f.Fuzz(func(t *testing.T, id string, index, size int, split []byte) {
 		size %= 1 << 16 // bound the work per input
