@@ -149,6 +149,9 @@ func New(cfg Config) *Buffer {
 		cfg.Window = time.Second
 	}
 	label := func(name string) string {
+		if cfg.Obs == nil {
+			return "" // a nil scope's instruments are shared no-ops, whatever the name
+		}
 		return obs.Label(name, "stream", cfg.StreamID)
 	}
 	return &Buffer{

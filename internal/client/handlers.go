@@ -277,7 +277,14 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 		c.logEvent("handoff complete → " + from)
 		c.move = moveEpisode{}
 	}
-	sc, err := scenario.Parse(m.ScenarioSrc)
+	// A reply carrying the text already on screen (a reload, handoff or
+	// failover) keeps the parsed scenario and its schedule: playout only
+	// reads them.
+	sc := c.sc
+	var err error
+	if sc == nil || sc.Src != m.ScenarioSrc {
+		sc, err = scenario.Parse(m.ScenarioSrc)
+	}
 	if err != nil {
 		mach.Try(protocol.InDocFail)
 		c.lastError = err.Error()
@@ -285,8 +292,10 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 	}
 	c.teardownPresentationLocked()
 	mach.Try(protocol.InDocReady)
-	c.sc = sc
-	c.sch = scenario.BuildSchedule(sc)
+	if sc != c.sc {
+		c.sc = sc
+		c.sch = scenario.BuildSchedule(sc)
+	}
 	// Maintain the back/forward stacks around the document switch.
 	prev := navEntry{Host: c.docHost, Name: c.docName}
 	switch c.navDirection {

@@ -700,6 +700,49 @@ func TestClientReloadRestartsPresentation(t *testing.T) {
 	}
 }
 
+// TestMoveKeepsParsedScenario moves a viewer to another server that holds
+// the same document text: the client keeps the scenario it parsed, and the
+// presentation plays on. A different document gets a scenario of its own.
+func TestMoveKeepsParsedScenario(t *testing.T) {
+	w := newWorld(t, netsim.DefaultLAN(), Options{AutoFollowLinks: false},
+		server.Options{Grace: 10 * time.Second}, "server-a", "server-b")
+	w.subscribe(t, "alice", "pw")
+	putDoc(t, w.servers["server-a"], "clip", shortAV)
+	putDoc(t, w.servers["server-b"], "clip", shortAV)
+	putDoc(t, w.servers["server-b"], "other", strings.Replace(shortAV, "short av", "other av", 1))
+	w.c.Connect("server-a")
+	w.run(time.Second)
+	w.c.RequestDoc("clip")
+	w.run(2 * time.Second)
+	sc := w.c.Scenario()
+	if sc == nil || sc.Src != shortAV {
+		t.Fatalf("scenario before the move = %+v", sc)
+	}
+
+	w.c.FollowLink(scenario.Link{Target: "clip", Host: "server-b"})
+	w.run(3 * time.Second)
+	if got := w.c.State("server-b"); got != protocol.StViewing {
+		t.Fatalf("server-b state = %v, want viewing (err %q)", got, w.c.LastError())
+	}
+	if w.c.Scenario() != sc {
+		t.Fatal("the move parsed the same document text again")
+	}
+	if got := w.c.History(); len(got) != 2 || got[1] != "clip" {
+		t.Fatalf("history = %v", got)
+	}
+	w.run(5 * time.Second)
+	rep := w.c.Player().Report()
+	if rep.Streams["n"].Plays < rep.Streams["n"].Expected*9/10 {
+		t.Fatalf("presentation after the move incomplete: %d/%d", rep.Streams["n"].Plays, rep.Streams["n"].Expected)
+	}
+
+	w.c.RequestDoc("other")
+	w.run(2 * time.Second)
+	if got := w.c.Scenario(); got == sc || got == nil || got.Title != "other av" {
+		t.Fatalf("scenario after navigating = %p %+v, want a new one titled %q", got, got, "other av")
+	}
+}
+
 func TestBackAndForwardNavigation(t *testing.T) {
 	w := newWorld(t, netsim.DefaultLAN(), Options{}, server.Options{}, "server-a")
 	w.subscribe(t, "alice", "pw")

@@ -1,6 +1,7 @@
 package hml
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -86,7 +87,15 @@ func (*Text) itemNode() {}
 
 // Plain returns the text content with styling stripped.
 func (t *Text) Plain() string {
+	if len(t.Spans) == 1 {
+		return t.Spans[0].Text
+	}
+	n := 0
+	for _, s := range t.Spans {
+		n += len(s.Text)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for _, s := range t.Spans {
 		b.WriteString(s.Text)
 	}
@@ -226,7 +235,8 @@ func ParseTime(s string) (time.Duration, error) {
 	}
 	d, err := time.ParseDuration(s)
 	if err != nil {
-		return 0, fmt.Errorf("hml: bad time value %q", s)
+		// Built, not formatted: s must not escape the parser's stack buffers.
+		return 0, errors.New("hml: bad time value " + strconv.Quote(s))
 	}
 	return d, nil
 }

@@ -1,14 +1,17 @@
 package hml
 
 import (
+	"slices"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // Lexer converts HML source text into a token stream. Tokenization is
 // context-sensitive: inside text-bearing tags (TITLE, H1–H3, TEXT, B, I, U)
 // the lexer emits raw character data until the next tag; inside media tags it
 // emits attribute/value pairs; elsewhere it emits tags and bare words.
+// Token literals are substrings of the source, except a quoted value that
+// holds a backslash escape.
 type Lexer struct {
 	src  string
 	off  int
@@ -17,8 +20,11 @@ type Lexer struct {
 	// textMode is a stack of booleans tracking whether the innermost open
 	// tag bears text.
 	textMode []bool
-	pending  []Token
-	err      error
+	// pending queues an open tag's attribute tokens, returned from head on;
+	// both reset when it drains, so its capacity serves every tag.
+	pending []Token
+	head    int
+	err     error
 }
 
 // NewLexer returns a lexer over src.
@@ -55,9 +61,13 @@ func (l *Lexer) skipSpace() {
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
+func isNameByte(c byte) bool {
+	return c == '_' || 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || '0' <= c && c <= '9'
+}
+
+// isWordByte reports whether c may appear in an unquoted word: words are ASCII.
 func isWordByte(c byte) bool {
-	return c == '_' || c == '-' || c == '.' || c == '/' || c == ':' || c == ',' ||
-		unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
+	return isNameByte(c) || c == '-' || c == '.' || c == '/' || c == ':' || c == ','
 }
 
 func (l *Lexer) inText() bool {
@@ -67,9 +77,11 @@ func (l *Lexer) inText() bool {
 // Next returns the next token. After an error it keeps returning TokEOF; the
 // error is available from Err.
 func (l *Lexer) Next() Token {
-	if len(l.pending) > 0 {
-		t := l.pending[0]
-		l.pending = l.pending[1:]
+	if l.head < len(l.pending) {
+		t := l.pending[l.head]
+		if l.head++; l.head == len(l.pending) {
+			l.pending, l.head = l.pending[:0], 0
+		}
 		return t
 	}
 	if l.err != nil {
@@ -85,7 +97,11 @@ func (l *Lexer) Next() Token {
 	if l.peek() == '<' {
 		return l.lexTag()
 	}
-	return l.lexAttrOrWord()
+	t, val := l.lexAttrOrWord()
+	if val.Kind != TokEOF {
+		l.pending = append(l.pending, val)
+	}
+	return t
 }
 
 // Err reports the first lexical error encountered.
@@ -108,7 +124,7 @@ func (l *Lexer) lexTag() Token {
 		closing = true
 	}
 	start := l.off
-	for l.off < len(l.src) && (l.src[l.off] == '_' || unicode.IsLetter(rune(l.src[l.off])) || unicode.IsDigit(rune(l.src[l.off]))) {
+	for l.off < len(l.src) && isNameByte(l.src[l.off]) {
 		l.advance()
 	}
 	name := strings.ToUpper(l.src[start:l.off])
@@ -141,40 +157,34 @@ func (l *Lexer) lexTag() Token {
 			l.advance()
 			break
 		}
-		mark := len(l.pending)
-		t := l.lexAttrOrWord()
+		t, val := l.lexAttrOrWord()
 		if t.Kind == TokEOF {
 			return t // error already recorded
 		}
-		// lexAttrOrWord may itself have queued the attribute's value
-		// token; the key must precede it.
-		l.pending = append(l.pending, Token{})
-		copy(l.pending[mark+1:], l.pending[mark:])
-		l.pending[mark] = t
+		if cap(l.pending) < 24 { // room for 11 attributes, more than any lesson's tag has
+			l.pending = slices.Grow(l.pending, 24)
+		}
+		l.pending = append(l.pending, t)
+		if val.Kind != TokEOF {
+			l.pending = append(l.pending, val)
+		}
 	}
 	l.pending = append(l.pending, Token{Kind: TokGT, Pos: l.pos()})
-	if voidTags[kw] {
-		// Void tags have no body and no close tag; no mode push.
-	} else {
+	if !voidTags[kw] { // void tags have no body and no close tag
 		l.textMode = append(l.textMode, textBearing[kw])
 	}
 	return open
 }
 
-// lexAttrOrWord scans either KW= value (two tokens, value queued) or a bare
-// word / quoted string.
-func (l *Lexer) lexAttrOrWord() Token {
-	pos := l.pos()
+// lexAttrOrWord scans either KW= value, returning the key and its value, or
+// a bare word / quoted string, returning it and a TokEOF value.
+func (l *Lexer) lexAttrOrWord() (t, val Token) {
 	if l.peek() == '"' {
-		return l.lexQuoted(TokValue)
+		return l.lexQuoted(TokValue), Token{}
 	}
-	start := l.off
-	for l.off < len(l.src) && isWordByte(l.src[l.off]) {
-		l.advance()
-	}
-	word := l.src[start:l.off]
-	if word == "" {
-		return l.fail(pos, "unexpected character %q", string(l.peek()))
+	word := l.lexWord(TokWord)
+	if word.Kind == TokEOF {
+		return word, Token{}
 	}
 	// An '=' immediately after (possibly with spaces) makes this an
 	// attribute key; the paper's examples write both "SOURCE=x" and
@@ -185,18 +195,20 @@ func (l *Lexer) lexAttrOrWord() Token {
 	if l.peek() == '=' {
 		l.advance()
 		l.skipSpace()
-		val := l.lexValue()
+		val := l.lexWord(TokValue)
 		if val.Kind == TokEOF {
-			return val
+			return val, Token{}
 		}
-		l.pending = append(l.pending, val)
-		return Token{Kind: TokAttr, Lit: strings.ToUpper(word), Pos: pos}
+		// ToUpper returns an all-upper-case key itself.
+		return Token{Kind: TokAttr, Lit: strings.ToUpper(word.Lit), Pos: word.Pos}, val
 	}
 	l.off, l.line, l.col = save, saveLine, saveCol
-	return Token{Kind: TokWord, Lit: word, Pos: pos}
+	return word, Token{}
 }
 
-func (l *Lexer) lexValue() Token {
+// lexWord scans a quoted string or an unquoted word as a token of kind. A
+// missing word fails on the character found instead, or as a missing value.
+func (l *Lexer) lexWord(kind TokenKind) Token {
 	pos := l.pos()
 	if l.peek() == '"' {
 		return l.lexQuoted(TokValue)
@@ -205,16 +217,23 @@ func (l *Lexer) lexValue() Token {
 	for l.off < len(l.src) && isWordByte(l.src[l.off]) {
 		l.advance()
 	}
-	if l.off == start {
+	if l.off > start {
+		return Token{Kind: kind, Lit: l.src[start:l.off], Pos: pos}
+	}
+	if r, _ := utf8.DecodeRuneInString(l.src[l.off:]); r >= utf8.RuneSelf {
+		return l.fail(pos, "unexpected character %q (quote non-ASCII values)", r)
+	}
+	if kind == TokValue {
 		return l.fail(pos, "expected attribute value")
 	}
-	return Token{Kind: TokValue, Lit: l.src[start:l.off], Pos: pos}
+	return l.fail(pos, "unexpected character %q", string(l.peek()))
 }
 
+// lexQuoted scans a quoted literal, in place unless it holds an escape.
 func (l *Lexer) lexQuoted(kind TokenKind) Token {
 	pos := l.pos()
 	l.advance() // opening quote
-	var b strings.Builder
+	start, escaped := l.off, false
 	for {
 		if l.off >= len(l.src) {
 			return l.fail(pos, "unterminated string literal")
@@ -224,11 +243,22 @@ func (l *Lexer) lexQuoted(kind TokenKind) Token {
 			break
 		}
 		if c == '\\' && l.off < len(l.src) {
-			c = l.advance()
+			escaped = true
+			l.advance()
 		}
-		b.WriteByte(c)
 	}
-	return Token{Kind: kind, Lit: b.String(), Pos: pos}
+	lit := l.src[start : l.off-1]
+	if escaped { // every backslash in lit escapes the byte after it
+		var b strings.Builder
+		for i := 0; i < len(lit); i++ {
+			if lit[i] == '\\' {
+				i++
+			}
+			b.WriteByte(lit[i])
+		}
+		lit = b.String()
+	}
+	return Token{Kind: kind, Lit: lit, Pos: pos}
 }
 
 // lexCharData scans raw text until the next '<'.
@@ -246,18 +276,4 @@ func (l *Lexer) lexCharData() Token {
 		return l.lexTag()
 	}
 	return Token{Kind: TokCharData, Lit: text, Pos: pos}
-}
-
-// Tokens lexes the whole input, returning all tokens up to EOF.
-func Tokens(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var out []Token
-	for {
-		t := l.Next()
-		if t.Kind == TokEOF {
-			break
-		}
-		out = append(out, t)
-	}
-	return out, l.Err()
 }

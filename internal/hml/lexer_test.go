@@ -3,7 +3,22 @@ package hml
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// tokens lexes the whole input, returning all tokens up to EOF.
+func tokens(src string) ([]Token, error) {
+	l := NewLexer(src)
+	var out []Token
+	for {
+		t := l.Next()
+		if t.Kind == TokEOF {
+			break
+		}
+		out = append(out, t)
+	}
+	return out, l.Err()
+}
 
 func kinds(ts []Token) []TokenKind {
 	out := make([]TokenKind, len(ts))
@@ -14,7 +29,7 @@ func kinds(ts []Token) []TokenKind {
 }
 
 func TestLexSimpleTitle(t *testing.T) {
-	ts, err := Tokens(`<TITLE>Hello</TITLE>`)
+	ts, err := tokens(`<TITLE>Hello</TITLE>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +49,7 @@ func TestLexSimpleTitle(t *testing.T) {
 }
 
 func TestLexAttributesInTag(t *testing.T) {
-	ts, err := Tokens(`<IMG SOURCE=img/x ID=y STARTIME=5> </IMG>`)
+	ts, err := tokens(`<IMG SOURCE=img/x ID=y STARTIME=5> </IMG>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +70,7 @@ func TestLexAttributesInTag(t *testing.T) {
 }
 
 func TestLexAttributesInBody(t *testing.T) {
-	ts, err := Tokens(`<IMG> SOURCE= img/x NOTE="hello world" </IMG>`)
+	ts, err := tokens(`<IMG> SOURCE= img/x NOTE="hello world" </IMG>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +85,7 @@ func TestLexAttributesInBody(t *testing.T) {
 }
 
 func TestLexQuotedEscapes(t *testing.T) {
-	ts, err := Tokens(`<IMG NOTE="say \"hi\" \\ done"> </IMG>`)
+	ts, err := tokens(`<IMG NOTE="say \"hi\" \\ done"> </IMG>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +101,7 @@ func TestLexQuotedEscapes(t *testing.T) {
 }
 
 func TestLexCaseInsensitiveTags(t *testing.T) {
-	ts, err := Tokens(`<title>x</title>`)
+	ts, err := tokens(`<title>x</title>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +111,7 @@ func TestLexCaseInsensitiveTags(t *testing.T) {
 }
 
 func TestLexInlineStyleWithinText(t *testing.T) {
-	ts, err := Tokens(`<TEXT>a <B>b</B> c</TEXT>`)
+	ts, err := tokens(`<TEXT>a <B>b</B> c</TEXT>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +137,62 @@ func TestLexErrors(t *testing.T) {
 		"unterminated text":  `<TEXT>hello`,
 	}
 	for name, src := range cases {
-		if _, err := Tokens(src); err == nil {
+		if _, err := tokens(src); err == nil {
 			t.Errorf("%s: no error for %q", name, src)
 		}
 	}
 }
 
+// TestLexNonASCIIValues holds words to ASCII: a quoted value may hold any
+// text, and an unquoted one that does not fails on its first non-ASCII
+// character, named whole.
+func TestLexNonASCIIValues(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`<IMG SOURCE="img/café" ID=x> </IMG>`, "img/café"},
+		{`<IMG SOURCE="caü" ID=x> </IMG>`, "caü"},
+		{`<IMG SOURCE=img/café ID=x> </IMG>`, `hml: 1:20: unexpected character 'é' (quote non-ASCII values)`},
+		{`<IMG SOURCE=caü ID=x> </IMG>`, `hml: 1:15: unexpected character 'ü' (quote non-ASCII values)`},
+	} {
+		ts, err := tokens(c.src)
+		if err != nil {
+			if err.Error() != c.want {
+				t.Errorf("%s: error %q, want %q", c.src, err, c.want)
+			}
+			continue
+		}
+		if len(ts) < 3 || ts[2].Lit != c.want {
+			t.Errorf("%s: tokens %v, want SOURCE %q", c.src, ts, c.want)
+		}
+	}
+	// Serialize quotes what a word cannot hold, so the text parses back.
+	d := MustParse("<TITLE>t</TITLE>\n<IMG SOURCE=\"img/café\" ID=\"caü\"> </IMG>")
+	d2, err := Parse(Serialize(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := d2.Sentences[0].Items[0].(*Image).Media; m.Source != "img/café" || m.ID != "caü" {
+		t.Fatalf("round trip = %q %q", m.Source, m.ID)
+	}
+}
+
+// TestLexQuotedInPlace keeps an unescaped quoted value a substring of the
+// source, and unescapes one with a backslash into a string of its own.
+func TestLexQuotedInPlace(t *testing.T) {
+	src := `<IMG NOTE="plain words" WHERE="a\"b"> </IMG>`
+	ts, err := tokens(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ts[2].Lit; got != "plain words" || unsafe.StringData(got) != unsafe.StringData(src[11:]) {
+		t.Errorf("NOTE = %q, not the source's own bytes", got)
+	}
+	if got := ts[4].Lit; got != `a"b` {
+		t.Errorf("WHERE = %q, want %q", got, `a"b`)
+	}
+}
+
 func TestLexErrorPositionsAreTracked(t *testing.T) {
-	_, err := Tokens("<TITLE>ok</TITLE>\n<BOGUS>")
+	_, err := tokens("<TITLE>ok</TITLE>\n<BOGUS>")
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -146,7 +209,7 @@ func TestLexErrorPositionsAreTracked(t *testing.T) {
 }
 
 func TestLexPARIsVoid(t *testing.T) {
-	ts, err := Tokens(`<PAR><TEXT>x</TEXT>`)
+	ts, err := tokens(`<PAR><TEXT>x</TEXT>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +220,7 @@ func TestLexPARIsVoid(t *testing.T) {
 }
 
 func TestLexWindowsNewlines(t *testing.T) {
-	ts, err := Tokens("<TITLE>x</TITLE>\r\n<TEXT>y</TEXT>\r\n")
+	ts, err := tokens("<TITLE>x</TITLE>\r\n<TEXT>y</TEXT>\r\n")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,8 @@ import (
 //	<Body>       ::= empty | (<Document>|<Image>|<Audio>|<Video>|
 //	                          <Audio_Video>|<HyperLink>) <Body>
 type Parser struct {
-	lex  *Lexer
-	tok  Token
-	peek *Token
+	lex *Lexer
+	tok Token
 }
 
 // Parse parses a complete HML document.
@@ -41,14 +40,7 @@ func MustParse(src string) *Document {
 	return d
 }
 
-func (p *Parser) next() {
-	if p.peek != nil {
-		p.tok = *p.peek
-		p.peek = nil
-		return
-	}
-	p.tok = p.lex.Next()
-}
+func (p *Parser) next() { p.tok = p.lex.Next() }
 
 func (p *Parser) expect(kind TokenKind, what string) (Token, error) {
 	if p.tok.Kind != kind {
@@ -64,10 +56,8 @@ func (p *Parser) expectOpen(kw Keyword) error {
 		return errAt(p.tok.Pos, "expected <%s>, found %s", kw, p.tok)
 	}
 	p.next()
-	if _, err := p.expect(TokGT, "'>'"); err != nil {
-		return err
-	}
-	return nil
+	_, err := p.expect(TokGT, "'>'")
+	return err
 }
 
 func (p *Parser) parseDocument() (*Document, error) {
@@ -80,29 +70,32 @@ func (p *Parser) parseDocument() (*Document, error) {
 		return nil, err
 	}
 	doc.Title = strings.TrimSpace(title)
+	var buf [8]*Sentence
+	sentences := buf[:0]
 	for p.tok.Kind != TokEOF {
 		s, err := p.parseSentence()
 		if err != nil {
 			return nil, err
 		}
-		doc.Sentences = append(doc.Sentences, s)
+		sentences = append(sentences, s)
 	}
+	doc.Sentences = append([]*Sentence(nil), sentences...)
 	return doc, nil
 }
 
-// parseRawText consumes character data (ignoring inline style tags) until
-// the closing tag of kw, returning the flattened text.
+// parseRawText returns the character data up to the closing tag of kw: at
+// most one token from the lexer, so a substring of the source.
 func (p *Parser) parseRawText(kw Keyword) (string, error) {
-	var b strings.Builder
+	var text string
 	for {
 		switch p.tok.Kind {
 		case TokCharData:
-			b.WriteString(p.tok.Lit)
+			text += p.tok.Lit
 			p.next()
 		case TokClose:
 			if p.tok.Lit == string(kw) {
 				p.next()
-				return b.String(), nil
+				return text, nil
 			}
 			return "", errAt(p.tok.Pos, "unexpected </%s> inside <%s>", p.tok.Lit, kw)
 		case TokEOF:
@@ -141,6 +134,8 @@ func (p *Parser) parseSentence() (*Sentence, error) {
 		s.Par = true
 	}
 	// <Body>
+	var buf [8]Item
+	items := buf[:0]
 	for p.tok.Kind == TokOpen {
 		kw := Keyword(p.tok.Lit)
 		var it Item
@@ -149,19 +144,23 @@ func (p *Parser) parseSentence() (*Sentence, error) {
 		case KwText:
 			it, err = p.parseText()
 		case KwImg:
-			it, err = p.parseImage()
+			img := &Image{}
+			img.Media, err = p.parseMedia(kw)
+			it = img
 		case KwAu:
-			it, err = p.parseAudio()
+			au := &Audio{}
+			au.Media, err = p.parseMedia(kw)
+			it = au
 		case KwVi:
-			it, err = p.parseVideo()
+			vi := &Video{}
+			vi.Media, err = p.parseMedia(kw)
+			it = vi
 		case KwAuVi:
 			it, err = p.parseAudioVideo()
 		case KwHLink:
 			it, err = p.parseLink()
 		default:
 			// Heading, PAR or SEP starts the next sentence part.
-			err = nil
-			it = nil
 		}
 		if err != nil {
 			return nil, err
@@ -169,8 +168,9 @@ func (p *Parser) parseSentence() (*Sentence, error) {
 		if it == nil {
 			break
 		}
-		s.Items = append(s.Items, it)
+		items = append(items, it)
 	}
+	s.Items = append([]Item(nil), items...)
 	// <Separator>
 	if p.tok.Kind == TokOpen && Keyword(p.tok.Lit) == KwSep {
 		p.next()
@@ -189,19 +189,20 @@ func (p *Parser) parseText() (*Text, error) {
 	if err := p.expectOpen(KwText); err != nil {
 		return nil, err
 	}
-	t := &Text{}
-	if err := p.parseSpans(t, 0, KwText); err != nil {
+	var buf [8]Span
+	spans, err := p.parseSpans(buf[:0], 0, KwText)
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &Text{Spans: append([]Span(nil), spans...)}, nil
 }
 
-// parseSpans collects styled spans until the closing tag of kw.
-func (p *Parser) parseSpans(t *Text, style Style, kw Keyword) error {
+// parseSpans appends the styled spans until the closing tag of kw to spans.
+func (p *Parser) parseSpans(spans []Span, style Style, kw Keyword) ([]Span, error) {
 	for {
 		switch p.tok.Kind {
 		case TokCharData:
-			t.Spans = append(t.Spans, Span{Style: style, Text: p.tok.Lit})
+			spans = append(spans, Span{Style: style, Text: p.tok.Lit})
 			p.next()
 		case TokOpen:
 			inner := Keyword(p.tok.Lit)
@@ -214,32 +215,32 @@ func (p *Parser) parseSpans(t *Text, style Style, kw Keyword) error {
 			case KwUnder:
 				bit = StyleUnderline
 			default:
-				return errAt(p.tok.Pos, "tag <%s> not allowed inside <%s>", inner, kw)
+				return nil, errAt(p.tok.Pos, "tag <%s> not allowed inside <%s>", inner, kw)
 			}
 			p.next()
 			if _, err := p.expect(TokGT, "'>'"); err != nil {
-				return err
+				return nil, err
 			}
-			if err := p.parseSpans(t, style|bit, inner); err != nil {
-				return err
+			var err error
+			if spans, err = p.parseSpans(spans, style|bit, inner); err != nil {
+				return nil, err
 			}
 		case TokClose:
 			if p.tok.Lit != string(kw) {
-				return errAt(p.tok.Pos, "expected </%s>, found </%s>", kw, p.tok.Lit)
+				return nil, errAt(p.tok.Pos, "expected </%s>, found </%s>", kw, p.tok.Lit)
 			}
 			p.next()
-			return nil
+			return spans, nil
 		case TokEOF:
-			return errAt(p.tok.Pos, "unterminated <%s>", kw)
+			return nil, errAt(p.tok.Pos, "unterminated <%s>", kw)
 		default:
-			return errAt(p.tok.Pos, "unexpected %s inside <%s>", p.tok, kw)
+			return nil, errAt(p.tok.Pos, "unexpected %s inside <%s>", p.tok, kw)
 		}
 	}
 }
 
 // attrSet accumulates the attribute list of a media or link tag.
 type attrSet struct {
-	kw     Keyword
 	attrs  []attr
 	words  []string
 	atWord string // value following a bare AT word (HLINK form)
@@ -248,17 +249,18 @@ type attrSet struct {
 type attr struct {
 	key Keyword
 	val string
-	pos Pos
 }
 
-// parseAttrs reads attribute/value pairs and bare words until </kw>.
-// The language permits attributes both inside the open tag
-// (<IMG SOURCE=x>) and in the body (<IMG> SOURCE=x </IMG>); the lexer
-// flattens the two forms into the same token sequence.
-func (p *Parser) parseAttrs(kw Keyword) (*attrSet, error) {
-	as := &attrSet{kw: kw}
+// parseAttrs reads attribute/value pairs and bare words until </kw>,
+// appending the pairs to attrs: its callers pass an array on their stack,
+// so a list that fits costs no allocation. The language permits
+// attributes both inside the open tag (<IMG SOURCE=x>) and in the body
+// (<IMG> SOURCE=x </IMG>); the lexer flattens the two forms into the same
+// token sequence.
+func (p *Parser) parseAttrs(kw Keyword, attrs []attr) (as attrSet, err error) {
+	as.attrs = attrs
 	if p.tok.Kind != TokOpen || p.tok.Lit != string(kw) {
-		return nil, errAt(p.tok.Pos, "expected <%s>, found %s", kw, p.tok)
+		return as, errAt(p.tok.Pos, "expected <%s>, found %s", kw, p.tok)
 	}
 	p.next()
 	sawGT := false
@@ -269,18 +271,17 @@ func (p *Parser) parseAttrs(kw Keyword) (*attrSet, error) {
 			p.next()
 		case TokAttr:
 			key := Keyword(p.tok.Lit)
-			pos := p.tok.Pos
 			p.next()
 			v, err := p.expect(TokValue, "attribute value")
 			if err != nil {
-				return nil, err
+				return as, err
 			}
-			as.attrs = append(as.attrs, attr{key: key, val: v.Lit, pos: pos})
+			as.attrs = append(as.attrs, attr{key: key, val: v.Lit})
 		case TokWord:
 			if strings.EqualFold(p.tok.Lit, string(KwAt)) {
 				p.next()
 				if p.tok.Kind != TokWord && p.tok.Kind != TokValue {
-					return nil, errAt(p.tok.Pos, "AT requires a time value")
+					return as, errAt(p.tok.Pos, "AT requires a time value")
 				}
 				as.atWord = p.tok.Lit
 				p.next()
@@ -293,17 +294,17 @@ func (p *Parser) parseAttrs(kw Keyword) (*attrSet, error) {
 			p.next()
 		case TokClose:
 			if p.tok.Lit != string(kw) {
-				return nil, errAt(p.tok.Pos, "expected </%s>, found </%s>", kw, p.tok.Lit)
+				return as, errAt(p.tok.Pos, "expected </%s>, found </%s>", kw, p.tok.Lit)
 			}
 			if !sawGT {
-				return nil, errAt(p.tok.Pos, "malformed <%s> tag", kw)
+				return as, errAt(p.tok.Pos, "malformed <%s> tag", kw)
 			}
 			p.next()
 			return as, nil
 		case TokEOF:
-			return nil, errAt(p.tok.Pos, "unterminated <%s>", kw)
+			return as, errAt(p.tok.Pos, "unterminated <%s>", kw)
 		default:
-			return nil, errAt(p.tok.Pos, "unexpected %s inside <%s>", p.tok, kw)
+			return as, errAt(p.tok.Pos, "unexpected %s inside <%s>", p.tok, kw)
 		}
 	}
 }
@@ -381,47 +382,22 @@ func (as *attrSet) fillMedia(m *Media, idx int) error {
 	return nil
 }
 
-func (p *Parser) parseImage() (*Image, error) {
-	as, err := p.parseAttrs(KwImg)
-	if err != nil {
-		return nil, err
+// parseMedia reads a single-media element: an IMG, AU or VI.
+func (p *Parser) parseMedia(kw Keyword) (m Media, err error) {
+	var buf [16]attr
+	as, err := p.parseAttrs(kw, buf[:0])
+	if err == nil {
+		err = as.fillMedia(&m, 0)
 	}
-	img := &Image{}
-	if err := as.fillMedia(&img.Media, 0); err != nil {
-		return nil, err
-	}
-	return img, nil
-}
-
-func (p *Parser) parseAudio() (*Audio, error) {
-	as, err := p.parseAttrs(KwAu)
-	if err != nil {
-		return nil, err
-	}
-	au := &Audio{}
-	if err := as.fillMedia(&au.Media, 0); err != nil {
-		return nil, err
-	}
-	return au, nil
-}
-
-func (p *Parser) parseVideo() (*Video, error) {
-	as, err := p.parseAttrs(KwVi)
-	if err != nil {
-		return nil, err
-	}
-	vi := &Video{}
-	if err := as.fillMedia(&vi.Media, 0); err != nil {
-		return nil, err
-	}
-	return vi, nil
+	return m, err
 }
 
 // parseAudioVideo handles the synchronized group. The grammar gives it two
 // SOURCEs, two IDs and two STARTIMEs (audio first, then video); a single
 // occurrence applies to both halves.
 func (p *Parser) parseAudioVideo() (*AudioVideo, error) {
-	as, err := p.parseAttrs(KwAuVi)
+	var buf [16]attr
+	as, err := p.parseAttrs(KwAuVi, buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +433,8 @@ func (p *Parser) parseAudioVideo() (*AudioVideo, error) {
 }
 
 func (p *Parser) parseLink() (*Link, error) {
-	as, err := p.parseAttrs(KwHLink)
+	var buf [16]attr
+	as, err := p.parseAttrs(KwHLink, buf[:0])
 	if err != nil {
 		return nil, err
 	}

@@ -57,17 +57,11 @@ func writeItem(b *strings.Builder, it Item) {
 		writeSpans(b, v.Spans)
 		b.WriteString("</TEXT>\n")
 	case *Image:
-		b.WriteString("<IMG>")
-		writeMediaAttrs(b, v.Media)
-		b.WriteString(" </IMG>\n")
+		writeMedia(b, KwImg, v.Media)
 	case *Audio:
-		b.WriteString("<AU>")
-		writeMediaAttrs(b, v.Media)
-		b.WriteString(" </AU>\n")
+		writeMedia(b, KwAu, v.Media)
 	case *Video:
-		b.WriteString("<VI>")
-		writeMediaAttrs(b, v.Media)
-		b.WriteString(" </VI>\n")
+		writeMedia(b, KwVi, v.Media)
 	case *AudioVideo:
 		b.WriteString("<AU_VI>")
 		fmt.Fprintf(b, " SOURCE=%s SOURCE=%s ID=%s ID=%s STARTIME=%s STARTIME=%s DURATION=%s DURATION=%s",
@@ -99,7 +93,9 @@ func writeItem(b *strings.Builder, it Item) {
 	}
 }
 
-func writeMediaAttrs(b *strings.Builder, m Media) {
+// writeMedia writes a single-media element: an IMG, AU or VI.
+func writeMedia(b *strings.Builder, kw Keyword, m Media) {
+	b.WriteString("<" + string(kw) + ">")
 	if m.Source != "" {
 		fmt.Fprintf(b, " SOURCE=%s", quoteVal(m.Source))
 	}
@@ -114,6 +110,7 @@ func writeMediaAttrs(b *strings.Builder, m Media) {
 		fmt.Fprintf(b, " DURATION=%s", FormatTime(m.Duration))
 	}
 	writeLayoutAttrs(b, m)
+	b.WriteString(" </" + string(kw) + ">\n")
 }
 
 // writeLayoutAttrs writes the attributes after a media element's timing; an
@@ -142,28 +139,17 @@ func writeSpans(b *strings.Builder, spans []Span) {
 	}
 }
 
+// styleTags opens a style's tags in B, I, U order and closes them
+// inside-out.
 func styleTags(s Style) (open, close string) {
-	var o, c strings.Builder
-	if s.Has(StyleBold) {
-		o.WriteString("<B>")
-		c.WriteString("</B>")
+	for _, t := range [...]struct {
+		bit Style
+		tag string
+	}{{StyleBold, "B"}, {StyleItalic, "I"}, {StyleUnderline, "U"}} {
+		if s.Has(t.bit) {
+			open += "<" + t.tag + ">"
+			close = "</" + t.tag + ">" + close
+		}
 	}
-	if s.Has(StyleItalic) {
-		o.WriteString("<I>")
-		c.WriteString("</I>")
-	}
-	if s.Has(StyleUnderline) {
-		o.WriteString("<U>")
-		c.WriteString("</U>")
-	}
-	// Close tags nest inside-out.
-	oc := c.String()
-	var rev strings.Builder
-	for i := len(oc); i >= 4; {
-		// each close tag is 4 chars: </X> — find boundaries backwards.
-		j := strings.LastIndex(oc[:i], "<")
-		rev.WriteString(oc[j:i])
-		i = j
-	}
-	return o.String(), rev.String()
+	return open, close
 }

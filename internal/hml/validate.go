@@ -42,17 +42,19 @@ func Validate(d *Document) error {
 			ids[m.ID] = true
 		}
 	}
-	for _, it := range d.Items() {
-		switch v := it.(type) {
-		case *Image:
-			collect(v.Media)
-		case *Audio:
-			collect(v.Media)
-		case *Video:
-			collect(v.Media)
-		case *AudioVideo:
-			collect(v.Audio)
-			collect(v.Video)
+	for _, s := range d.Sentences {
+		for _, it := range s.Items {
+			switch v := it.(type) {
+			case *Image:
+				collect(v.Media)
+			case *Audio:
+				collect(v.Media)
+			case *Video:
+				collect(v.Media)
+			case *AudioVideo:
+				collect(v.Audio)
+				collect(v.Video)
+			}
 		}
 	}
 	seen := map[string]bool{}
@@ -88,29 +90,31 @@ func Validate(d *Document) error {
 			add("%s %q has negative dimensions", kind, m.ID)
 		}
 	}
-	for _, it := range d.Items() {
-		switch v := it.(type) {
-		case *Image:
-			checkMedia(v.Media, "image", false)
-		case *Audio:
-			checkMedia(v.Media, "audio", true)
-		case *Video:
-			checkMedia(v.Media, "video", true)
-		case *AudioVideo:
-			checkMedia(v.Audio, "au_vi audio", true)
-			checkMedia(v.Video, "au_vi video", true)
-			if v.Audio.Start != v.Video.Start {
-				add("au_vi group %q/%q halves start at different times", v.Audio.ID, v.Video.ID)
-			}
-			if v.Audio.Duration != v.Video.Duration {
-				add("au_vi group %q/%q halves have different durations", v.Audio.ID, v.Video.ID)
-			}
-		case *Link:
-			if v.Target == "" {
-				add("hyperlink missing target")
-			}
-			if v.HasAt && v.At < 0 {
-				add("hyperlink to %q has negative AT time", v.Target)
+	for _, s := range d.Sentences {
+		for _, it := range s.Items {
+			switch v := it.(type) {
+			case *Image:
+				checkMedia(v.Media, "image", false)
+			case *Audio:
+				checkMedia(v.Media, "audio", true)
+			case *Video:
+				checkMedia(v.Media, "video", true)
+			case *AudioVideo:
+				checkMedia(v.Audio, "au_vi audio", true)
+				checkMedia(v.Video, "au_vi video", true)
+				if v.Audio.Start != v.Video.Start {
+					add("au_vi group %q/%q halves start at different times", v.Audio.ID, v.Video.ID)
+				}
+				if v.Audio.Duration != v.Video.Duration {
+					add("au_vi group %q/%q halves have different durations", v.Audio.ID, v.Video.ID)
+				}
+			case *Link:
+				if v.Target == "" {
+					add("hyperlink missing target")
+				}
+				if v.HasAt && v.At < 0 {
+					add("hyperlink to %q has negative AT time", v.Target)
+				}
 			}
 		}
 	}
@@ -142,24 +146,24 @@ func Statistics(d *Document) Stats {
 		if s.Heading != nil {
 			st.Headings++
 		}
-	}
-	for _, it := range d.Items() {
-		switch v := it.(type) {
-		case *Text:
-			st.Texts++
-			st.Chars += len(v.Plain())
-		case *Image:
-			st.Images++
-		case *Audio:
-			st.Audios++
-		case *Video:
-			st.Videos++
-		case *AudioVideo:
-			st.SyncGroups++
-		case *Link:
-			st.Links++
-			if v.HasAt {
-				st.TimedLinks++
+		for _, it := range s.Items {
+			switch v := it.(type) {
+			case *Text:
+				st.Texts++
+				st.Chars += len(v.Plain())
+			case *Image:
+				st.Images++
+			case *Audio:
+				st.Audios++
+			case *Video:
+				st.Videos++
+			case *AudioVideo:
+				st.SyncGroups++
+			case *Link:
+				st.Links++
+				if v.HasAt {
+					st.TimedLinks++
+				}
 			}
 		}
 	}

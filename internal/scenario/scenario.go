@@ -9,6 +9,7 @@ package scenario
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/hml"
@@ -101,6 +102,7 @@ type Scenario struct {
 	Name    string
 	Streams []*Stream
 	Links   []Link
+	Src     string // the HML text Parse built it from ("" from FromDocument)
 }
 
 // FromDocument converts a validated HML document into a Scenario. Text items
@@ -111,35 +113,47 @@ func FromDocument(doc *hml.Document) (*Scenario, error) {
 		return nil, err
 	}
 	sc := &Scenario{Title: doc.Title, Name: doc.Name}
+	// Streams and links collect on the stack, then move to exact-size slices.
+	var streamBuf [16]Stream
+	var linkBuf [8]Link
+	streams, links := streamBuf[:0], linkBuf[:0]
 	textN := 0
 	groupN := 0
-	for _, it := range doc.Items() {
-		switch v := it.(type) {
-		case *hml.Text:
-			textN++
-			sc.Streams = append(sc.Streams, &Stream{
-				ID:   fmt.Sprintf("text-%d", textN),
-				Type: TypeText,
-				Text: v.Plain(),
-			})
-		case *hml.Image:
-			sc.Streams = append(sc.Streams, fromMedia(v.Media, TypeImage, ""))
-		case *hml.Audio:
-			sc.Streams = append(sc.Streams, fromMedia(v.Media, TypeAudio, ""))
-		case *hml.Video:
-			sc.Streams = append(sc.Streams, fromMedia(v.Media, TypeVideo, ""))
-		case *hml.AudioVideo:
-			groupN++
-			group := fmt.Sprintf("sync-%d", groupN)
-			sc.Streams = append(sc.Streams,
-				fromMedia(v.Audio, TypeAudio, group),
-				fromMedia(v.Video, TypeVideo, group))
-		case *hml.Link:
-			sc.Links = append(sc.Links, Link{
-				Kind: v.Kind, Target: v.Target, Host: v.Host,
-				At: v.At, HasAt: v.HasAt, Note: v.Note,
-			})
+	for _, s := range doc.Sentences {
+		for _, it := range s.Items {
+			switch v := it.(type) {
+			case *hml.Text:
+				textN++
+				streams = append(streams, Stream{
+					ID:   "text-" + strconv.Itoa(textN),
+					Type: TypeText,
+					Text: v.Plain(),
+				})
+			case *hml.Image:
+				streams = append(streams, fromMedia(v.Media, TypeImage, ""))
+			case *hml.Audio:
+				streams = append(streams, fromMedia(v.Media, TypeAudio, ""))
+			case *hml.Video:
+				streams = append(streams, fromMedia(v.Media, TypeVideo, ""))
+			case *hml.AudioVideo:
+				groupN++
+				group := "sync-" + strconv.Itoa(groupN)
+				streams = append(streams,
+					fromMedia(v.Audio, TypeAudio, group),
+					fromMedia(v.Video, TypeVideo, group))
+			case *hml.Link:
+				links = append(links, Link{
+					Kind: v.Kind, Target: v.Target, Host: v.Host,
+					At: v.At, HasAt: v.HasAt, Note: v.Note,
+				})
+			}
 		}
+	}
+	sc.Links = append([]Link(nil), links...)
+	block := append([]Stream(nil), streams...)
+	sc.Streams = make([]*Stream, len(block))
+	for i := range block {
+		sc.Streams[i] = &block[i]
 	}
 	if err := resolveAfter(sc); err != nil {
 		return nil, err
@@ -200,8 +214,8 @@ func resolveAfter(sc *Scenario) error {
 	return nil
 }
 
-func fromMedia(m hml.Media, t MediaType, group string) *Stream {
-	return &Stream{
+func fromMedia(m hml.Media, t MediaType, group string) Stream {
+	return Stream{
 		ID:        m.ID,
 		Type:      t,
 		Source:    m.Source,
@@ -222,7 +236,11 @@ func Parse(src string) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	return FromDocument(doc)
+	sc, err := FromDocument(doc)
+	if sc != nil {
+		sc.Src = src
+	}
+	return sc, err
 }
 
 // Stream returns the stream with the given ID, or nil.

@@ -455,10 +455,14 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 	if m.WindowMS > 0 {
 		preRoll = time.Duration(m.WindowMS)*time.Millisecond + 100*time.Millisecond
 	}
+	// Each stream's media source is built once, priced here and sent below.
+	srcs := make(map[*scenario.Stream]media.Source, len(doc.Scenario.Streams))
 	flows := scenario.BuildFlow(doc.Scenario, scenario.FlowOptions{
 		PreRoll: preRoll,
 		Rate: func(st *scenario.Stream) float64 {
-			return media.ForStream(st).Bitrate(0)
+			src := media.ForStream(st)
+			srcs[st] = src
+			return src.Bitrate(0)
 		},
 	})
 	var announces []protocol.StreamAnnounce
@@ -471,7 +475,7 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 	// DocResponse on the unordered datagram path.
 	origin := s.clk.Now().Add(200 * time.Millisecond)
 	for i, f := range flows {
-		src := media.ForStream(f.Stream)
+		src := srcs[f.Stream]
 		port := base + i
 		snd := &sender{stream: f.Stream, qos: sess.qosMgr, to: netsim.MakeAddr(clientHost, port)}
 		sess.senders = append(sess.senders, snd)
