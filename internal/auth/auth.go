@@ -117,21 +117,20 @@ func (db *DB) Subscribe(u User, at time.Time) error {
 }
 
 // Authenticate verifies credentials and logs the attempt.
-func (db *DB) Authenticate(name, password string, at time.Time) (*User, error) {
+func (db *DB) Authenticate(name, password string, at time.Time) (User, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	u, ok := db.users[name]
 	if !ok {
 		db.log.add(AccessEntry{At: at, User: name, Kind: AccessDenied, Detail: "unknown user"})
-		return nil, ErrUnknownUser
+		return User{}, ErrUnknownUser
 	}
 	if u.Password != password {
 		db.log.add(AccessEntry{At: at, User: name, Kind: AccessDenied, Detail: "bad password"})
-		return nil, ErrBadPassword
+		return User{}, ErrBadPassword
 	}
 	db.log.add(AccessEntry{At: at, User: name, Kind: AccessLogin})
-	cp := *u
-	return &cp, nil
+	return *u, nil
 }
 
 // Known reports whether a user is subscribed.

@@ -145,9 +145,10 @@ type Client struct {
 	spans    *obs.FrameSpans
 	hCtrlRTT *stats.DurationHistogram
 
-	// servers holds one record per server talked to; current names the
-	// connected one ("" when none).
-	servers map[string]*record
+	// servers lists one record per server talked to, linked through
+	// record.next: a browser talks to a handful, so a search beats a map's
+	// buckets. current names the connected one ("" when none).
+	servers *record
 	current string
 
 	// presentation state
@@ -203,7 +204,7 @@ type Client struct {
 	// reliable control plane (reliable.go)
 	nextReq uint32
 	hbAwait bool
-	pending map[uint32]*pendingReq
+	pending *pendingReq // the tracked requests in flight, linked through next
 	// peers/graceSecs are the replica set and suspend grace window the
 	// server advertised on connect; they bound recovery and failover.
 	peers     []string
@@ -230,7 +231,8 @@ type record struct {
 	m       protocol.Machine
 	session string
 	token   string
-	addr    netsim.Addr // the server's control address
+	addr    netsim.Addr // the server's control address; addr.Host() names it
+	next    *record
 }
 
 // navEntry is one visited document in the navigation stacks.
@@ -310,8 +312,6 @@ func New(host string, clk clock.Clock, net netsim.Net, opts Options) (*Client, e
 		clk:         clk,
 		net:         net,
 		opts:        opts,
-		servers:     map[string]*record{},
-		pending:     map[uint32]*pendingReq{},
 		failedPeers: map[string]bool{},
 		monitor:     qos.NewClientMonitor(clk, 0x1996),
 	}
@@ -342,12 +342,21 @@ func (c *Client) Events() []Event {
 	return out
 }
 
+// lookup returns the record of a server, or nil if it has none.
+func (c *Client) lookup(host string) *record {
+	r := c.servers
+	for r != nil && r.addr.Host() != host {
+		r = r.next
+	}
+	return r
+}
+
 // server returns (creating if needed) the record of a server.
 func (c *Client) server(host string) *record {
-	r, ok := c.servers[host]
-	if !ok {
-		r = &record{addr: netsim.MakeAddr(host, protocol.ControlPort)}
-		c.servers[host] = r
+	r := c.lookup(host)
+	if r == nil {
+		r = &record{addr: netsim.MakeAddr(host, protocol.ControlPort), next: c.servers}
+		c.servers = r
 	}
 	return r
 }

@@ -12,6 +12,7 @@ package client
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -42,6 +43,7 @@ type pendingReq struct {
 	timer  *clock.Timer
 	// onFail runs with c.mu held once the request is abandoned.
 	onFail func()
+	next   *pendingReq
 }
 
 // sendFrame puts one raw control frame on the wire. Send errors are left to
@@ -85,8 +87,9 @@ func (c *Client) sendReqLocked(host string, mt protocol.MsgType, body protocol.M
 		deadline: deadline,
 		sentAt:   c.clk.Now(),
 		onFail:   onFail,
+		next:     c.pending,
 	}
-	c.pending[id] = pr
+	c.pending = pr
 	pr.timer = c.clk.AfterFunc(pr.delay, func() { c.retryReq(id) })
 	c.sendFrame(pr.to, pr.frame)
 	return id
@@ -97,8 +100,8 @@ func (c *Client) sendReqLocked(host string, mt protocol.MsgType, body protocol.M
 // client Event plus an obs trace event and running the request's onFail.
 func (c *Client) retryReq(id uint32) {
 	c.mu.Lock()
-	pr, ok := c.pending[id]
-	if !ok {
+	pr := c.pendingLocked(id)
+	if pr == nil {
 		c.mu.Unlock()
 		return
 	}
@@ -108,7 +111,7 @@ func (c *Client) retryReq(id uint32) {
 		exhausted = !c.clk.Now().Before(pr.deadline)
 	}
 	if exhausted {
-		delete(c.pending, id)
+		c.unlinkPendingLocked(pr)
 		c.opts.Obs.Counter("client_ctrl_timeouts").Inc()
 		c.opts.Obs.Emit(obs.EvCtrlTimeout, pr.to.Host(), int64(pr.attempts),
 			fmt.Sprintf("%s abandoned after %d attempts", pr.mt, pr.attempts))
@@ -125,7 +128,7 @@ func (c *Client) retryReq(id uint32) {
 	if pr.delay > retryBackoffCap {
 		pr.delay = retryBackoffCap
 	}
-	pr.timer = c.clk.AfterFunc(pr.delay, func() { c.retryReq(id) })
+	pr.timer.Reset(pr.delay)
 	to, frame := pr.to, pr.frame
 	c.mu.Unlock()
 	c.sendFrame(to, frame)
@@ -135,15 +138,13 @@ func (c *Client) retryReq(id uint32) {
 // arrives. It reports false for an unknown ID — a duplicated reply, which
 // the caller must ignore so retransmitted requests have no double effects.
 func (c *Client) completePendingLocked(reqID uint32) bool {
-	pr, ok := c.pending[reqID]
-	if !ok {
+	pr := c.pendingLocked(reqID)
+	if pr == nil {
 		c.opts.Obs.Counter("client_ctrl_dup_replies").Inc()
 		return false
 	}
-	if pr.timer != nil {
-		pr.timer.Stop()
-	}
-	delete(c.pending, reqID)
+	pr.timer.Stop()
+	c.unlinkPendingLocked(pr)
 	rtt := c.clk.Now().Sub(pr.sentAt)
 	c.hCtrlRTT.Observe(rtt)
 	c.opts.Obs.Sample(obs.EvCtrlSpan, pr.to.Host(), rtt.Microseconds(), pr.mt.String())
@@ -153,15 +154,30 @@ func (c *Client) completePendingLocked(reqID uint32) bool {
 // cancelPendingLocked abandons every tracked request toward a host without
 // running onFail (used when tearing the connection down deliberately).
 func (c *Client) cancelPendingLocked(host string) {
-	for id, pr := range c.pending {
-		if pr.to.Host() != host {
-			continue
-		}
-		if pr.timer != nil {
+	for pr := c.pending; pr != nil; pr = pr.next {
+		if pr.to.Host() == host {
 			pr.timer.Stop()
+			c.unlinkPendingLocked(pr)
 		}
-		delete(c.pending, id)
 	}
+}
+
+// pendingLocked returns the tracked request with ID id, or nil.
+func (c *Client) pendingLocked(id uint32) *pendingReq {
+	pr := c.pending
+	for pr != nil && pr.id != id {
+		pr = pr.next
+	}
+	return pr
+}
+
+// unlinkPendingLocked takes pr off the list of tracked requests.
+func (c *Client) unlinkPendingLocked(pr *pendingReq) {
+	p := &c.pending
+	for *p != pr {
+		p = &(*p).next
+	}
+	*p = pr.next
 }
 
 // --- heartbeats and liveness ---
@@ -183,7 +199,7 @@ func (c *Client) startHeartbeatLocked() {
 func (c *Client) heartbeatTick() {
 	c.mu.Lock()
 	host := c.current
-	rec := c.servers[host]
+	rec := c.lookup(host)
 	if rec == nil || rec.session == "" || c.recovering != "" {
 		c.hbTimer = nil
 		c.mu.Unlock()
@@ -211,7 +227,7 @@ func (c *Client) heartbeatTick() {
 		return
 	}
 	c.hbAwait = true
-	c.hbTimer = c.clk.AfterFunc(c.opts.HeartbeatInterval, c.heartbeatTick)
+	c.hbTimer.Reset(c.opts.HeartbeatInterval)
 	c.mu.Unlock()
 	c.send(rec, protocol.MsgHeartbeat, &protocol.Heartbeat{SessionID: rec.session})
 }
@@ -227,8 +243,9 @@ func (c *Client) onHeartbeatAck(from string, m protocol.HeartbeatAck) {
 		c.hbMisses = 0
 		// Every ack refreshes the per-document replica set, so failover
 		// targets track the document being viewed and placement changes.
-		if len(m.Peers) > 0 {
-			c.peers = append([]string(nil), m.Peers...)
+		// The decoded slice is the ack's own, kept only when it differs.
+		if len(m.Peers) > 0 && !slices.Equal(m.Peers, c.peers) {
+			c.peers = m.Peers
 		}
 		return
 	}

@@ -254,6 +254,44 @@ func TestCodecAllocs(t *testing.T) {
 	}
 }
 
+// TestMessagesStayOnStack: a message declared where it is sent or decoded
+// stays on its caller's stack, because the codec walks every body through
+// its concrete type and never calls a method through the Message interface.
+// Encoding then allocates nothing but a kept frame, and decoding only the
+// strings and slices the message keeps. TestCodecAllocs cannot see this:
+// its messages are made outside the measured function.
+func TestMessagesStayOnStack(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool deliberately drops items under -race; allocation bounds don't hold")
+	}
+	var sink []byte
+	if n := testing.AllocsPerRun(100, func() {
+		_ = WriteFrame(MsgHeartbeat, &Heartbeat{SessionID: "srv1-sess-1"}, func(frame []byte) { sink = append(sink[:0], frame...) })
+	}); n != 0 {
+		t.Errorf("WriteFrame of a local Heartbeat: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		sink, _ = AppendFrame(sink[:0], MsgConnect, 1, &Connect{User: "user-v0001", Password: "pw", PeakRate: 1.5e6})
+	}); n != 0 {
+		t.Errorf("AppendFrame of a local Connect: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		sink, _ = NewFrame(MsgConnectResult, 1, &ConnectResult{OK: true, SessionID: "srv1-sess-1", GrantedRate: 1.5e6})
+	}); n != 1 {
+		t.Errorf("NewFrame of a local ConnectResult: %v allocations, want 1, the frame", n)
+	}
+	ackBody := MustEncode(MsgHeartbeatAck, HeartbeatAck{OK: true, SessionID: "srv1-sess-1", Peers: []string{"srv2", "srv3"}})[headerSize:]
+	peers := 0
+	if n := testing.AllocsPerRun(100, func() {
+		var m HeartbeatAck
+		if DecodeBody(ackBody, &m) == nil {
+			peers = len(m.Peers)
+		}
+	}); n != 4 || peers != 2 {
+		t.Errorf("decode into a local HeartbeatAck: %v allocations and %d peers, want 3 strings and 1 slice", n, peers)
+	}
+}
+
 // BenchmarkCodec times the messages of the control plane's hot path.
 func BenchmarkCodec(b *testing.B) {
 	for _, c := range []struct {

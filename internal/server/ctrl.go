@@ -379,14 +379,11 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 		client:     from,
 		connID:     dec.ConnID,
 		floorLevel: m.FloorLevel,
-		qosMgr:     qos.NewManager(s.clk, s.opts.Policy),
-		ssrcToID:   map[uint32]string{},
 		startedAt:  now,
 		lwPos:      noWheelPos(),
 	}
 	s.step(sess, protocol.InConnect)
 	s.step(sess, protocol.InAuthOK)
-	sess.qosMgr.SetObs(s.opts.Obs)
 	ni := shardIndex(string(from))
 	sess.shard.Store(int32(ni))
 	sh := &s.shards[ni]

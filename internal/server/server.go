@@ -175,7 +175,9 @@ type session struct {
 	client     netsim.Addr
 	connID     int
 	floorLevel int
-	qosMgr     *qos.Manager
+	// qosMgr and ssrcToID grade the current document's streams; each
+	// document request builds both, so they are nil before the first.
+	qosMgr *qos.Manager
 	// senders holds the document's streams in flow-scenario order. Every
 	// bulk operation (start, pause, park, report, stop) walks it in that
 	// order, so streams due at the same instant leave in a repeatable order;

@@ -352,7 +352,7 @@ func TestQoSManagerUnknownClient(t *testing.T) {
 func TestServerPolicyReachesGrader(t *testing.T) {
 	const hold = 500 * time.Millisecond
 	h := newHarness(t, Options{Policy: qos.Policy{UpgradeHold: hold}})
-	h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
+	connectAndRequest(t, h)
 	mgr := h.srv.QoSManager(fakeClient)
 	if mgr == nil {
 		t.Fatal("no grader for the session")

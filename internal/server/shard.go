@@ -229,7 +229,8 @@ func (s *Server) LockStats() (acqs int64, held time.Duration) {
 func (s *Server) Sessions() int { return int(s.sessionCount.Load()) }
 
 // QoSManager returns the grading manager of the session attached to the
-// given client address (nil when unknown); used by experiments to inspect
+// given client address: nil when unknown, and nil until the session's
+// first document, which builds it. Used by experiments to inspect
 // quality trajectories. Read-only: it takes the shard's unmetered read
 // side, so polling it during a lock-sampled window does not pollute the meter.
 func (s *Server) QoSManager(client netsim.Addr) *qos.Manager {

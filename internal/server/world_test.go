@@ -325,7 +325,7 @@ func TestConnectStormInvariants(t *testing.T) {
 // TestControlSessionBytes bounds what one control session costs the heap,
 // both ends included: a browser connects, lists the topics of an
 // eight-document catalogue, heartbeats for three seconds and disconnects.
-// A session allocates about 6.7 KB; the bound leaves 20 % headroom. It runs
+// A session allocates about 5.0 KB; the bound leaves 11 % headroom. It runs
 // on one P, as TestReceivePathBytesPerFrame does, so that pooled codecs and
 // buffers stay with the one goroutine that uses them.
 func TestControlSessionBytes(t *testing.T) {
@@ -335,7 +335,7 @@ func TestControlSessionBytes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const (
 		sessions = 200
-		bound    = 8100
+		bound    = 5600
 	)
 	docs := map[string]string{}
 	for i := 0; i < 8; i++ {
