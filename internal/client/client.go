@@ -20,6 +20,7 @@ import (
 	"repro/internal/playout"
 	"repro/internal/protocol"
 	"repro/internal/qos"
+	"repro/internal/rtp"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 )
@@ -157,10 +158,9 @@ type Client struct {
 	bufs       *buffer.Set
 	display    *playout.Display
 	player     *playout.Player
-	monitor    *qos.ClientMonitor
-	streamInfo map[string]protocol.StreamAnnounce
-	asm        map[uint32]map[uint32]*assembly
-	asmFree    []*assembly // recycled assembly shells (their bufs are pooled separately)
+	monitor    *qos.ClientMonitor // made with the first document
+	rx         []*rxStream        // one per SSRC ever announced
+	asmFree    []*assembly        // recycled assembly shells (their bufs are pooled separately)
 	docName    string
 	docHost    string   // server the current document came from
 	fillIDs    []string // stream buffers gating the deliberate initial delay
@@ -261,6 +261,18 @@ type assembly struct {
 	sentAt time.Time
 }
 
+// rxStream is the record of one SSRC a document announced; its media port's
+// listener is bound to it. The monitor never forgets a stream, so neither
+// do these: an earlier document's SSRC still feeds its ID's receiver.
+type rxStream struct {
+	ssrc uint32
+	id   string
+	recv *rtp.Receiver           // the receiver the monitor tracks for id
+	buf  *buffer.Buffer          // the current document's buffer for id, or nil
+	ann  protocol.StreamAnnounce // the current document's announce of ssrc, or zero
+	asm  []*assembly             // frames in reassembly
+}
+
 // newAssemblyLocked takes an assembly shell off the free list (or makes one)
 // and gives an observer's frame pooled scratch. Caller holds c.mu.
 func (c *Client) newAssemblyLocked(hdr media.FrameHeader, ts uint32) *assembly {
@@ -313,7 +325,6 @@ func New(host string, clk clock.Clock, net netsim.Net, opts Options) (*Client, e
 		net:         net,
 		opts:        opts,
 		failedPeers: map[string]bool{},
-		monitor:     qos.NewClientMonitor(clk, 0x1996),
 	}
 	c.spans = opts.Obs.FrameSpans()
 	c.hCtrlRTT = opts.Obs.Histogram("client_ctrl_rtt")
@@ -768,8 +779,12 @@ func (c *Client) Buffers() *buffer.Set {
 	return c.bufs
 }
 
-// Monitor returns the client QoS manager.
-func (c *Client) Monitor() *qos.ClientMonitor { return c.monitor }
+// Monitor returns the client QoS manager (nil before the first document).
+func (c *Client) Monitor() *qos.ClientMonitor {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.monitor
+}
 
 // StartupDelay returns the deliberate initial delay of the last
 // presentation (zero until playout started).
@@ -800,8 +815,12 @@ func (c *Client) SuspendToken(host string) string {
 func (c *Client) StreamInfo(id string) (protocol.StreamAnnounce, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ann, ok := c.streamInfo[id]
-	return ann, ok
+	for _, rec := range c.rx {
+		if rec.ann.StreamID == id && id != "" {
+			return rec.ann, true
+		}
+	}
+	return protocol.StreamAnnounce{}, false
 }
 
 // SessionID returns the session identifier granted by a server ("" when not

@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/buffer"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/playout"
 	"repro/internal/protocol"
+	"repro/internal/qos"
 	"repro/internal/rtp"
 	"repro/internal/scenario"
 )
@@ -131,7 +133,7 @@ func (c *Client) onConnectResult(from string, m protocol.ConnectResult) {
 			c.graceSecs = m.GraceSecs
 		}
 		if len(m.Peers) > 0 {
-			c.peers = append([]string(nil), m.Peers...)
+			c.peers = m.Peers // decoded for this message alone, and only read
 		}
 		// A server is serving us again: any move or redirect is past its
 		// connect. Servers that failed or refused us during it become
@@ -267,7 +269,7 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 	if len(m.Peers) > 0 {
 		// Per-document replica set: failover while viewing this document
 		// must land on a server that holds it.
-		c.peers = append([]string(nil), m.Peers...)
+		c.peers = m.Peers
 	}
 	if c.move.from != "" && from != c.move.from {
 		lat := c.clk.Now().Sub(c.move.start)
@@ -325,15 +327,18 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 	c.history = append(c.history, c.docName)
 	c.bufs = buffer.NewSet()
 	c.display = playout.NewDisplay()
-	c.streamInfo = map[string]protocol.StreamAnnounce{}
-	c.asm = map[uint32]map[uint32]*assembly{}
 	c.started = false
 	c.startDelay = 0
+	if c.monitor == nil {
+		c.monitor = qos.NewClientMonitor(c.clk, 0x1996)
+	}
+	for _, rec := range c.rx {
+		rec.ann = protocol.StreamAnnounce{}
+	}
 
-	// One buffer handler and one stream handler (port listener) per
-	// parallel media connection.
+	// One buffer handler and one stream handler (port listener, bound to
+	// its stream's record) per parallel media connection.
 	for _, ann := range m.Streams {
-		ann := ann
 		interval := time.Duration(ann.FrameIntervalUS) * time.Microsecond
 		window := c.opts.Window
 		if window <= 0 {
@@ -345,16 +350,27 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 			Window:        window,
 			Obs:           c.opts.Obs,
 		})
-		c.streamInfo[ann.StreamID] = ann
 		c.monitor.Track(ann.StreamID, ann.SSRC)
+		rec := c.rxLocked(nil, ann.SSRC)
+		if rec == nil {
+			rec = &rxStream{ssrc: ann.SSRC}
+			c.rx = append(c.rx, rec)
+		}
+		rec.id, rec.ann = ann.StreamID, ann
 		addr := netsim.MakeAddr(c.Host, ann.Port)
 		c.mediaPorts = append(c.mediaPorts, addr)
-		if err := c.net.Listen(addr, c.handleMedia); err != nil {
+		if err := c.net.Listen(addr, func(pkt netsim.Packet) { c.handleMedia(rec, pkt) }); err != nil {
 			// The stream's media port could not be bound: its frames will
 			// never arrive, but the rest of the presentation proceeds.
 			c.lastError = err.Error()
 			c.logEvent("media listen failed: " + err.Error())
 		}
+	}
+	// Every record, this document's or an earlier one's, follows its ID:
+	// the receiver tracked for it now and this document's buffer, if any.
+	for _, rec := range c.rx {
+		rec.recv = c.monitor.Receiver(rec.id)
+		rec.buf = c.bufs.Get(rec.id)
 	}
 
 	opts := c.opts.Playout
@@ -429,24 +445,42 @@ func (c *Client) pollFillLocked(deadline time.Time) {
 	})
 }
 
-// handleMedia is the stream handler: it parses RTP, updates the QoS
-// monitor, reassembles fragments and pushes complete frames into the
-// stream's buffer.
+// rxLocked returns the record of the stream ssrc names, trying the port's
+// own record first, or nil when no announced stream carries ssrc. Caller
+// holds c.mu.
+func (c *Client) rxLocked(bound *rxStream, ssrc uint32) *rxStream {
+	if bound != nil && bound.ssrc == ssrc {
+		return bound
+	}
+	for _, rec := range c.rx {
+		if rec.ssrc == ssrc {
+			return rec
+		}
+	}
+	return nil
+}
+
+// handleMedia is the stream handler of the port bound to rec: it parses
+// RTP, finds the packet's stream by its SSRC (rec's, unless the packet
+// names another), updates the stream's reception state, reassembles
+// fragments and pushes complete frames into the stream's buffer.
 //
 // Per the netsim.Net ownership rule, pkt.Payload is borrowed for the
 // duration of the call only — the simulator recycles the buffer afterwards.
 // The RTP packet, parsed into a stack value, and ParseFrameHeader's result
 // are zero-copy views into it; an OnFrame observer's fragment data is copied
 // into pooled scratch before return, and nothing retains pkt.Payload.
-func (c *Client) handleMedia(pkt netsim.Packet) {
+func (c *Client) handleMedia(rec *rxStream, pkt netsim.Packet) {
 	// RTP/RTCP demultiplexing: RTCP packet types occupy 200–204 in the
 	// second octet, a range RTP payload types never reach.
 	if len(pkt.Payload) >= 2 && pkt.Payload[1] >= 200 && pkt.Payload[1] <= 204 {
 		var sr rtp.SenderReport
 		if sr.Unmarshal(pkt.Payload) == nil {
-			if id, ok := c.monitor.StreamID(sr.SSRC); ok {
-				c.monitor.ObserveSR(id, sr)
+			c.mu.Lock()
+			if rec = c.rxLocked(rec, sr.SSRC); rec != nil {
+				c.monitor.ObserveSR(rec.id, sr)
 			}
+			c.mu.Unlock()
 		}
 		return
 	}
@@ -456,24 +490,26 @@ func (c *Client) handleMedia(pkt netsim.Packet) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id, ok := c.monitor.StreamID(p.SSRC)
-	if !ok {
+	if rec = c.rxLocked(rec, p.SSRC); rec == nil {
 		return
 	}
-	c.monitor.Observe(id, &p, c.clk.Now(), pkt.SentAt)
+	now := c.clk.Now()
+	rec.recv.Observe(&p, now, pkt.SentAt)
 	hdr, data, err := media.ParseFrameHeader(p.Payload)
 	if err != nil {
 		return
 	}
-	byFrame, ok := c.asm[p.SSRC]
-	if !ok {
-		byFrame = map[uint32]*assembly{}
-		c.asm[p.SSRC] = byFrame
+	// The frame in progress is most likely the newest.
+	var a *assembly
+	for i := len(rec.asm) - 1; i >= 0; i-- {
+		if rec.asm[i].hdr.Index == hdr.Index {
+			a = rec.asm[i]
+			break
+		}
 	}
-	a, ok := byFrame[hdr.Index]
-	if !ok {
+	if a == nil {
 		a = c.newAssemblyLocked(hdr, p.Timestamp)
-		byFrame[hdr.Index] = a
+		rec.asm = append(rec.asm, a)
 	}
 	if !pkt.SentAt.IsZero() && (a.sentAt.IsZero() || pkt.SentAt.Before(a.sentAt)) {
 		a.sentAt = pkt.SentAt
@@ -495,20 +531,20 @@ func (c *Client) handleMedia(pkt netsim.Packet) {
 	if a.have < a.total {
 		return
 	}
-	delete(byFrame, hdr.Index)
-	// Drop stale assemblies far behind this frame (lost fragments never
-	// complete; bound the state) and recycle them.
-	for idx, stale := range byFrame {
-		if idx+50 < hdr.Index {
-			delete(byFrame, idx)
-			c.freeAssemblyLocked(stale)
+	// Take the frame out, and recycle the stale assemblies far behind it
+	// (lost fragments never complete; bound the state).
+	rec.asm = slices.DeleteFunc(rec.asm, func(x *assembly) bool {
+		if x != a && x.hdr.Index+50 < hdr.Index {
+			c.freeAssemblyLocked(x)
+			return true
 		}
-	}
+		return x == a
+	})
 	if c.spans.Sampled(hdr.Index) && !a.sentAt.IsZero() {
-		c.spans.RecordDelivery(id, c.clk.Now().Sub(a.sentAt))
+		c.spans.RecordDelivery(rec.id, now.Sub(a.sentAt))
 	}
-	if buf := c.bufs.Get(id); buf != nil {
-		buf.Push(buffer.Item{
+	if rec.buf != nil {
+		rec.buf.Push(buffer.Item{
 			Frame: media.Frame{
 				Index:  int(a.hdr.Index),
 				PTS:    rtp.FromTimestamp(a.ts),
@@ -517,11 +553,11 @@ func (c *Client) handleMedia(pkt netsim.Packet) {
 				Marker: true,
 				Level:  int(a.hdr.Level),
 			},
-			ArrivedAt: c.clk.Now(),
+			ArrivedAt: now,
 		})
 	}
 	if c.opts.OnFrame != nil {
-		c.opts.OnFrame(id, a.hdr, a.pb.B)
+		c.opts.OnFrame(rec.id, a.hdr, a.pb.B)
 	}
 	c.freeAssemblyLocked(a)
 }
@@ -586,12 +622,13 @@ func (c *Client) teardownPresentationLocked() {
 		c.net.Listen(addr, nil)
 	}
 	c.mediaPorts = nil
-	for _, byFrame := range c.asm {
-		for _, a := range byFrame {
+	for _, rec := range c.rx {
+		for _, a := range rec.asm {
 			c.freeAssemblyLocked(a)
 		}
+		clear(rec.asm)
+		rec.asm = rec.asm[:0]
 	}
-	c.asm = nil
 }
 
 func (c *Client) stopTimersLocked() {

@@ -186,14 +186,33 @@ func (d *Display) internLocked(str string) uint32 {
 	return i
 }
 
+// intern returns str's index in the log's string table, adding it when new.
+func (d *Display) intern(str string) uint32 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.internLocked(str)
+}
+
 // Record appends an event.
 func (d *Display) Record(ev Event) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.recordLocked(d.internLocked(ev.StreamID), ev)
+}
+
+// record appends an event of the stream interned as stream; ev.StreamID is
+// not read. A playout process names its stream this way on every frame.
+func (d *Display) record(stream uint32, ev Event) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.recordLocked(stream, ev)
+}
+
+func (d *Display) recordLocked(stream uint32, ev Event) {
 	if n := len(d.chunks); n == 0 || cap(d.chunks[n-1])-len(d.chunks[n-1]) < maxEventLen {
 		d.chunks = append(d.chunks, make([]byte, 0, displayChunk))
 	}
-	stream, note := d.internLocked(ev.StreamID), d.internLocked(ev.Note)
+	note := d.internLocked(ev.Note)
 	for int(stream) >= len(d.last) {
 		d.last = append(d.last, lastEvent{})
 	}
@@ -388,6 +407,7 @@ func (o *Options) fill() {
 // streamState is the runtime state of one playout process.
 type streamState struct {
 	entry    *scenario.Entry
+	sid      uint32 // the stream's ID interned in the display
 	buf      *buffer.Buffer
 	interval time.Duration
 	still    bool
@@ -420,7 +440,6 @@ type Player struct {
 	clk  clock.Clock
 	sc   *scenario.Scenario
 	sch  *scenario.Schedule
-	bufs *buffer.Set
 	disp *Display
 	opts Options
 
@@ -429,12 +448,12 @@ type Player struct {
 	finished bool
 	paused   bool
 	pausedAt time.Duration
-	streams  map[string]*streamState
 	// order holds the stream states in schedule order, groups the sync groups
 	// in name order: whatever arms timers or records events for several
-	// streams walks these, never a map, so one instant's events repeat.
+	// streams walks these, never a map, so one instant's events repeat. Each
+	// stream's timers carry its state, so no step looks a stream up.
 	order     []*streamState
-	groups    [][]*scenario.Stream
+	groups    [][]*streamState
 	timers    []*clock.Timer
 	skewTimer *clock.Timer
 	linkFired bool
@@ -456,8 +475,7 @@ type Player struct {
 func New(clk clock.Clock, sc *scenario.Scenario, sch *scenario.Schedule, bufs *buffer.Set, disp *Display, opts Options) *Player {
 	opts.fill()
 	p := &Player{
-		clk: clk, sc: sc, sch: sch, bufs: bufs, disp: disp, opts: opts,
-		streams:   map[string]*streamState{},
+		clk: clk, sc: sc, sch: sch, disp: disp, opts: opts,
 		skew:      map[string]*stats.Sample{},
 		obs:       opts.Obs,
 		spans:     opts.Obs.FrameSpans(),
@@ -475,23 +493,36 @@ func New(clk clock.Clock, sc *scenario.Scenario, sch *scenario.Schedule, bufs *b
 		}
 		s := &streamState{
 			entry:    e,
+			sid:      disp.intern(e.Stream.ID),
 			buf:      b,
 			interval: interval,
 			still:    !e.Stream.Type.TimeSensitive(),
 		}
-		id := e.Stream.ID
 		if s.still {
-			s.step = func() { p.playStill(id) }
+			s.step = func() { p.playStill(s) }
 		} else {
-			s.step = func() { p.tick(id) }
+			s.step = func() { p.tick(s) }
 		}
-		p.streams[id] = s
 		p.order = append(p.order, s)
 	}
+	// A group keeps its scenario member order. One with a member that has
+	// no playout process is never fully active, so it is left out.
 	for _, members := range sc.SyncGroups() {
-		p.groups = append(p.groups, members)
+		var g []*streamState
+		for _, m := range members {
+			for _, s := range p.order {
+				if s.entry.Stream.ID == m.ID {
+					g = append(g, s)
+				}
+			}
+		}
+		if len(g) == len(members) {
+			p.groups = append(p.groups, g)
+		}
 	}
-	sort.Slice(p.groups, func(i, j int) bool { return p.groups[i][0].SyncGroup < p.groups[j][0].SyncGroup })
+	sort.Slice(p.groups, func(i, j int) bool {
+		return p.groups[i][0].entry.Stream.SyncGroup < p.groups[j][0].entry.Stream.SyncGroup
+	})
 	return p
 }
 
@@ -562,64 +593,62 @@ func (p *Player) armStreamLocked(s *streamState, from time.Duration) {
 	if s.done {
 		return
 	}
-	id := s.entry.Stream.ID
 	if !s.started {
 		delay := s.entry.PlayAt - from
 		if delay < 0 {
 			delay = 0
 		}
-		p.addTimer(delay, func() { p.startStream(id) })
+		p.addTimer(delay, func() { p.startStream(s) })
 		return
 	}
 	// Already started: resume ticking / end timers.
 	if s.still {
 		if !s.done && s.entry.Stream.Duration > 0 {
-			p.addTimer(s.entry.EndAt-from, func() { p.stopStream(id) })
+			p.addTimer(s.entry.EndAt-from, func() { p.stopStream(s) })
 		}
 		return
 	}
 	p.armStepLocked(s, s.interval)
 	if s.entry.Stream.Duration > 0 {
-		p.addTimer(s.entry.EndAt-from, func() { p.stopStream(id) })
+		p.addTimer(s.entry.EndAt-from, func() { p.stopStream(s) })
 	}
 }
 
-func (p *Player) startStream(id string) {
+func (p *Player) startStream(s *streamState) {
 	p.mu.Lock()
-	s := p.streams[id]
-	if s == nil || s.started || s.done || p.finished || p.paused {
+	if s.started || s.done || p.finished || p.paused {
 		p.mu.Unlock()
 		return
 	}
 	s.started = true
 	at := p.now()
-	p.disp.Record(Event{At: at, StreamID: id, Kind: EvStart})
+	p.disp.Record(Event{At: at, StreamID: s.entry.Stream.ID, Kind: EvStart})
 	if s.still {
 		p.mu.Unlock()
-		p.playStill(id)
+		p.playStill(s)
 		p.mu.Lock()
 		if s.entry.Stream.Duration > 0 {
-			p.addTimer(s.entry.EndAt-p.now(), func() { p.stopStream(id) })
+			p.addTimer(s.entry.EndAt-p.now(), func() { p.stopStream(s) })
 		}
 		p.mu.Unlock()
 		return
 	}
 	if s.entry.Stream.Duration > 0 {
-		p.addTimer(s.entry.EndAt-at, func() { p.stopStream(id) })
+		p.addTimer(s.entry.EndAt-at, func() { p.stopStream(s) })
 	}
 	p.mu.Unlock()
-	p.tick(id)
+	p.tick(s)
 }
 
 // playStill attempts to present a still (image/text). If its data has not
 // arrived it records one EvLate and retries.
-func (p *Player) playStill(id string) {
+func (p *Player) playStill(s *streamState) {
 	p.mu.Lock()
-	s := p.streams[id]
-	if s == nil || s.done || p.finished || p.paused {
+	if s.done || p.finished || p.paused {
 		p.mu.Unlock()
 		return
 	}
+	id := s.entry.Stream.ID
 	it, ok := s.buf.Pop()
 	at := p.now()
 	ideal := s.entry.PlayAt
@@ -633,7 +662,7 @@ func (p *Player) playStill(id string) {
 		s.latenessMax = max(s.latenessMax, late)
 		p.mPlays.Inc()
 		p.hLateness.Observe(late)
-		p.disp.Record(Event{At: at, StreamID: id, Kind: EvPlay, Frame: it.Frame, Lateness: late})
+		p.disp.record(s.sid, Event{At: at, Kind: EvPlay, Frame: it.Frame, Lateness: late})
 		p.mu.Unlock()
 		return
 	}
@@ -642,27 +671,27 @@ func (p *Player) playStill(id string) {
 		s.gaps++
 		p.mGaps.Inc()
 		p.obs.Emit(obs.EvDeadlineMiss, id, 1, "still data not yet arrived")
-		p.disp.Record(Event{At: at, StreamID: id, Kind: EvLate, Note: "data not yet arrived"})
+		p.disp.record(s.sid, Event{At: at, Kind: EvLate, Note: "data not yet arrived"})
 	}
 	p.armStepLocked(s, stillRetryInterval)
 	p.mu.Unlock()
 }
 
 // tick is one playout-process step for a time-sensitive stream.
-func (p *Player) tick(id string) {
+func (p *Player) tick(s *streamState) {
 	p.mu.Lock()
-	s := p.streams[id]
-	if s == nil || s.done || !s.started || p.finished || p.paused {
+	if s.done || !s.started || p.finished || p.paused {
 		p.mu.Unlock()
 		return
 	}
+	id := s.entry.Stream.ID
 	at := p.now()
 	if s.holdTicks > 0 {
 		// Skew control ordered this leader to hold: replay last frame.
 		s.holdTicks--
 		s.holds++
 		p.mHolds.Inc()
-		p.disp.Record(Event{At: at, StreamID: id, Kind: EvHold, Note: "skew control hold"})
+		p.disp.record(s.sid, Event{At: at, Kind: EvHold, Note: "skew control hold"})
 	} else {
 		// Play only the frame that is actually due: a playout slot whose
 		// expected frame has not arrived is a gap, concealed by
@@ -691,13 +720,13 @@ func (p *Player) tick(id string) {
 				}
 				p.spans.RecordSlack(id, slack)
 			}
-			p.disp.Record(Event{At: at, StreamID: id, Kind: EvPlay, Frame: it.Frame, Lateness: late})
+			p.disp.record(s.sid, Event{At: at, Kind: EvPlay, Frame: it.Frame, Lateness: late})
 		} else {
 			// Underflow: conceal with a duplicate; media position holds.
 			s.gaps++
 			p.mGaps.Inc()
 			p.obs.Emit(obs.EvDeadlineMiss, id, 1, "underflow gap")
-			p.disp.Record(Event{At: at, StreamID: id, Kind: EvGap, Frame: it.Frame, Note: "underflow duplicate"})
+			p.disp.record(s.sid, Event{At: at, Kind: EvGap, Frame: it.Frame, Note: "underflow duplicate"})
 		}
 	}
 	p.armStepLocked(s, s.interval)
@@ -705,10 +734,9 @@ func (p *Player) tick(id string) {
 }
 
 // stopStream ends one stream's playout.
-func (p *Player) stopStream(id string) {
+func (p *Player) stopStream(s *streamState) {
 	p.mu.Lock()
-	s := p.streams[id]
-	if s == nil || s.done {
+	if s.done {
 		p.mu.Unlock()
 		return
 	}
@@ -716,7 +744,7 @@ func (p *Player) stopStream(id string) {
 	if s.ticker != nil {
 		s.ticker.Stop()
 	}
-	p.disp.Record(Event{At: p.now(), StreamID: id, Kind: EvStop})
+	p.disp.Record(Event{At: p.now(), StreamID: s.entry.Stream.ID, Kind: EvStop})
 	p.mu.Unlock()
 }
 
@@ -775,8 +803,8 @@ func (p *Player) skewCheck() {
 			}
 		}
 	}
-	for _, members := range p.groups {
-		p.controlGroupLocked(members[0].SyncGroup, members, now)
+	for _, g := range p.groups {
+		p.controlGroupLocked(g[0].entry.Stream.SyncGroup, g, now)
 	}
 	p.skewTimer.Reset(skewCheckInterval)
 	p.mu.Unlock()
@@ -785,11 +813,10 @@ func (p *Player) skewCheck() {
 // controlGroupLocked measures the group's pairwise skew and applies the
 // short-term actions: the lagging stream drops buffered frames to catch up;
 // when it has nothing to drop, the leading stream holds (duplicates).
-func (p *Player) controlGroupLocked(group string, members []*scenario.Stream, now time.Duration) {
+func (p *Player) controlGroupLocked(group string, members []*streamState, now time.Duration) {
 	var lead, lag *streamState
-	for _, m := range members {
-		s := p.streams[m.ID]
-		if s == nil || !s.started || s.done {
+	for _, s := range members {
+		if !s.started || s.done {
 			return // group not fully active
 		}
 		if lead == nil || s.mediaPos > lead.mediaPos {
@@ -957,7 +984,8 @@ func (p *Player) Report() Report {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	rep := Report{Streams: map[string]StreamReport{}, Skew: p.skew}
-	for id, s := range p.streams {
+	for _, s := range p.order {
+		id := s.entry.Stream.ID
 		expected := 0
 		if !s.still && s.interval > 0 && s.entry.Stream.Duration > 0 {
 			expected = int(s.entry.Stream.Duration / s.interval)

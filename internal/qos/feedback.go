@@ -2,6 +2,7 @@ package qos
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -9,48 +10,51 @@ import (
 	"repro/internal/rtp"
 )
 
-// ClientMonitor is the Client QoS Manager's measurement half: it observes
-// every arriving RTP packet (which "carries a timestamping indication ...
-// used to carry out conclusions about the connection's condition"), keeps
-// per-stream RFC 1889 reception state, and periodically emits feedback
-// reports as RTCP receiver-report blocks.
+// ClientMonitor is the Client QoS Manager's measurement half: it keeps
+// per-stream RFC 1889 reception state for every arriving RTP packet (which
+// "carries a timestamping indication ... used to carry out conclusions
+// about the connection's condition"), and periodically emits feedback
+// reports as RTCP receiver-report blocks. The client feeds each packet to
+// its stream's Receiver, which it looks up once per document, not here.
 type ClientMonitor struct {
-	mu        sync.Mutex
-	clk       clock.Clock
-	ssrc      uint32 // the receiver's own SSRC for its RRs
-	receivers map[string]*rtp.Receiver
-	ssrcToID  map[uint32]string
-	lastSR    map[string]rtp.SenderReport
-	// rr is made on first use, so a monitor that never tracks a stream
-	// stays small.
-	rr *receiverReport
+	mu  sync.Mutex
+	clk clock.Clock
+	// streams holds every stream ever tracked, in ID order: a monitor never
+	// forgets one, and BuildRR reports them in this order.
+	streams []tracked
+	rr      rtp.ReceiverReport // BuildRR's report, reused; SSRC is the receiver's own
 }
 
-// receiverReport is BuildRR's report, reused, and the tracked stream IDs
-// in the sorted order of its blocks.
-type receiverReport struct {
-	ids []string
-	rtp.ReceiverReport
+// tracked is one stream's reception state and its source's last sender
+// report.
+type tracked struct {
+	id    string
+	recv  *rtp.Receiver
+	sr    rtp.SenderReport
+	hasSR bool
 }
 
 // NewClientMonitor creates a monitor with the receiver's own SSRC.
 func NewClientMonitor(clk clock.Clock, ssrc uint32) *ClientMonitor {
-	return &ClientMonitor{
-		clk:       clk,
-		ssrc:      ssrc,
-		receivers: map[string]*rtp.Receiver{},
-		ssrcToID:  map[uint32]string{},
-		lastSR:    map[string]rtp.SenderReport{},
-	}
+	return &ClientMonitor{clk: clk, rr: rtp.ReceiverReport{SSRC: ssrc}}
 }
 
-// ObserveSR records an RTCP sender report from a stream's source; the SR's
-// NTP↔RTP timestamp pair lets receivers map media time to the sender's wall
-// clock. The monitor keeps sr's Reports, which the caller must not reuse.
+// findLocked returns the index of streamID in c.streams, or where it
+// belongs, and whether it is there.
+func (c *ClientMonitor) findLocked(streamID string) (int, bool) {
+	return slices.BinarySearchFunc(c.streams, streamID, func(t tracked, id string) int { return strings.Compare(t.id, id) })
+}
+
+// ObserveSR records an RTCP sender report from a tracked stream's source;
+// the SR's NTP↔RTP timestamp pair lets receivers map media time to the
+// sender's wall clock. The monitor keeps sr's Reports, which the caller
+// must not reuse.
 func (c *ClientMonitor) ObserveSR(streamID string, sr rtp.SenderReport) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lastSR[streamID] = sr
+	if i, ok := c.findLocked(streamID); ok {
+		c.streams[i].sr, c.streams[i].hasSR = sr, true
+	}
 }
 
 // LastSR returns the most recent sender report for a stream, and whether
@@ -58,39 +62,22 @@ func (c *ClientMonitor) ObserveSR(streamID string, sr rtp.SenderReport) {
 func (c *ClientMonitor) LastSR(streamID string) (rtp.SenderReport, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sr, ok := c.lastSR[streamID]
-	return sr, ok
+	if i, ok := c.findLocked(streamID); ok {
+		return c.streams[i].sr, c.streams[i].hasSR
+	}
+	return rtp.SenderReport{}, false
 }
 
-// Track registers a stream and its source SSRC.
+// Track registers a stream and its source SSRC; a stream tracked again
+// starts a fresh reception state.
 func (c *ClientMonitor) Track(streamID string, ssrc uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.receivers[streamID]; !ok {
-		rr := c.reportLocked()
-		i, _ := slices.BinarySearch(rr.ids, streamID)
-		rr.ids = slices.Insert(rr.ids, i, streamID)
-	}
-	c.receivers[streamID] = rtp.NewReceiver(ssrc)
-	c.ssrcToID[ssrc] = streamID
-}
-
-// StreamID resolves a source SSRC to its stream id.
-func (c *ClientMonitor) StreamID(ssrc uint32) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, ok := c.ssrcToID[ssrc]
-	return id, ok
-}
-
-// Observe feeds one arrived packet into its stream's reception state.
-// sent may be the zero time when the sender clock is unknown.
-func (c *ClientMonitor) Observe(streamID string, p *rtp.Packet, arrival, sent time.Time) {
-	c.mu.Lock()
-	r := c.receivers[streamID]
-	c.mu.Unlock()
-	if r != nil {
-		r.Observe(p, arrival, sent)
+	r := rtp.NewReceiver(ssrc)
+	if i, ok := c.findLocked(streamID); ok {
+		c.streams[i].recv = r
+	} else {
+		c.streams = slices.Insert(c.streams, i, tracked{id: streamID, recv: r})
 	}
 }
 
@@ -98,7 +85,10 @@ func (c *ClientMonitor) Observe(streamID string, p *rtp.Packet, arrival, sent ti
 func (c *ClientMonitor) Receiver(streamID string) *rtp.Receiver {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.receivers[streamID]
+	if i, ok := c.findLocked(streamID); ok {
+		return c.streams[i].recv
+	}
+	return nil
 }
 
 // BuildRR assembles the RTCP receiver report covering every tracked stream,
@@ -108,37 +98,32 @@ func (c *ClientMonitor) Receiver(streamID string) *rtp.Receiver {
 func (c *ClientMonitor) BuildRR() *rtp.ReceiverReport {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rr := c.reportLocked()
-	rr.SSRC = c.ssrc
-	rr.Reports = rr.Reports[:0]
-	for _, id := range rr.ids {
-		rr.Reports = append(rr.Reports, c.receivers[id].Report())
+	c.rr.Reports = c.rr.Reports[:0]
+	for _, t := range c.streams {
+		c.rr.Reports = append(c.rr.Reports, t.recv.Report())
 	}
-	return &rr.ReceiverReport
-}
-
-func (c *ClientMonitor) reportLocked() *receiverReport {
-	if c.rr == nil {
-		c.rr = &receiverReport{}
-	}
-	return c.rr
+	return &c.rr
 }
 
 // Reports converts the current reception state into qos.Reports without
-// resetting interval counters (monitoring snapshot).
+// resetting interval counters (monitoring snapshot). A nil monitor, a
+// browser's before its first document, reports nothing.
 func (c *ClientMonitor) Reports() []Report {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clk.Now()
 	var out []Report
-	for _, id := range c.reportLocked().ids {
-		r := c.receivers[id]
+	for _, t := range c.streams {
+		r := t.recv
 		loss := 0.0
 		if exp := r.Expected(); exp > 0 {
 			loss = float64(r.CumulativeLost()) / float64(exp)
 		}
 		out = append(out, Report{
-			StreamID: id,
+			StreamID: t.id,
 			Loss:     loss,
 			Jitter:   r.JitterDuration(),
 			Delay:    r.LastDelay(),

@@ -136,10 +136,10 @@ type streamState struct {
 // Manager is the Server QoS Manager: it aggregates feedback reports and
 // issues grading actions through the media stream quality converters.
 //
-// The mutex is a RWMutex because Level sits on the per-frame emit path of
-// every media sender: frame pacing takes only a read lock here, so senders
-// within a session never serialize on quality lookups, and only feedback
-// processing (rare, per RTCP interval) writes.
+// The mutex is a RWMutex because Graded.Level sits on the per-frame emit
+// path of every media sender: frame pacing takes only a read lock here, so
+// senders within a session never serialize on quality lookups, and only
+// feedback processing (rare, per RTCP interval) writes.
 type Manager struct {
 	mu      sync.RWMutex
 	clk     clock.Clock
@@ -181,8 +181,16 @@ func (m *Manager) recordActionLocked(act Action) {
 		fmt.Sprintf("%s %d→%d: %s", act.Kind, act.From, act.To, act.Reason))
 }
 
-// Register adds a stream at level 0 (best quality).
-func (m *Manager) Register(cfg StreamConfig) {
+// Graded is a registered stream's handle on its grading state, which the
+// per-frame emit path reads without the manager's map. The zero Graded
+// stands for an unregistered stream: level 0, never stopped.
+type Graded struct {
+	m  *Manager
+	st *streamState
+}
+
+// Register adds a stream at level 0 (best quality) and returns its handle.
+func (m *Manager) Register(cfg StreamConfig) Graded {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if cfg.Levels < 1 {
@@ -197,18 +205,27 @@ func (m *Manager) Register(cfg StreamConfig) {
 	st.series.Name = cfg.ID
 	st.series.Add(m.clk.Since(m.epoch), 0)
 	m.streams[cfg.ID] = st
+	return Graded{m: m, st: st}
 }
 
 // Level returns a stream's current quality level and whether it is stopped.
-// Read-locked: safe to call concurrently from every sender's emit path.
 func (m *Manager) Level(id string) (level int, stopped bool) {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	st := m.streams[id]
-	if st == nil {
+	g := Graded{m: m, st: m.streams[id]}
+	m.mu.RUnlock()
+	return g.Level()
+}
+
+// Level returns the stream's current quality level and whether it is
+// stopped. Read-locked: safe to call concurrently from every sender's emit
+// path.
+func (g Graded) Level() (level int, stopped bool) {
+	if g.st == nil {
 		return 0, false
 	}
-	return st.level, st.stopped
+	g.m.mu.RLock()
+	defer g.m.mu.RUnlock()
+	return g.st.level, g.st.stopped
 }
 
 // LevelMatches reports whether the stream currently runs at exactly the
@@ -216,14 +233,9 @@ func (m *Manager) Level(id string) (level int, stopped bool) {
 // predicate: a session may ride a shared flow only while its own grading
 // state agrees with the flow's fixed encode level, and must detach to a
 // private sender the moment they diverge. Read-locked like Level.
-func (m *Manager) LevelMatches(id string, level int) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	st := m.streams[id]
-	if st == nil {
-		return level == 0
-	}
-	return !st.stopped && st.level == level
+func (g Graded) LevelMatches(level int) bool {
+	l, stopped := g.Level()
+	return !stopped && l == level
 }
 
 // LevelSeries returns the stream's quality-level trajectory (level index

@@ -370,8 +370,9 @@ func TestClientMonitorEndToEnd(t *testing.T) {
 	clk := clock.NewSim()
 	cm := NewClientMonitor(clk, 0xC0FFEE)
 	cm.Track("v", 42)
-	if id, ok := cm.StreamID(42); !ok || id != "v" {
-		t.Fatal("SSRC mapping")
+	r := cm.Receiver("v")
+	if r == nil || r.SSRC != 42 {
+		t.Fatalf("receiver = %+v", r)
 	}
 	sender := rtp.NewSender(42, rtp.PTMPEG, 0)
 	at := clk.Now()
@@ -380,7 +381,7 @@ func TestClientMonitorEndToEnd(t *testing.T) {
 		if i == 4 {
 			continue // lose one packet
 		}
-		cm.Observe("v", p, at.Add(time.Duration(i)*40*time.Millisecond+50*time.Millisecond), at.Add(time.Duration(i)*40*time.Millisecond))
+		r.Observe(p, at.Add(time.Duration(i)*40*time.Millisecond+50*time.Millisecond), at.Add(time.Duration(i)*40*time.Millisecond))
 	}
 	reps := cm.Reports()
 	if len(reps) != 1 || reps[0].StreamID != "v" {
@@ -407,15 +408,46 @@ func TestClientMonitorEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClientMonitorRetrack pins what a second document's Track does: the
+// stream keeps its place in ID order and its last sender report, and its
+// reception state starts afresh under the new SSRC.
+func TestClientMonitorRetrack(t *testing.T) {
+	clk := clock.NewSim()
+	cm := NewClientMonitor(clk, 7)
+	cm.Track("v", 1)
+	cm.Track("a", 2)
+	first := cm.Receiver("v")
+	first.Observe(&rtp.Packet{SequenceNumber: 5}, clk.Now(), time.Time{})
+	cm.ObserveSR("v", rtp.SenderReport{SSRC: 1, PacketCount: 9})
+	cm.Track("v", 3)
+	if r := cm.Receiver("v"); r == first || r.SSRC != 3 || r.Expected() != 0 {
+		t.Fatalf("re-tracked receiver = %+v", r)
+	}
+	if sr, ok := cm.LastSR("v"); !ok || sr.PacketCount != 9 {
+		t.Fatalf("sender report lost on re-track: %+v %v", sr, ok)
+	}
+	rr := cm.BuildRR()
+	if len(rr.Reports) != 2 || rr.Reports[0].SSRC != 2 || rr.Reports[1].SSRC != 3 {
+		t.Fatalf("RR blocks = %+v, want a's then v's", rr.Reports)
+	}
+}
+
 func TestClientMonitorUntracked(t *testing.T) {
 	clk := clock.NewSim()
 	cm := NewClientMonitor(clk, 1)
-	cm.Observe("ghost", &rtp.Packet{}, clk.Now(), time.Time{}) // no panic
+	cm.ObserveSR("ghost", rtp.SenderReport{SSRC: 9}) // no panic
 	if cm.Receiver("ghost") != nil {
 		t.Fatal("phantom receiver")
 	}
-	if _, ok := cm.StreamID(9); ok {
-		t.Fatal("phantom ssrc")
+	if _, ok := cm.LastSR("ghost"); ok {
+		t.Fatal("phantom sender report")
+	}
+	if rr := cm.BuildRR(); rr.SSRC != 1 || len(rr.Reports) != 0 {
+		t.Fatalf("RR = %+v", rr)
+	}
+	var none *ClientMonitor
+	if reps := none.Reports(); reps != nil {
+		t.Fatalf("nil monitor reports %+v", reps)
 	}
 }
 
@@ -474,39 +506,43 @@ func TestRenegotiateFreesRoomForNewAdmissions(t *testing.T) {
 // level, and a cut-off stream matches nothing.
 func TestLevelMatchesGatesSharedFlow(t *testing.T) {
 	clk, m := mgr()
-	if !m.LevelMatches("v", 0) {
+	var unregistered Graded
+	if !unregistered.LevelMatches(0) {
 		t.Fatal("unregistered stream must match level 0")
 	}
-	if m.LevelMatches("v", 1) {
+	if unregistered.LevelMatches(1) {
 		t.Fatal("unregistered stream must not match a degraded level")
 	}
-	m.Register(StreamConfig{ID: "v", Kind: scenario.TypeVideo, Levels: 5, Floor: 4})
-	if !m.LevelMatches("v", 0) {
+	g := m.Register(StreamConfig{ID: "v", Kind: scenario.TypeVideo, Levels: 5, Floor: 4})
+	if !g.LevelMatches(0) {
 		t.Fatal("freshly registered stream must match level 0")
 	}
-	for i := 0; i < 5 && m.LevelMatches("v", 0); i++ {
+	for i := 0; i < 5 && g.LevelMatches(0); i++ {
 		m.Feedback(report("v", 0.2, 0))
 		clk.RunFor(time.Second)
 	}
 	lvl, stopped := m.Level("v")
+	if gl, gs := g.Level(); gl != lvl || gs != stopped {
+		t.Fatalf("handle reads %d/%v, manager %d/%v", gl, gs, lvl, stopped)
+	}
 	if lvl == 0 || stopped {
 		t.Fatalf("level = %d stopped=%v, wanted a live degrade", lvl, stopped)
 	}
-	if m.LevelMatches("v", 0) {
+	if g.LevelMatches(0) {
 		t.Fatal("degraded stream still matches level 0")
 	}
-	if !m.LevelMatches("v", lvl) {
+	if !g.LevelMatches(lvl) {
 		t.Fatalf("degraded stream does not match its own level %d", lvl)
 	}
 	for i := 0; i < 20; i++ {
 		m.Feedback(report("v", 0.2, 0))
 		clk.RunFor(3 * time.Second)
 	}
-	if _, stopped := m.Level("v"); !stopped {
+	if _, stopped := g.Level(); !stopped {
 		t.Fatal("stream not cut off")
 	}
 	for l := 0; l < 5; l++ {
-		if m.LevelMatches("v", l) {
+		if g.LevelMatches(l) {
 			t.Fatalf("cut-off stream matches level %d", l)
 		}
 	}

@@ -474,22 +474,21 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 	for i, f := range flows {
 		src := srcs[f.Stream]
 		port := base + i
-		snd := &sender{stream: f.Stream, qos: sess.qosMgr, to: netsim.MakeAddr(clientHost, port)}
-		sess.senders = append(sess.senders, snd)
-		sess.qosMgr.Register(qos.StreamConfig{
+		snd := &sender{stream: f.Stream, to: netsim.MakeAddr(clientHost, port), grade: sess.qosMgr.Register(qos.StreamConfig{
 			ID:     f.Stream.ID,
 			Kind:   f.Stream.Type,
 			Group:  f.Stream.SyncGroup,
 			Levels: src.Levels(),
 			Floor:  minInt(sess.floorLevel, src.Levels()-1),
-		})
+		})}
+		sess.senders = append(sess.senders, snd)
 		// Attach policy: with SharedFlows, a time-sensitive stream whose
 		// session grades at the shared level joins the document's registered
 		// flow — the announce then carries THAT flow's SSRC and the client
 		// receives the same packets as every other subscriber, a late joiner
 		// after a catch-up patch from the flow's segment cache. Every other
 		// stream gets a private flow of its own (see flow.go).
-		if s.opts.SharedFlows && f.Stream.Type.TimeSensitive() && sess.qosMgr.LevelMatches(f.Stream.ID, 0) {
+		if s.opts.SharedFlows && f.Stream.Type.TimeSensitive() && snd.grade.LevelMatches(0) {
 			snd.join(s, flowKey{doc: m.Name, stream: f.Stream.ID, level: 0}, src, f.SendAt, origin)
 		} else {
 			snd.fl = newFlow(s, snd, src, f.SendAt, origin, rtp.NewSender(s.nextSSRC.Add(1), src.PayloadType(0), 0))
@@ -626,7 +625,7 @@ func (s *Server) onFeedback(from netsim.Addr, m protocol.Feedback) {
 	var diverged []*sender
 	if cur, live := sh.sessions[string(from)]; live && cur == sess {
 		for _, id := range acted {
-			if snd := sess.sender(id); snd != nil && !sess.qosMgr.LevelMatches(id, 0) {
+			if snd := sess.sender(id); snd != nil && !snd.grade.LevelMatches(0) {
 				diverged = append(diverged, snd)
 			}
 		}

@@ -103,10 +103,10 @@ type flow struct {
 	ssrc   uint32
 	from   netsim.Addr // precomputed source address (MakeAddr formats)
 	emitFn func()      // the emit method value, bound once so re-arms don't allocate
-	// qos grades a private flow (its subscriber's session manager). It is nil
-	// on a registered flow, which encodes at key.level throughout.
-	qos *qos.Manager
-	key flowKey
+	// grade is a private flow's stream in its subscriber's session manager.
+	// It is nil on a registered flow, which encodes at key.level throughout.
+	grade *qos.Graded
+	key   flowKey
 
 	// mu guards everything below. It is the only lock the per-frame emit
 	// path takes.
@@ -149,7 +149,7 @@ func newFlow(srv *Server, sn *sender, src media.Source, sendAt time.Duration, or
 		sendAt: sendAt,
 		ssrc:   rtpS.SSRC,
 		from:   netsim.MakeAddr(srv.Name, mediaPort),
-		qos:    sn.qos,
+		grade:  &sn.grade,
 		rtpS:   rtpS,
 		origin: origin,
 	}
@@ -159,7 +159,7 @@ func newFlow(srv *Server, sn *sender, src media.Source, sendAt time.Duration, or
 }
 
 // shared reports whether the flow is a registered one.
-func (fl *flow) shared() bool { return fl.qos == nil }
+func (fl *flow) shared() bool { return fl.grade == nil }
 
 // sendAtForLocked returns the wall send instant of frame i.
 func (fl *flow) sendAtForLocked(i int) time.Time {
@@ -238,7 +238,7 @@ func (fl *flow) emitFrameLocked() bool {
 	}
 	level, stopped := fl.key.level, false
 	if !fl.shared() {
-		level, stopped = fl.qos.Level(fl.stream.ID)
+		level, stopped = fl.grade.Level()
 	}
 	fl.nextIdx++
 	if stopped {
@@ -482,7 +482,7 @@ func (r *flowRegistry) join(srv *Server, key flowKey, src media.Source, sendAt t
 	fl = newFlow(srv, sn, src, sendAt, origin, rtp.NewSender(srv.nextSSRC.Add(1), src.PayloadType(key.level), 0))
 	// Registered: the level is the key's, not the first subscriber's, and
 	// late joiners are patched from the segment cache.
-	fl.qos, fl.key, fl.cache = nil, key, make([]flowSeg, segCacheCap)
+	fl.grade, fl.key, fl.cache = nil, key, make([]flowSeg, segCacheCap)
 	fl.mu.Lock()
 	fl.armLocked()
 	fl.mu.Unlock()
@@ -568,7 +568,7 @@ func (s *Server) FlowStats() []FlowStat {
 type sender struct {
 	// Immutable after construction.
 	stream *scenario.Stream
-	qos    *qos.Manager // the session's grading manager
+	grade  qos.Graded // the stream in the session's grading manager
 	to     netsim.Addr
 
 	// mu guards the flow pointer and the pending catch-up patch; it is never
@@ -729,7 +729,7 @@ func (sn *sender) stats() senderStats {
 // when the stream is cut off, finished or disabled, its per-level codec rate
 // otherwise.
 func (sn *sender) nominalRate() float64 {
-	level, stopped := sn.qos.Level(sn.stream.ID)
+	level, stopped := sn.grade.Level()
 	fl := sn.flow()
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
