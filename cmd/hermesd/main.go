@@ -201,5 +201,8 @@ func main() {
 	if flight != nil {
 		fmt.Printf("hermesd: flight recorder wrote %d dumps (last: %s)\n",
 			flight.Dumps(), flight.LastDumpPath())
+		if err := flight.LastErr(); err != nil {
+			fmt.Fprintln(os.Stderr, "hermesd: flight recorder:", err)
+		}
 	}
 }

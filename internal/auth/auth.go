@@ -133,14 +133,6 @@ func (db *DB) Authenticate(name, password string, at time.Time) (User, error) {
 	return *u, nil
 }
 
-// Known reports whether a user is subscribed.
-func (db *DB) Known(name string) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	_, ok := db.users[name]
-	return ok
-}
-
 // LogRetrieval records a lesson retrieval.
 func (db *DB) LogRetrieval(user, lesson string, at time.Time) {
 	db.mu.Lock()
@@ -200,13 +192,6 @@ func (db *DB) Balance(user string) float64 {
 		}
 	}
 	return sum
-}
-
-// Users returns the number of subscribed users.
-func (db *DB) Users() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.users)
 }
 
 // chunkLen is how many entries one chunk of a log holds.

@@ -25,8 +25,8 @@ func TestSubscribeAndAuthenticate(t *testing.T) {
 	if err := db.Subscribe(form("alice"), t0); err != nil {
 		t.Fatal(err)
 	}
-	if !db.Known("alice") || db.Known("bob") {
-		t.Fatal("Known wrong")
+	if _, bob := db.users["bob"]; db.users["alice"] == nil || bob {
+		t.Fatal("subscribed users wrong")
 	}
 	u, err := db.Authenticate("alice", "pw", t0.Add(time.Minute))
 	if err != nil {
@@ -35,8 +35,8 @@ func TestSubscribeAndAuthenticate(t *testing.T) {
 	if u.Class != qos.Standard || u.SubscribedAt != t0 {
 		t.Fatalf("user = %+v", u)
 	}
-	if db.Users() != 1 {
-		t.Fatalf("users = %d", db.Users())
+	if len(db.users) != 1 {
+		t.Fatalf("users = %d", len(db.users))
 	}
 }
 

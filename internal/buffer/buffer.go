@@ -104,7 +104,7 @@ type Buffer struct {
 
 	// Window is the media time window: the target amount of buffered
 	// playback time established by the deliberate initial delay. The
-	// occupancy watermarks derive from it: Window/4 low, 2×Window high.
+	// high occupancy watermark derives from it: 2×Window.
 	Window time.Duration
 
 	// items is the queue, a window onto base, the whole backing array; the
@@ -287,16 +287,6 @@ func (b *Buffer) popFrontLocked() slot {
 	return s
 }
 
-// Peek returns the earliest frame without removing it.
-func (b *Buffer) Peek() (Item, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.items) == 0 {
-		return Item{}, false
-	}
-	return b.items[0].item(), true
-}
-
 // Drop discards up to n earliest frames (skew-control action on a leading
 // or over-full stream) and returns how many were discarded and the PTS
 // floor after the drop.
@@ -341,9 +331,6 @@ func (b *Buffer) occupancyLocked() time.Duration {
 	return time.Duration(len(b.items)) * b.FrameInterval
 }
 
-// BelowLow reports occupancy under the low watermark.
-func (b *Buffer) BelowLow() bool { return b.Occupancy() < b.Window/4 }
-
 // AboveHigh reports occupancy over the high watermark.
 func (b *Buffer) AboveHigh() bool { return b.Occupancy() > b.highWM() }
 
@@ -354,30 +341,11 @@ func (b *Buffer) highWM() time.Duration { return 2 * b.Window }
 // delay.
 func (b *Buffer) Filled() bool { return b.Occupancy() >= b.Window }
 
-// Floor returns the PTS below which arrivals are stale.
-func (b *Buffer) Floor() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.floor
-}
-
 // Stats returns a snapshot of the counters.
 func (b *Buffer) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.stats
-}
-
-// Reset empties the buffer and clears the stale floor (used on reload and
-// on resume after long pauses).
-func (b *Buffer) Reset() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	clear(b.items)
-	b.items = b.base[:0]
-	b.floor = 0
-	b.hasLast = false
-	b.last = slot{}
 }
 
 // Set is the client's collection of per-stream buffers — the "multiple
@@ -420,15 +388,4 @@ func (s *Set) All() []*Buffer {
 		out[i] = s.bufs[id]
 	}
 	return out
-}
-
-// AllFilled reports whether every buffer holds its media time window (or is
-// empty-windowed). Used to end the initial delay.
-func (s *Set) AllFilled() bool {
-	for _, b := range s.All() {
-		if !b.Filled() {
-			return false
-		}
-	}
-	return true
 }

@@ -24,12 +24,9 @@ func TestConfigDefaults(t *testing.T) {
 	if b.FrameInterval != 40*time.Millisecond || b.Window != time.Second {
 		t.Fatalf("defaults: %v %v", b.FrameInterval, b.Window)
 	}
-	// The watermarks sit at Window/4 = 250ms and 2×Window = 2s.
+	// The high watermark sits at 2×Window = 2s.
 	for i := 0; i < 51; i++ {
 		n := i * 40 // ms buffered before this push
-		if low := n < 250; b.BelowLow() != low {
-			t.Fatalf("at %dms: BelowLow = %v, want %v", n, !low, low)
-		}
 		if high := n > 2000; b.AboveHigh() != high {
 			t.Fatalf("at %dms: AboveHigh = %v, want %v", n, !high, high)
 		}
@@ -178,8 +175,8 @@ func TestDropAdvancesFloor(t *testing.T) {
 }
 
 func TestOccupancyAndWatermarks(t *testing.T) {
-	b := newBuf() // window 400ms, low 100ms, high 800ms
-	if !b.BelowLow() || b.Filled() {
+	b := newBuf() // window 400ms, high 800ms
+	if b.Filled() {
 		t.Fatal("empty buffer state wrong")
 	}
 	for i := 0; i < 10; i++ { // 400ms
@@ -188,7 +185,7 @@ func TestOccupancyAndWatermarks(t *testing.T) {
 	if b.Occupancy() != 400*time.Millisecond {
 		t.Fatalf("occupancy = %v", b.Occupancy())
 	}
-	if b.BelowLow() || !b.Filled() || b.AboveHigh() {
+	if !b.Filled() || b.AboveHigh() {
 		t.Fatal("filled state wrong")
 	}
 	for i := 10; i < 25; i++ { // 1000ms total
@@ -196,38 +193,6 @@ func TestOccupancyAndWatermarks(t *testing.T) {
 	}
 	if !b.AboveHigh() {
 		t.Fatal("high watermark not detected")
-	}
-}
-
-func TestPeekDoesNotConsume(t *testing.T) {
-	b := newBuf()
-	if _, ok := b.Peek(); ok {
-		t.Fatal("peek on empty")
-	}
-	b.Push(frame(0, b.FrameInterval))
-	it, ok := b.Peek()
-	if !ok || it.Frame.Index != 0 || b.Len() != 1 {
-		t.Fatal("peek consumed")
-	}
-}
-
-func TestReset(t *testing.T) {
-	b := newBuf()
-	b.Push(frame(0, b.FrameInterval))
-	b.Pop()
-	b.Push(frame(5, b.FrameInterval))
-	b.Reset()
-	if b.Len() != 0 || b.Floor() != 0 {
-		t.Fatal("reset incomplete")
-	}
-	// After reset, even "old" frames are accepted again.
-	if ok, _ := b.Push(frame(0, b.FrameInterval)); !ok {
-		t.Fatal("post-reset push rejected")
-	}
-	// And no duplicate of the pre-reset last frame lingers.
-	b.Pop()
-	if it, ok := b.Pop(); ok || it.Frame.Index != 0 {
-		t.Fatalf("post-reset dup = %+v ok=%v", it.Frame, ok)
 	}
 }
 
@@ -266,22 +231,6 @@ func TestSetOperations(t *testing.T) {
 	all := s.All()
 	if len(all) != 2 || all[0].StreamID != "a" || all[1].StreamID != "b" {
 		t.Fatalf("All = %v", all)
-	}
-	if s.AllFilled() {
-		t.Fatal("empty set reported filled")
-	}
-	for i := 0; i < 2; i++ {
-		b1.Push(frame(i, b1.FrameInterval))
-	}
-	if s.AllFilled() {
-		t.Fatal("b not filled yet")
-	}
-	b2 := s.Get("b")
-	for i := 0; i < 2; i++ {
-		b2.Push(frame(i, b2.FrameInterval))
-	}
-	if !s.AllFilled() {
-		t.Fatal("set should be filled")
 	}
 }
 
@@ -325,10 +274,7 @@ func TestQuickDropFloorInvariant(t *testing.T) {
 			b.Push(frame(i, time.Millisecond))
 		}
 		b.Drop(int(k))
-		if it, ok := b.Peek(); ok {
-			return it.Frame.PTS >= b.Floor()-b.FrameInterval
-		}
-		return true
+		return len(b.items) == 0 || b.items[0].item().Frame.PTS >= b.floor-b.FrameInterval
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -365,8 +311,8 @@ func TestPopDueAdvancesFloor(t *testing.T) {
 	b := newBuf()
 	b.Push(frame(0, b.FrameInterval))
 	b.PopDue(0)
-	if b.Floor() != b.FrameInterval {
-		t.Fatalf("floor = %v", b.Floor())
+	if b.floor != b.FrameInterval {
+		t.Fatalf("floor = %v", b.floor)
 	}
 }
 
@@ -386,8 +332,7 @@ func TestDropBeforeOnlyDropsStale(t *testing.T) {
 	if b.Len() != 5 {
 		t.Fatalf("remaining = %d", b.Len())
 	}
-	it, _ := b.Peek()
-	if it.Frame.Index != 5 {
+	if it := b.items[0].item(); it.Frame.Index != 5 {
 		t.Fatalf("head = %d", it.Frame.Index)
 	}
 	// A capped drop stops at max.
@@ -453,10 +398,6 @@ func TestSteadyPushPopReusesTheArray(t *testing.T) {
 	}
 	if !vacatedSlotsZero(b) {
 		t.Fatal("a dropped slot still holds its frame")
-	}
-	b.Reset()
-	if b.Len() != 0 || !vacatedSlotsZero(b) {
-		t.Fatal("Reset left frames behind")
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/playout"
 	"repro/internal/protocol"
 	"repro/internal/qos"
 	"repro/internal/server"
@@ -129,6 +130,21 @@ func (w *world) connectAndPlay(t testing.TB, host string) string {
 	return sess
 }
 
+// playerPaused reports whether c's presentation is paused: the player
+// records every pause and resume on its display, so the last of them says.
+func playerPaused(c *client.Client) bool {
+	paused := false
+	for _, ev := range c.Display().Events() {
+		switch ev.Kind {
+		case playout.EvPause:
+			paused = true
+		case playout.EvResume:
+			paused = false
+		}
+	}
+	return paused
+}
+
 func (w *world) hasEvent(substr string) bool {
 	for _, e := range w.c.Events() {
 		if strings.Contains(e.What, substr) {
@@ -165,7 +181,7 @@ func TestPartitionMidPlayoutResumesSameSession(t *testing.T) {
 	if !w.hasEvent("liveness lost: srv-a") {
 		t.Fatalf("no liveness-lost event; events: %+v", w.c.Events())
 	}
-	if !w.c.Player().Paused() {
+	if !playerPaused(w.c) {
 		t.Fatal("player not paused during the outage")
 	}
 
@@ -177,7 +193,7 @@ func TestPartitionMidPlayoutResumesSameSession(t *testing.T) {
 	if got := w.c.SessionID("srv-a"); got != sess {
 		t.Fatalf("session changed across recovery: %q → %q", sess, got)
 	}
-	if w.c.Player().Paused() {
+	if playerPaused(w.c) {
 		t.Fatal("player still paused after recovery")
 	}
 	if got := w.cscope.Counter("client_sessions_resumed").Value(); got != 1 {
@@ -337,7 +353,7 @@ func TestConnectTimeoutSurfaces(t *testing.T) {
 		t.Fatalf("state = %v, want idle after abandoned connect", st)
 	}
 	found := false
-	for _, e := range w.cscope.Trace().Events() {
+	for _, e := range w.cscope.Trace().EventsAppend(nil) {
 		if e.Kind == obs.EvCtrlTimeout {
 			found = true
 		}
@@ -395,7 +411,7 @@ func TestStaleHeartbeatKeepsSession(t *testing.T) {
 	w.net.Send(netsim.Packet{
 		From:     netsim.MakeAddr("laptop", 6000),
 		To:       netsim.MakeAddr("srv-a", server.ControlPort),
-		Payload:  protocol.MustEncode(protocol.MsgHeartbeat, protocol.Heartbeat{SessionID: "srv-a-sess-9999"}),
+		Payload:  protocol.MustEncodeReq(protocol.MsgHeartbeat, 0, protocol.Heartbeat{SessionID: "srv-a-sess-9999"}),
 		Reliable: true,
 	})
 	w.run(5 * time.Second)
@@ -449,7 +465,7 @@ func TestUserPauseSurvivesSuspendAndRecovery(t *testing.T) {
 	if st := w.c.State("srv-a"); st != protocol.StPaused {
 		t.Fatalf("state after heal = %v, want paused (recovery must not auto-resume)", st)
 	}
-	if !w.c.Player().Paused() {
+	if !playerPaused(w.c) {
 		t.Fatal("player resumed by recovery despite the user's pause")
 	}
 	// The server transmitted nothing across pause → suspend → recover: the
@@ -464,7 +480,7 @@ func TestUserPauseSurvivesSuspendAndRecovery(t *testing.T) {
 	if st := w.c.State("srv-a"); st != protocol.StViewing {
 		t.Fatalf("state after resume = %v, want viewing", st)
 	}
-	if w.c.Player().Paused() {
+	if playerPaused(w.c) {
 		t.Fatal("player still paused after user resume")
 	}
 	if frames.Value() == base {
@@ -527,7 +543,7 @@ func TestMalformedReplyIsALoss(t *testing.T) {
 			if got := w.cscope.Counter("client_ctrl_timeouts").Value(); got != 1 {
 				t.Fatalf("client_ctrl_timeouts = %d, want 1", got)
 			}
-			if !slices.ContainsFunc(w.cscope.Trace().Events(), func(e obs.Event) bool { return e.Kind == obs.EvCtrlDecodeError }) {
+			if !slices.ContainsFunc(w.cscope.Trace().EventsAppend(nil), func(e obs.Event) bool { return e.Kind == obs.EvCtrlDecodeError }) {
 				t.Fatal("no EvCtrlDecodeError trace event")
 			}
 		})

@@ -401,8 +401,15 @@ func TestClusterFailoverLandsOnSharedFlow(t *testing.T) {
 	if b.State("s2") != protocol.StViewing {
 		t.Fatalf("b state on s2 = %v, want viewing", b.State("s2"))
 	}
-	if fs := w.cl.Servers["s2"].FlowStats(); len(fs) == 0 {
-		t.Fatalf("no shared flows on s2 for the first viewer: %+v", fs)
+	// The live shared flows on s2 and their subscriptions, from the flow
+	// counters of s2's scope.
+	sc := w.cl.Scopes["s2"]
+	live := func() (flows, subs int64) {
+		return sc.Counter("server_flows_created").Value() - sc.Counter("server_flows_torn_down").Value(),
+			sc.Counter("server_flow_attaches").Value() - sc.Counter("server_flow_detaches").Value()
+	}
+	if flows, _ := live(); flows == 0 {
+		t.Fatal("no shared flows on s2 for the first viewer")
 	}
 
 	a.Connect("s1")
@@ -423,14 +430,14 @@ func TestClusterFailoverLandsOnSharedFlow(t *testing.T) {
 	}
 
 	// The recovered session shares B's flows: every time-sensitive stream of
-	// the lecture fans out from one encode to both subscribers.
-	for _, st := range w.cl.Servers["s2"].FlowStats() {
-		if st.Subscribers != 2 {
-			t.Fatalf("flow %s/%s has %d subscribers after failover, want 2 (%+v)",
-				st.Doc, st.Stream, st.Subscribers, w.cl.Servers["s2"].FlowStats())
-		}
+	// the lecture fans out from one encode to both subscribers. Each viewer
+	// subscribes to a flow at most once, so twice as many subscriptions as
+	// flows means every flow has both.
+	flows, subs := live()
+	if subs != 2*flows {
+		t.Fatalf("%d subscriptions to %d flows after failover, want 2 to each", subs, flows)
 	}
-	if fs := w.cl.Servers["s2"].FlowStats(); len(fs) == 0 {
+	if flows == 0 {
 		t.Fatal("flows torn down after failover")
 	}
 	// And both players keep playing.

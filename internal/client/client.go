@@ -677,20 +677,6 @@ func (c *Client) Forward() bool {
 	return true
 }
 
-// CanBack and CanForward report stack availability.
-func (c *Client) CanBack() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.backStack) > 0
-}
-
-// CanForward reports whether Forward has anywhere to go.
-func (c *Client) CanForward() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.fwdStack) > 0
-}
-
 // FollowLink navigates to a linked document. A link to another server
 // moves there: the connection here is suspended behind its grace period
 // (return to it with Connect), and when the other server does not answer
@@ -808,19 +794,6 @@ func (c *Client) SuspendToken(host string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.server(host).token
-}
-
-// StreamInfo returns the media connection plan the server announced for a
-// stream of the current document (zero value when unknown).
-func (c *Client) StreamInfo(id string) (protocol.StreamAnnounce, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, rec := range c.rx {
-		if rec.ann.StreamID == id && id != "" {
-			return rec.ann, true
-		}
-	}
-	return protocol.StreamAnnounce{}, false
 }
 
 // SessionID returns the session identifier granted by a server ("" when not

@@ -146,16 +146,15 @@ func FuzzClientMedia(f *testing.F) {
 			var payload []byte
 			if flags&opSR != 0 {
 				sr := rtp.SenderReport{SSRC: cur, RTPTime: index}
-				payload = sr.Marshal()
+				payload = sr.AppendTo(nil)
 			} else {
 				_, n := media.FragmentSpan(int(size), int(frag))
 				if flags&opShort != 0 && n > 0 {
 					n--
 				}
 				hdr := media.FrameHeader{Index: index, FrameSize: size, FragCount: count, Frag: frag}
-				p := rtp.Packet{SSRC: cur, SequenceNumber: uint16(index), PayloadType: rtp.PTMPEG,
-					Timestamp: index, Payload: hdr.Marshal(make([]byte, n))}
-				payload = p.Marshal()
+				payload = rtp.AppendHeader(nil, false, rtp.PTMPEG, uint16(index), index, cur)
+				payload = append(hdr.AppendTo(payload), make([]byte, n)...)
 			}
 			c.mu.Lock()
 			bound := c.rxLocked(nil, portSSRC) // the record port's listener is bound to

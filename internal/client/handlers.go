@@ -531,10 +531,11 @@ func (c *Client) handleMedia(rec *rxStream, pkt netsim.Packet) {
 	if a.have < a.total {
 		return
 	}
-	// Take the frame out, and recycle the stale assemblies far behind it
-	// (lost fragments never complete; bound the state).
+	// Take the frame out, and recycle the assemblies more than 50 frames
+	// behind it (lost fragments never complete) or ahead of it (junk
+	// indexes never do): bound the state either way.
 	rec.asm = slices.DeleteFunc(rec.asm, func(x *assembly) bool {
-		if x != a && x.hdr.Index+50 < hdr.Index {
+		if x != a && (x.hdr.Index+50 < hdr.Index || x.hdr.Index > hdr.Index+50) {
 			c.freeAssemblyLocked(x)
 			return true
 		}

@@ -75,7 +75,7 @@ func (w *world) noIllegalInputs(t testing.TB) {
 	t.Helper()
 	for name, sc := range w.scopes {
 		if n := sc.Counter("server_illegal_inputs").Value(); n != 0 {
-			for _, e := range sc.Trace().Events() {
+			for _, e := range sc.Trace().EventsAppend(nil) {
 				if e.Kind == obs.EvIllegalInput {
 					t.Errorf("%s: %s", name, e.Note)
 				}
@@ -167,7 +167,7 @@ func TestSubscriptionFlow(t *testing.T) {
 	if w.c.State("server-a") != protocol.StBrowsing {
 		t.Fatalf("state = %v", w.c.State("server-a"))
 	}
-	if !w.users.Known("newbie") {
+	if _, err := w.users.Authenticate("newbie", "np", w.clk.Now()); err != nil {
 		t.Fatal("user not in the central database")
 	}
 }
@@ -612,9 +612,9 @@ func TestClientIgnoresGarbageMediaPackets(t *testing.T) {
 		w.net.Send(netsim.Packet{From: "attacker:1", To: netsim.MakeAddr("laptop", 6000),
 			Payload: []byte{0x01, '{'}, Reliable: true})
 		// A validly-framed RTP packet with an unknown SSRC.
-		alien := rtp.Packet{SSRC: 0xDEAD, SequenceNumber: uint16(i), PayloadType: rtp.PTMPEG, Payload: []byte("x")}
+		alien := append(rtp.AppendHeader(nil, false, rtp.PTMPEG, uint16(i), 0, 0xDEAD), 'x')
 		w.net.Send(netsim.Packet{From: "attacker:1", To: netsim.MakeAddr("laptop", 7000),
-			Payload: alien.Marshal()})
+			Payload: alien})
 	}
 	w.run(15 * time.Second)
 	rep := w.c.Player().Report()
@@ -643,9 +643,9 @@ func TestClientSurvivesBadFragmentGeometry(t *testing.T) {
 		t.Fatal("no announce for stream cv")
 	}
 	hdr := media.FrameHeader{Index: 1 << 30, FrameSize: 10, FragCount: 65535, Frag: 65534}
-	bad := rtp.Packet{SSRC: ann.SSRC, PayloadType: rtp.PTMPEG, Payload: hdr.Marshal(nil)}
+	bad := hdr.AppendTo(rtp.AppendHeader(nil, false, rtp.PTMPEG, 0, 0, ann.SSRC))
 	w.net.Send(netsim.Packet{From: "attacker:1", To: netsim.MakeAddr("laptop", ann.Port),
-		Payload: bad.Marshal()})
+		Payload: bad})
 	w.run(10 * time.Second)
 	if v := w.c.Player().Report().Streams["cv"]; v.Plays < v.Expected*9/10 {
 		t.Fatalf("bad header disrupted playback: %d/%d", v.Plays, v.Expected)
@@ -758,7 +758,7 @@ func TestBackAndForwardNavigation(t *testing.T) {
 		w.c.RequestDoc(doc)
 		w.run(2 * time.Second)
 	}
-	if !w.c.CanBack() || w.c.CanForward() {
+	if len(w.c.backStack) == 0 || len(w.c.fwdStack) > 0 {
 		t.Fatal("stack state wrong after three visits")
 	}
 	// Back: three → two.
@@ -775,7 +775,7 @@ func TestBackAndForwardNavigation(t *testing.T) {
 	if got := w.c.History(); got[len(got)-1] != "one" {
 		t.Fatalf("after back ×2, current = %v", got)
 	}
-	if !w.c.CanForward() {
+	if len(w.c.fwdStack) == 0 {
 		t.Fatal("forward stack empty after backs")
 	}
 	// Forward: one → two.
@@ -787,7 +787,7 @@ func TestBackAndForwardNavigation(t *testing.T) {
 	// A fresh navigation clears the forward stack.
 	w.c.RequestDoc("three")
 	w.run(2 * time.Second)
-	if w.c.CanForward() {
+	if len(w.c.fwdStack) > 0 {
 		t.Fatal("forward stack survived a new navigation")
 	}
 }
@@ -811,7 +811,7 @@ func TestReloadKeepsStacks(t *testing.T) {
 	if got := w.c.History(); got[len(got)-1] != "one" {
 		t.Fatalf("after reload+back, current = %v", got)
 	}
-	if w.c.CanBack() {
+	if len(w.c.backStack) > 0 {
 		t.Fatal("back stack should be empty at the first document")
 	}
 }

@@ -17,20 +17,26 @@ const lateAV = `<TITLE>late av</TITLE>
 <AU_VI SOURCE=au/n SOURCE=vi/c ID=n ID=cv STARTIME=20 DURATION=5> </AU_VI>`
 
 // injectFragment sends fragment frag of a size-byte frame on ssrc to the
-// client's media port; frame index i carries PTS i×40 ms.
+// client's media port and lets it arrive; frame index i carries PTS
+// i×40 ms.
 func injectFragment(w *world, port int, ssrc, index uint32, size int, frag uint16) {
+	sendFragment(w, port, ssrc, index, size, frag)
+	w.run(50 * time.Millisecond)
+}
+
+// sendFragment is injectFragment without the wait for delivery.
+func sendFragment(w *world, port int, ssrc, index uint32, size int, frag uint16) {
 	hdr := media.FrameHeader{Index: index, FrameSize: uint32(size), FragCount: uint16(media.FragmentCount(size)), Frag: frag}
 	_, n := media.FragmentSpan(size, int(frag))
-	p := rtp.Packet{SSRC: ssrc, SequenceNumber: uint16(index), PayloadType: rtp.PTMPEG,
-		Timestamp: rtp.ToTimestamp(time.Duration(index) * 40 * time.Millisecond), Payload: hdr.Marshal(make([]byte, n))}
-	w.net.Send(netsim.Packet{From: "attacker:1", To: netsim.MakeAddr("laptop", port), Payload: p.Marshal()})
-	w.run(50 * time.Millisecond)
+	p := rtp.AppendHeader(nil, false, rtp.PTMPEG, uint16(index), rtp.ToTimestamp(time.Duration(index)*40*time.Millisecond), ssrc)
+	p = append(hdr.AppendTo(p), make([]byte, n)...)
+	w.net.Send(netsim.Packet{From: "attacker:1", To: netsim.MakeAddr("laptop", port), Payload: p})
 }
 
 // TestReceivePathRules pins how a media packet finds its stream: by SSRC,
 // not by port; an SSRC no stream carries is dropped; a previous document's
 // SSRC still feeds the receiver tracked for its ID; and an incomplete frame
-// more than 50 frames behind a completed one is recycled.
+// more than 50 frames behind or ahead of a completed one is recycled.
 func TestReceivePathRules(t *testing.T) {
 	w := newWorld(t, netsim.DefaultLAN(), Options{}, server.Options{}, "server-a")
 	w.subscribe(t, "alice", "pw")
@@ -84,6 +90,21 @@ func TestReceivePathRules(t *testing.T) {
 	check("late fragment of recycled frame 199", 0, 2, 0, 250)
 	injectFragment(w, cv.Port, cv.SSRC, 200, two, 1)
 	check("last fragment of frame 200", 0, 3, 0, 250)
+
+	// Junk first fragments far ahead of the stream never complete either:
+	// once frame 251 completes, they are recycled with the restarted frame
+	// 199 instead of piling up until teardown.
+	for i := range uint32(500) {
+		sendFragment(w, cv.Port, cv.SSRC, 1<<20+i, two, 0)
+		w.run(2 * time.Millisecond) // paced to the link's rate
+	}
+	injectFragment(w, cv.Port, cv.SSRC, 251, 10, 0)
+	w.c.mu.Lock()
+	held := len(w.c.rxLocked(nil, cv.SSRC).asm)
+	w.c.mu.Unlock()
+	if got := pushed("cv"); got != 4 || held != 0 {
+		t.Errorf("after frame 251: cv pushed %d frames and holds %d incomplete ones, want 4 and 0", got, held)
+	}
 
 	// A second document re-tracks both IDs under new SSRCs; the first
 	// document's SSRC for cv still feeds cv's current receiver and buffer.

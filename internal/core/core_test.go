@@ -139,7 +139,7 @@ func TestPlayGradingActsUnderCongestion(t *testing.T) {
 				t.Fatalf("no degrades; actions = %+v", res.Actions)
 			}
 			vSeries := res.LevelSeries["v"]
-			if vSeries == nil || vSeries.N() < 2 {
+			if vSeries == nil || len(vSeries.Points()) < 2 {
 				t.Fatalf("video level series = %+v", vSeries)
 			}
 			// Video degraded before audio (video-first rule).

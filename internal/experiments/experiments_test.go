@@ -41,8 +41,8 @@ func TestF1GrammarCorpusAllRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Rows() < 10 {
-		t.Fatalf("corpus rows = %d", tb.Rows())
+	if n := len(rows(t, tb.String())); n < 10 {
+		t.Fatalf("corpus rows = %d", n)
 	}
 	if strings.Contains(tb.String(), "CHANGED") {
 		t.Fatalf("round trip changed structure:\n%s", tb)
@@ -57,8 +57,8 @@ func TestF2TimelineMatchesFigure(t *testing.T) {
 	if !strings.Contains(chart, "I1") || !strings.Contains(chart, "link") {
 		t.Fatalf("chart:\n%s", chart)
 	}
-	if tb.Rows() != 5 {
-		t.Fatalf("schedule rows = %d", tb.Rows())
+	if n := len(rows(t, tb.String())); n != 5 {
+		t.Fatalf("schedule rows = %d", n)
 	}
 }
 

@@ -199,28 +199,6 @@ func (d *Document) Items() []Item {
 	return out
 }
 
-// Links returns every hyperlink in source order.
-func (d *Document) Links() []*Link {
-	var out []*Link
-	for _, it := range d.Items() {
-		if l, ok := it.(*Link); ok {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// TimedLinks returns hyperlinks carrying an AT activation time.
-func (d *Document) TimedLinks() []*Link {
-	var out []*Link
-	for _, l := range d.Links() {
-		if l.HasAt {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // ParseTime parses the language's time values: Go duration syntax ("1m30s",
 // "250ms") or a bare number of seconds ("30", "2.5").
 func ParseTime(s string) (time.Duration, error) {

@@ -211,7 +211,12 @@ func TestParseFigure2Scenario(t *testing.T) {
 	if a2 == nil || a2.Start != ft.A2Start || a2.Duration != ft.A2Dur {
 		t.Fatalf("A2 = %+v", a2)
 	}
-	tl := d.TimedLinks()
+	var tl []*Link
+	for _, l := range d.Links() {
+		if l.HasAt {
+			tl = append(tl, l)
+		}
+	}
 	if len(tl) != 1 || tl[0].At != ft.LinkAt {
 		t.Fatalf("timed links = %+v", tl)
 	}

@@ -189,7 +189,6 @@ type SMTPSession struct {
 	from, rcpt string
 	inData     bool
 	data       strings.Builder
-	done       bool
 }
 
 // Server is the in-process SMTP endpoint fronting a Spool.
@@ -248,15 +247,11 @@ func (s *SMTPSession) Line(line string) string {
 		s.inData = true
 		return "354 end with ."
 	case verb == "QUIT":
-		s.done = true
 		return "221 bye"
 	default:
 		return "500 unrecognized"
 	}
 }
-
-// Done reports whether QUIT was processed.
-func (s *SMTPSession) Done() bool { return s.done }
 
 // Send runs the complete SMTP dialogue for one message and returns the
 // transcript lines (client and server interleaved, prefixed "C: "/"S: ").

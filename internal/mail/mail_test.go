@@ -133,9 +133,8 @@ func TestSMTPBadSequence(t *testing.T) {
 	if r := sess.Line("BOGUS"); !strings.HasPrefix(r, "500") {
 		t.Fatalf("unknown verb: %q", r)
 	}
-	sess.Line("QUIT")
-	if !sess.Done() {
-		t.Fatal("session not done after QUIT")
+	if r := sess.Line("QUIT"); !strings.HasPrefix(r, "221") {
+		t.Fatalf("QUIT: %q", r)
 	}
 }
 

@@ -72,8 +72,6 @@ type Frame struct {
 // is the best quality; higher levels are progressively degraded, down to
 // Levels()-1 (the paper's lowest threshold before stream cut-off).
 type Source interface {
-	// ID returns the stream identifier this source feeds.
-	ID() string
 	// Levels returns the number of quality levels.
 	Levels() int
 	// Bitrate returns the nominal rate in bits/s at a level.
@@ -82,13 +80,9 @@ type Source interface {
 	FrameInterval() time.Duration
 	// FrameAt returns the i-th frame encoded at the given level.
 	FrameAt(i int, level int) Frame
-	// FramesIn returns the frames with PTS in [from, to).
-	FramesIn(from, to time.Duration, level int) []Frame
 	// PayloadType returns the RTP payload type at a level (grading can
 	// switch codecs, e.g. PCM→ADPCM→VADPCM).
 	PayloadType(level int) rtp.PayloadType
-	// LevelName names a level for traces ("MPEG cf=2", "ADPCM 16kHz").
-	LevelName(level int) string
 }
 
 // clampLevel confines level to [0, n-1].
@@ -100,33 +94,6 @@ func clampLevel(level, n int) int {
 		return n - 1
 	}
 	return level
-}
-
-// framesIn is the shared FramesIn implementation. The result is preallocated
-// exactly: the window [from, to) contains a computable number of frame
-// instants, so the repeated-append growth pattern is avoidable.
-func framesIn(s Source, from, to time.Duration, level int) []Frame {
-	if to <= from {
-		return nil
-	}
-	fi := s.FrameInterval()
-	if fi <= 0 {
-		return nil
-	}
-	first := int(from / fi)
-	if time.Duration(first)*fi < from {
-		first++
-	}
-	// Frames in the window are first..last with last = ceil(to/fi)-1.
-	count := int((to+fi-1)/fi) - first
-	if count <= 0 {
-		return nil
-	}
-	out := make([]Frame, count)
-	for k := range out {
-		out[k] = s.FrameAt(first+k, level)
-	}
-	return out
 }
 
 // Payload builds a deterministic filler payload of the given size, tagged
@@ -248,7 +215,7 @@ func ForStream(s *scenario.Stream) Source {
 	case scenario.TypeVideo:
 		return NewVideo(s.ID, DefaultVideoLadder())
 	case scenario.TypeAudio:
-		return NewAudio(s.ID, DefaultAudioLadder())
+		return NewAudio(DefaultAudioLadder())
 	case scenario.TypeImage:
 		w, h := s.Width, s.Height
 		if w == 0 {
@@ -257,8 +224,8 @@ func ForStream(s *scenario.Stream) Source {
 		if h == 0 {
 			h = 240
 		}
-		return NewImage(s.ID, w, h)
+		return NewImage(w, h)
 	default:
-		return NewText(s.ID, s.Text)
+		return NewText(s.Text)
 	}
 }

@@ -11,8 +11,6 @@ import (
 // given compression factor. Increasing the compression factor is exactly the
 // paper's long-term degradation action for video.
 type VideoProfile struct {
-	// Name labels the profile for traces.
-	Name string
 	// CompressionFactor scales frame sizes down (1 = base quality).
 	CompressionFactor float64
 	// PayloadType is the RTP payload type for this rung.
@@ -24,11 +22,11 @@ type VideoProfile struct {
 // the service stops the stream.
 func DefaultVideoLadder() []VideoProfile {
 	return []VideoProfile{
-		{Name: "MPEG cf=1.0", CompressionFactor: 1.0, PayloadType: rtp.PTMPEG},
-		{Name: "MPEG cf=1.7", CompressionFactor: 1.7, PayloadType: rtp.PTMPEG},
-		{Name: "MPEG cf=2.8", CompressionFactor: 2.8, PayloadType: rtp.PTMPEG},
-		{Name: "MPEG cf=4.7", CompressionFactor: 4.7, PayloadType: rtp.PTMPEG},
-		{Name: "AVI low", CompressionFactor: 8.0, PayloadType: rtp.PTAVI},
+		{CompressionFactor: 1.0, PayloadType: rtp.PTMPEG},
+		{CompressionFactor: 1.7, PayloadType: rtp.PTMPEG},
+		{CompressionFactor: 2.8, PayloadType: rtp.PTMPEG},
+		{CompressionFactor: 4.7, PayloadType: rtp.PTMPEG},
+		{CompressionFactor: 8.0, PayloadType: rtp.PTAVI},
 	}
 }
 
@@ -62,9 +60,6 @@ func NewVideo(id string, ladder []VideoProfile) *Video {
 		noiseAmp: 0.15,
 	}
 }
-
-// ID implements Source.
-func (v *Video) ID() string { return v.id }
 
 // Levels implements Source.
 func (v *Video) Levels() int { return len(v.ladder) }
@@ -123,19 +118,9 @@ func (v *Video) FrameAt(i, level int) Frame {
 	}
 }
 
-// FramesIn implements Source.
-func (v *Video) FramesIn(from, to time.Duration, level int) []Frame {
-	return framesIn(v, from, to, level)
-}
-
 // PayloadType implements Source.
 func (v *Video) PayloadType(level int) rtp.PayloadType {
 	return v.ladder[clampLevel(level, len(v.ladder))].PayloadType
-}
-
-// LevelName implements Source.
-func (v *Video) LevelName(level int) string {
-	return v.ladder[clampLevel(level, len(v.ladder))].Name
 }
 
 func hashID(id string) uint64 {
@@ -151,7 +136,6 @@ func hashID(id string) uint64 {
 // frequency (and switching PCM→ADPCM→VADPCM) is the paper's degradation
 // action for audio.
 type AudioProfile struct {
-	Name        string
 	SampleRate  int // Hz
 	BitsPerSamp int // effective bits per sample after compression
 	PayloadType rtp.PayloadType
@@ -164,30 +148,26 @@ func (p AudioProfile) Bitrate() float64 { return float64(p.SampleRate * p.BitsPe
 // 8 kHz ADPCM (4 bits/sample), 8 kHz VADPCM (2 bits/sample).
 func DefaultAudioLadder() []AudioProfile {
 	return []AudioProfile{
-		{Name: "PCM 16kHz", SampleRate: 16000, BitsPerSamp: 8, PayloadType: rtp.PTPCM},
-		{Name: "PCM 8kHz", SampleRate: 8000, BitsPerSamp: 8, PayloadType: rtp.PTPCM},
-		{Name: "ADPCM 8kHz", SampleRate: 8000, BitsPerSamp: 4, PayloadType: rtp.PTADPCM},
-		{Name: "VADPCM 8kHz", SampleRate: 8000, BitsPerSamp: 2, PayloadType: rtp.PTVADPCM},
+		{SampleRate: 16000, BitsPerSamp: 8, PayloadType: rtp.PTPCM},
+		{SampleRate: 8000, BitsPerSamp: 8, PayloadType: rtp.PTPCM},
+		{SampleRate: 8000, BitsPerSamp: 4, PayloadType: rtp.PTADPCM},
+		{SampleRate: 8000, BitsPerSamp: 2, PayloadType: rtp.PTVADPCM},
 	}
 }
 
 // Audio is a synthetic audio source emitting fixed 20 ms sample blocks.
 type Audio struct {
-	id     string
 	ladder []AudioProfile
 	block  time.Duration
 }
 
 // NewAudio creates an audio source.
-func NewAudio(id string, ladder []AudioProfile) *Audio {
+func NewAudio(ladder []AudioProfile) *Audio {
 	if len(ladder) == 0 {
 		ladder = DefaultAudioLadder()
 	}
-	return &Audio{id: id, ladder: ladder, block: 20 * time.Millisecond}
+	return &Audio{ladder: ladder, block: 20 * time.Millisecond}
 }
-
-// ID implements Source.
-func (a *Audio) ID() string { return a.id }
 
 // Levels implements Source.
 func (a *Audio) Levels() int { return len(a.ladder) }
@@ -218,36 +198,22 @@ func (a *Audio) FrameAt(i, level int) Frame {
 	}
 }
 
-// FramesIn implements Source.
-func (a *Audio) FramesIn(from, to time.Duration, level int) []Frame {
-	return framesIn(a, from, to, level)
-}
-
 // PayloadType implements Source.
 func (a *Audio) PayloadType(level int) rtp.PayloadType {
 	return a.ladder[clampLevel(level, len(a.ladder))].PayloadType
-}
-
-// LevelName implements Source.
-func (a *Audio) LevelName(level int) string {
-	return a.ladder[clampLevel(level, len(a.ladder))].Name
 }
 
 // Image is a still-image source: the whole image is a single "frame",
 // chunked by the transport. Quality levels trade JPEG quality for size;
 // level names cycle through the prototype's supported formats.
 type Image struct {
-	id            string
 	width, height int
 }
 
 // NewImage creates an image source for the given pixel dimensions.
-func NewImage(id string, width, height int) *Image {
-	return &Image{id: id, width: width, height: height}
+func NewImage(width, height int) *Image {
+	return &Image{width: width, height: height}
 }
-
-// ID implements Source.
-func (im *Image) ID() string { return im.id }
 
 // Levels implements Source: full-quality JPEG, medium JPEG, GIF-reduced.
 func (im *Image) Levels() int { return 3 }
@@ -278,14 +244,6 @@ func (im *Image) FrameAt(i, level int) Frame {
 	return Frame{Index: 0, PTS: 0, Kind: FrameStill, Size: im.Size(level), Marker: true, Level: clampLevel(level, im.Levels())}
 }
 
-// FramesIn implements Source.
-func (im *Image) FramesIn(from, to time.Duration, level int) []Frame {
-	if from <= 0 && to > 0 {
-		return []Frame{im.FrameAt(0, level)}
-	}
-	return nil
-}
-
 // PayloadType implements Source.
 func (im *Image) PayloadType(level int) rtp.PayloadType {
 	if clampLevel(level, im.Levels()) == 2 {
@@ -294,22 +252,13 @@ func (im *Image) PayloadType(level int) rtp.PayloadType {
 	return rtp.PTJPEG
 }
 
-// LevelName implements Source.
-func (im *Image) LevelName(level int) string {
-	return []string{"JPEG q=90", "JPEG q=60", "GIF 256c"}[clampLevel(level, im.Levels())]
-}
-
 // Text is a text-content source: one still frame holding the content.
 type Text struct {
-	id      string
 	content string
 }
 
 // NewText creates a text source.
-func NewText(id, content string) *Text { return &Text{id: id, content: content} }
-
-// ID implements Source.
-func (t *Text) ID() string { return t.id }
+func NewText(content string) *Text { return &Text{content: content} }
 
 // Levels implements Source: text is never degraded.
 func (t *Text) Levels() int { return 1 }
@@ -332,22 +281,8 @@ func (t *Text) FrameAt(i, level int) Frame {
 	return Frame{Index: i, PTS: 0, Kind: FrameStill, Size: size, Marker: true}
 }
 
-// FramesIn implements Source.
-func (t *Text) FramesIn(from, to time.Duration, level int) []Frame {
-	if from <= 0 && to > 0 {
-		return []Frame{t.FrameAt(0, level)}
-	}
-	return nil
-}
-
 // PayloadType implements Source.
 func (t *Text) PayloadType(int) rtp.PayloadType { return rtp.PTText }
-
-// LevelName implements Source.
-func (t *Text) LevelName(int) string { return "text" }
-
-// Content returns the text body.
-func (t *Text) Content() string { return t.content }
 
 var (
 	_ Source = (*Video)(nil)

@@ -31,16 +31,9 @@ type FrameHeader struct {
 // ErrShortHeader reports a payload too small for a frame header.
 var ErrShortHeader = errors.New("media: short frame header")
 
-// Marshal prepends the header to the fragment data.
-func (h *FrameHeader) Marshal(data []byte) []byte {
-	out := make([]byte, 0, FrameHeaderSize+len(data))
-	out = h.AppendTo(out)
-	return append(out, data...)
-}
-
 // AppendTo appends the 14-byte wire header to dst and returns the extended
 // slice. The sender hot path uses it to assemble header and fragment into
-// one pooled buffer without the intermediate copy Marshal makes.
+// one pooled buffer.
 func (h *FrameHeader) AppendTo(dst []byte) []byte {
 	return append(dst,
 		byte(h.Index>>24), byte(h.Index>>16), byte(h.Index>>8), byte(h.Index),
@@ -77,16 +70,6 @@ func ParseFrameHeader(buf []byte) (FrameHeader, []byte, error) {
 // frame header), chosen to keep packets under a typical 1500-byte Ethernet
 // MTU with RTP/UDP/IP headers.
 const MTU = 1400
-
-// Fragments splits a frame of the given size into fragment sizes of at most
-// MTU bytes (at least one fragment, even for empty frames).
-func Fragments(size int) []int {
-	out := make([]int, FragmentCount(size))
-	for i := range out {
-		_, out[i] = FragmentSpan(size, i)
-	}
-	return out
-}
 
 // FragmentCount returns the number of MTU-bounded fragments a frame of the
 // given size splits into (at least one, even for empty frames). Together

@@ -137,13 +137,6 @@ func (n *Network) SetHostDown(host string, down bool) {
 	}
 }
 
-// HostDown reports whether the host is currently crashed via SetHostDown.
-func (n *Network) HostDown(host string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.faults.downHosts[host]
-}
-
 // DropNext swallows the next count packets sent from one host to another
 // (either direction fixed by the arguments), regardless of reliability —
 // the precision tool for losing exactly one reply.

@@ -222,13 +222,3 @@ func (r *Recorder) LastErr() error {
 	defer r.mu.Unlock()
 	return r.lastErr
 }
-
-// Pending reports whether an anomaly is awaiting its flush.
-func (r *Recorder) Pending() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pending != ""
-}
-
-// Events returns a copy of the window, oldest first (tests and experiments).
-func (r *Recorder) Events() []Event { return r.win.Events() }

@@ -25,7 +25,7 @@ func TestRecorderLivenessLossTriggersDelayedDump(t *testing.T) {
 	})
 	s.Emit(EvHeartbeatMiss, "srv", 3, "heartbeat unanswered")
 	s.Emit(EvLiveness, "srv", 0, "peer lost")
-	if !rec.Pending() {
+	if !recPending(rec) {
 		t.Fatal("liveness loss did not arm a pending dump")
 	}
 	// The window stays open through FlushDelay so the aftermath lands in it.
@@ -96,7 +96,7 @@ func TestRecorderDeadlineMissBurst(t *testing.T) {
 		s.Emit(EvDeadlineMiss, "v", 1, "late")
 		clk.RunFor(3 * time.Second)
 	}
-	if rec.Pending() || rec.Dumps() != 0 {
+	if recPending(rec) || rec.Dumps() != 0 {
 		t.Fatal("spaced misses must not trigger")
 	}
 	// burstN misses inside burstWindow: burst.
@@ -104,7 +104,7 @@ func TestRecorderDeadlineMissBurst(t *testing.T) {
 		s.Emit(EvDeadlineMiss, "v", 1, "late")
 		clk.RunFor(100 * time.Millisecond)
 	}
-	if !rec.Pending() {
+	if !recPending(rec) {
 		t.Fatal("burst did not trigger")
 	}
 	clk.RunFor(2 * time.Second)
@@ -178,11 +178,18 @@ func TestRecorderRingBounded(t *testing.T) {
 	for i := 0; i < n; i++ {
 		rec.Record(Event{At: clk.Now(), Kind: EvFrameDrop, Value: int64(i)})
 	}
-	evs := rec.Events()
+	evs := rec.win.EventsAppend(nil)
 	if len(evs) != recorderCap {
 		t.Fatalf("ring holds %d, want %d", len(evs), recorderCap)
 	}
 	if evs[0].Value != n-recorderCap || evs[recorderCap-1].Value != n-1 {
 		t.Fatalf("ring kept wrong window: first=%d last=%d", evs[0].Value, evs[7].Value)
 	}
+}
+
+// recPending reports whether an anomaly is awaiting its flush.
+func recPending(r *Recorder) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.pending != ""
 }

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -235,11 +233,4 @@ func (r *Registry) Table() *stats.Table {
 		tb.AddRow(p.Name, p.Kind, value, detail)
 	}
 	return tb
-}
-
-// WriteJSON writes the snapshot as one JSON array.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

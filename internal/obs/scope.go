@@ -143,14 +143,6 @@ func (s *Scope) EnableFlightRecorder(opts RecorderOptions) *Recorder {
 	return r
 }
 
-// Recorder returns the armed flight recorder (nil when none).
-func (s *Scope) Recorder() *Recorder {
-	if s == nil {
-		return nil
-	}
-	return s.rec.Load()
-}
-
 // EnableTimeSeries attaches a snapshot time series holding capN samples
 // (DefaultSeriesCap when <= 0). The caller drives it — Sample() at phase
 // boundaries or Start(interval) for periodic sampling — and the dashboard
@@ -162,14 +154,6 @@ func (s *Scope) EnableTimeSeries(capN int) *TimeSeries {
 	ts := NewTimeSeries(s.clk, s.reg, capN)
 	s.ts.Store(ts)
 	return ts
-}
-
-// Series returns the attached time series (nil when none).
-func (s *Scope) Series() *TimeSeries {
-	if s == nil {
-		return nil
-	}
-	return s.ts.Load()
 }
 
 // Enabled reports whether the scope records anything. Use it to guard

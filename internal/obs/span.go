@@ -87,15 +87,6 @@ func (f *FrameSpans) RecordSlack(stream string, d time.Duration) {
 	f.tee(stream, d, HopDeadlineSlack)
 }
 
-// EmitToWire exposes the emit→wire histogram.
-func (f *FrameSpans) EmitToWire() *stats.DurationHistogram { return f.hEmit }
-
-// WireToReassembled exposes the wire→reassembled histogram.
-func (f *FrameSpans) WireToReassembled() *stats.DurationHistogram { return f.hWire }
-
-// DeadlineSlack exposes the reassembled→deadline slack histogram.
-func (f *FrameSpans) DeadlineSlack() *stats.DurationHistogram { return f.hSlak }
-
 // tee forwards the sample into the scope's flight recorder (when one is
 // armed) so an anomaly dump carries the latency context around the event
 // window. No allocation: the Event is built from existing strings.

@@ -46,17 +46,17 @@ func TestFrameSpansRouteToHistograms(t *testing.T) {
 	f.RecordEmit("v", 70*time.Microsecond)
 	f.RecordDelivery("v", 30*time.Millisecond)
 	f.RecordSlack("v", 200*time.Millisecond)
-	if got := f.EmitToWire().N(); got != 2 {
+	if got := f.hEmit.N(); got != 2 {
 		t.Fatalf("emit hop n = %d, want 2", got)
 	}
-	if got := f.WireToReassembled().N(); got != 1 {
+	if got := f.hWire.N(); got != 1 {
 		t.Fatalf("wire hop n = %d, want 1", got)
 	}
-	if got := f.DeadlineSlack().N(); got != 1 {
+	if got := f.hSlak.N(); got != 1 {
 		t.Fatalf("slack hop n = %d, want 1", got)
 	}
 	// The hop instruments live in the registry under their span names.
-	if s.Registry().Histogram(SpanEmitToWire) != f.EmitToWire() {
+	if s.Registry().Histogram(SpanEmitToWire) != f.hEmit {
 		t.Fatal("emit hop not registered under its span name")
 	}
 }
@@ -96,7 +96,7 @@ func TestFrameSpansConcurrentRecord(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := f.EmitToWire().N(); got != 4000 {
+	if got := f.hEmit.N(); got != 4000 {
 		t.Fatalf("emit hop n = %d, want 4000", got)
 	}
 }

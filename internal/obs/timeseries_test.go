@@ -81,8 +81,8 @@ func TestTimeSeriesPeriodicOnVirtualClock(t *testing.T) {
 	clk := clock.NewSim()
 	s := NewScope(clk)
 	ts := s.EnableTimeSeries(0)
-	if got := s.Series(); got != ts {
-		t.Fatal("Series() does not return the enabled series")
+	if got := s.ts.Load(); got != ts {
+		t.Fatal("the scope does not hold the enabled series")
 	}
 	ts.Start(10 * time.Second)
 	clk.RunFor(35 * time.Second)

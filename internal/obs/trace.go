@@ -233,12 +233,6 @@ func (t *Trace) Dropped() int64 {
 	return t.dropped
 }
 
-// Events returns the retained events, oldest first, in a fresh slice.
-// Periodic consumers should prefer EventsAppend with a reused buffer.
-func (t *Trace) Events() []Event {
-	return t.EventsAppend(nil)
-}
-
 // EventsAppend appends the retained events, oldest first, to buf (which is
 // truncated first) and returns the extended slice. With a warm buffer of
 // sufficient capacity the call does not allocate, so periodic dumps can
@@ -252,20 +246,6 @@ func (t *Trace) EventsAppend(buf []Event) []Event {
 	}
 	buf = append(buf, t.buf[t.next:]...)
 	return append(buf, t.buf[:t.next]...)
-}
-
-// Count returns how many retained events match kind (and stream, "" = any).
-func (t *Trace) Count(k EventKind, stream string) int {
-	t.dumpMu.Lock()
-	defer t.dumpMu.Unlock()
-	t.dumpBuf = t.EventsAppend(t.dumpBuf)
-	n := 0
-	for _, ev := range t.dumpBuf {
-		if ev.Kind == k && (stream == "" || ev.Stream == stream) {
-			n++
-		}
-	}
-	return n
 }
 
 // jsonEvent is the JSONL schema of one trace line.

@@ -359,20 +359,6 @@ func (d *Display) Events() []Event {
 	return out
 }
 
-// Count returns how many events of kind k (optionally restricted to a
-// stream; "" = all) were recorded.
-func (d *Display) Count(k EventKind, streamID string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	d.eachLocked(func(ev *Event) {
-		if ev.Kind == k && (streamID == "" || ev.StreamID == streamID) {
-			n++
-		}
-	})
-	return n
-}
-
 // Options tunes the presentation scheduler.
 type Options struct {
 	// SkewThreshold is the intermedia skew beyond which short-term
@@ -899,13 +885,6 @@ func (p *Player) Resume() {
 	p.armAllLocked(p.pausedAt)
 }
 
-// Paused reports the pause state.
-func (p *Player) Paused() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.paused
-}
-
 // Finish ends the presentation, stopping every stream.
 func (p *Player) Finish() {
 	p.mu.Lock()
@@ -963,15 +942,6 @@ type StreamReport struct {
 	Expected int
 }
 
-// DeadlineMissRate returns the fraction of expected frames that missed
-// their deadline (gaps) — the intra-media synchronization metric.
-func (r StreamReport) DeadlineMissRate() float64 {
-	if r.Expected == 0 {
-		return 0
-	}
-	return float64(r.Gaps) / float64(r.Expected)
-}
-
 // Report summarizes the whole presentation.
 type Report struct {
 	Streams map[string]StreamReport
@@ -1004,12 +974,4 @@ func (p *Player) Report() Report {
 		}
 	}
 	return rep
-}
-
-// GroupSkew returns the recorded skew sample for a sync group (nil when the
-// group never had both members active).
-func (p *Player) GroupSkew(group string) *stats.Sample {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.skew[group]
 }

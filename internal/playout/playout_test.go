@@ -64,8 +64,7 @@ func newRig(t testing.TB, src string, opts Options) *rig {
 // arrives at startOffset + PTS + delay(i).
 func (r *rig) feed(id string, src media.Source, dur time.Duration, startOffset time.Duration, delay func(i int) time.Duration) {
 	buf := r.bufs.Get(id)
-	frames := src.FramesIn(0, dur, 0)
-	for _, f := range frames {
+	for _, f := range frames(src, dur) {
 		f := f
 		d := startOffset + f.PTS
 		if delay != nil {
@@ -77,11 +76,23 @@ func (r *rig) feed(id string, src media.Source, dur time.Duration, startOffset t
 	}
 }
 
+// frames returns src's level-0 frames with PTS in [0, dur).
+func frames(src media.Source, dur time.Duration) []media.Frame {
+	var out []media.Frame
+	for i := 0; ; i++ {
+		f := src.FrameAt(i, 0)
+		if f.PTS >= dur {
+			return out
+		}
+		out = append(out, f)
+	}
+}
+
 func (r *rig) run(d time.Duration) { r.clk.RunFor(d) }
 
 func TestPerfectDeliveryPlaysEverything(t *testing.T) {
 	r := newRig(t, avSource, Options{EnableSkewControl: true})
-	au := media.NewAudio("a", nil)
+	au := media.NewAudio(nil)
 	vi := media.NewVideo("v", nil)
 	r.feed("a", au, 10*time.Second, 0, nil)
 	r.feed("v", vi, 10*time.Second, 0, nil)
@@ -98,7 +109,7 @@ func TestPerfectDeliveryPlaysEverything(t *testing.T) {
 		t.Fatalf("gaps a=%d v=%d", a.Gaps, v.Gaps)
 	}
 	// Skew stays tiny.
-	if sk := r.p.GroupSkew("sync-1"); sk == nil || sk.Max() > 100 {
+	if sk := r.p.skew["sync-1"]; sk == nil || sk.Max() > 100 {
 		t.Fatalf("skew sample = %+v", sk)
 	}
 	if r.disp.Count(EvStop, "a") != 1 || r.disp.Count(EvStop, "v") != 1 {
@@ -108,7 +119,7 @@ func TestPerfectDeliveryPlaysEverything(t *testing.T) {
 
 func TestOutageCausesGapsWithoutControl(t *testing.T) {
 	r := newRig(t, avSource, Options{EnableSkewControl: false})
-	au := media.NewAudio("a", nil)
+	au := media.NewAudio(nil)
 	vi := media.NewVideo("v", nil)
 	r.feed("a", au, 10*time.Second, 0, nil)
 	// Video frames due in [2s,4s) all arrive at 4s (burst outage).
@@ -127,7 +138,7 @@ func TestOutageCausesGapsWithoutControl(t *testing.T) {
 		t.Fatalf("video gaps = %d, want many during outage", v.Gaps)
 	}
 	// Without control the backlog leaves lasting skew.
-	sk := r.p.GroupSkew("sync-1")
+	sk := r.p.skew["sync-1"]
 	if sk == nil {
 		t.Fatal("no skew recorded")
 	}
@@ -138,7 +149,7 @@ func TestOutageCausesGapsWithoutControl(t *testing.T) {
 
 func TestSkewControlCatchesUpAfterOutage(t *testing.T) {
 	r := newRig(t, avSource, Options{EnableSkewControl: true, SkewThreshold: 80 * time.Millisecond})
-	au := media.NewAudio("a", nil)
+	au := media.NewAudio(nil)
 	vi := media.NewVideo("v", nil)
 	r.feed("a", au, 10*time.Second, 0, nil)
 	r.feed("v", vi, 10*time.Second, 0, func(i int) time.Duration {
@@ -156,13 +167,13 @@ func TestSkewControlCatchesUpAfterOutage(t *testing.T) {
 		t.Fatal("skew control never dropped")
 	}
 	// Final skew must be back under control: sample the tail.
-	sk := r.p.GroupSkew("sync-1")
+	sk := r.p.skew["sync-1"]
 	vals := sk.Values()
 	tail := vals[len(vals)-1]
 	// Values() sorts ascending, so compare via a fresh measurement:
 	// re-check that median skew is far below the no-control case.
-	if sk.Median() > 400 {
-		t.Fatalf("median skew %.0fms with control", sk.Median())
+	if sk.Percentile(50) > 400 {
+		t.Fatalf("median skew %.0fms with control", sk.Percentile(50))
 	}
 	_ = tail
 	if r.disp.Count(EvDrop, "v") == 0 {
@@ -172,7 +183,7 @@ func TestSkewControlCatchesUpAfterOutage(t *testing.T) {
 
 func TestWatermarkControlDropsStaleBacklog(t *testing.T) {
 	r := newRig(t, avSource, Options{EnableWatermarkControl: true})
-	au := media.NewAudio("a", nil)
+	au := media.NewAudio(nil)
 	vi := media.NewVideo("v", nil)
 	r.feed("a", au, 10*time.Second, 0, nil)
 	// A 3s video outage whose frames all arrive late in one burst: a
@@ -197,7 +208,7 @@ func TestWatermarkControlDropsStaleBacklog(t *testing.T) {
 
 func TestWatermarkControlKeepsFutureFrames(t *testing.T) {
 	r := newRig(t, avSource, Options{EnableWatermarkControl: true})
-	au := media.NewAudio("a", nil)
+	au := media.NewAudio(nil)
 	vi := media.NewVideo("v", nil)
 	r.feed("a", au, 10*time.Second, 0, nil)
 	// The whole video arrives up front: occupancy far above the high
@@ -220,9 +231,9 @@ func TestWatermarkControlKeepsFutureFrames(t *testing.T) {
 
 func TestStillPlaysOnTimeAndLate(t *testing.T) {
 	r := newRig(t, fullSource, Options{})
-	au := media.NewAudio("a", nil)
+	au := media.NewAudio(nil)
 	vi := media.NewVideo("v", nil)
-	im := media.NewImage("i", 64, 64)
+	im := media.NewImage(64, 64)
 	r.feed("a", au, 10*time.Second, 0, nil)
 	r.feed("v", vi, 10*time.Second, 0, nil)
 	// Image due at presentation time 1s arrives late at sim time 3s.
@@ -255,7 +266,7 @@ func TestStillPlaysOnTimeAndLate(t *testing.T) {
 func TestLateStillRetriesOnOneTimer(t *testing.T) {
 	r := newRig(t, `<TITLE>still</TITLE>
 <IMG SOURCE=img/i ID=i STARTIME=1 DURATION=5 WIDTH=64 HEIGHT=64> </IMG>`, Options{})
-	im := media.NewImage("i", 64, 64)
+	im := media.NewImage(64, 64)
 	r.clk.AfterFunc(3*time.Second, func() {
 		r.bufs.Get("i").Push(buffer.Item{Frame: im.FrameAt(0, 0), ArrivedAt: r.clk.Now()})
 	})
@@ -286,9 +297,9 @@ func TestLateStillRetriesOnOneTimer(t *testing.T) {
 func TestTimedLinkFiresAndFinishes(t *testing.T) {
 	var followed scenario.Link
 	r := newRig(t, fullSource, Options{OnLink: func(l scenario.Link) { followed = l }})
-	au := media.NewAudio("a", nil)
+	au := media.NewAudio(nil)
 	vi := media.NewVideo("v", nil)
-	im := media.NewImage("i", 64, 64)
+	im := media.NewImage(64, 64)
 	r.feed("a", au, 10*time.Second, 0, nil)
 	r.feed("v", vi, 10*time.Second, 0, nil)
 	r.bufs.Get("i").Push(buffer.Item{Frame: im.FrameAt(0, 0)})
@@ -313,14 +324,14 @@ func TestTimedLinkFiresAndFinishes(t *testing.T) {
 
 func TestPauseFreezesPlayout(t *testing.T) {
 	r := newRig(t, avSource, Options{})
-	au := media.NewAudio("a", nil)
+	au := media.NewAudio(nil)
 	vi := media.NewVideo("v", nil)
 	r.feed("a", au, 10*time.Second, 0, nil)
 	r.feed("v", vi, 10*time.Second, 0, nil)
 	r.p.Start()
 	r.run(2 * time.Second)
 	r.p.Pause()
-	if !r.p.Paused() {
+	if !r.p.paused {
 		t.Fatal("not paused")
 	}
 	playsAtPause := r.disp.Count(EvPlay, "a")
@@ -332,7 +343,7 @@ func TestPauseFreezesPlayout(t *testing.T) {
 		t.Fatalf("presentation clock moved during pause: %v", got)
 	}
 	r.p.Resume()
-	if r.p.Paused() {
+	if r.p.paused {
 		t.Fatal("still paused")
 	}
 	r.run(20 * time.Second)
@@ -357,7 +368,7 @@ func TestDoubleStartAndFinishIdempotent(t *testing.T) {
 	}
 	// Pause after finish is a no-op.
 	r.p.Pause()
-	if r.p.Paused() {
+	if r.p.paused {
 		t.Fatal("paused after finish")
 	}
 }
@@ -374,13 +385,6 @@ func TestReportExpectations(t *testing.T) {
 	}
 	if rep.Streams["i"].Expected != 1 {
 		t.Fatalf("image expected = %d", rep.Streams["i"].Expected)
-	}
-	sr := StreamReport{Gaps: 25, Expected: 250}
-	if sr.DeadlineMissRate() != 0.1 {
-		t.Fatalf("miss rate = %v", sr.DeadlineMissRate())
-	}
-	if (StreamReport{}).DeadlineMissRate() != 0 {
-		t.Fatal("empty miss rate")
 	}
 }
 
@@ -399,7 +403,7 @@ func TestHoldWhenLaggardHasNothingToDrop(t *testing.T) {
 	// Audio runs normally; video receives nothing at all after the prefix:
 	// the laggard has an empty buffer, so the leader must hold.
 	r := newRig(t, avSource, Options{EnableSkewControl: true, SkewThreshold: 80 * time.Millisecond})
-	au := media.NewAudio("a", nil)
+	au := media.NewAudio(nil)
 	vi := media.NewVideo("v", nil)
 	r.feed("a", au, 10*time.Second, 0, nil)
 	r.feed("v", vi, time.Second, 0, nil) // only the first second of video
@@ -412,7 +416,7 @@ func TestHoldWhenLaggardHasNothingToDrop(t *testing.T) {
 
 func TestRenderTraceShowsTrouble(t *testing.T) {
 	r := newRig(t, avSource, Options{EnableSkewControl: true})
-	au := media.NewAudio("a", nil)
+	au := media.NewAudio(nil)
 	vi := media.NewVideo("v", nil)
 	r.feed("a", au, 10*time.Second, 0, nil)
 	r.feed("v", vi, 10*time.Second, 0, func(i int) time.Duration {
@@ -456,12 +460,11 @@ func TestRenderTraceEmpty(t *testing.T) {
 func TestQuickSlotConservation(t *testing.T) {
 	f := func(seed uint64, dropMask []bool, delayMS []uint16) bool {
 		r := newRig(t, avSource, Options{EnableSkewControl: seed%2 == 0})
-		au := media.NewAudio("a", nil)
+		au := media.NewAudio(nil)
 		vi := media.NewVideo("v", nil)
 		r.feed("a", au, 10*time.Second, 0, nil)
 		buf := r.bufs.Get("v")
-		frames := vi.FramesIn(0, 10*time.Second, 0)
-		for _, fr := range frames {
+		for _, fr := range frames(vi, 10*time.Second) {
 			fr := fr
 			if int(fr.Index) < len(dropMask) && dropMask[fr.Index] {
 				continue // lost frame

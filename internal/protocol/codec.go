@@ -66,20 +66,6 @@ func putCodec(c *codec) {
 	codecs.Put(c)
 }
 
-// AppendFrame appends the frame [type | 4-byte big-endian reqID | JSON body]
-// to dst. On error it returns dst unchanged.
-func AppendFrame(dst []byte, t MsgType, reqID uint32, m Message) ([]byte, error) {
-	c := getCodec()
-	c.buf = dst
-	err := c.frame(t, reqID, m)
-	out := c.buf
-	putCodec(c)
-	if err != nil {
-		return dst, err
-	}
-	return out, nil
-}
-
 // WriteFrame encodes the fire-and-forget frame (request ID 0) of m into
 // scratch the codec keeps, grown to the largest frame it has held, and
 // hands it to write, which must not keep it past its return: the form of a

@@ -166,7 +166,7 @@ func TestCodecMatchesEncodingJSON(t *testing.T) {
 // TestDecodeErrors: the decoder refuses what encoding/json refuses, and a
 // few things it accepts but a peer never sends.
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode(nil); err == nil {
+	if _, _, _, err := DecodeReq(nil); err == nil {
 		t.Fatal("empty decode accepted")
 	}
 	for _, body := range []string{
@@ -201,8 +201,8 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestCodecAllocs: a fire-and-forget frame appended into the caller's
-// buffer or written from the codec's scratch allocates nothing, a kept
+// TestCodecAllocs: a fire-and-forget frame written from the codec's
+// scratch allocates nothing, a kept
 // frame is one allocation, and decoding allocates only the strings and the
 // slice it returns.
 func TestCodecAllocs(t *testing.T) {
@@ -216,9 +216,6 @@ func TestCodecAllocs(t *testing.T) {
 		mt MsgType
 		m  Message
 	}{{MsgHeartbeat, hb}, {MsgHeartbeatAck, ack}} {
-		if n := testing.AllocsPerRun(100, func() { buf, _ = AppendFrame(buf[:0], c.mt, 0, c.m) }); n != 0 {
-			t.Errorf("AppendFrame %s: %v allocations, want 0", c.mt, n)
-		}
 		if n := testing.AllocsPerRun(100, func() { buf, _ = NewFrame(c.mt, 1, c.m) }); n != 1 {
 			t.Errorf("NewFrame %s: %v allocations, want 1", c.mt, n)
 		}
@@ -236,7 +233,7 @@ func TestCodecAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("WriteFrame: %v allocations, want 0", n)
 	}
-	hbBody := MustEncode(MsgHeartbeat, *hb)[headerSize:]
+	hbBody := MustEncodeReq(MsgHeartbeat, 0, *hb)[headerSize:]
 	var gotHB Heartbeat
 	if n := testing.AllocsPerRun(100, func() {
 		gotHB = Heartbeat{}
@@ -244,7 +241,7 @@ func TestCodecAllocs(t *testing.T) {
 	}); n > 1 || gotHB != *hb {
 		t.Errorf("decode Heartbeat: %v allocations, want 1 string; got %+v", n, gotHB)
 	}
-	ackBody := MustEncode(MsgHeartbeatAck, *ack)[headerSize:]
+	ackBody := MustEncodeReq(MsgHeartbeatAck, 0, *ack)[headerSize:]
 	var gotAck HeartbeatAck
 	if n := testing.AllocsPerRun(100, func() {
 		gotAck = HeartbeatAck{}
@@ -271,16 +268,16 @@ func TestMessagesStayOnStack(t *testing.T) {
 		t.Errorf("WriteFrame of a local Heartbeat: %v allocations, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		sink, _ = AppendFrame(sink[:0], MsgConnect, 1, &Connect{User: "user-v0001", Password: "pw", PeakRate: 1.5e6})
+		_ = WriteFrame(MsgConnect, &Connect{User: "user-v0001", Password: "pw", PeakRate: 1.5e6}, func(frame []byte) { sink = append(sink[:0], frame...) })
 	}); n != 0 {
-		t.Errorf("AppendFrame of a local Connect: %v allocations, want 0", n)
+		t.Errorf("WriteFrame of a local Connect: %v allocations, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		sink, _ = NewFrame(MsgConnectResult, 1, &ConnectResult{OK: true, SessionID: "srv1-sess-1", GrantedRate: 1.5e6})
 	}); n != 1 {
 		t.Errorf("NewFrame of a local ConnectResult: %v allocations, want 1, the frame", n)
 	}
-	ackBody := MustEncode(MsgHeartbeatAck, HeartbeatAck{OK: true, SessionID: "srv1-sess-1", Peers: []string{"srv2", "srv3"}})[headerSize:]
+	ackBody := MustEncodeReq(MsgHeartbeatAck, 0, HeartbeatAck{OK: true, SessionID: "srv1-sess-1", Peers: []string{"srv2", "srv3"}})[headerSize:]
 	peers := 0
 	if n := testing.AllocsPerRun(100, func() {
 		var m HeartbeatAck
@@ -312,7 +309,7 @@ func BenchmarkCodec(b *testing.B) {
 			b.ReportAllocs()
 			buf := make([]byte, 0, 512)
 			for i := 0; i < b.N; i++ {
-				buf, _ = AppendFrame(buf[:0], c.mt, 7, c.m)
+				_ = WriteFrame(c.mt, c.m, func(frame []byte) { buf = append(buf[:0], frame...) })
 			}
 		})
 		b.Run("decode-"+c.mt.String(), func(b *testing.B) {
@@ -382,7 +379,7 @@ func FuzzDecodeBody(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, err := AppendFrame(nil, b.mt, 0, got)
+		frame, err := NewFrame(b.mt, 0, got)
 		if err != nil || !bytes.Equal(frame[headerSize:], want) {
 			t.Fatalf("%s re-encoded\n got %s (%v)\nwant %s", b.mt, frame[headerSize:], err, want)
 		}
@@ -461,7 +458,7 @@ func TestWriteReplyMatchesAppendFrame(t *testing.T) {
 		}
 		before := append([]byte(nil), kept...)
 		for _, reqID := range []uint32{0, 1, 0x01020304, math.MaxUint32} {
-			want, err := AppendFrame(nil, b.mt, reqID, m)
+			want, err := NewFrame(b.mt, reqID, m)
 			if err != nil {
 				t.Fatal(err)
 			}

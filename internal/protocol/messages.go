@@ -541,18 +541,6 @@ func MustEncodeReq[M any, P bodyOf[M]](t MsgType, reqID uint32, body M) []byte {
 	return b
 }
 
-// MustEncode is MustEncodeReq for a fire-and-forget message (request ID 0).
-func MustEncode[M any, P bodyOf[M]](t MsgType, body M) []byte {
-	return MustEncodeReq[M, P](t, 0, body)
-}
-
-// Decode splits a framed message, discarding the request ID; the body
-// remains JSON for DecodeBody.
-func Decode(buf []byte) (MsgType, []byte, error) {
-	t, _, body, err := DecodeReq(buf)
-	return t, body, err
-}
-
 // DecodeReq splits a framed message into type, request ID and JSON body.
 // It refuses a frame shorter than the header or tagged with a type the
 // protocol does not name.

@@ -17,7 +17,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt, body, err := Decode(buf)
+	mt, _, body, err := DecodeReq(buf)
 	if err != nil || mt != MsgConnect {
 		t.Fatalf("decode: %v %v", mt, err)
 	}
@@ -41,18 +41,16 @@ func TestEncodeReqRoundTripsRequestID(t *testing.T) {
 	if err := DecodeBody(body, &out); err != nil || out != in {
 		t.Fatalf("round trip: %+v (%v)", out, err)
 	}
-	// Plain Encode produces the fire-and-forget request ID 0, and plain
-	// Decode reads EncodeReq frames (dropping the ID).
-	if _, reqID, _, _ := DecodeReq(MustEncode(MsgHeartbeat, in)); reqID != 0 {
-		t.Fatalf("Encode reqID = %d, want 0", reqID)
-	}
-	if mt, _, err := Decode(buf); err != nil || mt != MsgHeartbeat {
-		t.Fatalf("Decode on EncodeReq frame: %v %v", mt, err)
-	}
+	// WriteFrame produces the fire-and-forget request ID 0.
+	_ = WriteFrame(MsgHeartbeat, &in, func(frame []byte) {
+		if _, reqID, _, _ := DecodeReq(frame); reqID != 0 {
+			t.Fatalf("WriteFrame reqID = %d, want 0", reqID)
+		}
+	})
 }
 
 // A body encoding/json refuses, NaN or ±Inf, fails to encode: EncodeReq
-// returns the error and MustEncode panics.
+// returns the error and MustEncodeReq panics.
 func TestMustEncodePanicsOnUnmarshalable(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		body := Connect{User: "u", PeakRate: f}
@@ -65,10 +63,10 @@ func TestMustEncodePanicsOnUnmarshalable(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("MustEncode of %v: no panic", f)
+					t.Fatalf("MustEncodeReq of %v: no panic", f)
 				}
 			}()
-			MustEncode(MsgConnect, body)
+			MustEncodeReq(MsgConnect, 1, body)
 		}()
 	}
 }
@@ -81,8 +79,8 @@ func TestDocResponseRoundTrip(t *testing.T) {
 			{StreamID: "v", SSRC: 42, Port: 5004, PayloadType: 32, Rate: 1.5e6, FrameIntervalUS: 40000, Levels: 5},
 		},
 	}
-	buf := MustEncode(MsgDocResponse, in)
-	_, body, _ := Decode(buf)
+	buf := MustEncodeReq(MsgDocResponse, 0, in)
+	_, _, body, _ := DecodeReq(buf)
 	var out DocResponse
 	if err := DecodeBody(body, &out); err != nil {
 		t.Fatal(err)
@@ -116,7 +114,7 @@ func TestMsgTypeNames(t *testing.T) {
 // FuzzDecodeReq feeds arbitrary frames to DecodeReq. It must not panic,
 // must accept exactly the frames of at least a header whose tag names a
 // message type, and an accepted frame's tag and request ID must survive
-// AppendFrame → DecodeReq.
+// NewFrame → DecodeReq.
 func FuzzDecodeReq(f *testing.F) {
 	for tag := range 256 {
 		f.Add([]byte{byte(tag), 0, 0, 0, 7, '{', '}'})
@@ -136,7 +134,7 @@ func FuzzDecodeReq(f *testing.F) {
 		if !bytes.Equal(body, frame[5:]) {
 			t.Fatalf("DecodeReq(%x): body %x, want the bytes after the header", frame, body)
 		}
-		again, _ := AppendFrame(nil, mt, reqID, &Heartbeat{})
+		again, _ := NewFrame(mt, reqID, &Heartbeat{})
 		if mt2, reqID2, _, err := DecodeReq(again); err != nil || mt2 != mt || reqID2 != reqID {
 			t.Fatalf("re-framed %s/%d decodes as %s/%d (%v)", mt, reqID, mt2, reqID2, err)
 		}

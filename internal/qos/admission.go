@@ -170,7 +170,7 @@ func (a *Admission) recordDecisionLocked(req ConnRequest, d Decision) {
 	if req.Resumed {
 		a.obs.Counter("admission_failover_readmits").Inc()
 	}
-	a.obs.Gauge("admission_reserved_bps").Set(int64(a.reservedLocked()))
+	a.obs.Gauge("admission_reserved_bps").Set(int64(a.reserved))
 	note := fmt.Sprintf("%s class=%s user=%s rate=%.0f", verdict, class, req.User, d.Rate)
 	if req.Resumed {
 		note += " (failover re-admission)"
@@ -183,15 +183,6 @@ func (a *Admission) recordDecisionLocked(req ConnRequest, d Decision) {
 	}
 	a.obs.Emit(obs.EvAdmissionDecision, req.User, int64(d.Rate), note)
 }
-
-// Reserved returns the total bandwidth currently reserved.
-func (a *Admission) Reserved() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.reservedLocked()
-}
-
-func (a *Admission) reservedLocked() float64 { return a.reserved }
 
 // Decisions returns the total number of admission verdicts rendered.
 func (a *Admission) Decisions() int64 {
@@ -207,7 +198,7 @@ func (a *Admission) Utilization() float64 {
 	if a.capacity <= 0 {
 		return 0
 	}
-	return a.reservedLocked() / a.capacity
+	return a.reserved / a.capacity
 }
 
 // OverWatermark reports whether reserved bandwidth has reached frac of
@@ -222,7 +213,7 @@ func (a *Admission) OverWatermark(frac float64) bool {
 	if a.capacity <= 0 {
 		return false
 	}
-	return a.reservedLocked() >= frac*a.capacity
+	return a.reserved >= frac*a.capacity
 }
 
 // Counts returns (admitted, degraded, rejected) counts for a class.
@@ -247,7 +238,7 @@ func (a *Admission) requestLocked(req ConnRequest) Decision {
 		req.MinRate = req.PeakRate
 	}
 	cap := a.capacity * req.Class.ShareCap()
-	used := a.reservedLocked()
+	used := a.reserved
 	free := cap - used
 
 	if req.PeakRate <= free {
@@ -355,7 +346,7 @@ func (a *Admission) Renegotiate(connID int, newRate float64) (float64, bool) {
 		return r.rate, true
 	}
 	cap := a.capacity * r.class.ShareCap()
-	free := cap - a.reservedLocked()
+	free := cap - a.reserved
 	grant := r.rate + free
 	if grant > newRate {
 		grant = newRate
@@ -383,15 +374,4 @@ func (a *Admission) Release(connID int) {
 		// pool, so "everything released" reads as reserved == 0.
 		a.reserved = 0
 	}
-}
-
-// Rate returns a connection's current granted rate (0 if unknown) — it may
-// have been squeezed since admission.
-func (a *Admission) Rate(connID int) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if r, ok := a.conns[connID]; ok {
-		return r.rate
-	}
-	return 0
 }

@@ -208,14 +208,6 @@ func (m *Manager) Register(cfg StreamConfig) Graded {
 	return Graded{m: m, st: st}
 }
 
-// Level returns a stream's current quality level and whether it is stopped.
-func (m *Manager) Level(id string) (level int, stopped bool) {
-	m.mu.RLock()
-	g := Graded{m: m, st: m.streams[id]}
-	m.mu.RUnlock()
-	return g.Level()
-}
-
 // Level returns the stream's current quality level and whether it is
 // stopped. Read-locked: safe to call concurrently from every sender's emit
 // path.

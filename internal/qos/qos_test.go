@@ -33,7 +33,7 @@ func TestDegradeOnSustainedLoss(t *testing.T) {
 	if acts[0].Kind != ActDegrade || acts[0].From != 0 || acts[0].To != 1 {
 		t.Fatalf("first action = %+v", acts[0])
 	}
-	lvl, stopped := m.Level("v")
+	lvl, stopped := level(m, "v")
 	if lvl < 2 || stopped {
 		t.Fatalf("level = %d stopped=%v after sustained loss", lvl, stopped)
 	}
@@ -43,7 +43,7 @@ func TestDegradeOnSustainedLoss(t *testing.T) {
 		acts = append(acts, m.Feedback(report("v", 0.2, 0))...)
 		clk.RunFor(3 * time.Second)
 	}
-	if _, stopped := m.Level("v"); !stopped {
+	if _, stopped := level(m, "v"); !stopped {
 		t.Fatal("stream not cut off after exhausting the ladder")
 	}
 	if last := acts[len(acts)-1]; last.Kind != ActCutoff {
@@ -77,7 +77,7 @@ func TestCutoffAtFloor(t *testing.T) {
 	if last.Kind != ActCutoff {
 		t.Fatalf("last action = %+v, want cutoff", last)
 	}
-	if _, stopped := m.Level("v"); !stopped {
+	if _, stopped := level(m, "v"); !stopped {
 		t.Fatal("stream not stopped after cutoff")
 	}
 }
@@ -90,7 +90,7 @@ func TestUpgradeAfterRecoveryWithHysteresis(t *testing.T) {
 		m.Feedback(report("v", 0.5, 0))
 		clk.RunFor(3 * time.Second)
 	}
-	lvl, _ := m.Level("v")
+	lvl, _ := level(m, "v")
 	if lvl != 2 {
 		t.Fatalf("level = %d, want 2", lvl)
 	}
@@ -104,7 +104,7 @@ func TestUpgradeAfterRecoveryWithHysteresis(t *testing.T) {
 		}
 		clk.RunFor(time.Second)
 	}
-	lvl, _ = m.Level("v")
+	lvl, _ = level(m, "v")
 	if lvl != 0 {
 		t.Fatalf("level = %d after long recovery, want 0", lvl)
 	}
@@ -131,7 +131,7 @@ func TestRestoreAfterCutoff(t *testing.T) {
 		m.Feedback(report("v", 0.5, 0))
 		clk.RunFor(3 * time.Second)
 	}
-	if _, stopped := m.Level("v"); !stopped {
+	if _, stopped := level(m, "v"); !stopped {
 		t.Fatal("not stopped")
 	}
 	var restored bool
@@ -148,7 +148,7 @@ func TestRestoreAfterCutoff(t *testing.T) {
 	}
 	// After restoration at the floor, continued good conditions upgrade
 	// back toward full quality.
-	lvl, stopped := m.Level("v")
+	lvl, stopped := level(m, "v")
 	if stopped || lvl != 0 {
 		t.Fatalf("after restore+recovery: level=%d stopped=%v", lvl, stopped)
 	}
@@ -163,8 +163,8 @@ func TestVideoFirstRuleRedirectsAudioDegrade(t *testing.T) {
 	if len(acts) != 1 || acts[0].StreamID != "v" || acts[0].Kind != ActDegrade {
 		t.Fatalf("actions = %+v", acts)
 	}
-	aLvl, _ := m.Level("a")
-	vLvl, _ := m.Level("v")
+	aLvl, _ := level(m, "a")
+	vLvl, _ := level(m, "v")
 	if aLvl != 0 || vLvl != 1 {
 		t.Fatalf("levels a=%d v=%d", aLvl, vLvl)
 	}
@@ -173,8 +173,8 @@ func TestVideoFirstRuleRedirectsAudioDegrade(t *testing.T) {
 		m.Feedback(report("a", 0.5, 0))
 		clk.RunFor(3 * time.Second)
 	}
-	aLvl, _ = m.Level("a")
-	_, vStopped := m.Level("v")
+	aLvl, _ = level(m, "a")
+	_, vStopped := level(m, "v")
 	if !vStopped && aLvl == 0 {
 		t.Fatal("audio untouched but video not exhausted")
 	}
@@ -214,11 +214,11 @@ func TestLevelSeriesTrajectory(t *testing.T) {
 	clk.RunFor(3 * time.Second)
 	m.Feedback(report("v", 0.5, 0))
 	s := m.LevelSeries("v")
-	if s == nil || s.N() != 3 { // initial 0, then two degrades
+	if s == nil || len(s.Points()) != 3 { // initial 0, then two degrades
 		t.Fatalf("series = %+v", s)
 	}
-	if v, _ := s.At(10 * time.Second); v != 2 {
-		t.Fatalf("level at 10s = %v", v)
+	if v := s.Points()[2].V; v != 2 {
+		t.Fatalf("level after the second degrade = %v", v)
 	}
 	if m.LevelSeries("nope") != nil {
 		t.Fatal("phantom series")
@@ -236,7 +236,7 @@ func TestRegisterClampsFloor(t *testing.T) {
 	_, m := mgr()
 	m.Register(StreamConfig{ID: "x", Levels: 3, Floor: 99})
 	m.Register(StreamConfig{ID: "y", Levels: 0})
-	if lvl, _ := m.Level("x"); lvl != 0 {
+	if lvl, _ := level(m, "x"); lvl != 0 {
 		t.Fatal("initial level")
 	}
 }
@@ -303,12 +303,12 @@ func TestPremiumSqueezesLowerClasses(t *testing.T) {
 	if d.Squeezed[0] != e.ConnID {
 		t.Fatalf("squeezed = %v, economy first (id %d)", d.Squeezed, e.ConnID)
 	}
-	if a.Rate(e.ConnID) < 1_000_000-1 {
-		t.Fatalf("economy squeezed below floor: %v", a.Rate(e.ConnID))
+	if a.conns[e.ConnID].rate < 1_000_000-1 {
+		t.Fatalf("economy squeezed below floor: %v", a.conns[e.ConnID].rate)
 	}
 	// Total never exceeds capacity.
-	if a.Reserved() > 10_000_000+1 {
-		t.Fatalf("reserved = %v", a.Reserved())
+	if a.reserved > 10_000_000+1 {
+		t.Fatalf("reserved = %v", a.reserved)
 	}
 	_ = s
 }
@@ -331,11 +331,11 @@ func TestReleaseFreesCapacity(t *testing.T) {
 		t.Fatalf("utilization = %v", a.Utilization())
 	}
 	a.Release(d.ConnID)
-	if a.Reserved() != 0 {
+	if a.reserved != 0 {
 		t.Fatal("release did not free")
 	}
 	a.Release(999) // unknown: no panic
-	if a.Rate(999) != 0 {
+	if a.conns[999] != nil {
 		t.Fatal("unknown rate")
 	}
 }
@@ -374,10 +374,9 @@ func TestClientMonitorEndToEnd(t *testing.T) {
 	if r == nil || r.SSRC != 42 {
 		t.Fatalf("receiver = %+v", r)
 	}
-	sender := rtp.NewSender(42, rtp.PTMPEG, 0)
 	at := clk.Now()
 	for i := 0; i < 10; i++ {
-		p := sender.Next(time.Duration(i)*40*time.Millisecond, []byte("f"), true)
+		p := &rtp.Packet{SSRC: 42, SequenceNumber: uint16(i), Timestamp: rtp.ToTimestamp(time.Duration(i) * 40 * time.Millisecond)}
 		if i == 4 {
 			continue // lose one packet
 		}
@@ -398,11 +397,11 @@ func TestClientMonitorEndToEnd(t *testing.T) {
 		t.Fatalf("RR = %+v", rr)
 	}
 	// Round trip through the wire into a server-side report.
-	cp, err := rtp.UnmarshalControl(rr.Marshal())
-	if err != nil {
+	var got rtp.ReceiverReport
+	if err := got.Unmarshal(rr.AppendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
-	rep := FromRTCP("v", cp.RR.Reports[0], clk.Now())
+	rep := FromRTCP("v", got.Reports[0], clk.Now())
 	if rep.StreamID != "v" || rep.Loss < 0.05 {
 		t.Fatalf("FromRTCP = %+v", rep)
 	}
@@ -458,8 +457,8 @@ func TestRenegotiateDown(t *testing.T) {
 	if !ok || got != 2_000_000 {
 		t.Fatalf("renegotiate down = %v %v", got, ok)
 	}
-	if a.Reserved() != 2_000_000 {
-		t.Fatalf("reserved = %v", a.Reserved())
+	if a.reserved != 2_000_000 {
+		t.Fatalf("reserved = %v", a.reserved)
 	}
 	// Below the floor clamps to the floor.
 	got, ok = a.Renegotiate(d.ConnID, 100)
@@ -521,7 +520,7 @@ func TestLevelMatchesGatesSharedFlow(t *testing.T) {
 		m.Feedback(report("v", 0.2, 0))
 		clk.RunFor(time.Second)
 	}
-	lvl, stopped := m.Level("v")
+	lvl, stopped := level(m, "v")
 	if gl, gs := g.Level(); gl != lvl || gs != stopped {
 		t.Fatalf("handle reads %d/%v, manager %d/%v", gl, gs, lvl, stopped)
 	}
@@ -546,4 +545,9 @@ func TestLevelMatchesGatesSharedFlow(t *testing.T) {
 			t.Fatalf("cut-off stream matches level %d", l)
 		}
 	}
+}
+
+// level reads stream id's quality level in m, and whether it is stopped.
+func level(m *Manager, id string) (int, bool) {
+	return Graded{m: m, st: m.streams[id]}.Level()
 }

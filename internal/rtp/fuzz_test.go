@@ -20,13 +20,13 @@ func FuzzUnmarshal(f *testing.F) {
 		{PayloadType: PTPCM, Payload: []byte("audio")},
 		{PayloadType: PTPCM},
 	} {
-		f.Add(p.Marshal())
+		f.Add(encode(p))
 	}
 	f.Add([]byte{1, 2, 3})
 	truncatedCSRC := make([]byte, HeaderSize)
 	truncatedCSRC[0] = Version<<6 | 5
 	f.Add(truncatedCSRC)
-	wrongVersion := (&Packet{PayloadType: PTPCM}).Marshal()
+	wrongVersion := encode(&Packet{PayloadType: PTPCM})
 	wrongVersion[0] = 1 << 6
 	f.Add(wrongVersion)
 
@@ -56,18 +56,18 @@ func FuzzUnmarshal(f *testing.F) {
 				t.Fatalf("Payload is not the input's tail after a %d-byte header", hdr)
 			}
 		}
-		if buf[0] == Version<<6 && !bytes.Equal(p.Marshal(), buf) {
-			t.Fatalf("re-encoding differs:\n got  %x\n want %x", p.Marshal(), buf)
+		if buf[0] == Version<<6 && !bytes.Equal(encode(&p), buf) {
+			t.Fatalf("re-encoding differs:\n got  %x\n want %x", encode(&p), buf)
 		}
 	})
 }
 
-// FuzzUnmarshalControl holds the RTCP decoder, which the server runs on the
-// feedback every client sends, to its contract on any input: splitting a
-// compound datagram and decoding it, whole or part by part, never panics;
-// every error wraps ErrMalformed; and a packet that decodes to an SR or RR
-// re-encodes to bytes that decode to the same report. The corpus is seeded
-// from the package's SR, RR, SDES and BYE vectors.
+// FuzzUnmarshalControl holds the RTCP decode the product runs to its contract
+// on any input: the server's SplitCompound then (*ReceiverReport).Unmarshal
+// of each part, and the client's (*SenderReport).Unmarshal of a whole
+// datagram. Neither panics, every error wraps ErrMalformed, and a decoded
+// report re-encodes with AppendTo to bytes that decode to the same report.
+// The corpus is seeded with SR, RR, SDES and BYE packets and a compound.
 func FuzzUnmarshalControl(f *testing.F) {
 	sr := (&SenderReport{
 		SSRC: 0x11223344, NTPTime: 0xAABBCCDDEEFF0011, RTPTime: 90000,
@@ -76,13 +76,15 @@ func FuzzUnmarshalControl(f *testing.F) {
 			SSRC: 5, FractionLost: 64, CumulativeLost: 123,
 			ExtendedHighSeq: 70000, Jitter: 450, LastSR: 99, DelaySinceLastSR: 88,
 		}},
-	}).Marshal()
+	}).AppendTo(nil)
 	rr := (&ReceiverReport{SSRC: 9, Reports: []ReceptionReport{
 		{SSRC: 1, FractionLost: 10, CumulativeLost: 5, ExtendedHighSeq: 100, Jitter: 7},
 		{SSRC: 2, CumulativeLost: -3, ExtendedHighSeq: 50, Jitter: 1},
-	}}).Marshal()
-	sdes := (&SourceDescription{SSRC: 31337, CNAME: "client@host"}).Marshal()
-	bye := (&Goodbye{SSRC: 77, Reason: "session over"}).Marshal()
+	}}).AppendTo(nil)
+	// An SDES from SSRC 31337 with one CNAME item, and a BYE from SSRC 77
+	// with a reason, each padded to a 32-bit boundary.
+	sdes := append([]byte{0x81, 202, 0, 5, 0, 0, 0x7a, 0x69, 1, 11}, "client@host\x00\x00\x00"...)
+	bye := append([]byte{0x81, 203, 0, 5, 0, 0, 0, 77, 12}, "session over\x00\x00\x00"...)
 	for _, seed := range [][]byte{sr, rr, sdes, bye, bytes.Join([][]byte{sr, rr, bye}, nil), {0x80, TypeSR}} {
 		f.Add(seed)
 	}
@@ -92,27 +94,27 @@ func FuzzUnmarshalControl(f *testing.F) {
 		if err != nil && !errors.Is(err, ErrMalformed) {
 			t.Fatalf("SplitCompound error %v does not wrap ErrMalformed", err)
 		}
-		for _, part := range append(parts, buf) {
-			cp, err := UnmarshalControl(part)
-			if err != nil {
-				if !errors.Is(err, ErrMalformed) || cp != nil {
-					t.Fatalf("UnmarshalControl = %+v, %v: want nil and an ErrMalformed", cp, err)
+		for _, part := range parts {
+			var rr, again ReceiverReport
+			if err := rr.Unmarshal(part); err != nil {
+				if !errors.Is(err, ErrMalformed) {
+					t.Fatalf("RR error %v does not wrap ErrMalformed", err)
 				}
 				continue
 			}
-			var again []byte
-			switch {
-			case cp.SR != nil:
-				again = cp.SR.Marshal()
-			case cp.RR != nil:
-				again = cp.RR.Marshal()
-			default:
-				continue
+			if err := again.Unmarshal(rr.AppendTo(nil)); err != nil || !reflect.DeepEqual(again, rr) {
+				t.Fatalf("re-encoded %+v decodes to %+v, %v", rr, again, err)
 			}
-			cp2, err := UnmarshalControl(again)
-			if err != nil || !reflect.DeepEqual(cp2, cp) {
-				t.Fatalf("re-encoded %+v decodes to %+v, %v", cp, cp2, err)
+		}
+		var sr, again SenderReport
+		if err := sr.Unmarshal(buf); err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("SR error %v does not wrap ErrMalformed", err)
 			}
+			return
+		}
+		if err := again.Unmarshal(sr.AppendTo(nil)); err != nil || !reflect.DeepEqual(again, sr) {
+			t.Fatalf("re-encoded %+v decodes to %+v, %v", sr, again, err)
 		}
 	})
 }

@@ -80,20 +80,6 @@ type Packet struct {
 	Payload []byte
 }
 
-// Marshal encodes the packet into RFC 1889 wire format.
-func (p *Packet) Marshal() []byte {
-	buf := make([]byte, 0, HeaderSize+len(p.Payload))
-	return p.AppendTo(buf)
-}
-
-// AppendTo appends the packet's wire encoding (header then payload) to dst
-// and returns the extended slice. It allocates only when dst lacks capacity,
-// which is how the sender hot path assembles packets into pooled buffers.
-func (p *Packet) AppendTo(dst []byte) []byte {
-	dst = AppendHeader(dst, p.Marker, p.PayloadType, p.SequenceNumber, p.Timestamp, p.SSRC)
-	return append(dst, p.Payload...)
-}
-
 // AppendHeader appends a 12-byte RTP header with the given fields to dst.
 func AppendHeader(dst []byte, marker bool, pt PayloadType, seq uint16, ts, ssrc uint32) []byte {
 	b1 := uint8(pt) & 0x7f

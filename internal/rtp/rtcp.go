@@ -9,10 +9,8 @@ import (
 
 // RTCP packet types (RFC 1889 §6).
 const (
-	TypeSR   = 200 // sender report
-	TypeRR   = 201 // receiver report
-	TypeSDES = 202 // source description
-	TypeBYE  = 203 // goodbye
+	TypeSR = 200 // sender report
+	TypeRR = 201 // receiver report
 )
 
 // ReceptionReport is one reception report block of an SR/RR: the per-source
@@ -55,18 +53,6 @@ type SenderReport struct {
 type ReceiverReport struct {
 	SSRC    uint32 // the reporting receiver
 	Reports []ReceptionReport
-}
-
-// Goodbye is an RTCP BYE.
-type Goodbye struct {
-	SSRC   uint32
-	Reason string
-}
-
-// SourceDescription is an RTCP SDES carrying a single CNAME item.
-type SourceDescription struct {
-	SSRC  uint32
-	CNAME string
 }
 
 const rrBlockSize = 24
@@ -140,9 +126,6 @@ func (rr *ReceiverReport) AppendTo(dst []byte) []byte {
 	return appendRRs(dst, rr.SSRC, rr.Reports)
 }
 
-// Marshal encodes the receiver report.
-func (rr *ReceiverReport) Marshal() []byte { return rr.AppendTo(nil) }
-
 // appendRRs appends RRs from ssrc carrying blocks, at most 31 in each, and
 // one RR when blocks is empty.
 func appendRRs(dst []byte, ssrc uint32, blocks []ReceptionReport) []byte {
@@ -165,42 +148,6 @@ func appendRRs(dst []byte, ssrc uint32, blocks []ReceptionReport) []byte {
 // grow extends dst by n bytes.
 func grow(dst []byte, n int) []byte {
 	return slices.Grow(dst, n)[:len(dst)+n]
-}
-
-// Marshal encodes the BYE packet.
-func (g *Goodbye) Marshal() []byte {
-	reason := []byte(g.Reason)
-	pad := (4 - (len(reason)+1)%4) % 4
-	size := 8 + 1 + len(reason) + pad
-	buf := make([]byte, size)
-	marshalHeader(buf, 1, TypeBYE, size/4-1)
-	binary.BigEndian.PutUint32(buf[4:], g.SSRC)
-	buf[8] = byte(len(reason))
-	copy(buf[9:], reason)
-	return buf
-}
-
-// Marshal encodes the SDES packet with one CNAME item.
-func (sd *SourceDescription) Marshal() []byte {
-	cname := []byte(sd.CNAME)
-	itemLen := 2 + len(cname)     // type + len + text
-	pad := 4 - (4+itemLen)%4      // chunk padded to 32 bits incl. null
-	size := 4 + 4 + itemLen + pad // header + SSRC + item + padding
-	buf := make([]byte, size)
-	marshalHeader(buf, 1, TypeSDES, size/4-1)
-	binary.BigEndian.PutUint32(buf[4:], sd.SSRC)
-	buf[8] = 1 // CNAME
-	buf[9] = byte(len(cname))
-	copy(buf[10:], cname)
-	return buf
-}
-
-// ControlPacket is the union of decoded RTCP packets.
-type ControlPacket struct {
-	SR   *SenderReport
-	RR   *ReceiverReport
-	SDES *SourceDescription
-	BYE  *Goodbye
 }
 
 // parseHeader checks the RTCP header common to every packet type and
@@ -270,52 +217,6 @@ func unmarshalReports(dst *[]ReceptionReport, buf []byte, count int) {
 	}
 	for i := range *dst {
 		(*dst)[i] = unmarshalReport(buf[i*rrBlockSize:])
-	}
-}
-
-// UnmarshalControl decodes a single RTCP packet (compound packets: call
-// repeatedly via SplitCompound).
-func UnmarshalControl(buf []byte) (*ControlPacket, error) {
-	_, ptype, err := parseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	switch ptype {
-	case TypeSR:
-		sr := &SenderReport{}
-		if err := sr.Unmarshal(buf); err != nil {
-			return nil, err
-		}
-		return &ControlPacket{SR: sr}, nil
-	case TypeRR:
-		rr := &ReceiverReport{}
-		if err := rr.Unmarshal(buf); err != nil {
-			return nil, err
-		}
-		return &ControlPacket{RR: rr}, nil
-	case TypeSDES:
-		if len(buf) < 10 {
-			return nil, fmt.Errorf("%w: SDES truncated", ErrMalformed)
-		}
-		n := int(buf[9])
-		if len(buf) < 10+n {
-			return nil, fmt.Errorf("%w: SDES item truncated", ErrMalformed)
-		}
-		return &ControlPacket{SDES: &SourceDescription{
-			SSRC:  binary.BigEndian.Uint32(buf[4:]),
-			CNAME: string(buf[10 : 10+n]),
-		}}, nil
-	case TypeBYE:
-		g := &Goodbye{SSRC: binary.BigEndian.Uint32(buf[4:])}
-		if len(buf) > 8 {
-			n := int(buf[8])
-			if len(buf) >= 9+n {
-				g.Reason = string(buf[9 : 9+n])
-			}
-		}
-		return &ControlPacket{BYE: g}, nil
-	default:
-		return nil, fmt.Errorf("%w: rtcp type %d", ErrMalformed, ptype)
 	}
 }
 

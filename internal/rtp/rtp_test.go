@@ -17,7 +17,7 @@ func TestPacketRoundTrip(t *testing.T) {
 		SSRC:           0xCAFEBABE,
 		Payload:        []byte("frame data"),
 	}
-	buf := p.Marshal()
+	buf := encode(p)
 	if len(buf) != HeaderSize+len(p.Payload) {
 		t.Fatalf("wire size = %d", len(buf))
 	}
@@ -34,7 +34,7 @@ func TestPacketRoundTrip(t *testing.T) {
 
 func TestPacketVersionBits(t *testing.T) {
 	p := &Packet{PayloadType: PTPCM}
-	buf := p.Marshal()
+	buf := encode(p)
 	if buf[0]>>6 != 2 {
 		t.Fatalf("version bits = %d", buf[0]>>6)
 	}
@@ -62,7 +62,7 @@ func TestQuickPacketRoundTrip(t *testing.T) {
 			Marker: marker, PayloadType: PayloadType(pt & 0x7f),
 			SequenceNumber: seq, Timestamp: ts, SSRC: ssrc, Payload: payload,
 		}
-		q, err := Unmarshal(p.Marshal())
+		q, err := Unmarshal(encode(p))
 		if err != nil {
 			return false
 		}
@@ -75,45 +75,54 @@ func TestQuickPacketRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendToMatchesMarshal: the append-style encoder is the single-pass
-// assembly primitive; its bytes must be identical to Marshal's, including
-// when appending after an existing prefix.
+// encode is p's wire form: its header, then its payload.
+func encode(p *Packet) []byte {
+	return append(AppendHeader(nil, p.Marker, p.PayloadType, p.SequenceNumber, p.Timestamp, p.SSRC), p.Payload...)
+}
+
+// TestAppendToMatchesMarshal: the append-style header encoder is the
+// single-pass assembly primitive; appending after an existing prefix leaves
+// the prefix alone and adds the same bytes as appending to nothing.
 func TestAppendToMatchesMarshal(t *testing.T) {
-	p := &Packet{
-		Marker: true, PayloadType: PTJPEG, SequenceNumber: 7,
-		Timestamp: 90000, SSRC: 0x1996, Payload: []byte("still bytes"),
-	}
-	if !bytes.Equal(p.AppendTo(nil), p.Marshal()) {
-		t.Fatal("AppendTo(nil) differs from Marshal")
-	}
 	prefix := []byte("prefix-")
-	out := p.AppendTo(append([]byte(nil), prefix...))
-	if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], p.Marshal()) {
-		t.Fatal("AppendTo after a prefix corrupted the encoding")
+	out := AppendHeader(append([]byte(nil), prefix...), true, PTJPEG, 7, 90000, 0x1996)
+	if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], AppendHeader(nil, true, PTJPEG, 7, 90000, 0x1996)) {
+		t.Fatal("AppendHeader after a prefix corrupted the encoding")
 	}
 }
 
-// TestAppendNextMatchesNext: a sender driven through the allocation-free
-// AppendNext path must produce the same wire bytes and the same counters as
-// one driven through Next+Marshal.
+// next has s emit its next packet for payload through AppendNext, the way
+// the server's emit path does, and decodes it back.
+func next(t *testing.T, s *Sender, ts time.Duration, payload []byte, marker bool) *Packet {
+	t.Helper()
+	p, err := Unmarshal(append(s.AppendNext(nil, ts, marker, len(payload)), payload...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestAppendNextMatchesNext: the header AppendNext writes carries the
+// sender's SSRC and payload type, the next sequence number and ts in media
+// clock units, and the report counters count the payload the caller
+// appends.
 func TestAppendNextMatchesNext(t *testing.T) {
-	a := NewSender(0xAB, PTMPEG, 65533)
-	b := NewSender(0xAB, PTMPEG, 65533)
+	s := NewSender(0xAB, PTMPEG, 65533)
 	payloads := [][]byte{[]byte("i-frame"), []byte("p"), nil, []byte("bigger payload here")}
+	octets := 0
 	for i, pl := range payloads {
 		ts := time.Duration(i) * 40 * time.Millisecond
 		marker := i%2 == 0
-		want := a.Next(ts, pl, marker).Marshal()
-		got := b.AppendNext(nil, ts, marker, len(pl))
-		got = append(got, pl...)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("packet %d: AppendNext wire bytes differ from Next", i)
+		got := next(t, s, ts, pl, marker)
+		want := Packet{Marker: marker, PayloadType: PTMPEG, SequenceNumber: uint16(65533 + i), Timestamp: ToTimestamp(ts), SSRC: 0xAB, Payload: pl}
+		if got.Marker != want.Marker || got.PayloadType != want.PayloadType || got.SequenceNumber != want.SequenceNumber ||
+			got.Timestamp != want.Timestamp || got.SSRC != want.SSRC || !bytes.Equal(got.Payload, pl) {
+			t.Fatalf("packet %d = %+v, want %+v", i, *got, want)
 		}
+		octets += len(pl)
 	}
-	ra, rb := a.Report(time.Time{}, 0), b.Report(time.Time{}, 0)
-	if ra.PacketCount != rb.PacketCount || ra.OctetCount != rb.OctetCount {
-		t.Fatalf("counters diverged: %d/%d vs %d/%d",
-			ra.PacketCount, ra.OctetCount, rb.PacketCount, rb.OctetCount)
+	if r := s.Report(time.Time{}, 0); r.PacketCount != 4 || int(r.OctetCount) != octets {
+		t.Fatalf("counters = %d/%d, want 4/%d", r.PacketCount, r.OctetCount, octets)
 	}
 }
 
@@ -122,7 +131,7 @@ func TestAppendNextMatchesNext(t *testing.T) {
 // it must copy — and callers that don't get it for free.
 func TestUnmarshalZeroCopy(t *testing.T) {
 	p := &Packet{PayloadType: PTPCM, Payload: []byte("audio")}
-	buf := p.Marshal()
+	buf := encode(p)
 	q, err := Unmarshal(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -152,9 +161,9 @@ func TestPayloadTypeNames(t *testing.T) {
 
 func TestSenderSequencing(t *testing.T) {
 	s := NewSender(42, PTMPEG, 65534)
-	p1 := s.Next(0, []byte("a"), false)
-	p2 := s.Next(time.Second, []byte("b"), false)
-	p3 := s.Next(2*time.Second, []byte("c"), true)
+	p1 := next(t, s, 0, []byte("a"), false)
+	p2 := next(t, s, time.Second, []byte("b"), false)
+	p3 := next(t, s, 2*time.Second, []byte("c"), true)
 	if p1.SequenceNumber != 65534 || p2.SequenceNumber != 65535 || p3.SequenceNumber != 0 {
 		t.Fatalf("seqs = %d,%d,%d", p1.SequenceNumber, p2.SequenceNumber, p3.SequenceNumber)
 	}
@@ -189,8 +198,8 @@ func TestReceiverLossAccounting(t *testing.T) {
 		r.Observe(p, at, time.Time{})
 		at = at.Add(33 * time.Millisecond)
 	}
-	if r.Expected() != 6 || r.Received() != 5 {
-		t.Fatalf("expected/received = %d/%d", r.Expected(), r.Received())
+	if r.Expected() != 6 || r.received != 5 {
+		t.Fatalf("expected/received = %d/%d", r.Expected(), r.received)
 	}
 	if r.CumulativeLost() != 1 {
 		t.Fatalf("lost = %d", r.CumulativeLost())
@@ -277,12 +286,11 @@ func TestSenderReportRoundTrip(t *testing.T) {
 			ExtendedHighSeq: 70000, Jitter: 450, LastSR: 99, DelaySinceLastSR: 88,
 		}},
 	}
-	cp, err := UnmarshalControl(sr.Marshal())
-	if err != nil {
+	var got SenderReport
+	if err := got.Unmarshal(sr.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	got := cp.SR
-	if got == nil || got.SSRC != sr.SSRC || got.NTPTime != sr.NTPTime ||
+	if got.SSRC != sr.SSRC || got.NTPTime != sr.NTPTime ||
 		got.PacketCount != sr.PacketCount || got.OctetCount != sr.OctetCount {
 		t.Fatalf("SR = %+v", got)
 	}
@@ -299,17 +307,12 @@ func TestReceiverReportRoundTrip(t *testing.T) {
 			{SSRC: 2, FractionLost: 0, CumulativeLost: 0, ExtendedHighSeq: 50, Jitter: 1},
 		},
 	}
-	cp, err := UnmarshalControl(rr.Marshal())
-	if err != nil {
+	var got ReceiverReport
+	if err := got.Unmarshal(rr.AppendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if cp.RR == nil || cp.RR.SSRC != 9 || len(cp.RR.Reports) != 2 {
-		t.Fatalf("RR = %+v", cp.RR)
-	}
-	for i := range rr.Reports {
-		if cp.RR.Reports[i] != rr.Reports[i] {
-			t.Fatalf("block %d = %+v", i, cp.RR.Reports[i])
-		}
+	if !reflect.DeepEqual(&got, rr) {
+		t.Fatalf("RR = %+v, want %+v", got, rr)
 	}
 }
 
@@ -331,7 +334,7 @@ func TestReportsBeyond31Blocks(t *testing.T) {
 		types []uint8
 	}{
 		{"SR", sr.Marshal(), 7, []uint8{TypeSR, TypeRR}},
-		{"RR", rr.Marshal(), 9, []uint8{TypeRR, TypeRR}},
+		{"RR", rr.AppendTo(nil), 9, []uint8{TypeRR, TypeRR}},
 	} {
 		parts, err := SplitCompound(nil, tc.buf)
 		if err != nil {
@@ -342,21 +345,25 @@ func TestReportsBeyond31Blocks(t *testing.T) {
 			if part[1] != tc.types[min(i, len(tc.types)-1)] {
 				t.Fatalf("%s: packet %d has type %d", tc.name, i, part[1])
 			}
-			cp, err := UnmarshalControl(part)
-			if err != nil {
+			if part[1] == TypeSR {
+				var gotSR SenderReport
+				if err := gotSR.Unmarshal(part); err != nil {
+					t.Fatalf("%s: packet %d: %v", tc.name, i, err)
+				}
+				if gotSR.SSRC != tc.ssrc || gotSR.NTPTime != sr.NTPTime || gotSR.PacketCount != sr.PacketCount {
+					t.Fatalf("%s: SR = %+v", tc.name, gotSR)
+				}
+				got = append(got, gotSR.Reports...)
+				continue
+			}
+			var gotRR ReceiverReport
+			if err := gotRR.Unmarshal(part); err != nil {
 				t.Fatalf("%s: packet %d: %v", tc.name, i, err)
 			}
-			if cp.SR != nil {
-				if cp.SR.SSRC != tc.ssrc || cp.SR.NTPTime != sr.NTPTime || cp.SR.PacketCount != sr.PacketCount {
-					t.Fatalf("%s: SR = %+v", tc.name, cp.SR)
-				}
-				got = append(got, cp.SR.Reports...)
-			} else {
-				if cp.RR.SSRC != tc.ssrc {
-					t.Fatalf("%s: packet %d from SSRC %d, want %d", tc.name, i, cp.RR.SSRC, tc.ssrc)
-				}
-				got = append(got, cp.RR.Reports...)
+			if gotRR.SSRC != tc.ssrc {
+				t.Fatalf("%s: packet %d from SSRC %d, want %d", tc.name, i, gotRR.SSRC, tc.ssrc)
 			}
+			got = append(got, gotRR.Reports...)
 		}
 		if len(parts) != 2 || !reflect.DeepEqual(got, blocks) {
 			t.Fatalf("%s: %d packets carry %d blocks, want 2 carrying the 40 sent", tc.name, len(parts), len(got))
@@ -396,41 +403,19 @@ func TestReportCodecAllocFree(t *testing.T) {
 
 func TestNegativeCumulativeLostSignExtension(t *testing.T) {
 	rr := &ReceiverReport{SSRC: 1, Reports: []ReceptionReport{{SSRC: 2, CumulativeLost: -3}}}
-	cp, err := UnmarshalControl(rr.Marshal())
-	if err != nil {
+	var got ReceiverReport
+	if err := got.Unmarshal(rr.AppendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if cp.RR.Reports[0].CumulativeLost != -3 {
-		t.Fatalf("cum lost = %d, want -3", cp.RR.Reports[0].CumulativeLost)
-	}
-}
-
-func TestByeRoundTrip(t *testing.T) {
-	g := &Goodbye{SSRC: 77, Reason: "session over"}
-	cp, err := UnmarshalControl(g.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.BYE == nil || cp.BYE.SSRC != 77 || cp.BYE.Reason != "session over" {
-		t.Fatalf("BYE = %+v", cp.BYE)
-	}
-}
-
-func TestSDESRoundTrip(t *testing.T) {
-	sd := &SourceDescription{SSRC: 31337, CNAME: "client@host"}
-	cp, err := UnmarshalControl(sd.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.SDES == nil || cp.SDES.SSRC != 31337 || cp.SDES.CNAME != "client@host" {
-		t.Fatalf("SDES = %+v", cp.SDES)
+	if got.Reports[0].CumulativeLost != -3 {
+		t.Fatalf("cum lost = %d, want -3", got.Reports[0].CumulativeLost)
 	}
 }
 
 func TestCompoundSplit(t *testing.T) {
 	sr := (&SenderReport{SSRC: 1}).Marshal()
-	rr := (&ReceiverReport{SSRC: 2}).Marshal()
-	bye := (&Goodbye{SSRC: 3, Reason: "x"}).Marshal()
+	rr := (&ReceiverReport{SSRC: 2}).AppendTo(nil)
+	bye := []byte{0x81, 203, 0, 1, 0, 0, 0, 3} // a BYE from SSRC 3, no reason
 	var comp []byte
 	comp = append(comp, sr...)
 	comp = append(comp, rr...)
@@ -442,7 +427,7 @@ func TestCompoundSplit(t *testing.T) {
 	if len(parts) != 3 {
 		t.Fatalf("parts = %d", len(parts))
 	}
-	types := []int{TypeSR, TypeRR, TypeBYE}
+	types := []int{TypeSR, TypeRR, 203}
 	for i, p := range parts {
 		if int(p[1]) != types[i] {
 			t.Fatalf("part %d type %d", i, p[1])
@@ -454,17 +439,19 @@ func TestCompoundSplit(t *testing.T) {
 }
 
 func TestUnmarshalControlErrors(t *testing.T) {
-	if _, err := UnmarshalControl([]byte{0x80, 200}); err == nil {
+	var rr ReceiverReport
+	var sr SenderReport
+	if rr.Unmarshal([]byte{0x80, TypeRR}) == nil || sr.Unmarshal([]byte{0x80, TypeSR}) == nil {
 		t.Fatal("accepted short RTCP")
 	}
-	bad := (&ReceiverReport{SSRC: 1}).Marshal()
+	bad := (&ReceiverReport{SSRC: 1}).AppendTo(nil)
 	bad[1] = 250 // unknown type
-	if _, err := UnmarshalControl(bad); err == nil {
+	if rr.Unmarshal(bad) == nil || sr.Unmarshal(bad) == nil {
 		t.Fatal("accepted unknown RTCP type")
 	}
-	bad2 := (&ReceiverReport{SSRC: 1}).Marshal()
+	bad2 := (&ReceiverReport{SSRC: 1}).AppendTo(nil)
 	bad2[0] = 1 << 6
-	if _, err := UnmarshalControl(bad2); err == nil {
+	if rr.Unmarshal(bad2) == nil {
 		t.Fatal("accepted wrong RTCP version")
 	}
 }
@@ -495,7 +482,7 @@ func TestLossFraction(t *testing.T) {
 func TestSenderForkSeamlessContinuation(t *testing.T) {
 	s := NewSender(0xABCD, PTMPEG, 100)
 	for i := 0; i < 5; i++ {
-		s.Next(time.Duration(i)*40*time.Millisecond, []byte("frame"), true)
+		next(t, s, time.Duration(i)*40*time.Millisecond, []byte("frame"), true)
 	}
 	f := s.Fork()
 	if f.SSRC != s.SSRC || f.PayloadType != s.PayloadType {
@@ -508,7 +495,7 @@ func TestSenderForkSeamlessContinuation(t *testing.T) {
 		t.Fatalf("fork packet count %d, original %d", f.PacketCount(), s.PacketCount())
 	}
 	// The receiver that follows the fork sees a contiguous stream…
-	p := f.Next(200*time.Millisecond, []byte("frame"), true)
+	p := next(t, f, 200*time.Millisecond, []byte("frame"), true)
 	if p.SequenceNumber != 105 {
 		t.Fatalf("fork's first packet seq = %d, want 105", p.SequenceNumber)
 	}
@@ -516,7 +503,7 @@ func TestSenderForkSeamlessContinuation(t *testing.T) {
 	if s.Seq() != 105 {
 		t.Fatalf("original seq moved to %d by the fork", s.Seq())
 	}
-	if q := s.Next(200*time.Millisecond, []byte("frame"), true); q.SequenceNumber != 105 {
+	if q := next(t, s, 200*time.Millisecond, []byte("frame"), true); q.SequenceNumber != 105 {
 		t.Fatalf("original's next seq = %d, want its own 105", q.SequenceNumber)
 	}
 }
@@ -529,9 +516,12 @@ func BenchmarkRTCPReceiverReport(b *testing.B) {
 		at = at.Add(40 * time.Millisecond)
 	}
 	b.ReportAllocs()
+	var buf []byte
+	var got ReceiverReport
 	for i := 0; i < b.N; i++ {
 		rr := ReceiverReport{SSRC: 1, Reports: []ReceptionReport{r.Report()}}
-		if _, err := UnmarshalControl(rr.Marshal()); err != nil {
+		buf = rr.AppendTo(buf[:0])
+		if err := got.Unmarshal(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

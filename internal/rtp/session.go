@@ -35,23 +35,9 @@ func NewSender(ssrc uint32, pt PayloadType, firstSeq uint16) *Sender {
 	return &Sender{SSRC: ssrc, PayloadType: pt, seq: firstSeq}
 }
 
-// Next builds the next data packet for payload sampled at media time ts.
-func (s *Sender) Next(ts time.Duration, payload []byte, marker bool) *Packet {
-	p := &Packet{
-		Marker:         marker,
-		PayloadType:    s.PayloadType,
-		SequenceNumber: s.seq,
-		Timestamp:      ToTimestamp(ts),
-		SSRC:           s.SSRC,
-		Payload:        payload,
-	}
-	s.advance(len(payload))
-	return p
-}
-
 // AppendNext appends the next data packet's 12-byte header to dst and
 // accounts for a payload of payloadLen bytes, advancing the sequence number
-// and the sender-report counters exactly as Next does. The caller appends
+// and the sender-report counters. The caller appends
 // the payload itself — this is the allocation-free half of single-pass
 // packet assembly: RTP header, frame header and payload land in one pooled
 // buffer with no intermediate slices.
@@ -176,9 +162,6 @@ func (r *Receiver) Expected() uint32 {
 	}
 	return r.ExtendedHighSeq() - r.baseSeq + 1
 }
-
-// Received returns the number of packets actually seen.
-func (r *Receiver) Received() uint32 { return r.received }
 
 // CumulativeLost returns total losses over the session (may be negative
 // with duplicates; clamped at 0 here since the simulator never duplicates).

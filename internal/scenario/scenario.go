@@ -313,15 +313,3 @@ func (sc *Scenario) NextTimedLink(t time.Duration) *Link {
 	}
 	return best
 }
-
-// ActiveAt returns the streams active at scenario-relative time t, in
-// declaration order.
-func (sc *Scenario) ActiveAt(t time.Duration) []*Stream {
-	var out []*Stream
-	for _, s := range sc.Streams {
-		if s.Type == TypeText || s.ActiveAt(t) {
-			out = append(out, s)
-		}
-	}
-	return out
-}

@@ -70,16 +70,6 @@ func BuildSchedule(sc *Scenario) *Schedule {
 	return sch
 }
 
-// Entry returns the schedule entry for stream id, or nil.
-func (sch *Schedule) Entry(id string) *Entry {
-	for _, e := range sch.Entries {
-		if e.Stream.ID == id {
-			return e
-		}
-	}
-	return nil
-}
-
 // Validate checks schedule invariants: entries sorted by deadline, sync
 // peers symmetric and co-timed.
 func (sch *Schedule) Validate() error {

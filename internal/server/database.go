@@ -32,10 +32,8 @@ type Document struct {
 type Database struct {
 	mu   sync.Mutex
 	docs map[string]*Document
-	// topics is the listing Topics last built, for server topicsOf; Put
-	// drops it. topicsFrame is its request-ID-0 Topics frame, made once
-	// TopicsFrame asks for it and dropped whenever topics is rebuilt.
-	topics      []protocol.TopicInfo
+	// topicsFrame is the listing TopicsFrame last built, for server
+	// topicsOf; Put drops it.
 	topicsFrame []byte
 	topicsOf    string
 }
@@ -58,7 +56,7 @@ func (db *Database) Put(name, src, description string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.docs[name] = &Document{Name: name, Source: src, Doc: doc, Scenario: sc, Description: description}
-	db.topics = nil
+	db.topicsFrame = nil
 	return nil
 }
 
@@ -89,49 +87,33 @@ func (db *Database) Names() []string {
 	return out
 }
 
-// Topics returns the catalogue listing for this server, sorted by name. It
-// is built on the first call after the catalogue changes and shared by
-// every caller until the next change, so callers must not modify it.
-func (db *Database) Topics(serverName string) []protocol.TopicInfo {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.topicsLocked(serverName)
-}
-
-// TopicsFrame returns the Topics listing for this server encoded as a
-// request-ID-0 frame, kept like the listing itself: every topic-list reply
-// sends and caches this one frame, so callers must not modify it.
+// TopicsFrame returns the catalogue listing for this server, sorted by
+// name, encoded as a request-ID-0 Topics frame. It is built on the first
+// call after the catalogue changes and kept until the next: every
+// topic-list reply sends and caches this one frame, so callers must not
+// modify it.
 func (db *Database) TopicsFrame(serverName string) []byte {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	topics := db.topicsLocked(serverName)
-	if db.topicsFrame == nil {
-		frame, err := protocol.NewFrame(protocol.MsgTopics, 0, &protocol.Topics{Topics: topics})
-		if err != nil {
-			panic(err)
-		}
-		db.topicsFrame = frame
+	if db.topicsFrame != nil && db.topicsOf == serverName {
+		return db.topicsFrame
 	}
-	return db.topicsFrame
-}
-
-func (db *Database) topicsLocked(serverName string) []protocol.TopicInfo {
-	if db.topics != nil && db.topicsOf == serverName {
-		return db.topics
-	}
-	db.topicsFrame = nil
-	var out []protocol.TopicInfo
+	var topics []protocol.TopicInfo
 	for _, d := range db.docs {
-		out = append(out, protocol.TopicInfo{
+		topics = append(topics, protocol.TopicInfo{
 			Name:        d.Name,
 			Title:       d.Doc.Title,
 			Server:      serverName,
 			Description: d.Description,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	db.topics, db.topicsOf = out, serverName
-	return out
+	sort.Slice(topics, func(i, j int) bool { return topics[i].Name < topics[j].Name })
+	frame, err := protocol.NewFrame(protocol.MsgTopics, 0, &protocol.Topics{Topics: topics})
+	if err != nil {
+		panic(err)
+	}
+	db.topicsFrame, db.topicsOf = frame, serverName
+	return frame
 }
 
 // Search scans "all the text documents stored in that server" for the token

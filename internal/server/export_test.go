@@ -1,6 +1,13 @@
 package server
 
-import "repro/internal/netsim"
+import (
+	"sort"
+	"strings"
+
+	"repro/internal/netsim"
+	"repro/internal/obs"
+	"repro/internal/protocol"
+)
 
 // Test-only accessors into the sharded control plane, so tests reach
 // session and dedup state without hard-coding the shard layout. The
@@ -15,6 +22,14 @@ func (s *Server) lockedSession(addr netsim.Addr) (*session, func()) {
 	sh := s.shardOf(string(addr))
 	sh.mu.Lock()
 	return sh.sessions[string(addr)], sh.mu.Unlock
+}
+
+// gradeLevel reads the quality level of stream id in the session at addr,
+// and whether it is stopped, through the sender's grading handle.
+func (s *Server) gradeLevel(addr netsim.Addr, id string) (level int, stopped bool) {
+	sess, unlock := s.lockedSession(addr)
+	defer unlock()
+	return sess.sender(id).grade.Level()
 }
 
 // dedupHas reports whether addr currently holds a reply cache.
@@ -68,4 +83,67 @@ func (s *Server) Senders() int {
 		sh.mu.RUnlock()
 	}
 	return n
+}
+
+// FlowStat is one live shared flow's public snapshot.
+type FlowStat struct {
+	Doc         string
+	Stream      string
+	Level       int
+	Subscribers int
+	Frames      int
+	Delivered   int64
+}
+
+// FlowStats snapshots every live shared flow (empty when shared flows are
+// off or no flow is active).
+func (s *Server) FlowStats() []FlowStat {
+	s.flows.mu.Lock()
+	defer s.flows.mu.Unlock()
+	out := make([]FlowStat, 0, len(s.flows.flows))
+	for key, fl := range s.flows.flows {
+		fl.mu.Lock()
+		out = append(out, FlowStat{
+			Doc:         key.doc,
+			Stream:      key.stream,
+			Level:       key.level,
+			Subscribers: len(fl.subs),
+			Frames:      fl.frames,
+			Delivered:   fl.delivered,
+		})
+		fl.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Doc != out[j].Doc {
+			return out[i].Doc < out[j].Doc
+		}
+		return out[i].Stream < out[j].Stream
+	})
+	return out
+}
+
+// LockAcqs counts the write acquisitions of the control-plane shard locks
+// so far, as the server_lock_wait histograms of the server's scope count
+// them.
+func LockAcqs(sc *obs.Scope) int64 {
+	var n int64
+	for _, p := range sc.Registry().Snapshot() {
+		if strings.HasPrefix(p.Name, "server_lock_wait{") {
+			n += p.Count
+		}
+	}
+	return n
+}
+
+// Topics decodes the catalogue listing TopicsFrame sends.
+func (db *Database) Topics(serverName string) []protocol.TopicInfo {
+	var m protocol.Topics
+	_, _, body, err := protocol.DecodeReq(db.TopicsFrame(serverName))
+	if err == nil {
+		err = protocol.DecodeBody(body, &m)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return m.Topics
 }

@@ -523,43 +523,6 @@ func (r *flowRegistry) split(fl *flow, sn *sender) *flow {
 	return p
 }
 
-// FlowStat is one live shared flow's public snapshot.
-type FlowStat struct {
-	Doc         string
-	Stream      string
-	Level       int
-	Subscribers int
-	Frames      int
-	Delivered   int64
-}
-
-// FlowStats snapshots every live shared flow (empty when shared flows are
-// off or no flow is active).
-func (s *Server) FlowStats() []FlowStat {
-	s.flows.mu.Lock()
-	defer s.flows.mu.Unlock()
-	out := make([]FlowStat, 0, len(s.flows.flows))
-	for key, fl := range s.flows.flows {
-		fl.mu.Lock()
-		out = append(out, FlowStat{
-			Doc:         key.doc,
-			Stream:      key.stream,
-			Level:       key.level,
-			Subscribers: len(fl.subs),
-			Frames:      fl.frames,
-			Delivered:   fl.delivered,
-		})
-		fl.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Doc != out[j].Doc {
-			return out[i].Doc < out[j].Doc
-		}
-		return out[i].Stream < out[j].Stream
-	})
-	return out
-}
-
 // sender is a session's handle on one of its document's streams: where the
 // stream goes and which flow currently serves it. The control operations live
 // here because the ones that make the session diverge must first split the

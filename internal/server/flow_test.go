@@ -28,7 +28,7 @@ func attachClient(t *testing.T, h *harness, host string, portBase int) protocol.
 		body []byte
 	}
 	h.net.Listen(addr, func(p netsim.Packet) {
-		mt, body, err := protocol.Decode(p.Payload)
+		mt, _, body, err := protocol.DecodeReq(p.Payload)
 		if err == nil {
 			replies = append(replies, struct {
 				mt   protocol.MsgType
@@ -159,7 +159,7 @@ func TestSharedFlowFanOutLifecycle(t *testing.T) {
 	// is untouched.
 	h.net.Send(netsim.Packet{
 		From: netsim.MakeAddr("fake2", 6000), To: netsim.MakeAddr("srv", ControlPort),
-		Payload: protocol.MustEncode(protocol.MsgDisconnect, protocol.Disconnect{}), Reliable: true,
+		Payload: protocol.MustEncodeReq(protocol.MsgDisconnect, 0, protocol.Disconnect{}), Reliable: true,
 	})
 	h.clk.RunFor(time.Second)
 	if stats := h.srv.FlowStats(); len(stats) != 0 {
@@ -305,18 +305,17 @@ func TestSharedFlowGradeDivergenceDetaches(t *testing.T) {
 	dr2 := attachClient(t, h, "fake2", 9100)
 	_, videoSSRC := announcedPort(t, dr1, "v")
 
-	mgr := h.srv.QoSManager(fakeClient)
 	for i := 0; i < 10; i++ {
 		rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{
 			SSRC: videoSSRC, FractionLost: 200,
 		}}}
-		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
+		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.AppendTo(nil)})
 		h.clk.RunFor(3 * time.Second)
-		if lvl, stopped := mgr.Level("v"); lvl > 0 || stopped {
+		if lvl, stopped := h.srv.gradeLevel(fakeClient, "v"); lvl > 0 || stopped {
 			break
 		}
 	}
-	if lvl, stopped := mgr.Level("v"); lvl == 0 && !stopped {
+	if lvl, stopped := h.srv.gradeLevel(fakeClient, "v"); lvl == 0 && !stopped {
 		t.Fatal("grading never acted on the video")
 	}
 	if vf := videoFlowStat(t, h.srv); vf.Subscribers != 1 {
@@ -403,20 +402,19 @@ func (w *flowWorld) note(client netsim.Addr) {
 }
 
 func (w *flowWorld) degradeVideo() {
-	mgr := w.h.srv.QoSManager(fakeClient)
 	// Degrade to the AVI rung (level 4) without tripping the cutoff: the
 	// video ladder changes payload type only there.
 	for i := 0; i < 40; i++ {
-		if lvl, stopped := mgr.Level("v"); lvl >= 4 || stopped {
+		if lvl, stopped := w.h.srv.gradeLevel(fakeClient, "v"); lvl >= 4 || stopped {
 			break
 		}
 		rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{
 			SSRC: w.c1.ssrc, FractionLost: 200,
 		}}}
-		w.h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
+		w.h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.AppendTo(nil)})
 		w.h.clk.RunFor(3 * time.Second)
 	}
-	if lvl, stopped := mgr.Level("v"); lvl != 4 || stopped {
+	if lvl, stopped := w.h.srv.gradeLevel(fakeClient, "v"); lvl != 4 || stopped {
 		w.t.Fatalf("video level = %d stopped=%v, want level 4 live", lvl, stopped)
 	}
 }

@@ -92,7 +92,7 @@ func TestDataPlaneRaceStress(t *testing.T) {
 	}()
 	// Heavy-loss feedback from a goroutine of its own, racing the reloads
 	// that install a new SSRC map while a report is resolved against one.
-	feedback := makeCtrlPacket(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
+	feedback := makeCtrlPacket(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.AppendTo(nil)})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -145,7 +145,7 @@ func TestControlPlaneRaceStress(t *testing.T) {
 			send := func(frame []byte) {
 				srv.handle(netsim.Packet{From: addr, To: ctrl, Payload: frame, Reliable: true})
 			}
-			hb := protocol.MustEncode(protocol.MsgHeartbeat, protocol.Heartbeat{})
+			hb := protocol.MustEncodeReq(protocol.MsgHeartbeat, 0, protocol.Heartbeat{})
 			for r := uint32(0); r < rounds; r++ {
 				connect := protocol.MustEncodeReq(protocol.MsgConnect, 100+r,
 					protocol.Connect{User: "bench", Password: "pw"})
@@ -172,9 +172,8 @@ func TestControlPlaneRaceStress(t *testing.T) {
 				default:
 				}
 				_ = srv.Sessions()
-				_, _ = srv.LockStats()
 				_ = srv.QoSManager(addr)
-				_ = srv.Admission().Reserved()
+				_ = srv.Admission().Utilization()
 			}
 		}(r)
 	}

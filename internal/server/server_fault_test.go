@@ -102,7 +102,7 @@ func (h *faultHarness) connectAndPlay(t *testing.T) {
 func TestSuspendGraceExpiryReleasesAdmission(t *testing.T) {
 	h := newFaultHarness(t, Options{Grace: 2 * time.Second})
 	h.connectAndPlay(t)
-	if h.srv.Admission().Reserved() == 0 {
+	if h.srv.Admission().Utilization() == 0 {
 		t.Fatal("no admission reservation after connect")
 	}
 	h.sendReq(3, protocol.MsgSuspend, &protocol.Suspend{})
@@ -122,7 +122,7 @@ func TestSuspendGraceExpiryReleasesAdmission(t *testing.T) {
 	if n := h.srv.Sessions(); n != 0 {
 		t.Fatalf("sessions after grace expiry = %d, want 0", n)
 	}
-	if r := h.srv.Admission().Reserved(); r != 0 {
+	if r := h.srv.Admission().Utilization(); r != 0 {
 		t.Fatalf("reserved after grace expiry = %v, want 0", r)
 	}
 }
@@ -135,7 +135,7 @@ func TestResumeBeforeExpiryRestoresSenders(t *testing.T) {
 	h.connectAndPlay(t)
 	var cr protocol.ConnectResult
 	h.lastReply(t, protocol.MsgConnectResult, &cr)
-	reserved := h.srv.Admission().Reserved()
+	reserved := h.srv.Admission().Utilization()
 	h.sendReq(3, protocol.MsgSuspend, &protocol.Suspend{})
 	var sr protocol.SuspendResult
 	h.lastReply(t, protocol.MsgSuspendResult, &sr)
@@ -168,7 +168,7 @@ func TestResumeBeforeExpiryRestoresSenders(t *testing.T) {
 			t.Fatalf("sender %s still paused after resume", snd.stream.ID)
 		}
 	}
-	if r := h.srv.Admission().Reserved(); r != reserved {
+	if r := h.srv.Admission().Utilization(); r != reserved {
 		t.Fatalf("reserved changed across suspend/resume: %v → %v", reserved, r)
 	}
 	// The old grace timer must not fire later and kill the resumed session.
@@ -187,7 +187,7 @@ func TestLivenessSweepAutoSuspendsSilentClient(t *testing.T) {
 	h.connectAndPlay(t)
 	h.net.Send(netsim.Packet{
 		From: fakeClient, To: netsim.MakeAddr("srv", ControlPort),
-		Payload:  protocol.MustEncode(protocol.MsgHeartbeat, protocol.Heartbeat{}),
+		Payload:  protocol.MustEncodeReq(protocol.MsgHeartbeat, 0, protocol.Heartbeat{}),
 		Reliable: true,
 	})
 	h.clk.RunFor(time.Second)
@@ -212,7 +212,7 @@ func TestLivenessSweepAutoSuspendsSilentClient(t *testing.T) {
 	if n := h.srv.Sessions(); n != 0 {
 		t.Fatalf("sessions after grace = %d, want 0", n)
 	}
-	if r := h.srv.Admission().Reserved(); r != 0 {
+	if r := h.srv.Admission().Utilization(); r != 0 {
 		t.Fatalf("reserved after grace = %v, want 0", r)
 	}
 }
@@ -226,7 +226,7 @@ func TestReplySendFailureCounted(t *testing.T) {
 		t.Fatalf("send-failure counter = %d, want 1", got)
 	}
 	found := false
-	for _, e := range h.scope.Trace().Events() {
+	for _, e := range h.scope.Trace().EventsAppend(nil) {
 		if e.Kind == obs.EvSendFailure {
 			found = true
 		}
@@ -360,7 +360,7 @@ func TestIllegalInputsCounted(t *testing.T) {
 				t.Fatalf("server_illegal_inputs = %d, want 1", got)
 			}
 			var traced []obs.Event
-			for _, e := range h.scope.Trace().Events() {
+			for _, e := range h.scope.Trace().EventsAppend(nil) {
 				if e.Kind == obs.EvIllegalInput {
 					traced = append(traced, e)
 				}
@@ -465,7 +465,7 @@ func TestMalformedRequestCounted(t *testing.T) {
 		t.Fatalf("replies = %+v, want none", h.replies)
 	}
 	n := 0
-	for _, e := range h.scope.Trace().Events() {
+	for _, e := range h.scope.Trace().EventsAppend(nil) {
 		if e.Kind == obs.EvCtrlDecodeError {
 			n++
 		}

@@ -34,7 +34,7 @@ func TestServerSubscribeInBand(t *testing.T) {
 	if !sr.OK {
 		t.Fatalf("subscribe = %+v", sr)
 	}
-	if !h.users.Known("new") {
+	if _, err := h.users.Authenticate("new", "np", h.clk.Now()); err != nil {
 		t.Fatal("user missing from the database")
 	}
 	// Duplicate subscription is refused with a reason.
@@ -199,17 +199,17 @@ func TestServerFeedbackDrivesGrading(t *testing.T) {
 		rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{
 			SSRC: videoSSRC, FractionLost: 128, // 50%
 		}}}
-		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
+		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.AppendTo(nil)})
 		h.clk.RunFor(3 * time.Second)
 	}
-	lvl, stopped := mgr.Level("V")
+	lvl, stopped := h.srv.gradeLevel(fakeClient, "V")
 	if lvl == 0 && !stopped {
 		t.Fatal("feedback never degraded the video")
 	}
 	// Unknown SSRCs and garbage RTCP are ignored without panic.
 	h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: []byte{1, 2, 3}})
 	rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{SSRC: 999999}}}
-	h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
+	h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.AppendTo(nil)})
 }
 
 func TestServerFeedbackIgnoredWhenGradingDisabled(t *testing.T) {
@@ -220,7 +220,7 @@ func TestServerFeedbackIgnoredWhenGradingDisabled(t *testing.T) {
 		rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{
 			SSRC: dr.Streams[0].SSRC, FractionLost: 255,
 		}}}
-		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
+		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.AppendTo(nil)})
 		h.clk.RunFor(3 * time.Second)
 	}
 	if len(mgr.Actions()) != 0 {
@@ -243,19 +243,18 @@ func TestServerCutoffStopsTransmissionAndRestoreResumes(t *testing.T) {
 	}
 	vPkts := 0
 	h.net.Listen(netsim.MakeAddr("fake", videoPort), func(netsim.Packet) { vPkts++ })
-	mgr := h.srv.QoSManager(fakeClient)
 	// Hammer with loss until cutoff.
 	for i := 0; i < 30; i++ {
 		rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{
 			SSRC: videoSSRC, FractionLost: 200,
 		}}}
-		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
+		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.AppendTo(nil)})
 		h.clk.RunFor(3 * time.Second)
-		if _, stopped := mgr.Level("v"); stopped {
+		if _, stopped := h.srv.gradeLevel(fakeClient, "v"); stopped {
 			break
 		}
 	}
-	if _, stopped := mgr.Level("v"); !stopped {
+	if _, stopped := h.srv.gradeLevel(fakeClient, "v"); !stopped {
 		t.Fatal("video never cut off")
 	}
 	// While cut off, the sender withholds frames.
@@ -268,9 +267,9 @@ func TestServerCutoffStopsTransmissionAndRestoreResumes(t *testing.T) {
 	// must decay below the upgrade threshold, then the hold must pass).
 	for i := 0; i < 25; i++ {
 		rr := rtp.ReceiverReport{SSRC: 1, Reports: []rtp.ReceptionReport{{SSRC: videoSSRC}}}
-		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.Marshal()})
+		h.send(protocol.MsgFeedback, &protocol.Feedback{RTCP: rr.AppendTo(nil)})
 		h.clk.RunFor(3 * time.Second)
-		if _, stopped := mgr.Level("v"); !stopped {
+		if _, stopped := h.srv.gradeLevel(fakeClient, "v"); !stopped {
 			break
 		}
 	}

@@ -52,7 +52,7 @@ func TestDatabaseTopics(t *testing.T) {
 		t.Fatalf("topic 0 = %+v", tops[0])
 	}
 	// The listing is kept until the catalogue changes.
-	if again := db.Topics("srv"); &again[0] != &tops[0] {
+	if a, b := db.TopicsFrame("srv"), db.TopicsFrame("srv"); &a[0] != &b[0] {
 		t.Fatal("listing rebuilt with the catalogue unchanged")
 	}
 	db.Put("c-doc", `<TITLE>Gamma</TITLE><TEXT>z</TEXT>`, "third")
@@ -117,7 +117,7 @@ func newHarness(t *testing.T, opts Options) *harness {
 	}
 	h.srv = srv
 	net.Listen(fakeClient, func(p netsim.Packet) {
-		mt, body, err := protocol.Decode(p.Payload)
+		mt, _, body, err := protocol.DecodeReq(p.Payload)
 		if err == nil {
 			// body views p.Payload, which the simulator recycles after this
 			// handler returns: keep a copy.
@@ -294,13 +294,13 @@ func TestServerResumeWithinGrace(t *testing.T) {
 func TestServerDisconnectChargesAndReleases(t *testing.T) {
 	h := newHarness(t, Options{})
 	h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
-	reserved := h.srv.Admission().Reserved()
+	reserved := h.srv.Admission().Utilization()
 	if reserved <= 0 {
 		t.Fatal("nothing reserved")
 	}
 	h.clk.RunFor(10 * time.Second)
 	h.send(protocol.MsgDisconnect, &protocol.Disconnect{})
-	if h.srv.Admission().Reserved() != 0 {
+	if h.srv.Admission().Utilization() != 0 {
 		t.Fatal("reservation not released")
 	}
 	if h.users.Balance("u") <= 0 {

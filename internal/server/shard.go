@@ -2,7 +2,6 @@ package server
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/netsim"
@@ -45,21 +44,17 @@ func shardIndex(key string) int {
 	return int(h & (ctrlShards - 1))
 }
 
-// lockMeter is one shard's control-plane mutex, instrumented so the
-// data-plane tests can prove the per-frame emit path never touches it:
-// it counts acquisitions, accumulates wall-clock hold time, and (when the
-// server has a telemetry scope) feeds a per-shard wait histogram so lock
-// contention shows up as a distribution, not just a total. The few time.Now
-// calls per acquisition cost tens of nanoseconds on control-plane
-// operations that each do map work and I/O — negligible — and buy a direct
-// measurement of control-lock pressure. Read-side acquisitions are
-// unmetered: they exist precisely so read-only accessors can be served
-// without polluting the meter.
+// lockMeter is one shard's control-plane mutex, instrumented so lock
+// contention shows up as a distribution, not just a total: when the server
+// has a telemetry scope, each write acquisition feeds a per-shard wait
+// histogram, whose count is also how the data-plane tests prove the
+// per-frame emit path never takes the lock. The two time.Now calls per
+// acquisition cost tens of nanoseconds on control-plane operations that
+// each do map work and I/O. Read-side acquisitions are unmetered: they
+// exist precisely so read-only accessors can be served without polluting
+// the meter.
 type lockMeter struct {
-	mu       sync.RWMutex
-	acqs     atomic.Int64
-	heldNS   atomic.Int64
-	lockedAt time.Time // guarded by mu: written after Lock, read before Unlock
+	mu sync.RWMutex
 	// hWait observes the wall time each Lock spent waiting. Set once at
 	// Server.New (a shared no-op when telemetry is off), before any
 	// concurrent use, so reads need no synchronization.
@@ -70,30 +65,19 @@ type lockMeter struct {
 func (m *lockMeter) Lock() {
 	t0 := time.Now()
 	m.mu.Lock()
-	m.acqs.Add(1)
-	now := time.Now()
 	if m.hWait != nil {
-		m.hWait.Observe(now.Sub(t0))
+		m.hWait.Observe(time.Since(t0))
 	}
-	m.lockedAt = now
 }
 
-// Unlock releases the shard lock, accounting the hold.
-func (m *lockMeter) Unlock() {
-	m.heldNS.Add(int64(time.Since(m.lockedAt)))
-	m.mu.Unlock()
-}
+// Unlock releases the shard lock.
+func (m *lockMeter) Unlock() { m.mu.Unlock() }
 
 // RLock acquires the shard lock for reading, without touching the meter.
 func (m *lockMeter) RLock() { m.mu.RLock() }
 
 // RUnlock releases a read acquisition.
 func (m *lockMeter) RUnlock() { m.mu.RUnlock() }
-
-// Stats returns the write-acquisition count and cumulative hold time.
-func (m *lockMeter) Stats() (acqs int64, held time.Duration) {
-	return m.acqs.Load(), time.Duration(m.heldNS.Load())
-}
 
 // ctrlShard is one slice of the control plane: the sessions whose client
 // address hashes here, the resume-token and session-ID indexes of those
@@ -209,19 +193,6 @@ func (s *Server) claimSessionFor(from netsim.Addr, pick func(*ctrlShard) *sessio
 		s.unlockPair(oi, ni)
 	}
 	return nil, -1, ni
-}
-
-// LockStats reports how many times the control-plane shard locks have been
-// write-acquired and their cumulative wall-clock hold time, summed across
-// shards. TestDataPlaneEmitOffGlobalLock samples it around a paced window to
-// prove media pacing runs entirely off the control plane.
-func (s *Server) LockStats() (acqs int64, held time.Duration) {
-	for i := range s.shards {
-		a, h := s.shards[i].mu.Stats()
-		acqs += a
-		held += h
-	}
-	return acqs, held
 }
 
 // Sessions returns the number of live sessions. Served from a counter the

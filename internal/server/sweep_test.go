@@ -48,15 +48,16 @@ func TestDedupSweepQuiescesWithLiveSession(t *testing.T) {
 	}
 }
 
-// TestAccessorsStayOffLockMeter pins the satellite-3 fix: the read-only
-// accessors Sessions and QoSManager must not take the metered write lock —
-// pre-fix they polluted LockStats, hiding real contention behind monitoring
-// noise and invalidating the data plane's paced_lock_acqs == 0 proof.
+// TestAccessorsStayOffLockMeter: the read-only accessors Sessions and
+// QoSManager must not take the metered write lock — if they did, they would
+// pollute the server_lock_wait histograms, hiding real contention behind
+// monitoring noise and invalidating the data plane's paced_lock_acqs == 0
+// proof.
 func TestAccessorsStayOffLockMeter(t *testing.T) {
 	h := newFaultHarness(t, Options{})
 	h.connectAndPlay(t)
 
-	acqs0, _ := h.srv.LockStats()
+	acqs0 := LockAcqs(h.scope)
 	for i := 0; i < 200; i++ {
 		if got := h.srv.Sessions(); got != 1 {
 			t.Fatalf("sessions = %d, want 1", got)
@@ -65,7 +66,7 @@ func TestAccessorsStayOffLockMeter(t *testing.T) {
 			t.Fatal("no QoS manager for the connected client")
 		}
 	}
-	acqs1, _ := h.srv.LockStats()
+	acqs1 := LockAcqs(h.scope)
 	if acqs1 != acqs0 {
 		t.Fatalf("read-only accessors took the metered write lock %d times; they must serve off the read side",
 			acqs1-acqs0)

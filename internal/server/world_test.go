@@ -93,8 +93,8 @@ func runPaced(t *testing.T, sessions int, shared bool) pacedRun {
 	t.Helper()
 	w := newWorld(t, map[string]string{"lesson": hml.LessonSource("load", 2, time.Minute)},
 		server.Options{SharedFlows: shared})
-	connect := protocol.MustEncode(protocol.MsgConnect, protocol.Connect{User: "load", Password: "pw"})
-	docReq := protocol.MustEncode(protocol.MsgDocRequest, protocol.DocRequest{Name: "lesson"})
+	connect := protocol.MustEncodeReq(protocol.MsgConnect, 0, protocol.Connect{User: "load", Password: "pw"})
+	docReq := protocol.MustEncodeReq(protocol.MsgDocRequest, 0, protocol.DocRequest{Name: "lesson"})
 	for i := 0; i < sessions; i++ {
 		viewer := netsim.MakeAddr(fmt.Sprintf("viewer%d", i), 6000)
 		w.send(viewer, connect)
@@ -112,12 +112,12 @@ func runPaced(t *testing.T, sessions int, shared bool) pacedRun {
 	sent := w.scope.Counter("server_media_frames_sent")
 	delivered := w.scope.Counter("server_media_frames_delivered")
 	encodes0, frames0 := sent.Value(), delivered.Value()
-	acqs0, _ := w.srv.LockStats()
+	acqs0 := server.LockAcqs(w.scope)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	w.clk.RunFor(pacedWindow)
 	runtime.ReadMemStats(&m1)
-	acqs1, _ := w.srv.LockStats()
+	acqs1 := server.LockAcqs(w.scope)
 	r.encodes, r.frames = sent.Value()-encodes0, delivered.Value()-frames0
 	r.lockAcqs, r.mallocs = acqs1-acqs0, m1.Mallocs-m0.Mallocs
 	if r.frames == 0 {
@@ -306,7 +306,7 @@ func TestConnectStormInvariants(t *testing.T) {
 		t.Fatalf("listing after the Put: %s reqID %d %+v (%v), want intro and zeta for request 3", mt, reqID, topics.Topics, err)
 	}
 
-	hb := protocol.MustEncode(protocol.MsgHeartbeat, protocol.Heartbeat{})
+	hb := protocol.MustEncodeReq(protocol.MsgHeartbeat, 0, protocol.Heartbeat{})
 	for _, a := range addrs {
 		w.send(a, hb)
 	}

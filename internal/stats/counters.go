@@ -46,9 +46,6 @@ type Gauge struct {
 // Set stores x.
 func (g *Gauge) Set(x int64) { g.v.Store(x) }
 
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 

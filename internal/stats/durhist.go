@@ -117,17 +117,6 @@ func (h *DurationHistogram) Min() time.Duration {
 	return time.Duration(v - 1)
 }
 
-// Bucket returns bucket i's count; i == len(Bounds()) is the overflow
-// bucket (observations above the last bound).
-func (h *DurationHistogram) Bucket(i int) int64 { return h.counts[i].Load() }
-
-// Bounds returns the bucket upper bounds.
-func (h *DurationHistogram) Bounds() []time.Duration {
-	out := make([]time.Duration, len(h.bounds))
-	copy(out, h.bounds)
-	return out
-}
-
 // Quantile estimates the q-th quantile (0 ≤ q ≤ 1) by interpolating inside
 // the bucket holding the target rank. Observations in the overflow bucket
 // report as the last bound (a deliberate underestimate: the histogram does

@@ -78,12 +78,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
 }
 
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
-// Min returns the smallest observation (0 when empty).
-func (s *Sample) Min() float64 { return s.Percentile(0) }
-
 // Max returns the largest observation (0 when empty).
 func (s *Sample) Max() float64 { return s.Percentile(100) }
 
@@ -114,27 +108,6 @@ func (s *Series) Add(t time.Duration, v float64) { s.points = append(s.points, P
 
 // Points returns the recorded points in insertion order.
 func (s *Series) Points() []Point { return s.points }
-
-// N returns the number of points.
-func (s *Series) N() int { return len(s.points) }
-
-// Last returns the most recent point; ok is false when empty.
-func (s *Series) Last() (Point, bool) {
-	if len(s.points) == 0 {
-		return Point{}, false
-	}
-	return s.points[len(s.points)-1], true
-}
-
-// At returns the value in effect at offset t (the last point with T ≤ t);
-// ok is false when t precedes the first point.
-func (s *Series) At(t time.Duration) (float64, bool) {
-	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].T > t })
-	if i == 0 {
-		return 0, false
-	}
-	return s.points[i-1].V, true
-}
 
 // TimeWeightedMean integrates the step function described by the series over
 // [0, horizon] and returns the mean value. Empty series yield 0.
@@ -191,9 +164,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
 
 // String renders the table.
 func (t *Table) String() string {
