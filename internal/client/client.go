@@ -152,30 +152,7 @@ type Client struct {
 	servers *record
 	current string
 
-	// presentation state
-	sc         *scenario.Scenario
-	sch        *scenario.Schedule
-	bufs       *buffer.Set
-	display    *playout.Display
-	player     *playout.Player
-	monitor    *qos.ClientMonitor // made with the first document
-	rx         []*rxStream        // one per SSRC ever announced
-	asmFree    []*assembly        // recycled assembly shells (their bufs are pooled separately)
-	docName    string
-	docHost    string   // server the current document came from
-	fillIDs    []string // stream buffers gating the deliberate initial delay
-	stillIDs   []string // stills that must be present before the start
-	docAt      time.Time
-	startDelay time.Duration
-	started    bool
-	// userPaused remembers a user-requested pause across a liveness
-	// suspend: recovery restores the paused presentation instead of
-	// restarting playout (the server keeps the sender paused too).
-	userPaused bool
-	fillTimer  *clock.Timer
-	endTimer   *clock.Timer
-	fbTimer    *clock.Timer
-	feedback   *protocol.Feedback // sendFeedback's message, made on first use and reused
+	pres *presentation // the document on screen or last shown; nil before the first
 
 	// results of the last control exchanges
 	lastConnect   *protocol.ConnectResult
@@ -198,8 +175,6 @@ type Client struct {
 	// navDirection classifies the in-flight request's effect on the
 	// stacks: 0 new navigation, -1 back, +1 forward, 2 reload.
 	navDirection int
-
-	mediaPorts []netsim.Addr
 
 	// reliable control plane (reliable.go)
 	nextReq uint32
@@ -241,6 +216,72 @@ type navEntry struct {
 	Name string
 }
 
+// presentation is one document on screen with what the paper gives each
+// presentation: its scenario and schedule, media buffers, presentation
+// handler (player and display) and the timers of its initial delay, natural
+// end and QoS feedback. Each DocResponse closes the previous one and builds
+// the next, which inherits only the receive state.
+type presentation struct {
+	sc         *scenario.Scenario
+	sch        *scenario.Schedule
+	bufs       *buffer.Set
+	display    *playout.Display
+	player     *playout.Player
+	doc        navEntry  // the document and the server it came from
+	fillIDs    []string  // stream buffers gating the deliberate initial delay
+	stillIDs   []string  // stills that must be present before the start
+	docAt      time.Time // the DocResponse's arrival; the start waits MaxInitialDelay at most
+	startDelay time.Duration
+	started    bool
+	// userPaused remembers a user-requested pause across a liveness
+	// suspend: recovery restores the paused presentation instead of
+	// restarting playout (the server keeps the sender paused too).
+	userPaused bool
+	// closed is set by close. A timer callback bound to a closed or replaced
+	// presentation (on the wall clock it can run after its Stop) does nothing.
+	closed    bool
+	fillTimer *clock.Timer
+	endTimer  *clock.Timer
+	fbTimer   *clock.Timer
+	streams   []protocol.StreamAnnounce // the media connection plan the server announced
+	ports     []netsim.Addr             // the media ports listening for this document
+	receive
+}
+
+// receive is the reception state that outlives a document: the monitor
+// never forgets a stream, so neither do the records bound to its receivers.
+type receive struct {
+	monitor *qos.ClientMonitor
+	rx      []*rxStream // one per SSRC ever announced
+	asmFree []*assembly // recycled assembly shells (their bufs are pooled separately)
+	rr      []byte      // sendFeedback's marshaled receiver report, reused
+}
+
+// close ends p: the player finishes, the timers stop, the media ports are
+// released and the frames in reassembly are recycled. Its scenario,
+// buffers, display and player stay readable until the next document
+// replaces it. Closing nil or a closed presentation does nothing.
+func (p *presentation) close(net netsim.Net) {
+	if p == nil || p.closed {
+		return
+	}
+	p.closed = true
+	p.player.Finish()
+	p.fillTimer.Stop()
+	p.endTimer.Stop()
+	p.fbTimer.Stop()
+	for _, addr := range p.ports {
+		net.Listen(addr, nil)
+	}
+	for _, rec := range p.rx {
+		for _, a := range rec.asm {
+			p.freeAssembly(a)
+		}
+		clear(rec.asm)
+		rec.asm = rec.asm[:0]
+	}
+}
+
 // asmPool recycles the frame-sized scratch buffers in which clients with
 // an Options.OnFrame observer gather frame bodies.
 var asmPool buffer.Pool
@@ -267,24 +308,37 @@ type assembly struct {
 type rxStream struct {
 	ssrc uint32
 	id   string
-	recv *rtp.Receiver           // the receiver the monitor tracks for id
-	buf  *buffer.Buffer          // the current document's buffer for id, or nil
-	ann  protocol.StreamAnnounce // the current document's announce of ssrc, or zero
-	asm  []*assembly             // frames in reassembly
+	recv *rtp.Receiver  // the receiver the monitor tracks for id
+	buf  *buffer.Buffer // the current document's buffer for id, or nil
+	asm  []*assembly    // frames in reassembly
 }
 
-// newAssemblyLocked takes an assembly shell off the free list (or makes one)
-// and gives an observer's frame pooled scratch. Caller holds c.mu.
-func (c *Client) newAssemblyLocked(hdr media.FrameHeader, ts uint32) *assembly {
+// stream returns the record of the stream ssrc names, trying the port's own
+// record first, or nil when no announced stream carries ssrc.
+func (r *receive) stream(bound *rxStream, ssrc uint32) *rxStream {
+	if bound != nil && bound.ssrc == ssrc {
+		return bound
+	}
+	for _, rec := range r.rx {
+		if rec.ssrc == ssrc {
+			return rec
+		}
+	}
+	return nil
+}
+
+// newAssembly takes an assembly shell off the free list (or makes one) and,
+// for an observer, gives the frame pooled scratch.
+func (r *receive) newAssembly(hdr media.FrameHeader, ts uint32, observe bool) *assembly {
 	var a *assembly
-	if n := len(c.asmFree); n > 0 {
-		a = c.asmFree[n-1]
-		c.asmFree[n-1] = nil
-		c.asmFree = c.asmFree[:n-1]
+	if n := len(r.asmFree); n > 0 {
+		a = r.asmFree[n-1]
+		r.asmFree[n-1] = nil
+		r.asmFree = r.asmFree[:n-1]
 	} else {
 		a = &assembly{}
 	}
-	if c.opts.OnFrame != nil {
+	if observe {
 		a.pb = asmPool.Get(int(hdr.FrameSize))
 	}
 	if cap(a.got) < int(hdr.FragCount) {
@@ -303,13 +357,13 @@ func (c *Client) newAssemblyLocked(hdr media.FrameHeader, ts uint32) *assembly {
 	return a
 }
 
-// freeAssemblyLocked returns any scratch to the pool and the shell to the
-// free list. Caller holds c.mu and must not touch a afterwards.
-func (c *Client) freeAssemblyLocked(a *assembly) {
+// freeAssembly returns any scratch to the pool and the shell to the free
+// list. The caller must not touch a afterwards.
+func (r *receive) freeAssembly(a *assembly) {
 	asmPool.Put(a.pb)
 	a.pb = nil
-	if len(c.asmFree) < 64 {
-		c.asmFree = append(c.asmFree, a)
+	if len(r.asmFree) < 64 {
+		r.asmFree = append(r.asmFree, a)
 	}
 }
 
@@ -519,7 +573,7 @@ func (c *Client) requestDocLocked(name string) {
 	}
 	if presenting {
 		// Selecting a new document ends the current presentation.
-		c.teardownPresentationLocked()
+		c.pres.close(c.net)
 	}
 	c.logEvent("request " + name)
 	win := c.opts.Window
@@ -546,7 +600,7 @@ func (c *Client) Disconnect() {
 	if c.current == "" {
 		return
 	}
-	c.teardownPresentationLocked()
+	c.pres.close(c.net)
 	c.server(c.current).m.Try(protocol.InDisconnect)
 	c.cancelPendingLocked(c.current)
 	if c.hbTimer != nil {
@@ -563,12 +617,12 @@ func (c *Client) Disconnect() {
 func (c *Client) Pause() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.player == nil || !c.server(c.current).m.Try(protocol.InPause) {
+	if c.pres == nil || !c.server(c.current).m.Try(protocol.InPause) {
 		return
 	}
 	c.send(c.server(c.current), protocol.MsgPause, &protocol.MediaOp{})
-	c.player.Pause()
-	c.userPaused = true
+	c.pres.player.Pause()
+	c.pres.userPaused = true
 	c.logEvent("pause")
 }
 
@@ -576,12 +630,12 @@ func (c *Client) Pause() {
 func (c *Client) Resume() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.player == nil || !c.server(c.current).m.Try(protocol.InResume) {
+	if c.pres == nil || !c.server(c.current).m.Try(protocol.InResume) {
 		return
 	}
 	c.send(c.server(c.current), protocol.MsgResume, &protocol.MediaOp{})
-	c.player.Resume()
-	c.userPaused = false
+	c.pres.player.Resume()
+	c.pres.userPaused = false
 	c.logEvent("resume")
 }
 
@@ -638,10 +692,9 @@ func (c *Client) Annotations() *protocol.Annotations {
 func (c *Client) Reload() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.docName != "" {
-		name := c.docName
+	if p := c.pres; p != nil && p.doc.Name != "" {
 		c.navDirection = 2
-		c.requestDocLocked(name)
+		c.requestDocLocked(p.doc.Name)
 	}
 }
 
@@ -744,40 +797,41 @@ func (c *Client) LastError() string {
 	return c.lastError
 }
 
-// Display returns the playout trace of the current/last presentation.
+// shown reads a field of the presentation on screen or last shown, or
+// returns the zero value before the first document.
+func shown[T any](c *Client, field func(*presentation) T) (v T) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pres != nil {
+		v = field(c.pres)
+	}
+	return v
+}
+
+// Display returns the playout trace of the last document (nil before one).
 func (c *Client) Display() *playout.Display {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.display
+	return shown(c, func(p *presentation) *playout.Display { return p.display })
 }
 
-// Player returns the active presentation scheduler (nil when idle).
+// Player returns the last document's presentation scheduler (nil before one).
 func (c *Client) Player() *playout.Player {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.player
+	return shown(c, func(p *presentation) *playout.Player { return p.player })
 }
 
-// Buffers returns the active buffer set (nil when idle).
+// Buffers returns the last document's buffer set (nil before one).
 func (c *Client) Buffers() *buffer.Set {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bufs
+	return shown(c, func(p *presentation) *buffer.Set { return p.bufs })
 }
 
 // Monitor returns the client QoS manager (nil before the first document).
 func (c *Client) Monitor() *qos.ClientMonitor {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.monitor
+	return shown(c, func(p *presentation) *qos.ClientMonitor { return p.monitor })
 }
 
 // StartupDelay returns the deliberate initial delay of the last
 // presentation (zero until playout started).
 func (c *Client) StartupDelay() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.startDelay
+	return shown(c, func(p *presentation) time.Duration { return p.startDelay })
 }
 
 // History returns the names of documents viewed, oldest first.
@@ -804,9 +858,7 @@ func (c *Client) SessionID(host string) string {
 	return c.server(host).session
 }
 
-// Scenario returns the active scenario (nil when idle).
+// Scenario returns the last document's scenario (nil before one).
 func (c *Client) Scenario() *scenario.Scenario {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sc
+	return shown(c, func(p *presentation) *scenario.Scenario { return p.sc })
 }

@@ -121,7 +121,7 @@ func (c *Client) beginMoveLocked(from, to, doc string, ticket *protocol.HandoffT
 	if c.failedPeers[from] {
 		cause = failoverCause
 	}
-	c.teardownPresentationLocked()
+	c.pres.close(c.net)
 	start := c.move.start
 	if start.IsZero() {
 		// A chained handoff (target immediately hands off again) keeps the

@@ -7,9 +7,12 @@ import "repro/internal/protocol"
 func (c *Client) StreamInfo(id string) (protocol.StreamAnnounce, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, rec := range c.rx {
-		if rec.ann.StreamID == id && id != "" {
-			return rec.ann, true
+	if c.pres == nil {
+		return protocol.StreamAnnounce{}, false
+	}
+	for _, ann := range c.pres.streams {
+		if ann.StreamID == id {
+			return ann, true
 		}
 	}
 	return protocol.StreamAnnounce{}, false

@@ -152,18 +152,18 @@ func (c *Client) onConnectResult(from string, m protocol.ConnectResult) {
 		}
 		rec.m.Try(protocol.InAuthOK) // a new session: connecting → browsing
 		if rec.m.State() == protocol.StSuspended {
-			if recovered && m.Resumed && c.player != nil && !c.player.Finished() && c.docHost == from {
+			if p := c.pres; recovered && m.Resumed && p != nil && !p.player.Finished() && p.doc.Host == from {
 				// Resumed in place within the grace window: straight back
 				// to viewing, the frozen presentation continues.
 				rec.m.Try(protocol.InRecover)
-				if c.userPaused {
+				if p.userPaused {
 					// The user paused before the outage: recover into the
 					// paused presentation. The server kept the sender
 					// user-paused across the suspend, so nothing resumes
 					// until the user asks.
 					rec.m.Try(protocol.InPause)
 				} else {
-					c.player.Resume()
+					p.player.Resume()
 				}
 			} else {
 				rec.m.Try(protocol.InReturn)
@@ -282,24 +282,28 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 	// A reply carrying the text already on screen (a reload, handoff or
 	// failover) keeps the parsed scenario and its schedule: playout only
 	// reads them.
-	sc := c.sc
-	var err error
-	if sc == nil || sc.Src != m.ScenarioSrc {
-		sc, err = scenario.Parse(m.ScenarioSrc)
+	old := c.pres
+	var sc *scenario.Scenario
+	var sch *scenario.Schedule
+	if old != nil && old.sc.Src == m.ScenarioSrc {
+		sc, sch = old.sc, old.sch
+	} else {
+		var err error
+		if sc, err = scenario.Parse(m.ScenarioSrc); err != nil {
+			mach.Try(protocol.InDocFail)
+			c.lastError = err.Error()
+			return
+		}
+		sch = scenario.BuildSchedule(sc)
 	}
-	if err != nil {
-		mach.Try(protocol.InDocFail)
-		c.lastError = err.Error()
-		return
-	}
-	c.teardownPresentationLocked()
+	old.close(c.net)
 	mach.Try(protocol.InDocReady)
-	if sc != c.sc {
-		c.sc = sc
-		c.sch = scenario.BuildSchedule(sc)
-	}
 	// Maintain the back/forward stacks around the document switch.
-	prev := navEntry{Host: c.docHost, Name: c.docName}
+	var prev navEntry
+	var carried receive
+	if old != nil {
+		prev, carried = old.doc, old.receive
+	}
 	switch c.navDirection {
 	case -1: // back
 		if prev.Name != "" {
@@ -317,23 +321,17 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 		c.fwdStack = nil
 	}
 	c.navDirection = 0
-	c.docName = m.Name
-	if c.docName == "" {
-		c.docName = sc.Title
+	name := m.Name
+	if name == "" {
+		name = sc.Title
 	}
-	c.docHost = from
-	sc.Name = c.docName
-	c.docAt = c.clk.Now()
-	c.history = append(c.history, c.docName)
-	c.bufs = buffer.NewSet()
-	c.display = playout.NewDisplay()
-	c.started = false
-	c.startDelay = 0
-	if c.monitor == nil {
-		c.monitor = qos.NewClientMonitor(c.clk, 0x1996)
-	}
-	for _, rec := range c.rx {
-		rec.ann = protocol.StreamAnnounce{}
+	sc.Name = name
+	c.history = append(c.history, name)
+	p := &presentation{receive: carried, sc: sc, sch: sch, bufs: buffer.NewSet(), display: playout.NewDisplay(),
+		doc: navEntry{Host: from, Name: name}, docAt: c.clk.Now(), streams: m.Streams}
+	c.pres = p
+	if p.monitor == nil {
+		p.monitor = qos.NewClientMonitor(c.clk, 0x1996)
 	}
 
 	// One buffer handler and one stream handler (port listener, bound to
@@ -344,21 +342,21 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 		if window <= 0 {
 			window = buffer.ComputeWindow(interval, c.opts.JitterBudget, c.opts.WindowSafety)
 		}
-		c.bufs.Create(buffer.Config{
+		p.bufs.Create(buffer.Config{
 			StreamID:      ann.StreamID,
 			FrameInterval: interval,
 			Window:        window,
 			Obs:           c.opts.Obs,
 		})
-		c.monitor.Track(ann.StreamID, ann.SSRC)
-		rec := c.rxLocked(nil, ann.SSRC)
+		p.monitor.Track(ann.StreamID, ann.SSRC)
+		rec := p.stream(nil, ann.SSRC)
 		if rec == nil {
 			rec = &rxStream{ssrc: ann.SSRC}
-			c.rx = append(c.rx, rec)
+			p.rx = append(p.rx, rec)
 		}
-		rec.id, rec.ann = ann.StreamID, ann
+		rec.id = ann.StreamID
 		addr := netsim.MakeAddr(c.Host, ann.Port)
-		c.mediaPorts = append(c.mediaPorts, addr)
+		p.ports = append(p.ports, addr)
 		if err := c.net.Listen(addr, func(pkt netsim.Packet) { c.handleMedia(rec, pkt) }); err != nil {
 			// The stream's media port could not be bound: its frames will
 			// never arrive, but the rest of the presentation proceeds.
@@ -368,9 +366,9 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 	}
 	// Every record, this document's or an earlier one's, follows its ID:
 	// the receiver tracked for it now and this document's buffer, if any.
-	for _, rec := range c.rx {
-		rec.recv = c.monitor.Receiver(rec.id)
-		rec.buf = c.bufs.Get(rec.id)
+	for _, rec := range p.rx {
+		rec.recv = p.monitor.Receiver(rec.id)
+		rec.buf = p.bufs.Get(rec.id)
 	}
 
 	opts := c.opts.Playout
@@ -378,86 +376,67 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 	if opts.Obs == nil {
 		opts.Obs = c.opts.Obs
 	}
-	c.player = playout.New(c.clk, sc, c.sch, c.bufs, c.display, opts)
-	c.logEvent("document ready: " + c.docName)
+	p.player = playout.New(c.clk, sc, sch, p.bufs, p.display, opts)
+	c.logEvent("document ready: " + name)
 
 	// The deliberate initial delay waits only on the buffers that gate the
 	// start of the presentation: time-sensitive streams playing from (or
 	// near) time zero. Stills retry on lateness, and streams starting
 	// later are pre-rolled by the flow scheduler on their own schedule.
-	c.fillIDs = nil
-	c.stillIDs = nil
 	for _, st := range sc.TimedStreams() {
 		if st.Start > time.Second {
 			continue
 		}
 		if st.Type.TimeSensitive() {
-			c.fillIDs = append(c.fillIDs, st.ID)
+			p.fillIDs = append(p.fillIDs, st.ID)
 		} else {
-			c.stillIDs = append(c.stillIDs, st.ID)
+			p.stillIDs = append(p.stillIDs, st.ID)
 		}
 	}
-
-	// The deliberate initial delay: start once every buffer holds its
-	// media time window, or when the cap expires.
-	deadline := c.clk.Now().Add(c.opts.MaxInitialDelay)
-	c.pollFillLocked(deadline)
+	c.pollFillLocked(p)
 }
 
-func (c *Client) pollFillLocked(deadline time.Time) {
-	if c.started || c.player == nil {
+// pollFillLocked is the deliberate initial delay: it starts p once every
+// gating buffer holds its media time window, or when the cap expires, and
+// polls again in 50 ms until then. Caller holds c.mu.
+func (c *Client) pollFillLocked(p *presentation) {
+	if p.started || c.pres != p || p.closed {
 		return
 	}
 	filled := true
-	for _, id := range c.fillIDs {
-		if b := c.bufs.Get(id); b != nil && !b.Filled() {
+	for _, id := range p.fillIDs {
+		if b := p.bufs.Get(id); b != nil && !b.Filled() {
 			filled = false
 			break
 		}
 	}
 	// Stills due at the start must have arrived (one frame suffices).
-	for _, id := range c.stillIDs {
-		if b := c.bufs.Get(id); b != nil && b.Len() == 0 {
+	for _, id := range p.stillIDs {
+		if b := p.bufs.Get(id); b != nil && b.Len() == 0 {
 			filled = false
 			break
 		}
 	}
-	if filled && len(c.fillIDs) == 0 && len(c.stillIDs) == 0 {
+	if filled && len(p.fillIDs) == 0 && len(p.stillIDs) == 0 {
 		// No gating stream: wait a token 200ms.
-		filled = c.clk.Since(c.docAt) >= 200*time.Millisecond
+		filled = c.clk.Since(p.docAt) >= 200*time.Millisecond
 	}
-	if filled || !c.clk.Now().Before(deadline) {
-		c.started = true
-		c.startDelay = c.clk.Now().Sub(c.docAt)
-		c.player.Start()
+	if filled || !c.clk.Now().Before(p.docAt.Add(c.opts.MaxInitialDelay)) {
+		p.started = true
+		p.startDelay = c.clk.Now().Sub(p.docAt)
+		p.player.Start()
 		c.logEvent("presentation started")
 		// Natural end of the presentation (when no timed link ends it
 		// first): scenario length plus a small slack.
-		length := c.sc.Length()
-		c.endTimer = c.clk.AfterFunc(length+500*time.Millisecond, c.onPresentationEnd)
-		c.fbTimer = c.clk.AfterFunc(c.opts.FeedbackInterval, c.sendFeedback)
+		p.endTimer = c.clk.AfterFunc(p.sc.Length()+500*time.Millisecond, func() { c.onPresentationEnd(p) })
+		p.fbTimer = c.clk.AfterFunc(c.opts.FeedbackInterval, func() { c.sendFeedback(p) })
 		return
 	}
-	c.fillTimer = c.clk.AfterFunc(50*time.Millisecond, func() {
+	p.fillTimer = c.clk.AfterFunc(50*time.Millisecond, func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		c.pollFillLocked(deadline)
+		c.pollFillLocked(p)
 	})
-}
-
-// rxLocked returns the record of the stream ssrc names, trying the port's
-// own record first, or nil when no announced stream carries ssrc. Caller
-// holds c.mu.
-func (c *Client) rxLocked(bound *rxStream, ssrc uint32) *rxStream {
-	if bound != nil && bound.ssrc == ssrc {
-		return bound
-	}
-	for _, rec := range c.rx {
-		if rec.ssrc == ssrc {
-			return rec
-		}
-	}
-	return nil
 }
 
 // handleMedia is the stream handler of the port bound to rec: it parses
@@ -477,8 +456,8 @@ func (c *Client) handleMedia(rec *rxStream, pkt netsim.Packet) {
 		var sr rtp.SenderReport
 		if sr.Unmarshal(pkt.Payload) == nil {
 			c.mu.Lock()
-			if rec = c.rxLocked(rec, sr.SSRC); rec != nil {
-				c.monitor.ObserveSR(rec.id, sr)
+			if rec = c.pres.stream(rec, sr.SSRC); rec != nil {
+				c.pres.monitor.ObserveSR(rec.id, sr)
 			}
 			c.mu.Unlock()
 		}
@@ -490,7 +469,7 @@ func (c *Client) handleMedia(rec *rxStream, pkt netsim.Packet) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if rec = c.rxLocked(rec, p.SSRC); rec == nil {
+	if rec = c.pres.stream(rec, p.SSRC); rec == nil {
 		return
 	}
 	now := c.clk.Now()
@@ -508,7 +487,7 @@ func (c *Client) handleMedia(rec *rxStream, pkt netsim.Packet) {
 		}
 	}
 	if a == nil {
-		a = c.newAssemblyLocked(hdr, p.Timestamp)
+		a = c.pres.newAssembly(hdr, p.Timestamp, c.opts.OnFrame != nil)
 		rec.asm = append(rec.asm, a)
 	}
 	if !pkt.SentAt.IsZero() && (a.sentAt.IsZero() || pkt.SentAt.Before(a.sentAt)) {
@@ -536,7 +515,7 @@ func (c *Client) handleMedia(rec *rxStream, pkt netsim.Packet) {
 	// indexes never do): bound the state either way.
 	rec.asm = slices.DeleteFunc(rec.asm, func(x *assembly) bool {
 		if x != a && (x.hdr.Index+50 < hdr.Index || x.hdr.Index > hdr.Index+50) {
-			c.freeAssemblyLocked(x)
+			c.pres.freeAssembly(x)
 			return true
 		}
 		return x == a
@@ -560,23 +539,20 @@ func (c *Client) handleMedia(rec *rxStream, pkt netsim.Packet) {
 	if c.opts.OnFrame != nil {
 		c.opts.OnFrame(rec.id, a.hdr, a.pb.B)
 	}
-	c.freeAssemblyLocked(a)
+	c.pres.freeAssembly(a)
 }
 
-// sendFeedback ships the periodic RTCP receiver report to the server,
-// marshaled into the client's feedback scratch, and re-arms its own timer.
-func (c *Client) sendFeedback() {
+// sendFeedback is p's feedback timer: it ships the periodic RTCP receiver
+// report to the server, marshaled into the reused p.rr, and re-arms.
+func (c *Client) sendFeedback(p *presentation) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.player == nil || c.player.Finished() || c.current == "" {
+	if c.pres != p || p.closed || p.player.Finished() || c.current == "" {
 		return
 	}
-	if c.feedback == nil {
-		c.feedback = &protocol.Feedback{}
-	}
-	c.feedback.RTCP = c.monitor.BuildRR().AppendTo(c.feedback.RTCP[:0])
-	c.fbTimer.Reset(c.opts.FeedbackInterval)
-	c.send(c.server(c.current), protocol.MsgFeedback, c.feedback)
+	p.rr = p.monitor.BuildRR().AppendTo(p.rr[:0])
+	p.fbTimer.Reset(c.opts.FeedbackInterval)
+	c.send(c.server(c.current), protocol.MsgFeedback, &protocol.Feedback{RTCP: p.rr})
 }
 
 // onTimedLink fires when the presentation scenario auto-follows a link.
@@ -591,58 +567,25 @@ func (c *Client) onTimedLink(link scenario.Link) {
 	c.mu.Unlock()
 }
 
-// onPresentationEnd handles the natural completion of a scenario.
-func (c *Client) onPresentationEnd() {
+// onPresentationEnd is p's end timer: the natural completion of its
+// scenario.
+func (c *Client) onPresentationEnd(p *presentation) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.player == nil || c.player.Finished() {
+	if c.pres != p || p.closed || p.player.Finished() {
 		return
 	}
 	// Pauses freeze presentation time: if it has not actually reached the
 	// scenario length yet, re-arm for the remainder.
-	if remaining := c.sc.Length() + 500*time.Millisecond - c.player.Now(); remaining > 50*time.Millisecond {
-		c.endTimer = c.clk.AfterFunc(remaining, c.onPresentationEnd)
+	if remaining := p.sc.Length() + 500*time.Millisecond - p.player.Now(); remaining > 50*time.Millisecond {
+		p.endTimer.Reset(remaining)
 		return
 	}
 	if c.server(c.current).m.Try(protocol.InPresentationEnd) {
-		c.player.Finish()
+		p.player.Finish()
 		c.logEvent("presentation ended")
 	}
-	c.stopTimersLocked()
-}
-
-// teardownPresentationLocked releases the media ports, timers and player of
-// the current presentation (keeping display/report for inspection).
-func (c *Client) teardownPresentationLocked() {
-	if c.player != nil {
-		c.player.Finish()
-	}
-	c.userPaused = false
-	c.stopTimersLocked()
-	for _, addr := range c.mediaPorts {
-		c.net.Listen(addr, nil)
-	}
-	c.mediaPorts = nil
-	for _, rec := range c.rx {
-		for _, a := range rec.asm {
-			c.freeAssemblyLocked(a)
-		}
-		clear(rec.asm)
-		rec.asm = rec.asm[:0]
-	}
-}
-
-func (c *Client) stopTimersLocked() {
-	if c.fillTimer != nil {
-		c.fillTimer.Stop()
-		c.fillTimer = nil
-	}
-	if c.endTimer != nil {
-		c.endTimer.Stop()
-		c.endTimer = nil
-	}
-	if c.fbTimer != nil {
-		c.fbTimer.Stop()
-		c.fbTimer = nil
-	}
+	// The fill and end timers have fired; the media ports stay open until
+	// the next document or a disconnect closes p.
+	p.fbTimer.Stop()
 }

@@ -482,6 +482,29 @@ func TestFederatedSearch(t *testing.T) {
 	if servers["server-a"] != 1 || servers["server-b"] != 1 || servers["server-c"] != 1 {
 		t.Fatalf("per-server hits = %v", servers)
 	}
+
+	// A browser that never asked for a document has no presentation: its
+	// accessors read zero, Pause, Resume and Reload do nothing, and
+	// Disconnect ends the session.
+	if w.c.Display() != nil || w.c.Player() != nil || w.c.Buffers() != nil ||
+		w.c.Monitor() != nil || w.c.Scenario() != nil || w.c.StartupDelay() != 0 {
+		t.Fatal("a browser with no document reports a presentation")
+	}
+	sent, _, _, _ := w.net.Totals()
+	events := len(w.c.Events())
+	w.c.Pause()
+	w.c.Resume()
+	w.c.Reload()
+	if got, _, _, _ := w.net.Totals(); got != sent || len(w.c.Events()) != events {
+		t.Fatalf("with no document, pause/resume/reload sent %d packets and logged %v", got-sent, w.c.Events()[events:])
+	}
+	if got := w.c.State("server-a"); got != protocol.StBrowsing {
+		t.Fatalf("state after pause/resume/reload with no document = %v", got)
+	}
+	w.c.Disconnect()
+	if got := w.c.State("server-a"); got != protocol.StDisconnected || w.c.CurrentServer() != "" {
+		t.Fatalf("after disconnect: state %v, current server %q", got, w.c.CurrentServer())
+	}
 }
 
 func TestAdmissionRejection(t *testing.T) {
@@ -700,6 +723,71 @@ func TestClientReloadRestartsPresentation(t *testing.T) {
 	}
 }
 
+// TestStaleTimerCallbacksDoNothing calls the fill, end and feedback
+// callbacks of closed presentations after the next document arrived, as a
+// wall-clock timer that fired while its presentation closed does: one that
+// had started playing, and one closed before its buffers filled. They arm
+// no timer, send nothing and do not start the new presentation.
+func TestStaleTimerCallbacksDoNothing(t *testing.T) {
+	w := newWorld(t, netsim.DefaultLAN(), Options{}, server.Options{}, "server-a")
+	w.subscribe(t, "alice", "pw")
+	for _, doc := range []string{"a", "b", "c"} {
+		putDoc(t, w.servers["server-a"], doc, shortAV)
+	}
+	w.c.Connect("server-a")
+	w.run(time.Second)
+	// next requests doc and steps the clock until its DocResponse is
+	// handled, before any of its media can arrive.
+	next := func(doc string) *presentation {
+		t.Helper()
+		old := w.c.pres
+		w.c.RequestDoc(doc)
+		for i := 0; w.c.pres == old; i++ {
+			if i == 10_000 || !w.clk.Step() {
+				t.Fatalf("no DocResponse for %s", doc)
+			}
+		}
+		return old
+	}
+	stale := func(p *presentation) {
+		t.Helper()
+		pending := w.clk.Pending()
+		sent, _, _, _ := w.net.Totals()
+		w.c.mu.Lock()
+		w.c.pollFillLocked(p)
+		w.c.mu.Unlock()
+		w.c.onPresentationEnd(p)
+		w.c.sendFeedback(p)
+		if got := w.clk.Pending(); got != pending {
+			t.Errorf("stale callbacks of %s armed %d timers", p.doc.Name, got-pending)
+		}
+		if got, _, _, _ := w.net.Totals(); got != sent {
+			t.Errorf("stale callbacks of %s sent %d packets", p.doc.Name, got-sent)
+		}
+		if w.c.pres.started || w.c.StartupDelay() != 0 {
+			t.Errorf("stale callbacks of %s started %s", p.doc.Name, w.c.pres.doc.Name)
+		}
+	}
+
+	next("a")
+	w.run(1500 * time.Millisecond)
+	a := next("b")
+	if !a.started || !a.closed {
+		t.Fatalf("a: started %v, closed %v; want both", a.started, a.closed)
+	}
+	stale(a)
+	b := next("c")
+	if b.started || !b.closed {
+		t.Fatalf("b: started %v, closed %v; want closed before it started", b.started, b.closed)
+	}
+	stale(b)
+	stale(a)
+	w.run(3 * time.Second)
+	if d := w.c.StartupDelay(); d <= 0 || d > 3*time.Second {
+		t.Fatalf("c's startup delay = %v", d)
+	}
+}
+
 // TestMoveKeepsParsedScenario moves a viewer to another server that holds
 // the same document text: the client keeps the scenario it parsed, and the
 // presentation plays on. A different document gets a scenario of its own.
@@ -905,14 +993,14 @@ func TestStreamInfoAndSessionID(t *testing.T) {
 	}
 }
 
-// TestClientSizeClass keeps a Client in the 1 152 B size class, with the 8 B
+// TestClientSizeClass keeps a Client in the 896 B size class, with the 8 B
 // header the allocator adds to an object of its size: a control-only
-// browser fleet (connect_storm's 8 000) pays the next class, 1 280 B, on
-// every browser for any field that tips it over. State that only a media
-// viewer needs goes behind a pointer made on first use, as feedback is, and
-// state kept per server goes in record.
+// browser fleet (connect_storm's 8 000) pays the next class, 1 024 B, on
+// every browser for any field that tips it over. State that only a viewer
+// needs lives in presentation, made at the first DocResponse, and state
+// kept per server goes in record.
 func TestClientSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Client{}); size+8 > 1152 {
-		t.Fatalf("Client is %d B; with its 8 B malloc header it leaves the 1 152 B size class", size)
+	if size := unsafe.Sizeof(Client{}); size+8 > 896 {
+		t.Fatalf("Client is %d B; with its 8 B malloc header it leaves the 896 B size class", size)
 	}
 }

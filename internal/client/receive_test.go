@@ -100,7 +100,7 @@ func TestReceivePathRules(t *testing.T) {
 	}
 	injectFragment(w, cv.Port, cv.SSRC, 251, 10, 0)
 	w.c.mu.Lock()
-	held := len(w.c.rxLocked(nil, cv.SSRC).asm)
+	held := len(w.c.pres.stream(nil, cv.SSRC).asm)
 	w.c.mu.Unlock()
 	if got := pushed("cv"); got != 4 || held != 0 {
 		t.Errorf("after frame 251: cv pushed %d frames and holds %d incomplete ones, want 4 and 0", got, held)

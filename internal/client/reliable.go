@@ -273,8 +273,8 @@ func (c *Client) onPeerLostLocked(host, why string) {
 	}
 	rec := c.server(host)
 	rec.m.Try(protocol.InPeerLost)
-	if c.player != nil && !c.player.Finished() && c.docHost == host {
-		c.player.Pause()
+	if p := c.pres; p != nil && !p.player.Finished() && p.doc.Host == host {
+		p.player.Pause()
 	}
 	c.recovering = host
 	grace := time.Duration(c.graceSecs) * time.Second
@@ -298,10 +298,14 @@ func (c *Client) failoverLocked(dead string) {
 	c.cancelPendingLocked(dead)
 	target := c.nextTargetLocked(dead, c.peers)
 	if target == "" {
-		c.teardownPresentationLocked()
+		c.pres.close(c.net)
 		c.strandLocked(failoverCause, dead, dead)
 		return
 	}
-	c.beginMoveLocked(dead, target, c.docName, nil, c.peers)
+	doc := ""
+	if c.pres != nil {
+		doc = c.pres.doc.Name
+	}
+	c.beginMoveLocked(dead, target, doc, nil, c.peers)
 	c.connectLocked(target)
 }
