@@ -179,6 +179,9 @@ type Client struct {
 	// reliable control plane (reliable.go)
 	nextReq uint32
 	hbAwait bool
+	// hbLoop numbers the heartbeat loop hbTimer runs; it may wrap, since
+	// only the loop just replaced can still have a tick in flight.
+	hbLoop  uint16
 	pending *pendingReq // the tracked requests in flight, linked through next
 	// peers/graceSecs are the replica set and suspend grace window the
 	// server advertised on connect; they bound recovery and failover.

@@ -451,16 +451,9 @@ func (c *Client) pollFillLocked(p *presentation) {
 // into pooled scratch before return, and nothing retains pkt.Payload.
 func (c *Client) handleMedia(rec *rxStream, pkt netsim.Packet) {
 	// RTP/RTCP demultiplexing: RTCP packet types occupy 200–204 in the
-	// second octet, a range RTP payload types never reach.
+	// second octet, a range RTP payload types never reach. The server's
+	// sender reports have no reader here, so they are dropped unread.
 	if len(pkt.Payload) >= 2 && pkt.Payload[1] >= 200 && pkt.Payload[1] <= 204 {
-		var sr rtp.SenderReport
-		if sr.Unmarshal(pkt.Payload) == nil {
-			c.mu.Lock()
-			if rec = c.pres.stream(rec, sr.SSRC); rec != nil {
-				c.pres.monitor.ObserveSR(rec.id, sr)
-			}
-			c.mu.Unlock()
-		}
 		return
 	}
 	var p rtp.Packet

@@ -596,28 +596,6 @@ func TestLessonScaleSession(t *testing.T) {
 	}
 }
 
-func TestSenderReportsReachClient(t *testing.T) {
-	w := newWorld(t, netsim.DefaultLAN(), Options{}, server.Options{}, "server-a")
-	w.subscribe(t, "alice", "pw")
-	long := `<TITLE>long</TITLE>
-<AU_VI SOURCE=au/n SOURCE=vi/c ID=n ID=cv STARTIME=0 DURATION=20> </AU_VI>`
-	putDoc(t, w.servers["server-a"], "long", long)
-	w.c.Connect("server-a")
-	w.run(time.Second)
-	w.c.RequestDoc("long")
-	w.run(12 * time.Second) // past two SR intervals
-	sr, ok := w.c.Monitor().LastSR("cv")
-	if !ok {
-		t.Fatal("no sender report received for the video stream")
-	}
-	if sr.PacketCount == 0 || sr.NTPTime == 0 {
-		t.Fatalf("SR contents = %+v", sr)
-	}
-	if _, ok := w.c.Monitor().LastSR("ghost"); ok {
-		t.Fatal("phantom SR")
-	}
-}
-
 func TestClientIgnoresGarbageMediaPackets(t *testing.T) {
 	w := newWorld(t, netsim.DefaultLAN(), Options{}, server.Options{}, "server-a")
 	w.subscribe(t, "alice", "pw")
@@ -785,6 +763,43 @@ func TestStaleTimerCallbacksDoNothing(t *testing.T) {
 	w.run(3 * time.Second)
 	if d := w.c.StartupDelay(); d <= 0 || d > 3*time.Second {
 		t.Fatalf("c's startup delay = %v", d)
+	}
+}
+
+// TestStaleHeartbeatTickDoesNothing calls the tick of a replaced heartbeat
+// loop, as a wall-clock tick that fired while startHeartbeatLocked stopped
+// its timer does. It sends nothing, arms no timer and leaves the new loop
+// alone: no beat marked unanswered, its timer still armed, and every beat
+// it sends afterwards answered.
+func TestStaleHeartbeatTickDoesNothing(t *testing.T) {
+	w := newWorld(t, netsim.DefaultLAN(), Options{}, server.Options{}, "server-a")
+	w.subscribe(t, "alice", "pw")
+	w.c.Connect("server-a")
+	w.run(1500 * time.Millisecond)
+	w.c.mu.Lock()
+	stale := w.c.hbLoop
+	w.c.startHeartbeatLocked()
+	loop := w.c.hbTimer
+	w.c.mu.Unlock()
+	pending := w.clk.Pending()
+	sent, _, _, _ := w.net.Totals()
+	w.c.heartbeatTick(stale)
+	if got := w.clk.Pending(); got != pending {
+		t.Errorf("the stale tick armed %d timers", got-pending)
+	}
+	if got, _, _, _ := w.net.Totals(); got != sent {
+		t.Errorf("the stale tick sent %d packets", got-sent)
+	}
+	w.c.mu.Lock()
+	if w.c.hbAwait || w.c.hbTimer != loop {
+		t.Errorf("the stale tick took over the new loop: awaiting %v, timer replaced %v", w.c.hbAwait, w.c.hbTimer != loop)
+	}
+	w.c.mu.Unlock()
+	w.run(5 * time.Second)
+	w.c.mu.Lock()
+	defer w.c.mu.Unlock()
+	if w.c.hbMisses != 0 || w.c.hbTimer == nil {
+		t.Errorf("after the stale tick: %d misses, timer armed %v", w.c.hbMisses, w.c.hbTimer != nil)
 	}
 }
 

@@ -183,21 +183,28 @@ func (c *Client) unlinkPendingLocked(pr *pendingReq) {
 // --- heartbeats and liveness ---
 
 // startHeartbeatLocked (re)arms the heartbeat loop toward the current
-// server. Caller holds c.mu.
+// server as a new loop: a tick of the old one that lost its Stop race on
+// the wall clock does nothing. Caller holds c.mu.
 func (c *Client) startHeartbeatLocked() {
 	if c.hbTimer != nil {
 		c.hbTimer.Stop()
 	}
 	c.hbAwait = false
 	c.hbMisses = 0
-	c.hbTimer = c.clk.AfterFunc(c.opts.HeartbeatInterval, c.heartbeatTick)
+	c.hbLoop++
+	loop := c.hbLoop
+	c.hbTimer = c.clk.AfterFunc(c.opts.HeartbeatInterval, func() { c.heartbeatTick(loop) })
 }
 
-// heartbeatTick counts unanswered beats and sends the next one. The loop
-// parks itself whenever there is no live session to probe (and is restarted
-// by the next successful connect).
-func (c *Client) heartbeatTick() {
+// heartbeatTick counts unanswered beats of loop and sends the next one. The
+// loop parks itself whenever there is no live session to probe (and is
+// restarted by the next successful connect).
+func (c *Client) heartbeatTick(loop uint16) {
 	c.mu.Lock()
+	if loop != c.hbLoop {
+		c.mu.Unlock()
+		return
+	}
 	host := c.current
 	rec := c.lookup(host)
 	if rec == nil || rec.session == "" || c.recovering != "" {

@@ -88,6 +88,35 @@ func (t *Timer) Reset(d time.Duration) bool {
 	return wasPending
 }
 
+// Every calls fn each d on c, re-arming one timer after each call, until the
+// returned stop runs; a d <= 0 never calls it. fn runs under a lock that
+// stop takes, so fn must not call stop: on the wall clock a call that fires
+// while stop runs waits for it and then does nothing, and none starts once
+// stop has returned.
+func Every(c Clock, d time.Duration, fn func()) (stop func()) {
+	if d <= 0 {
+		return func() {}
+	}
+	var mu sync.Mutex
+	mu.Lock()
+	defer mu.Unlock()
+	var t *Timer
+	t = c.AfterFunc(d, func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if t != nil {
+			fn()
+			t.Reset(d)
+		}
+	})
+	return func() {
+		mu.Lock()
+		defer mu.Unlock()
+		t.Stop()
+		t = nil
+	}
+}
+
 // Wall is the operating-system real-time clock.
 type Wall struct{}
 

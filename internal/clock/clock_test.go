@@ -412,6 +412,47 @@ func TestWallTimerReset(t *testing.T) {
 
 // Property: for any set of non-negative delays, RunUntilIdle fires all timers
 // exactly once and in non-decreasing deadline order.
+// TestEveryPacesAndStops runs Every on both clocks. On the virtual clock it
+// calls fn once per period and never after stop. On the wall clock, with
+// calls due every 100 µs so that one is often in flight when stop runs,
+// none starts once stop has returned.
+func TestEveryPacesAndStops(t *testing.T) {
+	v := NewSim()
+	n := 0
+	stop := Every(v, time.Second, func() { n++ })
+	v.RunFor(3500 * time.Millisecond)
+	stop()
+	v.RunFor(10 * time.Second)
+	if n != 3 || v.Pending() != 0 {
+		t.Fatalf("virtual: %d calls, %d timers pending; want 3 calls, none pending", n, v.Pending())
+	}
+	Every(v, 0, func() { t.Fatal("a non-positive period called fn") })()
+	v.RunFor(time.Second)
+
+	for i := 0; i < 20; i++ {
+		var mu sync.Mutex
+		stopped, late := false, 0
+		stop := Every(NewWall(), 100*time.Microsecond, func() {
+			mu.Lock()
+			defer mu.Unlock()
+			if stopped {
+				late++
+			}
+		})
+		time.Sleep(time.Millisecond)
+		stop()
+		mu.Lock()
+		stopped = true
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		mu.Lock()
+		if late > 0 {
+			t.Fatalf("wall: %d calls after stop returned", late)
+		}
+		mu.Unlock()
+	}
+}
+
 func TestQuickFiringOrder(t *testing.T) {
 	f := func(delaysMS []uint16) bool {
 		v := NewSim()

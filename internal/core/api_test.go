@@ -28,7 +28,6 @@ var apiHooks = map[string]string{
 	"repro/internal/hml.LessonSource":            "server, client, scenario and core tests build lessons of any length",
 	"repro/internal/netsim.Network.AddPartition": "fault injector the chaos suite drives",
 	"repro/internal/netsim.Network.DropNext":     "fault injector the chaos, server and client tests drive",
-	"repro/internal/qos.ClientMonitor.LastSR":    "client tests check that sender reports reach the client's monitor",
 	"repro/internal/scenario.Timeline":           "the clean-link playout oracle (ROADMAP 2(a1)) derives its expectation from it",
 	"repro/internal/server.Server.Database":      "client tests put documents into a running server's catalogue",
 }

@@ -2,8 +2,9 @@
 // the paper: a federation of multimedia servers holding lessons, the shared
 // database of authorized users, the mail service for asynchronous
 // tutor/student interaction, and browser (client) instances — all wired over
-// a simulated broadband network on a virtual clock, or over a real network
-// in the cmd/hermesd and cmd/hermes binaries. The simulated federation is a
+// a simulated broadband network on a virtual clock. RunServer and RunBrowser
+// are the bodies of the cmd/hermesd and cmd/hermes binaries, which run them
+// over a real network on the wall clock. The simulated federation is a
 // cluster.New federation, so a lesson requested from a server that does not
 // hold it is handed off to one that does, and a browser moving between
 // servers runs the same suspend/connect/fallback episode as a handoff.

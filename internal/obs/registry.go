@@ -220,9 +220,13 @@ func (r *Registry) Snapshot() []MetricPoint {
 }
 
 // Table renders the snapshot as a text table.
-func (r *Registry) Table() *stats.Table {
+func (r *Registry) Table() *stats.Table { return MetricsTable(r.Snapshot()) }
+
+// MetricsTable renders metric points, a registry's or a server's stats
+// answer, as a text table.
+func MetricsTable(points []MetricPoint) *stats.Table {
 	tb := stats.NewTable("metrics", "name", "kind", "value", "detail")
-	for _, p := range r.Snapshot() {
+	for _, p := range points {
 		detail := ""
 		value := fmt.Sprintf("%.0f", p.Value)
 		if p.Kind == "histogram" {

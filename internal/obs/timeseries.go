@@ -17,19 +17,17 @@ const DefaultSeriesCap = 240
 // TimeSeries periodically samples a registry into a bounded ring, turning
 // end-state totals into trajectories: counter deltas per interval, gauge
 // levels, histogram quantiles over time. Harnesses sample at phase
-// boundaries; hermesd samples on its -metrics-every tick. The ring is
+// boundaries; hermesd samples every -series-every. The ring is
 // exported as JSONL and rendered as a trail section in the dashboard.
 type TimeSeries struct {
 	clk clock.Clock
 	reg *Registry
 
-	mu       sync.Mutex
-	capN     int
-	samples  []SeriesSample
-	prev     map[string]float64 // counter values / histogram counts at last sample
-	timer    *clock.Timer
-	interval time.Duration
-	running  bool
+	mu      sync.Mutex
+	capN    int
+	samples []SeriesSample
+	prev    map[string]float64 // counter values / histogram counts at last sample
+	stop    func()             // disarms periodic sampling; nil while disarmed
 }
 
 // SeriesSample is one sampling instant: every instrument's point in time.
@@ -96,34 +94,20 @@ func (ts *TimeSeries) Sample() {
 func (ts *TimeSeries) Start(interval time.Duration) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if ts.running || interval <= 0 {
-		return
-	}
-	ts.interval = interval
-	ts.running = true
-	if ts.timer == nil {
-		ts.timer = ts.clk.AfterFunc(interval, ts.tick)
-	} else {
-		ts.timer.Reset(interval)
+	if ts.stop == nil && interval > 0 {
+		ts.stop = clock.Every(ts.clk, interval, ts.Sample)
 	}
 }
 
-func (ts *TimeSeries) tick() {
-	ts.Sample()
-	ts.mu.Lock()
-	if ts.running {
-		ts.timer.Reset(ts.interval)
-	}
-	ts.mu.Unlock()
-}
-
-// Stop disarms periodic sampling (manual Sample still works).
+// Stop disarms periodic sampling (manual Sample still works). It waits for
+// a sample in flight, which takes ts.mu, so it disarms unlocked.
 func (ts *TimeSeries) Stop() {
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.running = false
-	if ts.timer != nil {
-		ts.timer.Stop()
+	stop := ts.stop
+	ts.stop = nil
+	ts.mu.Unlock()
+	if stop != nil {
+		stop()
 	}
 }
 

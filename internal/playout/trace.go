@@ -90,7 +90,7 @@ func RenderTrace(disp *Display, sch *scenario.Schedule, width int) string {
 }
 
 // Summarize renders the per-stream quality report as text, ordered by
-// stream id.
+// stream id, then the skew of each sync group, ordered by group.
 func (r Report) Summarize() string {
 	ids := make([]string, 0, len(r.Streams))
 	for id := range r.Streams {
@@ -103,7 +103,13 @@ func (r Report) Summarize() string {
 		fmt.Fprintf(&b, "%-12s plays %4d/%4d  gaps %3d  drops %3d  holds %3d  late μ=%.1fms max=%.1fms\n",
 			id, s.Plays, s.Expected, s.Gaps, s.Drops, s.Holds, s.MeanLatenessMS, s.MaxLatenessMS)
 	}
-	for group, sk := range r.Skew {
+	groups := make([]string, 0, len(r.Skew))
+	for group := range r.Skew {
+		groups = append(groups, group)
+	}
+	sort.Strings(groups)
+	for _, group := range groups {
+		sk := r.Skew[group]
 		fmt.Fprintf(&b, "%-12s skew μ=%.1fms p95=%.1fms max=%.1fms (%d samples)\n",
 			group, sk.Mean(), sk.Percentile(95), sk.Max(), sk.N())
 	}

@@ -25,13 +25,10 @@ type ClientMonitor struct {
 	rr      rtp.ReceiverReport // BuildRR's report, reused; SSRC is the receiver's own
 }
 
-// tracked is one stream's reception state and its source's last sender
-// report.
+// tracked is one stream's reception state.
 type tracked struct {
-	id    string
-	recv  *rtp.Receiver
-	sr    rtp.SenderReport
-	hasSR bool
+	id   string
+	recv *rtp.Receiver
 }
 
 // NewClientMonitor creates a monitor with the receiver's own SSRC.
@@ -43,29 +40,6 @@ func NewClientMonitor(clk clock.Clock, ssrc uint32) *ClientMonitor {
 // belongs, and whether it is there.
 func (c *ClientMonitor) findLocked(streamID string) (int, bool) {
 	return slices.BinarySearchFunc(c.streams, streamID, func(t tracked, id string) int { return strings.Compare(t.id, id) })
-}
-
-// ObserveSR records an RTCP sender report from a tracked stream's source;
-// the SR's NTP↔RTP timestamp pair lets receivers map media time to the
-// sender's wall clock. The monitor keeps sr's Reports, which the caller
-// must not reuse.
-func (c *ClientMonitor) ObserveSR(streamID string, sr rtp.SenderReport) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i, ok := c.findLocked(streamID); ok {
-		c.streams[i].sr, c.streams[i].hasSR = sr, true
-	}
-}
-
-// LastSR returns the most recent sender report for a stream, and whether
-// there is one.
-func (c *ClientMonitor) LastSR(streamID string) (rtp.SenderReport, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i, ok := c.findLocked(streamID); ok {
-		return c.streams[i].sr, c.streams[i].hasSR
-	}
-	return rtp.SenderReport{}, false
 }
 
 // Track registers a stream and its source SSRC; a stream tracked again

@@ -408,8 +408,8 @@ func TestClientMonitorEndToEnd(t *testing.T) {
 }
 
 // TestClientMonitorRetrack pins what a second document's Track does: the
-// stream keeps its place in ID order and its last sender report, and its
-// reception state starts afresh under the new SSRC.
+// stream keeps its place in ID order, and its reception state starts afresh
+// under the new SSRC.
 func TestClientMonitorRetrack(t *testing.T) {
 	clk := clock.NewSim()
 	cm := NewClientMonitor(clk, 7)
@@ -417,13 +417,9 @@ func TestClientMonitorRetrack(t *testing.T) {
 	cm.Track("a", 2)
 	first := cm.Receiver("v")
 	first.Observe(&rtp.Packet{SequenceNumber: 5}, clk.Now(), time.Time{})
-	cm.ObserveSR("v", rtp.SenderReport{SSRC: 1, PacketCount: 9})
 	cm.Track("v", 3)
 	if r := cm.Receiver("v"); r == first || r.SSRC != 3 || r.Expected() != 0 {
 		t.Fatalf("re-tracked receiver = %+v", r)
-	}
-	if sr, ok := cm.LastSR("v"); !ok || sr.PacketCount != 9 {
-		t.Fatalf("sender report lost on re-track: %+v %v", sr, ok)
 	}
 	rr := cm.BuildRR()
 	if len(rr.Reports) != 2 || rr.Reports[0].SSRC != 2 || rr.Reports[1].SSRC != 3 {
@@ -434,12 +430,8 @@ func TestClientMonitorRetrack(t *testing.T) {
 func TestClientMonitorUntracked(t *testing.T) {
 	clk := clock.NewSim()
 	cm := NewClientMonitor(clk, 1)
-	cm.ObserveSR("ghost", rtp.SenderReport{SSRC: 9}) // no panic
 	if cm.Receiver("ghost") != nil {
 		t.Fatal("phantom receiver")
-	}
-	if _, ok := cm.LastSR("ghost"); ok {
-		t.Fatal("phantom sender report")
 	}
 	if rr := cm.BuildRR(); rr.SSRC != 1 || len(rr.Reports) != 0 {
 		t.Fatalf("RR = %+v", rr)

@@ -62,10 +62,9 @@ func FuzzUnmarshal(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalControl holds the RTCP decode the product runs to its contract
-// on any input: the server's SplitCompound then (*ReceiverReport).Unmarshal
-// of each part, and the client's (*SenderReport).Unmarshal of a whole
-// datagram. Neither panics, every error wraps ErrMalformed, and a decoded
+// FuzzUnmarshalControl holds the RTCP decode to its contract on any input:
+// the server's SplitCompound then (*ReceiverReport).Unmarshal of each part,
+// and the test-only (*SenderReport).Unmarshal of a whole datagram. Neither panics, every error wraps ErrMalformed, and a decoded
 // report re-encodes with AppendTo to bytes that decode to the same report.
 // The corpus is seeded with SR, RR, SDES and BYE packets and a compound.
 func FuzzUnmarshalControl(f *testing.F) {

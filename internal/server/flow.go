@@ -69,8 +69,8 @@ type flowKey struct {
 }
 
 // flowSub is one subscriber's membership: its handle and the flow counters at
-// attach time, so per-session stats and the split continuation cover exactly
-// the frames this subscriber was sent.
+// attach time, so the split continuation's counters cover exactly the frames
+// this subscriber was sent.
 type flowSub struct {
 	sn          *sender
 	baseFrames  int
@@ -128,8 +128,8 @@ type flow struct {
 	subs     []flowSub     // sorted by destination
 	dests    []netsim.Addr // subs' destinations, the fan-out list
 
-	// counters; a new document request builds new flows, so per-document
-	// stats and RTCP sender reports describe the current playback only
+	// counters of what the flow sent; a new document request builds new
+	// flows, so they describe the current playback only
 	frames    int
 	packets   int
 	bytes     int64
@@ -340,14 +340,6 @@ func (fl *flow) report(now time.Time, mediaTime time.Duration) *rtp.SenderReport
 		return nil
 	}
 	return fl.rtpS.Report(now, mediaTime)
-}
-
-// senderStats is a snapshot of one subscriber's transmission counters.
-type senderStats struct {
-	frames  int
-	packets int
-	bytes   int64
-	skipped int
 }
 
 func (fl *flow) subIndexLocked(sn *sender) int {
@@ -666,26 +658,6 @@ func (sn *sender) stop() {
 	defer fl.mu.Unlock()
 	fl.finished = true
 	fl.stopTimerLocked()
-}
-
-// stats snapshots the session's view of the stream's transmission counters:
-// its share of the flow's, i.e. what it was sent since it attached, including
-// any catch-up patch.
-func (sn *sender) stats() senderStats {
-	fl := sn.flow()
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	i := fl.subIndexLocked(sn)
-	if i < 0 {
-		return senderStats{}
-	}
-	sub := fl.subs[i]
-	return senderStats{
-		frames:  fl.frames - sub.baseFrames,
-		packets: fl.packets - sub.basePackets,
-		bytes:   fl.bytes - sub.baseBytes,
-		skipped: fl.skipped,
-	}
 }
 
 // nominalRate returns the stream's current reservation-relevant rate: zero

@@ -690,7 +690,7 @@ func TestSharedFlowConcurrentChurn(t *testing.T) {
 				case 3:
 					snd.park()
 				default:
-					_ = snd.stats()
+					_ = snd.nominalRate()
 				}
 			}
 		}(i, snd)

@@ -69,7 +69,6 @@ func TestDataPlaneRaceStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				snd.flow().pump(10)
-				_ = snd.stats()
 				_ = snd.nominalRate()
 			}
 		}(snd)

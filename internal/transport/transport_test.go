@@ -8,14 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/auth"
-	"repro/internal/clock"
-	"repro/internal/hml"
 	"repro/internal/netsim"
-	"repro/internal/qos"
-	"repro/internal/server"
-
-	hclient "repro/internal/client"
 )
 
 func waitFor(t *testing.T, d time.Duration, cond func() bool) {
@@ -201,53 +194,6 @@ func TestUnlistenStopsDelivery(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("deliveries = %d", n)
 	}
-}
-
-// TestLiveEndToEndSession runs the real server and browser over OS sockets
-// on the wall clock: the same code path as cmd/hermesd + cmd/hermes.
-func TestLiveEndToEndSession(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live sockets in -short mode")
-	}
-	l := NewLive()
-	defer l.Close()
-	clk := clock.NewWall()
-	users := auth.NewDB()
-	users.Subscribe(auth.User{Name: "live", Password: "pw", Email: "l@x", Class: qos.Standard}, clk.Now())
-	db := server.NewDatabase()
-	// A short scenario so the test stays fast.
-	if err := db.Put("clip", `<TITLE>live clip</TITLE>
-<AU_VI SOURCE=au/a SOURCE=vi/v ID=a ID=v STARTIME=0 DURATION=2> </AU_VI>`, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := server.New("live-server", clk, l, users, db, server.Options{PreRoll: 300 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := hclient.New("live-viewer", clk, l, hclient.Options{
-		User: "live", Password: "pw",
-		Window:          200 * time.Millisecond,
-		MaxInitialDelay: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Connect("live-server")
-	waitFor(t, 3*time.Second, func() bool {
-		lc := c.LastConnect()
-		return lc != nil && lc.OK
-	})
-	c.RequestDoc("clip")
-	waitFor(t, 10*time.Second, func() bool {
-		p := c.Player()
-		return p != nil && p.Finished()
-	})
-	rep := c.Player().Report()
-	a := rep.Streams["a"]
-	if a.Plays < a.Expected/2 {
-		t.Fatalf("live plays = %d/%d (gaps %d)", a.Plays, a.Expected, a.Gaps)
-	}
-	_ = hml.Figure2Source
 }
 
 func TestDerivedHostIPsStableAcrossInstances(t *testing.T) {
