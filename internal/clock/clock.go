@@ -11,16 +11,19 @@
 // The Virtual clock doubles as a discrete-event scheduler: timers registered
 // with AfterFunc fire as ordinary function calls from whichever goroutine
 // drives the clock (Step, Run, RunFor or RunUntilIdle), in strict deadline
-// order with FIFO tie-breaking. The scheduler's heap holds each pending
-// timer's (deadline, sequence) key inline beside a pointer to the Timer, and
-// the Timer keeps only its slot index, so arming one costs a single
-// allocation and re-arming it none. A whole client/server session over the
-// simulated network is therefore a single-threaded, perfectly reproducible
-// computation.
+// order with FIFO tie-breaking. Deadlines within about 134 ms of now sit in a
+// bucket wheel: 8 192 buckets of 2^14 ns, each an unsorted list of slab
+// nodes in arming order, with a bitmap that finds the first non-empty bucket
+// and a scan for the earliest deadline in it. Later deadlines wait in a 4-ary
+// heap and move into the wheel as time reaches them. A Timer keeps only its
+// node or heap slot, so arming one costs a single allocation and re-arming
+// it none. A whole client/server session over the simulated network is
+// therefore a single-threaded, perfectly reproducible computation.
 package clock
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,15 +41,16 @@ type Clock interface {
 }
 
 // Timer is a cancellable pending AfterFunc call. A Virtual clock's timer
-// knows only its slot in the scheduler's heap (guarded by v.mu); its deadline
-// lives in the heap entry. A wall-clock timer (v == nil) only wraps the
-// runtime timer.
+// knows only where it is queued (guarded by v.mu); its deadline lives there.
+// A wall-clock timer (v == nil) only wraps the runtime timer.
 type Timer struct {
 	v    *Virtual
 	wall *time.Timer
 
-	fn    func()
-	index int // heap index, -1 while not queued (fired or stopped)
+	fn func()
+	// index is the timer's wheel node (> 0), ^slot of its far-heap entry
+	// (< 0), or 0 while not queued (fired or stopped).
+	index int
 }
 
 // Stop cancels the timer. It reports true when the call was prevented from
@@ -61,10 +65,10 @@ func (t *Timer) Stop() bool {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if t.index < 0 {
+	if t.index == 0 {
 		return false
 	}
-	v.events.remove(t.index)
+	v.unqueueLocked(t)
 	return true
 }
 
@@ -83,7 +87,7 @@ func (t *Timer) Reset(d time.Duration) bool {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	wasPending := t.index >= 0
+	wasPending := t.index != 0
 	v.armLocked(t, d)
 	return wasPending
 }
@@ -141,12 +145,48 @@ func (Wall) AfterFunc(d time.Duration, fn func()) *Timer {
 // Virtual time is kept as int64 nanoseconds since Epoch, so it spans Epoch to
 // Epoch + 292 years; a deadline past that end saturates there instead of
 // wrapping around, so a huge delay never fires early.
+//
+// Pending timers are kept in two places. Those due before the end of the
+// wheel's window, buckets cursor to cursor+slots-1, are nodes in the bucket
+// their deadline falls in; the rest are entries of the far heap, ordered by
+// (deadline, seq). The window starts at now's bucket and moves only when now
+// does, so every bucket it leaves is empty and every far entry it reaches
+// moves into an empty bucket, in heap order. A bucket's ring is therefore in
+// arming order, and the first of its earliest deadlines is the one armed
+// first: nodes need no seq, and a node is 16 B where an entry is 24.
 type Virtual struct {
 	mu     sync.Mutex
 	now    atomic.Int64 // ns since Epoch; written under mu, read by Now without it
-	events timerHeap
-	seq    uint64 // last tie-break handed out
-	fired  uint64 // lifetime count of events popped for firing
+	seq    uint64       // last tie-break handed out
+	fired  uint64       // lifetime count of events popped for firing
+	cursor int64        // now's bucket number (now >> slotShift), where the window starts
+	near   int          // timers in the wheel
+	nodes  []node       // the wheel's nodes; nodes[0] is unused, so 0 names none
+	free   int32        // first node of the free list, linked by next
+	far    timerHeap
+
+	heads *[slots]int32        // each bucket's last node; 0 when empty
+	used  [slots / 64]uint64   // bit b set when bucket b holds a node
+	words [slots / 4096]uint64 // bit w set when used[w] != 0
+}
+
+// The wheel: slots buckets of 2^slotShift ns each, a window of 2^27 ns
+// (≈ 134 ms). It holds a paced stream's frame period, a network hop and the
+// player's 100 ms skew check; doubling it would keep under 1 % more of the
+// media workloads' timers out of the far heap, for twice the table.
+const (
+	slotShift = 14
+	slots     = 1 << 13
+	window    = slots << slotShift
+)
+
+// node is one timer queued in the wheel. key is its deadline modulo the
+// window, so the bucket is key >> slotShift, and next links the bucket's
+// ring (or the free list): the last node links to the first.
+type node struct {
+	t    *Timer
+	next int32
+	key  uint32
 }
 
 // Epoch is the conventional start instant for simulations: an arbitrary but
@@ -154,10 +194,10 @@ type Virtual struct {
 var Epoch = time.Date(1996, time.August, 6, 9, 0, 0, 0, time.UTC)
 
 // NewSim returns a virtual clock starting at Epoch.
-func NewSim() *Virtual { return &Virtual{} }
+func NewSim() *Virtual { return &Virtual{heads: new([slots]int32)} }
 
-// entry is one pending timer in the heap: its deadline in ns since Epoch and
-// its FIFO tie-break, inline so that comparisons never dereference t.
+// entry is one pending timer in the far heap: its deadline in ns since Epoch
+// and its FIFO tie-break, inline so that comparisons never dereference t.
 type entry struct {
 	at  int64
 	seq uint64
@@ -169,7 +209,7 @@ func (e *entry) before(f *entry) bool {
 }
 
 // timerHeap is a 4-ary min-heap of entries ordered by (at, seq). Every move
-// of an entry updates its timer's index.
+// of an entry updates its timer's index to ^slot.
 type timerHeap []entry
 
 const arity = 4
@@ -190,7 +230,7 @@ func (h *timerHeap) remove(i int) *Timer {
 	if i < n {
 		h.fix(i)
 	}
-	t.index = -1
+	t.index = 0
 	return t
 }
 
@@ -209,11 +249,11 @@ func (h timerHeap) up(i int) {
 			break
 		}
 		h[i] = h[p]
-		h[i].t.index = i
+		h[i].t.index = ^i
 		i = p
 	}
 	h[i] = e
-	e.t.index = i
+	e.t.index = ^i
 }
 
 // down sinks the entry at slot i and reports whether it moved.
@@ -234,11 +274,11 @@ func (h timerHeap) down(i int) bool {
 			break
 		}
 		h[i] = h[m]
-		h[i].t.index = i
+		h[i].t.index = ^i
 		i = m
 	}
 	h[i] = e
-	e.t.index = i
+	e.t.index = ^i
 	return i > i0
 }
 
@@ -247,6 +287,9 @@ func (v *Virtual) Now() time.Time { return Epoch.Add(time.Duration(v.now.Load())
 
 // Since implements Clock.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
+
+// inWheel reports whether a deadline falls inside the wheel's window.
+func (v *Virtual) inWheel(at int64) bool { return at>>slotShift < v.cursor+slots }
 
 // armLocked queues t to fire d from now (a non-positive d means at the
 // current instant), taking a fresh seq so that a re-armed timer lands after
@@ -259,18 +302,174 @@ func (v *Virtual) armLocked(t *Timer, d time.Duration) {
 	if at < now {
 		at = math.MaxInt64
 	}
-	if t.index >= 0 {
-		v.events[t.index].at, v.events[t.index].seq = at, v.seq
-		v.events.fix(t.index)
+	switch i, near := t.index, v.inWheel(at); {
+	case i > 0 && near:
+		// Re-link at the end of its bucket, after every node armed before.
+		n := int32(i)
+		v.unlinkAfter(v.pred(n))
+		v.link(n, uint32(at)&(window-1))
+	case i < 0 && !near:
+		e := &v.far[^i]
+		e.at, e.seq = at, v.seq
+		v.far.fix(^i)
+	default:
+		if i != 0 {
+			v.unqueueLocked(t)
+		}
+		v.queueLocked(t, at)
+	}
+}
+
+// queueLocked files an unqueued timer under deadline at: at the end of its
+// bucket when the window covers at, in the far heap otherwise.
+func (v *Virtual) queueLocked(t *Timer, at int64) {
+	if !v.inWheel(at) {
+		v.far.push(entry{at: at, seq: v.seq, t: t})
+		return
+	}
+	n := v.free
+	if n != 0 {
+		v.free = v.nodes[n].next
 	} else {
-		v.events.push(entry{at: at, seq: v.seq, t: t})
+		if len(v.nodes) == 0 {
+			v.nodes = append(v.nodes, node{})
+		}
+		n = int32(len(v.nodes))
+		v.nodes = append(v.nodes, node{})
+	}
+	v.nodes[n].t = t
+	t.index = int(n)
+	v.link(n, uint32(at)&(window-1))
+}
+
+// unqueueLocked takes a queued timer out of the wheel or the far heap.
+func (v *Virtual) unqueueLocked(t *Timer) {
+	if i := t.index; i < 0 {
+		v.far.remove(^i)
+	} else {
+		v.freeNode(v.unlinkAfter(v.pred(int32(i))))
+	}
+}
+
+// freeNode returns an unlinked node to the free list, unqueueing its timer.
+func (v *Virtual) freeNode(n int32) {
+	v.nodes[n].t.index = 0
+	v.nodes[n] = node{next: v.free}
+	v.free = n
+}
+
+// link appends node n, keyed key, to the end of its bucket.
+func (v *Virtual) link(n int32, key uint32) {
+	b := key >> slotShift
+	v.nodes[n].key = key
+	v.near++
+	if last := v.heads[b]; last == 0 {
+		v.nodes[n].next = n
+		v.used[b>>6] |= 1 << (b & 63)
+		v.words[b>>12] |= 1 << (b >> 6 & 63)
+	} else {
+		v.nodes[n].next = v.nodes[last].next
+		v.nodes[last].next = n
+	}
+	v.heads[b] = n
+}
+
+// pred returns the node before n in its bucket's ring.
+func (v *Virtual) pred(n int32) int32 {
+	p := v.heads[v.nodes[n].key>>slotShift]
+	for v.nodes[p].next != n {
+		p = v.nodes[p].next
+	}
+	return p
+}
+
+// unlinkAfter takes the node after p out of its bucket's ring and returns it.
+func (v *Virtual) unlinkAfter(p int32) int32 {
+	n := v.nodes[p].next
+	b := v.nodes[n].key >> slotShift
+	v.near--
+	switch {
+	case n == p:
+		v.heads[b] = 0
+		if v.used[b>>6] &^= 1 << (b & 63); v.used[b>>6] == 0 {
+			v.words[b>>12] &^= 1 << (b >> 6 & 63)
+		}
+	case v.heads[b] == n:
+		v.heads[b] = p
+		fallthrough
+	default:
+		v.nodes[p].next = v.nodes[n].next
+	}
+	return n
+}
+
+// deadline returns the deadline a wheel key stands for: the one instant in
+// the window that is key modulo the window.
+func (v *Virtual) deadline(key uint32) int64 {
+	base := v.cursor << slotShift
+	return base + int64((key-uint32(base))&(window-1))
+}
+
+// earliestLocked finds the wheel node that fires next and returns the node
+// before it in its bucket's ring. Every wheel node precedes every far entry;
+// the first non-empty bucket from the cursor holds the earliest deadlines,
+// and the first of them in the ring was armed first. Caller holds v.mu and
+// knows the wheel is not empty.
+func (v *Virtual) earliestLocked() int32 {
+	last := v.heads[v.firstBucket(int(v.cursor)&(slots-1))]
+	p, key := last, v.nodes[v.nodes[last].next].key
+	for q := v.nodes[last].next; q != last; q = v.nodes[q].next {
+		if k := v.nodes[v.nodes[q].next].key; k < key {
+			p, key = q, k
+		}
+	}
+	return p
+}
+
+// firstBucket returns the first non-empty bucket at or after b, wrapping
+// round the wheel; at least one must be non-empty.
+func (v *Virtual) firstBucket(b int) int {
+	w := b >> 6
+	if m := v.used[w] >> (b & 63); m != 0 {
+		return b + bits.TrailingZeros64(m)
+	}
+	if w = v.firstWord(w + 1); w < 0 {
+		w = v.firstWord(0) // wrapped: used[b>>6] holds no bit at or above b
+	}
+	return w<<6 | bits.TrailingZeros64(v.used[w])
+}
+
+// firstWord returns the first non-zero word of used at or after w, or -1.
+func (v *Virtual) firstWord(w int) int {
+	for i := w >> 6; i < len(v.words); i++ {
+		m := v.words[i]
+		if i == w>>6 {
+			m &= ^uint64(0) << (w & 63)
+		}
+		if m != 0 {
+			return i<<6 | bits.TrailingZeros64(m)
+		}
+	}
+	return -1
+}
+
+// advanceLocked moves time forward to now and the window with it, filing
+// the far entries the window now reaches into their buckets in heap order.
+func (v *Virtual) advanceLocked(now int64) {
+	v.now.Store(now)
+	if c := now >> slotShift; c != v.cursor {
+		v.cursor = c
+		for len(v.far) > 0 && v.inWheel(v.far[0].at) {
+			at := v.far[0].at
+			v.queueLocked(v.far.remove(0), at)
+		}
 	}
 }
 
 // AfterFunc implements Clock. A non-positive d schedules fn at the current
 // instant; it still fires from the driver, never synchronously.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) *Timer {
-	t := &Timer{v: v, fn: fn, index: -1}
+	t := &Timer{v: v, fn: fn}
 	v.mu.Lock()
 	v.armLocked(t, d)
 	v.mu.Unlock()
@@ -285,21 +484,38 @@ func (v *Virtual) AfterFunc(d time.Duration, fn func()) *Timer {
 // unlocked.
 func (v *Virtual) fireNext(limit int64, advance bool) bool {
 	v.mu.Lock()
-	if len(v.events) == 0 || v.events[0].at > limit {
+	var t *Timer
+	if v.near > 0 {
+		p := v.earliestLocked()
+		n := v.nodes[p].next
+		if at := v.deadline(v.nodes[n].key); at <= limit {
+			t = v.nodes[n].t
+			v.freeNode(v.unlinkAfter(p))
+			v.fire(at)
+		}
+	} else if len(v.far) > 0 && v.far[0].at <= limit {
+		at := v.far[0].at
+		t = v.far.remove(0)
+		v.fire(at)
+	}
+	if t == nil {
 		if advance && limit > v.now.Load() {
-			v.now.Store(limit)
+			v.advanceLocked(limit)
 		}
 		v.mu.Unlock()
 		return false
 	}
-	if at := v.events[0].at; at > v.now.Load() {
-		v.now.Store(at)
-	}
-	t := v.events.remove(0)
-	v.fired++
 	v.mu.Unlock()
 	t.fn()
 	return true
+}
+
+// fire counts an event due at at, advancing time to it. Caller holds v.mu.
+func (v *Virtual) fire(at int64) {
+	if at > v.now.Load() {
+		v.advanceLocked(at)
+	}
+	v.fired++
 }
 
 // Step fires the single earliest pending timer, advancing time to its
@@ -334,7 +550,7 @@ func (v *Virtual) RunUntilIdle() int { return v.Run(time.Time{}) }
 func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return len(v.events)
+	return v.near + len(v.far)
 }
 
 // FiredCount reports the lifetime number of events this clock has fired.

@@ -2,6 +2,7 @@ package clock
 
 import (
 	"math"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -163,8 +164,9 @@ func TestRunStopsAtHorizon(t *testing.T) {
 	}
 }
 
-// TestTimerAllocs pins the cost of arming: the heap holds its entries by
-// value, so AfterFunc allocates exactly the Timer and Reset reuses it.
+// TestTimerAllocs pins the cost of arming: the wheel's slab and the far heap
+// hold their entries by value, so AfterFunc allocates exactly the Timer and
+// Reset reuses it.
 func TestTimerAllocs(t *testing.T) {
 	v := NewSim()
 	nop := func() {}
@@ -204,6 +206,30 @@ func TestHugeDelayNeverFiresEarly(t *testing.T) {
 	v.RunUntilIdle()
 	if len(order) != 4 || order[2] != "after" || order[3] != "reset" {
 		t.Fatalf("fired %v, want [reset hour after reset]", order)
+	}
+}
+
+// TestNearTimerAfterFarOnlyRun: with only timers past the wheel's window
+// pending, a Run that fires nothing still moves time. A timer armed after it
+// must be filed against the new now, not against the far deadline a peek
+// looked at, and fire first.
+func TestNearTimerAfterFarOnlyRun(t *testing.T) {
+	v := NewSim()
+	var order []string
+	v.AfterFunc(2*time.Second, func() { order = append(order, "far") })
+	if n := v.RunFor(100 * time.Millisecond); n != 0 {
+		t.Fatalf("RunFor fired %d, want 0", n)
+	}
+	v.AfterFunc(time.Millisecond, func() { order = append(order, "near") })
+	if !v.Step() || len(order) != 1 || order[0] != "near" {
+		t.Fatalf("first Step fired %v, want [near]", order)
+	}
+	if got := v.Since(Epoch); got != 101*time.Millisecond {
+		t.Fatalf("near timer fired at %v, want 101ms", got)
+	}
+	v.RunUntilIdle()
+	if len(order) != 2 || v.Since(Epoch) != 2*time.Second {
+		t.Fatalf("fired %v, clock at %v; want [near far] at 2s", order, v.Since(Epoch))
 	}
 }
 
@@ -477,30 +503,29 @@ func TestQuickFiringOrder(t *testing.T) {
 	}
 }
 
-// BenchmarkVirtualRun drives the event loop with the workload shape the
-// simulator produces: a population of pacing timers that each re-arm
-// themselves from their own callback. The hot cost is the per-event pop.
+// BenchmarkVirtualRun drives the event loop with the pending mix of a
+// lecture_private world: 350 flow pacers every 40 ms, 500 playout tickers
+// every 20–40 ms, 200 deliveries 5–7 ms out and 1 000 control timers 1–5 s
+// out, each re-arming itself from its own callback. The clock is built and
+// run for 5 s outside the timed loop; one op is one Step, one event fired.
 func BenchmarkVirtualRun(b *testing.B) {
-	const pacers = 256
-	b.ReportAllocs()
-	b.ResetTimer()
-	fired := 0
-	for b.Loop() {
-		v := NewSim()
-		for i := 0; i < pacers; i++ {
-			var tick func()
+	v := NewSim()
+	r := rand.New(rand.NewPCG(1, 2))
+	arm := func(n int, lo, hi time.Duration) {
+		for range n {
+			period := lo + time.Duration(r.Int64N(int64(hi-lo)+1))
 			var tm *Timer
-			period := time.Duration(100+i) * time.Microsecond
-			tick = func() {
-				fired++
-				tm.Reset(period)
-			}
-			tm = v.AfterFunc(period, tick)
+			tm = v.AfterFunc(time.Duration(r.Int64N(int64(period))), func() { tm.Reset(period) })
 		}
-		v.RunFor(20 * time.Millisecond)
 	}
-	if fired == 0 {
-		b.Fatal("no events fired")
+	arm(350, 40*time.Millisecond, 40*time.Millisecond)
+	arm(500, 20*time.Millisecond, 40*time.Millisecond)
+	arm(200, 5*time.Millisecond, 7*time.Millisecond)
+	arm(1000, time.Second, 5*time.Second)
+	v.RunFor(5 * time.Second)
+	b.ReportAllocs()
+	for b.Loop() {
+		v.Step()
 	}
 }
 

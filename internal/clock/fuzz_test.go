@@ -34,8 +34,16 @@ type refClock struct {
 func (m *refClock) arm(rt *refTimer, d time.Duration) bool {
 	was := rt.pending
 	m.seq++
-	rt.at, rt.seq, rt.pending = m.now+max(d, 0), m.seq, true
+	rt.at, rt.seq, rt.pending = m.after(max(d, 0)), m.seq, true
 	return was
+}
+
+// after returns now+d, saturating at the end of virtual time.
+func (m *refClock) after(d time.Duration) time.Duration {
+	if at := m.now + d; d <= 0 || at > m.now {
+		return at
+	}
+	return math.MaxInt64
 }
 
 // fire mirrors fireNext: fire the earliest due timer, or advance to limit.
@@ -83,8 +91,10 @@ func (m *refClock) pending() (n int) {
 
 // FuzzSchedulerOrder holds the Virtual clock to a linear-scan reference model
 // on generated operation sequences. Each three bytes [op a b] are one
-// operation, with delays int8(x) milliseconds so that negative, zero and
-// equal deadlines are common:
+// operation. A delay is int8(x) in the unit op/5%4 picks, so that negative,
+// zero and equal deadlines are common: milliseconds; 2^22 ns, whole buckets
+// of which 32 span the wheel's window, so deadlines land on its edge; seconds,
+// past the window; or a saturating MaxInt64 that ignores x.
 //
 //	op%5 == 0  AfterFunc(a) for a timer whose callback re-arms itself with
 //	           Reset(a) another b%3 times
@@ -95,10 +105,23 @@ func (m *refClock) pending() (n int) {
 //
 // After every operation the firing sequence, Now, Pending and FiredCount must
 // match the model, and so must each call's result. The committed corpus holds
-// the same-deadline FIFO and reset-lands-last cases.
+// the same-deadline FIFO and reset-lands-last cases, deadlines on both sides
+// of the window's edge, far timers moving into the wheel behind and ahead of
+// ones armed there directly, the wheel wrapping round, and the end of time.
 func FuzzSchedulerOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ms := func(x byte) time.Duration { return time.Duration(int8(x)) * time.Millisecond }
+		delay := func(op, x byte) time.Duration {
+			switch d := time.Duration(int8(x)); op / 5 % 4 {
+			case 1:
+				return d << 22
+			case 2:
+				return d * time.Second
+			case 3:
+				return math.MaxInt64
+			default:
+				return d * time.Millisecond
+			}
+		}
 		v, m := NewSim(), &refClock{}
 		var timers []*Timer
 		var log []firing
@@ -106,7 +129,7 @@ func FuzzSchedulerOrder(f *testing.F) {
 			op, a, b := data[k]%5, data[k+1], data[k+2]
 			switch op {
 			case 0:
-				id, period, left := len(timers), ms(a), int(b%3)
+				id, period, left := len(timers), delay(data[k], a), int(b%3)
 				var tm *Timer
 				tm = v.AfterFunc(period, func() {
 					log = append(log, firing{id, v.Since(Epoch)})
@@ -126,7 +149,7 @@ func FuzzSchedulerOrder(f *testing.F) {
 				i := int(a) % len(timers)
 				var got, want bool
 				if op == 1 {
-					got, want = timers[i].Reset(ms(b)), m.arm(m.timers[i], ms(b))
+					got, want = timers[i].Reset(delay(data[k], b)), m.arm(m.timers[i], delay(data[k], b))
 				} else {
 					got, want = timers[i].Stop(), m.timers[i].pending
 					m.timers[i].pending = false
@@ -143,7 +166,8 @@ func FuzzSchedulerOrder(f *testing.F) {
 				if a == 0 {
 					got, want = v.Run(time.Time{}), m.run(math.MaxInt64, false)
 				} else {
-					got, want = v.Run(v.Now().Add(ms(a))), m.run(m.now+ms(a), true)
+					d := delay(data[k], a)
+					got, want = v.Run(v.Now().Add(d)), m.run(m.after(d), true)
 				}
 				if got != want {
 					t.Fatalf("op %d: Run fired %d, model %d", k/3, got, want)

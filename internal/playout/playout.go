@@ -392,14 +392,20 @@ func (o *Options) fill() {
 
 // streamState is the runtime state of one playout process.
 type streamState struct {
-	entry    *scenario.Entry
-	sid      uint32 // the stream's ID interned in the display
+	entry *scenario.Entry
+	sid   uint32 // the stream's ID interned in the display
+	still bool
+
+	started   bool
+	done      bool
+	lateStill bool
+
 	buf      *buffer.Buffer
 	interval time.Duration
-	still    bool
-
-	started bool
-	done    bool
+	// due is the presentation instant of the tick the ticker is armed for:
+	// the stream's start, then each tick's own due instant plus interval,
+	// so a tick that runs late on the wall clock does not delay the next.
+	due time.Duration
 	// mediaPos is the PTS the stream expects to play next.
 	mediaPos time.Duration
 	// holdTicks orders deliberate duplications (skew control on a leader).
@@ -417,7 +423,6 @@ type streamState struct {
 	gaps          int
 	holds         int
 	drops         int
-	lateStill     bool
 }
 
 // Player is the presentation scheduler.
@@ -580,11 +585,8 @@ func (p *Player) armStreamLocked(s *streamState, from time.Duration) {
 		return
 	}
 	if !s.started {
-		delay := s.entry.PlayAt - from
-		if delay < 0 {
-			delay = 0
-		}
-		p.addTimer(delay, func() { p.startStream(s) })
+		s.due = max(s.entry.PlayAt, from)
+		p.addTimer(s.due-from, func() { p.startStream(s) })
 		return
 	}
 	// Already started: resume ticking / end timers.
@@ -594,6 +596,7 @@ func (p *Player) armStreamLocked(s *streamState, from time.Duration) {
 		}
 		return
 	}
+	s.due = from + s.interval
 	p.armStepLocked(s, s.interval)
 	if s.entry.Stream.Duration > 0 {
 		p.addTimer(s.entry.EndAt-from, func() { p.stopStream(s) })
@@ -715,7 +718,10 @@ func (p *Player) tick(s *streamState) {
 			p.disp.record(s.sid, Event{At: at, Kind: EvGap, Frame: it.Frame, Note: "underflow duplicate"})
 		}
 	}
-	p.armStepLocked(s, s.interval)
+	// The next tick is due one interval after this one was, not after it ran;
+	// on the virtual clock the two are the same instant.
+	s.due += s.interval
+	p.armStepLocked(s, s.due-at)
 	p.mu.Unlock()
 }
 

@@ -357,6 +357,51 @@ func TestPauseFreezesPlayout(t *testing.T) {
 	}
 }
 
+// lateClock is a virtual clock on which every callback runs late by late,
+// as a loaded host's wall clock runs them: a timer due at d calls fn at
+// d+late, and a Reset from inside fn counts from there.
+type lateClock struct {
+	v    *clock.Virtual
+	late time.Duration
+}
+
+func (c lateClock) Now() time.Time                  { return c.v.Now() }
+func (c lateClock) Since(t time.Time) time.Duration { return c.v.Since(t) }
+func (c lateClock) AfterFunc(d time.Duration, fn func()) *clock.Timer {
+	return c.v.AfterFunc(d, func() { c.v.AfterFunc(c.late, fn) })
+}
+
+// TestLateTicksKeepTheSchedule: when every tick runs δ late, tick k of a
+// stream lands at its ideal instant + δ, not at ideal + (k+1)·δ: each tick is
+// armed for the instant the one before was due plus one frame interval.
+func TestLateTicksKeepTheSchedule(t *testing.T) {
+	const late = 3 * time.Millisecond
+	r := newRig(t, avSource, Options{})
+	r.p = New(lateClock{r.clk, late}, r.sc, r.sch, r.bufs, r.disp, Options{})
+	r.feed("a", media.NewAudio(nil), 10*time.Second, 0, nil)
+	r.feed("v", media.NewVideo("v", nil), 10*time.Second, 0, nil)
+	r.p.Start()
+	r.run(3 * time.Second)
+	ticks := map[string]int{}
+	for _, ev := range r.disp.Events() {
+		if ev.Kind != EvPlay && ev.Kind != EvGap {
+			continue
+		}
+		k := ticks[ev.StreamID]
+		ticks[ev.StreamID]++
+		interval := 40 * time.Millisecond
+		if ev.StreamID == "a" {
+			interval = 20 * time.Millisecond
+		}
+		if want := time.Duration(k)*interval + late; ev.At != want {
+			t.Fatalf("stream %s tick %d at %v, want %v", ev.StreamID, k, ev.At, want)
+		}
+	}
+	if ticks["a"] < 140 || ticks["v"] < 70 {
+		t.Fatalf("ticks = %v, want about 150 audio and 75 video", ticks)
+	}
+}
+
 func TestDoubleStartAndFinishIdempotent(t *testing.T) {
 	r := newRig(t, avSource, Options{})
 	r.p.Start()

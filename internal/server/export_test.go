@@ -91,8 +91,7 @@ type FlowStat struct {
 	Stream      string
 	Level       int
 	Subscribers int
-	Frames      int
-	Delivered   int64
+	Next        int // the pacing cursor: the index of the next frame
 }
 
 // FlowStats snapshots every live shared flow (empty when shared flows are
@@ -108,8 +107,7 @@ func (s *Server) FlowStats() []FlowStat {
 			Stream:      key.stream,
 			Level:       key.level,
 			Subscribers: len(fl.subs),
-			Frames:      fl.frames,
-			Delivered:   fl.delivered,
+			Next:        fl.nextIdx,
 		})
 		fl.mu.Unlock()
 	}

@@ -37,8 +37,7 @@ import (
 // from a shared flow — pause, suspend, disable, stop, a QoS grade change — is
 // one operation, split: the handle leaves the shared flow for a new private
 // flow continuing at the shared cursor with forked RTP state (same SSRC,
-// contiguous sequence numbers) and the subscriber's share of the counters,
-// so the other subscribers never notice. A shared flow tears down when its
+// contiguous sequence numbers), so the other subscribers never notice. A shared flow tears down when its
 // last subscriber leaves. A handle never moves back onto a shared flow.
 //
 // Lock order (continues the shard.go hierarchy):
@@ -66,16 +65,6 @@ type flowKey struct {
 	doc    string
 	stream string
 	level  int
-}
-
-// flowSub is one subscriber's membership: its handle and the flow counters at
-// attach time, so the split continuation's counters cover exactly the frames
-// this subscriber was sent.
-type flowSub struct {
-	sn          *sender
-	baseFrames  int
-	basePackets int
-	baseBytes   int64
 }
 
 // flowSeg is one cached frame in a registered flow's bounded segment cache.
@@ -125,16 +114,8 @@ type flow struct {
 	// finished covers end of stream, a stopped private flow and a registered
 	// flow whose last subscriber left.
 	finished bool
-	subs     []flowSub     // sorted by destination
+	subs     []*sender     // sorted by destination
 	dests    []netsim.Addr // subs' destinations, the fan-out list
-
-	// counters of what the flow sent; a new document request builds new
-	// flows, so they describe the current playback only
-	frames    int
-	packets   int
-	bytes     int64
-	skipped   int   // frames withheld while the stream was cut off
-	delivered int64 // frames × subscribers actually sent
 
 	cache  []flowSeg // registered flows only; slot = idx % segCacheCap
 	cacheN int       // frames ever cached
@@ -154,7 +135,7 @@ func newFlow(srv *Server, sn *sender, src media.Source, sendAt time.Duration, or
 		origin: origin,
 	}
 	fl.emitFn = fl.emit
-	fl.addSubLocked(flowSub{sn: sn})
+	fl.addSubLocked(sn)
 	return fl
 }
 
@@ -244,7 +225,6 @@ func (fl *flow) emitFrameLocked() bool {
 	if stopped {
 		// Cut off by the long-term mechanism: withhold the frame but
 		// keep pacing so a restore resumes cleanly.
-		fl.skipped++
 		return true
 	}
 	// Sampled frame span, hop 1 (emit→wire): wall-clock service time from
@@ -289,8 +269,6 @@ func (fl *flow) emitFrameLocked() bool {
 		}
 		buf = body.Append(hdr.AppendTo(buf), fsize)
 		pb.B = buf
-		fl.packets++
-		fl.bytes += int64(media.FrameHeaderSize + fsize)
 		pkt := netsim.Packet{From: fl.from, Payload: buf, Reliable: reliable}
 		if fl.shared() {
 			fl.srv.sendMedia(pkt, fl.dests)
@@ -300,8 +278,6 @@ func (fl *flow) emitFrameLocked() bool {
 		}
 		pktPool.Put(pb)
 	}
-	fl.frames++
-	fl.delivered += int64(len(fl.dests))
 	fl.srv.mFrames.Inc()
 	fl.srv.mPackets.Add(int64(fragCount))
 	fl.srv.mBytes.Add(int64(frame.Size))
@@ -343,8 +319,8 @@ func (fl *flow) report(now time.Time, mediaTime time.Duration) *rtp.SenderReport
 }
 
 func (fl *flow) subIndexLocked(sn *sender) int {
-	for i := range fl.subs {
-		if fl.subs[i].sn == sn {
+	for i, sub := range fl.subs {
+		if sub == sn {
 			return i
 		}
 	}
@@ -353,16 +329,16 @@ func (fl *flow) subIndexLocked(sn *sender) int {
 
 // addSubLocked subscribes a handle. The fan-out list stays sorted by
 // destination for deterministic delivery order under the seeded simulator.
-func (fl *flow) addSubLocked(sub flowSub) {
-	fl.subs = append(fl.subs, sub)
-	sort.Slice(fl.subs, func(i, j int) bool { return fl.subs[i].sn.to < fl.subs[j].sn.to })
+func (fl *flow) addSubLocked(sn *sender) {
+	fl.subs = append(fl.subs, sn)
+	sort.Slice(fl.subs, func(i, j int) bool { return fl.subs[i].to < fl.subs[j].to })
 	fl.rebuildDestsLocked()
 }
 
 func (fl *flow) rebuildDestsLocked() {
 	fl.dests = fl.dests[:0]
-	for i := range fl.subs {
-		fl.dests = append(fl.dests, fl.subs[i].sn.to)
+	for _, sub := range fl.subs {
+		fl.dests = append(fl.dests, sub.to)
 	}
 }
 
@@ -390,7 +366,7 @@ const flowPatchDelay = 50 * time.Millisecond
 // the joiner just rides the live cursor). The packets are returned, not
 // sent: the joiner's handle transmits them after flowPatchDelay so they
 // cannot beat the DocResponse to a client that is not yet listening.
-func (fl *flow) catchUpLocked() (patch [][]byte, frames, packets int, bytes int64) {
+func (fl *flow) catchUpLocked() (patch [][]byte, frames int) {
 	lo := fl.cacheN - segCacheCap
 	if lo < 0 {
 		lo = 0
@@ -403,7 +379,7 @@ func (fl *flow) catchUpLocked() (patch [][]byte, frames, packets int, bytes int6
 		}
 	}
 	if gop < 0 {
-		return nil, 0, 0, 0
+		return nil, 0
 	}
 	totalPkts := 0
 	for i := gop; i < fl.cacheN; i++ {
@@ -431,12 +407,10 @@ func (fl *flow) catchUpLocked() (patch [][]byte, frames, packets int, bytes int6
 			}
 			buf = body.Append(hdr.AppendTo(buf), fsize)
 			patch = append(patch, buf)
-			packets++
-			bytes += int64(media.FrameHeaderSize + fsize)
 		}
 		frames++
 	}
-	return patch, frames, packets, bytes
+	return patch, frames
 }
 
 // flowRegistry indexes the server's live registered flows.
@@ -456,15 +430,10 @@ func (r *flowRegistry) join(srv *Server, key flowKey, src media.Source, sendAt t
 	if fl = r.flows[key]; fl != nil {
 		fl.mu.Lock()
 		if !fl.finished {
-			patch, cf, cp, cb := fl.catchUpLocked()
-			fl.addSubLocked(flowSub{
-				sn:          sn,
-				baseFrames:  fl.frames - cf,
-				basePackets: fl.packets - cp,
-				baseBytes:   fl.bytes - cb,
-			})
+			patch, frames := fl.catchUpLocked()
+			fl.addSubLocked(sn)
 			fl.mu.Unlock()
-			return fl, patch, cf
+			return fl, patch, frames
 		}
 		fl.mu.Unlock()
 	}
@@ -485,7 +454,7 @@ func (r *flowRegistry) join(srv *Server, key flowKey, src media.Source, sendAt t
 
 // split takes a subscriber off a registered flow and returns its
 // continuation: an unarmed private flow at the shared cursor and schedule,
-// with forked RTP state and the subscriber's share of the counters. When the
+// with forked RTP state. When the
 // last subscriber leaves, the registered flow stops pacing and unregisters —
 // one more join for the same key builds a fresh flow. Caller holds sn.mu.
 func (r *flowRegistry) split(fl *flow, sn *sender) *flow {
@@ -497,10 +466,6 @@ func (r *flowRegistry) split(fl *flow, sn *sender) *flow {
 	p.nextIdx = fl.nextIdx
 	p.finished = fl.finished
 	i := fl.subIndexLocked(sn)
-	sub := fl.subs[i]
-	p.frames = fl.frames - sub.baseFrames
-	p.packets = fl.packets - sub.basePackets
-	p.bytes = fl.bytes - sub.baseBytes
 	fl.subs = append(fl.subs[:i], fl.subs[i+1:]...)
 	fl.rebuildDestsLocked()
 	if len(fl.subs) == 0 {

@@ -116,16 +116,16 @@ func TestSharedFlowFanOutLifecycle(t *testing.T) {
 	var c1Pkts, c2Pkts int
 	h.net.Listen(netsim.MakeAddr("fake", p1), func(netsim.Packet) { c1Pkts++ })
 	h.net.Listen(netsim.MakeAddr("fake2", p2), func(netsim.Packet) { c2Pkts++ })
-	vf0 := videoFlowStat(t, h.srv)
+	sent, delivered := h.scope.Counter("server_media_frames_sent"), h.scope.Counter("server_media_frames_delivered")
+	sent0, delivered0 := sent.Value(), delivered.Value()
 	h.clk.RunFor(2 * time.Second)
 	if c1Pkts == 0 || c2Pkts == 0 {
 		t.Fatalf("fan-out not delivering: c1=%d c2=%d", c1Pkts, c2Pkts)
 	}
 	// One encode, two deliveries — measured over a window where both
-	// subscribers were attached (c1 rode the flow alone before c2 joined,
-	// so cumulative totals would under-count the fan-out).
-	vf := videoFlowStat(t, h.srv)
-	dFrames, dDelivered := int64(vf.Frames-vf0.Frames), vf.Delivered-vf0.Delivered
+	// subscribers were attached to both flows (c1 rode them alone before c2
+	// joined, so cumulative totals would under-count the fan-out).
+	dFrames, dDelivered := sent.Value()-sent0, delivered.Value()-delivered0
 	if dFrames == 0 || dDelivered < 2*dFrames-4 {
 		t.Fatalf("flow frames+=%d delivered+=%d while both attached, want 2× fan-out", dFrames, dDelivered)
 	}
@@ -281,7 +281,7 @@ func TestSharedFlowLateJoinerCatchUp(t *testing.T) {
 	before := catchup.Value()
 	sendAt(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"}, time.Second)
 	sendAt(protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc", MediaPortBase: 9200, WindowMS: 300}, 10*time.Millisecond)
-	if vf := videoFlowStat(t, h.srv); vf.Subscribers < 2 || vf.Frames < 100 {
+	if vf := videoFlowStat(t, h.srv); vf.Subscribers < 2 || vf.Next < 100 {
 		t.Fatalf("fake3 did not join the flow mid-stream: %+v", vf)
 	}
 	opAt = h.clk.Now()
