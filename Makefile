@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHMLRoundTrip$$' -fuzztime 10s ./internal/hml/
 	$(GO) test -run '^$$' -fuzz '^FuzzDisplayRoundTrip$$' -fuzztime 10s ./internal/playout/
 	$(GO) test -run '^$$' -fuzz '^FuzzClientMedia$$' -fuzztime 10s ./internal/client/
+	$(GO) test -run '^$$' -fuzz '^FuzzLinkPlan$$' -fuzztime 10s ./internal/netsim/
 
 # Vets and tests the end-to-end benchmark under bench/, a module of its own that ./... does not reach.
 bench-check:

@@ -13,7 +13,8 @@
 // A Network is one lock (its fault schedule included), one RNG and one event
 // stream: a seed plus a fault schedule replays identically, and every
 // delivery is folded into DeliveryDigest, the fingerprint the replay tests
-// compare across runs.
+// compare across runs: its address hash, computed once in Listen, and its
+// planned arrival, which is when a virtual clock fires it.
 //
 // # One send path
 //
@@ -37,12 +38,13 @@
 // and delivers without allocating. A payload is one copy of a transmission's
 // bytes, shared by every arrival of it (each destination of a fan-out, and a
 // duplicate), and it carries its own count of the deliveries still to run.
-// A delivery is one scheduled arrival: the packet, its payload and a clock
-// timer bound once to the delivery, re-armed with Reset for each new
-// arrival. A delivery returns to its free list only after its handler has
-// returned, and the last delivery of a payload returns the payload, so a
-// handler that sends (and so reuses freed deliveries) can never overwrite
-// bytes another destination has yet to read. Symmetrically, the Payload a
+// A delivery is one scheduled arrival: the packet's fields (not a Packet,
+// which is built when the handler runs), its payload and a clock timer bound
+// once to the delivery, re-armed with Reset for each new arrival. A delivery
+// returns to its free list only after its handler has returned, and the
+// last delivery of a payload returns the payload, so a handler that sends
+// (and so reuses freed deliveries) can never overwrite bytes another
+// destination has yet to read. Symmetrically, the Payload a
 // Handler receives is borrowed: it is valid only until the handler returns,
 // after which the network recycles it. Handlers that keep payload bytes —
 // the client's reassembly, for an observer's frames — must copy them out.
@@ -53,6 +55,7 @@
 package netsim
 
 import (
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -197,17 +200,23 @@ func (ls *LinkStats) LossRate() float64 {
 	return float64(ls.Dropped) / float64(ls.Sent)
 }
 
+// link is one direction of a host pair. Its clocks, like an egress's, are
+// offsets from the network's epoch: a hop is planned on integer time.
 type link struct {
 	cfg    LinkConfig
 	phases []Phase
 	rng    *stats.RNG
 	// nextFree is when the serializer finishes the last accepted packet.
-	nextFree time.Time
+	nextFree time.Duration
 	// lastReliableArrival enforces in-order delivery on the reliable path
-	// per link direction.
-	lastReliableArrival time.Time
+	// per link direction; noArrival until the first reliable arrival.
+	lastReliableArrival time.Duration
 	stats               LinkStats
 }
+
+// noArrival is an instant before every arrival: a link's last reliable
+// arrival before it has any, and a plan's duplicate when there is none.
+const noArrival = time.Duration(math.MinInt64)
 
 // egress is a per-host outbound serializer shared by every link leaving the
 // host — the model of a server's access/uplink capacity that all of its
@@ -215,7 +224,7 @@ type link struct {
 type egress struct {
 	rate       float64 // bits/s
 	queueLimit time.Duration
-	nextFree   time.Time
+	nextFree   time.Duration
 }
 
 // Network is the simulated network: a set of host-pair links, per-host
@@ -228,7 +237,7 @@ type Network struct {
 	rng       *stats.RNG
 	links     map[linkKey]*link
 	egresses  map[string]*egress
-	endpoints map[Addr]Handler
+	endpoints map[Addr]endpoint
 	defaults  LinkConfig
 
 	// delivered and digest fold every packet delivery into the replay
@@ -264,7 +273,7 @@ func New(clk clock.Clock, seed uint64) *Network {
 		rng:       stats.NewRNG(seed),
 		links:     map[linkKey]*link{},
 		egresses:  map[string]*egress{},
-		endpoints: map[Addr]Handler{},
+		endpoints: map[Addr]endpoint{},
 		defaults:  DefaultLAN(),
 	}
 }
@@ -327,10 +336,16 @@ func (n *Network) getLinkLocked(from, to string) *link {
 	key := linkKey{from, to}
 	l, ok := n.links[key]
 	if !ok {
-		l = &link{cfg: n.defaults, rng: n.rng.Split()}
+		l = &link{cfg: n.defaults, rng: n.rng.Split(), lastReliableArrival: noArrival}
 		n.links[key] = l
 	}
 	return l
+}
+
+// endpoint is a registered handler and the hash the digest folds for its address.
+type endpoint struct {
+	h    Handler
+	hash uint64
 }
 
 // Listen registers a handler for packets addressed to addr, replacing any
@@ -343,7 +358,7 @@ func (n *Network) Listen(addr Addr, h Handler) error {
 		delete(n.endpoints, addr)
 		return nil
 	}
-	n.endpoints[addr] = h
+	n.endpoints[addr] = endpoint{h: h, hash: fnv64str(string(addr))}
 	return nil
 }
 
@@ -399,13 +414,13 @@ func (l *link) activePhase(t time.Duration) (lossF float64, extraD, extraJ time.
 	return lossF, extraD, extraJ, bwF
 }
 
-// linkPlanLocked runs one packet through the link's queueing, loss and
-// delay machinery: egress and link serialization, tail drop, stochastic
-// loss, jitter, reliable-path retransmission and ordering. It returns the
-// arrival time, an optional duplicate arrival, and a drop cause
-// ("" = delivered). Caller holds n.mu.
-func (n *Network) linkPlanLocked(l *link, pkt *Packet, now time.Time, offset time.Duration, egressStart time.Time) (arrival, dupArrival time.Time, dropCause string) {
-	lossF, extraD, extraJ, bwF := l.activePhase(offset)
+// linkPlanLocked runs one packet sent at now through the link's queueing,
+// loss and delay machinery: egress and link serialization, tail drop,
+// stochastic loss, jitter, reliable-path retransmission and ordering. It
+// returns the arrival, a duplicate (or noArrival) and a drop cause ("" =
+// delivered), all instants offsets from the epoch. Caller holds n.mu.
+func (n *Network) linkPlanLocked(l *link, pkt *Packet, now, egressStart time.Duration) (arrival, dupArrival time.Duration, dropCause string) {
+	lossF, extraD, extraJ, bwF := l.activePhase(now)
 
 	// Serialization: the link transmits one packet at a time.
 	bw := l.cfg.Bandwidth * bwF
@@ -413,18 +428,15 @@ func (n *Network) linkPlanLocked(l *link, pkt *Packet, now time.Time, offset tim
 	if bw > 0 {
 		txTime = time.Duration(float64(pkt.Size()*8) / bw * float64(time.Second))
 	}
-	depart := egressStart
-	if l.nextFree.After(depart) {
-		depart = l.nextFree
-	}
+	depart := max(egressStart, l.nextFree)
 	queueLimit := l.cfg.QueueLimit
 	if queueLimit == 0 {
 		queueLimit = 500 * time.Millisecond
 	}
-	if depart.Sub(now) > queueLimit && !pkt.Reliable {
-		return time.Time{}, time.Time{}, "queue overflow"
+	if depart-now > queueLimit && !pkt.Reliable {
+		return noArrival, noArrival, "queue overflow"
 	}
-	l.nextFree = depart.Add(txTime)
+	l.nextFree = depart + txTime
 
 	// Loss decision.
 	ploss := min(l.cfg.Loss*lossF, 0.95)
@@ -437,50 +449,48 @@ func (n *Network) linkPlanLocked(l *link, pkt *Packet, now time.Time, offset tim
 
 	lost := ploss > 0 && l.rng.Bool(ploss)
 	if lost && !pkt.Reliable {
-		return time.Time{}, time.Time{}, "loss"
+		return noArrival, noArrival, "loss"
 	}
-	arrival = l.nextFree.Add(delay)
+	arrival = l.nextFree + delay
 	if lost && pkt.Reliable {
 		// Reliable path: the loss becomes a retransmission, costing one
 		// round trip plus a retransmission of the packet. Repeated losses
 		// compound geometrically.
 		for lost {
-			arrival = arrival.Add(2*(l.cfg.Delay+extraD) + txTime)
+			arrival += 2*(l.cfg.Delay+extraD) + txTime
 			lost = l.rng.Bool(ploss)
 		}
 	}
 	if pkt.Reliable {
 		// TCP delivers in order per connection; model per link direction.
-		if !arrival.After(l.lastReliableArrival) {
-			arrival = l.lastReliableArrival.Add(time.Microsecond)
+		if arrival <= l.lastReliableArrival {
+			arrival = l.lastReliableArrival + time.Microsecond
 		}
 		l.lastReliableArrival = arrival
 	}
 	l.stats.Delivered++
+	dupArrival = noArrival
 	if !pkt.Reliable && l.cfg.Dup > 0 && l.rng.Bool(l.cfg.Dup) {
-		dupArrival = arrival.Add(time.Millisecond + time.Duration(l.rng.Float64()*float64(jitterBound+time.Millisecond)))
+		dupArrival = arrival + time.Millisecond + time.Duration(l.rng.Float64()*float64(jitterBound+time.Millisecond))
 	}
 	return arrival, dupArrival, ""
 }
 
-// egressLocked passes pkt through the sending host's egress serializer, the
-// one queue everything the host sends shares: it returns when the packet has
-// left the host (now, for a host without an egress limit), or overflow when
-// an unreliable packet would wait longer than the queue limit, in which case
-// the serializer is not charged. Caller holds n.mu.
-func (n *Network) egressLocked(host string, pkt *Packet, now time.Time) (start time.Time, overflow bool) {
+// egressLocked passes pkt, sent at now, through the sending host's egress
+// serializer, the one queue everything the host sends shares: it returns
+// when the packet has left (now, for a host without an egress limit), or
+// overflow when an unreliable packet would wait longer than the queue
+// limit, and then charges nothing. Caller holds n.mu.
+func (n *Network) egressLocked(host string, pkt *Packet, now time.Duration) (start time.Duration, overflow bool) {
 	eg, ok := n.egresses[host]
 	if !ok {
 		return now, false
 	}
-	start = now
-	if eg.nextFree.After(start) {
-		start = eg.nextFree
-	}
-	if start.Sub(now) > eg.queueLimit && !pkt.Reliable {
+	start = max(now, eg.nextFree)
+	if start-now > eg.queueLimit && !pkt.Reliable {
 		return start, true
 	}
-	eg.nextFree = start.Add(time.Duration(float64(pkt.Size()*8) / eg.rate * float64(time.Second)))
+	eg.nextFree = start + time.Duration(float64(pkt.Size()*8)/eg.rate*float64(time.Second))
 	return eg.nextFree, false
 }
 
@@ -493,18 +503,20 @@ type payload struct {
 	next *payload
 }
 
-// delivery is one scheduled arrival of a packet. Its timer is bound to
-// deliver once, when the delivery is first made, and re-armed with Reset
-// every time the delivery is reused. While a delivery is being planned, next
-// chains the arrivals of one transmission; on the free list it links the
-// list.
+// delivery is one scheduled arrival of a packet: the packet's fields, not a
+// Packet, with its send and planned arrival instants as offsets from the
+// epoch. Its timer is bound to deliver once, when the delivery is first
+// made, and re-armed with Reset every time the delivery is reused. While a
+// delivery is being planned, next chains the arrivals of one transmission;
+// on the free list it links the list.
 type delivery struct {
-	n     *Network
-	pkt   Packet
-	pl    *payload
-	wait  time.Duration
-	timer *clock.Timer
-	next  *delivery
+	n          *Network
+	from, to   Addr
+	sentAt, at time.Duration
+	pl         *payload
+	timer      *clock.Timer
+	next       *delivery
+	reliable   bool
 }
 
 // newDeliveryLocked takes a delivery off the free list, or makes one.
@@ -531,34 +543,39 @@ func (n *Network) newPayloadLocked(b []byte) *payload {
 	return pl
 }
 
-// arm schedules the delivery wait from now.
+// arm schedules the delivery at its planned arrival.
 func (d *delivery) arm() {
+	wait := d.at - d.sentAt
 	if d.timer == nil {
-		d.timer = d.n.clk.AfterFunc(d.wait, d.deliver)
+		d.timer = d.n.clk.AfterFunc(wait, d.deliver)
 		return
 	}
-	d.timer.Reset(d.wait)
+	d.timer.Reset(wait)
 }
 
-// deliver is the arrival: it folds the packet into the replay digest, runs
-// the destination's handler, and only then recycles the delivery, and the
-// payload if this was its last reader.
+// deliver is the arrival: it folds the packet into the replay digest at its
+// planned arrival, which is when a virtual clock fires it, builds the
+// handler's Packet, runs the destination's handler, and only then recycles
+// the delivery, and the payload if this was its last reader.
 func (d *delivery) deliver() {
 	n := d.n
 	n.mu.Lock()
-	h := n.endpoints[d.pkt.To]
+	ep, ok := n.endpoints[d.to]
+	if !ok {
+		ep.hash = fnv64str(string(d.to))
+	}
 	n.delivered++
-	n.digest = deliveryFold(n.digest, d.pkt.To, n.clk.Now().Sub(n.epoch), len(d.pkt.Payload))
+	n.digest = deliveryFold(n.digest, ep.hash, d.at, len(d.pl.b))
 	n.mu.Unlock()
-	if h != nil {
-		h(d.pkt)
+	if ep.h != nil {
+		ep.h(Packet{From: d.from, To: d.to, Payload: d.pl.b, Reliable: d.reliable, SentAt: n.epoch.Add(d.sentAt)})
 	}
 	n.mu.Lock()
 	pl := d.pl
 	if pl.refs--; pl.refs == 0 {
 		n.freePayloads, pl.next = pl, n.freePayloads
 	}
-	d.pkt, d.pl = Packet{}, nil
+	d.from, d.to, d.pl = "", "", nil
 	n.freeDeliveries, d.next = d, n.freeDeliveries
 	n.mu.Unlock()
 }
@@ -594,7 +611,7 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault faultDrop) {
 	// the one copy of the payload they share.
 	var first, last *delivery
 	var pl *payload
-	var egressStart time.Time
+	var egressStart time.Duration
 	charged, overflow := false, false
 
 	n.mu.Lock()
@@ -605,7 +622,7 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault faultDrop) {
 		l.stats.Sent++
 		l.stats.Bytes += int64(pkt.Size())
 
-		var at, dupAt time.Time
+		var at, dupAt time.Duration
 		cause := "egress overflow"
 		// Injected faults kill the packet regardless of reliability: a
 		// partitioned or downed host drops TCP segments just as surely as UDP
@@ -617,11 +634,11 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault faultDrop) {
 			}
 		} else {
 			if !charged {
-				egressStart, overflow = n.egressLocked(from, &pkt, now)
+				egressStart, overflow = n.egressLocked(from, &pkt, offset)
 				charged = true
 			}
 			if !overflow {
-				at, dupAt, cause = n.linkPlanLocked(l, &pkt, now, offset, egressStart)
+				at, dupAt, cause = n.linkPlanLocked(l, &pkt, offset, egressStart)
 			}
 		}
 		if cause != "" {
@@ -629,8 +646,8 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault faultDrop) {
 			refusals = append(refusals, refusal{to, cause})
 			continue
 		}
-		for _, when := range [2]time.Time{at, dupAt} {
-			if when.IsZero() {
+		for _, when := range [2]time.Duration{at, dupAt} {
+			if when == noArrival {
 				break
 			}
 			if pl == nil {
@@ -640,8 +657,9 @@ func (n *Network) transmit(pkt Packet, tos []Addr) (fault faultDrop) {
 			}
 			pl.refs++
 			d := n.newDeliveryLocked()
-			d.pkt = Packet{From: pkt.From, To: to, Payload: pl.b, Reliable: pkt.Reliable, SentAt: now}
-			d.pl, d.wait = pl, when.Sub(now)
+			d.from, d.to, d.reliable, d.pl = pkt.From, to, pkt.Reliable, pl
+			// The clock fires a past deadline at once, so that is the arrival.
+			d.sentAt, d.at = offset, max(when, offset)
 			if last == nil {
 				first = d
 			} else {
@@ -722,12 +740,12 @@ func fnv64str(s string) uint64 {
 	return h
 }
 
-// deliveryFold mixes one delivery event into the network's digest.
-func deliveryFold(h uint64, to Addr, at time.Duration, size int) uint64 {
+// deliveryFold mixes one delivery (address hash, arrival offset, size) into h.
+func deliveryFold(h, to uint64, at time.Duration, size int) uint64 {
 	if h == 0 {
 		h = fnvOffset
 	}
-	h = fnvMix(h, fnv64str(string(to)))
+	h = fnvMix(h, to)
 	h = fnvMix(h, uint64(at))
 	h = fnvMix(h, uint64(size))
 	return h

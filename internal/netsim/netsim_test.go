@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -425,18 +426,49 @@ func TestEgressLimitRemoval(t *testing.T) {
 	}
 }
 
+// BenchmarkNetsimThroughput times a packet's hop, send to delivery, on a
+// warm network: a Send over a jittery link, a SendMulti fan-out to 8, and a
+// reliable Send over a lossy, jittery link, where losses become
+// retransmissions and jitter trips the ordering clamp.
 func BenchmarkNetsimThroughput(b *testing.B) {
-	clk, net := newSim()
-	net.SetLink("a", "b", LinkConfig{Delay: 10 * time.Millisecond, Jitter: 5 * time.Millisecond})
-	net.Listen("b:1", func(Packet) {})
-	payload := make([]byte, 1000)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		net.Send(Packet{From: "a:1", To: "b:1", Payload: payload})
-		if i%1024 == 0 {
-			clk.RunUntilIdle()
-		}
+	fan := make([]Addr, 8)
+	for i := range fan {
+		fan[i] = MakeAddr("c"+strconv.Itoa(i), 1)
 	}
-	clk.RunUntilIdle()
+	cases := []struct {
+		name string
+		link LinkConfig
+		pkt  Packet
+		tos  []Addr
+	}{
+		{"Send", LinkConfig{Delay: 10 * time.Millisecond, Jitter: 5 * time.Millisecond}, Packet{From: "a:1", To: "b:1"}, nil},
+		{"SendMulti to 8", LinkConfig{Delay: 10 * time.Millisecond, Jitter: 5 * time.Millisecond}, Packet{From: "a:1"}, fan},
+		{"reliable lossy", LinkConfig{Delay: 10 * time.Millisecond, Jitter: 20 * time.Millisecond, Loss: 0.2}, Packet{From: "a:1", To: "b:1", Reliable: true}, nil},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			clk, net := newSim()
+			net.SetDefaultLink(c.link)
+			pkt := c.pkt
+			for _, to := range append([]Addr{pkt.To}, c.tos...) {
+				if to != "" {
+					net.Listen(to, func(Packet) {})
+				}
+			}
+			pkt.Payload = make([]byte, 1000)
+			b.SetBytes(int64(len(pkt.Payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c.tos != nil {
+					net.SendMulti(pkt, c.tos)
+				} else {
+					net.Send(pkt)
+				}
+				if i%1024 == 0 {
+					clk.RunUntilIdle()
+				}
+			}
+			clk.RunUntilIdle()
+		})
+	}
 }

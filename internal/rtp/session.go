@@ -134,9 +134,10 @@ func (r *Receiver) Observe(p *Packet, arrival time.Time, sent time.Time) {
 	}
 	r.received++
 
-	// Jitter: compare arrival spacing to timestamp spacing.
-	arrivalTS := time.Duration(arrival.UnixNano()) // monotonic enough within a session
-	transit := arrivalTS - FromTimestamp(p.Timestamp)
+	// Jitter: compare arrival spacing to timestamp spacing. Both delays
+	// are on UnixNano readings, monotonic enough within a session.
+	arrivalNs := arrival.UnixNano()
+	transit := time.Duration(arrivalNs) - FromTimestamp(p.Timestamp)
 	if r.lastTransit != 0 {
 		d := transit - r.lastTransit
 		if d < 0 {
@@ -148,7 +149,7 @@ func (r *Receiver) Observe(p *Packet, arrival time.Time, sent time.Time) {
 	r.lastTransit = transit
 
 	if !sent.IsZero() {
-		r.lastDelay = arrival.Sub(sent)
+		r.lastDelay = time.Duration(arrivalNs - sent.UnixNano())
 	}
 }
 
