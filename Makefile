@@ -23,21 +23,21 @@ test:
 race:
 	$(GO) test -race ./internal/clock/... ./internal/transport/... ./internal/netsim/... ./internal/obs/... ./internal/stats/... ./internal/playout/... ./internal/protocol/... ./internal/auth/... ./internal/client/... ./internal/server/... ./internal/media/... ./internal/rtp/... ./internal/qos/... ./internal/buffer/... ./internal/cluster/... ./internal/experiments/... ./internal/chaos/... ./internal/hermes/... ./cmd/...
 
-# The fuzz smoke: 10 s of each Fuzz target, one line per target (go test fuzzes one target per run). A crasher is written under the package's testdata/fuzz and committed, so plain go test replays it from then on.
+# The fuzz smoke: 10 s of each Fuzz target, one line per target (go test fuzzes one target per run), with minimizing a new input bounded at 100 runs so the budget goes to fuzzing. A crasher is written under the package's testdata/fuzz and committed, so plain go test replays it from then on.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/rtp/
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalControl$$' -fuzztime 10s ./internal/rtp/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s ./internal/protocol/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReq$$' -fuzztime 10s ./internal/protocol/
-	$(GO) test -run '^$$' -fuzz '^FuzzTicketVerify$$' -fuzztime 10s ./internal/protocol/
-	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime 10s ./internal/clock/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/transport/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseFrameHeader$$' -fuzztime 10s ./internal/media/
-	$(GO) test -run '^$$' -fuzz '^FuzzPayloadWriter$$' -fuzztime 10s ./internal/media/
-	$(GO) test -run '^$$' -fuzz '^FuzzHMLRoundTrip$$' -fuzztime 10s ./internal/hml/
-	$(GO) test -run '^$$' -fuzz '^FuzzDisplayRoundTrip$$' -fuzztime 10s ./internal/playout/
-	$(GO) test -run '^$$' -fuzz '^FuzzClientMedia$$' -fuzztime 10s ./internal/client/
-	$(GO) test -run '^$$' -fuzz '^FuzzLinkPlan$$' -fuzztime 10s ./internal/netsim/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/rtp/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalControl$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/rtp/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReq$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzTicketVerify$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/clock/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFrameHeader$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/media/
+	$(GO) test -run '^$$' -fuzz '^FuzzPayloadWriter$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/media/
+	$(GO) test -run '^$$' -fuzz '^FuzzHMLRoundTrip$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/hml/
+	$(GO) test -run '^$$' -fuzz '^FuzzLogRoundTrip$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzClientMedia$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/client/
+	$(GO) test -run '^$$' -fuzz '^FuzzLinkPlan$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/netsim/
 
 # Vets and tests the end-to-end benchmark under bench/, a module of its own that ./... does not reach.
 bench-check:

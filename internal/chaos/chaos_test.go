@@ -353,7 +353,7 @@ func TestConnectTimeoutSurfaces(t *testing.T) {
 		t.Fatalf("state = %v, want idle after abandoned connect", st)
 	}
 	found := false
-	for _, e := range w.cscope.Trace().EventsAppend(nil) {
+	for _, e := range w.cscope.Trace().Events() {
 		if e.Kind == obs.EvCtrlTimeout {
 			found = true
 		}
@@ -543,7 +543,7 @@ func TestMalformedReplyIsALoss(t *testing.T) {
 			if got := w.cscope.Counter("client_ctrl_timeouts").Value(); got != 1 {
 				t.Fatalf("client_ctrl_timeouts = %d, want 1", got)
 			}
-			if !slices.ContainsFunc(w.cscope.Trace().EventsAppend(nil), func(e obs.Event) bool { return e.Kind == obs.EvCtrlDecodeError }) {
+			if !slices.ContainsFunc(w.cscope.Trace().Events(), func(e obs.Event) bool { return e.Kind == obs.EvCtrlDecodeError }) {
 				t.Fatal("no EvCtrlDecodeError trace event")
 			}
 		})

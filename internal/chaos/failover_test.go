@@ -118,7 +118,7 @@ func TestStrandedFailoverIsTraced(t *testing.T) {
 		t.Fatalf("stranded viewer holds a session on %q", got)
 	}
 	var stranded bool
-	for _, e := range w.cscope.Trace().EventsAppend(nil) {
+	for _, e := range w.cscope.Trace().Events() {
 		stranded = stranded || e.Kind == obs.EvFailover && e.Note == "no replica available"
 	}
 	if !stranded {

@@ -75,7 +75,7 @@ func (w *world) noIllegalInputs(t testing.TB) {
 	t.Helper()
 	for name, sc := range w.scopes {
 		if n := sc.Counter("server_illegal_inputs").Value(); n != 0 {
-			for _, e := range sc.Trace().EventsAppend(nil) {
+			for _, e := range sc.Trace().Events() {
 				if e.Kind == obs.EvIllegalInput {
 					t.Errorf("%s: %s", name, e.Note)
 				}

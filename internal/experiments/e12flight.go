@@ -43,7 +43,7 @@ func E12FlightRecorder(seed uint64) (*stats.Table, error) {
 		Sink: func(anomaly string, events []obs.Event) {
 			if dumpAnomaly == "" { // keep the first (incident-opening) dump
 				dumpAnomaly = anomaly
-				dump = append(dump[:0], events...)
+				dump = events
 			}
 		},
 	})

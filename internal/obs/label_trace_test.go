@@ -67,36 +67,17 @@ func TestRegistryCrossKindRace(t *testing.T) {
 	}
 }
 
-func TestTraceEventsAppendReusesBuffer(t *testing.T) {
-	tr := NewTrace(64)
-	for i := 0; i < 100; i++ {
-		tr.Record(Event{Kind: EvFrameDrop, Value: int64(i)})
-	}
-	buf := make([]Event, 0, 64)
-	buf = tr.EventsAppend(buf)
-	if len(buf) != 64 || buf[0].Value != 36 || buf[63].Value != 99 {
-		t.Fatalf("window wrong: len=%d first=%d last=%d", len(buf), buf[0].Value, buf[len(buf)-1].Value)
-	}
-	// A warm buffer of sufficient capacity must not allocate.
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = tr.EventsAppend(buf)
-	})
-	if allocs != 0 {
-		t.Fatalf("EventsAppend allocates %.1f allocs/op on a warm buffer", allocs)
-	}
-}
-
-// BenchmarkTraceEventsAppend prices the snapshot path a periodic dumper pays.
-func BenchmarkTraceEventsAppend(b *testing.B) {
+// BenchmarkTraceEvents prices decoding a full trace, the pass every dump
+// makes.
+func BenchmarkTraceEvents(b *testing.B) {
 	tr := NewTrace(DefaultTraceCap)
 	for i := 0; i < DefaultTraceCap*2; i++ {
 		tr.Record(Event{Kind: EvFrameDrop, Stream: "v", Value: int64(i), Note: "bench"})
 	}
-	buf := make([]Event, 0, DefaultTraceCap)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = tr.EventsAppend(buf)
+		tr.Events()
 	}
 }
 

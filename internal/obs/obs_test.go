@@ -23,7 +23,7 @@ func TestTraceRingAndDropped(t *testing.T) {
 	if tr.Dropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", tr.Dropped())
 	}
-	evs := tr.EventsAppend(nil)
+	evs := tr.Events()
 	for i, ev := range evs {
 		if want := int64(i + 2); ev.Value != want || ev.Kind != EvFrameDrop {
 			t.Fatalf("event %d = %+v, want a frame drop of value %d (oldest-first order)", i, ev, want)
@@ -40,7 +40,7 @@ func TestTraceConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				tr.Record(Event{Kind: EvSkewAction})
-				tr.EventsAppend(nil)
+				tr.Events()
 			}
 		}()
 	}

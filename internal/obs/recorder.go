@@ -11,7 +11,7 @@ import (
 	"repro/internal/clock"
 )
 
-// Recorder is the flight recorder: a bounded ring of the most recent events
+// Recorder is the flight recorder: a bounded log of the most recent events
 // and frame/control samples of one scope, dumped automatically when an
 // anomaly fires. Where the main trace answers "what has this session done
 // lately", a flight dump answers "what exactly surrounded the failover at
@@ -31,19 +31,17 @@ type Recorder struct {
 	win  *Trace // the last recorderCap events; guarded by its own lock
 
 	mu       sync.Mutex
-	missAt   [burstN - 1]time.Time // timestamps of the last burstN-1 deadline misses
-	missNext int
-	missFull bool
+	missAt   [burstN]time.Time // the last burstN deadline misses, oldest first
+	misses   int
 	pending  string // anomaly reason awaiting flush ("" = none)
 	flush    *clock.Timer
 	lastDump time.Time
 	dumps    int
 	lastPath string
 	lastErr  error
-	scratch  []Event
 }
 
-// The recorder's fixed shape: the ring's size, the deadline-miss burst that
+// The recorder's fixed shape: the window's size, the deadline-miss burst that
 // counts as an anomaly (burstN misses inside burstWindow), and how long a
 // dump suppresses new triggers so one incident produces one file.
 const (
@@ -59,8 +57,7 @@ type RecorderOptions struct {
 	// line naming the anomaly, then the window's events in the trace JSONL
 	// schema.
 	Dir string
-	// Sink, when set, observes each dump in-process. The events slice is
-	// reused by the next dump — copy what outlives the call.
+	// Sink, when set, observes each dump in-process and may keep its events.
 	Sink func(anomaly string, events []Event)
 	// FlushDelay is how long after the trigger the window is frozen
 	// (default 2s); anomalies arriving meanwhile extend it.
@@ -117,18 +114,10 @@ func (r *Recorder) Record(ev Event) {
 // burstLocked registers a deadline miss and reports whether it completes a
 // burst: this miss plus the burstN-1 before it all inside burstWindow.
 func (r *Recorder) burstLocked(at time.Time) bool {
-	burst := false
-	if r.missFull {
-		oldest := r.missAt[r.missNext]
-		burst = at.Sub(oldest) <= burstWindow
-	}
-	r.missAt[r.missNext] = at
-	r.missNext++
-	if r.missNext == len(r.missAt) {
-		r.missNext = 0
-		r.missFull = true
-	}
-	return burst
+	copy(r.missAt[:], r.missAt[1:])
+	r.missAt[burstN-1] = at
+	r.misses++
+	return r.misses >= burstN && at.Sub(r.missAt[0]) <= burstWindow
 }
 
 func (r *Recorder) triggerLocked(reason string, at time.Time) {
@@ -158,8 +147,7 @@ func (r *Recorder) doFlush() {
 		r.mu.Unlock()
 		return
 	}
-	r.scratch = r.win.EventsAppend(r.scratch)
-	evs := r.scratch
+	evs := r.win.Events()
 	now := r.clk.Now()
 	r.lastDump = now
 	r.dumps++

@@ -178,7 +178,7 @@ func TestRecorderRingBounded(t *testing.T) {
 	for i := 0; i < n; i++ {
 		rec.Record(Event{At: clk.Now(), Kind: EvFrameDrop, Value: int64(i)})
 	}
-	evs := rec.win.EventsAppend(nil)
+	evs := rec.win.Events()
 	if len(evs) != recorderCap {
 		t.Fatalf("ring holds %d, want %d", len(evs), recorderCap)
 	}

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,15 +31,10 @@ type Scope struct {
 	spans *FrameSpans
 	rec   atomic.Pointer[Recorder]
 	ts    atomic.Pointer[TimeSeries]
-
-	// dashMu guards the dashboard's reusable trace-snapshot buffer so the
-	// periodic dump path does not allocate a fresh slice per render.
-	dashMu  sync.Mutex
-	dashEvs []Event
 }
 
 // NewScope creates a scope stamping events with clk's time and a trace
-// ring of DefaultTraceCap events.
+// of DefaultTraceCap events, which takes no space before the first Emit.
 func NewScope(clk clock.Clock) *Scope {
 	return NewScopeCap(clk, DefaultTraceCap)
 }
@@ -66,7 +60,7 @@ func (s *Scope) Emit(k EventKind, stream string, value int64, note string) {
 }
 
 // Sample records an event into the flight recorder only — high-rate span
-// samples that would flood the main trace ring. No-op on a nil scope or
+// samples that would flood the main trace. No-op on a nil scope or
 // when no recorder is armed.
 func (s *Scope) Sample(k EventKind, stream string, value int64, note string) {
 	if s == nil {
@@ -132,7 +126,7 @@ func (s *Scope) FrameSpans() *FrameSpans {
 }
 
 // EnableFlightRecorder arms a flight recorder: from now on every Emit and
-// span sample tees into its ring, and anomalies dump per opts. Returns the
+// span sample tees into its window, and anomalies dump per opts. Returns the
 // recorder (nil on a nil scope).
 func (s *Scope) EnableFlightRecorder(opts RecorderOptions) *Recorder {
 	if s == nil {
@@ -178,7 +172,7 @@ func (s *Scope) Trace() *Trace {
 
 // Dashboard renders the metric table, the time-series trails (when a
 // series is attached) and the last lastN trace events — the live
-// introspection view. The trace snapshot reuses a buffer across renders.
+// introspection view, decoded in one pass over the trace.
 func (s *Scope) Dashboard(lastN int) string {
 	if s == nil {
 		return "(telemetry off)\n"
@@ -191,13 +185,7 @@ func (s *Scope) Dashboard(lastN int) string {
 			b.WriteString(trails)
 		}
 	}
-	s.dashMu.Lock()
-	defer s.dashMu.Unlock()
-	s.dashEvs = s.tr.EventsAppend(s.dashEvs)
-	evs := s.dashEvs
-	if lastN > 0 && len(evs) > lastN {
-		evs = evs[len(evs)-lastN:]
-	}
+	evs := s.tr.last(lastN)
 	if len(evs) == 0 {
 		return b.String()
 	}

@@ -91,13 +91,5 @@ func (f *FrameSpans) RecordSlack(stream string, d time.Duration) {
 // armed) so an anomaly dump carries the latency context around the event
 // window. No allocation: the Event is built from existing strings.
 func (f *FrameSpans) tee(stream string, d time.Duration, hop string) {
-	if f.scope == nil {
-		return
-	}
-	if r := f.scope.rec.Load(); r != nil {
-		r.Record(Event{
-			At: f.scope.clk.Now(), Kind: EvFrameSample,
-			Stream: stream, Value: d.Microseconds(), Note: hop,
-		})
-	}
+	f.scope.Sample(EvFrameSample, stream, d.Microseconds(), hop)
 }

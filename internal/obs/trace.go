@@ -4,6 +4,12 @@
 // both through the client, server, buffer, playout, QoS and transport
 // layers.
 //
+// Every event store is one Log: a byte log in chunks, each of which decodes
+// on its own, so a bounded log frees its oldest chunk and the strings in
+// it. The trace and the flight recorder's window are bounded Logs under
+// the Event schema; playout's display trace is an unbounded Log under its
+// own.
+//
 // Everything is stamped with clock.Clock time, so the same instrumented
 // code traces identically under the virtual simulation clock and the wall
 // clock, and a nil *Scope disables all instrumentation at zero cost —
@@ -14,8 +20,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
+	"math"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // EventKind classifies trace events.
@@ -75,7 +83,7 @@ const (
 	EvHeartbeatMiss
 	// EvFrameSample is a sampled frame-span measurement teed into the flight
 	// recorder (value = hop latency in µs, note = the hop name). It never
-	// enters the main trace ring.
+	// enters the main trace.
 	EvFrameSample
 	// EvCtrlSpan is a completed control request span teed into the flight
 	// recorder (value = round-trip µs including retransmits, note = message
@@ -99,61 +107,26 @@ const (
 	EvIllegalInput
 )
 
+// kindNames names each declared kind in the trace's JSONL.
+var kindNames = [...]string{
+	EvSessionStart: "session-start", EvSessionEnd: "session-end",
+	EvBufferWatermark: "buffer-watermark", EvFrameDrop: "frame-drop",
+	EvFrameDuplicate: "frame-duplicate", EvSkewAction: "skew-action",
+	EvGradeChange: "grade-change", EvDeadlineMiss: "deadline-miss",
+	EvAdmissionDecision: "admission-decision", EvReconnect: "reconnect",
+	EvCtrlRetry: "ctrl-retry", EvCtrlTimeout: "ctrl-timeout", EvCtrlDedup: "ctrl-dedup",
+	EvLiveness: "liveness", EvFailover: "failover", EvSessionResume: "session-resume",
+	EvSendFailure: "send-failure", EvHeartbeatMiss: "heartbeat-miss",
+	EvFrameSample: "frame-sample", EvCtrlSpan: "ctrl-span", EvAnomaly: "anomaly",
+	EvRedirect: "redirect", EvHandoff: "handoff", EvCtrlDecodeError: "ctrl-decode-error",
+	EvIllegalInput: "illegal-input",
+}
+
 func (k EventKind) String() string {
-	switch k {
-	case EvSessionStart:
-		return "session-start"
-	case EvSessionEnd:
-		return "session-end"
-	case EvBufferWatermark:
-		return "buffer-watermark"
-	case EvFrameDrop:
-		return "frame-drop"
-	case EvFrameDuplicate:
-		return "frame-duplicate"
-	case EvSkewAction:
-		return "skew-action"
-	case EvGradeChange:
-		return "grade-change"
-	case EvDeadlineMiss:
-		return "deadline-miss"
-	case EvAdmissionDecision:
-		return "admission-decision"
-	case EvReconnect:
-		return "reconnect"
-	case EvCtrlRetry:
-		return "ctrl-retry"
-	case EvCtrlTimeout:
-		return "ctrl-timeout"
-	case EvCtrlDedup:
-		return "ctrl-dedup"
-	case EvLiveness:
-		return "liveness"
-	case EvFailover:
-		return "failover"
-	case EvSessionResume:
-		return "session-resume"
-	case EvSendFailure:
-		return "send-failure"
-	case EvHeartbeatMiss:
-		return "heartbeat-miss"
-	case EvFrameSample:
-		return "frame-sample"
-	case EvCtrlSpan:
-		return "ctrl-span"
-	case EvAnomaly:
-		return "anomaly"
-	case EvRedirect:
-		return "redirect"
-	case EvHandoff:
-		return "handoff"
-	case EvCtrlDecodeError:
-		return "ctrl-decode-error"
-	case EvIllegalInput:
-		return "illegal-input"
-	default:
-		return fmt.Sprintf("kind-%d", uint8(k))
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind-%d", uint8(k))
 }
 
 // Event is one entry in the structured trace.
@@ -173,79 +146,58 @@ type Event struct {
 	Note string
 }
 
-// DefaultTraceCap bounds a Scope's trace ring.
+// DefaultTraceCap bounds a Scope's trace.
 const DefaultTraceCap = 4096
 
-// Trace is a bounded, concurrency-safe ring of events. When full, new
-// events overwrite the oldest (counted in Dropped) — recent history is what
-// debugging a live glitch needs.
+// Trace is a bounded, concurrency-safe event log that shows the last
+// capacity events; older ones are counted in Dropped, since recent history
+// is what debugging a live glitch needs. Its schema maps an event onto a
+// log entry as Stream, Kind, Note, At as nanoseconds from clock.Epoch in
+// Num[3] and Value in Num[4]: a stream's events come in bursts, not at a
+// pace, so At is predicted to repeat. At reads back in UTC, to the
+// nanosecond for any instant within 292 years of the epoch, which every
+// clock reading is; an earlier one, such as the zero time, saturates and
+// reads back as the zero time.
 type Trace struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	full    bool
-	dropped int64
-
-	// dumpMu serializes the dump paths (Count, WriteJSONL) so they can share
-	// one reusable snapshot buffer instead of allocating per call. It is
-	// never held together with mu for longer than one EventsAppend.
-	dumpMu  sync.Mutex
-	dumpBuf []Event
+	log Log
 }
 
-// NewTrace creates a trace holding at most capacity events.
+// NewTrace creates a trace showing at most capacity events.
 func NewTrace(capacity int) *Trace {
 	if capacity < 1 {
 		capacity = DefaultTraceCap
 	}
-	return &Trace{buf: make([]Event, capacity)}
+	return &Trace{log: Log{limit: capacity}}
 }
 
-// Record appends one event, evicting the oldest when the ring is full.
+// Record appends one event.
 func (t *Trace) Record(ev Event) {
-	t.mu.Lock()
-	if t.full {
-		t.dropped++
-	}
-	t.buf[t.next] = ev
-	t.next++
-	if t.next == len(t.buf) {
-		t.next = 0
-		t.full = true
-	}
-	t.mu.Unlock()
+	e := Entry{Stream: ev.Stream, Kind: int64(ev.Kind), Note: ev.Note}
+	e.Num[3], e.Num[4] = int64(ev.At.Sub(clock.Epoch)), ev.Value
+	t.log.Append(&e)
 }
 
-// Len returns the number of retained events.
-func (t *Trace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.full {
-		return len(t.buf)
-	}
-	return t.next
-}
+// Len returns the number of events shown.
+func (t *Trace) Len() int { return t.log.Len() }
 
-// Dropped returns how many events were evicted to make room.
-func (t *Trace) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
+// Dropped returns how many events are no longer shown.
+func (t *Trace) Dropped() int64 { return int64(t.log.dropped()) }
 
-// EventsAppend appends the retained events, oldest first, to buf (which is
-// truncated first) and returns the extended slice. With a warm buffer of
-// sufficient capacity the call does not allocate, so periodic dumps can
-// snapshot the ring for free.
-func (t *Trace) EventsAppend(buf []Event) []Event {
-	buf = buf[:0]
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.full {
-		return append(buf, t.buf[:t.next]...)
+// Events returns the events shown, oldest first.
+func (t *Trace) Events() []Event { return t.last(0) }
+
+// last decodes the last n events shown, all of them when n <= 0, oldest
+// first.
+func (t *Trace) last(n int) []Event {
+	entries := t.log.Entries(n)
+	out := make([]Event, len(entries))
+	for i, e := range entries {
+		out[i] = Event{Kind: EventKind(e.Kind), Stream: e.Stream, Value: e.Num[4], Note: e.Note}
+		if e.Num[3] != math.MinInt64 {
+			out[i].At = clock.Epoch.Add(time.Duration(e.Num[3]))
+		}
 	}
-	buf = append(buf, t.buf[t.next:]...)
-	return append(buf, t.buf[:t.next]...)
+	return out
 }
 
 // jsonEvent is the JSONL schema of one trace line.
@@ -257,13 +209,10 @@ type jsonEvent struct {
 	Note   string `json:"note,omitempty"`
 }
 
-// WriteJSONL writes the retained events as JSON Lines, one event per line,
-// oldest first. The ring snapshot reuses a buffer across calls.
+// WriteJSONL writes the events shown as JSON Lines, one event per line,
+// oldest first.
 func (t *Trace) WriteJSONL(w io.Writer) error {
-	t.dumpMu.Lock()
-	defer t.dumpMu.Unlock()
-	t.dumpBuf = t.EventsAppend(t.dumpBuf)
-	return writeEventsJSONL(w, t.dumpBuf)
+	return writeEventsJSONL(w, t.Events())
 }
 
 // writeEventsJSONL renders events in the shared trace JSONL schema.

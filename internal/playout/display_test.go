@@ -81,7 +81,7 @@ func checkDisplay(t *testing.T, d *Display, want []Event, ids []string) {
 
 // TestDisplayBytesPerEvent: the trace of a steady 25 fps AU_VI pair — an
 // audio block every 20 ms and a video frame every 40 ms, each presented a
-// little late — costs at most 12 B of heap per event. It reads 10.9: the
+// little late — costs at most 12 B of heap per event. It reads 11.0: the
 // lateness moves At off its prediction almost every event, and a video
 // frame's kind and size change from frame to frame.
 func TestDisplayBytesPerEvent(t *testing.T) {

@@ -11,7 +11,6 @@
 package playout
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -54,31 +53,15 @@ const (
 	EvResume
 )
 
+// kindNames names each declared kind.
+var kindNames = [...]string{EvStart: "start", EvPlay: "play", EvGap: "gap", EvHold: "hold", EvDrop: "drop",
+	EvLate: "late", EvStop: "stop", EvLink: "link", EvPause: "pause", EvResume: "resume"}
+
 func (k EventKind) String() string {
-	switch k {
-	case EvStart:
-		return "start"
-	case EvPlay:
-		return "play"
-	case EvGap:
-		return "gap"
-	case EvHold:
-		return "hold"
-	case EvDrop:
-		return "drop"
-	case EvLate:
-		return "late"
-	case EvStop:
-		return "stop"
-	case EvLink:
-		return "link"
-	case EvPause:
-		return "pause"
-	case EvResume:
-		return "resume"
-	default:
-		return "unknown"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return "unknown"
 }
 
 // Event is one entry in the playout trace.
@@ -98,264 +81,46 @@ type Event struct {
 }
 
 // Display records playout events — the trace stand-in for the browser's
-// rendering surface. It is safe for concurrent use.
-//
-// The trace is a byte log in chunks of displayChunk bytes, each allocated
-// once; an event is written whole into one chunk, so recording never copies
-// the history. Each stream keeps its last event as the prediction of its
-// next: the same kinds, marker, note, Size, Level and Lateness, Index one
-// higher, and At and PTS one more step of the size they last moved. An
-// event is encoded as:
-//   - the interned stream index as a uvarint;
-//   - a header byte with one bit per field that differs from the
-//     prediction;
-//   - only those fields, in bit order: the kinds as one byte (kind in bits
-//     0–3, frame kind in bits 4–6, the marker in bit 7; a kind outside 0–14
-//     or a frame kind outside 0–6 sets both fields to all ones and follows
-//     the byte with both as varints), the interned note index as a uvarint,
-//     and each numeric as a varint delta from its prediction.
-//
-// A play that keeps its stream's pace and lateness is two bytes: the stream
-// and an empty header.
-// Deltas wrap in int64 arithmetic, so every value round-trips exactly.
+// rendering surface. It is an unbounded obs.Log under the playout schema:
+// StreamID, Kind, the frame's kind as Sub, its marker as Flag, Note, and
+// the numerics At, PTS, Index, Size, Level and Lateness in Num[0] to
+// Num[5], so At and PTS are predicted one more step of the size they last
+// moved and Index one higher. A play that keeps its stream's pace and
+// lateness is two bytes. It is safe for concurrent use.
 type Display struct {
-	mu     sync.Mutex
-	chunks [][]byte
-	n      int // events recorded
-	// strs interns the stream IDs and notes the log names; strs[0] is "".
-	strs []string
-	ids  map[string]uint32
-	// last holds, per interned stream index, that stream's last event.
-	last []lastEvent
+	log obs.Log
 }
-
-// lastEvent is a stream's last recorded event and the steps At and PTS last
-// moved by: the prediction its next event is encoded against.
-type lastEvent struct {
-	kind, fkind  int64
-	marker       bool
-	note         uint32
-	at, atStep   time.Duration
-	pts, ptsStep time.Duration
-	index        int64
-	size, level  int64
-	lateness     time.Duration
-}
-
-// The header bits, set for each field that differs from the stream's
-// prediction. The six numerics — At, PTS, Index, Size, Level and Lateness,
-// in the order their deltas are written — take bits predNumeric<<0 to <<5.
-const (
-	predKinds = 1 << iota
-	predNote
-	predNumeric
-)
-
-// numerics is how many numeric fields an event has.
-const numerics = 6
-
-const (
-	// displayChunk is the size of one trace chunk.
-	displayChunk = 4 << 10
-	// maxEventLen bounds one encoded event: the stream index, the header,
-	// the kinds byte and escaped kinds, the note and six numerics.
-	maxEventLen = binary.MaxVarintLen32 + 2 + 2*binary.MaxVarintLen64 + binary.MaxVarintLen32 + 6*binary.MaxVarintLen64
-	// escKinds is the kinds byte's kind fields when the kinds follow as
-	// varints.
-	escKinds = 0x7f
-)
 
 // NewDisplay creates an empty display trace.
 func NewDisplay() *Display { return &Display{} }
 
-// internLocked returns str's index in d.strs, adding it when new. The
-// first call sets strs[0] = "", so every recorded index resolves.
-func (d *Display) internLocked(str string) uint32 {
-	if d.strs == nil {
-		d.strs, d.ids = []string{""}, map[string]uint32{}
-	}
-	if str == "" {
-		return 0
-	}
-	if i, ok := d.ids[str]; ok {
-		return i
-	}
-	i := uint32(len(d.strs))
-	d.strs = append(d.strs, str)
-	d.ids[str] = i
-	return i
-}
-
-// intern returns str's index in the log's string table, adding it when new.
-func (d *Display) intern(str string) uint32 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.internLocked(str)
-}
-
 // Record appends an event.
 func (d *Display) Record(ev Event) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.recordLocked(d.internLocked(ev.StreamID), ev)
-}
-
-// record appends an event of the stream interned as stream; ev.StreamID is
-// not read. A playout process names its stream this way on every frame.
-func (d *Display) record(stream uint32, ev Event) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.recordLocked(stream, ev)
-}
-
-func (d *Display) recordLocked(stream uint32, ev Event) {
-	if n := len(d.chunks); n == 0 || cap(d.chunks[n-1])-len(d.chunks[n-1]) < maxEventLen {
-		d.chunks = append(d.chunks, make([]byte, 0, displayChunk))
-	}
-	note := d.internLocked(ev.Note)
-	for int(stream) >= len(d.last) {
-		d.last = append(d.last, lastEvent{})
-	}
-	p := &d.last[stream]
-	kind, fkind := int64(ev.Kind), int64(ev.Frame.Kind)
-	index, size, level := int64(ev.Frame.Index), int64(ev.Frame.Size), int64(ev.Frame.Level)
-	deltas := [numerics]int64{
-		int64(ev.At - (p.at + p.atStep)),
-		int64(ev.Frame.PTS - (p.pts + p.ptsStep)),
-		index - (p.index + 1),
-		size - p.size,
-		level - p.level,
-		int64(ev.Lateness - p.lateness),
-	}
-	var h byte
-	if kind != p.kind || fkind != p.fkind || ev.Frame.Marker != p.marker {
-		h |= predKinds
-	}
-	if note != p.note {
-		h |= predNote
-	}
-	for i, v := range deltas {
-		if v != 0 {
-			h |= predNumeric << i
-		}
-	}
-	b := d.chunks[len(d.chunks)-1]
-	b = append(binary.AppendUvarint(b, uint64(stream)), h)
-	if h&predKinds != 0 {
-		kb := byte(kind) | byte(fkind)<<4
-		escaped := kind < 0 || kind >= 15 || fkind < 0 || fkind >= 7
-		if escaped {
-			kb = escKinds
-		}
-		if ev.Frame.Marker {
-			kb |= 0x80
-		}
-		b = append(b, kb)
-		if escaped {
-			b = binary.AppendVarint(binary.AppendVarint(b, kind), fkind)
-		}
-	}
-	if h&predNote != 0 {
-		b = binary.AppendUvarint(b, uint64(note))
-	}
-	for _, v := range deltas {
-		if v != 0 {
-			b = binary.AppendVarint(b, v)
-		}
-	}
-	d.chunks[len(d.chunks)-1] = b
-	*p = lastEvent{
-		kind: kind, fkind: fkind, marker: ev.Frame.Marker, note: note,
-		at: ev.At, atStep: ev.At - p.at, pts: ev.Frame.PTS, ptsStep: ev.Frame.PTS - p.pts,
-		index: index, size: size, level: level, lateness: ev.Lateness,
-	}
-	d.n++
+	d.log.Append(&obs.Entry{
+		Stream: ev.StreamID, Kind: int64(ev.Kind), Sub: int64(ev.Frame.Kind), Flag: ev.Frame.Marker, Note: ev.Note,
+		Num: [6]int64{int64(ev.At), int64(ev.Frame.PTS), int64(ev.Frame.Index),
+			int64(ev.Frame.Size), int64(ev.Frame.Level), int64(ev.Lateness)},
+	})
 }
 
 // Len returns how many events were recorded.
-func (d *Display) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.n
-}
-
-// eachLocked decodes the log in order, handing each event to fn.
-func (d *Display) eachLocked(fn func(*Event)) {
-	var (
-		ev   Event
-		last = make([]lastEvent, len(d.last))
-	)
-	for _, b := range d.chunks {
-		for len(b) > 0 {
-			stream := uvarint(&b)
-			p := &last[stream]
-			h := b[0]
-			b = b[1:]
-			if h&predKinds != 0 {
-				kb := b[0]
-				b = b[1:]
-				p.kind, p.fkind, p.marker = int64(kb&0x0f), int64(kb>>4&0x07), kb&0x80 != 0
-				if kb&0x7f == escKinds {
-					p.kind, p.fkind = varint(&b), varint(&b)
-				}
-			}
-			if h&predNote != 0 {
-				p.note = uint32(uvarint(&b))
-			}
-			var deltas [numerics]int64
-			for i := range deltas {
-				if h&(predNumeric<<i) != 0 {
-					deltas[i] = varint(&b)
-				}
-			}
-			at := p.at + p.atStep + time.Duration(deltas[0])
-			pts := p.pts + p.ptsStep + time.Duration(deltas[1])
-			p.at, p.atStep = at, at-p.at
-			p.pts, p.ptsStep = pts, pts-p.pts
-			p.index += 1 + deltas[2]
-			p.size += deltas[3]
-			p.level += deltas[4]
-			p.lateness += time.Duration(deltas[5])
-			ev = Event{
-				At:       at,
-				StreamID: d.strs[stream],
-				Kind:     EventKind(p.kind),
-				Frame: media.Frame{
-					Index:  int(p.index),
-					PTS:    pts,
-					Kind:   media.FrameKind(p.fkind),
-					Size:   int(p.size),
-					Marker: p.marker,
-					Level:  int(p.level),
-				},
-				Lateness: p.lateness,
-				Note:     d.strs[p.note],
-			}
-			fn(&ev)
-		}
-	}
-}
-
-// varint and uvarint decode one value from the front of *b, which Record
-// wrote whole.
-func varint(b *[]byte) int64 {
-	v, n := binary.Varint(*b)
-	*b = (*b)[n:]
-	return v
-}
-
-func uvarint(b *[]byte) uint64 {
-	v, n := binary.Uvarint(*b)
-	*b = (*b)[n:]
-	return v
-}
+func (d *Display) Len() int { return d.log.Len() }
 
 // Events returns a copy of the trace.
 func (d *Display) Events() []Event {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]Event, 0, d.n)
-	d.eachLocked(func(ev *Event) { out = append(out, *ev) })
+	entries := d.log.Entries(0)
+	out := make([]Event, len(entries))
+	for i, e := range entries {
+		out[i] = Event{
+			At:       time.Duration(e.Num[0]),
+			StreamID: e.Stream,
+			Kind:     EventKind(e.Kind),
+			Frame: media.Frame{Index: int(e.Num[2]), PTS: time.Duration(e.Num[1]), Kind: media.FrameKind(e.Sub),
+				Size: int(e.Num[3]), Marker: e.Flag, Level: int(e.Num[4])},
+			Lateness: time.Duration(e.Num[5]),
+			Note:     e.Note,
+		}
+	}
 	return out
 }
 
@@ -393,7 +158,6 @@ func (o *Options) fill() {
 // streamState is the runtime state of one playout process.
 type streamState struct {
 	entry *scenario.Entry
-	sid   uint32 // the stream's ID interned in the display
 	still bool
 
 	started   bool
@@ -484,7 +248,6 @@ func New(clk clock.Clock, sc *scenario.Scenario, sch *scenario.Schedule, bufs *b
 		}
 		s := &streamState{
 			entry:    e,
-			sid:      disp.intern(e.Stream.ID),
 			buf:      b,
 			interval: interval,
 			still:    !e.Stream.Type.TimeSensitive(),
@@ -651,7 +414,7 @@ func (p *Player) playStill(s *streamState) {
 		s.latenessMax = max(s.latenessMax, late)
 		p.mPlays.Inc()
 		p.hLateness.Observe(late)
-		p.disp.record(s.sid, Event{At: at, Kind: EvPlay, Frame: it.Frame, Lateness: late})
+		p.disp.Record(Event{At: at, StreamID: s.entry.Stream.ID, Kind: EvPlay, Frame: it.Frame, Lateness: late})
 		p.mu.Unlock()
 		return
 	}
@@ -660,7 +423,7 @@ func (p *Player) playStill(s *streamState) {
 		s.gaps++
 		p.mGaps.Inc()
 		p.obs.Emit(obs.EvDeadlineMiss, id, 1, "still data not yet arrived")
-		p.disp.record(s.sid, Event{At: at, Kind: EvLate, Note: "data not yet arrived"})
+		p.disp.Record(Event{At: at, StreamID: s.entry.Stream.ID, Kind: EvLate, Note: "data not yet arrived"})
 	}
 	p.armStepLocked(s, stillRetryInterval)
 	p.mu.Unlock()
@@ -680,7 +443,7 @@ func (p *Player) tick(s *streamState) {
 		s.holdTicks--
 		s.holds++
 		p.mHolds.Inc()
-		p.disp.record(s.sid, Event{At: at, Kind: EvHold, Note: "skew control hold"})
+		p.disp.Record(Event{At: at, StreamID: s.entry.Stream.ID, Kind: EvHold, Note: "skew control hold"})
 	} else {
 		// Play only the frame that is actually due: a playout slot whose
 		// expected frame has not arrived is a gap, concealed by
@@ -709,13 +472,13 @@ func (p *Player) tick(s *streamState) {
 				}
 				p.spans.RecordSlack(id, slack)
 			}
-			p.disp.record(s.sid, Event{At: at, Kind: EvPlay, Frame: it.Frame, Lateness: late})
+			p.disp.Record(Event{At: at, StreamID: s.entry.Stream.ID, Kind: EvPlay, Frame: it.Frame, Lateness: late})
 		} else {
 			// Underflow: conceal with a duplicate; media position holds.
 			s.gaps++
 			p.mGaps.Inc()
 			p.obs.Emit(obs.EvDeadlineMiss, id, 1, "underflow gap")
-			p.disp.record(s.sid, Event{At: at, Kind: EvGap, Frame: it.Frame, Note: "underflow duplicate"})
+			p.disp.Record(Event{At: at, StreamID: s.entry.Stream.ID, Kind: EvGap, Frame: it.Frame, Note: "underflow duplicate"})
 		}
 	}
 	// The next tick is due one interval after this one was, not after it ran;

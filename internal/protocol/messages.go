@@ -452,14 +452,14 @@ type StatsRequest struct{}
 func (*StatsRequest) wire(*codec) {}
 
 // StatsResult answers StatsRequest with the server's metric snapshot and
-// the shape of its trace ring.
+// the shape of its trace.
 type StatsResult struct {
 	OK     bool   `json:"ok"`
 	Server string `json:"server,omitempty"`
 	// Metrics is the sorted registry snapshot (empty when the server runs
 	// with telemetry off).
 	Metrics []obs.MetricPoint `json:"metrics,omitempty"`
-	// TraceEvents/TraceDropped describe the server's trace ring.
+	// TraceEvents/TraceDropped describe the server's trace.
 	TraceEvents  int   `json:"traceEvents,omitempty"`
 	TraceDropped int64 `json:"traceDropped,omitempty"`
 }

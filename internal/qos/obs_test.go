@@ -27,7 +27,7 @@ func TestGraderEmitsGradeChangeEventsVideoFirst(t *testing.T) {
 		clk.RunFor(3 * time.Second)
 	}
 
-	evs := scope.Trace().EventsAppend(nil)
+	evs := scope.Trace().Events()
 	var grades []obs.Event
 	for _, ev := range evs {
 		if ev.Kind == obs.EvGradeChange {
@@ -90,7 +90,7 @@ func TestAdmissionEmitsDecisionEventsWithClass(t *testing.T) {
 	a.Request(ConnRequest{User: "e2", Class: Economy, PeakRate: 4_000_000, MinRate: 4_000_000})
 
 	var decisions []obs.Event
-	for _, ev := range scope.Trace().EventsAppend(nil) {
+	for _, ev := range scope.Trace().Events() {
 		if ev.Kind == obs.EvAdmissionDecision {
 			decisions = append(decisions, ev)
 		}

@@ -387,7 +387,7 @@ func (s *Server) sendCtrl(to netsim.Addr, frame []byte) {
 }
 
 // onStats answers a sessionless telemetry snapshot request: the registry's
-// sorted metric points plus the shape of the trace ring. With telemetry
+// sorted metric points plus the shape of the trace. With telemetry
 // off it answers OK with no metrics, so monitoring tools can distinguish
 // "off" from "unreachable".
 func (s *Server) onStats(from netsim.Addr, reqID uint32) {

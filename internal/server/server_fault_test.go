@@ -226,7 +226,7 @@ func TestReplySendFailureCounted(t *testing.T) {
 		t.Fatalf("send-failure counter = %d, want 1", got)
 	}
 	found := false
-	for _, e := range h.scope.Trace().EventsAppend(nil) {
+	for _, e := range h.scope.Trace().Events() {
 		if e.Kind == obs.EvSendFailure {
 			found = true
 		}
@@ -360,7 +360,7 @@ func TestIllegalInputsCounted(t *testing.T) {
 				t.Fatalf("server_illegal_inputs = %d, want 1", got)
 			}
 			var traced []obs.Event
-			for _, e := range h.scope.Trace().EventsAppend(nil) {
+			for _, e := range h.scope.Trace().Events() {
 				if e.Kind == obs.EvIllegalInput {
 					traced = append(traced, e)
 				}
@@ -465,7 +465,7 @@ func TestMalformedRequestCounted(t *testing.T) {
 		t.Fatalf("replies = %+v, want none", h.replies)
 	}
 	n := 0
-	for _, e := range h.scope.Trace().EventsAppend(nil) {
+	for _, e := range h.scope.Trace().Events() {
 		if e.Kind == obs.EvCtrlDecodeError {
 			n++
 		}
