@@ -171,7 +171,8 @@ func (a *Admission) recordDecisionLocked(req ConnRequest, d Decision) {
 		a.obs.Counter("admission_failover_readmits").Inc()
 	}
 	a.obs.Gauge("admission_reserved_bps").Set(int64(a.reserved))
-	note := fmt.Sprintf("%s class=%s user=%s rate=%.0f", verdict, class, req.User, d.Rate)
+	// The user and the granted rate are the event's Stream and Value.
+	note := verdict + " class=" + class
 	if req.Resumed {
 		note += " (failover re-admission)"
 	}

@@ -47,10 +47,9 @@ func (s *Server) handlePacket(pkt netsim.Packet) {
 		return
 	}
 	if reqID != 0 && dedupable(mt) {
-		si := shardIndex(string(pkt.From))
-		sh := &s.shards[si]
+		sh := s.shardOf(string(pkt.From))
 		sh.dmu.Lock()
-		ring := s.dedupRingLocked(sh, si, string(pkt.From))
+		ring := s.dedupRingLocked(sh, string(pkt.From))
 		if frame, seen := ring.get(reqID); seen {
 			sh.dmu.Unlock()
 			s.opts.Obs.Counter("server_ctrl_dedup_hits").Inc()
@@ -150,8 +149,7 @@ func (s *Server) decoded(from netsim.Addr, mt protocol.MsgType, reqID uint32, er
 // id, without refreshing liveness, so the client neither fails over nor
 // keeps a dead incarnation alive.
 func (s *Server) onHeartbeat(from netsim.Addr, m protocol.Heartbeat) {
-	si := shardIndex(string(from))
-	sh := &s.shards[si]
+	sh := s.shardOf(string(from))
 	sh.mu.Lock()
 	sess, ok := sh.sessions[string(from)]
 	if !ok || sess.suspended() {
@@ -161,8 +159,7 @@ func (s *Server) onHeartbeat(from netsim.Addr, m protocol.Heartbeat) {
 	}
 	id, doc := sess.id, sess.doc
 	if m.SessionID == "" || m.SessionID == id {
-		sess.lastBeat = s.clk.Now()
-		s.scheduleLivenessLocked(sh, si, sess)
+		s.beatLocked(sess)
 		sh.mu.Unlock()
 		// Every ack refreshes the per-document replica set, so the client's
 		// failover targets track the document it is actually viewing.
@@ -206,10 +203,10 @@ func (s *Server) step(sess *session, in protocol.Input) bool {
 // holds the locks of shards oi (owning) and ni (target) via lockPair.
 func (s *Server) reattachLocked(oi, ni int, sess *session, from netsim.Addr) {
 	old, neu := &s.shards[oi], &s.shards[ni]
-	if sess.graceTimer != nil {
-		sess.graceTimer.Stop()
-		sess.graceTimer = nil
-	}
+	sess.graceTimer.Stop()
+	sess.graceTimer = nil
+	sess.liveTimer.Stop()
+	sess.liveTimer = nil
 	if sess.resumeToken != "" {
 		delete(old.byToken, sess.resumeToken)
 		sess.resumeToken = ""
@@ -220,11 +217,10 @@ func (s *Server) reattachLocked(oi, ni int, sess *session, from netsim.Addr) {
 		s.sessionCount.Add(-1)
 	}
 	delete(old.byID, sess.id)
-	old.live.remove(sess)
 	if oldAddr != string(from) {
-		// The old address's reply cache is sessionless now: back onto the
-		// TTL wheel so it cannot outlive the dedup window.
-		s.releaseRingLocked(old, oi, oldAddr)
+		// The old address's reply cache is sessionless now: its TTL timer
+		// runs again so it cannot outlive the dedup window.
+		s.releaseRingLocked(old, oldAddr)
 	}
 	sess.client = from
 	if _, existed := neu.sessions[string(from)]; !existed {
@@ -239,16 +235,15 @@ func (s *Server) reattachLocked(oi, ni int, sess *session, from netsim.Addr) {
 // goes back to the presentation it left, paused when the user had paused it,
 // or to browsing when there is none. Only the senders the suspend parked
 // wake: one the user paused keeps its pause-shifted origin for the user's own
-// Resume. A fresh liveness deadline keeps the sweep from instantly
-// re-suspending. Caller holds shard ni's lock.
-func (s *Server) recoverLocked(ni int, sess *session, suspended bool) {
+// Resume. A fresh liveness deadline keeps the liveness timer from instantly
+// re-suspending. Caller holds the session's shard lock.
+func (s *Server) recoverLocked(sess *session, suspended bool) {
 	if suspended && len(sess.senders) == 0 {
 		s.step(sess, protocol.InReturn)
 	} else if suspended && s.step(sess, protocol.InRecover) && sess.userPaused() {
 		s.step(sess, protocol.InPause)
 	}
-	sess.lastBeat = s.clk.Now()
-	s.scheduleLivenessLocked(&s.shards[ni], ni, sess)
+	s.beatLocked(sess)
 	for _, snd := range sess.senders {
 		snd.unpark()
 	}
@@ -268,7 +263,7 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 	// chose, and lands in browsing: the client released its media ports when
 	// it left, so the suspended presentation's flows stop. A session ID
 	// recovers from a liveness loss the user never chose: a session that
-	// survived (possibly auto-suspended by the sweep) goes back to the
+	// survived (possibly auto-suspended for silence) goes back to the
 	// presentation it left, and one that is gone sends the client to fail
 	// over.
 	if m.ResumeToken != "" || m.ResumeSession != "" {
@@ -294,7 +289,7 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 			s.step(sess, protocol.InReturn)
 			s.stopSendersLocked(sess)
 		} else {
-			s.recoverLocked(ni, sess, recovered)
+			s.recoverLocked(sess, recovered)
 		}
 		s.unlockPair(oi, ni)
 		if recovered {
@@ -380,7 +375,6 @@ func (s *Server) onConnect(from netsim.Addr, reqID uint32, m protocol.Connect) {
 		connID:     dec.ConnID,
 		floorLevel: m.FloorLevel,
 		startedAt:  now,
-		lwPos:      noWheelPos(),
 	}
 	s.step(sess, protocol.InConnect)
 	s.step(sess, protocol.InAuthOK)
@@ -681,13 +675,12 @@ func (s *Server) suspendSessionLocked(sh *ctrlShard, sess *session) string {
 	sess.resumeToken = fmt.Sprintf("%s-tok-%d", s.Name, s.nextID.Add(1))
 	sh.byToken[sess.resumeToken] = sess
 	tok := sess.resumeToken
-	sh.live.remove(sess)
+	sess.liveTimer.Stop()
+	sess.liveTimer = nil
 	// "The suspended connection remains active for a period of time ...
 	// when this interval is passed the connection closes and the attached
 	// client is informed about the event."
-	if sess.graceTimer != nil {
-		sess.graceTimer.Stop()
-	}
+	sess.graceTimer.Stop()
 	sess.graceTimer = s.clk.AfterFunc(s.opts.Grace, func() { s.expireSuspended(tok) })
 	return tok
 }
@@ -751,8 +744,8 @@ func (s *Server) onDisconnect(from netsim.Addr) {
 	sh.mu.Unlock()
 }
 
-// teardownSessionLocked removes a session from its shard's maps and wheels,
-// stops its media, releases its reservation and settles billing. Caller
+// teardownSessionLocked removes a session from its shard's maps, stops its
+// timers and its media, releases its reservation and settles billing. Caller
 // holds sh.mu (the shard owning the session).
 func (s *Server) teardownSessionLocked(sh *ctrlShard, sess *session, note string) {
 	addr := string(sess.client)
@@ -765,11 +758,10 @@ func (s *Server) teardownSessionLocked(sh *ctrlShard, sess *session, note string
 		delete(sh.byToken, sess.resumeToken)
 		sess.resumeToken = ""
 	}
-	if sess.graceTimer != nil {
-		sess.graceTimer.Stop()
-		sess.graceTimer = nil
-	}
-	sh.live.remove(sess)
+	sess.graceTimer.Stop()
+	sess.graceTimer = nil
+	sess.liveTimer.Stop()
+	sess.liveTimer = nil
 	sh.dropRingLocked(addr)
 	s.stopSendersLocked(sess)
 	s.adm.Release(sess.connID)

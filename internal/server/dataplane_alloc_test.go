@@ -103,11 +103,13 @@ func TestReplyAllocFree(t *testing.T) {
 }
 
 // steadyPlayout stands one viewer up playing a lesson from one server over
-// the simulated network on the virtual clock, and measures 10 s of steady
-// playout: the whole world — emit, netsim delivery, RTP parse, reassembly,
-// jitter buffer, playout tick and display trace, plus the periodic control
-// traffic. It returns the heap objects and bytes allocated and the frames
-// presented.
+// the simulated network on the virtual clock, and measures steady playout
+// from the moment a display-log chunk opens to the first chunk opening at
+// least 10 s later: the whole world — emit, netsim delivery, RTP parse,
+// reassembly, jitter buffer, playout tick and display trace, plus the
+// periodic control traffic. The window holds whole chunks wherever their
+// boundaries fall, so the display log counts at its long-run cost. It
+// returns the heap objects and bytes allocated and the frames presented.
 func steadyPlayout(t *testing.T) (objects, bytes uint64, frames int) {
 	t.Helper()
 	clk := clock.NewSim()
@@ -119,7 +121,7 @@ func steadyPlayout(t *testing.T) (objects, bytes uint64, frames int) {
 		t.Fatal(err)
 	}
 	db := NewDatabase()
-	if err := db.Put("lesson", hml.LessonSource("bench", 1, 30*time.Second), "load doc"); err != nil {
+	if err := db.Put("lesson", hml.LessonSource("bench", 1, time.Minute), "load doc"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New("srv", clk, net, users, db, Options{}); err != nil {
@@ -140,17 +142,43 @@ func steadyPlayout(t *testing.T) (objects, bytes uint64, frames int) {
 		}
 		return n
 	}
+	// nextChunk runs the clock a frame period at a time until the heap
+	// allocates an object of 4 KB, the size of a display-log chunk in obs, and
+	// returns when the chunk opened.
+	var ms runtime.MemStats
+	chunks := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		for _, c := range ms.BySize {
+			if c.Size == 4<<10 {
+				return c.Mallocs
+			}
+		}
+		t.Fatal("the heap has no 4 KB size class")
+		return 0
+	}
+	nextChunk := func() time.Time {
+		n, limit := chunks(), clk.Now().Add(30*time.Second)
+		for chunks() == n {
+			if clk.Now().After(limit) {
+				t.Fatal("no display-log chunk opened in 30 s of playout")
+			}
+			clk.RunFor(20 * time.Millisecond)
+		}
+		return clk.Now()
+	}
+	start := nextChunk()
 	before := presented()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	clk.RunFor(10 * time.Second)
+	for nextChunk().Sub(start) < 10*time.Second {
+	}
 	runtime.ReadMemStats(&m1)
 	frames = presented() - before
 	if frames < 700 { // 10 s of 50 audio + 25 video frames a second
-		t.Fatalf("%d frames presented in 10 s of steady playout, want ≥ 700", frames)
+		t.Fatalf("%d frames presented in ≥ 10 s of steady playout, want ≥ 700", frames)
 	}
 	objects, bytes = m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
-	t.Logf("%d allocations, %d B over %d presented frames", objects, bytes, frames)
+	t.Logf("%d allocations, %d B over %d presented frames in %v", objects, bytes, frames, clk.Now().Sub(start))
 	return objects, bytes, frames
 }
 
@@ -169,11 +197,11 @@ func TestReceivePathAllocFree(t *testing.T) {
 }
 
 // TestReceivePathBytesPerFrame: steady playout allocates at most 12 bytes
-// per presented frame; it reads 8.7, most of it the display trace's byte
-// log. It runs on one P, as testing.AllocsPerRun does: a goroutine that
-// moves to another P misses the server's packet scratch pooled on the one
-// it left. The client with no OnFrame observer draws no frame scratch at
-// all, so a still costs this window no more than any other frame.
+// per presented frame; it reads 7.4, display-log chunks included. It runs
+// on one P, as testing.AllocsPerRun does: a goroutine that moves to another
+// P misses the server's packet scratch pooled on the one it left. The client
+// with no OnFrame observer draws no frame scratch at all, so a still costs
+// this window no more than any other frame.
 func TestReceivePathBytesPerFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops items under -race; allocation bounds don't hold")

@@ -111,7 +111,7 @@ func TestDataPlaneRaceStress(t *testing.T) {
 // many clients from concurrent goroutines — each calls the server's handler
 // on its own goroutine — while readers hammer the unmetered accessors. Under
 // -race (make race / make check) this proves the sharded session state, the
-// dedup rings and the timer wheels are sound under real parallelism, and
+// dedup rings and their timers are sound under real parallelism, and
 // every duplicate connect is absorbed by its client's dedup ring however the
 // goroutines interleave.
 func TestControlPlaneRaceStress(t *testing.T) {
@@ -184,7 +184,7 @@ func TestControlPlaneRaceStress(t *testing.T) {
 		t.Fatalf("admission decisions = %d, want %d (one per distinct connect; a duplicate leaked past dedup)",
 			got, want)
 	}
-	// Drain the timer wheels (dedup + liveness ticks) with everyone resident.
+	// Fire the liveness and ring timers due with everyone resident.
 	clk.RunFor(5 * time.Second)
 	if got := srv.Sessions(); got != clients {
 		t.Fatalf("sessions after churn = %d, want %d", got, clients)

@@ -152,11 +152,9 @@ type Server struct {
 
 	// Latency-span instruments, likewise resolved once (shared no-ops when
 	// telemetry is off): sampled frame spans for the emit→wire hop, the
-	// control-dispatch service time, and the sweep-tick wall durations.
-	spans      *obs.FrameSpans
-	hHandle    *stats.DurationHistogram
-	hLiveTick  *stats.DurationHistogram
-	hDedupTick *stats.DurationHistogram
+	// control-dispatch service time.
+	spans   *obs.FrameSpans
+	hHandle *stats.DurationHistogram
 
 	// Cluster counters, resolved once: admission redirects issued, handoff
 	// tickets minted, and handoff tickets accepted from peers.
@@ -192,19 +190,19 @@ type session struct {
 	resumeToken string
 	graceTimer  *clock.Timer
 	srTimer     *clock.Timer
-	flowOrigin  time.Time
-	startedAt   time.Time
+	// liveTimer fires at the liveness deadline (see livenessFire); nil
+	// while the session is not liveness-policed.
+	liveTimer  *clock.Timer
+	flowOrigin time.Time
+	startedAt  time.Time
 	// lastBeat is the arrival time of the client's latest heartbeat (zero
-	// until the first one: such sessions are exempt from the liveness
-	// sweep).
+	// until the first one: such sessions are exempt from liveness policing).
 	lastBeat time.Time
 
 	// shard is the index of the ctrlShard currently holding the session;
 	// it changes only under both the old and the new shard's lock (see
-	// lockSession). lwPos is the session's slot on that shard's liveness
-	// wheel; renegQueued dedups the shard's renegotiation batch.
+	// lockSession). renegQueued dedups the shard's renegotiation batch.
 	shard       atomic.Int32
-	lwPos       wheelPos
 	renegQueued atomic.Bool
 }
 
@@ -262,20 +260,12 @@ func New(name string, clk clock.Clock, net netsim.Net, users *auth.DB, db *Datab
 		annotations: map[string][]protocol.AnnotationRecord{},
 	}
 	s.nextSSRC.Store(1000)
-	now := clk.Now()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.sessions = map[string]*session{}
 		sh.byToken = map[string]*session{}
 		sh.byID = map[string]*session{}
 		sh.dedup = map[string]*dedupRing{}
-		// Liveness deadlines span the miss window; ring TTLs span dedupTTL.
-		// Bucket counts cover each wheel's horizon with one slot of slack
-		// (the wrap-around re-check in advance handles anything longer).
-		sh.live = newWheel(now, opts.HeartbeatEvery, opts.LivenessMisses+2,
-			func(sess *session) *wheelPos { return &sess.lwPos })
-		sh.rings = newWheel(now, dedupTTL/2, 4,
-			func(r *dedupRing) *wheelPos { return &r.pos })
 	}
 	s.adm.SetObs(opts.Obs)
 	s.mFrames = opts.Obs.Counter("server_media_frames_sent")
@@ -290,8 +280,6 @@ func New(name string, clk clock.Clock, net netsim.Net, users *auth.DB, db *Datab
 	s.multi, _ = net.(netsim.MultiSender)
 	s.spans = opts.Obs.FrameSpans()
 	s.hHandle = opts.Obs.HistogramBounds("server_ctrl_handle", stats.MicroLatencyBounds()...)
-	s.hLiveTick = opts.Obs.HistogramBounds("server_sweep_live_tick", stats.MicroLatencyBounds()...)
-	s.hDedupTick = opts.Obs.HistogramBounds("server_sweep_dedup_tick", stats.MicroLatencyBounds()...)
 	s.cRedirects = opts.Obs.Counter("cluster_redirects")
 	s.cHandoffs = opts.Obs.Counter("cluster_handoffs")
 	s.cHandoffAccepts = opts.Obs.Counter("cluster_handoff_accepts")
@@ -356,10 +344,9 @@ func (s *Server) replyReq(to netsim.Addr, reqID uint32, t protocol.MsgType, body
 // sending it with the request's ID written in.
 func (s *Server) replyFrame(to netsim.Addr, reqID uint32, frame []byte) {
 	if reqID != 0 {
-		si := shardIndex(string(to))
-		sh := &s.shards[si]
+		sh := s.shardOf(string(to))
 		sh.dmu.Lock()
-		s.dedupRingLocked(sh, si, string(to)).put(reqID, frame)
+		s.dedupRingLocked(sh, string(to)).put(reqID, frame)
 		sh.dmu.Unlock()
 	}
 	s.sendReply(to, reqID, frame)

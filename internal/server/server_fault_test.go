@@ -178,27 +178,36 @@ func TestResumeBeforeExpiryRestoresSenders(t *testing.T) {
 	}
 }
 
-// A client that heartbeats and then goes silent is auto-suspended by the
-// liveness sweep, and the normal grace expiry closes it afterwards.
+// A client that heartbeats and then goes silent is auto-suspended by its
+// liveness timer at the last heartbeat's arrival plus the miss window, to
+// the nanosecond, though that heartbeat came half a beat off the first
+// one's rhythm; the normal grace expiry closes it afterwards.
 func TestLivenessSweepAutoSuspendsSilentClient(t *testing.T) {
-	h := newFaultHarness(t, Options{
-		Grace: 5 * time.Second, HeartbeatEvery: time.Second, LivenessMisses: 3,
-	})
+	opts := Options{Grace: 5 * time.Second, HeartbeatEvery: time.Second, LivenessMisses: 3}
+	h := newFaultHarness(t, opts)
 	h.connectAndPlay(t)
-	h.net.Send(netsim.Packet{
-		From: fakeClient, To: netsim.MakeAddr("srv", ControlPort),
-		Payload:  protocol.MustEncodeReq(protocol.MsgHeartbeat, 0, protocol.Heartbeat{}),
-		Reliable: true,
-	})
-	h.clk.RunFor(time.Second)
+	beat := func() {
+		h.net.Send(netsim.Packet{
+			From: fakeClient, To: netsim.MakeAddr("srv", ControlPort),
+			Payload:  protocol.MustEncodeReq(protocol.MsgHeartbeat, 0, protocol.Heartbeat{}),
+			Reliable: true,
+		})
+	}
+	beat()
+	h.clk.RunFor(1500 * time.Millisecond)
 	var ack protocol.HeartbeatAck
 	h.lastReply(t, protocol.MsgHeartbeatAck, &ack)
 	if !ack.OK {
 		t.Fatalf("heartbeat ack = %+v", ack)
 	}
-	// Silence: past the miss budget the sweep suspends the session.
-	h.clk.RunFor(5 * time.Second)
+	beat()
+	h.clk.RunFor(time.Second)
 	sess, unlock := h.srv.lockedSession(fakeClient)
+	arrived := sess.lastBeat
+	unlock()
+	// Silence: past the miss budget the session is suspended.
+	h.clk.RunFor(5 * time.Second)
+	sess, unlock = h.srv.lockedSession(fakeClient)
 	suspended := sess != nil && sess.suspended()
 	unlock()
 	if !suspended {
@@ -206,6 +215,17 @@ func TestLivenessSweepAutoSuspendsSilentClient(t *testing.T) {
 	}
 	if got := h.scope.Counter("server_sessions_suspended_liveness").Value(); got != 1 {
 		t.Fatalf("liveness suspend counter = %d, want 1", got)
+	}
+	want := arrived.Add(time.Duration(opts.LivenessMisses) * opts.HeartbeatEvery)
+	var at []time.Time
+	for _, e := range h.scope.Trace().Events() {
+		if e.Kind == obs.EvLiveness {
+			at = append(at, e.At)
+		}
+	}
+	if len(at) != 1 || !at[0].Equal(want) {
+		t.Fatalf("liveness events at %v, want one at %v (last heartbeat's arrival + %d × %v)",
+			at, want, opts.LivenessMisses, opts.HeartbeatEvery)
 	}
 	// Grace then expires and the session closes fully.
 	h.clk.RunFor(6 * time.Second)
@@ -258,15 +278,15 @@ func TestRejectStormDoesNotLeakDedupRings(t *testing.T) {
 	if grown < storm {
 		t.Fatalf("dedup rings after storm = %d, want ≥ %d", grown, storm)
 	}
-	// Past the TTL the sweep reaps every sessionless ring.
+	// Past the TTL every sessionless ring is evicted.
 	h.clk.RunFor(3 * dedupTTL)
 	left := h.srv.DedupLen()
 	clientSurvives := h.srv.dedupHas(fakeClient)
 	if left != 1 || !clientSurvives {
-		t.Fatalf("dedup rings after sweep = %d (client survives=%v), want only the live client's",
+		t.Fatalf("dedup rings after the TTL = %d (client survives=%v), want only the live client's",
 			left, clientSurvives)
 	}
-	// The live session must still dedup retransmissions after the sweep.
+	// The live session must still dedup retransmissions after the TTL.
 	if n := h.srv.Sessions(); n != 1 {
 		t.Fatalf("sessions = %d, want 1", n)
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/netsim"
 	"repro/internal/qos"
 	"repro/internal/stats"
@@ -81,22 +82,13 @@ func (m *lockMeter) RUnlock() { m.mu.RUnlock() }
 
 // ctrlShard is one slice of the control plane: the sessions whose client
 // address hashes here, the resume-token and session-ID indexes of those
-// sessions, their liveness timer wheel, the pending RTCP renegotiation
-// batch, and the dedup reply caches of the addresses that hash here.
+// sessions, the pending RTCP renegotiation batch, and the dedup reply caches
+// of the addresses that hash here.
 type ctrlShard struct {
 	mu       lockMeter
 	sessions map[string]*session // keyed by client control address
 	byToken  map[string]*session
 	byID     map[string]*session // keyed by session ID, for ResumeSession recovery
-	// live is the liveness timer wheel: every heartbeat-capable session is
-	// keyed on its next liveness deadline, so one sweep tick visits only
-	// the sessions due now, not every resident session. liveOn tracks
-	// whether the tick timer is armed; it arms lazily on the first
-	// heartbeat and disarms when the wheel empties, so sessions driven by
-	// raw packets (tests, old clients) are never liveness-policed and an
-	// idle server's virtual clock drains.
-	live   *wheel[*session]
-	liveOn bool
 	// reneg is the batch of sessions whose RTCP feedback changed their
 	// stream mix's rate since the last renegotiation tick; the tick
 	// renegotiates each once, instead of once per feedback packet.
@@ -108,14 +100,12 @@ type ctrlShard struct {
 	// idempotently instead of re-running their side effects. It has its
 	// own lock so replies can be cached while handlers hold mu (lock
 	// order mu → dmu; never the reverse). Rings for clients that never
-	// obtained a session (auth/admission rejects) sit on the rings TTL
-	// wheel so a reject storm cannot grow the map without bound; rings of
-	// live or suspended sessions leave the wheel and are deleted with the
-	// session instead.
-	dmu     sync.Mutex
-	dedup   map[string]*dedupRing
-	rings   *wheel[*dedupRing]
-	ringsOn bool
+	// obtained a session (auth/admission rejects) expire on their TTL
+	// timers so a reject storm cannot grow the map without bound; rings of
+	// live or suspended sessions let their timers lapse and are deleted
+	// with the session instead.
+	dmu   sync.Mutex
+	dedup map[string]*dedupRing
 }
 
 // shardOf returns the shard owning a client address.
@@ -219,7 +209,7 @@ const dedupCap = 64
 
 // dedupTTL is how long a reply cache for a client without a session is kept
 // after its last use. Clients whose connect was rejected (bad credentials,
-// admission refusal) get a ring but never a session, so only the TTL wheel
+// admission refusal) get a ring but never a session, so only its TTL timer
 // frees them; rings of live or suspended sessions are exempt and are
 // deleted with the session instead.
 const dedupTTL = 2 * time.Minute
@@ -234,8 +224,11 @@ type dedupRing struct {
 	addr     string
 	entries  []dedupEntry
 	lastUsed time.Time
-	pos      wheelPos // position on the shard's rings TTL wheel
+	ttl      *clock.Timer // fires at the expiry; see ringFire
 }
+
+// expiry is when the ring lapses unless used again.
+func (r *dedupRing) expiry() time.Time { return r.lastUsed.Add(dedupTTL) }
 
 // dedupEntry is one request ID and its reply frame.
 type dedupEntry struct {
@@ -276,23 +269,15 @@ func (r *dedupRing) put(reqID uint32, frame []byte) {
 }
 
 // dedupRingLocked returns the client's reply cache on the shard owning it,
-// refreshing its TTL position and lazily arming the shard's ring sweep;
-// caller holds sh.dmu.
-func (s *Server) dedupRingLocked(sh *ctrlShard, si int, client string) *dedupRing {
+// creating it with its TTL timer armed, and marks it used now; caller holds
+// sh.dmu.
+func (s *Server) dedupRingLocked(sh *ctrlShard, client string) *dedupRing {
 	ring, ok := sh.dedup[client]
 	if !ok {
-		ring = &dedupRing{addr: client, pos: noWheelPos()}
+		ring = &dedupRing{addr: client}
+		ring.ttl = s.clk.AfterFunc(dedupTTL, func() { s.ringFire(ring) })
 		sh.dedup[client] = ring
 	}
 	ring.lastUsed = s.clk.Now()
-	// (Re)key the ring on its expiry. Session-backed rings get dropped at
-	// their first fire (and deleted with the session), so the wheel — and
-	// with it the tick timer — drains on an idle server even while live
-	// sessions keep rings resident.
-	sh.rings.schedule(ring, ring.lastUsed.Add(dedupTTL))
-	if !sh.ringsOn {
-		sh.ringsOn = true
-		s.clk.AfterFunc(sh.rings.gran, func() { s.dedupTick(si) })
-	}
 	return ring
 }

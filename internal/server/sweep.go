@@ -7,124 +7,17 @@ import (
 	"repro/internal/protocol"
 )
 
-// This file holds the incremental periodic work of the control plane. The
-// old implementation swept *every* resident session (and every dedup ring)
-// on each tick — O(resident) work whether or not anything was due. Both
-// sweeps now run on hashed timer wheels keyed on each entry's next
-// deadline, so a tick costs O(entries due now) plus a constant bucket walk,
-// and a server with 100k idle-but-alive sessions pays the same per tick as
-// one with 1k. RTCP feedback renegotiation is batched the same way: a
-// feedback packet marks its session dirty, and a per-shard tick
+// This file holds the incremental periodic work of the control plane. Each
+// heartbeat-capable session and each dedup ring carries one clock timer for
+// its deadline, so the clock's own timer wheel is the only one: work happens
+// when a deadline comes up, not on a tick that visits whatever is resident.
+// The timers are lazy. A heartbeat or a cache hit only moves lastBeat or
+// lastUsed; a fire takes the owner's lock, reads the current state and
+// either acts on a deadline that has passed or re-arms itself for the one
+// still ahead. A fire never arms a second timer, so a stale wall-clock fire
+// can at worst check a deadline again. RTCP feedback renegotiation is
+// batched: a feedback packet marks its session dirty, and a per-shard tick
 // renegotiates each dirty session once instead of once per packet.
-
-// wheelPos locates an entry inside a wheel for O(1) removal. A negative
-// bucket means "not queued". Entries embed one wheelPos per wheel they can
-// sit on and must initialize it with noWheelPos.
-type wheelPos struct{ bucket, slot int }
-
-func noWheelPos() wheelPos { return wheelPos{bucket: -1, slot: -1} }
-
-// wheel is a hashed timer wheel: fixed-width time buckets indexed by
-// deadline/gran modulo the bucket count. schedule and remove are O(1);
-// advance visits each bucket at most once per gran. Entries whose bucket
-// comes up before their true deadline (wrap-around after a long sleep) are
-// simply rescheduled by the fire callback's lazy deadline re-check. Not
-// goroutine-safe: each wheel is guarded by its shard's lock.
-type wheel[T any] struct {
-	gran    time.Duration
-	buckets [][]T
-	pos     func(T) *wheelPos
-	cursor  int64 // absolute index of the last drained bucket
-	count   int
-}
-
-func newWheel[T any](now time.Time, gran time.Duration, buckets int, pos func(T) *wheelPos) *wheel[T] {
-	if buckets < 2 {
-		buckets = 2
-	}
-	w := &wheel[T]{gran: gran, buckets: make([][]T, buckets), pos: pos}
-	w.cursor = w.bucketNum(now)
-	return w
-}
-
-func (w *wheel[T]) bucketNum(t time.Time) int64 { return t.UnixNano() / int64(w.gran) }
-
-// Len returns the number of queued entries.
-func (w *wheel[T]) Len() int { return w.count }
-
-// schedule (re)queues item for deadline, clamping already-due deadlines to
-// the next drain so an entry is never parked behind the cursor.
-func (w *wheel[T]) schedule(item T, deadline time.Time) {
-	w.remove(item)
-	b := w.bucketNum(deadline)
-	if b <= w.cursor {
-		b = w.cursor + 1
-	}
-	idx := int(b % int64(len(w.buckets)))
-	p := w.pos(item)
-	p.bucket = idx
-	p.slot = len(w.buckets[idx])
-	w.buckets[idx] = append(w.buckets[idx], item)
-	w.count++
-}
-
-// remove dequeues item if queued (swap-remove via its stored position).
-func (w *wheel[T]) remove(item T) {
-	p := w.pos(item)
-	if p.bucket < 0 {
-		return
-	}
-	b := w.buckets[p.bucket]
-	last := len(b) - 1
-	moved := b[last]
-	b[p.slot] = moved
-	w.pos(moved).slot = p.slot
-	var zero T
-	b[last] = zero
-	w.buckets[p.bucket] = b[:last]
-	p.bucket, p.slot = -1, -1
-	w.count--
-}
-
-// advance drains every bucket due by now. fire returns the entry's next
-// deadline; a zero time drops it. The walk is capped at one full rotation:
-// after a long sleep every bucket is visited exactly once and still-future
-// entries are rescheduled by their returned deadlines.
-func (w *wheel[T]) advance(now time.Time, fire func(T) time.Time) {
-	target := w.bucketNum(now)
-	if target <= w.cursor {
-		return
-	}
-	if w.count == 0 {
-		w.cursor = target
-		return
-	}
-	first := w.cursor + 1
-	if target-first >= int64(len(w.buckets)) {
-		first = target - int64(len(w.buckets)) + 1
-	}
-	for b := first; b <= target; b++ {
-		w.cursor = b
-		idx := int(b % int64(len(w.buckets)))
-		due := w.buckets[idx]
-		if len(due) == 0 {
-			continue
-		}
-		// Detach the bucket first: fire may reschedule entries, and fresh
-		// inserts must land on the live slice, not the one being drained.
-		w.buckets[idx] = nil
-		for _, item := range due {
-			p := w.pos(item)
-			p.bucket, p.slot = -1, -1
-		}
-		w.count -= len(due)
-		for _, item := range due {
-			if next := fire(item); !next.IsZero() {
-				w.schedule(item, next)
-			}
-		}
-	}
-}
 
 // livenessWindow is the silence budget after which a heartbeat-capable
 // session is auto-suspended.
@@ -132,98 +25,71 @@ func (s *Server) livenessWindow() time.Duration {
 	return time.Duration(s.opts.LivenessMisses) * s.opts.HeartbeatEvery
 }
 
-// scheduleLivenessLocked keys the session on its next liveness deadline and
-// arms the shard's sweep tick. Caller holds sh.mu. Only the heartbeat path
-// and the ResumeSession recovery path schedule here, mirroring where the
-// old global sweep armed: token resumes and raw-packet sessions are never
-// liveness-policed.
-func (s *Server) scheduleLivenessLocked(sh *ctrlShard, si int, sess *session) {
-	sh.live.schedule(sess, sess.lastBeat.Add(s.livenessWindow()))
-	if !sh.liveOn {
-		sh.liveOn = true
-		s.clk.AfterFunc(s.opts.HeartbeatEvery, func() { s.liveTick(si) })
+// beatLocked records a sign of life from the session's client now and arms
+// its liveness timer if none is armed. Caller holds the session's shard
+// lock. Only the heartbeat path and the ResumeSession recovery path beat:
+// token resumes and raw-packet sessions are never liveness-policed.
+func (s *Server) beatLocked(sess *session) {
+	sess.lastBeat = s.clk.Now()
+	if sess.liveTimer == nil {
+		sess.liveTimer = s.clk.AfterFunc(s.livenessWindow(), func() { s.livenessFire(sess) })
 	}
 }
 
-// liveTick is one shard's liveness sweep: it drains the sessions whose
-// deadline came up, auto-suspends the truly silent ones and re-keys the
-// rest on their refreshed deadlines. Cost is O(sessions due this tick). The
-// tick re-arms only while the wheel holds entries, so an idle server's
-// virtual clock can still drain.
-func (s *Server) liveTick(si int) {
-	t0 := time.Now()
-	defer func() { s.hLiveTick.Observe(time.Since(t0)) }()
-	sh := &s.shards[si]
-	sh.mu.Lock()
-	now := s.clk.Now()
-	window := s.livenessWindow()
-	sh.live.advance(now, func(sess *session) time.Time {
-		if sess.suspended() || sess.lastBeat.IsZero() {
-			return time.Time{}
-		}
-		if now.Sub(sess.lastBeat) >= window {
-			s.step(sess, protocol.InPeerLost)
-			s.suspendSessionLocked(sh, sess)
-			s.opts.Obs.Counter("server_sessions_suspended_liveness").Inc()
-			s.opts.Obs.Emit(obs.EvLiveness, sess.user, 0,
-				"client silent; session "+sess.id+" auto-suspended")
-			return time.Time{}
-		}
-		return sess.lastBeat.Add(window)
-	})
-	if sh.live.Len() > 0 {
-		s.clk.AfterFunc(s.opts.HeartbeatEvery, func() { s.liveTick(si) })
-	} else {
-		sh.liveOn = false
+// livenessFire is a session's liveness timer. A client silent for the whole
+// window gets its session auto-suspended; otherwise the timer re-arms for
+// the deadline the latest heartbeat set. The suspend, teardown and reattach
+// paths stop the timer and nil it, so a fire that finds none is stale and
+// does nothing.
+func (s *Server) livenessFire(sess *session) {
+	sh, _ := s.lockSession(sess)
+	defer sh.mu.Unlock()
+	if sess.liveTimer == nil {
+		return
 	}
-	sh.mu.Unlock()
+	if left := sess.lastBeat.Add(s.livenessWindow()).Sub(s.clk.Now()); left > 0 {
+		sess.liveTimer.Reset(left)
+		return
+	}
+	s.step(sess, protocol.InPeerLost)
+	s.suspendSessionLocked(sh, sess)
+	s.opts.Obs.Counter("server_sessions_suspended_liveness").Inc()
+	s.opts.Obs.Emit(obs.EvLiveness, sess.user, 0,
+		"client silent; session "+sess.id+" auto-suspended")
 }
 
-// dedupTick is one shard's sessionless-ring sweep: it drains the rings
-// whose TTL came up and evicts the ones still sessionless and idle.
-// Session-backed rings are dropped from the wheel at their first fire —
-// they are deleted with their session — so a server whose only rings
-// belong to live sessions stops ticking entirely (and a virtual clock can
-// drain), instead of re-arming every TTL forever.
-func (s *Server) dedupTick(si int) {
-	t0 := time.Now()
-	defer func() { s.hDedupTick.Observe(time.Since(t0)) }()
-	sh := &s.shards[si]
-	// Session liveness is consulted under sh.mu; rings live under sh.dmu
-	// (mu → dmu, matching the handler path's order).
+// ringFire is a dedup ring's TTL timer. A ring whose address owns a session
+// lets its timer lapse: it is dropped with the session, or re-armed by
+// releaseRingLocked when the session leaves the address. A sessionless ring
+// idle for the whole TTL is evicted, and one used since re-arms for its new
+// expiry. A ring no longer in its shard's map was dropped, and its fire does
+// nothing.
+func (s *Server) ringFire(ring *dedupRing) {
+	sh := s.shardOf(ring.addr)
+	// Session ownership is read under sh.mu, rings under sh.dmu (mu → dmu,
+	// the handler path's order).
 	sh.mu.Lock()
 	sh.dmu.Lock()
-	now := s.clk.Now()
-	sh.rings.advance(now, func(ring *dedupRing) time.Time {
-		if _, live := sh.sessions[ring.addr]; live {
-			return time.Time{}
+	if sh.dedup[ring.addr] == ring {
+		if _, owned := sh.sessions[ring.addr]; !owned {
+			if left := ring.expiry().Sub(s.clk.Now()); left > 0 {
+				ring.ttl.Reset(left)
+			} else {
+				delete(sh.dedup, ring.addr)
+			}
 		}
-		if now.Sub(ring.lastUsed) >= dedupTTL {
-			delete(sh.dedup, ring.addr)
-			return time.Time{}
-		}
-		return ring.lastUsed.Add(dedupTTL)
-	})
-	if sh.rings.Len() > 0 {
-		s.clk.AfterFunc(sh.rings.gran, func() { s.dedupTick(si) })
-	} else {
-		sh.ringsOn = false
 	}
 	sh.dmu.Unlock()
 	sh.mu.Unlock()
 }
 
-// releaseRingLocked returns a session's reply cache to the TTL wheel when
-// the session leaves its address (cross-address reattach): the ring is
-// sessionless again and must not outlive the TTL. Caller holds sh.mu.
-func (s *Server) releaseRingLocked(sh *ctrlShard, si int, addr string) {
+// releaseRingLocked re-arms a session's reply cache when the session leaves
+// its address (cross-address reattach): the ring is sessionless again and
+// must not outlive the TTL. Caller holds sh.mu.
+func (s *Server) releaseRingLocked(sh *ctrlShard, addr string) {
 	sh.dmu.Lock()
 	if ring, ok := sh.dedup[addr]; ok {
-		sh.rings.schedule(ring, ring.lastUsed.Add(dedupTTL))
-		if !sh.ringsOn {
-			sh.ringsOn = true
-			s.clk.AfterFunc(sh.rings.gran, func() { s.dedupTick(si) })
-		}
+		ring.ttl.Reset(ring.expiry().Sub(s.clk.Now()))
 	}
 	sh.dmu.Unlock()
 }
@@ -233,7 +99,7 @@ func (s *Server) releaseRingLocked(sh *ctrlShard, si int, addr string) {
 func (sh *ctrlShard) dropRingLocked(addr string) {
 	sh.dmu.Lock()
 	if ring, ok := sh.dedup[addr]; ok {
-		sh.rings.remove(ring)
+		ring.ttl.Stop()
 		delete(sh.dedup, addr)
 	}
 	sh.dmu.Unlock()

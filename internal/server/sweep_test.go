@@ -7,12 +7,11 @@ import (
 	"repro/internal/protocol"
 )
 
-// TestDedupSweepQuiescesWithLiveSession pins the satellite-1 fix: once a
-// ring's address owns a live session, the ring's lifetime is the session's
-// — the expiry wheel must let go of it and the sweep timer must disarm.
-// Pre-fix, the dedup sweep re-armed itself forever as long as ANY ring
-// existed, so an idle server with one connected client never let the
-// virtual clock go quiet.
+// TestDedupSweepQuiescesWithLiveSession: once a ring's address owns a live
+// session, the ring's lifetime is the session's, so its TTL timer must lapse
+// instead of re-arming. A dedup sweep that re-armed as long as any ring
+// existed would keep an idle server with one connected client from ever
+// letting the virtual clock go quiet.
 func TestDedupSweepQuiescesWithLiveSession(t *testing.T) {
 	h := newFaultHarness(t, Options{})
 	h.sendReq(1, protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p", PeakRate: 1_000_000})
@@ -23,14 +22,14 @@ func TestDedupSweepQuiescesWithLiveSession(t *testing.T) {
 	}
 
 	// Run far past the dedup TTL with nothing else happening. The only
-	// ring belongs to the connected client's session, so the sweep must
-	// drop it from the wheel and stop re-arming.
+	// ring belongs to the connected client's session, so its timer must
+	// fire once and lapse.
 	h.clk.RunFor(3 * dedupTTL)
 	if n := h.clk.Pending(); n != 0 {
 		t.Fatalf("%d timers still pending on an idle server; the dedup sweep never quiesced", n)
 	}
 
-	// The ring itself must survive the sweep (it dies with the session):
+	// The ring itself must survive its lapsed timer (it dies with the session):
 	// a retransmission of the original connect is answered from the cache,
 	// not re-admitted.
 	decisions := h.srv.Admission().Decisions()
@@ -45,6 +44,81 @@ func TestDedupSweepQuiescesWithLiveSession(t *testing.T) {
 	}
 	if got := h.srv.Sessions(); got != 1 {
 		t.Fatalf("sessions = %d, want 1", got)
+	}
+}
+
+// TestStaleTimerFiresDoNothing calls the liveness callback of a suspended
+// and of a torn-down session, and the TTL callback of a dropped ring, as a
+// wall-clock fire that raced the path stopping its timer does. Each must
+// change nothing and arm nothing, though every deadline they guard has
+// passed: the session keeps its state and its grace timer, and a fresh ring
+// at the dropped one's address stays.
+func TestStaleTimerFiresDoNothing(t *testing.T) {
+	h := newFaultHarness(t, Options{Grace: time.Hour, HeartbeatEvery: time.Second, LivenessMisses: 3})
+	h.connectAndPlay(t)
+	h.sendReq(0, protocol.MsgHeartbeat, &protocol.Heartbeat{})
+	sess, unlock := h.srv.lockedSession(fakeClient)
+	armed := sess.liveTimer != nil
+	unlock()
+	if !armed {
+		t.Fatal("a heartbeat armed no liveness timer")
+	}
+	sh := h.srv.shardOf(string(fakeClient))
+	sh.dmu.Lock()
+	ring := sh.dedup[string(fakeClient)]
+	sh.dmu.Unlock()
+
+	// checkStale calls fire and wants no timer armed, no liveness suspend
+	// and the session's own state unchanged.
+	checkStale := func(what string, fire func()) {
+		t.Helper()
+		pending, sessions, rings := h.clk.Pending(), h.srv.Sessions(), h.srv.DedupLen()
+		sh.mu.Lock()
+		state, grace := sess.state.State(), sess.graceTimer
+		sh.mu.Unlock()
+		fire()
+		if got := h.clk.Pending(); got != pending {
+			t.Errorf("%s: the stale fire armed %d timers", what, got-pending)
+		}
+		if got, got2 := h.srv.Sessions(), h.srv.DedupLen(); got != sessions || got2 != rings {
+			t.Errorf("%s: sessions %d → %d, rings %d → %d", what, sessions, got, rings, got2)
+		}
+		sh.mu.Lock()
+		if sess.state.State() != state || sess.graceTimer != grace || sess.liveTimer != nil {
+			t.Errorf("%s: the stale fire moved the session: state %v → %v, grace timer replaced %v, liveness timer %v",
+				what, state, sess.state.State(), sess.graceTimer != grace, sess.liveTimer != nil)
+		}
+		sh.mu.Unlock()
+		if got := h.scope.Counter("server_sessions_suspended_liveness").Value(); got != 0 {
+			t.Errorf("%s: %d liveness suspends", what, got)
+		}
+	}
+
+	h.sendReq(3, protocol.MsgSuspend, &protocol.Suspend{})
+	if !sess.suspended() {
+		t.Fatal("suspend refused")
+	}
+	// Past the liveness deadline, a fire that missed its stopped timer
+	// would suspend the session a second time.
+	h.clk.RunFor(5 * time.Second)
+	checkStale("suspended session", func() { h.srv.livenessFire(sess) })
+
+	h.sendReq(4, protocol.MsgDisconnect, &protocol.Disconnect{})
+	if h.srv.Sessions() != 0 || h.srv.dedupHas(fakeClient) {
+		t.Fatal("disconnect left the session or its ring")
+	}
+	checkStale("torn-down session", func() { h.srv.livenessFire(sess) })
+
+	// Past the dropped ring's expiry, a rejected connect gives the address
+	// a fresh sessionless ring.
+	h.clk.RunFor(dedupTTL)
+	h.sendReq(5, protocol.MsgConnect, &protocol.Connect{User: "u", Password: "wrong"})
+	if !h.srv.dedupHas(fakeClient) {
+		t.Fatal("a rejected connect left no ring")
+	}
+	checkStale("dropped ring", func() { h.srv.ringFire(ring) })
+	if !h.srv.dedupHas(fakeClient) {
+		t.Error("the dropped ring's fire evicted the address's fresh ring")
 	}
 }
 
@@ -70,92 +144,6 @@ func TestAccessorsStayOffLockMeter(t *testing.T) {
 	if acqs1 != acqs0 {
 		t.Fatalf("read-only accessors took the metered write lock %d times; they must serve off the read side",
 			acqs1-acqs0)
-	}
-}
-
-// wheelItem is a minimal wheel entry for driving wheel[T] directly.
-type wheelItem struct {
-	pos   wheelPos
-	fired int
-}
-
-func newItemWheel(now time.Time, buckets int) *wheel[*wheelItem] {
-	return newWheel(now, time.Second, buckets, func(it *wheelItem) *wheelPos { return &it.pos })
-}
-
-// TestWheelAdvanceVisitsOnlyDue pins the timer-wheel claim behind the
-// liveness and dedup sweeps as a count of fire callbacks, not a wall-clock
-// figure: a tick's work is the entries due that tick, however many are
-// resident.
-func TestWheelAdvanceVisitsOnlyDue(t *testing.T) {
-	t0 := time.Unix(1_000_000, 0)
-
-	// Resident entries whose deadlines lie past the ticks advanced are never
-	// touched, whether there are ten of them or ten thousand.
-	const buckets, ticks = 64, 32
-	for _, n := range []int{10, 10_000} {
-		w := newItemWheel(t0, buckets)
-		for i := 0; i < n; i++ {
-			w.schedule(&wheelItem{pos: noWheelPos()},
-				t0.Add(time.Duration(ticks+1+i%(buckets-ticks-1))*time.Second))
-		}
-		fires := 0
-		for k := 1; k <= ticks; k++ {
-			w.advance(t0.Add(time.Duration(k)*time.Second), func(*wheelItem) time.Time {
-				fires++
-				return time.Time{}
-			})
-		}
-		if fires != 0 || w.Len() != n {
-			t.Fatalf("n=%d: %d ticks with nothing due fired %d entries and left %d queued; want 0 and %d",
-				n, ticks, fires, w.Len(), n)
-		}
-	}
-
-	// An entry fires exactly once when its bucket comes up, is re-queued at
-	// the deadline fire returns, and leaves the wheel on a zero return.
-	w := newItemWheel(t0, 8)
-	it := &wheelItem{pos: noWheelPos()}
-	w.schedule(it, t0.Add(3*time.Second))
-	var firedAt []int
-	for k := 1; k <= 7; k++ {
-		w.advance(t0.Add(time.Duration(k)*time.Second), func(got *wheelItem) time.Time {
-			if got != it {
-				t.Fatalf("tick %d fired a foreign entry", k)
-			}
-			firedAt = append(firedAt, k)
-			if k == 3 {
-				return t0.Add(6 * time.Second)
-			}
-			return time.Time{}
-		})
-	}
-	if len(firedAt) != 2 || firedAt[0] != 3 || firedAt[1] != 6 {
-		t.Fatalf("entry fired at ticks %v, want [3 6] (once per deadline, re-queued at the returned one)", firedAt)
-	}
-	if w.Len() != 0 || it.pos.bucket >= 0 {
-		t.Fatalf("dropped entry still queued: len=%d pos=%+v", w.Len(), it.pos)
-	}
-
-	// A sleep longer than one rotation visits every bucket once: one entry
-	// per bucket, each fired a single time.
-	w = newItemWheel(t0, 8)
-	items := make([]*wheelItem, 8)
-	for i := range items {
-		items[i] = &wheelItem{pos: noWheelPos()}
-		w.schedule(items[i], t0.Add(time.Duration(i+1)*time.Second))
-	}
-	w.advance(t0.Add(3*8*time.Second+time.Second), func(got *wheelItem) time.Time {
-		got.fired++
-		return time.Time{}
-	})
-	for i, it := range items {
-		if it.fired != 1 {
-			t.Fatalf("after a three-rotation sleep entry %d fired %d times, want 1", i, it.fired)
-		}
-	}
-	if w.Len() != 0 {
-		t.Fatalf("%d entries left queued after a full rotation", w.Len())
 	}
 }
 

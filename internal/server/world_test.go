@@ -203,20 +203,21 @@ func TestSharedFlowFanOutFlat(t *testing.T) {
 // Each client's topic list, sent DupFactor times, is answered every time
 // with the bytes of its first reply, its own request ID in them, and a
 // duplicate of it still gets those bytes after the catalogue changes,
-// while a new request lists the new document. One heartbeat each is
-// acknowledged, and liveness sweep ticks with every session resident but
-// none due suspend nobody.
+// while a new request lists the new document. Heartbeat rounds are all
+// acknowledged: the first arms one liveness timer per session, and the
+// rounds after it, with every session resident but none due, arm no timer
+// and suspend nobody.
 func TestConnectStormInvariants(t *testing.T) {
 	const (
-		sessions   = 96
-		dupFactor  = 4
-		sweepTicks = 4
+		sessions  = 96
+		dupFactor = 4
+		hbRounds  = 4
 	)
 	w := newWorld(t, map[string]string{"intro": `<TITLE>Intro</TITLE><TEXT>x</TEXT>`}, server.Options{
 		Grace:          time.Hour,
 		HeartbeatEvery: time.Second,
-		// Every liveness deadline lies beyond the sweep ticks.
-		LivenessMisses: sweepTicks + 60,
+		// Every liveness deadline lies beyond the heartbeat rounds.
+		LivenessMisses: hbRounds + 60,
 	})
 	var connectReplies [sessions]int
 	var listings [sessions][][]byte // every Topics frame each client got, in order
@@ -307,18 +308,27 @@ func TestConnectStormInvariants(t *testing.T) {
 	}
 
 	hb := protocol.MustEncodeReq(protocol.MsgHeartbeat, 0, protocol.Heartbeat{})
-	for _, a := range addrs {
-		w.send(a, hb)
+	pending := w.clk.Pending()
+	for r := 1; r <= hbRounds; r++ {
+		for _, a := range addrs {
+			w.send(a, hb)
+		}
+		w.clk.RunFor(time.Second)
+		if hbAcks != r*sessions {
+			t.Fatalf("%d heartbeat acks after round %d, want %d", hbAcks, r, r*sessions)
+		}
+		if r == 1 {
+			if got := w.clk.Pending() - pending; got != sessions {
+				t.Fatalf("the first heartbeat round armed %d timers, want one per session (%d)", got, sessions)
+			}
+			pending = w.clk.Pending()
+		} else if got := w.clk.Pending(); got != pending {
+			t.Fatalf("heartbeat round %d with nothing due moved the pending timers %d → %d", r, pending, got)
+		}
 	}
-	w.clk.RunFor(time.Second)
-	if hbAcks != sessions {
-		t.Fatalf("%d heartbeat acks, want %d", hbAcks, sessions)
-	}
-
-	w.clk.RunFor(sweepTicks * time.Second)
 	if got := w.srv.Sessions(); got != sessions {
-		t.Fatalf("%d sessions after %d sweep ticks, want %d (the sweep suspended live sessions)",
-			got, sweepTicks, sessions)
+		t.Fatalf("%d sessions after %d heartbeat rounds, want %d (live sessions were suspended)",
+			got, hbRounds, sessions)
 	}
 }
 

@@ -38,9 +38,8 @@ func DefaultLatencyBounds() []time.Duration {
 }
 
 // MicroLatencyBounds covers 10µs..100ms in roughly 1-2-5 steps — suitable
-// for in-process service times (emit path, control handlers, lock waits,
-// sweep ticks) whose whole distribution sits below DefaultLatencyBounds'
-// first bucket.
+// for in-process service times (emit path, control handlers, lock waits)
+// whose whole distribution sits below DefaultLatencyBounds' first bucket.
 func MicroLatencyBounds() []time.Duration {
 	return []time.Duration{
 		10 * time.Microsecond, 20 * time.Microsecond, 50 * time.Microsecond,
