@@ -606,10 +606,8 @@ func (c *Client) Disconnect() {
 	c.pres.close(c.net)
 	c.server(c.current).m.Try(protocol.InDisconnect)
 	c.cancelPendingLocked(c.current)
-	if c.hbTimer != nil {
-		c.hbTimer.Stop()
-		c.hbTimer = nil
-	}
+	c.hbTimer.Stop()
+	c.hbTimer = nil
 	c.send(c.server(c.current), protocol.MsgDisconnect, &protocol.Disconnect{})
 	c.logEvent("disconnect " + c.current)
 	c.opts.Obs.Emit(obs.EvSessionEnd, c.current, 0, "client disconnect")

@@ -398,7 +398,8 @@ func (c *Client) onDocResponse(from string, m protocol.DocResponse) {
 
 // pollFillLocked is the deliberate initial delay: it starts p once every
 // gating buffer holds its media time window, or when the cap expires, and
-// polls again in 50 ms until then. Caller holds c.mu.
+// polls again in 50 ms until then, re-arming the presentation's one fill
+// timer. Caller holds c.mu.
 func (c *Client) pollFillLocked(p *presentation) {
 	if p.started || c.pres != p || p.closed {
 		return
@@ -432,11 +433,15 @@ func (c *Client) pollFillLocked(p *presentation) {
 		p.fbTimer = c.clk.AfterFunc(c.opts.FeedbackInterval, func() { c.sendFeedback(p) })
 		return
 	}
-	p.fillTimer = c.clk.AfterFunc(50*time.Millisecond, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.pollFillLocked(p)
-	})
+	if p.fillTimer == nil {
+		p.fillTimer = c.clk.AfterFunc(50*time.Millisecond, func() {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			c.pollFillLocked(p)
+		})
+		return
+	}
+	p.fillTimer.Reset(50 * time.Millisecond)
 }
 
 // handleMedia is the stream handler of the port bound to rec: it parses

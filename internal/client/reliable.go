@@ -186,9 +186,7 @@ func (c *Client) unlinkPendingLocked(pr *pendingReq) {
 // server as a new loop: a tick of the old one that lost its Stop race on
 // the wall clock does nothing. Caller holds c.mu.
 func (c *Client) startHeartbeatLocked() {
-	if c.hbTimer != nil {
-		c.hbTimer.Stop()
-	}
+	c.hbTimer.Stop()
 	c.hbAwait = false
 	c.hbMisses = 0
 	c.hbLoop++
@@ -274,10 +272,8 @@ func (c *Client) onPeerLostLocked(host, why string) {
 	c.opts.Obs.Counter("client_liveness_losses").Inc()
 	c.opts.Obs.Emit(obs.EvLiveness, host, 0, "peer lost: "+why)
 	c.logEvent("liveness lost: " + host)
-	if c.hbTimer != nil {
-		c.hbTimer.Stop()
-		c.hbTimer = nil
-	}
+	c.hbTimer.Stop()
+	c.hbTimer = nil
 	rec := c.server(host)
 	rec.m.Try(protocol.InPeerLost)
 	if p := c.pres; p != nil && !p.player.Finished() && p.doc.Host == host {

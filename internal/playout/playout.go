@@ -496,9 +496,7 @@ func (p *Player) stopStream(s *streamState) {
 		return
 	}
 	s.done = true
-	if s.ticker != nil {
-		s.ticker.Stop()
-	}
+	s.ticker.Stop()
 	p.disp.Record(Event{At: p.now(), StreamID: s.entry.Stream.ID, Kind: EvStop})
 	p.mu.Unlock()
 }
@@ -685,15 +683,11 @@ func (p *Player) cancelTimersLocked() {
 		t.Stop()
 	}
 	p.timers = nil
-	if p.skewTimer != nil {
-		p.skewTimer.Stop()
-		p.skewTimer = nil
-	}
+	p.skewTimer.Stop()
+	p.skewTimer = nil
 	for _, s := range p.order {
-		if s.ticker != nil {
-			s.ticker.Stop()
-			s.ticker = nil
-		}
+		s.ticker.Stop()
+		s.ticker = nil
 	}
 }
 

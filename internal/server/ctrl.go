@@ -49,7 +49,7 @@ func (s *Server) handlePacket(pkt netsim.Packet) {
 	if reqID != 0 && dedupable(mt) {
 		sh := s.shardOf(string(pkt.From))
 		sh.dmu.Lock()
-		ring := s.dedupRingLocked(sh, string(pkt.From))
+		ring, created := s.dedupRingLocked(sh, string(pkt.From))
 		if frame, seen := ring.get(reqID); seen {
 			sh.dmu.Unlock()
 			s.opts.Obs.Counter("server_ctrl_dedup_hits").Inc()
@@ -64,6 +64,11 @@ func (s *Server) handlePacket(pkt netsim.Packet) {
 		}
 		ring.put(reqID, nil)
 		sh.dmu.Unlock()
+		if created {
+			// Its TTL timer waits until the request is handled, and is armed
+			// only if the address then owns no session.
+			defer s.ringFire(ring)
+		}
 	}
 	switch mt {
 	case protocol.MsgConnect:
@@ -203,23 +208,10 @@ func (s *Server) step(sess *session, in protocol.Input) bool {
 // holds the locks of shards oi (owning) and ni (target) via lockPair.
 func (s *Server) reattachLocked(oi, ni int, sess *session, from netsim.Addr) {
 	old, neu := &s.shards[oi], &s.shards[ni]
-	sess.graceTimer.Stop()
-	sess.graceTimer = nil
-	sess.liveTimer.Stop()
-	sess.liveTimer = nil
-	if sess.resumeToken != "" {
-		delete(old.byToken, sess.resumeToken)
-		sess.resumeToken = ""
-	}
-	oldAddr := string(sess.client)
-	if cur, ok := old.sessions[oldAddr]; ok && cur == sess {
-		delete(old.sessions, oldAddr)
-		s.sessionCount.Add(-1)
-	}
-	delete(old.byID, sess.id)
+	oldAddr := s.detachLocked(old, sess)
 	if oldAddr != string(from) {
 		// The old address's reply cache is sessionless now: its TTL timer
-		// runs again so it cannot outlive the dedup window.
+		// runs so it cannot outlive the dedup window.
 		s.releaseRingLocked(old, oldAddr)
 	}
 	sess.client = from
@@ -248,10 +240,7 @@ func (s *Server) recoverLocked(sess *session, suspended bool) {
 		snd.unpark()
 	}
 	if len(sess.senders) > 0 {
-		if sess.srTimer != nil {
-			sess.srTimer.Stop()
-		}
-		sess.srTimer = s.clk.AfterFunc(5*time.Second, func() { s.sendSenderReports(sess) })
+		s.armSenderReportsLocked(sess)
 	}
 }
 
@@ -519,11 +508,20 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 	for _, snd := range sess.senders {
 		snd.start()
 	}
-	if sess.srTimer != nil {
-		sess.srTimer.Stop()
-	}
-	sess.srTimer = s.clk.AfterFunc(5*time.Second, func() { s.sendSenderReports(sess) })
+	s.armSenderReportsLocked(sess)
 	sh2.mu.Unlock()
+}
+
+// armSenderReportsLocked runs the session's one sender-report timer for 5 s
+// from now, making it the first time, so a fire that lost its race with a
+// re-arm only moves that timer and never starts a second report loop.
+// Caller holds the session's shard lock.
+func (s *Server) armSenderReportsLocked(sess *session) {
+	if sess.srTimer == nil {
+		sess.srTimer = s.clk.AfterFunc(5*time.Second, func() { s.sendSenderReports(sess) })
+		return
+	}
+	sess.srTimer.Reset(5 * time.Second)
 }
 
 // sendSenderReports emits one RTCP SR per active media sender so receivers
@@ -544,7 +542,7 @@ func (s *Server) sendSenderReports(sess *session) {
 	}
 	snds := sess.senders
 	if len(snds) > 0 {
-		sess.srTimer = s.clk.AfterFunc(5*time.Second, func() { s.sendSenderReports(sess) })
+		s.armSenderReportsLocked(sess)
 	}
 	sh.mu.Unlock()
 	from := netsim.MakeAddr(s.Name, mediaPort)
@@ -744,10 +742,10 @@ func (s *Server) onDisconnect(from netsim.Addr) {
 	sh.mu.Unlock()
 }
 
-// teardownSessionLocked removes a session from its shard's maps, stops its
-// timers and its media, releases its reservation and settles billing. Caller
-// holds sh.mu (the shard owning the session).
-func (s *Server) teardownSessionLocked(sh *ctrlShard, sess *session, note string) {
+// detachLocked removes a session from the maps of sh, its owning shard,
+// retires its resume token, stops its grace and liveness timers, and returns
+// the address it was attached at. Caller holds sh.mu.
+func (s *Server) detachLocked(sh *ctrlShard, sess *session) string {
 	addr := string(sess.client)
 	if cur, ok := sh.sessions[addr]; ok && cur == sess {
 		delete(sh.sessions, addr)
@@ -762,7 +760,14 @@ func (s *Server) teardownSessionLocked(sh *ctrlShard, sess *session, note string
 	sess.graceTimer = nil
 	sess.liveTimer.Stop()
 	sess.liveTimer = nil
-	sh.dropRingLocked(addr)
+	return addr
+}
+
+// teardownSessionLocked detaches a session, drops its reply cache, stops its
+// media, releases its reservation and settles billing. Caller holds sh.mu
+// (the shard owning the session).
+func (s *Server) teardownSessionLocked(sh *ctrlShard, sess *session, note string) {
+	sh.dropRingLocked(s.detachLocked(sh, sess))
 	s.stopSendersLocked(sess)
 	s.adm.Release(sess.connID)
 	s.opts.Obs.Gauge("server_sessions").Set(s.sessionCount.Load())
@@ -776,8 +781,5 @@ func (s *Server) stopSendersLocked(sess *session) {
 		snd.stop()
 	}
 	sess.senders = nil
-	if sess.srTimer != nil {
-		sess.srTimer.Stop()
-		sess.srTimer = nil
-	}
+	sess.srTimer.Stop()
 }

@@ -178,10 +178,8 @@ func (fl *flow) armLocked() {
 }
 
 func (fl *flow) stopTimerLocked() {
-	if fl.timer != nil {
-		fl.timer.Stop()
-		fl.timer = nil
-	}
+	fl.timer.Stop()
+	fl.timer = nil
 }
 
 // emit transmits one frame and schedules the next. It runs on the pacing

@@ -538,23 +538,48 @@ func TestFlowLifecycle(t *testing.T) {
 <AU_VI SOURCE=au/a SOURCE=vi/v ID=a ID=v STARTIME=0 DURATION=600> </AU_VI>`, "")
 				w := &flowWorld{t: t, h: h, flows: map[*flow]bool{}}
 
-				// Both viewers connect first, so the timers pending now are the
-				// control plane's own; then c1 opens the document and c2 joins
-				// mid-playout.
+				// Both viewers connect first; connected sessions that neither
+				// heartbeat nor play hold no timer. Then c1 opens the document
+				// and c2 joins mid-playout.
 				h.send(protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
 				w.sendFrom(c2Addr, protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p"})
 				ctrlTimers := h.clk.Pending()
+				if ctrlTimers != 0 {
+					t.Fatalf("%d timers pending with two idle sessions connected, want 0", ctrlTimers)
+				}
+				// held counts the pending timers that are not packets in flight.
+				held := func() int {
+					sent, delivered, dropped, _ := h.net.Totals()
+					return h.clk.Pending() - (sent - delivered - dropped)
+				}
+				// c1 holds its SR timer and one pacing timer per stream. c2
+				// adds its SR timer and either two pacing timers of its own or,
+				// joining c1's shared flows, its video's catch-up patch (audio
+				// needs none).
+				c2Held := 6
+				if shared {
+					c2Held = 5
+				}
 				for _, c := range []struct {
 					tap  *rtpTap
 					host string
 					base int
-				}{{&w.c1, "fake", 9000}, {&w.c2, "fake2", 9100}} {
+					held int // timers held once the request is handled
+				}{{&w.c1, "fake", 9000, 3}, {&w.c2, "fake2", 9100, c2Held}} {
 					// Listen on the video port (the document's second stream)
 					// before requesting, so the tap sees the stream's very
 					// first packet and any catch-up patch.
 					c.tap.listen(h, netsim.MakeAddr(c.host, c.base+1))
 					ctl := netsim.MakeAddr(c.host, 6000)
-					w.sendFrom(ctl, protocol.MsgDocRequest, &protocol.DocRequest{Name: "doc", MediaPortBase: c.base, WindowMS: 300})
+					h.net.Send(netsim.Packet{
+						From: ctl, To: netsim.MakeAddr("srv", ControlPort),
+						Payload: mustFrame(protocol.MsgDocRequest, 0, &protocol.DocRequest{Name: "doc", MediaPortBase: c.base, WindowMS: 300}), Reliable: true,
+					})
+					h.clk.RunFor(10 * time.Millisecond)
+					if got := held(); got != c.held {
+						t.Fatalf("%s: %d timers held after the document request, want %d", c.host, got, c.held)
+					}
+					h.clk.RunFor(990 * time.Millisecond)
 					sess, unlock := h.srv.lockedSession(ctl)
 					if sess == nil || sess.sender("v") == nil || sess.sender("v").to != netsim.MakeAddr(c.host, c.base+1) {
 						unlock()

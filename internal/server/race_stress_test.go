@@ -109,11 +109,17 @@ func TestDataPlaneRaceStress(t *testing.T) {
 
 // TestControlPlaneRaceStress drives connect/heartbeat/disconnect churn for
 // many clients from concurrent goroutines — each calls the server's handler
-// on its own goroutine — while readers hammer the unmetered accessors. Under
-// -race (make race / make check) this proves the sharded session state, the
-// dedup rings and their timers are sound under real parallelism, and
-// every duplicate connect is absorbed by its client's dedup ring however the
-// goroutines interleave.
+// on its own goroutine — interleaved with rejected connects from a second
+// address per client, while readers hammer the unmetered accessors and a
+// firer calls every resident ring's TTL callback, as stale wall-clock fires
+// would. Each client ends by moving its last session to a third address.
+// Under -race (make race / make check) this proves the sharded session
+// state, the dedup rings and their timers are sound under real parallelism:
+// a rejected connect arms its ring after dispatch, ring callbacks run, and a
+// reattach arms the ring it leaves, all at once. Every duplicate connect is
+// absorbed by its client's dedup ring however the goroutines interleave, and
+// once the TTL has passed only the rings of addresses that own a session
+// remain.
 func TestControlPlaneRaceStress(t *testing.T) {
 	const (
 		clients = 48
@@ -141,20 +147,29 @@ func TestControlPlaneRaceStress(t *testing.T) {
 		wg.Add(1)
 		go func(addr netsim.Addr) {
 			defer wg.Done()
-			send := func(frame []byte) {
-				srv.handle(netsim.Packet{From: addr, To: ctrl, Payload: frame, Reliable: true})
+			sendFrom := func(from netsim.Addr, frame []byte) {
+				srv.handle(netsim.Packet{From: from, To: ctrl, Payload: frame, Reliable: true})
 			}
+			send := func(frame []byte) { sendFrom(addr, frame) }
+			rejected := netsim.MakeAddr(addr.Host()+"-rejected", 6000)
 			hb := protocol.MustEncodeReq(protocol.MsgHeartbeat, 0, protocol.Heartbeat{})
 			for r := uint32(0); r < rounds; r++ {
 				connect := protocol.MustEncodeReq(protocol.MsgConnect, 100+r,
 					protocol.Connect{User: "bench", Password: "pw"})
 				send(connect)
+				sendFrom(rejected, protocol.MustEncodeReq(protocol.MsgConnect, 400+r,
+					protocol.Connect{User: "bench", Password: "wrong"}))
 				send(connect) // duplicate through the dedup ring
 				send(hb)
 				send(protocol.MustEncodeReq(protocol.MsgDisconnect, 200+r, protocol.Disconnect{}))
 			}
 			send(protocol.MustEncodeReq(protocol.MsgConnect, 300,
 				protocol.Connect{User: "bench", Password: "pw"}))
+			sess, unlock := srv.lockedSession(addr)
+			id := sess.id
+			unlock()
+			sendFrom(netsim.MakeAddr(addr.Host()+"-moved", 6000), protocol.MustEncodeReq(protocol.MsgConnect, 500,
+				protocol.Connect{ResumeSession: id}))
 		}(addr)
 	}
 	stop := make(chan struct{})
@@ -176,6 +191,30 @@ func TestControlPlaneRaceStress(t *testing.T) {
 			}
 		}(r)
 	}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		var rings []*dedupRing
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rings = rings[:0]
+			for i := range srv.shards {
+				sh := &srv.shards[i]
+				sh.dmu.Lock()
+				for _, ring := range sh.dedup {
+					rings = append(rings, ring)
+				}
+				sh.dmu.Unlock()
+			}
+			for _, ring := range rings {
+				srv.ringFire(ring)
+			}
+		}
+	}()
 	wg.Wait()
 	close(stop)
 	readers.Wait()
@@ -185,8 +224,11 @@ func TestControlPlaneRaceStress(t *testing.T) {
 			got, want)
 	}
 	// Fire the liveness and ring timers due with everyone resident.
-	clk.RunFor(5 * time.Second)
+	clk.RunFor(dedupTTL + 5*time.Second)
 	if got := srv.Sessions(); got != clients {
 		t.Fatalf("sessions after churn = %d, want %d", got, clients)
+	}
+	if got := srv.DedupLen(); got != clients {
+		t.Fatalf("%d reply caches past the TTL, want %d (one per address owning a session)", got, clients)
 	}
 }

@@ -346,7 +346,11 @@ func (s *Server) replyFrame(to netsim.Addr, reqID uint32, frame []byte) {
 	if reqID != 0 {
 		sh := s.shardOf(string(to))
 		sh.dmu.Lock()
-		s.dedupRingLocked(sh, string(to)).put(reqID, frame)
+		ring, created := s.dedupRingLocked(sh, string(to))
+		if created {
+			s.armRingLocked(ring)
+		}
+		ring.put(reqID, frame)
 		sh.dmu.Unlock()
 	}
 	s.sendReply(to, reqID, frame)
@@ -452,9 +456,7 @@ func (s *Server) finishSearch(qid int) {
 		return
 	}
 	delete(s.searches, qid)
-	if ps.timer != nil {
-		ps.timer.Stop()
-	}
+	ps.timer.Stop()
 	hits := ps.hits
 	sort.Slice(hits, func(i, j int) bool {
 		if hits[i].Server != hits[j].Server {

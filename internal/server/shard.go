@@ -55,30 +55,22 @@ func shardIndex(key string) int {
 // exist precisely so read-only accessors can be served without polluting
 // the meter.
 type lockMeter struct {
-	mu sync.RWMutex
+	sync.RWMutex
 	// hWait observes the wall time each Lock spent waiting. Set once at
 	// Server.New (a shared no-op when telemetry is off), before any
 	// concurrent use, so reads need no synchronization.
 	hWait *stats.DurationHistogram
 }
 
-// Lock acquires the shard lock for writing.
+// Lock acquires the shard lock for writing; the rest of the RWMutex's
+// methods, the read side included, are its own, unmetered.
 func (m *lockMeter) Lock() {
 	t0 := time.Now()
-	m.mu.Lock()
+	m.RWMutex.Lock()
 	if m.hWait != nil {
 		m.hWait.Observe(time.Since(t0))
 	}
 }
-
-// Unlock releases the shard lock.
-func (m *lockMeter) Unlock() { m.mu.Unlock() }
-
-// RLock acquires the shard lock for reading, without touching the meter.
-func (m *lockMeter) RLock() { m.mu.RLock() }
-
-// RUnlock releases a read acquisition.
-func (m *lockMeter) RUnlock() { m.mu.RUnlock() }
 
 // ctrlShard is one slice of the control plane: the sessions whose client
 // address hashes here, the resume-token and session-ID indexes of those
@@ -99,11 +91,11 @@ type ctrlShard struct {
 	// handled request IDs so retransmitted requests are answered
 	// idempotently instead of re-running their side effects. It has its
 	// own lock so replies can be cached while handlers hold mu (lock
-	// order mu → dmu; never the reverse). Rings for clients that never
-	// obtained a session (auth/admission rejects) expire on their TTL
-	// timers so a reject storm cannot grow the map without bound; rings of
-	// live or suspended sessions let their timers lapse and are deleted
-	// with the session instead.
+	// order mu → dmu; never the reverse). A ring whose address owns no
+	// session (an auth or admission reject, a redirect, a sessionless topic
+	// list) has a TTL timer, so a reject storm cannot grow the map without
+	// bound; a ring of a live or suspended session has none and is deleted
+	// with the session, or armed when the session leaves its address.
 	dmu   sync.Mutex
 	dedup map[string]*dedupRing
 }
@@ -210,7 +202,7 @@ const dedupCap = 64
 // dedupTTL is how long a reply cache for a client without a session is kept
 // after its last use. Clients whose connect was rejected (bad credentials,
 // admission refusal) get a ring but never a session, so only its TTL timer
-// frees them; rings of live or suspended sessions are exempt and are
+// frees them; rings of live or suspended sessions hold no timer and are
 // deleted with the session instead.
 const dedupTTL = 2 * time.Minute
 
@@ -224,7 +216,7 @@ type dedupRing struct {
 	addr     string
 	entries  []dedupEntry
 	lastUsed time.Time
-	ttl      *clock.Timer // fires at the expiry; see ringFire
+	ttl      *clock.Timer // fires at the expiry; nil until first armed (armRingLocked)
 }
 
 // expiry is when the ring lapses unless used again.
@@ -269,15 +261,14 @@ func (r *dedupRing) put(reqID uint32, frame []byte) {
 }
 
 // dedupRingLocked returns the client's reply cache on the shard owning it,
-// creating it with its TTL timer armed, and marks it used now; caller holds
-// sh.dmu.
-func (s *Server) dedupRingLocked(sh *ctrlShard, client string) *dedupRing {
+// creating it, with no TTL timer yet, when absent (created), and marks it
+// used now; caller holds sh.dmu.
+func (s *Server) dedupRingLocked(sh *ctrlShard, client string) (ring *dedupRing, created bool) {
 	ring, ok := sh.dedup[client]
 	if !ok {
 		ring = &dedupRing{addr: client}
-		ring.ttl = s.clk.AfterFunc(dedupTTL, func() { s.ringFire(ring) })
 		sh.dedup[client] = ring
 	}
 	ring.lastUsed = s.clk.Now()
-	return ring
+	return ring, !ok
 }

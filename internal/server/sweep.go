@@ -8,10 +8,12 @@ import (
 )
 
 // This file holds the incremental periodic work of the control plane. Each
-// heartbeat-capable session and each dedup ring carries one clock timer for
-// its deadline, so the clock's own timer wheel is the only one: work happens
-// when a deadline comes up, not on a tick that visits whatever is resident.
-// The timers are lazy. A heartbeat or a cache hit only moves lastBeat or
+// duty carries one clock timer, armed only while it guards something: a
+// heartbeating session's liveness deadline, and the expiry of a reply cache
+// whose address owns no session. So the clock's own timer wheel is the only
+// one, work happens when a deadline comes up, not on a tick that visits
+// whatever is resident, and an idle session costs no timer at all. The
+// timers are lazy. A heartbeat or a cache hit only moves lastBeat or
 // lastUsed; a fire takes the owner's lock, reads the current state and
 // either acts on a deadline that has passed or re-arms itself for the one
 // still ahead. A fire never arms a second timer, so a stale wall-clock fire
@@ -58,38 +60,49 @@ func (s *Server) livenessFire(sess *session) {
 		"client silent; session "+sess.id+" auto-suspended")
 }
 
-// ringFire is a dedup ring's TTL timer. A ring whose address owns a session
-// lets its timer lapse: it is dropped with the session, or re-armed by
+// armRingLocked runs a reply cache's one TTL timer until the ring's expiry,
+// making the timer the first time. Caller holds the ring's sh.dmu.
+func (s *Server) armRingLocked(ring *dedupRing) {
+	d := ring.expiry().Sub(s.clk.Now())
+	if ring.ttl == nil {
+		ring.ttl = s.clk.AfterFunc(d, func() { s.ringFire(ring) })
+		return
+	}
+	ring.ttl.Reset(d)
+}
+
+// ringFire is a dedup ring's TTL timer, and handlePacket calls it once the
+// request that made the ring is handled. A ring whose address owns a session
+// is left without a timer: it is dropped with the session, or armed by
 // releaseRingLocked when the session leaves the address. A sessionless ring
-// idle for the whole TTL is evicted, and one used since re-arms for its new
-// expiry. A ring no longer in its shard's map was dropped, and its fire does
-// nothing.
+// idle for the whole TTL is evicted, and any other is armed for its expiry.
+// A ring no longer in its shard's map was dropped, and its fire does nothing.
+// Ownership is read on sh.mu's unmetered read side, rings under sh.dmu
+// (mu → dmu, the handler path's order).
 func (s *Server) ringFire(ring *dedupRing) {
 	sh := s.shardOf(ring.addr)
-	// Session ownership is read under sh.mu, rings under sh.dmu (mu → dmu,
-	// the handler path's order).
-	sh.mu.Lock()
+	sh.mu.RLock()
 	sh.dmu.Lock()
 	if sh.dedup[ring.addr] == ring {
 		if _, owned := sh.sessions[ring.addr]; !owned {
-			if left := ring.expiry().Sub(s.clk.Now()); left > 0 {
-				ring.ttl.Reset(left)
+			if ring.expiry().After(s.clk.Now()) {
+				s.armRingLocked(ring)
 			} else {
 				delete(sh.dedup, ring.addr)
 			}
 		}
 	}
 	sh.dmu.Unlock()
-	sh.mu.Unlock()
+	sh.mu.RUnlock()
 }
 
-// releaseRingLocked re-arms a session's reply cache when the session leaves
-// its address (cross-address reattach): the ring is sessionless again and
-// must not outlive the TTL. Caller holds sh.mu.
+// releaseRingLocked arms a session's reply cache when the session leaves its
+// address (cross-address reattach): the ring is sessionless again and must
+// not outlive the TTL. Caller holds sh.mu.
 func (s *Server) releaseRingLocked(sh *ctrlShard, addr string) {
 	sh.dmu.Lock()
 	if ring, ok := sh.dedup[addr]; ok {
-		ring.ttl.Reset(ring.expiry().Sub(s.clk.Now()))
+		s.armRingLocked(ring)
 	}
 	sh.dmu.Unlock()
 }

@@ -8,10 +8,10 @@ import (
 )
 
 // TestDedupSweepQuiescesWithLiveSession: once a ring's address owns a live
-// session, the ring's lifetime is the session's, so its TTL timer must lapse
-// instead of re-arming. A dedup sweep that re-armed as long as any ring
-// existed would keep an idle server with one connected client from ever
-// letting the virtual clock go quiet.
+// session, the ring's lifetime is the session's, so it holds no TTL timer.
+// A dedup sweep that re-armed as long as any ring existed would keep an idle
+// server with one connected client from ever letting the virtual clock go
+// quiet.
 func TestDedupSweepQuiescesWithLiveSession(t *testing.T) {
 	h := newFaultHarness(t, Options{})
 	h.sendReq(1, protocol.MsgConnect, &protocol.Connect{User: "u", Password: "p", PeakRate: 1_000_000})
@@ -20,10 +20,13 @@ func TestDedupSweepQuiescesWithLiveSession(t *testing.T) {
 	if !cr.OK {
 		t.Fatalf("connect = %+v", cr)
 	}
+	// The only ring belongs to the connected client's session, so it holds
+	// no timer at all.
+	if n := h.clk.Pending(); n != 0 {
+		t.Fatalf("%d timers pending right after a successful connect, want 0", n)
+	}
 
-	// Run far past the dedup TTL with nothing else happening. The only
-	// ring belongs to the connected client's session, so its timer must
-	// fire once and lapse.
+	// Run far past the dedup TTL with nothing else happening.
 	h.clk.RunFor(3 * dedupTTL)
 	if n := h.clk.Pending(); n != 0 {
 		t.Fatalf("%d timers still pending on an idle server; the dedup sweep never quiesced", n)
@@ -47,12 +50,13 @@ func TestDedupSweepQuiescesWithLiveSession(t *testing.T) {
 	}
 }
 
-// TestStaleTimerFiresDoNothing calls the liveness callback of a suspended
-// and of a torn-down session, and the TTL callback of a dropped ring, as a
-// wall-clock fire that raced the path stopping its timer does. Each must
-// change nothing and arm nothing, though every deadline they guard has
-// passed: the session keeps its state and its grace timer, and a fresh ring
-// at the dropped one's address stays.
+// TestStaleTimerFiresDoNothing calls the sender-report callback of a
+// playing session, the liveness callback of a suspended and of a torn-down
+// session, and the TTL callback of a dropped ring, as a wall-clock fire that
+// raced the path re-arming or stopping its timer does. None may arm a
+// timer, and the last three, though every deadline they guard has passed,
+// change nothing: the session keeps its state and its grace timer, and a
+// fresh ring at the dropped one's address stays.
 func TestStaleTimerFiresDoNothing(t *testing.T) {
 	h := newFaultHarness(t, Options{Grace: time.Hour, HeartbeatEvery: time.Second, LivenessMisses: 3})
 	h.connectAndPlay(t)
@@ -94,6 +98,18 @@ func TestStaleTimerFiresDoNothing(t *testing.T) {
 		}
 	}
 
+	// A sender-report fire that lost its race with a re-arm (a document
+	// request, a recovery) finds the reports' one timer pending again: it
+	// moves that timer and starts no second report loop.
+	if sess.suspended() {
+		t.Fatal("the playing session is suspended")
+	}
+	pending := h.clk.Pending()
+	h.srv.sendSenderReports(sess)
+	if got := h.clk.Pending(); got != pending {
+		t.Errorf("a sender-report fire on a playing session armed %d timers", got-pending)
+	}
+
 	h.sendReq(3, protocol.MsgSuspend, &protocol.Suspend{})
 	if !sess.suspended() {
 		t.Fatal("suspend refused")
@@ -110,11 +126,15 @@ func TestStaleTimerFiresDoNothing(t *testing.T) {
 	checkStale("torn-down session", func() { h.srv.livenessFire(sess) })
 
 	// Past the dropped ring's expiry, a rejected connect gives the address
-	// a fresh sessionless ring.
+	// a fresh sessionless ring, which holds exactly its TTL timer.
 	h.clk.RunFor(dedupTTL)
+	pending = h.clk.Pending()
 	h.sendReq(5, protocol.MsgConnect, &protocol.Connect{User: "u", Password: "wrong"})
 	if !h.srv.dedupHas(fakeClient) {
 		t.Fatal("a rejected connect left no ring")
+	}
+	if got := h.clk.Pending(); got != pending+1 {
+		t.Errorf("a rejected connect's ring holds %d timers, want 1", got-pending)
 	}
 	checkStale("dropped ring", func() { h.srv.ringFire(ring) })
 	if !h.srv.dedupHas(fakeClient) {

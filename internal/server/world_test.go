@@ -206,7 +206,8 @@ func TestSharedFlowFanOutFlat(t *testing.T) {
 // while a new request lists the new document. Heartbeat rounds are all
 // acknowledged: the first arms one liveness timer per session, and the
 // rounds after it, with every session resident but none due, arm no timer
-// and suspend nobody.
+// and suspend nobody. Until then a session, its reply cache included,
+// holds no timer.
 func TestConnectStormInvariants(t *testing.T) {
 	const (
 		sessions  = 96
@@ -238,6 +239,9 @@ func TestConnectStormInvariants(t *testing.T) {
 	}
 
 	// One frame serves every client: request IDs are scoped per address.
+	// A ring whose address owns a session holds no timer, so the storm
+	// leaves the clock's pending timers as it found them.
+	idle := w.clk.Pending()
 	connect := protocol.MustEncodeReq(protocol.MsgConnect, 1, protocol.Connect{User: "load", Password: "pw"})
 	for _, a := range addrs {
 		for d := 0; d < dupFactor; d++ {
@@ -245,6 +249,9 @@ func TestConnectStormInvariants(t *testing.T) {
 		}
 	}
 	w.clk.RunFor(time.Second)
+	if got := w.clk.Pending(); got != idle {
+		t.Fatalf("the storm's %d sessions left %d timers pending, %d before it; want none per session", sessions, got, idle)
+	}
 	if got := w.srv.Sessions(); got != sessions {
 		t.Fatalf("%d sessions after the storm, want %d", got, sessions)
 	}
@@ -285,6 +292,9 @@ func TestConnectStormInvariants(t *testing.T) {
 	}
 	if got := w.scope.Counter("server_ctrl_dedup_hits").Value(); got != 2*sessions*(dupFactor-1) {
 		t.Fatalf("dedup hits = %d after the listings, want %d", got, 2*sessions*(dupFactor-1))
+	}
+	if got := w.clk.Pending(); got != idle {
+		t.Fatalf("the listings left %d timers pending, %d before the storm", got, idle)
 	}
 
 	// A catalogue change reaches the next request, not a duplicate of an
